@@ -1,22 +1,17 @@
 """Walkthrough: column geometry of weight residuals.
 
-Each weight-matrix column splits into a norm (how big) and a unit direction
+Each weight-matrix column splits into a norm (how big) and a direction
 (which way). Two fine-tunes of the same base can then be compared column by
 column: how much did each one rescale a column, and how far did it rotate
-it? The squared distance between a fine-tuned column and its base column
-decomposes exactly into those two effects, which is worth seeing once with
-numbers.
+it? Both questions are answered from per-column norms and dot products
+alone, since the cosine between two directions ignores scale. The squared
+distance between a fine-tuned column and its base column splits exactly
+into those two effects, which is worth seeing once with numbers.
 """
 
 import numpy as np
 
-from dimerge import (
-    cross_alignment,
-    decompose,
-    direction_deviation,
-    magnitude_deviation,
-    residual_identity_terms,
-)
+from dimerge import column_deviations, cross_alignment, residual_identity_terms
 
 rng = np.random.default_rng(1)
 
@@ -24,18 +19,16 @@ base = rng.normal(size=(64, 6)).astype(np.float32)
 ml = base + rng.normal(scale=0.3, size=base.shape).astype(np.float32)   # "multilingual" update
 mm = base + rng.normal(scale=0.1, size=base.shape).astype(np.float32)   # "multimodal" update
 
-# --- decomposition ---------------------------------------------------------
-dec_base = decompose(base)
-print("column norms of the base:", np.round(dec_base.magnitudes, 3))
-unit = np.linalg.norm(dec_base.directions, axis=0)
-print("direction norms (unit up to the stabilizer):", np.round(unit, 6))
+# --- column norms --------------------------------------------------------------
+for label, W in (("base", base), ("ml", ml), ("mm", mm)):
+    print(f"column norms of {label:>4}:", np.round(np.linalg.norm(W, axis=0), 3))
 
-# --- per-column deviations ---------------------------------------------------
-dec_ml, dec_mm = decompose(ml), decompose(mm)
-print("\nnorm gap   ml vs base:", np.round(magnitude_deviation(dec_ml, dec_base), 4))
-print("norm gap   mm vs base:", np.round(magnitude_deviation(dec_mm, dec_base), 4))
-print("reorient   ml vs base:", np.round(direction_deviation(dec_ml, dec_base), 4))
-print("reorient   mm vs base:", np.round(direction_deviation(dec_mm, dec_base), 4))
+# --- per-column deviations from norms and dots ---------------------------------
+dev = column_deviations(base, ml, mm)
+print("\nnorm gap   ml vs base:", np.round(dev.mag_ml, 4))
+print("norm gap   mm vs base:", np.round(dev.mag_mm, 4))
+print("reorient   ml vs base:", np.round(dev.dir_ml, 4))
+print("reorient   mm vs base:", np.round(dev.dir_mm, 4))
 
 # the stronger update (ml, scale 0.3) rotates columns further than mm
 

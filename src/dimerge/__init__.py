@@ -25,18 +25,14 @@ from .errors import (
     ShardError,
 )
 from .geometry import (
-    ColumnDecomposition,
-    DeviationProfile,
+    ColumnDeviations,
     HeterogeneityStats,
+    column_deviations,
     cross_alignment,
-    decompose,
-    deviation_profile,
-    direction_deviation,
-    magnitude_deviation,
     residual_identity_terms,
     tensor_stats,
 )
-from .merge import MergeConfig, MergeReport, merge_checkpoint, merge_matrix, merge_vector
+from .merge import MergeConfig, MergeReport, merge_checkpoint, merge_tensor
 from .records import DType, TensorRecord
 from .salience import (
     AggregationKind,
@@ -60,10 +56,9 @@ __all__ = [
     "AlignmentReport",
     "BaselineParams",
     "Checkpoint",
-    "ColumnDecomposition",
+    "ColumnDeviations",
     "ConfigError",
     "DType",
-    "DeviationProfile",
     "DimergeError",
     "EstimatorKind",
     "FormatError",
@@ -83,21 +78,17 @@ __all__ = [
     "aggregate_branches",
     "align_triple",
     "breadcrumbs_transform",
+    "column_deviations",
     "cross_alignment",
     "dare_transform",
-    "decompose",
-    "deviation_profile",
     "diagnose",
-    "direction_deviation",
     "elementwise_salience",
     "estimate_salience",
     "export_csv",
     "export_json",
     "load_checkpoint",
-    "magnitude_deviation",
     "merge_checkpoint",
-    "merge_matrix",
-    "merge_vector",
+    "merge_tensor",
     "parse_layer_index",
     "rank_normalize",
     "remap_keys",

@@ -11,7 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import AlignmentError, ConfigError
+import numpy as np
+
+from .errors import AlignmentError, ConfigError, NumericError
 from .records import TensorRecord
 from .scope import ScopeFilter
 from .store import Checkpoint
@@ -47,6 +49,14 @@ class AlignedTriple:
     @property
     def rank(self) -> int:
         return len(self.mm.shape)
+
+    def to_f32(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decode (base, ml, mm) to float32; any non-finite input is an error."""
+        arrays = (self.base.to_f32(), self.ml.to_f32(), self.mm.to_f32())
+        for role, values in zip(("base", "multilingual", "anchor"), arrays):
+            if not np.isfinite(values).all():
+                raise NumericError(f"{self.name}: {role} tensor contains non-finite values")
+        return arrays
 
 
 @dataclass

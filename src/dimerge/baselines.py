@@ -95,9 +95,13 @@ def unit_uniforms(seed: int, name: str, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _deltas_f32(triple: AlignedTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    base = triple.base.to_f32()
-    return base, triple.ml.to_f32() - base, triple.mm.to_f32() - base
+def deltas_f32(triple: AlignedTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(base, ml - base, mm - base) in float32; the residuals overwrite the
+    decoded source copies, so no extra tensor-sized array stays live."""
+    base, ml, mm = triple.to_f32()
+    ml -= base
+    mm -= base
+    return base, ml, mm
 
 
 def _as_record(name: str, values: np.ndarray, dtype: DType) -> TensorRecord:
@@ -110,7 +114,7 @@ def task_arithmetic_values(base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.
 
 def task_arithmetic(triple: AlignedTriple, lam: float = 1.0) -> TensorRecord:
     """Sum of the two residuals added to the base, scaled by ``lam``."""
-    base, d_ml, d_mm = _deltas_f32(triple)
+    base, d_ml, d_mm = deltas_f32(triple)
     return _as_record(triple.name, task_arithmetic_values(base, d_ml, d_mm, lam), triple.mm.dtype)
 
 
@@ -162,7 +166,7 @@ def ties_merge_values(
 def ties_merge(triple: AlignedTriple, density: float, lam: float = 1.0) -> TensorRecord:
     """Trim small updates per source, elect a sign per coordinate from the
     kept mass (ties elect positive), and average the agreeing residuals."""
-    base, d_ml, d_mm = _deltas_f32(triple)
+    base, d_ml, d_mm = deltas_f32(triple)
     return _as_record(triple.name, ties_merge_values(base, d_ml, d_mm, density, lam), triple.mm.dtype)
 
 

@@ -3,8 +3,9 @@
 Runs are driven by a declarative JSON config (versioned ``schema_version``
 field) with repeatable ``--set dotted.key=value`` overrides. The effective,
 fully-resolved config is echoed into the merge report so any run can be
-reproduced byte-for-byte. Output is written to a temporary path and renamed
-on success; partial outputs are removed on failure.
+reproduced byte-for-byte. The output and its report are written to
+temporary paths and renamed only once both are complete; a failed run
+removes its temporaries and leaves any earlier output in place.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -155,15 +156,18 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
         tmp_path = tmp_path.with_name(tmp_path.name + ".safetensors")
     shard_limit = int(config.get("shard_limit", DEFAULT_SHARD_LIMIT))
 
+    report_tmp = report_path.parent / f"{report_path.name}.tmp{os.getpid()}"
+
     try:
         save_checkpoint(merged, tmp_path, shard_limit=shard_limit)
+        report_path.parent.mkdir(parents=True, exist_ok=True)
+        report_tmp.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+        os.replace(report_tmp, report_path)
         _remove_output(out_path)
         os.replace(tmp_path, out_path)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     except BaseException:
         _remove_output(tmp_path)
-        _remove_output(out_path)
+        _remove_output(report_tmp)
         raise
 
     mean = "-" if report.mean_omega_ml is None else f"{report.mean_omega_ml:.4f}"

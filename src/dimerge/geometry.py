@@ -2,9 +2,11 @@
 
 For a stored 2D tensor of shape ``[d_out, d_in]`` a "column" is the slice
 varying over axis 0 at a fixed axis-1 index; embedding and output-head
-matrices follow the same stored-layout rule. Each column is represented as
-its Euclidean norm times an approximately-unit direction, with a small
-stabilizer in the denominator.
+matrices follow the same stored-layout rule. Each column splits into its
+Euclidean norm and its direction. Every quantity the merge and the
+diagnostics read from that split is a per-column norm or dot product: the
+cosine between two directions ignores scale, so it is
+``<W_k, W_n> / (|W_k| |W_n|)`` and no direction matrix is ever formed.
 
 All dot products and norms accumulate in 64-bit floats regardless of the
 storage precision of the inputs.
@@ -13,6 +15,7 @@ storage precision of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,77 +25,57 @@ from .errors import NumericError, ShapeError
 EPSILON_DEFAULT = 1e-8
 
 
-def _column_sq_norms(W: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", W, W, dtype=np.float64)
-
-
 def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", A, B, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class ColumnDecomposition:
-    """Per-column norms and stabilized unit directions of a matrix.
+def _column_norms(W: np.ndarray) -> np.ndarray:
+    return np.sqrt(_column_dots(W, W))
 
-    ``directions[:, j]`` has norm ``magnitudes[j] / (magnitudes[j] + epsilon)``,
-    i.e. unit up to stabilizer-scale terms; a zero column yields a zero
-    direction.
+
+def _guarded_cosine(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray, epsilon: float) -> np.ndarray:
+    """Column cosines from dots and norms, in [-1, 1].
+
+    A column whose norm falls below the stabilizer on either side, or whose
+    norm product is 0, gets cosine 0.
+    """
+    denom = norms_a * norms_b
+    void = (norms_a < epsilon) | (norms_b < epsilon) | (denom == 0.0)
+    cos = dots / np.where(void, 1.0, denom)
+    return np.clip(np.where(void, 0.0, cos), -1.0, 1.0)
+
+
+class ColumnDeviations(NamedTuple):
+    """Per-column deviations of both sources from the base, shape (d_in,).
+
+    ``mag_*`` is the norm gap ``| |W_k| - |W_n| |``; ``dir_*`` is one minus
+    the guarded cosine, in [0, 2].
     """
 
-    magnitudes: np.ndarray      # (d_in,) float64, non-negative
-    directions: np.ndarray      # (d_out, d_in), input dtype
-    epsilon: float
-
-    @property
-    def d_in(self) -> int:
-        return self.directions.shape[1]
+    mag_ml: np.ndarray
+    mag_mm: np.ndarray
+    dir_ml: np.ndarray
+    dir_mm: np.ndarray
 
 
-def decompose(W: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> ColumnDecomposition:
-    """Split a matrix into column norms and stabilized unit columns."""
-    W = np.asarray(W)
-    if W.ndim != 2:
-        raise ShapeError(f"decompose expects a 2D matrix, got shape {W.shape}")
+def column_deviations(
+    base: np.ndarray, ml: np.ndarray, mm: np.ndarray, epsilon: float = EPSILON_DEFAULT
+) -> ColumnDeviations:
+    """Magnitude and direction deviations of both sources, per column.
+
+    Reads each matrix once per reduction: the three column norms and the two
+    source–base column dots. Columns whose norm falls below the stabilizer
+    on either side get cosine 0, hence direction deviation 1.
+    """
+    base, ml, mm = np.asarray(base), np.asarray(ml), np.asarray(mm)
+    if base.ndim != 2 or not (base.shape == ml.shape == mm.shape):
+        raise ShapeError(f"expected three equal-shape matrices, got {base.shape}, {ml.shape}, {mm.shape}")
     if epsilon <= 0:
         raise NumericError("epsilon must be positive")
-    if not np.all(np.isfinite(W)):
-        raise NumericError("matrix contains non-finite entries")
-    magnitudes = np.sqrt(_column_sq_norms(W))
-    directions = (W / (magnitudes + epsilon)).astype(W.dtype)
-    return ColumnDecomposition(magnitudes=magnitudes, directions=directions, epsilon=epsilon)
-
-
-def magnitude_deviation(dec_k: ColumnDecomposition, dec_n: ColumnDecomposition) -> np.ndarray:
-    """Absolute per-column norm gap between a source and the base."""
-    if dec_k.d_in != dec_n.d_in:
-        raise ShapeError(f"column counts differ: {dec_k.d_in} vs {dec_n.d_in}")
-    return np.abs(dec_k.magnitudes - dec_n.magnitudes)
-
-
-def _guarded_column_cosines(A: np.ndarray, B: np.ndarray, guard: np.ndarray) -> np.ndarray:
-    """Column cosines with near-zero columns forced to 0."""
-    norms_a = np.sqrt(_column_sq_norms(A))
-    norms_b = np.sqrt(_column_sq_norms(B))
-    denom = norms_a * norms_b
-    safe = np.where(guard | (denom == 0.0), 1.0, denom)
-    cos = _column_dots(A, B) / safe
-    cos = np.where(guard | (denom == 0.0), 0.0, cos)
-    return np.clip(cos, -1.0, 1.0)
-
-
-def direction_deviation(dec_k: ColumnDecomposition, dec_n: ColumnDecomposition) -> np.ndarray:
-    """One minus the per-column cosine between source and base directions.
-
-    Columns whose original norm falls below the stabilizer on either side
-    get cosine 0, hence deviation 1.
-    """
-    if dec_k.directions.shape != dec_n.directions.shape:
-        raise ShapeError(
-            f"direction shapes differ: {dec_k.directions.shape} vs {dec_n.directions.shape}"
-        )
-    guard = (dec_k.magnitudes < dec_k.epsilon) | (dec_n.magnitudes < dec_n.epsilon)
-    cos = _guarded_column_cosines(dec_k.directions, dec_n.directions, guard)
-    return 1.0 - cos
+    norm_n, norm_ml, norm_mm = _column_norms(base), _column_norms(ml), _column_norms(mm)
+    cos_ml = _guarded_cosine(_column_dots(ml, base), norm_ml, norm_n, epsilon)
+    cos_mm = _guarded_cosine(_column_dots(mm, base), norm_mm, norm_n, epsilon)
+    return ColumnDeviations(np.abs(norm_ml - norm_n), np.abs(norm_mm - norm_n), 1.0 - cos_ml, 1.0 - cos_mm)
 
 
 def cross_alignment(
@@ -109,10 +92,8 @@ def cross_alignment(
     if delta_ml.ndim == 1:
         delta_ml = delta_ml[:, None]
         delta_mm = delta_mm[:, None]
-    norms_ml = np.sqrt(_column_sq_norms(delta_ml))
-    norms_mm = np.sqrt(_column_sq_norms(delta_mm))
-    guard = (norms_ml < epsilon) | (norms_mm < epsilon)
-    return _guarded_column_cosines(delta_ml, delta_mm, guard)
+    dots = _column_dots(delta_ml, delta_mm)
+    return _guarded_cosine(dots, _column_norms(delta_ml), _column_norms(delta_mm), epsilon)
 
 
 def residual_identity_terms(col_k: np.ndarray, col_n: np.ndarray) -> tuple[float, float]:
@@ -155,43 +136,10 @@ class HeterogeneityStats:
     mean_cross_cosine: float
 
 
-@dataclass(frozen=True)
-class DeviationProfile:
-    """Base-relative deviations of one source: norm gaps and reorientation
-    per column for matrices, absolute element gaps for vectors."""
-
-    source: str                         # "ml" or "mm"
-    mag_dev: np.ndarray | None = None   # (d_in,) >= 0
-    dir_dev: np.ndarray | None = None   # (d_in,) in [0, 2]
-    elem_dev: np.ndarray | None = None  # 1D parameters
-
-
-def deviation_profile(
-    W_k: np.ndarray, W_n: np.ndarray, source: str, epsilon: float = EPSILON_DEFAULT
-) -> DeviationProfile:
-    """Deviations of one source tensor relative to the base tensor."""
-    W_k = np.asarray(W_k)
-    W_n = np.asarray(W_n)
-    if W_k.shape != W_n.shape:
-        raise ShapeError(f"shapes differ: {W_k.shape} vs {W_n.shape}")
-    if W_k.ndim == 1:
-        elem = np.abs(W_k.astype(np.float64) - W_n.astype(np.float64))
-        return DeviationProfile(source=source, elem_dev=elem)
-    dec_k = decompose(W_k, epsilon)
-    dec_n = decompose(W_n, epsilon)
-    return DeviationProfile(
-        source=source,
-        mag_dev=magnitude_deviation(dec_k, dec_n),
-        dir_dev=direction_deviation(dec_k, dec_n),
-    )
-
-
 def tensor_stats(triple: AlignedTriple, epsilon: float = EPSILON_DEFAULT) -> HeterogeneityStats:
     """Residual norms, mean reorientation, and cross-residual alignment for
     one aligned parameter."""
-    base = triple.base.to_f32()
-    ml = triple.ml.to_f32()
-    mm = triple.mm.to_f32()
+    base, ml, mm = triple.to_f32()
     delta_ml = ml - base
     delta_mm = mm - base
 
@@ -199,20 +147,8 @@ def tensor_stats(triple: AlignedTriple, epsilon: float = EPSILON_DEFAULT) -> Het
     norm_ml = float(np.sqrt(np.einsum("i,i->", flat_ml, flat_ml, dtype=np.float64)))
     norm_mm = float(np.sqrt(np.einsum("i,i->", flat_mm, flat_mm, dtype=np.float64)))
 
+    cross = float(cross_alignment(delta_ml, delta_mm, epsilon).mean())
     if base.ndim == 1:
-        cross = float(cross_alignment(delta_ml, delta_mm, epsilon)[0])
         return HeterogeneityStats(norm_ml, norm_mm, None, None, cross)
-
-    dec_base = decompose(base, epsilon)
-    dec_ml = decompose(ml, epsilon)
-    dec_mm = decompose(mm, epsilon)
-    dd_ml = direction_deviation(dec_ml, dec_base)
-    dd_mm = direction_deviation(dec_mm, dec_base)
-    cross = cross_alignment(delta_ml, delta_mm, epsilon)
-    return HeterogeneityStats(
-        residual_norm_ml=norm_ml,
-        residual_norm_mm=norm_mm,
-        mean_dir_dev_ml=float(dd_ml.mean()),
-        mean_dir_dev_mm=float(dd_mm.mean()),
-        mean_cross_cosine=float(cross.mean()),
-    )
+    dev = column_deviations(base, ml, mm, epsilon)
+    return HeterogeneityStats(norm_ml, norm_mm, float(dev.dir_ml.mean()), float(dev.dir_mm.mean()), cross)

@@ -7,9 +7,11 @@ per-column weights on the 2-simplex, and composes::
 
     merged[:, j] = base[:, j] + w_ml[j] * delta_ml[:, j] + w_mm[j] * delta_mm[:, j]
 
-1D parameters use absolute element deviations and element-wise weights. All
-other anchor tensors (vision encoder, projector, out-of-scope keys) are
-copied from the anchor verbatim.
+Since ``w_ml + w_mm = 1`` this is the convex combination
+``mm + w_ml * (ml - mm)``, which is how it is computed: ``base`` enters only
+through the weights. 1D parameters use absolute element deviations and
+element-wise weights. All other anchor tensors (vision encoder, projector,
+out-of-scope keys) are copied from the anchor verbatim.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .align import AlignedTriple, align_triple
-from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, ShapeError
-from .geometry import EPSILON_DEFAULT, decompose, direction_deviation, magnitude_deviation
+from .baselines import BaselineParams, deltas_f32, merge_baseline_values
+from .errors import ConfigError
+from .geometry import EPSILON_DEFAULT, column_deviations
 from .records import DType, TensorRecord, f32_to_bf16_bits
 from .salience import (
     AggregationKind,
@@ -143,74 +145,29 @@ def column_weights(
     base: np.ndarray, ml: np.ndarray, mm: np.ndarray, cfg: MergeConfig
 ) -> SalienceWeights:
     """Per-column source weights for a 2D tensor from both deviation branches."""
-    dec_base = decompose(base, cfg.epsilon)
-    dec_ml = decompose(ml, cfg.epsilon)
-    dec_mm = decompose(mm, cfg.epsilon)
-    s_mag_ml, _ = estimate_salience(
-        magnitude_deviation(dec_ml, dec_base), magnitude_deviation(dec_mm, dec_base), cfg.estimator
-    )
-    s_dir_ml, _ = estimate_salience(
-        direction_deviation(dec_ml, dec_base), direction_deviation(dec_mm, dec_base), cfg.estimator
-    )
+    dev = column_deviations(base, ml, mm, cfg.epsilon)
+    s_mag_ml, _ = estimate_salience(dev.mag_ml, dev.mag_mm, cfg.estimator)
+    s_dir_ml, _ = estimate_salience(dev.dir_ml, dev.dir_mm, cfg.estimator)
     return aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
 
 
-def _dim3_2d(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights]:
-    base = triple.base.to_f32()
-    ml = triple.ml.to_f32()
-    mm = triple.mm.to_f32()
-    weights = column_weights(base, ml, mm, cfg)
-    w_ml = weights.omega_ml.astype(np.float32)
-    w_mm = weights.omega_mm.astype(np.float32)
-    merged = base + w_ml[None, :] * (ml - base) + w_mm[None, :] * (mm - base)
-    return merged, weights
-
-
-def _dim3_1d(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights]:
-    base = triple.base.to_f32()
-    ml = triple.ml.to_f32()
-    mm = triple.mm.to_f32()
-    dev_ml = np.abs(ml.astype(np.float64) - base.astype(np.float64))
-    dev_mm = np.abs(mm.astype(np.float64) - base.astype(np.float64))
-    weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
-    merged = (
-        base
-        + weights.omega_ml.astype(np.float32) * (ml - base)
-        + weights.omega_mm.astype(np.float32) * (mm - base)
-    )
-    return merged, weights
-
-
-def _output_dtype(triple: AlignedTriple, cfg: MergeConfig) -> DType:
-    return triple.mm.dtype if cfg.output_dtype == "match_anchor" else DType.F32
-
-
-def merge_matrix(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
-    """Column-wise merge of one 2D tensor; output in the anchor's dtype."""
-    if triple.rank != 2:
-        raise ShapeError(f"{triple.name}: merge_matrix needs a 2D tensor, got {triple.shape}")
-    merged, _ = _dim3_2d(triple, cfg)
-    return TensorRecord.from_array(triple.name, merged, dtype=_output_dtype(triple, cfg))
-
-
-def merge_vector(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
-    """Element-wise merge of one 1D tensor; output in the anchor's dtype."""
-    if triple.rank != 1:
-        raise ShapeError(f"{triple.name}: merge_vector needs a 1D tensor, got {triple.shape}")
-    merged, _ = _dim3_1d(triple, cfg)
-    return TensorRecord.from_array(triple.name, merged, dtype=_output_dtype(triple, cfg))
+def _dim3(
+    base: np.ndarray, ml: np.ndarray, mm: np.ndarray, cfg: MergeConfig
+) -> tuple[np.ndarray, SalienceWeights]:
+    if base.ndim == 2:
+        weights = column_weights(base, ml, mm, cfg)
+    else:
+        dev_ml = np.abs(ml.astype(np.float64) - base)
+        dev_mm = np.abs(mm.astype(np.float64) - base)
+        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
+    return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
 
 
 def _merge_values(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights | None]:
     if cfg.method == "dim3":
-        if triple.rank == 2:
-            return _dim3_2d(triple, cfg)
-        return _dim3_1d(triple, cfg)
-    base = triple.base.to_f32()
-    d_ml = triple.ml.to_f32() - base
-    d_mm = triple.mm.to_f32() - base
-    values = merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name)
-    return values, None
+        return _dim3(*triple.to_f32(), cfg)
+    base, d_ml, d_mm = deltas_f32(triple)
+    return merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name), None
 
 
 def _embed_into_anchor(anchor: TensorRecord, merged: np.ndarray, out_dtype: DType) -> TensorRecord:
@@ -233,7 +190,7 @@ def _embed_into_anchor(anchor: TensorRecord, merged: np.ndarray, out_dtype: DTyp
 def _merge_one(triple: AlignedTriple, anchor_rec: TensorRecord, cfg: MergeConfig) -> tuple[TensorRecord, TensorMergeReport]:
     start = time.perf_counter()
     values, weights = _merge_values(triple, cfg)
-    out_dtype = _output_dtype(triple, cfg)
+    out_dtype = triple.mm.dtype if cfg.output_dtype == "match_anchor" else DType.F32
     if triple.shape == anchor_rec.shape:
         record = TensorRecord.from_array(triple.name, values, dtype=out_dtype)
     else:
@@ -245,6 +202,13 @@ def _merge_one(triple: AlignedTriple, anchor_rec: TensorRecord, cfg: MergeConfig
         entry.omega_ml_max = float(weights.omega_ml.max())
     entry.seconds = time.perf_counter() - start
     return record, entry
+
+
+def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
+    """Merge one aligned tensor; output in the anchor's dtype unless the
+    config asks for f32."""
+    record, _ = _merge_one(triple, triple.mm, cfg.validate())
+    return record
 
 
 def merge_checkpoint(

@@ -13,7 +13,7 @@ import pytest
 from dimerge.baselines import BaselineParams, dare_transform, ties_merge
 from dimerge.diagnostics import diagnose
 from dimerge.geometry import residual_identity_terms
-from dimerge.merge import MergeConfig, merge_checkpoint, merge_matrix, merge_vector
+from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind, estimate_salience, salience_pair
 from dimerge.scope import ScopeFilter
@@ -95,7 +95,7 @@ def test_criterion_3_and_4_oracle_equivalence_and_simplex():
     bounds_ok = True
     for triple in _random_triples(rng):
         if triple.rank == 2:
-            got = merge_matrix(triple, cfg).to_f32()
+            got = merge_tensor(triple, cfg).to_f32()
             want, _ = reference.merge_2d(
                 triple.base.to_f32(), triple.ml.to_f32(), triple.mm.to_f32(), epsilon=cfg.epsilon
             )
@@ -103,7 +103,7 @@ def test_criterion_3_and_4_oracle_equivalence_and_simplex():
                                      triple.mm.to_f32(), cfg)
             d = triple.shape[1]
         else:
-            got = merge_vector(triple, cfg).to_f32()
+            got = merge_tensor(triple, cfg).to_f32()
             want, _ = reference.merge_1d(triple.base.to_f32(), triple.ml.to_f32(),
                                          triple.mm.to_f32())
             base, ml, mm = triple.base.to_f32(), triple.ml.to_f32(), triple.mm.to_f32()

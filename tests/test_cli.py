@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dimerge.cli import main
+from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, Role, load_checkpoint, save_checkpoint
 
 from conftest import LAYERS, make_triple
@@ -46,6 +47,11 @@ def write_config(tmp_path, config, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def tree_bytes(root):
+    files = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root.parent)): p.read_bytes() for p in files}
 
 
 class TestMergeCommand:
@@ -130,6 +136,32 @@ class TestMergeCommand:
         rc = main(["merge", "--config", config_path])
         assert rc == 3
         assert blocker.is_file()
+
+    def test_failed_report_write_keeps_previous_output(self, workspace):
+        tmp_path, config, config_path = workspace
+        assert main(["merge", "--config", str(config_path)]) == 0
+        before = tree_bytes(tmp_path / "merged")
+        config["report_path"] = str(tmp_path / "report_dir")
+        (tmp_path / "report_dir").mkdir()
+        config["merge"] = {"method": "task_arithmetic"}
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 3
+        assert tree_bytes(tmp_path / "merged") == before
+        assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+
+    def test_non_finite_input_is_numeric_error(self, workspace, capsys):
+        tmp_path, config, _ = workspace
+        ml = load_checkpoint(config["multilingual_path"], Role.MULTILINGUAL)
+        name = "model.layers.1.mlp.up_proj.weight"
+        values = ml[name].to_f32()
+        values[0, 0] = np.nan
+        ml.tensors[name] = TensorRecord.from_array(name, values, dtype=ml[name].dtype)
+        save_checkpoint(ml, tmp_path / "ml_nan")
+        config["multilingual_path"] = str(tmp_path / "ml_nan")
+        config["merge"] = {"method": "breadcrumbs"}
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 4
+        err = capsys.readouterr().err
+        assert "error[numeric.value]" in err and name in err
+        assert not (tmp_path / "merged").exists()
 
     def test_threads_flag_keeps_output_stable(self, workspace):
         tmp_path, config, config_path = workspace

@@ -4,10 +4,9 @@ import pytest
 from dimerge.align import AlignedTriple
 from dimerge.errors import NumericError, ShapeError
 from dimerge.geometry import (
+    EPSILON_DEFAULT,
+    column_deviations,
     cross_alignment,
-    decompose,
-    direction_deviation,
-    magnitude_deviation,
     residual_identity_terms,
     tensor_stats,
 )
@@ -20,98 +19,91 @@ def col(*values):
     return np.array(values, dtype=np.float64).reshape(-1, 1)
 
 
-class TestDecompose:
-    def test_three_four_five(self):
-        dec = decompose(col(3.0, 4.0), epsilon=1e-15)
-        assert dec.magnitudes[0] == pytest.approx(5.0)
-        np.testing.assert_allclose(dec.directions[:, 0], [0.6, 0.8], atol=1e-12)
-
-    def test_zero_column_gives_zero_direction(self):
-        dec = decompose(col(0.0, 0.0), epsilon=1e-8)
-        assert dec.magnitudes[0] == 0.0
-        np.testing.assert_array_equal(dec.directions[:, 0], [0.0, 0.0])
-
-    def test_uniform_column(self):
-        dec = decompose(col(1.0, 1.0, 1.0, 1.0), epsilon=1e-15)
-        assert dec.magnitudes[0] == pytest.approx(2.0)
-        np.testing.assert_allclose(dec.directions[:, 0], [0.5] * 4, atol=1e-12)
-
-    def test_reconstruction_bound(self, rng):
-        # |m_j * D[:, j] - W[:, j]| <= eps * (1 + m_j) for every column
-        eps = 1e-8
-        for _ in range(20):
-            W = rng.normal(size=(16, 9)) * 10.0 ** rng.integers(-6, 3)
-            dec = decompose(W, epsilon=eps)
-            recon = dec.directions * dec.magnitudes[None, :]
-            gaps = np.sqrt(np.sum((recon - W) ** 2, axis=0))
-            assert np.all(gaps <= eps * (1.0 + dec.magnitudes) + 1e-15)
-
-    def test_direction_norms_near_unit_for_ordinary_columns(self, rng):
-        # for column norms well above the stabilizer the directions are unit
-        # up to stabilizer-scale relative error
-        eps = 1e-8
-        W = rng.normal(size=(32, 12)) + 0.5
-        dec = decompose(W, epsilon=eps)
-        norms = np.sqrt(np.einsum("ij,ij->j", dec.directions, dec.directions, dtype=np.float64))
-        mags = dec.magnitudes
-        assert np.all(mags > 0.1)
-        assert np.all(norms <= 1.0 + 1e-12)
-        assert np.all(norms >= 1.0 - 10.0 * eps / np.minimum(mags, 1.0))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            decompose(np.array([[np.inf], [1.0]]))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(ShapeError):
-            decompose(np.zeros(4))
+def deviations(W_k, W_n, epsilon=EPSILON_DEFAULT):
+    """(magnitude, direction) deviation of one source from the base."""
+    dev = column_deviations(W_n, W_k, W_n, epsilon)
+    return dev.mag_ml, dev.dir_ml
 
 
 class TestDeviations:
+    def test_three_four_five_norm(self):
+        mag, _ = deviations(col(3.0, 4.0), col(0.0, 0.0))
+        assert mag[0] == pytest.approx(5.0)
+
+    def test_uniform_column_norm(self):
+        mag, _ = deviations(col(1.0, 1.0, 1.0, 1.0), col(0.0, 0.0, 0.0, 0.0))
+        assert mag[0] == pytest.approx(2.0)
+
+    def test_zero_columns_have_zero_gap(self):
+        # the cosine guard applies even when both columns are zero
+        mag, dirdev = deviations(col(0.0, 0.0), col(0.0, 0.0))
+        assert mag[0] == 0.0
+        assert dirdev[0] == 1.0
+
     def test_magnitude_gap(self):
-        a = decompose(col(3.0, 4.0))
-        b = decompose(col(0.0, 3.0))
-        np.testing.assert_allclose(magnitude_deviation(a, b), [2.0], atol=1e-9)
+        mag, _ = deviations(col(3.0, 4.0), col(0.0, 3.0))
+        np.testing.assert_allclose(mag, [2.0], atol=1e-9)
 
     def test_identical_gives_zeros(self, rng):
         W = rng.normal(size=(6, 5))
-        dec = decompose(W)
-        np.testing.assert_array_equal(magnitude_deviation(dec, dec), np.zeros(5))
-        np.testing.assert_allclose(direction_deviation(dec, dec), np.zeros(5), atol=1e-12)
+        mag, dirdev = deviations(W, W)
+        np.testing.assert_array_equal(mag, np.zeros(5))
+        np.testing.assert_allclose(dirdev, np.zeros(5), atol=1e-12)
 
     def test_columnwise_values(self):
-        a = decompose(np.array([[0.1, 7.0], [0.0, 0.0]]))
-        b = decompose(np.array([[0.4, 7.0], [0.0, 0.0]]))
-        np.testing.assert_allclose(magnitude_deviation(a, b), [0.3, 0.0], atol=1e-9)
+        mag, _ = deviations(np.array([[0.1, 7.0], [0.0, 0.0]]), np.array([[0.4, 7.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(mag, [0.3, 0.0], atol=1e-9)
 
     def test_direction_deviation_extremes(self):
-        parallel = direction_deviation(decompose(col(1.0, 1.0)), decompose(col(2.0, 2.0)))
+        _, parallel = deviations(col(1.0, 1.0), col(2.0, 2.0))
         assert parallel[0] == pytest.approx(0.0, abs=1e-7)
-        anti = direction_deviation(decompose(col(1.0, 0.0)), decompose(col(-1.0, 0.0)))
+        _, anti = deviations(col(1.0, 0.0), col(-1.0, 0.0))
         assert anti[0] == pytest.approx(2.0, abs=1e-7)
-        ortho = direction_deviation(decompose(col(1.0, 0.0)), decompose(col(0.0, 1.0)))
+        _, ortho = deviations(col(1.0, 0.0), col(0.0, 1.0))
         assert ortho[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_near_zero_column_convention(self):
-        dev = direction_deviation(decompose(col(0.0, 0.0)), decompose(col(1.0, 0.0)))
-        assert dev[0] == 1.0
+        _, dirdev = deviations(col(0.0, 0.0), col(1.0, 0.0))
+        assert dirdev[0] == 1.0
+        _, dirdev = deviations(col(1.0, 0.0), col(1e-9, 0.0))
+        assert dirdev[0] == 1.0
 
     def test_positive_scaling_invariance(self, rng):
         # direction deviation ignores positive column scaling; magnitude
         # deviation scales as |c*m_k - m_N|
         W_k = rng.normal(size=(8, 6))
         W_n = rng.normal(size=(8, 6))
+        _, dd_plain = deviations(W_k, W_n, 1e-12)
         for c in (0.5, 3.0):
-            dd_scaled = direction_deviation(decompose(c * W_k, 1e-12), decompose(W_n, 1e-12))
-            dd_plain = direction_deviation(decompose(W_k, 1e-12), decompose(W_n, 1e-12))
+            md, dd_scaled = deviations(c * W_k, W_n, 1e-12)
             np.testing.assert_allclose(dd_scaled, dd_plain, atol=1e-9)
-            md = magnitude_deviation(decompose(c * W_k, 1e-12), decompose(W_n, 1e-12))
-            expected = np.abs(c * decompose(W_k, 1e-12).magnitudes - decompose(W_n, 1e-12).magnitudes)
+            expected = np.abs(c * np.linalg.norm(W_k, axis=0) - np.linalg.norm(W_n, axis=0))
             np.testing.assert_allclose(md, expected, rtol=1e-12)
+
+    def test_matches_reference_with_zero_column(self, rng):
+        for _ in range(20):
+            base, ml, mm = (rng.normal(size=(9, 7)) for _ in range(3))
+            ml[:, int(rng.integers(7))] = 0.0
+            base[:, int(rng.integers(7))] = 0.0
+            dev = column_deviations(base, ml, mm)
+            for j in range(7):
+                for W, mag, dirdev in ((ml, dev.mag_ml, dev.dir_ml), (mm, dev.mag_mm, dev.dir_mm)):
+                    want_mag = abs(reference.column_norm(W[:, j]) - reference.column_norm(base[:, j]))
+                    want_dir = 1.0 - reference.column_cosine(W[:, j], base[:, j])
+                    assert mag[j] == pytest.approx(want_mag, rel=1e-12, abs=1e-12)
+                    assert dirdev[j] == pytest.approx(want_dir, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ShapeError):
-            magnitude_deviation(decompose(np.zeros((2, 3))), decompose(np.zeros((2, 4))))
+            deviations(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_rejects_non_2d(self):
+        with pytest.raises(ShapeError):
+            deviations(np.zeros(4), np.zeros(4))
+
+    def test_rejects_non_positive_epsilon(self):
+        with pytest.raises(NumericError):
+            deviations(col(1.0), col(1.0), epsilon=0.0)
 
 
 class TestCrossAlignment:
@@ -219,6 +211,10 @@ class TestTensorStats:
         assert stats.mean_dir_dev_ml == pytest.approx(dd_ml, abs=1e-6)
         assert stats.mean_dir_dev_mm == pytest.approx(dd_mm, abs=1e-6)
         assert stats.mean_cross_cosine == pytest.approx(cross, abs=1e-6)
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(NumericError, match="^t: multilingual"):
+            tensor_stats(self._triple([[1.0], [2.0]], [[np.inf], [2.0]], [[1.0], [2.0]]))
 
     def test_1d_reports_without_direction_fields(self):
         stats = tensor_stats(self._triple([1.0, 2.0], [1.5, 2.0], [1.0, 2.5]))

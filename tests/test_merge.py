@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dimerge.align import AlignedTriple
-from dimerge.errors import ConfigError, ShapeError
-from dimerge.merge import MergeConfig, merge_checkpoint, merge_matrix, merge_vector
+from dimerge.errors import ConfigError, NumericError
+from dimerge.merge import MERGE_METHODS, MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
@@ -36,43 +36,39 @@ def checkpoint_digest(ckpt: Checkpoint) -> str:
 class TestMergeMatrix:
     def test_zero_residuals_reproduce_base_exactly(self, rng):
         W = rng.normal(size=(6, 5)).astype(np.float32)
-        out = merge_matrix(triple_of(W, W, W), MergeConfig())
+        out = merge_tensor(triple_of(W, W, W), MergeConfig())
         np.testing.assert_array_equal(out.to_f32(), W)
 
     def test_identical_residuals_add_once(self, rng):
         W = rng.normal(size=(6, 5)).astype(np.float32)
         delta = rng.normal(scale=0.1, size=(6, 5)).astype(np.float32)
-        out = merge_matrix(triple_of(W, W + delta, W + delta), MergeConfig())
+        out = merge_tensor(triple_of(W, W + delta, W + delta), MergeConfig())
         np.testing.assert_allclose(out.to_f32(), W + delta, atol=1e-6)
 
     def test_matches_reference_on_4x4(self, rng):
         base = rng.normal(size=(4, 4)).astype(np.float32)
         ml = (base + 0.3 * rng.normal(size=(4, 4))).astype(np.float32)
         mm = (base + 0.3 * rng.normal(size=(4, 4))).astype(np.float32)
-        out = merge_matrix(triple_of(base, ml, mm), MergeConfig()).to_f32()
+        out = merge_tensor(triple_of(base, ml, mm), MergeConfig()).to_f32()
         want, _ = reference.merge_2d(base, ml, mm, epsilon=MergeConfig().epsilon)
         np.testing.assert_allclose(out, want, atol=1e-5)
 
-    def test_rejects_1d(self):
-        with pytest.raises(ShapeError):
-            merge_matrix(triple_of([1.0], [1.0], [1.0]), MergeConfig())
-
     def test_output_matches_anchor_dtype(self, rng):
         base = rng.normal(size=(4, 4)).astype(np.float32)
-        out = merge_matrix(triple_of(base, base, base, dtype=DType.BF16), MergeConfig())
+        out = merge_tensor(triple_of(base, base, base, dtype=DType.BF16), MergeConfig())
         assert out.dtype is DType.BF16
 
 
 class TestMergeVector:
     def test_all_equal_inputs(self):
-        out = merge_vector(triple_of([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), MergeConfig())
+        out = merge_tensor(triple_of([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]), MergeConfig())
         np.testing.assert_array_equal(out.to_f32(), [1.0, 2.0])
 
     def test_disjoint_residual_gate(self):
         # deviations [1,0] vs [0,1]: ranks give the active source the higher
         # gate sigma(0.5) at its own coordinate
         base = np.array([0.0, 0.0], dtype=np.float32)
-        out = merge_vector(triple_of(base, [1.0, 0.0], [0.0, 1.0]), MergeConfig()).to_f32()
+        out = merge_tensor(triple_of(base, [1.0, 0.0], [0.0, 1.0]), MergeConfig()).to_f32()
         g = reference.logistic(0.5)
         np.testing.assert_allclose(out, [g, g], atol=1e-7)
 
@@ -80,7 +76,7 @@ class TestMergeVector:
         base = rng.normal(size=17).astype(np.float32)
         ml = (base + 0.2 * rng.normal(size=17)).astype(np.float32)
         mm = (base + 0.2 * rng.normal(size=17)).astype(np.float32)
-        out = merge_vector(triple_of(base, ml, mm), MergeConfig()).to_f32()
+        out = merge_tensor(triple_of(base, ml, mm), MergeConfig()).to_f32()
         want, _ = reference.merge_1d(base, ml, mm)
         np.testing.assert_allclose(out, want, atol=1e-5)
 
@@ -94,7 +90,7 @@ class TestOracleEquivalence:
             base = rng.normal(size=(d_out, d_in)).astype(np.float32)
             ml = (base + rng.normal(scale=0.5, size=(d_out, d_in))).astype(np.float32)
             mm = (base + rng.normal(scale=0.5, size=(d_out, d_in))).astype(np.float32)
-            got = merge_matrix(triple_of(base, ml, mm), cfg).to_f32()
+            got = merge_tensor(triple_of(base, ml, mm), cfg).to_f32()
             want, omega = reference.merge_2d(base, ml, mm, epsilon=cfg.epsilon)
             np.testing.assert_allclose(got, want, atol=1e-5)
             lo, hi = reference.logistic(-1.0), reference.logistic(1.0)
@@ -107,9 +103,19 @@ class TestOracleEquivalence:
             base = rng.normal(size=n).astype(np.float32)
             ml = (base + rng.normal(scale=0.5, size=n)).astype(np.float32)
             mm = (base + rng.normal(scale=0.5, size=n)).astype(np.float32)
-            got = merge_vector(triple_of(base, ml, mm), cfg).to_f32()
+            got = merge_tensor(triple_of(base, ml, mm), cfg).to_f32()
             want, _ = reference.merge_1d(base, ml, mm)
             np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_nan_in_ml_rejected(self, method, rng):
+        base = rng.normal(size=(4, 5)).astype(np.float32)
+        ml = base + np.float32(0.1)
+        ml[2, 3] = np.nan
+        with pytest.raises(NumericError):
+            merge_tensor(triple_of(base, ml, base), MergeConfig(method=method))
 
 
 class TestConfig:
