@@ -136,14 +136,20 @@ def dare_transform(delta: TensorRecord, p: float, seed: int, tensor_name: str | 
     return _as_record(delta.name, values, delta.dtype)
 
 
-def _top_k_mask(values: np.ndarray, keep: int) -> np.ndarray:
-    """Mask keeping the ``keep`` largest |values|; threshold ties go to lower
-    flat indices."""
-    flat = np.abs(values.ravel())
-    order = np.lexsort((np.arange(flat.size), -flat))
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order[:keep]] = True
-    return mask.reshape(values.shape)
+def _top_k_mask(scores: np.ndarray, keep: int) -> np.ndarray:
+    """Mask of the ``keep`` largest scores; threshold ties go to lower flat
+    indices. One partition finds the threshold, so the cost is linear."""
+    flat = scores.ravel()
+    n = flat.size
+    if keep <= 0:
+        return np.zeros(scores.shape, dtype=bool)
+    if keep >= n:
+        return np.ones(scores.shape, dtype=bool)
+    threshold = np.partition(flat, n - keep)[n - keep]
+    mask = flat > threshold
+    at = np.flatnonzero(flat == threshold)
+    mask[at[: keep - np.count_nonzero(mask)]] = True
+    return mask.reshape(scores.shape)
 
 
 def ties_merge_values(
@@ -152,8 +158,8 @@ def ties_merge_values(
     if not (0.0 < density <= 1.0):
         raise ConfigError(f"density must be in (0, 1], got {density}")
     keep = math.ceil(density * base.size)
-    t_ml = np.where(_top_k_mask(delta_ml, keep), delta_ml, np.float32(0.0))
-    t_mm = np.where(_top_k_mask(delta_mm, keep), delta_mm, np.float32(0.0))
+    t_ml = np.where(_top_k_mask(np.abs(delta_ml), keep), delta_ml, np.float32(0.0))
+    t_mm = np.where(_top_k_mask(np.abs(delta_mm), keep), delta_mm, np.float32(0.0))
     elected = np.where(t_ml + t_mm < 0.0, -1.0, 1.0).astype(np.float32)
     agree_ml = np.sign(t_ml) == elected
     agree_mm = np.sign(t_mm) == elected
@@ -174,18 +180,12 @@ def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarr
     if beta < 0 or gamma < 0 or beta + gamma >= 1.0:
         raise ConfigError(f"need beta, gamma >= 0 with beta + gamma < 1, got {beta}, {gamma}")
     n = delta.size
-    n_bottom = int(beta * n)
-    n_top = int(gamma * n)
-    flat_abs = np.abs(delta.ravel())
-    ascending = np.lexsort((np.arange(n), flat_abs))
-    drop = np.zeros(n, dtype=bool)
-    drop[ascending[:n_bottom]] = True
-    survivors = ascending[n_bottom:]
-    by_desc = survivors[np.lexsort((survivors, -flat_abs[survivors]))]
-    drop[by_desc[:n_top]] = True
-    out = delta.ravel().copy()
-    out[drop] = 0.0
-    return out.reshape(delta.shape)
+    magnitude = np.abs(delta)
+    bottom = _top_k_mask(-magnitude, int(beta * n))
+    # dropped entries score -1, below every |delta|, so the top cut sees
+    # only survivors (int(beta*n) + int(gamma*n) <= n)
+    top = _top_k_mask(np.where(bottom, np.float32(-1.0), magnitude), int(gamma * n))
+    return np.where(bottom | top, delta.dtype.type(0), delta)
 
 
 def breadcrumbs_transform(delta: TensorRecord, beta: float, gamma: float) -> TensorRecord:

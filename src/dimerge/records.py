@@ -133,19 +133,20 @@ class TensorRecord:
         return np.frombuffer(self.raw, dtype=width).reshape(self.shape)
 
     def to_f32(self) -> np.ndarray:
-        """Working-precision copy. BF16 expands losslessly; F64 narrows."""
+        """Working-precision copy, fresh and writable. BF16 expands
+        losslessly; F64 narrows."""
         if self.dtype is DType.BF16:
             flat = bf16_bits_to_f32(np.frombuffer(self.raw, dtype="<u2"))
         else:
             flat = np.frombuffer(self.raw, dtype=_NUMPY_VIEW[self.dtype]).astype(np.float32)
-        return flat.reshape(self.shape).copy()
+        return flat.reshape(self.shape)
 
     def to_f64(self) -> np.ndarray:
         if self.dtype is DType.BF16:
             flat = bf16_bits_to_f32(np.frombuffer(self.raw, dtype="<u2")).astype(np.float64)
         else:
             flat = np.frombuffer(self.raw, dtype=_NUMPY_VIEW[self.dtype]).astype(np.float64)
-        return flat.reshape(self.shape).copy()
+        return flat.reshape(self.shape)
 
     def astype(self, dtype: DType) -> "TensorRecord":
         """Re-encode the payload in another storage dtype (lossy where narrower)."""

@@ -91,7 +91,7 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
         raise FormatError(f"{path}: header is not a JSON object")
 
     body = data[header_end:]
-    records = []
+    entries = []
     for name, entry in header.items():
         if name == "__metadata__":
             continue
@@ -101,9 +101,24 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
             start, end = entry["data_offsets"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad header entry for {name!r}: {exc}") from exc
-        if not (0 <= start <= end <= len(body)):
-            raise FormatError(f"{path}: data offsets {start}:{end} out of range for {name!r}")
+        if not (isinstance(start, int) and isinstance(end, int)):
+            raise FormatError(f"{path}: data offsets for {name!r} are not integers")
+        entries.append((start, end, name, dtype, shape))
+
+    # the tensors must tile the body: sorted by start, contiguous from 0,
+    # the last one ending at the end of the file
+    records = []
+    offset = 0
+    for start, end, name, dtype, shape in sorted(entries):
+        if start != offset or not start <= end <= len(body):
+            raise FormatError(
+                f"{path}: data offsets {start}:{end} for {name!r} do not tile the {len(body)}-byte "
+                f"body (expected a start at byte {offset})"
+            )
         records.append(TensorRecord(name=name, dtype=dtype, shape=shape, raw=bytes(body[start:end])))
+        offset = end
+    if offset != len(body):
+        raise FormatError(f"{path}: tensor data ends at byte {offset}, body has {len(body)}")
     return records
 
 
@@ -156,6 +171,9 @@ def _load_sharded(index_path: Path, role: Role) -> Checkpoint:
         if tensor_name not in shard:
             raise ShardError(f"shard {shard_name!r} missing tensor {tensor_name!r}")
         records.append(shard[tensor_name])
+    orphans = sorted(seen.keys() - weight_map.keys())
+    if orphans:
+        raise ShardError(f"shard {seen[orphans[0]]!r} holds tensor {orphans[0]!r} absent from the index")
     return Checkpoint.from_records(records, role=role, source_path=str(index_path.parent))
 
 

@@ -117,3 +117,43 @@ def residual_terms(u, v):
     cos = column_cosine(u, v)
     rhs = (mu - mv) ** 2 + 2.0 * mu * mv * (1.0 - cos)
     return lhs, rhs
+
+
+def top_k_indices(scores, keep) -> list[int]:
+    """Flat indices of the ``keep`` largest scores: a stable sort on
+    (-score, flat index), so threshold ties go to lower indices."""
+    order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
+    return order[:max(keep, 0)]
+
+
+def ties(base, delta_ml, delta_mm, density, lam):
+    """TIES element by element in float32: trim each source to its top
+    ceil(density * n) magnitudes, elect the sign of the kept sum (zero
+    elects positive), average the kept residuals that agree with it."""
+    base = np.asarray(base, dtype=np.float32).ravel()
+    deltas = [np.asarray(d, dtype=np.float32).ravel() for d in (delta_ml, delta_mm)]
+    keep = math.ceil(density * base.size)
+    trimmed = []
+    for d in deltas:
+        kept = set(top_k_indices([abs(float(x)) for x in d], keep))
+        trimmed.append([d[i] if i in kept else np.float32(0.0) for i in range(base.size)])
+    out = []
+    for i in range(base.size):
+        t1, t2 = trimmed[0][i], trimmed[1][i]
+        positive = not (t1 + t2 < 0.0)
+        agreeing = [t for t in (t1, t2) if (t > 0.0 if positive else t < 0.0)]
+        merged = sum(agreeing, np.float32(0.0)) / np.float32(max(len(agreeing), 1))
+        out.append(base[i] + np.float32(lam) * merged)
+    return np.array(out, dtype=np.float32)
+
+
+def breadcrumbs(delta, beta, gamma):
+    """Zero the int(beta * n) smallest magnitudes, then the int(gamma * n)
+    largest of the rest; ties at either cut go to lower flat indices."""
+    flat = np.asarray(delta).ravel()
+    n = flat.size
+    dropped = set(top_k_indices([-abs(float(x)) for x in flat], int(beta * n)))
+    survivors = [i for i in range(n) if i not in dropped]
+    top = top_k_indices([abs(float(flat[i])) for i in survivors], int(gamma * n))
+    dropped.update(survivors[j] for j in top)
+    return np.array([0.0 if i in dropped else flat[i] for i in range(n)], dtype=flat.dtype)

@@ -64,3 +64,15 @@ class TestTensorRecord:
         half = rec.astype(DType.F16)
         assert half.dtype is DType.F16
         np.testing.assert_allclose(half.to_f32(), values, atol=2e-3)
+
+    @pytest.mark.parametrize("dtype", [DType.F32, DType.F16, DType.BF16, DType.F64])
+    @pytest.mark.parametrize("decode", ["to_f32", "to_f64"])
+    def test_decode_is_a_fresh_writable_array(self, rng, dtype, decode):
+        rec = TensorRecord.from_array("w", rng.normal(size=(3, 5)).astype(np.float32), dtype=dtype)
+        raw, bits = rec.raw, rec.bits().copy()
+        values = getattr(rec, decode)()
+        assert values.flags.writeable
+        values -= 1.0
+        values[0, 0] = 7.0
+        assert rec.raw == raw
+        np.testing.assert_array_equal(rec.bits(), bits)

@@ -109,6 +109,53 @@ class TestSharding:
         with pytest.raises(ShardError, match="appears in both"):
             load_checkpoint(tmp_path, Role.BASE)
 
+    def test_shard_tensor_absent_from_index(self, tmp_path):
+        ckpt = ckpt_of({n: np.zeros(256, dtype=np.float32) for n in ("x", "y", "z")})
+        save_checkpoint(ckpt, tmp_path / "sh", shard_limit=2048)  # x and y share a shard
+        index_path = tmp_path / "sh" / "model.safetensors.index.json"
+        index = json.loads(index_path.read_text())
+        shard_of_y = index["weight_map"].pop("y")
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(ShardError, match=f"{shard_of_y!r} holds tensor 'y' absent from the index"):
+            load_checkpoint(tmp_path / "sh", Role.BASE)
+
+
+def write_raw(path, offsets: dict, body: bytes):
+    """A tensor file with one F32 entry per name at the given offsets."""
+    header = {name: {"dtype": "F32", "shape": [(end - start) // 4], "data_offsets": [start, end]}
+              for name, (start, end) in offsets.items()}
+    raw = json.dumps(header).encode()
+    path.write_bytes(len(raw).to_bytes(8, "little") + raw + body)
+
+
+class TestDataOffsets:
+    def test_out_of_order_but_contiguous_loads(self, tmp_path):
+        body = np.arange(4, dtype="<f4").tobytes()
+        write_raw(tmp_path / "t.safetensors", {"b": (8, 16), "a": (0, 8)}, body)
+        loaded = load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+        assert loaded["a"].raw == body[:8]
+        assert loaded["b"].raw == body[8:]
+
+    def test_overlap_rejected(self, tmp_path):
+        write_raw(tmp_path / "t.safetensors", {"a": (0, 8), "b": (4, 12)}, bytes(12))
+        with pytest.raises(FormatError, match="do not tile"):
+            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+
+    def test_gap_rejected(self, tmp_path):
+        write_raw(tmp_path / "t.safetensors", {"a": (0, 8), "b": (12, 20)}, bytes(20))
+        with pytest.raises(FormatError, match="do not tile"):
+            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        write_raw(tmp_path / "t.safetensors", {"a": (0, 8)}, bytes(12))
+        with pytest.raises(FormatError, match="ends at byte 8, body has 12"):
+            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+
+    def test_offsets_past_the_body_rejected(self, tmp_path):
+        write_raw(tmp_path / "t.safetensors", {"a": (0, 8)}, bytes(4))
+        with pytest.raises(FormatError, match="do not tile"):
+            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):
