@@ -113,10 +113,8 @@ class AlignmentReport:
 def _crop(rec: TensorRecord, shape: tuple[int, ...]) -> TensorRecord:
     if rec.shape == shape:
         return rec
-    arr = rec.bits()
-    sliced = arr[tuple(slice(0, d) for d in shape)]
-    flat = bytes(sliced.tobytes())
-    return TensorRecord(name=rec.name, dtype=rec.dtype, shape=shape, raw=flat)
+    sliced = rec.bits()[tuple(slice(0, d) for d in shape)]
+    return TensorRecord(name=rec.name, dtype=rec.dtype, shape=shape, raw=sliced.tobytes())
 
 
 def align_triple(

@@ -79,14 +79,17 @@ def f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
 class TensorRecord:
     """One named weight tensor: name, element type, shape, raw payload.
 
-    ``raw`` is the little-endian row-major byte string exactly as stored on
-    disk; it is the source of truth for round-trip fidelity.
+    ``raw`` is the little-endian row-major payload exactly as stored on
+    disk; it is the source of truth for round-trip fidelity. Records built
+    in memory hold ``bytes``; records read from a file hold a read-only
+    ``memoryview`` into that file's buffer, which compares and hashes like
+    the same ``bytes``.
     """
 
     name: str
     dtype: DType
     shape: tuple[int, ...]
-    raw: bytes
+    raw: bytes | memoryview
 
     def __post_init__(self):
         if any((not isinstance(d, int)) or d <= 0 for d in self.shape):
@@ -97,6 +100,10 @@ class TensorRecord:
                 f"{self.name}: payload is {len(self.raw)} bytes, "
                 f"shape {self.shape} with dtype {self.dtype.value} needs {expected}"
             )
+
+    def __reduce__(self):
+        # a memoryview neither pickles nor deep-copies: rebuild from its bytes
+        return (TensorRecord, (self.name, self.dtype, self.shape, bytes(self.raw)))
 
     @property
     def num_elements(self) -> int:

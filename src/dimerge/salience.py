@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .errors import ConfigError, NumericError, ShapeError
 
@@ -107,14 +105,23 @@ def rank_normalize(dev: np.ndarray) -> np.ndarray:
     """Average-tie ranks of a deviation vector, scaled into (0, 1].
 
     Ranks ascend with deviation: the largest deviation gets rank d, so a
-    source that rewrites a column more strongly ranks higher there.
+    source that rewrites a column more strongly ranks higher there. A tied
+    group occupying sorted positions ``start + 1 .. end`` gets the rank
+    ``(start + 1 + end) / 2``, a half-integer and so exact in float64.
     """
     dev = np.asarray(dev, dtype=np.float64)
     if dev.ndim != 1 or dev.size == 0:
         raise ShapeError("rank_normalize expects a non-empty 1D vector")
     if not np.all(np.isfinite(dev)):
         raise NumericError("deviations contain non-finite entries")
-    return rankdata(dev, method="average") / dev.size
+    n = dev.size
+    order = np.argsort(dev, kind="stable")
+    ordered = dev[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], n)
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks / n
 
 
 def salience_pair(r_ml, r_mm):
@@ -126,7 +133,8 @@ def salience_pair(r_ml, r_mm):
     Accepts scalars or arrays.
     """
     gap = np.asarray(r_ml, dtype=np.float64) - np.asarray(r_mm, dtype=np.float64)
-    low = expit(-np.abs(gap))           # losing side, in (0, 0.5]
+    with np.errstate(over="ignore"):    # exp overflows to inf, giving 0
+        low = 1.0 / (1.0 + np.exp(np.abs(gap)))  # losing side, in [0, 0.5]
     high = 1.0 - low
     ml_wins = gap >= 0
     s_ml = np.where(ml_wins, high, low)

@@ -10,7 +10,9 @@ A sharded checkpoint is a directory of such files plus an index manifest
 from __future__ import annotations
 
 import json
+import logging
 import struct
+import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +25,8 @@ from .records import DType, TensorRecord
 INDEX_FILENAME = "model.safetensors.index.json"
 SINGLE_FILENAME = "model.safetensors"
 _HEADER_STRUCT = struct.Struct("<Q")
+
+logger = logging.getLogger(__name__)
 
 
 class Role(str, Enum):
@@ -75,7 +79,13 @@ class Checkpoint:
 
 
 def read_tensor_file(path: Path) -> list[TensorRecord]:
-    """Parse one tensor file into records, preserving payload bytes exactly."""
+    """Parse one tensor file into records, preserving payload bytes exactly.
+
+    The file is read into memory once. Each record's ``raw`` is a zero-copy,
+    read-only view into that buffer, which stays alive while any of its
+    records does.
+    """
+    started = time.perf_counter()
     data = path.read_bytes()
     if len(data) < _HEADER_STRUCT.size:
         raise FormatError(f"{path}: file too short for a header")
@@ -90,7 +100,7 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
 
-    body = data[header_end:]
+    body = memoryview(data)[header_end:]
     entries = []
     for name, entry in header.items():
         if name == "__metadata__":
@@ -115,10 +125,14 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
                 f"{path}: data offsets {start}:{end} for {name!r} do not tile the {len(body)}-byte "
                 f"body (expected a start at byte {offset})"
             )
-        records.append(TensorRecord(name=name, dtype=dtype, shape=shape, raw=bytes(body[start:end])))
+        records.append(TensorRecord(name=name, dtype=dtype, shape=shape, raw=body[start:end]))
         offset = end
     if offset != len(body):
         raise FormatError(f"{path}: tensor data ends at byte {offset}, body has {len(body)}")
+    seconds = time.perf_counter() - started
+    megabytes = len(data) / 1e6
+    logger.info("read %s: %.1f MB in %.3f s (%.0f MB/s)",
+                path, megabytes, seconds, megabytes / max(seconds, 1e-9))
     return records
 
 
@@ -150,6 +164,9 @@ def _load_sharded(index_path: Path, role: Role) -> Checkpoint:
         raise FormatError(f"{index_path}: index manifest has no weight_map")
 
     shard_dir = index_path.parent
+    unindexed = sorted({p.name for p in shard_dir.glob("*.safetensors")} - set(weight_map.values()))
+    if unindexed:
+        raise ShardError(f"shard file {unindexed[0]!r} in {shard_dir} is not named in the index")
     shard_contents: dict[str, dict[str, TensorRecord]] = {}
     seen: dict[str, str] = {}
     for shard_name in sorted(set(weight_map.values())):

@@ -1,4 +1,7 @@
+import copy
 import json
+import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -119,6 +122,16 @@ class TestSharding:
         with pytest.raises(ShardError, match=f"{shard_of_y!r} holds tensor 'y' absent from the index"):
             load_checkpoint(tmp_path / "sh", Role.BASE)
 
+    def test_unindexed_shard_file(self, tmp_path):
+        ckpt = ckpt_of({n: np.zeros(256, dtype=np.float32) for n in ("x", "y", "z")})
+        save_checkpoint(ckpt, tmp_path / "sh", shard_limit=1024)  # one tensor per shard
+        index_path = tmp_path / "sh" / "model.safetensors.index.json"
+        index = json.loads(index_path.read_text())
+        shard_of_y = index["weight_map"].pop("y")
+        index_path.write_text(json.dumps(index))
+        with pytest.raises(ShardError, match=f"shard file {shard_of_y!r} .* is not named in the index"):
+            load_checkpoint(tmp_path / "sh", Role.BASE)
+
 
 def write_raw(path, offsets: dict, body: bytes):
     """A tensor file with one F32 entry per name at the given offsets."""
@@ -155,6 +168,53 @@ class TestDataOffsets:
         write_raw(tmp_path / "t.safetensors", {"a": (0, 8)}, bytes(4))
         with pytest.raises(FormatError, match="do not tile"):
             load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+
+
+class TestLoadedRecords:
+    """Loaded records are read-only views into one buffer per file."""
+
+    @pytest.fixture
+    def loaded(self, tmp_path, rng):
+        values = rng.normal(size=(3, 4)).astype(np.float32)
+        ckpt = ckpt_of({"a": values, "b": values[0]}, dtype=DType.BF16)
+        save_checkpoint(ckpt, tmp_path / "c")
+        return load_checkpoint(tmp_path / "c", Role.BASE)
+
+    def test_equals_and_hashes_like_its_bytes(self, loaded):
+        rec = loaded["a"]
+        as_bytes = TensorRecord(name=rec.name, dtype=rec.dtype, shape=rec.shape, raw=bytes(rec.raw))
+        assert rec.raw == as_bytes.raw
+        assert rec == as_bytes
+        assert hash(rec) == hash(as_bytes)
+        assert {rec: 1}[as_bytes] == 1
+
+    @pytest.mark.parametrize("clone", [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy])
+    def test_pickle_and_deepcopy(self, loaded, clone):
+        for rec in loaded.tensors.values():
+            copied = clone(rec)
+            assert copied == rec
+            assert copied.raw == rec.raw
+            np.testing.assert_array_equal(copied.to_f32(), rec.to_f32())
+
+    def test_bits_are_read_only(self, loaded):
+        before = bytes(loaded["a"].raw)
+        bits = loaded["a"].bits()
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bits[0, 0] = 1
+        assert loaded["a"].raw == before
+
+    def test_read_logs_one_info_line_per_file(self, tmp_path, caplog):
+        save_checkpoint(ckpt_of({"a": [1.0, 2.0]}), tmp_path / "one.safetensors")
+        with caplog.at_level(logging.WARNING, logger="dimerge"):
+            load_checkpoint(tmp_path / "one.safetensors", Role.BASE)
+        assert caplog.records == []
+        with caplog.at_level(logging.INFO, logger="dimerge"):
+            load_checkpoint(tmp_path / "one.safetensors", Role.BASE)
+        [record] = caplog.records
+        assert record.levelno == logging.INFO
+        assert "one.safetensors" in record.getMessage()
+        assert "MB/s" in record.getMessage()
 
 
 class TestErrors:
