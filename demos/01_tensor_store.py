@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dimerge import Checkpoint, DType, Role, TensorRecord, load_checkpoint, remap_keys, save_checkpoint
+from dimerge import Checkpoint, DType, TensorRecord, load_checkpoint, remap_keys, save_checkpoint
 
 rng = np.random.default_rng(0)
 workdir = Path(tempfile.mkdtemp(prefix="dimerge_demo_"))
@@ -23,13 +23,13 @@ records = [
                             rng.normal(size=(12, 8)).astype(np.float32), dtype=DType.BF16),
     TensorRecord.from_array("model.norm.weight", np.ones(8, dtype=np.float32), dtype=DType.F16),
 ]
-ckpt = Checkpoint.from_records(records, role=Role.BASE)
+ckpt = Checkpoint.from_records(records)
 print(f"built checkpoint: {len(ckpt)} tensors, {ckpt.total_parameters} parameters")
 
 # --- single file ----------------------------------------------------------
 single = workdir / "single"
 save_checkpoint(ckpt, single)
-reloaded = load_checkpoint(single, Role.BASE)
+reloaded = load_checkpoint(single)
 print("single-file round trip bit-exact:",
       all(reloaded[n].raw == ckpt[n].raw for n in ckpt.names()))
 
@@ -37,7 +37,7 @@ print("single-file round trip bit-exact:",
 sharded = workdir / "sharded"
 files = save_checkpoint(ckpt, sharded, shard_limit=512)
 print("sharded into:", [f.name for f in files])
-reloaded = load_checkpoint(sharded, Role.BASE)
+reloaded = load_checkpoint(sharded)
 print("sharded round trip bit-exact:",
       all(reloaded[n].raw == ckpt[n].raw for n in ckpt.names()))
 
@@ -47,8 +47,7 @@ print("bf16 payload preserved:",
 
 # --- remapping an anchor's nested keys -------------------------------------
 nested = Checkpoint.from_records(
-    [rec.renamed("language_model." + rec.name) for rec in ckpt.tensors.values()],
-    role=Role.ANCHOR,
+    [rec.renamed("language_model." + rec.name) for rec in ckpt.tensors.values()]
 )
 flat = remap_keys(nested, [("language_model.", "")])
 print("remapped keys:", flat.names())

@@ -12,7 +12,7 @@ import numpy as np
 
 from dimerge import MergeConfig, ScopeFilter, merge_checkpoint
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint, Role
+from dimerge.store import Checkpoint
 
 rng = np.random.default_rng(7)
 
@@ -25,7 +25,7 @@ for layer in (0, 1):
     shapes[f"model.layers.{layer}.input_layernorm.weight"] = (HIDDEN,)
 
 
-def checkpoint(role, residual_scale=0.0, extra=None):
+def checkpoint(residual_scale=0.0, extra=None):
     records = []
     local = np.random.default_rng(7)  # same base values every time
     for name, shape in shapes.items():
@@ -34,12 +34,12 @@ def checkpoint(role, residual_scale=0.0, extra=None):
         records.append(TensorRecord.from_array(name, values))
     for name, shape in (extra or {}).items():
         records.append(TensorRecord.from_array(name, rng.normal(size=shape).astype(np.float32)))
-    return Checkpoint.from_records(records, role=role)
+    return Checkpoint.from_records(records)
 
 
-base = checkpoint(Role.BASE)
-ml = checkpoint(Role.MULTILINGUAL, residual_scale=0.05)
-anchor = checkpoint(Role.ANCHOR, residual_scale=0.05,
+base = checkpoint()
+ml = checkpoint(residual_scale=0.05)
+anchor = checkpoint(residual_scale=0.05,
                     extra={"vision_tower.patch_embed.weight": (4, 4)})
 
 merged, report = merge_checkpoint(base, ml, anchor, MergeConfig())

@@ -1,14 +1,16 @@
 """Walkthrough: the classical merging baselines on small tensors.
 
-Plain residual addition, random drop-and-rescale, trim/elect-sign/average,
-and the two-sided magnitude filter, all over the same aligned-triple
-plumbing as the column-wise merge.
+Plain residual addition and trim/elect-sign/average run on an aligned
+triple through ``merge_tensor``, the same entry point as the column-wise
+merge; random drop-and-rescale and the two-sided magnitude filter are shown
+on residual arrays with the ``dimerge.baselines.*_values`` functions.
 """
 
 import numpy as np
 
-from dimerge import BaselineParams, MergeConfig, breadcrumbs_transform, dare_transform, task_arithmetic, ties_merge
+from dimerge import BaselineParams, MergeConfig, merge_tensor
 from dimerge.align import AlignedTriple
+from dimerge.baselines import breadcrumbs_values, dare_values
 from dimerge.records import TensorRecord
 
 rng = np.random.default_rng(3)
@@ -28,25 +30,26 @@ ml = np.array([1.0, -2.0, 0.3, 0.0, 0.8, -0.1], dtype=np.float32)
 mm = np.array([1.0, 1.0, -0.3, 0.0, 0.2, -0.1], dtype=np.float32)
 t = triple(base, ml, mm)
 
-print("task arithmetic:", task_arithmetic(t, lam=1.0).to_f32())
+print("task arithmetic:", merge_tensor(t, MergeConfig(method="task_arithmetic")).to_f32())
 
 # TIES at full density: coordinate 1 conflicts; the larger mass (-2) wins
-print("ties merge:     ", ties_merge(t, density=1.0, lam=1.0).to_f32())
+ties_full = MergeConfig(method="ties", baseline=BaselineParams(ties_density=1.0))
+print("ties merge:     ", merge_tensor(t, ties_full).to_f32())
 
 # DARE drops elements at random but stays unbiased in expectation
-delta = TensorRecord.from_array("delta", np.ones(10_000, dtype=np.float32))
-dropped = dare_transform(delta, p=0.9, seed=0).to_f32()
+delta = np.ones(10_000, dtype=np.float32)
+dropped = dare_values(delta, p=0.9, seed=0, tensor_name="delta")
 print(f"\nDARE p=0.9: kept {np.count_nonzero(dropped)} of {dropped.size}, "
       f"mean {dropped.mean():.3f} (unbiased, stays near 1.0)")
 
 # masks are keyed by (seed, name, index): identical keys, identical masks
-again = dare_transform(delta, p=0.9, seed=0).to_f32()
+again = dare_values(delta, p=0.9, seed=0, tensor_name="delta")
 print("deterministic mask:", np.array_equal(dropped, again))
 
 # breadcrumbs keeps the middle of the magnitude distribution
-spread = TensorRecord.from_array("d", rng.normal(size=12).astype(np.float32))
-kept = breadcrumbs_transform(spread, beta=0.25, gamma=0.25).to_f32()
-print("\nbreadcrumbs input: ", np.round(spread.to_f32(), 3))
+spread = rng.normal(size=12).astype(np.float32)
+kept = breadcrumbs_values(spread, beta=0.25, gamma=0.25)
+print("\nbreadcrumbs input: ", np.round(spread, 3))
 print("breadcrumbs output:", np.round(kept, 3))
 
 # defaults travel with MergeConfig for whole-checkpoint runs

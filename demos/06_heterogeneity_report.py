@@ -14,7 +14,7 @@ import numpy as np
 
 from dimerge import ModuleKeySchema, diagnose, export_csv, export_json
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint, Role
+from dimerge.store import Checkpoint
 
 rng = np.random.default_rng(5)
 HIDDEN = 8
@@ -28,7 +28,7 @@ for layer in range(3):
 base_values = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
 
 
-def checkpoint(role, layer_scales):
+def checkpoint(layer_scales):
     """Residual strength varies by layer, imitating functionally uneven updates."""
     records = []
     for name, values in base_values.items():
@@ -36,14 +36,14 @@ def checkpoint(role, layer_scales):
         scale = 0.02 if layer is None else layer_scales[layer]
         noisy = values + rng.normal(scale=scale, size=values.shape).astype(np.float32)
         records.append(TensorRecord.from_array(name, noisy))
-    return Checkpoint.from_records(records, role=role)
+    return Checkpoint.from_records(records)
 
 
 base = Checkpoint.from_records(
-    [TensorRecord.from_array(n, v) for n, v in base_values.items()], role=Role.BASE
+    [TensorRecord.from_array(n, v) for n, v in base_values.items()]
 )
-ml = checkpoint(Role.MULTILINGUAL, layer_scales=[0.01, 0.20, 0.05])   # strongest mid-layer
-mm = checkpoint(Role.ANCHOR, layer_scales=[0.10, 0.02, 0.02])         # strongest early
+ml = checkpoint(layer_scales=[0.01, 0.20, 0.05])   # strongest mid-layer
+mm = checkpoint(layer_scales=[0.10, 0.02, 0.02])         # strongest early
 
 rows = diagnose(base, ml, mm, ModuleKeySchema())
 print(f"{'layer':>5} {'module':>10} {'norm_ml':>9} {'norm_mm':>9} {'cross':>7}")

@@ -7,10 +7,6 @@ required.
 from .align import AlignedTriple, AlignmentReport, align_triple
 from .baselines import (
     BaselineParams,
-    breadcrumbs_transform,
-    dare_transform,
-    task_arithmetic,
-    ties_merge,
     unit_uniforms,
 )
 from .diagnostics import HeatmapRow, ModuleKeySchema, diagnose, export_csv, export_json
@@ -45,7 +41,7 @@ from .salience import (
     salience_pair,
 )
 from .scope import ScopeFilter, parse_layer_index
-from .store import Checkpoint, Role, load_checkpoint, remap_keys, save_checkpoint
+from .store import Checkpoint, load_checkpoint, remap_keys, save_checkpoint
 
 __version__ = "0.1.0"
 
@@ -69,7 +65,6 @@ __all__ = [
     "ModuleKeySchema",
     "NumericError",
     "RemapCollisionError",
-    "Role",
     "SalienceWeights",
     "ScopeFilter",
     "ShapeError",
@@ -77,10 +72,8 @@ __all__ = [
     "TensorRecord",
     "aggregate_branches",
     "align_triple",
-    "breadcrumbs_transform",
     "column_deviations",
     "cross_alignment",
-    "dare_transform",
     "diagnose",
     "elementwise_salience",
     "estimate_salience",
@@ -95,8 +88,6 @@ __all__ = [
     "residual_identity_terms",
     "salience_pair",
     "save_checkpoint",
-    "task_arithmetic",
     "tensor_stats",
-    "ties_merge",
     "unit_uniforms",
 ]

@@ -3,19 +3,17 @@
 Alignment walks the anchor's key set: every anchor tensor ends up either in
 an :class:`AlignedTriple` (shared backbone parameter, mergeable) or in the
 report's pass-through list (vision encoder, projector, keys missing from a
-source, high-rank tensors, out-of-scope keys). Nothing is dropped silently.
+source, high-rank tensors). Nothing is dropped silently; the merge applies scope.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, NumericError
 from .records import TensorRecord
-from .scope import ScopeFilter
 from .store import Checkpoint
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
@@ -65,8 +63,7 @@ class ShapeMismatch:
     base_shape: tuple[int, ...]
     ml_shape: tuple[int, ...]
     anchor_shape: tuple[int, ...]
-    resolution: str                      # "overlap"
-    overlap_shape: tuple[int, ...] | None = None
+    overlap_shape: tuple[int, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -74,8 +71,7 @@ class ShapeMismatch:
             "base_shape": list(self.base_shape),
             "ml_shape": list(self.ml_shape),
             "anchor_shape": list(self.anchor_shape),
-            "resolution": self.resolution,
-            "overlap_shape": list(self.overlap_shape) if self.overlap_shape else None,
+            "overlap_shape": list(self.overlap_shape),
         }
 
 
@@ -86,7 +82,6 @@ class AlignmentReport:
     anchor_only: list[str] = field(default_factory=list)
     missing_from_base: list[str] = field(default_factory=list)
     missing_from_ml: list[str] = field(default_factory=list)
-    out_of_scope: list[str] = field(default_factory=list)
     high_rank: list[str] = field(default_factory=list)
     shape_mismatches: list[ShapeMismatch] = field(default_factory=list)
     extra_in_base: list[str] = field(default_factory=list)
@@ -99,15 +94,11 @@ class AlignmentReport:
             "anchor_only": self.anchor_only,
             "missing_from_base": self.missing_from_base,
             "missing_from_ml": self.missing_from_ml,
-            "out_of_scope": self.out_of_scope,
             "high_rank": self.high_rank,
             "shape_mismatches": [m.to_dict() for m in self.shape_mismatches],
             "extra_in_base": self.extra_in_base,
             "extra_in_ml": self.extra_in_ml,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def _crop(rec: TensorRecord, shape: tuple[int, ...]) -> TensorRecord:
@@ -121,14 +112,13 @@ def align_triple(
     base: Checkpoint,
     ml: Checkpoint,
     anchor: Checkpoint,
-    scope: ScopeFilter | None = None,
     shape_policy: str = "strict",
     high_rank: str = "reject",
 ) -> tuple[list[AlignedTriple], AlignmentReport]:
     """Align the shared backbone of three remapped checkpoints.
 
-    ``scope=None`` admits every shared key. Under the default strict shape
-    policy any shape disagreement aborts; under ``anchor-overlap`` the common
+    Every shared key is aligned. Under the default strict shape policy any
+    shape disagreement aborts; under ``anchor-overlap`` the common
     leading sub-block is aligned and the anchor's extra rows/columns pass
     through at assembly time.
     """
@@ -151,11 +141,6 @@ def align_triple(
                 report.missing_from_base.append(name)
             if not in_ml:
                 report.missing_from_ml.append(name)
-            report.pass_through.append(name)
-            continue
-
-        if scope is not None and not scope.admits(name):
-            report.out_of_scope.append(name)
             report.pass_through.append(name)
             continue
 
@@ -190,7 +175,7 @@ def align_triple(
         )
         report.aligned.append(name)
         report.shape_mismatches.append(
-            ShapeMismatch(name, *shapes, resolution="overlap", overlap_shape=overlap)
+            ShapeMismatch(name, *shapes, overlap_shape=overlap)
         )
 
     report.extra_in_base = [n for n in base.names() if n not in anchor.tensors]

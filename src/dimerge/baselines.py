@@ -17,7 +17,6 @@ import numpy as np
 
 from .align import AlignedTriple
 from .errors import ConfigError
-from .records import DType, TensorRecord
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -104,21 +103,14 @@ def deltas_f32(triple: AlignedTriple) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return base, ml, mm
 
 
-def _as_record(name: str, values: np.ndarray, dtype: DType) -> TensorRecord:
-    return TensorRecord.from_array(name, values, dtype=dtype)
-
-
 def task_arithmetic_values(base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, lam: float) -> np.ndarray:
+    """Sum of the two residuals added to the base, scaled by ``lam``."""
     return base + np.float32(lam) * (delta_ml + delta_mm)
 
 
-def task_arithmetic(triple: AlignedTriple, lam: float = 1.0) -> TensorRecord:
-    """Sum of the two residuals added to the base, scaled by ``lam``."""
-    base, d_ml, d_mm = deltas_f32(triple)
-    return _as_record(triple.name, task_arithmetic_values(base, d_ml, d_mm, lam), triple.mm.dtype)
-
-
 def dare_values(delta: np.ndarray, p: float, seed: int, tensor_name: str) -> np.ndarray:
+    """Drop each element with probability ``p`` and rescale survivors by
+    ``1/(1-p)``. The mask is keyed by (seed, tensor_name, element index)."""
     if not (0.0 <= p < 1.0):
         raise ConfigError(f"drop probability must be in [0, 1), got {p}")
     if p == 0.0:
@@ -126,14 +118,6 @@ def dare_values(delta: np.ndarray, p: float, seed: int, tensor_name: str) -> np.
     u = unit_uniforms(seed, tensor_name, delta.size).reshape(delta.shape)
     keep = u >= p
     return np.where(keep, delta / np.float32(1.0 - p), np.float32(0.0)).astype(delta.dtype, copy=False)
-
-
-def dare_transform(delta: TensorRecord, p: float, seed: int, tensor_name: str | None = None) -> TensorRecord:
-    """Drop each element with probability ``p`` and rescale survivors by
-    ``1/(1-p)``. The mask is keyed by (seed, tensor_name, element index)."""
-    name = tensor_name if tensor_name is not None else delta.name
-    values = dare_values(delta.to_f32(), p, seed, name)
-    return _as_record(delta.name, values, delta.dtype)
 
 
 def _top_k_mask(scores: np.ndarray, keep: int) -> np.ndarray:
@@ -155,6 +139,8 @@ def _top_k_mask(scores: np.ndarray, keep: int) -> np.ndarray:
 def ties_merge_values(
     base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, density: float, lam: float
 ) -> np.ndarray:
+    """Trim small updates per source, elect a sign per coordinate from the
+    kept mass (ties elect positive), and average the agreeing residuals."""
     if not (0.0 < density <= 1.0):
         raise ConfigError(f"density must be in (0, 1], got {density}")
     keep = math.ceil(density * base.size)
@@ -169,14 +155,9 @@ def ties_merge_values(
     return base + np.float32(lam) * merged
 
 
-def ties_merge(triple: AlignedTriple, density: float, lam: float = 1.0) -> TensorRecord:
-    """Trim small updates per source, elect a sign per coordinate from the
-    kept mass (ties elect positive), and average the agreeing residuals."""
-    base, d_ml, d_mm = deltas_f32(triple)
-    return _as_record(triple.name, ties_merge_values(base, d_ml, d_mm, density, lam), triple.mm.dtype)
-
-
 def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+    """Zero the bottom ``beta`` and top ``gamma`` fractions of entries by
+    absolute value; threshold ties are dropped at lower flat indices first."""
     if beta < 0 or gamma < 0 or beta + gamma >= 1.0:
         raise ConfigError(f"need beta, gamma >= 0 with beta + gamma < 1, got {beta}, {gamma}")
     n = delta.size
@@ -186,13 +167,6 @@ def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarr
     # only survivors (int(beta*n) + int(gamma*n) <= n)
     top = _top_k_mask(np.where(bottom, np.float32(-1.0), magnitude), int(gamma * n))
     return np.where(bottom | top, delta.dtype.type(0), delta)
-
-
-def breadcrumbs_transform(delta: TensorRecord, beta: float, gamma: float) -> TensorRecord:
-    """Zero the bottom ``beta`` and top ``gamma`` fractions of entries by
-    absolute value; threshold ties are dropped at lower flat indices first."""
-    values = breadcrumbs_values(delta.to_f32(), beta, gamma)
-    return _as_record(delta.name, values, delta.dtype)
 
 
 def merge_baseline_values(

@@ -27,7 +27,7 @@ from .errors import ConfigError, DimergeError
 from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
 from .presets import module_schema, remap_rules
-from .store import Role, load_checkpoint, remap_keys, save_checkpoint
+from .store import load_checkpoint, remap_keys, save_checkpoint
 
 logger = logging.getLogger("dimerge")
 
@@ -111,9 +111,9 @@ def _load_inputs(config: dict):
     ml_path = _required_path(config, "multilingual_path")
     anchor_path = _required_path(config, "anchor_path")
     rules = _resolve_remap(config)
-    base = remap_keys(load_checkpoint(base_path, Role.BASE), rules["base"])
-    ml = remap_keys(load_checkpoint(ml_path, Role.MULTILINGUAL), rules["multilingual"])
-    anchor = remap_keys(load_checkpoint(anchor_path, Role.ANCHOR), rules["anchor"])
+    base = remap_keys(load_checkpoint(base_path), rules["base"])
+    ml = remap_keys(load_checkpoint(ml_path), rules["multilingual"])
+    anchor = remap_keys(load_checkpoint(anchor_path), rules["anchor"])
     return base, ml, anchor
 
 
@@ -210,7 +210,7 @@ def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
 
 
 def cmd_inspect(checkpoint_path: str) -> int:
-    ckpt = load_checkpoint(checkpoint_path, Role.BASE)
+    ckpt = load_checkpoint(checkpoint_path)
     for name, rec in ckpt.tensors.items():
         shape = "x".join(map(str, rec.shape)) or "scalar"
         print(f"{name}  {shape}  {rec.dtype.value}")

@@ -123,7 +123,7 @@ def diagnose(
     Inputs must already be key-remapped; alignment is strict and read-only.
     """
     schema = schema or ModuleKeySchema()
-    triples, _ = align_triple(base, ml, anchor, scope=None, shape_policy="strict", high_rank="pass_through")
+    triples, _ = align_triple(base, ml, anchor, shape_policy="strict", high_rank="pass_through")
 
     if triples and not any(schema.layer_of(t.name) is not None for t in triples):
         logger.warning("layer pattern %r captured no layer index; grouping all keys under layer -1",

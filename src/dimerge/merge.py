@@ -26,7 +26,7 @@ from .align import AlignedTriple, align_triple
 from .baselines import BaselineParams, deltas_f32, merge_baseline_values
 from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, column_deviations
-from .records import DType, TensorRecord, f32_to_bf16_bits
+from .records import DType, TensorRecord
 from .salience import (
     AggregationKind,
     EstimatorKind,
@@ -36,7 +36,7 @@ from .salience import (
     estimate_salience,
 )
 from .scope import ScopeFilter
-from .store import Checkpoint, Role
+from .store import Checkpoint
 
 BASELINE_METHODS = ("task_arithmetic", "dare", "ties", "breadcrumbs")
 MERGE_METHODS = ("dim3",) + BASELINE_METHODS
@@ -171,20 +171,12 @@ def _merge_values(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, 
 
 
 def _embed_into_anchor(anchor: TensorRecord, merged: np.ndarray, out_dtype: DType) -> TensorRecord:
-    """Write merged values into the anchor tensor, keeping any region outside
-    the merged sub-block bit-identical (anchor-overlap shape policy)."""
+    """Write merged values into the anchor tensor (anchor-overlap shape policy);
+    outside the merged sub-block it keeps the anchor's values in ``out_dtype``."""
     region = tuple(slice(0, d) for d in merged.shape)
-    if out_dtype is anchor.dtype:
-        bits = anchor.bits().copy()
-        if out_dtype is DType.BF16:
-            bits[region] = f32_to_bf16_bits(merged)
-        else:
-            sub = TensorRecord.from_array(anchor.name, merged, dtype=out_dtype)
-            bits[region] = sub.bits()
-        return TensorRecord(name=anchor.name, dtype=out_dtype, shape=anchor.shape, raw=bits.tobytes())
-    full = anchor.to_f32() if out_dtype is not DType.F64 else anchor.to_f64()
-    full[region] = merged
-    return TensorRecord.from_array(anchor.name, full, dtype=out_dtype)
+    bits = anchor.astype(out_dtype).bits().copy()
+    bits[region] = TensorRecord.from_array(anchor.name, merged, dtype=out_dtype).bits()
+    return TensorRecord(name=anchor.name, dtype=out_dtype, shape=anchor.shape, raw=bits.tobytes())
 
 
 def _merge_one(triple: AlignedTriple, anchor_rec: TensorRecord, cfg: MergeConfig) -> tuple[TensorRecord, TensorMergeReport]:
@@ -222,7 +214,7 @@ def merge_checkpoint(
     through bit-exactly. Output is identical for any worker count."""
     cfg.validate()
     triples, alignment = align_triple(
-        base, ml, anchor, scope=None, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
+        base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )
     by_name = {t.name: t for t in triples}
 
@@ -241,7 +233,7 @@ def merge_checkpoint(
         triple = by_name.get(name)
         if triple is None:
             return anchor_rec, TensorMergeReport(
-                name=name, action="pass_through", reason=passthrough_reason.get(name, "unaligned")
+                name=name, action="pass_through", reason=passthrough_reason[name]
             )
         if not cfg.scope.admits(name):
             return anchor_rec, TensorMergeReport(name=name, action="pass_through", reason="out_of_scope")
@@ -271,5 +263,4 @@ def merge_checkpoint(
     report.mean_omega_ml = float(np.mean(omega_means)) if omega_means else None
     report.seconds = time.perf_counter() - start
 
-    merged_ckpt = Checkpoint.from_records(records, role=Role.MERGED, source_path="")
-    return merged_ckpt, report
+    return Checkpoint.from_records(records), report

@@ -67,12 +67,18 @@ def f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
     """Round float32 down to bfloat16 bit patterns, round-to-nearest-even."""
     values = np.ascontiguousarray(values, dtype="<f4")
     bits = values.view(np.uint32)
-    nan = np.isnan(values)
-    with np.errstate(over="ignore"):
-        rounded = (bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))) >> np.uint32(16)
-    # quiet-NaN: keep sign/exponent, force a mantissa bit
-    quiet = (bits >> np.uint32(16)) | np.uint32(0x0040)
-    return np.where(nan, quiet, rounded).astype(np.uint16)
+    # rounded in place, in one tensor-sized temporary; the uint32 sum can
+    # wrap only for NaN bit patterns, which the fix-up below overwrites
+    rounded = bits >> np.uint32(16)
+    rounded &= np.uint32(1)
+    rounded += bits
+    rounded += np.uint32(0x7FFF)
+    rounded >>= np.uint32(16)
+    if np.isnan(values).any():
+        # quiet-NaN: keep sign/exponent, force a mantissa bit
+        nan = np.isnan(values)
+        rounded[nan] = (bits[nan] >> np.uint32(16)) | np.uint32(0x0040)
+    return rounded.astype(np.uint16)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,33 +28,24 @@ _HEADER_STRUCT = struct.Struct("<Q")
 logger = logging.getLogger(__name__)
 
 
-class Role(str, Enum):
-    BASE = "base"
-    MULTILINGUAL = "multilingual"
-    ANCHOR = "anchor"
-    MERGED = "merged"
-
-
 @dataclass(frozen=True)
 class Checkpoint:
-    """An ordered map of parameter name to tensor record plus provenance.
+    """An ordered map of parameter name to tensor record.
 
     Iteration order is always lexicographic by name, independent of how the
     tensors were laid out on disk.
     """
 
     tensors: "OrderedDict[str, TensorRecord]"
-    role: Role
-    source_path: str = ""
 
     @classmethod
-    def from_records(cls, records: Iterable[TensorRecord], role: Role, source_path: str = "") -> "Checkpoint":
+    def from_records(cls, records: Iterable[TensorRecord]) -> "Checkpoint":
         ordered: OrderedDict[str, TensorRecord] = OrderedDict()
         for rec in sorted(records, key=lambda r: r.name):
             if rec.name in ordered:
                 raise ShardError(f"duplicate tensor name {rec.name!r}")
             ordered[rec.name] = rec
-        return cls(tensors=ordered, role=role, source_path=source_path)
+        return cls(tensors=ordered)
 
     def names(self) -> list[str]:
         return list(self.tensors.keys())
@@ -107,11 +97,14 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
             continue
         try:
             dtype = DType.from_string(entry["dtype"])
-            shape = tuple(int(d) for d in entry["shape"])
+            shape = tuple(entry["shape"])
             start, end = entry["data_offsets"]
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad header entry for {name!r}: {exc}") from exc
-        if not (isinstance(start, int) and isinstance(end, int)):
+        # type() rather than isinstance(): JSON true/false load as bool, an int subclass
+        if not all(type(d) is int and d >= 1 for d in shape):
+            raise FormatError(f"{path}: shape {list(shape)} for {name!r} is not a list of positive integers")
+        if not (type(start) is int and type(end) is int):
             raise FormatError(f"{path}: data offsets for {name!r} are not integers")
         entries.append((start, end, name, dtype, shape))
 
@@ -154,7 +147,7 @@ def write_tensor_file(path: Path, records: Sequence[TensorRecord]) -> None:
             fh.write(rec.raw)
 
 
-def _load_sharded(index_path: Path, role: Role) -> Checkpoint:
+def _load_sharded(index_path: Path) -> Checkpoint:
     try:
         index = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
@@ -191,10 +184,10 @@ def _load_sharded(index_path: Path, role: Role) -> Checkpoint:
     orphans = sorted(seen.keys() - weight_map.keys())
     if orphans:
         raise ShardError(f"shard {seen[orphans[0]]!r} holds tensor {orphans[0]!r} absent from the index")
-    return Checkpoint.from_records(records, role=role, source_path=str(index_path.parent))
+    return Checkpoint.from_records(records)
 
 
-def load_checkpoint(path: str | Path, role: Role) -> Checkpoint:
+def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load a checkpoint from a tensor file, an index manifest, or a directory.
 
     A directory must contain either an index manifest or exactly one tensor
@@ -203,17 +196,17 @@ def load_checkpoint(path: str | Path, role: Role) -> Checkpoint:
     path = Path(path)
     if path.is_file():
         if path.name.endswith(".index.json"):
-            return _load_sharded(path, role)
-        return Checkpoint.from_records(read_tensor_file(path), role=role, source_path=str(path))
+            return _load_sharded(path)
+        return Checkpoint.from_records(read_tensor_file(path))
     if path.is_dir():
         indexes = sorted(path.glob("*.index.json"))
         if len(indexes) == 1:
-            return _load_sharded(indexes[0], role)
+            return _load_sharded(indexes[0])
         if len(indexes) > 1:
             raise FormatError(f"{path}: multiple index manifests found")
         singles = sorted(path.glob("*.safetensors"))
         if len(singles) == 1:
-            return Checkpoint.from_records(read_tensor_file(singles[0]), role=role, source_path=str(path))
+            return Checkpoint.from_records(read_tensor_file(singles[0]))
         raise FormatError(f"{path}: expected one tensor file or an index manifest")
     raise FormatError(f"{path}: no such file or directory")
 
@@ -297,4 +290,4 @@ def remap_keys(ckpt: Checkpoint, rules: Sequence[tuple[str, str]]) -> Checkpoint
         if new_name in renamed:
             raise RemapCollisionError(f"keys collide on {new_name!r} after remapping")
         renamed[new_name] = rec.renamed(new_name) if new_name != name else rec
-    return Checkpoint.from_records(renamed.values(), role=ckpt.role, source_path=ckpt.source_path)
+    return Checkpoint.from_records(renamed.values())

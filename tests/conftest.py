@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dimerge.records import DType, TensorRecord
-from dimerge.store import Checkpoint, Role
+from dimerge.store import Checkpoint
 
 HIDDEN = 4
 INTERMEDIATE = 6
@@ -54,19 +54,19 @@ def make_triple(seed: int = 0, dtype: DType = DType.F32, residual_scale: float =
     rng = np.random.default_rng(seed)
     shapes = backbone_shapes()
     base_records = _records(shapes, rng, dtype=dtype)
-    base = Checkpoint.from_records(base_records, role=Role.BASE)
+    base = Checkpoint.from_records(base_records)
 
-    def perturb(role: Role, extra: dict | None = None) -> Checkpoint:
+    def perturb(extra: dict | None = None) -> Checkpoint:
         records = []
         for name, rec in base.tensors.items():
             res = rng.normal(scale=residual_scale, size=rec.shape).astype(np.float32)
             records.append(TensorRecord.from_array(name, rec.to_f32() + res, dtype=dtype))
         if extra:
             records.extend(_records(extra, rng, dtype=dtype))
-        return Checkpoint.from_records(records, role=role)
+        return Checkpoint.from_records(records)
 
-    ml = perturb(Role.MULTILINGUAL)
-    anchor = perturb(Role.ANCHOR, extra=ANCHOR_EXTRA_SHAPES)
+    ml = perturb()
+    anchor = perturb(extra=ANCHOR_EXTRA_SHAPES)
     return base, ml, anchor
 
 

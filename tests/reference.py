@@ -157,3 +157,19 @@ def breadcrumbs(delta, beta, gamma):
     top = top_k_indices([abs(float(flat[i])) for i in survivors], int(gamma * n))
     dropped.update(survivors[j] for j in top)
     return np.array([0.0 if i in dropped else flat[i] for i in range(n)], dtype=flat.dtype)
+
+
+def f32_to_bf16_bits(values) -> list[int]:
+    """bfloat16 bit patterns of float32 values, one element at a time: keep
+    the upper 16 bits and round on the lower 16, to nearest with ties to an
+    even result. A NaN keeps its sign and upper payload with the quiet bit set."""
+    out = []
+    for bits in np.asarray(values, dtype="<f4").view("<u4").ravel().tolist():
+        upper, lower = bits >> 16, bits & 0xFFFF
+        if (bits >> 23) & 0xFF == 0xFF and bits & 0x7FFFFF:
+            out.append(upper | 0x0040)
+        elif lower > 0x8000 or (lower == 0x8000 and upper & 1):
+            out.append(upper + 1)
+        else:
+            out.append(upper)
+    return out

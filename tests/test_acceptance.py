@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from dimerge.baselines import BaselineParams, dare_transform, ties_merge
+from dimerge.baselines import BaselineParams, breadcrumbs_values, dare_values
 from dimerge.diagnostics import diagnose
 from dimerge.geometry import residual_identity_terms
 from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind, estimate_salience, salience_pair
 from dimerge.scope import ScopeFilter
-from dimerge.store import Checkpoint, Role, load_checkpoint, save_checkpoint
+from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import make_triple
 from test_baselines import record_of
@@ -129,14 +129,14 @@ def test_criterion_5_trivial_limits():
     base, ml, anchor = make_triple(seed=55)
 
     zero_anchor = Checkpoint.from_records(
-        [base[n] if n in base else rec for n, rec in anchor.tensors.items()], role=Role.ANCHOR
+        [base[n] if n in base else rec for n, rec in anchor.tensors.items()]
     )
     merged_zero, _ = merge_checkpoint(base, base, zero_anchor, MergeConfig())
     zero_ok = checkpoint_digest(merged_zero) == checkpoint_digest(zero_anchor)
 
     # identical residuals: anchor backbone equals ml, so merged = base + delta
     same_anchor = Checkpoint.from_records(
-        [ml[n] if n in ml else rec for n, rec in anchor.tensors.items()], role=Role.ANCHOR
+        [ml[n] if n in ml else rec for n, rec in anchor.tensors.items()]
     )
     merged_same, _ = merge_checkpoint(base, ml, same_anchor, MergeConfig())
     same_ok = all(
@@ -209,30 +209,29 @@ def test_criterion_7_ablation_variants():
 def test_criterion_8_baseline_sanity():
     rng = np.random.default_rng(58)
     delta = record_of(rng.normal(size=256))
-    identity_ok = dare_transform(delta, p=0.0, seed=0).raw == delta.raw
+    identity_ok = dare_values(delta.to_f32(), p=0.0, seed=0, tensor_name="d").tobytes() == delta.raw
 
     values = rng.normal(size=16).astype(np.float32)
     rec = record_of(values)
     acc = np.zeros(16, dtype=np.float64)
     trials = 10_000
     for seed in range(trials):
-        acc += dare_transform(rec, p=0.5, seed=seed).to_f32()
+        acc += dare_values(rec.to_f32(), p=0.5, seed=seed, tensor_name="d")
     mean = acc / trials
     unbiased_ok = bool(np.all(np.abs(mean - values) <= 0.01 * np.abs(values) + 0.015))
 
-    ties_trace = ties_merge(triple_of([0.0, 0.0], [1.0, -2.0], [1.0, 1.0]), density=1.0, lam=1.0)
+    ties_full_density = MergeConfig(method="ties", baseline=BaselineParams(ties_density=1.0, lam=1.0))
+    ties_trace = merge_tensor(triple_of([0.0, 0.0], [1.0, -2.0], [1.0, 1.0]), ties_full_density)
     trace_ok = np.array_equal(ties_trace.to_f32(), np.array([1.0, -2.0], dtype=np.float32))
 
     base = rng.normal(size=(6, 6)).astype(np.float32)
     d1 = np.abs(rng.normal(size=(6, 6))).astype(np.float32)
     d2 = np.abs(rng.normal(size=(6, 6))).astype(np.float32)
-    ties_full = ties_merge(triple_of(base, base + d1, base + d2), density=1.0, lam=1.0).to_f32()
+    ties_full = merge_tensor(triple_of(base, base + d1, base + d2), ties_full_density).to_f32()
     mean_ok = bool(np.allclose(ties_full, base + 0.5 * (d1 + d2), atol=1e-6))
 
-    from dimerge.baselines import breadcrumbs_transform
-
-    bc = breadcrumbs_transform(delta, beta=0.0, gamma=0.0)
-    bc_ok = bc.raw == delta.raw
+    bc = breadcrumbs_values(delta.to_f32(), beta=0.0, gamma=0.0)
+    bc_ok = bc.tobytes() == delta.raw
 
     _report(8, "DARE identity/unbiasedness, TIES trace and no-conflict mean, breadcrumbs identity",
             identity_ok and unbiased_ok and trace_ok and mean_ok and bc_ok,
@@ -264,11 +263,11 @@ def test_criterion_10_format_round_trip_and_partition(tmp_path):
             TensorRecord.from_array(f"t{i}", rng.normal(size=(32, 16)).astype(np.float32), dtype=dtype)
             for i in range(4)
         ]
-        ckpt = Checkpoint.from_records(records, role=Role.BASE)
+        ckpt = Checkpoint.from_records(records)
         for label, limit in (("single", 1 << 30), ("sharded", 1024)):
             target = tmp_path / f"{dtype.value}_{label}"
             save_checkpoint(ckpt, target, shard_limit=limit)
-            loaded = load_checkpoint(target, Role.BASE)
+            loaded = load_checkpoint(target)
             ok &= loaded.names() == ckpt.names()
             ok &= all(loaded[n].raw == ckpt[n].raw and loaded[n].dtype is dtype for n in ckpt.names())
 
@@ -286,4 +285,4 @@ def test_criterion_10_format_round_trip_and_partition(tmp_path):
 
 def _backbone_of(anchor: Checkpoint, base: Checkpoint) -> Checkpoint:
     records = [rec for name, rec in anchor.tensors.items() if name in base]
-    return Checkpoint.from_records(records, role=anchor.role)
+    return Checkpoint.from_records(records)

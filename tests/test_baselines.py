@@ -3,39 +3,44 @@ import pytest
 
 from dimerge.baselines import (
     BaselineParams,
-    breadcrumbs_transform,
     breadcrumbs_values,
-    dare_transform,
-    task_arithmetic,
-    ties_merge,
+    dare_values,
     ties_merge_values,
     unit_uniforms,
 )
 from dimerge.errors import ConfigError
-from dimerge.merge import MergeConfig, merge_checkpoint
+from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import TensorRecord
 
 from test_merge import triple_of
+
+TASK_ARITHMETIC = MergeConfig(method="task_arithmetic")
+TIES_FULL_DENSITY = MergeConfig(method="ties", baseline=BaselineParams(ties_density=1.0))
 
 
 def record_of(values, name="d"):
     return TensorRecord.from_array(name, np.asarray(values, dtype=np.float32))
 
 
+def f32(values):
+    return np.asarray(values, dtype=np.float32)
+
+
 class TestTaskArithmetic:
     def test_zero_residuals(self, rng):
         W = rng.normal(size=(3, 3)).astype(np.float32)
-        out = task_arithmetic(triple_of(W, W, W), lam=1.0)
+        out = merge_tensor(triple_of(W, W, W), TASK_ARITHMETIC)
         np.testing.assert_array_equal(out.to_f32(), W)
 
     def test_scalar_sum(self):
-        out = task_arithmetic(triple_of([0.0], [1.0], [2.0]), lam=1.0)
+        out = merge_tensor(triple_of([0.0], [1.0], [2.0]), TASK_ARITHMETIC)
         np.testing.assert_array_equal(out.to_f32(), [3.0])
 
     def test_lambda_zero_is_base(self, rng):
         W = rng.normal(size=(4, 2)).astype(np.float32)
         ml = W + rng.normal(size=(4, 2)).astype(np.float32)
-        out = task_arithmetic(triple_of(W, ml, W), lam=0.0)
+        cfg = MergeConfig(method="task_arithmetic", baseline=BaselineParams(lam=0.0))
+        out = merge_tensor(triple_of(W, ml, W), cfg)
         np.testing.assert_array_equal(out.to_f32(), W)
 
 
@@ -65,53 +70,51 @@ class TestUnitUniforms:
 
 class TestDare:
     def test_p_zero_identity(self, rng):
-        delta = record_of(rng.normal(size=64))
-        out = dare_transform(delta, p=0.0, seed=1)
-        assert out.raw == delta.raw
+        delta = f32(rng.normal(size=64))
+        out = dare_values(delta, p=0.0, seed=1, tensor_name="d")
+        assert out.tobytes() == delta.tobytes()
 
     def test_unbiased_at_half(self):
         n = 1_000_000
-        delta = record_of(np.ones(n))
-        out = dare_transform(delta, p=0.5, seed=3).to_f32()
+        out = dare_values(np.ones(n, dtype=np.float32), p=0.5, seed=3, tensor_name="d")
         assert 0.99 <= out.mean() <= 1.01
 
     def test_survivors_rescaled(self, rng):
-        delta = record_of(rng.normal(size=1000))
-        out = dare_transform(delta, p=0.9, seed=0).to_f32()
+        delta = f32(rng.normal(size=1000))
+        out = dare_values(delta, p=0.9, seed=0, tensor_name="d")
         kept = out != 0.0
-        np.testing.assert_allclose(out[kept], delta.to_f32()[kept] / 0.1, rtol=1e-6)
+        np.testing.assert_allclose(out[kept], delta[kept] / 0.1, rtol=1e-6)
 
     def test_deterministic_for_fixed_key(self):
-        delta = record_of(np.ones(512))
-        a = dare_transform(delta, p=0.5, seed=11, tensor_name="x")
-        b = dare_transform(delta, p=0.5, seed=11, tensor_name="x")
-        assert a.raw == b.raw
+        delta = np.ones(512, dtype=np.float32)
+        a = dare_values(delta, p=0.5, seed=11, tensor_name="x")
+        b = dare_values(delta, p=0.5, seed=11, tensor_name="x")
+        assert a.tobytes() == b.tobytes()
 
     def test_expectation_over_seeds(self, rng):
         # elementwise mean over many independent masks converges to delta
         delta = rng.normal(size=32).astype(np.float32)
-        rec = record_of(delta)
         trials = 10_000
         acc = np.zeros(32, dtype=np.float64)
         for seed in range(trials):
-            acc += dare_transform(rec, p=0.5, seed=seed).to_f32()
+            acc += dare_values(delta, p=0.5, seed=seed, tensor_name="d")
         mean = acc / trials
         np.testing.assert_allclose(mean, delta, rtol=0.05, atol=0.01)
 
     def test_p_one_rejected(self):
         with pytest.raises(ConfigError):
-            dare_transform(record_of([1.0]), p=1.0, seed=0)
+            dare_values(f32([1.0]), p=1.0, seed=0, tensor_name="d")
 
 
 class TestTies:
     def test_agreeing_coordinate(self):
-        out = ties_merge(triple_of([0.0], [1.0], [1.0]), density=1.0, lam=1.0)
+        out = merge_tensor(triple_of([0.0], [1.0], [1.0]), TIES_FULL_DENSITY)
         np.testing.assert_array_equal(out.to_f32(), [1.0])
 
     def test_hand_traced_conflict(self):
         # coord 0: kept 1, 1 -> sign +, mean 1; coord 1: kept -2, 1 -> sum -1
         # elects negative, only -2 agrees -> -2
-        out = ties_merge(triple_of([0.0, 0.0], [1.0, -2.0], [1.0, 1.0]), density=1.0, lam=1.0)
+        out = merge_tensor(triple_of([0.0, 0.0], [1.0, -2.0], [1.0, 1.0]), TIES_FULL_DENSITY)
         np.testing.assert_array_equal(out.to_f32(), [1.0, -2.0])
 
     def test_trim_keeps_top_fraction(self):
@@ -121,16 +124,17 @@ class TestTies:
         np.testing.assert_array_equal(out, [3.0, 0.0, 0.0, 0.0])
 
     def test_zero_sum_elects_positive(self):
-        out = ties_merge(triple_of([0.0], [2.0], [-2.0]), density=1.0, lam=1.0)
+        out = merge_tensor(triple_of([0.0], [2.0], [-2.0]), TIES_FULL_DENSITY)
         np.testing.assert_array_equal(out.to_f32(), [2.0])
 
     def test_full_density_no_conflict_equals_delta_mean(self, rng):
         base = rng.normal(size=(5, 4)).astype(np.float32)
         delta_ml = np.abs(rng.normal(size=(5, 4))).astype(np.float32)
         delta_mm = np.abs(rng.normal(size=(5, 4))).astype(np.float32)
-        out = ties_merge(triple_of(base, base + delta_ml, base + delta_mm), density=1.0, lam=1.0)
+        out = merge_tensor(triple_of(base, base + delta_ml, base + delta_mm), TIES_FULL_DENSITY)
         # same-sign sources average, which matches task arithmetic at half scale
-        ta = task_arithmetic(triple_of(base, base + delta_ml, base + delta_mm), lam=0.5)
+        half = MergeConfig(method="task_arithmetic", baseline=BaselineParams(lam=0.5))
+        ta = merge_tensor(triple_of(base, base + delta_ml, base + delta_mm), half)
         np.testing.assert_allclose(out.to_f32(), ta.to_f32(), atol=1e-6)
 
     def test_tie_at_threshold_prefers_lower_index(self):
@@ -141,34 +145,34 @@ class TestTies:
 
     def test_invalid_density(self):
         with pytest.raises(ConfigError):
-            ties_merge(triple_of([0.0], [1.0], [1.0]), density=0.0)
+            ties_merge_values(f32([0.0]), f32([1.0]), f32([1.0]), density=0.0, lam=1.0)
 
 
 class TestBreadcrumbs:
     def test_identity_at_zero_fractions(self, rng):
-        delta = record_of(rng.normal(size=32))
-        out = breadcrumbs_transform(delta, beta=0.0, gamma=0.0)
-        assert out.raw == delta.raw
+        delta = f32(rng.normal(size=32))
+        out = breadcrumbs_values(delta, beta=0.0, gamma=0.0)
+        assert out.tobytes() == delta.tobytes()
 
     def test_quantile_example(self):
-        out = breadcrumbs_transform(record_of([1.0, 2.0, 3.0, 4.0]), beta=0.25, gamma=0.25)
-        np.testing.assert_array_equal(out.to_f32(), [0.0, 2.0, 3.0, 0.0])
+        out = breadcrumbs_values(f32([1.0, 2.0, 3.0, 4.0]), beta=0.25, gamma=0.25)
+        np.testing.assert_array_equal(out, [0.0, 2.0, 3.0, 0.0])
 
     def test_all_equal_tie_break(self):
-        out = breadcrumbs_transform(record_of([1.0, 1.0, 1.0, 1.0]), beta=0.5, gamma=0.0)
-        np.testing.assert_array_equal(out.to_f32(), [0.0, 0.0, 1.0, 1.0])
+        out = breadcrumbs_values(f32([1.0, 1.0, 1.0, 1.0]), beta=0.5, gamma=0.0)
+        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0])
 
     def test_bottom_and_top_sets_disjoint_under_ties(self):
         out = breadcrumbs_values(np.ones(4, dtype=np.float32), beta=0.25, gamma=0.25)
         assert (out == 0.0).sum() == 2
 
     def test_magnitude_based_not_signed(self):
-        out = breadcrumbs_transform(record_of([-4.0, 1.0, -2.0, 3.0]), beta=0.25, gamma=0.25)
-        np.testing.assert_array_equal(out.to_f32(), [0.0, 0.0, -2.0, 3.0])
+        out = breadcrumbs_values(f32([-4.0, 1.0, -2.0, 3.0]), beta=0.25, gamma=0.25)
+        np.testing.assert_array_equal(out, [0.0, 0.0, -2.0, 3.0])
 
     def test_invalid_fractions(self):
         with pytest.raises(ConfigError):
-            breadcrumbs_transform(record_of([1.0]), beta=0.6, gamma=0.5)
+            breadcrumbs_values(f32([1.0]), beta=0.6, gamma=0.5)
 
 
 class TestBaselineAssembly:

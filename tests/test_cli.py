@@ -6,7 +6,7 @@ import pytest
 
 from dimerge.cli import main
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint, Role, load_checkpoint, save_checkpoint
+from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import LAYERS, make_triple
 from test_merge import checkpoint_digest
@@ -21,7 +21,7 @@ def workspace(tmp_path):
         else rec.renamed("language_model." + rec.name)
         for rec in anchor.tensors.values()
     ]
-    anchor_prefixed = Checkpoint.from_records(prefixed, role=Role.ANCHOR)
+    anchor_prefixed = Checkpoint.from_records(prefixed)
 
     paths = {}
     for label, ckpt in (("base", base), ("ml", ml), ("anchor", anchor_prefixed)):
@@ -66,7 +66,7 @@ class TestMergeCommand:
         assert report["summary"]["merged_count"] == backbone
         assert report["config"]["merge"]["seed"] == 0
 
-        merged = load_checkpoint(tmp_path / "merged", Role.MERGED)
+        merged = load_checkpoint(tmp_path / "merged")
         assert "model.embed_tokens.weight" in merged
 
     def test_dare_default_seed_recorded(self, workspace):
@@ -110,21 +110,21 @@ class TestMergeCommand:
     def test_config_echo_reproduces_output(self, workspace):
         tmp_path, config, config_path = workspace
         assert main(["merge", "--config", str(config_path)]) == 0
-        first = load_checkpoint(tmp_path / "merged", Role.MERGED)
+        first = load_checkpoint(tmp_path / "merged")
         report = json.loads((tmp_path / "merged.report.json").read_text())
 
         echoed = report["config"]
         echoed["output_path"] = str(tmp_path / "again")
         rerun_path = write_config(tmp_path, echoed, "echo.json")
         assert main(["merge", "--config", rerun_path]) == 0
-        second = load_checkpoint(tmp_path / "again", Role.MERGED)
+        second = load_checkpoint(tmp_path / "again")
         assert checkpoint_digest(first) == checkpoint_digest(second)
 
     def test_inputs_not_mutated(self, workspace):
         tmp_path, config, config_path = workspace
-        before = checkpoint_digest(load_checkpoint(config["anchor_path"], Role.ANCHOR))
+        before = checkpoint_digest(load_checkpoint(config["anchor_path"]))
         assert main(["merge", "--config", str(config_path)]) == 0
-        after = checkpoint_digest(load_checkpoint(config["anchor_path"], Role.ANCHOR))
+        after = checkpoint_digest(load_checkpoint(config["anchor_path"]))
         assert before == after
 
     def test_unwritable_output_cleans_up(self, workspace, capsys):
@@ -150,7 +150,7 @@ class TestMergeCommand:
 
     def test_non_finite_input_is_numeric_error(self, workspace, capsys):
         tmp_path, config, _ = workspace
-        ml = load_checkpoint(config["multilingual_path"], Role.MULTILINGUAL)
+        ml = load_checkpoint(config["multilingual_path"])
         name = "model.layers.1.mlp.up_proj.weight"
         values = ml[name].to_f32()
         values[0, 0] = np.nan
@@ -169,8 +169,8 @@ class TestMergeCommand:
                      "--output", str(tmp_path / "t4")]) == 0
         assert main(["merge", "--config", str(config_path), "--threads", "1",
                      "--output", str(tmp_path / "t1")]) == 0
-        a = load_checkpoint(tmp_path / "t4", Role.MERGED)
-        b = load_checkpoint(tmp_path / "t1", Role.MERGED)
+        a = load_checkpoint(tmp_path / "t4")
+        b = load_checkpoint(tmp_path / "t1")
         assert checkpoint_digest(a) == checkpoint_digest(b)
 
 

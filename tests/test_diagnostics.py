@@ -14,15 +14,15 @@ from dimerge.diagnostics import (
 )
 from dimerge.errors import ConfigError
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint, Role
+from dimerge.store import Checkpoint
 
 from conftest import LAYERS, make_triple
 import reference
 
 
-def ckpt(arrays: dict, role: Role) -> Checkpoint:
+def ckpt(arrays: dict) -> Checkpoint:
     records = [TensorRecord.from_array(n, np.asarray(a, dtype=np.float32)) for n, a in arrays.items()]
-    return Checkpoint.from_records(records, role=role)
+    return Checkpoint.from_records(records)
 
 
 class TestDiagnose:
@@ -37,8 +37,8 @@ class TestDiagnose:
         mm = W + 0.1 * rng.normal(size=(4, 4)).astype(np.float32)
         name = "model.layers.0.self_attn.q_proj.weight"
         rows = diagnose(
-            ckpt({name: W}, Role.BASE), ckpt({name: ml}, Role.MULTILINGUAL),
-            ckpt({name: mm}, Role.ANCHOR),
+            ckpt({name: W}), ckpt({name: ml}),
+            ckpt({name: mm}),
         )
         assert len(rows) == 1
         row = rows[0]

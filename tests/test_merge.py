@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -208,23 +209,73 @@ class TestMergeCheckpoint:
         }
         assert len(digests) == 1
 
-    def test_anchor_overlap_embeds_subblock(self):
-        base, ml, anchor = make_triple(seed=2)
+    @pytest.mark.parametrize("output_dtype", ["match_anchor", "f32"])
+    @pytest.mark.parametrize("dtype", [DType.F32, DType.F16, DType.BF16, DType.F64])
+    def test_anchor_overlap_embeds_subblock(self, dtype, output_dtype):
+        name = "model.embed_tokens.weight"
+        base, ml, anchor = make_triple(seed=2, dtype=dtype)
         wider = []
-        for name, rec in anchor.tensors.items():
-            if name == "model.embed_tokens.weight":
-                arr = rec.to_f32()
-                extra = np.full((2, arr.shape[1]), 7.0, dtype=np.float32)
-                rec = TensorRecord.from_array(name, np.vstack([arr, extra]))
+        for rec in anchor.tensors.values():
+            if rec.name == name:
+                arr = rec.to_f64()
+                extra = np.full((2, arr.shape[1]), 7.0)
+                rec = TensorRecord.from_array(name, np.vstack([arr, extra]), dtype=dtype)
             wider.append(rec)
-        anchor_wide = Checkpoint.from_records(wider, role=anchor.role)
-        cfg = MergeConfig(shape_policy="anchor-overlap")
+        anchor_wide = Checkpoint.from_records(wider)
+        cfg = MergeConfig(shape_policy="anchor-overlap", output_dtype=output_dtype)
+        out_dtype = dtype if output_dtype == "match_anchor" else DType.F32
         merged, _ = merge_checkpoint(base, ml, anchor_wide, cfg)
-        out = merged["model.embed_tokens.weight"].to_f32()
-        assert out.shape[0] == anchor_wide["model.embed_tokens.weight"].shape[0]
-        np.testing.assert_array_equal(out[-2:], 7.0)  # anchor extra rows untouched
+        out = merged[name]
+        assert out.dtype is out_dtype
+        assert out.shape == anchor_wide[name].shape
+        # the anchor's extra rows are the anchor's own, re-encoded in the output dtype
+        np.testing.assert_array_equal(out.bits()[-2:], anchor_wide[name].astype(out_dtype).bits()[-2:])
+        # the merged block is the merge of the un-widened triple
         full, _ = merge_checkpoint(base, ml, anchor, cfg)
-        np.testing.assert_array_equal(out[:-2], full["model.embed_tokens.weight"].to_f32())
+        np.testing.assert_array_equal(out.bits()[:-2], full[name].bits())
+
+    def test_report_schema(self):
+        base, ml, anchor = make_triple(seed=4)
+        embed = "model.embed_tokens.weight"
+        rng = np.random.default_rng(4)
+
+        def with_extras(ckpt, widen=False, drop=()):
+            records = [rec for rec in ckpt.tensors.values() if rec.name not in drop]
+            records += [TensorRecord.from_array("model.scale", rng.normal(size=()).astype(np.float32)),
+                        TensorRecord.from_array("model.cube", rng.normal(size=(2, 2, 2)).astype(np.float32))]
+            if widen:
+                records = [TensorRecord.from_array(embed, np.vstack([rec.to_f32(), np.ones((2, 4), dtype=np.float32)]))
+                           if rec.name == embed else rec for rec in records]
+            return Checkpoint.from_records(records)
+
+        cfg = MergeConfig(scope=ScopeFilter(exclude=("*.layers.1.*",)), shape_policy="anchor-overlap",
+                          high_rank="pass_through")
+        _, report = merge_checkpoint(with_extras(base), with_extras(ml, drop=("model.norm.weight",)),
+                                     with_extras(anchor, widen=True), cfg)
+        report = json.loads(json.dumps(report.to_dict()))
+
+        assert list(report) == ["summary", "config", "alignment", "tensors"]
+        assert report["config"] == cfg.to_dict()
+        assert set(report["alignment"]) == {
+            "aligned", "pass_through", "anchor_only", "missing_from_base", "missing_from_ml",
+            "high_rank", "shape_mismatches", "extra_in_base", "extra_in_ml",
+        }
+        [mismatch] = report["alignment"]["shape_mismatches"]
+        assert mismatch == {"name": embed, "base_shape": [11, 4], "ml_shape": [11, 4],
+                            "anchor_shape": [13, 4], "overlap_shape": [11, 4]}
+
+        # every anchor tensor appears exactly once, merged or passed through with a known reason
+        entries = report["tensors"]
+        assert sorted(t["name"] for t in entries) == sorted(anchor.names() + ["model.cube", "model.scale"])
+        reasons = {t["name"]: t.get("reason") for t in entries}
+        assert {t["action"] for t in entries} == {"merged", "pass_through"}
+        assert all((t["action"] == "merged") == (reasons[t["name"]] is None) for t in entries)
+        assert set(reasons.values()) == {
+            None, "anchor_only", "missing_from_source", "high_rank", "out_of_scope", "scalar",
+        }
+        merged = [t for t in entries if t["action"] == "merged"]
+        assert report["summary"]["merged_count"] == len(merged)
+        assert report["summary"]["pass_through_count"] == len(entries) - len(merged)
 
     def test_report_statistics(self, triple_f32):
         base, ml, anchor = triple_f32
@@ -241,7 +292,7 @@ def _anchor_like(backbone: Checkpoint, anchor: Checkpoint) -> Checkpoint:
     records = []
     for name, rec in anchor.tensors.items():
         records.append(backbone[name] if name in backbone else rec)
-    return Checkpoint.from_records(records, role=anchor.role)
+    return Checkpoint.from_records(records)
 
 
 _DIGEST_CACHE = {}

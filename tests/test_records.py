@@ -4,6 +4,8 @@ import pytest
 from dimerge.errors import FormatError, ShapeError
 from dimerge.records import DType, TensorRecord, bf16_bits_to_f32, f32_to_bf16_bits
 
+import reference
+
 
 class TestBf16Codec:
     def test_expand_is_exact(self):
@@ -29,6 +31,26 @@ class TestBf16Codec:
     def test_nan_stays_nan(self):
         x = np.array([np.nan, -np.nan], dtype=np.float32)
         assert np.all(np.isnan(bf16_bits_to_f32(f32_to_bf16_bits(x))))
+
+    def test_matches_reference_bitwise(self):
+        rng = np.random.default_rng(16)
+        patterns = [
+            rng.integers(0, 2**32, size=4000, dtype=np.uint64),
+            # rounding ties, and one either side, around every upper half
+            (rng.integers(0, 2**16, size=2000, dtype=np.uint64) << np.uint64(16))
+            | rng.choice(np.array([0x0000, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint64), size=2000),
+            # NaN payloads of either sign, including ones whose low bits would round up
+            (rng.integers(0, 2, size=2000, dtype=np.uint64) << np.uint64(31))
+            | np.uint64(0x7F800000) | rng.integers(1, 2**23, size=2000, dtype=np.uint64),
+            # inf, the largest finite values (which round to inf), zeros, subnormals
+            np.array([0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F7F7FFF, 0x7F7F8000,
+                      0x00000000, 0x80000000, 0x00000001, 0x00008000, 0x00018000, 0x807FFFFF], dtype=np.uint64),
+        ]
+        values = np.concatenate(patterns).astype(np.uint32).view(np.float32).reshape(-1, 2)
+        got = f32_to_bf16_bits(values)
+        assert got.dtype == np.uint16
+        assert got.shape == values.shape
+        assert got.ravel().tolist() == reference.f32_to_bf16_bits(values)
 
 
 class TestTensorRecord:

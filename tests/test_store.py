@@ -10,7 +10,6 @@ from dimerge.errors import ConfigError, FormatError, RemapCollisionError, ShardE
 from dimerge.records import DType, TensorRecord
 from dimerge.store import (
     Checkpoint,
-    Role,
     load_checkpoint,
     remap_keys,
     save_checkpoint,
@@ -18,10 +17,10 @@ from dimerge.store import (
 )
 
 
-def ckpt_of(arrays: dict, dtype=DType.F32, role=Role.BASE) -> Checkpoint:
+def ckpt_of(arrays: dict, dtype=DType.F32) -> Checkpoint:
     records = [TensorRecord.from_array(n, np.asarray(a, dtype=np.float32), dtype=dtype)
                for n, a in arrays.items()]
-    return Checkpoint.from_records(records, role=role)
+    return Checkpoint.from_records(records)
 
 
 class TestSingleFile:
@@ -29,7 +28,7 @@ class TestSingleFile:
         ckpt = ckpt_of({"a": [[1.0, 2.0], [3.0, 4.0]]})
         target = tmp_path / "one.safetensors"
         save_checkpoint(ckpt, target)
-        loaded = load_checkpoint(target, Role.BASE)
+        loaded = load_checkpoint(target)
         assert loaded.names() == ["a"]
         assert loaded["a"].shape == (2, 2)
         assert loaded["a"].raw == ckpt["a"].raw
@@ -44,19 +43,19 @@ class TestSingleFile:
     def test_bitwise_round_trip_each_dtype(self, tmp_path, rng, dtype):
         values = rng.normal(size=(5, 3)).astype(np.float32)
         rec = TensorRecord.from_array("w", values, dtype=dtype)
-        ckpt = Checkpoint.from_records([rec], role=Role.BASE)
+        ckpt = Checkpoint.from_records([rec])
         save_checkpoint(ckpt, tmp_path / "d")
-        loaded = load_checkpoint(tmp_path / "d", Role.BASE)
+        loaded = load_checkpoint(tmp_path / "d")
         assert loaded["w"].dtype is dtype
         assert loaded["w"].raw == rec.raw
 
     def test_iteration_order_is_lexicographic(self, tmp_path):
         records = [TensorRecord.from_array(n, np.zeros(2, dtype=np.float32))
                    for n in ["zz", "aa", "mm"]]
-        ckpt = Checkpoint.from_records(records, role=Role.BASE)
+        ckpt = Checkpoint.from_records(records)
         assert ckpt.names() == ["aa", "mm", "zz"]
         save_checkpoint(ckpt, tmp_path / "o")
-        assert load_checkpoint(tmp_path / "o", Role.BASE).names() == ["aa", "mm", "zz"]
+        assert load_checkpoint(tmp_path / "o").names() == ["aa", "mm", "zz"]
 
 
 class TestSharding:
@@ -72,7 +71,7 @@ class TestSharding:
             "model-00003-of-00003.safetensors",
             "model.safetensors.index.json",
         ]
-        loaded = load_checkpoint(tmp_path / "sharded", Role.BASE)
+        loaded = load_checkpoint(tmp_path / "sharded")
         assert loaded.names() == ["t0", "t1", "t2"]
 
     def test_oversized_tensor_gets_own_shard(self, tmp_path):
@@ -84,7 +83,7 @@ class TestSharding:
     def test_sharded_round_trip_bitwise(self, tmp_path, triple_f32):
         base, _, _ = triple_f32
         save_checkpoint(base, tmp_path / "sh", shard_limit=200)
-        loaded = load_checkpoint(tmp_path / "sh", Role.BASE)
+        loaded = load_checkpoint(tmp_path / "sh")
         assert loaded.names() == base.names()
         for name in base.names():
             assert loaded[name].raw == base[name].raw
@@ -95,13 +94,13 @@ class TestSharding:
         index = {"metadata": {}, "weight_map": {"a": "shard1.safetensors"}}
         (tmp_path / "model.safetensors.index.json").write_text(json.dumps(index))
         with pytest.raises(ShardError, match="missing tensor"):
-            load_checkpoint(tmp_path, Role.BASE)
+            load_checkpoint(tmp_path)
 
     def test_index_referencing_absent_shard(self, tmp_path):
         index = {"weight_map": {"a": "nope.safetensors"}}
         (tmp_path / "model.safetensors.index.json").write_text(json.dumps(index))
         with pytest.raises(ShardError, match="absent shard"):
-            load_checkpoint(tmp_path, Role.BASE)
+            load_checkpoint(tmp_path)
 
     def test_duplicate_tensor_across_shards(self, tmp_path):
         rec = TensorRecord.from_array("a", np.zeros(2, dtype=np.float32))
@@ -110,7 +109,7 @@ class TestSharding:
         index = {"weight_map": {"a": "s1.safetensors", "b": "s2.safetensors"}}
         (tmp_path / "model.safetensors.index.json").write_text(json.dumps(index))
         with pytest.raises(ShardError, match="appears in both"):
-            load_checkpoint(tmp_path, Role.BASE)
+            load_checkpoint(tmp_path)
 
     def test_shard_tensor_absent_from_index(self, tmp_path):
         ckpt = ckpt_of({n: np.zeros(256, dtype=np.float32) for n in ("x", "y", "z")})
@@ -120,7 +119,7 @@ class TestSharding:
         shard_of_y = index["weight_map"].pop("y")
         index_path.write_text(json.dumps(index))
         with pytest.raises(ShardError, match=f"{shard_of_y!r} holds tensor 'y' absent from the index"):
-            load_checkpoint(tmp_path / "sh", Role.BASE)
+            load_checkpoint(tmp_path / "sh")
 
     def test_unindexed_shard_file(self, tmp_path):
         ckpt = ckpt_of({n: np.zeros(256, dtype=np.float32) for n in ("x", "y", "z")})
@@ -130,44 +129,77 @@ class TestSharding:
         shard_of_y = index["weight_map"].pop("y")
         index_path.write_text(json.dumps(index))
         with pytest.raises(ShardError, match=f"shard file {shard_of_y!r} .* is not named in the index"):
-            load_checkpoint(tmp_path / "sh", Role.BASE)
+            load_checkpoint(tmp_path / "sh")
+
+
+def write_header(path, header: dict, body: bytes):
+    raw = json.dumps(header).encode()
+    path.write_bytes(len(raw).to_bytes(8, "little") + raw + body)
 
 
 def write_raw(path, offsets: dict, body: bytes):
     """A tensor file with one F32 entry per name at the given offsets."""
     header = {name: {"dtype": "F32", "shape": [(end - start) // 4], "data_offsets": [start, end]}
               for name, (start, end) in offsets.items()}
-    raw = json.dumps(header).encode()
-    path.write_bytes(len(raw).to_bytes(8, "little") + raw + body)
+    write_header(path, header, body)
 
 
 class TestDataOffsets:
     def test_out_of_order_but_contiguous_loads(self, tmp_path):
         body = np.arange(4, dtype="<f4").tobytes()
         write_raw(tmp_path / "t.safetensors", {"b": (8, 16), "a": (0, 8)}, body)
-        loaded = load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+        loaded = load_checkpoint(tmp_path / "t.safetensors")
         assert loaded["a"].raw == body[:8]
         assert loaded["b"].raw == body[8:]
 
     def test_overlap_rejected(self, tmp_path):
         write_raw(tmp_path / "t.safetensors", {"a": (0, 8), "b": (4, 12)}, bytes(12))
         with pytest.raises(FormatError, match="do not tile"):
-            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "t.safetensors")
 
     def test_gap_rejected(self, tmp_path):
         write_raw(tmp_path / "t.safetensors", {"a": (0, 8), "b": (12, 20)}, bytes(20))
         with pytest.raises(FormatError, match="do not tile"):
-            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "t.safetensors")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         write_raw(tmp_path / "t.safetensors", {"a": (0, 8)}, bytes(12))
         with pytest.raises(FormatError, match="ends at byte 8, body has 12"):
-            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "t.safetensors")
 
     def test_offsets_past_the_body_rejected(self, tmp_path):
         write_raw(tmp_path / "t.safetensors", {"a": (0, 8)}, bytes(4))
         with pytest.raises(FormatError, match="do not tile"):
-            load_checkpoint(tmp_path / "t.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "t.safetensors")
+
+
+class TestHeaderTypes:
+    """Every dimension and offset is a plain JSON integer (not a bool, float
+    or string), and every dimension is at least 1; anything else is a
+    file-format error, not a value the reader rounds or coerces."""
+
+    @pytest.mark.parametrize("shape, offsets", [
+        ([2.5], [0, 8]),
+        (["2"], [0, 8]),
+        ([True, 2], [0, 8]),
+        ([2, 1.9], [0, 8]),
+        ([2], [False, 8]),
+        ([-1, -2], [0, 8]),
+        ([0], [0, 0]),
+    ], ids=["float", "string", "bool-dim", "float-dim", "bool-offset", "negative", "zero"])
+    def test_rejected_as_format_error(self, tmp_path, shape, offsets):
+        entry = {"dtype": "F32", "shape": shape, "data_offsets": offsets}
+        write_header(tmp_path / "t.safetensors", {"a": entry}, bytes(offsets[1]))
+        with pytest.raises(FormatError, match="'a'"):
+            load_checkpoint(tmp_path / "t.safetensors")
+
+    def test_scalar_and_integer_shapes_load(self, tmp_path):
+        header = {"s": {"dtype": "F32", "shape": [], "data_offsets": [0, 4]},
+                  "m": {"dtype": "F32", "shape": [1, 2], "data_offsets": [4, 12]}}
+        write_header(tmp_path / "t.safetensors", header, bytes(12))
+        loaded = load_checkpoint(tmp_path / "t.safetensors")
+        assert loaded["s"].shape == ()
+        assert loaded["m"].shape == (1, 2)
 
 
 class TestLoadedRecords:
@@ -178,7 +210,7 @@ class TestLoadedRecords:
         values = rng.normal(size=(3, 4)).astype(np.float32)
         ckpt = ckpt_of({"a": values, "b": values[0]}, dtype=DType.BF16)
         save_checkpoint(ckpt, tmp_path / "c")
-        return load_checkpoint(tmp_path / "c", Role.BASE)
+        return load_checkpoint(tmp_path / "c")
 
     def test_equals_and_hashes_like_its_bytes(self, loaded):
         rec = loaded["a"]
@@ -207,10 +239,10 @@ class TestLoadedRecords:
     def test_read_logs_one_info_line_per_file(self, tmp_path, caplog):
         save_checkpoint(ckpt_of({"a": [1.0, 2.0]}), tmp_path / "one.safetensors")
         with caplog.at_level(logging.WARNING, logger="dimerge"):
-            load_checkpoint(tmp_path / "one.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "one.safetensors")
         assert caplog.records == []
         with caplog.at_level(logging.INFO, logger="dimerge"):
-            load_checkpoint(tmp_path / "one.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "one.safetensors")
         [record] = caplog.records
         assert record.levelno == logging.INFO
         assert "one.safetensors" in record.getMessage()
@@ -220,19 +252,19 @@ class TestLoadedRecords:
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="no such file"):
-            load_checkpoint(tmp_path / "absent.safetensors", Role.BASE)
+            load_checkpoint(tmp_path / "absent.safetensors")
 
     def test_malformed_header(self, tmp_path):
         bad = tmp_path / "bad.safetensors"
         bad.write_bytes(b"\xff\xff\xff\xff\xff\xff\xff\xff{}")
         with pytest.raises(FormatError):
-            load_checkpoint(bad, Role.BASE)
+            load_checkpoint(bad)
 
     def test_truncated_file(self, tmp_path):
         bad = tmp_path / "tiny.safetensors"
         bad.write_bytes(b"\x01\x02")
         with pytest.raises(FormatError, match="too short"):
-            load_checkpoint(bad, Role.BASE)
+            load_checkpoint(bad)
 
     def test_zero_shard_limit(self, tmp_path):
         ckpt = ckpt_of({"a": [1.0]})
@@ -240,7 +272,7 @@ class TestErrors:
             save_checkpoint(ckpt, tmp_path / "x", shard_limit=0)
 
     def test_empty_checkpoint_rejected(self, tmp_path):
-        ckpt = Checkpoint.from_records([], role=Role.BASE)
+        ckpt = Checkpoint.from_records([])
         with pytest.raises(ConfigError, match="empty"):
             save_checkpoint(ckpt, tmp_path / "x")
 
