@@ -7,10 +7,12 @@ everything else is copied bit-for-bit.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from dimerge import MergeConfig, ScopeFilter, merge_checkpoint
+from dimerge import MergeConfig, ScopeFilter, load_checkpoint, merge_checkpoint
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint
 
@@ -42,7 +44,10 @@ ml = checkpoint(residual_scale=0.05)
 anchor = checkpoint(residual_scale=0.05,
                     extra={"vision_tower.patch_embed.weight": (4, 4)})
 
-merged, report = merge_checkpoint(base, ml, anchor, MergeConfig())
+# the merge writes its output straight to disk, one tensor at a time
+workdir = Path(tempfile.mkdtemp(prefix="dimerge_demo_"))
+report = merge_checkpoint(base, ml, anchor, MergeConfig(), workdir / "merged")
+merged = load_checkpoint(workdir / "merged")
 print(f"merged {report.merged_count}, passed through {report.pass_through_count}, "
       f"mean omega_ml {report.mean_omega_ml:.4f}")
 
@@ -56,7 +61,7 @@ print("up_proj omega_ml range:", round(entry.omega_ml_min, 4), "..", round(entry
 
 # --- scope control -----------------------------------------------------------
 for scope in (ScopeFilter.embed_only(), ScopeFilter.layers(0, 0)):
-    scoped, scoped_report = merge_checkpoint(base, ml, anchor, MergeConfig(scope=scope))
+    scoped_report = merge_checkpoint(base, ml, anchor, MergeConfig(scope=scope), workdir / "scoped")
     touched = [t.name for t in scoped_report.tensors if t.action == "merged"]
     print(f"\nscope {scope.preset!r} merged only:")
     print(json.dumps(touched, indent=2))

@@ -13,45 +13,53 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, NumericError
-from .records import TensorRecord
+from .records import TensorRecord, decode_f32
 from .store import Checkpoint
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
 HIGH_RANK_POLICIES = ("reject", "pass_through")
+ROLES = ("base", "multilingual", "anchor")
 
 
 @dataclass(frozen=True)
 class AlignedTriple:
     """Per-parameter alignment of (base, multilingual, anchor) tensors.
 
-    All three records share one shape; under the anchor-overlap policy that
-    shape is the common leading sub-block.
+    The records are whole. ``shape`` is the aligned region: their common
+    shape, or under the anchor-overlap policy the leading block they share.
     """
 
     name: str
     base: TensorRecord
     ml: TensorRecord
     mm: TensorRecord
+    shape: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not (self.base.shape == self.ml.shape == self.mm.shape):
-            raise AlignmentError(
-                f"{self.name}: aligned shapes differ "
-                f"{self.base.shape} / {self.ml.shape} / {self.mm.shape}"
-            )
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.mm.shape
+        shapes = (self.base.shape, self.ml.shape, self.mm.shape)
+        if self.shape is None:
+            if not shapes[0] == shapes[1] == shapes[2]:
+                raise AlignmentError(
+                    f"{self.name}: aligned shapes differ {shapes[0]} / {shapes[1]} / {shapes[2]}"
+                )
+            object.__setattr__(self, "shape", self.mm.shape)
+        elif not all(len(s) == len(self.shape) and all(d >= o for d, o in zip(s, self.shape)) for s in shapes):
+            raise AlignmentError(f"{self.name}: region {self.shape} is not inside {shapes}")
 
     @property
     def rank(self) -> int:
-        return len(self.mm.shape)
+        return len(self.shape)
+
+    def aligned_bits(self, rec: TensorRecord) -> np.ndarray:
+        """The stored bits of ``rec`` inside the aligned region, as a view."""
+        bits = rec.bits()
+        return bits if rec.shape == self.shape else bits[tuple(slice(0, d) for d in self.shape)]
 
     def to_f32(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode (base, ml, mm) to float32; any non-finite input is an error."""
-        arrays = (self.base.to_f32(), self.ml.to_f32(), self.mm.to_f32())
-        for role, values in zip(("base", "multilingual", "anchor"), arrays):
+        """Decode the aligned region of (base, ml, mm) to float32; any
+        non-finite input is an error."""
+        arrays = tuple(decode_f32(self.aligned_bits(rec), rec.dtype) for rec in (self.base, self.ml, self.mm))
+        for role, values in zip(ROLES, arrays):
             if not np.isfinite(values).all():
                 raise NumericError(f"{self.name}: {role} tensor contains non-finite values")
         return arrays
@@ -99,13 +107,6 @@ class AlignmentReport:
             "extra_in_base": self.extra_in_base,
             "extra_in_ml": self.extra_in_ml,
         }
-
-
-def _crop(rec: TensorRecord, shape: tuple[int, ...]) -> TensorRecord:
-    if rec.shape == shape:
-        return rec
-    sliced = rec.bits()[tuple(slice(0, d) for d in shape)]
-    return TensorRecord(name=rec.name, dtype=rec.dtype, shape=shape, raw=sliced.tobytes())
 
 
 def align_triple(
@@ -170,9 +171,7 @@ def align_triple(
         if len({len(s) for s in shapes}) != 1:
             raise AlignmentError(f"{name}: rank mismatch {shapes} cannot overlap")
         overlap = tuple(min(dims) for dims in zip(*shapes))
-        triples.append(
-            AlignedTriple(name, _crop(base_rec, overlap), _crop(ml_rec, overlap), _crop(anchor_rec, overlap))
-        )
+        triples.append(AlignedTriple(name, base_rec, ml_rec, anchor_rec, overlap))
         report.aligned.append(name)
         report.shape_mismatches.append(
             ShapeMismatch(name, *shapes, overlap_shape=overlap)

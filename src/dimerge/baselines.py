@@ -144,15 +144,30 @@ def ties_merge_values(
     if not (0.0 < density <= 1.0):
         raise ConfigError(f"density must be in (0, 1], got {density}")
     keep = math.ceil(density * base.size)
-    t_ml = np.where(_top_k_mask(np.abs(delta_ml), keep), delta_ml, np.float32(0.0))
-    t_mm = np.where(_top_k_mask(np.abs(delta_mm), keep), delta_mm, np.float32(0.0))
-    elected = np.where(t_ml + t_mm < 0.0, -1.0, 1.0).astype(np.float32)
-    agree_ml = np.sign(t_ml) == elected
-    agree_mm = np.sign(t_mm) == elected
-    count = agree_ml.astype(np.float32) + agree_mm.astype(np.float32)
-    total = np.where(agree_ml, t_ml, np.float32(0.0)) + np.where(agree_mm, t_mm, np.float32(0.0))
-    merged = total / np.where(count == 0.0, np.float32(1.0), count)
-    return base + np.float32(lam) * merged
+    t_ml = delta_ml * _top_k_mask(np.abs(delta_ml), keep)
+    t_mm = delta_mm * _top_k_mask(np.abs(delta_mm), keep)
+    # elected sign: -1 where the kept mass is negative, else +1
+    sign = np.less(t_ml + t_mm, 0.0).astype(np.float32)
+    sign *= np.float32(-2.0)
+    sign += np.float32(1.0)
+    # in place from here: flipping by the elected sign (exact) makes the
+    # agreeing entries the positive ones; the rest, zeros included, drop out
+    t_ml *= sign
+    t_mm *= sign
+    agree_ml = t_ml > 0.0
+    agree_mm = t_mm > 0.0
+    t_ml *= agree_ml
+    t_mm *= agree_mm
+    t_ml += t_mm
+    count = agree_ml.astype(np.float32)
+    count += agree_mm
+    np.maximum(count, np.float32(1.0), out=count)
+    t_ml /= count
+    t_ml *= sign
+    t_ml += np.float32(0.0)   # turns -0.0 into +0.0 where no entry agrees
+    t_ml *= np.float32(lam)
+    t_ml += base
+    return t_ml
 
 
 def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:

@@ -3,9 +3,10 @@
 Runs are driven by a declarative JSON config (versioned ``schema_version``
 field) with repeatable ``--set dotted.key=value`` overrides. The effective,
 fully-resolved config is echoed into the merge report so any run can be
-reproduced byte-for-byte. The output and its report are written to
-temporary paths and renamed only once both are complete; a failed run
-removes its temporaries and leaves any earlier output in place.
+reproduced byte-for-byte. The merge writes its output straight into a
+temporary path, and the output and its report are renamed only once both
+are complete; a failed run removes its temporaries and leaves any earlier
+output in place.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -27,12 +28,11 @@ from .errors import ConfigError, DimergeError
 from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
 from .presets import module_schema, remap_rules
-from .store import load_checkpoint, remap_keys, save_checkpoint
+from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys
 
 logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
-DEFAULT_SHARD_LIMIT = 4 * 1024**3
 
 
 def _setup_logging() -> None:
@@ -147,9 +147,6 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     effective["merge"] = cfg.to_dict()
     effective.setdefault("threads", os.cpu_count() or 1)
 
-    merged, report = merge_checkpoint(base, ml, anchor, cfg, threads=int(effective["threads"]))
-    report.config = effective
-
     report_path = Path(config.get("report_path") or f"{out_path}.report.json")
     tmp_path = out_path.parent / f"{out_path.name}.tmp{os.getpid()}"
     if out_path.suffix == ".safetensors":
@@ -159,7 +156,9 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     report_tmp = report_path.parent / f"{report_path.name}.tmp{os.getpid()}"
 
     try:
-        save_checkpoint(merged, tmp_path, shard_limit=shard_limit)
+        report = merge_checkpoint(base, ml, anchor, cfg, tmp_path,
+                                  threads=int(effective["threads"]), shard_limit=shard_limit)
+        report.config = effective
         report_path.parent.mkdir(parents=True, exist_ok=True)
         report_tmp.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
         os.replace(report_tmp, report_path)

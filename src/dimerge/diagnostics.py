@@ -20,7 +20,7 @@ from .align import align_triple
 from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, tensor_stats
 from .scope import DEFAULT_LAYER_PATTERN, parse_layer_index
-from .store import Checkpoint
+from .store import Checkpoint, release_pages
 
 logger = logging.getLogger(__name__)
 
@@ -134,6 +134,8 @@ def diagnose(
         layer = schema.layer_of(triple.name)
         key = (-1 if layer is None else layer, schema.label_of(triple.name))
         stats = tensor_stats(triple, epsilon)
+        for rec in (triple.base, triple.ml, triple.mm):
+            release_pages(rec)
         columns = triple.shape[1] if triple.rank == 2 else 0
         groups.setdefault(key, []).append((stats, columns))
 

@@ -23,6 +23,9 @@ from .align import AlignedTriple
 from .errors import NumericError, ShapeError
 
 EPSILON_DEFAULT = 1e-8
+# rows per summation tile: a fixed partition, so column sums do not depend
+# on the size of the blocks a tensor is streamed in
+TILE_ROWS = 64
 
 
 def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -58,24 +61,47 @@ class ColumnDeviations(NamedTuple):
     dir_mm: np.ndarray
 
 
+def accumulate_column_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray) -> None:
+    """Add a row block's five column reductions into ``sums``, shape (5, d_in).
+
+    The rows are |n|^2, |ml|^2, |mm|^2, <ml, n> and <mm, n>. Each is summed
+    over fixed tiles of ``TILE_ROWS`` rows, and the tiles are added in order.
+    A block that starts at a multiple of ``TILE_ROWS`` therefore adds the
+    same floating-point sums whatever the block's length, so the result does
+    not depend on how a tensor is cut into blocks.
+    """
+    for t in range(0, base.shape[0], TILE_ROWS):
+        n, a, b = base[t:t + TILE_ROWS], ml[t:t + TILE_ROWS], mm[t:t + TILE_ROWS]
+        sums[0] += _column_dots(n, n)
+        sums[1] += _column_dots(a, a)
+        sums[2] += _column_dots(b, b)
+        sums[3] += _column_dots(a, n)
+        sums[4] += _column_dots(b, n)
+
+
+def deviations_from_sums(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> ColumnDeviations:
+    """Both sources' deviations from the five column reductions. Columns
+    whose norm falls below the stabilizer on either side get cosine 0, hence
+    direction deviation 1."""
+    if epsilon <= 0:
+        raise NumericError("epsilon must be positive")
+    norm_n, norm_ml, norm_mm = np.sqrt(sums[:3])
+    cos_ml = _guarded_cosine(sums[3], norm_ml, norm_n, epsilon)
+    cos_mm = _guarded_cosine(sums[4], norm_mm, norm_n, epsilon)
+    return ColumnDeviations(np.abs(norm_ml - norm_n), np.abs(norm_mm - norm_n), 1.0 - cos_ml, 1.0 - cos_mm)
+
+
 def column_deviations(
     base: np.ndarray, ml: np.ndarray, mm: np.ndarray, epsilon: float = EPSILON_DEFAULT
 ) -> ColumnDeviations:
-    """Magnitude and direction deviations of both sources, per column.
-
-    Reads each matrix once per reduction: the three column norms and the two
-    source–base column dots. Columns whose norm falls below the stabilizer
-    on either side get cosine 0, hence direction deviation 1.
-    """
+    """Magnitude and direction deviations of both sources, per column, from
+    the same tiled reductions a streamed merge accumulates."""
     base, ml, mm = np.asarray(base), np.asarray(ml), np.asarray(mm)
     if base.ndim != 2 or not (base.shape == ml.shape == mm.shape):
         raise ShapeError(f"expected three equal-shape matrices, got {base.shape}, {ml.shape}, {mm.shape}")
-    if epsilon <= 0:
-        raise NumericError("epsilon must be positive")
-    norm_n, norm_ml, norm_mm = _column_norms(base), _column_norms(ml), _column_norms(mm)
-    cos_ml = _guarded_cosine(_column_dots(ml, base), norm_ml, norm_n, epsilon)
-    cos_mm = _guarded_cosine(_column_dots(mm, base), norm_mm, norm_n, epsilon)
-    return ColumnDeviations(np.abs(norm_ml - norm_n), np.abs(norm_mm - norm_n), 1.0 - cos_ml, 1.0 - cos_mm)
+    sums = np.zeros((5, base.shape[1]))
+    accumulate_column_sums(sums, base, ml, mm)
+    return deviations_from_sums(sums, epsilon)
 
 
 def cross_alignment(

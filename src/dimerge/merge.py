@@ -12,6 +12,12 @@ Since ``w_ml + w_mm = 1`` this is the convex combination
 through the weights. 1D parameters use absolute element deviations and
 element-wise weights. All other anchor tensors (vision encoder, projector,
 out-of-scope keys) are copied from the anchor verbatim.
+
+A 2D dim3 tensor streams: one pass over row blocks accumulates the column
+reductions the weights need, a second composes each block and writes it to
+its place in the output file. Memory then follows one row block, not the
+tensor or the model. 1D tensors and the baseline methods (TIES and
+Breadcrumbs need a global top-k) work on the whole tensor.
 """
 
 from __future__ import annotations
@@ -19,14 +25,25 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
+from math import prod
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .align import AlignedTriple, align_triple
+from .align import ROLES, AlignedTriple, align_triple
 from .baselines import BaselineParams, deltas_f32, merge_baseline_values
-from .errors import ConfigError
-from .geometry import EPSILON_DEFAULT, column_deviations
-from .records import DType, TensorRecord
+from .errors import ConfigError, NumericError
+from .geometry import (
+    EPSILON_DEFAULT,
+    TILE_ROWS,
+    ColumnDeviations,
+    accumulate_column_sums,
+    column_deviations,
+    deviations_from_sums,
+)
+from .records import DType, TensorRecord, decode_f32, encode_bits, recode_bits
 from .salience import (
     AggregationKind,
     EstimatorKind,
@@ -36,10 +53,15 @@ from .salience import (
     estimate_salience,
 )
 from .scope import ScopeFilter
-from .store import Checkpoint
+from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, release_pages
 
 BASELINE_METHODS = ("task_arithmetic", "dare", "ties", "breadcrumbs")
 MERGE_METHODS = ("dim3",) + BASELINE_METHODS
+# elements per streamed row block: about 1 MiB per float32 working array
+_BLOCK_ELEMENTS = 1 << 18
+
+# receives a tensor's output bits at a byte offset into its payload
+Sink = Callable[[int, np.ndarray], None]
 
 
 @dataclass(frozen=True)
@@ -141,66 +163,132 @@ class MergeReport:
         }
 
 
-def column_weights(
-    base: np.ndarray, ml: np.ndarray, mm: np.ndarray, cfg: MergeConfig
-) -> SalienceWeights:
-    """Per-column source weights for a 2D tensor from both deviation branches."""
-    dev = column_deviations(base, ml, mm, cfg.epsilon)
+def _weights(dev: ColumnDeviations, cfg: MergeConfig) -> SalienceWeights:
     s_mag_ml, _ = estimate_salience(dev.mag_ml, dev.mag_mm, cfg.estimator)
     s_dir_ml, _ = estimate_salience(dev.dir_ml, dev.dir_mm, cfg.estimator)
     return aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
 
 
-def _dim3(
+def column_weights(
     base: np.ndarray, ml: np.ndarray, mm: np.ndarray, cfg: MergeConfig
-) -> tuple[np.ndarray, SalienceWeights]:
-    if base.ndim == 2:
-        weights = column_weights(base, ml, mm, cfg)
+) -> SalienceWeights:
+    """Per-column source weights for a 2D tensor from both deviation branches."""
+    return _weights(column_deviations(base, ml, mm, cfg.epsilon), cfg)
+
+
+def _block_rows(cols: int) -> int:
+    """Rows per streamed block: whole tiles, about ``_BLOCK_ELEMENTS`` values."""
+    return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
+
+
+def _write_rows(sink: Sink, anchor: TensorRecord, out_dtype: DType, r0: int, r1: int,
+                merged: np.ndarray | None) -> None:
+    """Encode anchor rows ``r0:r1`` in ``out_dtype`` and hand them to ``sink``
+    at their byte offset. ``merged`` holds merged values for the leading rows
+    and columns of the block (the aligned region); the anchor's own values,
+    re-encoded, fill the rest."""
+    if merged is not None and merged.shape == (r1 - r0,) + anchor.shape[1:]:
+        bits = encode_bits(merged, out_dtype)
     else:
-        dev_ml = np.abs(ml.astype(np.float64) - base)
-        dev_mm = np.abs(mm.astype(np.float64) - base)
-        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
-    return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
+        bits = recode_bits(anchor.bits()[r0:r1], anchor.dtype, out_dtype)
+        if merged is not None:
+            bits[tuple(slice(0, d) for d in merged.shape)] = encode_bits(merged, out_dtype)
+    sink(r0 * prod(anchor.shape[1:]) * out_dtype.itemsize, bits)
+
+
+def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
+    row_bytes = prod(rec.shape[1:]) * rec.dtype.itemsize
+    release_pages(rec, r0 * row_bytes, r1 * row_bytes)
+
+
+def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink) -> SalienceWeights:
+    """Two passes over row blocks of a 2D tensor, decoded from the stored
+    bits. Input pages are released block by block after their last read:
+    the base's in pass 1, the two sources' in pass 2."""
+    rows, cols = triple.shape
+    block = _block_rows(cols)
+    base, ml, mm = (triple.aligned_bits(rec) for rec in (triple.base, triple.ml, triple.mm))
+    sums = np.zeros((5, cols))
+    for r0 in range(0, rows, block):
+        accumulate_column_sums(sums, decode_f32(base[r0:r0 + block], triple.base.dtype),
+                               decode_f32(ml[r0:r0 + block], triple.ml.dtype),
+                               decode_f32(mm[r0:r0 + block], triple.mm.dtype))
+        _release_rows(triple.base, r0, r0 + block)
+    # a squared finite float32 cannot overflow a float64 sum, so a squared
+    # norm is non-finite exactly when its tensor holds a non-finite value
+    for role, norms in zip(ROLES, sums[:3]):
+        if not np.isfinite(norms).all():
+            raise NumericError(f"{triple.name}: {role} tensor contains non-finite values")
+    weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
+
+    w_ml = weights.omega_ml.astype(np.float32)
+    anchor = triple.mm
+    for r0 in range(0, anchor.shape[0], block):
+        r1 = min(r0 + block, anchor.shape[0])
+        merged = None
+        if r0 < rows:
+            # mm + w_ml * (ml - mm), computed in place
+            mm_rows = decode_f32(mm[r0:r1], anchor.dtype)
+            merged = decode_f32(ml[r0:r1], triple.ml.dtype)
+            merged -= mm_rows
+            merged *= w_ml
+            merged += mm_rows
+        _write_rows(sink, anchor, out_dtype, r0, r1, merged)
+        for rec in (triple.ml, anchor):
+            _release_rows(rec, r0, r1)
+    return weights
 
 
 def _merge_values(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights | None]:
+    """Whole-tensor merge of the aligned region: 1D dim3 and every baseline."""
     if cfg.method == "dim3":
-        return _dim3(*triple.to_f32(), cfg)
+        base, ml, mm = triple.to_f32()
+        dev_ml = np.abs(ml.astype(np.float64) - base)
+        dev_mm = np.abs(mm.astype(np.float64) - base)
+        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
+        return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
     base, d_ml, d_mm = deltas_f32(triple)
     return merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name), None
 
 
-def _embed_into_anchor(anchor: TensorRecord, merged: np.ndarray, out_dtype: DType) -> TensorRecord:
-    """Write merged values into the anchor tensor (anchor-overlap shape policy);
-    outside the merged sub-block it keeps the anchor's values in ``out_dtype``."""
-    region = tuple(slice(0, d) for d in merged.shape)
-    bits = anchor.astype(out_dtype).bits().copy()
-    bits[region] = TensorRecord.from_array(anchor.name, merged, dtype=out_dtype).bits()
-    return TensorRecord(name=anchor.name, dtype=out_dtype, shape=anchor.shape, raw=bits.tobytes())
+def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
+    return anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
 
 
-def _merge_one(triple: AlignedTriple, anchor_rec: TensorRecord, cfg: MergeConfig) -> tuple[TensorRecord, TensorMergeReport]:
+def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink) -> TensorMergeReport:
+    """Merge one tensor and write it, at the anchor's shape, through ``sink``."""
     start = time.perf_counter()
-    values, weights = _merge_values(triple, cfg)
-    out_dtype = triple.mm.dtype if cfg.output_dtype == "match_anchor" else DType.F32
-    if triple.shape == anchor_rec.shape:
-        record = TensorRecord.from_array(triple.name, values, dtype=out_dtype)
+    anchor = triple.mm
+    out_dtype = _out_dtype(anchor, cfg)
+    if cfg.method == "dim3" and triple.rank == 2:
+        weights = _dim3_streamed(triple, cfg, out_dtype, sink)
     else:
-        record = _embed_into_anchor(anchor_rec, values, out_dtype)
+        values, weights = _merge_values(triple, cfg)
+        if values.shape == anchor.shape:
+            sink(0, encode_bits(values, out_dtype))
+        else:
+            _write_rows(sink, anchor, out_dtype, 0, anchor.shape[0], values)
     entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
     if weights is not None:
         entry.omega_ml_mean = float(weights.omega_ml.mean())
         entry.omega_ml_min = float(weights.omega_ml.min())
         entry.omega_ml_max = float(weights.omega_ml.max())
     entry.seconds = time.perf_counter() - start
-    return record, entry
+    return entry
 
 
 def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
-    """Merge one aligned tensor; output in the anchor's dtype unless the
-    config asks for f32."""
-    record, _ = _merge_one(triple, triple.mm, cfg.validate())
-    return record
+    """Merge one aligned tensor, at the anchor's shape; output in the anchor's
+    dtype unless the config asks for f32."""
+    cfg = cfg.validate()
+    out_dtype = _out_dtype(triple.mm, cfg)
+    payload = bytearray(triple.mm.num_elements * out_dtype.itemsize)
+
+    def sink(offset: int, bits: np.ndarray) -> None:
+        payload[offset:offset + bits.nbytes] = bits.tobytes()
+
+    _merge_one(triple, cfg, sink)
+    return TensorRecord(name=triple.name, dtype=out_dtype, shape=triple.mm.shape, raw=bytes(payload))
 
 
 def merge_checkpoint(
@@ -208,10 +296,16 @@ def merge_checkpoint(
     ml: Checkpoint,
     anchor: Checkpoint,
     cfg: MergeConfig,
+    path: str | Path,
     threads: int | None = None,
-) -> tuple[Checkpoint, MergeReport]:
-    """Merge the shared backbone into the anchor; everything else passes
-    through bit-exactly. Output is identical for any worker count."""
+    shard_limit: int = DEFAULT_SHARD_LIMIT,
+) -> MergeReport:
+    """Merge the shared backbone into the anchor and write the result to
+    ``path``, laid out as :func:`~dimerge.store.save_checkpoint` would;
+    everything else passes through bit-exactly. The output file is sized
+    first and each tensor filled in place, so its bytes are identical for
+    any worker count. Each input tensor's mapped pages are released after
+    its last use."""
     cfg.validate()
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
@@ -227,32 +321,37 @@ def merge_checkpoint(
     ):
         for n in names:
             passthrough_reason[n] = reason
-
-    def handle(name: str) -> tuple[TensorRecord, TensorMergeReport]:
-        anchor_rec = anchor[name]
-        triple = by_name.get(name)
-        if triple is None:
-            return anchor_rec, TensorMergeReport(
-                name=name, action="pass_through", reason=passthrough_reason[name]
-            )
+    for name, triple in by_name.items():
         if not cfg.scope.admits(name):
-            return anchor_rec, TensorMergeReport(name=name, action="pass_through", reason="out_of_scope")
-        if triple.rank == 0:
-            return anchor_rec, TensorMergeReport(name=name, action="pass_through", reason="scalar")
-        return _merge_one(triple, anchor_rec, cfg)
+            passthrough_reason[name] = "out_of_scope"
+        elif triple.rank == 0:
+            passthrough_reason[name] = "scalar"
 
     names = anchor.names()
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(handle, names))
-    else:
-        results = [handle(n) for n in names]
+    specs = [(n, anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg), anchor[n].shape)
+             for n in names]
+    with CheckpointWriter(specs, path, shard_limit) as out:
 
-    records = []
+        def handle(name: str) -> TensorMergeReport:
+            try:
+                if name in passthrough_reason:
+                    out.write(name, 0, anchor[name].raw)
+                    return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
+                return _merge_one(by_name[name], cfg, partial(out.write, name))
+            finally:
+                for ckpt in (base, ml, anchor):
+                    if name in ckpt:
+                        release_pages(ckpt[name])
+
+        if threads is not None and threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                entries = list(pool.map(handle, names))
+        else:
+            entries = [handle(n) for n in names]
+
     report = MergeReport(config=cfg.to_dict(), alignment=alignment.to_dict())
     omega_means = []
-    for record, entry in results:
-        records.append(record)
+    for entry in entries:
         report.tensors.append(entry)
         if entry.action == "merged":
             report.merged_count += 1
@@ -262,5 +361,4 @@ def merge_checkpoint(
             report.pass_through_count += 1
     report.mean_omega_ml = float(np.mean(omega_means)) if omega_means else None
     report.seconds = time.perf_counter() - start
-
-    return Checkpoint.from_records(records), report
+    return report

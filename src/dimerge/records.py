@@ -56,11 +56,13 @@ _NUMPY_VIEW = {
     DType.F16: np.dtype("<f2"),
     DType.F64: np.dtype("<f8"),
 }
+# unsigned views of each storage width, for bit-exact copies
+_BITS = {2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
 
 def bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
     """Expand bfloat16 bit patterns (uint16) to float32, losslessly."""
-    return (bits.astype(np.uint32) << np.uint32(16)).view(np.float32)
+    return np.left_shift(bits, np.uint32(16), dtype=np.uint32).view(np.float32)
 
 
 def f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
@@ -79,6 +81,31 @@ def f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
         nan = np.isnan(values)
         rounded[nan] = (bits[nan] >> np.uint32(16)) | np.uint32(0x0040)
     return rounded.astype(np.uint16)
+
+
+def decode_f32(bits: np.ndarray, dtype: DType) -> np.ndarray:
+    """Float32 values of storage bit patterns of any shape or strides, as a
+    fresh writable array. BF16 expands losslessly; F64 narrows."""
+    if dtype is DType.BF16:
+        return bf16_bits_to_f32(bits)
+    return bits.view(_NUMPY_VIEW[dtype]).astype(np.float32)
+
+
+def encode_bits(values: np.ndarray, dtype: DType) -> np.ndarray:
+    """Storage bit patterns of ``values`` in ``dtype``: round-to-nearest-even
+    for BF16, numpy's native rounding for F16/F32/F64."""
+    if dtype is DType.BF16:
+        return f32_to_bf16_bits(values.astype(np.float32, copy=False))
+    return np.ascontiguousarray(values, dtype=_NUMPY_VIEW[dtype]).view(_BITS[dtype.itemsize])
+
+
+def recode_bits(bits: np.ndarray, source: DType, target: DType) -> np.ndarray:
+    """Bit patterns stored as ``source`` re-encoded as ``target`` (lossy where
+    narrower), as a fresh writable array."""
+    if source is target:
+        return bits.copy()
+    values = bits.view(_NUMPY_VIEW[DType.F64]) if source is DType.F64 else decode_f32(bits, source)
+    return encode_bits(values, target)
 
 
 @dataclass(frozen=True)
@@ -134,25 +161,17 @@ class TensorRecord:
         array = np.asarray(array)
         if dtype is None:
             dtype = DType.from_numpy(array.dtype)
-        if dtype is DType.BF16:
-            payload = f32_to_bf16_bits(array.astype(np.float32, copy=False)).tobytes()
-        else:
-            payload = np.ascontiguousarray(array, dtype=_NUMPY_VIEW[dtype]).tobytes()
-        return cls(name=name, dtype=dtype, shape=tuple(int(d) for d in array.shape), raw=payload)
+        return cls(name=name, dtype=dtype, shape=tuple(int(d) for d in array.shape),
+                   raw=encode_bits(array, dtype).tobytes())
 
     def bits(self) -> np.ndarray:
         """The payload viewed as unsigned integers of the storage width."""
-        width = {2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}[self.dtype.itemsize]
-        return np.frombuffer(self.raw, dtype=width).reshape(self.shape)
+        return np.frombuffer(self.raw, dtype=_BITS[self.dtype.itemsize]).reshape(self.shape)
 
     def to_f32(self) -> np.ndarray:
         """Working-precision copy, fresh and writable. BF16 expands
         losslessly; F64 narrows."""
-        if self.dtype is DType.BF16:
-            flat = bf16_bits_to_f32(np.frombuffer(self.raw, dtype="<u2"))
-        else:
-            flat = np.frombuffer(self.raw, dtype=_NUMPY_VIEW[self.dtype]).astype(np.float32)
-        return flat.reshape(self.shape)
+        return decode_f32(self.bits(), self.dtype)
 
     def to_f64(self) -> np.ndarray:
         if self.dtype is DType.BF16:
@@ -165,11 +184,8 @@ class TensorRecord:
         """Re-encode the payload in another storage dtype (lossy where narrower)."""
         if dtype is self.dtype:
             return self
-        if self.dtype is DType.F64 and dtype is not DType.F64:
-            source = np.frombuffer(self.raw, dtype="<f8").reshape(self.shape)
-        else:
-            source = self.to_f32()
-        return TensorRecord.from_array(self.name, source, dtype=dtype)
+        return TensorRecord(name=self.name, dtype=dtype, shape=self.shape,
+                            raw=recode_bits(self.bits(), self.dtype, dtype).tobytes())
 
     def renamed(self, name: str) -> "TensorRecord":
         return TensorRecord(name=name, dtype=self.dtype, shape=self.shape, raw=self.raw)

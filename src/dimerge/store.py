@@ -5,25 +5,38 @@ unsigned header length, a JSON header mapping tensor name to
 ``{"dtype", "shape", "data_offsets"}``, then one contiguous data region.
 A sharded checkpoint is a directory of such files plus an index manifest
 (``model.safetensors.index.json``) mapping tensor name to shard filename.
+
+Files are read through read-only memory maps, so loading costs a header
+parse and payload pages are paged in only when a computation touches them;
+:func:`release_pages` hands a finished tensor's pages back. Files are written
+through :class:`CheckpointWriter`, which lays out every header and offset
+first, so payloads can be filled in place in any order.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import mmap
+import os
 import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, FormatError, RemapCollisionError, ShardError
 from .records import DType, TensorRecord
 
 INDEX_FILENAME = "model.safetensors.index.json"
 SINGLE_FILENAME = "model.safetensors"
+DEFAULT_SHARD_LIMIT = 4 * 1024**3
 _HEADER_STRUCT = struct.Struct("<Q")
+_ENTRY_KEYS = {"dtype", "shape", "data_offsets"}
 
 logger = logging.getLogger(__name__)
 
@@ -63,25 +76,23 @@ class Checkpoint:
     def total_parameters(self) -> int:
         return sum(rec.num_elements for rec in self.tensors.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(rec.nbytes for rec in self.tensors.values())
-
 
 def read_tensor_file(path: Path) -> list[TensorRecord]:
     """Parse one tensor file into records, preserving payload bytes exactly.
 
-    The file is read into memory once. Each record's ``raw`` is a zero-copy,
-    read-only view into that buffer, which stays alive while any of its
-    records does.
+    The file is mapped read-only, never read whole. Each record's ``raw`` is
+    a zero-copy, read-only view into that mapping, which stays alive while
+    any of its records does.
     """
     started = time.perf_counter()
-    data = path.read_bytes()
-    if len(data) < _HEADER_STRUCT.size:
-        raise FormatError(f"{path}: file too short for a header")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER_STRUCT.size:
+            raise FormatError(f"{path}: file too short for a header")
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     (header_len,) = _HEADER_STRUCT.unpack_from(data, 0)
     header_end = _HEADER_STRUCT.size + header_len
-    if header_end > len(data):
+    if header_end > size:
         raise FormatError(f"{path}: header length {header_len} exceeds file size")
     try:
         header = json.loads(data[_HEADER_STRUCT.size:header_end].decode("utf-8"))
@@ -94,7 +105,11 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     entries = []
     for name, entry in header.items():
         if name == "__metadata__":
+            if not (isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values())):
+                raise FormatError(f"{path}: __metadata__ is not a map of strings to strings")
             continue
+        if isinstance(entry, dict) and not entry.keys() <= _ENTRY_KEYS:
+            raise FormatError(f"{path}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)} in entry {name!r}")
         try:
             dtype = DType.from_string(entry["dtype"])
             shape = tuple(entry["shape"])
@@ -123,28 +138,82 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     if offset != len(body):
         raise FormatError(f"{path}: tensor data ends at byte {offset}, body has {len(body)}")
     seconds = time.perf_counter() - started
-    megabytes = len(data) / 1e6
+    megabytes = size / 1e6
     logger.info("read %s: %.1f MB in %.3f s (%.0f MB/s)",
                 path, megabytes, seconds, megabytes / max(seconds, 1e-9))
     return records
 
 
-def write_tensor_file(path: Path, records: Sequence[TensorRecord]) -> None:
+def _address(buffer) -> int:
+    return np.frombuffer(buffer, dtype=np.uint8).ctypes.data
+
+
+def release_pages(rec: TensorRecord, start: int = 0, stop: int | None = None) -> None:
+    """Unmap the whole pages inside bytes ``start:stop`` of a file-backed
+    record's payload (all of it by default).
+
+    Resident pages of a mapped file count toward the process's memory until
+    they are unmapped; after this they do not. The payload stays valid: a
+    later read faults its pages back in from the file. Records that hold
+    their payload in memory are left alone.
+    """
+    raw = rec.raw
+    if not isinstance(raw, memoryview) or not isinstance(raw.obj, mmap.mmap):
+        return
+    offset = _address(raw) - _address(raw.obj)
+    stop = len(raw) if stop is None else min(stop, len(raw))
+    first = -(-(offset + start) // mmap.PAGESIZE) * mmap.PAGESIZE
+    last = (offset + stop) // mmap.PAGESIZE * mmap.PAGESIZE
+    if last > first:
+        raw.obj.madvise(mmap.MADV_DONTNEED, first, last - first)
+
+
+def _pwrite_all(fd: int, data, offset: int) -> None:
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+TensorSpec = tuple[str, DType, tuple[int, ...]]
+
+
+def _nbytes(spec: TensorSpec) -> int:
+    _, dtype, shape = spec
+    return prod(shape) * dtype.itemsize
+
+
+def _create_tensor_file(path: Path, specs: Sequence[TensorSpec]) -> tuple[int, dict[str, int]]:
+    """Create a tensor file holding its header and sized for its payloads;
+    returns the open descriptor and each tensor's absolute payload offset."""
     header: OrderedDict[str, object] = OrderedDict()
+    starts = {}
     offset = 0
-    for rec in records:
-        header[rec.name] = {
-            "dtype": rec.dtype.value,
-            "shape": list(rec.shape),
-            "data_offsets": [offset, offset + rec.nbytes],
-        }
-        offset += rec.nbytes
+    for spec in specs:
+        name, dtype, shape = spec
+        header[name] = {"dtype": dtype.value, "shape": list(shape),
+                        "data_offsets": [offset, offset + _nbytes(spec)]}
+        starts[name] = offset
+        offset += _nbytes(spec)
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER_STRUCT.pack(len(header_bytes)))
-        fh.write(header_bytes)
+    prefix = _HEADER_STRUCT.pack(len(header_bytes)) + header_bytes
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _pwrite_all(fd, prefix, 0)
+        os.ftruncate(fd, len(prefix) + offset)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd, {name: len(prefix) + start for name, start in starts.items()}
+
+
+def write_tensor_file(path: Path, records: Sequence[TensorRecord]) -> None:
+    fd, offsets = _create_tensor_file(Path(path), [(r.name, r.dtype, r.shape) for r in records])
+    try:
         for rec in records:
-            fh.write(rec.raw)
+            _pwrite_all(fd, rec.raw, offsets[rec.name])
+    finally:
+        os.close(fd)
 
 
 def _load_sharded(index_path: Path) -> Checkpoint:
@@ -211,67 +280,108 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     raise FormatError(f"{path}: no such file or directory")
 
 
-def _pack_shards(records: Sequence[TensorRecord], shard_limit: int) -> list[list[TensorRecord]]:
-    """Greedy packing in name order; a single oversized tensor gets its own shard."""
-    shards: list[list[TensorRecord]] = []
-    current: list[TensorRecord] = []
+def _pack_shards(specs: Sequence[TensorSpec], shard_limit: int) -> list[list[TensorSpec]]:
+    """Greedy packing in the given order; a single oversized tensor gets its own shard."""
+    shards: list[list[TensorSpec]] = []
+    current: list[TensorSpec] = []
     current_bytes = 0
-    for rec in records:
-        if current and current_bytes + rec.nbytes > shard_limit:
+    for spec in specs:
+        if current and current_bytes + _nbytes(spec) > shard_limit:
             shards.append(current)
             current, current_bytes = [], 0
-        current.append(rec)
-        current_bytes += rec.nbytes
+        current.append(spec)
+        current_bytes += _nbytes(spec)
     if current:
         shards.append(current)
     return shards
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = 4 * 1024**3) -> list[Path]:
+class CheckpointWriter:
+    """A checkpoint on disk, laid out before any payload is written.
+
+    Every file gets its header and its final size when the writer opens, so
+    each tensor's payload has a fixed offset. Payloads are then filled in
+    place, block by block, in any order and from any thread; the bytes on
+    disk do not depend on that order. ``path`` is as for
+    :func:`save_checkpoint`; ``paths`` lists the files written.
+    """
+
+    def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
+                 shard_limit: int = DEFAULT_SHARD_LIMIT):
+        if not specs:
+            raise ConfigError("refusing to save an empty checkpoint")
+        if shard_limit <= 0:
+            raise ConfigError("shard_limit must be positive")
+        shards = _pack_shards(specs, shard_limit)
+        path = Path(path)
+        if path.suffix == ".safetensors":
+            if len(shards) > 1:
+                raise ConfigError(
+                    f"{path}: checkpoint needs {len(shards)} shards at limit {shard_limit}; "
+                    "use a directory path for sharded output"
+                )
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files = [path]
+        else:
+            path.mkdir(parents=True, exist_ok=True)
+            if len(shards) == 1:
+                files = [path / SINGLE_FILENAME]
+            else:
+                files = [path / f"model-{i:05d}-of-{len(shards):05d}.safetensors"
+                         for i in range(1, len(shards) + 1)]
+
+        self.paths: list[Path] = []
+        self._fds: list[int] = []
+        self._where: dict[str, tuple[int, int, int]] = {}
+        try:
+            for file_path, shard in zip(files, shards):
+                fd, offsets = _create_tensor_file(file_path, shard)
+                self._fds.append(fd)
+                self.paths.append(file_path)
+                for spec in shard:
+                    self._where[spec[0]] = (fd, offsets[spec[0]], _nbytes(spec))
+            if len(shards) > 1:
+                weight_map = OrderedDict((spec[0], f.name) for f, shard in zip(files, shards) for spec in shard)
+                index = {"metadata": {"total_size": sum(map(_nbytes, specs))}, "weight_map": weight_map}
+                index_path = path / INDEX_FILENAME
+                index_path.write_text(json.dumps(index, indent=2))
+                self.paths.append(index_path)
+        except BaseException:
+            self.close()
+            raise
+
+    def write(self, name: str, offset: int, data) -> None:
+        """Write ``data`` (any contiguous buffer) at byte ``offset`` of the
+        payload of tensor ``name``."""
+        fd, start, nbytes = self._where[name]
+        size = memoryview(data).nbytes
+        if offset + size > nbytes:
+            raise ValueError(f"{name}: write of {size} bytes at {offset} overruns its {nbytes}-byte payload")
+        _pwrite_all(fd, data, start + offset)
+
+    def close(self) -> None:
+        while self._fds:
+            os.close(self._fds.pop())
+
+    def __enter__(self) -> "CheckpointWriter":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAULT_SHARD_LIMIT) -> list[Path]:
     """Write a checkpoint; returns the list of files written.
 
     If ``path`` ends in ``.safetensors`` everything must fit in one file.
     Otherwise ``path`` is a directory: a single tensor file when one shard
     suffices, or numbered shards plus an index manifest.
     """
-    if len(ckpt) == 0:
-        raise ConfigError("refusing to save an empty checkpoint")
-    if shard_limit <= 0:
-        raise ConfigError("shard_limit must be positive")
-
     records = list(ckpt.tensors.values())
-    shards = _pack_shards(records, shard_limit)
-    path = Path(path)
-
-    if path.suffix == ".safetensors":
-        if len(shards) > 1:
-            raise ConfigError(
-                f"{path}: checkpoint needs {len(shards)} shards at limit {shard_limit}; "
-                "use a directory path for sharded output"
-            )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_tensor_file(path, shards[0])
-        return [path]
-
-    path.mkdir(parents=True, exist_ok=True)
-    if len(shards) == 1:
-        target = path / SINGLE_FILENAME
-        write_tensor_file(target, shards[0])
-        return [target]
-
-    written = []
-    weight_map: OrderedDict[str, str] = OrderedDict()
-    for i, shard in enumerate(shards, start=1):
-        shard_name = f"model-{i:05d}-of-{len(shards):05d}.safetensors"
-        write_tensor_file(path / shard_name, shard)
-        written.append(path / shard_name)
-        for rec in shard:
-            weight_map[rec.name] = shard_name
-    index = {"metadata": {"total_size": ckpt.total_bytes}, "weight_map": weight_map}
-    index_path = path / INDEX_FILENAME
-    index_path.write_text(json.dumps(index, indent=2))
-    written.append(index_path)
-    return written
+    with CheckpointWriter([(r.name, r.dtype, r.shape) for r in records], path, shard_limit) as out:
+        for rec in records:
+            out.write(rec.name, 0, rec.raw)
+    return out.paths
 
 
 def remap_keys(ckpt: Checkpoint, rules: Sequence[tuple[str, str]]) -> Checkpoint:

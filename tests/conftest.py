@@ -1,10 +1,14 @@
 """Shared fixtures: a tiny synthetic 2-layer transformer triple."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from dimerge.merge import merge_checkpoint
 from dimerge.records import DType, TensorRecord
-from dimerge.store import Checkpoint
+from dimerge.store import Checkpoint, load_checkpoint
 
 HIDDEN = 4
 INTERMEDIATE = 6
@@ -78,3 +82,13 @@ def triple_f32():
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def merge_and_load(base, ml, anchor, cfg, threads=None):
+    """Merge into a temporary directory and read the output back; returns
+    the merged checkpoint and the report. The loaded records map files that
+    outlive their directory entries."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "merged"
+        report = merge_checkpoint(base, ml, anchor, cfg, out, threads=threads)
+        return load_checkpoint(out), report

@@ -13,13 +13,13 @@ import pytest
 from dimerge.baselines import BaselineParams, breadcrumbs_values, dare_values
 from dimerge.diagnostics import diagnose
 from dimerge.geometry import residual_identity_terms
-from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
+from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind, estimate_salience, salience_pair
 from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
-from conftest import make_triple
+from conftest import make_triple, merge_and_load
 from test_baselines import record_of
 from test_merge import checkpoint_digest, triple_of
 import reference
@@ -131,19 +131,19 @@ def test_criterion_5_trivial_limits():
     zero_anchor = Checkpoint.from_records(
         [base[n] if n in base else rec for n, rec in anchor.tensors.items()]
     )
-    merged_zero, _ = merge_checkpoint(base, base, zero_anchor, MergeConfig())
+    merged_zero, _ = merge_and_load(base, base, zero_anchor, MergeConfig())
     zero_ok = checkpoint_digest(merged_zero) == checkpoint_digest(zero_anchor)
 
     # identical residuals: anchor backbone equals ml, so merged = base + delta
     same_anchor = Checkpoint.from_records(
         [ml[n] if n in ml else rec for n, rec in anchor.tensors.items()]
     )
-    merged_same, _ = merge_checkpoint(base, ml, same_anchor, MergeConfig())
+    merged_same, _ = merge_and_load(base, ml, same_anchor, MergeConfig())
     same_ok = all(
         np.allclose(merged_same[n].to_f32(), ml[n].to_f32(), atol=1e-6) for n in base.names()
     )
 
-    merged_empty, _ = merge_checkpoint(base, ml, anchor, MergeConfig(scope=ScopeFilter.empty()))
+    merged_empty, _ = merge_and_load(base, ml, anchor, MergeConfig(scope=ScopeFilter.empty()))
     empty_ok = checkpoint_digest(merged_empty) == checkpoint_digest(anchor)
 
     _report(5, "zero residuals / identical residuals / empty scope limits",
@@ -153,7 +153,7 @@ def test_criterion_5_trivial_limits():
 
 def test_criterion_6_scope_ablation_fidelity():
     base, ml, anchor = make_triple(seed=56)
-    full, _ = merge_checkpoint(base, ml, anchor, MergeConfig())
+    full, _ = merge_and_load(base, ml, anchor, MergeConfig())
     presets = [
         ScopeFilter.embed_only(),
         ScopeFilter.llm_only(),
@@ -164,7 +164,7 @@ def test_criterion_6_scope_ablation_fidelity():
     ]
     ok = True
     for scope in presets:
-        merged, _ = merge_checkpoint(base, ml, anchor, MergeConfig(scope=scope))
+        merged, _ = merge_and_load(base, ml, anchor, MergeConfig(scope=scope))
         for name in anchor.names():
             if scope.admits(name) and name in base:
                 ok &= bool(np.allclose(merged[name].to_f32(), full[name].to_f32(), atol=1e-6))
@@ -186,7 +186,7 @@ def test_criterion_7_ablation_variants():
     for estimator in EstimatorKind:
         for agg in aggregations:
             cfg = MergeConfig(estimator=estimator, aggregation=agg)
-            merged, report = merge_checkpoint(base, ml, anchor, cfg)
+            merged, report = merge_and_load(base, ml, anchor, cfg)
             ran_ok &= report.merged_count == len(base)
 
     symmetric_ok = True
@@ -239,20 +239,48 @@ def test_criterion_8_baseline_sanity():
             f"ties_mean={mean_ok}, breadcrumbs={bc_ok}")
 
 
-def test_criterion_9_determinism_across_workers():
+def _tall_triple(seed: int):
+    """Tensors taller than 16 summation tiles, in bf16, with an anchor that is
+    wider than the sources in rows and columns."""
+    rng = np.random.default_rng(seed)
+    shapes = {"model.embed_tokens.weight": (1100, 6), "model.layers.0.mlp.down_proj.weight": (1030, 5),
+              "model.norm.weight": (6,)}
+    base = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    ml = {n: v + rng.normal(scale=0.05, size=v.shape).astype(np.float32) for n, v in base.items()}
+    anchor = {n: v + rng.normal(scale=0.05, size=v.shape).astype(np.float32) for n, v in base.items()}
+    anchor["model.embed_tokens.weight"] = np.pad(anchor["model.embed_tokens.weight"], ((0, 40), (0, 2)),
+                                                 constant_values=0.5)
+    return tuple(
+        Checkpoint.from_records([TensorRecord.from_array(n, v, dtype=DType.BF16) for n, v in arrays.items()])
+        for arrays in (base, ml, anchor)
+    )
+
+
+def test_criterion_9_determinism_across_workers(monkeypatch):
+    import dimerge.merge
+    from dimerge.geometry import TILE_ROWS
+
     base, ml, anchor = make_triple(seed=59)
     digests = {
-        checkpoint_digest(merge_checkpoint(base, ml, anchor, MergeConfig(), threads=w)[0])
+        checkpoint_digest(merge_and_load(base, ml, anchor, MergeConfig(), threads=w)[0])
         for w in (1, 2, 8)
     }
     dare_cfg = MergeConfig(method="dare", seed=123,
                            baseline=BaselineParams(dare_drop_p=0.5)).validate()
     dare_digests = {
-        checkpoint_digest(merge_checkpoint(base, ml, anchor, dare_cfg, threads=w)[0])
+        checkpoint_digest(merge_and_load(base, ml, anchor, dare_cfg, threads=w)[0])
         for w in (1, 2, 8)
     }
-    ok = len(digests) == 1 and len(dare_digests) == 1
-    _report(9, "identical digests under 1/2/8 workers, including seeded DARE", ok)
+    # streamed dim3: I/O blocks of 1, 4 and 16 summation tiles, at 1 and 2 workers
+    tall = _tall_triple(seed=590)
+    overlap = MergeConfig(shape_policy="anchor-overlap")
+    block_digests = set()
+    for tiles in (1, 4, 16):
+        monkeypatch.setattr(dimerge.merge, "_block_rows", lambda cols, tiles=tiles: tiles * TILE_ROWS)
+        block_digests |= {checkpoint_digest(merge_and_load(*tall, overlap, threads=w)[0]) for w in (1, 2)}
+    ok = len(digests) == 1 and len(dare_digests) == 1 and len(block_digests) == 1
+    _report(9, "identical digests under 1/2/8 workers, including seeded DARE, and under "
+               "1/4/16-tile blocks at 1/2 workers with anchor overlap", ok)
 
 
 def test_criterion_10_format_round_trip_and_partition(tmp_path):

@@ -56,7 +56,7 @@ class TestAlignment:
         anchor = ckpt({"embed": a})
         triples, report = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
         assert triples[0].shape == (5, 2)
-        np.testing.assert_array_equal(triples[0].mm.to_f32(), a[:5, :])
+        np.testing.assert_array_equal(triples[0].to_f32()[2], a[:5, :])
         assert report.shape_mismatches[0].overlap_shape == (5, 2)
 
     def test_high_rank_rejected_by_default(self):

@@ -9,8 +9,10 @@ from dimerge.baselines import (
     unit_uniforms,
 )
 from dimerge.errors import ConfigError
-from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
+from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import TensorRecord
+
+from conftest import merge_and_load
 
 from test_merge import triple_of
 
@@ -183,7 +185,7 @@ class TestBaselineAssembly:
         base, ml, anchor = triple_f32
         cfg = MergeConfig(method=method, scope=ScopeFilter.embed_only(),
                           baseline=BaselineParams(dare_drop_p=0.5)).validate()
-        merged, report = merge_checkpoint(base, ml, anchor, cfg)
+        merged, report = merge_and_load(base, ml, anchor, cfg)
         for name in anchor.names():
             if "embed_tokens" not in name:
                 assert merged[name].raw == anchor[name].raw

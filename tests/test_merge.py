@@ -6,13 +6,13 @@ import pytest
 
 from dimerge.align import AlignedTriple
 from dimerge.errors import ConfigError, NumericError
-from dimerge.merge import MERGE_METHODS, MergeConfig, merge_checkpoint, merge_tensor
+from dimerge.merge import MERGE_METHODS, MergeConfig, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint
 
-from conftest import make_triple
+from conftest import make_triple, merge_and_load
 import reference
 
 
@@ -147,7 +147,7 @@ class TestConfig:
 class TestMergeCheckpoint:
     def test_zero_residuals_full_scope_reproduces_anchor(self):
         base, _, anchor = make_triple(seed=3)
-        merged, report = merge_checkpoint(base, base, _anchor_like(base, anchor), MergeConfig())
+        merged, report = merge_and_load(base, base, _anchor_like(base, anchor), MergeConfig())
         target = _anchor_like(base, anchor)
         assert merged.names() == target.names()
         for name in merged.names():
@@ -157,15 +157,15 @@ class TestMergeCheckpoint:
     def test_empty_scope_is_identity_on_anchor(self, triple_f32):
         base, ml, anchor = triple_f32
         cfg = MergeConfig(scope=ScopeFilter.empty())
-        merged, report = merge_checkpoint(base, ml, anchor, cfg)
+        merged, report = merge_and_load(base, ml, anchor, cfg)
         assert checkpoint_digest(merged) == checkpoint_digest(anchor)
         assert report.merged_count == 0
 
     def test_embed_only_scope(self, triple_f32):
         base, ml, anchor = triple_f32
         cfg = MergeConfig(scope=ScopeFilter.embed_only())
-        merged, _ = merge_checkpoint(base, ml, anchor, cfg)
-        full, _ = merge_checkpoint(base, ml, anchor, MergeConfig())
+        merged, _ = merge_and_load(base, ml, anchor, cfg)
+        full, _ = merge_and_load(base, ml, anchor, MergeConfig())
         for name in anchor.names():
             if "embed_tokens" in name:
                 assert merged[name].raw == full[name].raw
@@ -177,8 +177,8 @@ class TestMergeCheckpoint:
         # everything else equals the anchor
         base, ml, anchor = triple_f32
         cfg = MergeConfig(scope=ScopeFilter.layers(0, 0))
-        merged, _ = merge_checkpoint(base, ml, anchor, cfg)
-        full, _ = merge_checkpoint(base, ml, anchor, MergeConfig())
+        merged, _ = merge_and_load(base, ml, anchor, cfg)
+        full, _ = merge_and_load(base, ml, anchor, MergeConfig())
         for name in anchor.names():
             if cfg.scope.admits(name):
                 assert merged[name].raw == full[name].raw
@@ -187,7 +187,7 @@ class TestMergeCheckpoint:
 
     def test_vision_and_projector_pass_through(self, triple_f32):
         base, ml, anchor = triple_f32
-        merged, report = merge_checkpoint(base, ml, anchor, MergeConfig())
+        merged, report = merge_and_load(base, ml, anchor, MergeConfig())
         for name in anchor.names():
             if name.startswith(("vision_tower", "multi_modal_projector")):
                 assert merged[name].raw == anchor[name].raw
@@ -197,14 +197,14 @@ class TestMergeCheckpoint:
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_deterministic_across_worker_counts(self, workers):
         base, ml, anchor = make_triple(seed=11)
-        merged, _ = merge_checkpoint(base, ml, anchor, MergeConfig(), threads=workers)
+        merged, _ = merge_and_load(base, ml, anchor, MergeConfig(), threads=workers)
         assert checkpoint_digest(merged) == _fixture_digest()
 
     def test_dare_deterministic_across_workers(self):
         base, ml, anchor = make_triple(seed=11)
         cfg = MergeConfig(method="dare", seed=5).validate()
         digests = {
-            checkpoint_digest(merge_checkpoint(base, ml, anchor, cfg, threads=w)[0])
+            checkpoint_digest(merge_and_load(base, ml, anchor, cfg, threads=w)[0])
             for w in (1, 2, 8)
         }
         assert len(digests) == 1
@@ -224,14 +224,14 @@ class TestMergeCheckpoint:
         anchor_wide = Checkpoint.from_records(wider)
         cfg = MergeConfig(shape_policy="anchor-overlap", output_dtype=output_dtype)
         out_dtype = dtype if output_dtype == "match_anchor" else DType.F32
-        merged, _ = merge_checkpoint(base, ml, anchor_wide, cfg)
+        merged, _ = merge_and_load(base, ml, anchor_wide, cfg)
         out = merged[name]
         assert out.dtype is out_dtype
         assert out.shape == anchor_wide[name].shape
         # the anchor's extra rows are the anchor's own, re-encoded in the output dtype
         np.testing.assert_array_equal(out.bits()[-2:], anchor_wide[name].astype(out_dtype).bits()[-2:])
         # the merged block is the merge of the un-widened triple
-        full, _ = merge_checkpoint(base, ml, anchor, cfg)
+        full, _ = merge_and_load(base, ml, anchor, cfg)
         np.testing.assert_array_equal(out.bits()[:-2], full[name].bits())
 
     def test_report_schema(self):
@@ -250,7 +250,7 @@ class TestMergeCheckpoint:
 
         cfg = MergeConfig(scope=ScopeFilter(exclude=("*.layers.1.*",)), shape_policy="anchor-overlap",
                           high_rank="pass_through")
-        _, report = merge_checkpoint(with_extras(base), with_extras(ml, drop=("model.norm.weight",)),
+        _, report = merge_and_load(with_extras(base), with_extras(ml, drop=("model.norm.weight",)),
                                      with_extras(anchor, widen=True), cfg)
         report = json.loads(json.dumps(report.to_dict()))
 
@@ -279,7 +279,7 @@ class TestMergeCheckpoint:
 
     def test_report_statistics(self, triple_f32):
         base, ml, anchor = triple_f32
-        _, report = merge_checkpoint(base, ml, anchor, MergeConfig())
+        _, report = merge_and_load(base, ml, anchor, MergeConfig())
         assert report.merged_count + report.pass_through_count == len(anchor)
         lo, hi = reference.logistic(-1.0), reference.logistic(1.0)
         assert lo <= report.mean_omega_ml <= hi
@@ -301,6 +301,6 @@ _DIGEST_CACHE = {}
 def _fixture_digest() -> str:
     if "d" not in _DIGEST_CACHE:
         base, ml, anchor = make_triple(seed=11)
-        merged, _ = merge_checkpoint(base, ml, anchor, MergeConfig(), threads=1)
+        merged, _ = merge_and_load(base, ml, anchor, MergeConfig(), threads=1)
         _DIGEST_CACHE["d"] = checkpoint_digest(merged)
     return _DIGEST_CACHE["d"]

@@ -193,6 +193,23 @@ class TestHeaderTypes:
         with pytest.raises(FormatError, match="'a'"):
             load_checkpoint(tmp_path / "t.safetensors")
 
+    @pytest.mark.parametrize("header, match", [
+        ({"__metadata__": [1, {"x": None}]}, "__metadata__"),
+        ({"__metadata__": {"format": 1}}, "__metadata__"),
+        ({"__metadata__": "pt"}, "__metadata__"),
+        ({"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8], "extra": 1}}, "'extra'"),
+    ], ids=["metadata-list", "metadata-int-value", "metadata-string", "unknown-entry-key"])
+    def test_metadata_and_entry_keys_checked(self, tmp_path, header, match):
+        header = {"a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}, **header}
+        write_header(tmp_path / "t.safetensors", header, bytes(8))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(tmp_path / "t.safetensors")
+
+    def test_string_metadata_loads(self, tmp_path):
+        header = {"__metadata__": {"format": "pt"}, "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}
+        write_header(tmp_path / "t.safetensors", header, bytes(8))
+        assert load_checkpoint(tmp_path / "t.safetensors").names() == ["a"]
+
     def test_scalar_and_integer_shapes_load(self, tmp_path):
         header = {"s": {"dtype": "F32", "shape": [], "data_offsets": [0, 4]},
                   "m": {"dtype": "F32", "shape": [1, 2], "data_offsets": [4, 12]}}
@@ -258,6 +275,12 @@ class TestErrors:
         bad = tmp_path / "bad.safetensors"
         bad.write_bytes(b"\xff\xff\xff\xff\xff\xff\xff\xff{}")
         with pytest.raises(FormatError):
+            load_checkpoint(bad)
+
+    def test_empty_file(self, tmp_path):
+        bad = tmp_path / "empty.safetensors"
+        bad.write_bytes(b"")
+        with pytest.raises(FormatError, match="too short"):
             load_checkpoint(bad)
 
     def test_truncated_file(self, tmp_path):

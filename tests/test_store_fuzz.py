@@ -1,10 +1,10 @@
 """Property test: the tensor-file reader on mutated headers.
 
 A valid file is written, then its JSON header (dtypes, shape elements,
-offsets, entry types, ``__metadata__``) and its 8-byte header length are
-mutated. Whatever the mutation, loading either returns records whose
-payloads tile the file body in offset order, or raises ``FormatError``;
-no other exception escapes.
+offsets, entry types and keys, ``__metadata__``) and its 8-byte header
+length are mutated. Whatever the mutation, loading either returns records
+whose payloads tile the file body in offset order from a header that keeps
+the format's rules, or raises ``FormatError``; no other exception escapes.
 """
 
 import json
@@ -60,17 +60,19 @@ def mutated_files(draw) -> bytes:
     header = valid_header()
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["dim", "dim", "offset", "offset", "field", "drop_field", "entry",
-                                     "metadata", "drop_entry", "swap_offsets", "dtype"]))
+                                     "metadata", "drop_entry", "swap_offsets", "dtype", "extra_key"]))
         name = draw(st.sampled_from(sorted(header)))
         entry = header[name]
         if kind == "metadata":
-            header["__metadata__"] = draw(JSON_VALUE)
+            header["__metadata__"] = draw(JSON_VALUE | st.dictionaries(st.text(max_size=3), st.text(max_size=3)))
         elif kind == "drop_entry" and len(header) > 1:
             del header[name]
         elif not isinstance(entry, dict):
             header[name] = draw(JSON_VALUE)
         elif kind == "field":
             entry[draw(st.sampled_from(FIELDS))] = draw(JSON_VALUE)
+        elif kind == "extra_key":
+            entry[draw(st.sampled_from(FIELDS) | st.text(max_size=3))] = draw(JSON_VALUE)
         elif kind == "drop_field":
             entry.pop(draw(st.sampled_from(FIELDS)), None)
         elif kind == "entry":
@@ -109,7 +111,11 @@ def test_loads_tiling_records_or_raises_format_error(data):
     (length,) = struct.unpack_from("<Q", data)
     header = json.loads(data[8:8 + length])
     body = data[8 + length:]
+    # __metadata__, when present, maps strings to strings; entries hold the three fields only
+    metadata = header.get("__metadata__", {})
+    assert isinstance(metadata, dict) and all(type(v) is str for v in metadata.values())
     entries = {name: entry for name, entry in header.items() if name != "__metadata__"}
+    assert all(set(entry) == set(FIELDS) for entry in entries.values())
     assert ckpt.names() == sorted(entries)
     by_offset = sorted(entries, key=lambda name: entries[name]["data_offsets"])
     assert b"".join(bytes(ckpt[name].raw) for name in by_offset) == body
