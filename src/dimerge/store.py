@@ -10,7 +10,8 @@ Files are read through read-only memory maps, so loading costs a header
 parse and payload pages are paged in only when a computation touches them;
 :func:`release_pages` hands a finished tensor's pages back. Files are written
 through :class:`CheckpointWriter`, which lays out every header and offset
-first, so payloads can be filled in place in any order.
+first, so payloads can be filled in place in any order, and which renames
+its files into place only once they are complete.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import json
 import logging
 import mmap
 import os
+import secrets
 import struct
 import time
 from collections import OrderedDict
@@ -183,9 +185,16 @@ def _nbytes(spec: TensorSpec) -> int:
     return prod(shape) * dtype.itemsize
 
 
-def _create_tensor_file(path: Path, specs: Sequence[TensorSpec]) -> tuple[int, dict[str, int]]:
-    """Create a tensor file holding its header and sized for its payloads;
-    returns the open descriptor and each tensor's absolute payload offset."""
+def _stage(path: Path) -> tuple[Path, int]:
+    """Create a new, empty file beside ``path`` under a hidden unique name
+    that no reader globs for; returns its name and an open descriptor."""
+    staged = path.with_name(f".{path.name}.{secrets.token_hex(8)}.partial")
+    return staged, os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
+    """Write a tensor file's header and size it for its payloads; returns
+    each tensor's absolute payload offset."""
     header: OrderedDict[str, object] = OrderedDict()
     starts = {}
     offset = 0
@@ -197,23 +206,9 @@ def _create_tensor_file(path: Path, specs: Sequence[TensorSpec]) -> tuple[int, d
         offset += _nbytes(spec)
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     prefix = _HEADER_STRUCT.pack(len(header_bytes)) + header_bytes
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        _pwrite_all(fd, prefix, 0)
-        os.ftruncate(fd, len(prefix) + offset)
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd, {name: len(prefix) + start for name, start in starts.items()}
-
-
-def write_tensor_file(path: Path, records: Sequence[TensorRecord]) -> None:
-    fd, offsets = _create_tensor_file(Path(path), [(r.name, r.dtype, r.shape) for r in records])
-    try:
-        for rec in records:
-            _pwrite_all(fd, rec.raw, offsets[rec.name])
-    finally:
-        os.close(fd)
+    _pwrite_all(fd, prefix, 0)
+    os.ftruncate(fd, len(prefix) + offset)
+    return {name: len(prefix) + start for name, start in starts.items()}
 
 
 def _load_sharded(index_path: Path) -> Checkpoint:
@@ -304,6 +299,12 @@ class CheckpointWriter:
     place, block by block, in any order and from any thread; the bytes on
     disk do not depend on that order. ``path`` is as for
     :func:`save_checkpoint`; ``paths`` lists the files written.
+
+    Files are filled under hidden names beside their targets and renamed
+    into place only when the ``with`` block exits cleanly; on an exception
+    they are deleted. So a failed write leaves whatever was at ``path``
+    untouched, and a target that a loaded checkpoint still maps keeps its
+    old contents for that checkpoint.
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
@@ -331,24 +332,29 @@ class CheckpointWriter:
                          for i in range(1, len(shards) + 1)]
 
         self.paths: list[Path] = []
+        self._staged: list[Path] = []
         self._fds: list[int] = []
         self._where: dict[str, tuple[int, int, int]] = {}
         try:
             for file_path, shard in zip(files, shards):
-                fd, offsets = _create_tensor_file(file_path, shard)
-                self._fds.append(fd)
-                self.paths.append(file_path)
+                self._open(file_path)
+                offsets = _lay_out(self._fds[-1], shard)
                 for spec in shard:
-                    self._where[spec[0]] = (fd, offsets[spec[0]], _nbytes(spec))
+                    self._where[spec[0]] = (self._fds[-1], offsets[spec[0]], _nbytes(spec))
             if len(shards) > 1:
                 weight_map = OrderedDict((spec[0], f.name) for f, shard in zip(files, shards) for spec in shard)
                 index = {"metadata": {"total_size": sum(map(_nbytes, specs))}, "weight_map": weight_map}
-                index_path = path / INDEX_FILENAME
-                index_path.write_text(json.dumps(index, indent=2))
-                self.paths.append(index_path)
+                self._open(path / INDEX_FILENAME)
+                _pwrite_all(self._fds[-1], json.dumps(index, indent=2).encode("utf-8"), 0)
         except BaseException:
-            self.close()
+            self._finish(commit=False)
             raise
+
+    def _open(self, file_path: Path) -> None:
+        staged, fd = _stage(file_path)
+        self._staged.append(staged)
+        self._fds.append(fd)
+        self.paths.append(file_path)
 
     def write(self, name: str, offset: int, data) -> None:
         """Write ``data`` (any contiguous buffer) at byte ``offset`` of the
@@ -359,15 +365,25 @@ class CheckpointWriter:
             raise ValueError(f"{name}: write of {size} bytes at {offset} overruns its {nbytes}-byte payload")
         _pwrite_all(fd, data, start + offset)
 
-    def close(self) -> None:
+    def _finish(self, commit: bool) -> None:
+        """Close every file, then rename each into place (the index last) or,
+        if ``commit`` is false or a rename fails, delete what is left."""
         while self._fds:
             os.close(self._fds.pop())
+        staged, self._staged = self._staged, []
+        try:
+            if commit:
+                for tmp, final in zip(staged, self.paths):
+                    os.replace(tmp, final)
+        finally:
+            for tmp in staged:
+                tmp.unlink(missing_ok=True)
 
     def __enter__(self) -> "CheckpointWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *_) -> None:
+        self._finish(commit=exc_type is None)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAULT_SHARD_LIMIT) -> list[Path]:

@@ -13,7 +13,6 @@ from dimerge.store import (
     load_checkpoint,
     remap_keys,
     save_checkpoint,
-    write_tensor_file,
 )
 
 
@@ -89,8 +88,7 @@ class TestSharding:
             assert loaded[name].raw == base[name].raw
 
     def test_index_referencing_missing_tensor(self, tmp_path):
-        write_tensor_file(tmp_path / "shard1.safetensors",
-                          [TensorRecord.from_array("b", np.zeros(2, dtype=np.float32))])
+        save_checkpoint(ckpt_of({"b": np.zeros(2, dtype=np.float32)}), tmp_path / "shard1.safetensors")
         index = {"metadata": {}, "weight_map": {"a": "shard1.safetensors"}}
         (tmp_path / "model.safetensors.index.json").write_text(json.dumps(index))
         with pytest.raises(ShardError, match="missing tensor"):
@@ -103,9 +101,9 @@ class TestSharding:
             load_checkpoint(tmp_path)
 
     def test_duplicate_tensor_across_shards(self, tmp_path):
-        rec = TensorRecord.from_array("a", np.zeros(2, dtype=np.float32))
-        write_tensor_file(tmp_path / "s1.safetensors", [rec])
-        write_tensor_file(tmp_path / "s2.safetensors", [rec])
+        ckpt = ckpt_of({"a": np.zeros(2, dtype=np.float32)})
+        save_checkpoint(ckpt, tmp_path / "s1.safetensors")
+        save_checkpoint(ckpt, tmp_path / "s2.safetensors")
         index = {"weight_map": {"a": "s1.safetensors", "b": "s2.safetensors"}}
         (tmp_path / "model.safetensors.index.json").write_text(json.dumps(index))
         with pytest.raises(ShardError, match="appears in both"):

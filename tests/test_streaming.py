@@ -8,9 +8,11 @@ import pytest
 
 import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
+from dimerge.errors import NumericError
 from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.records import DType, TensorRecord
-from dimerge.store import Checkpoint, CheckpointWriter, load_checkpoint, release_pages, save_checkpoint
+from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
+                           save_checkpoint)
 
 from conftest import merge_and_load
 
@@ -100,6 +102,57 @@ def test_writer_fills_blocks_in_any_order(tmp_path):
             out.write("a", 120, rec.raw[:16])
     for saved in (tmp_path / "saved").iterdir():
         assert (tmp_path / "filled" / saved.name).read_bytes() == saved.read_bytes()
+
+
+def file_bytes(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("shard_limit", [1 << 30, 300])
+def test_save_onto_the_files_a_checkpoint_maps(tmp_path, shard_limit):
+    """Saving a loaded checkpoint over its own files, directly or after a
+    remap, rewrites the same bytes: the mapped inputs are never clobbered."""
+    rng = np.random.default_rng(7)
+    ckpt = Checkpoint.from_records(
+        TensorRecord.from_array(n, rng.standard_normal((8, 4), dtype=np.float32)) for n in "abc")
+    save_checkpoint(ckpt, tmp_path / "c", shard_limit=shard_limit)
+    original = file_bytes(tmp_path / "c")
+    save_checkpoint(load_checkpoint(tmp_path / "c"), tmp_path / "c", shard_limit=shard_limit)
+    assert file_bytes(tmp_path / "c") == original
+    renamed = remap_keys(load_checkpoint(tmp_path / "c"), [("", "x.")])
+    save_checkpoint(renamed, tmp_path / "c", shard_limit=shard_limit)
+    loaded = load_checkpoint(tmp_path / "c")
+    assert loaded.names() == ["x.a", "x.b", "x.c"]
+    for name in "abc":
+        assert loaded[f"x.{name}"].raw == ckpt[name].raw
+
+
+def test_merge_onto_the_anchors_own_file(tmp_path):
+    triple = on_disk_triple(tmp_path, {"w": (96, 16), "v": (16,)}, seed=8)
+    merge_checkpoint(*triple, MergeConfig(), tmp_path / "elsewhere")
+    merge_checkpoint(*triple, MergeConfig(), tmp_path / "anchor")
+    assert file_bytes(tmp_path / "anchor") == file_bytes(tmp_path / "elsewhere")
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_failed_merge_leaves_path_as_it_was(tmp_path, threads):
+    """A non-finite value in the last tensor fails the merge after the others
+    are written: nothing appears at a new path, an old output is untouched,
+    and no partial file is left behind."""
+    shapes = {"a": (64, 8), "b": (64, 8), "z": (64, 8)}
+    base, ml, anchor = on_disk_triple(tmp_path, shapes, seed=9)
+    bad = ml["z"].bits().copy()
+    bad[40, 3] = 0x7FC0  # a bf16 NaN
+    ml = Checkpoint.from_records([*(ml[n] for n in "ab"), TensorRecord(
+        name="z", dtype=DType.BF16, shape=(64, 8), raw=bad.tobytes())])
+    with pytest.raises(NumericError, match="z: multilingual"):
+        merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "out.safetensors", threads=threads)
+    assert not (tmp_path / "out.safetensors").exists()
+    before = file_bytes(tmp_path / "anchor")
+    with pytest.raises(NumericError):
+        merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "anchor", threads=threads)
+    assert file_bytes(tmp_path / "anchor") == before
+    assert not list(tmp_path.rglob("*.partial"))
 
 
 def test_column_sums_do_not_depend_on_block_size():
