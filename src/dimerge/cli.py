@@ -41,6 +41,14 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (it honours ``taskset`` and container cpusets), else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _parse_set_value(raw: str):
     try:
         return json.loads(raw)
@@ -145,7 +153,7 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     effective = copy.deepcopy(config)
     effective["schema_version"] = SCHEMA_VERSION
     effective["merge"] = cfg.to_dict()
-    effective.setdefault("threads", os.cpu_count() or 1)
+    effective.setdefault("threads", _usable_cpus())
 
     report_path = Path(config.get("report_path") or f"{out_path}.report.json")
     tmp_path = out_path.parent / f"{out_path.name}.tmp{os.getpid()}"

@@ -16,12 +16,16 @@ out-of-scope keys) are copied from the anchor verbatim.
 A 2D dim3 tensor streams: one pass over row blocks accumulates the column
 reductions the weights need, a second composes each block and writes it to
 its place in the output file. Memory then follows one row block, not the
-tensor or the model. 1D tensors and the baseline methods (TIES and
-Breadcrumbs need a global top-k) work on the whole tensor.
+tensor or the model: each worker decodes, composes and encodes its blocks in
+the same few arrays for the whole merge. 1D tensors and the baseline methods
+(TIES and Breadcrumbs need a global top-k) work on the whole tensor.
 """
 
 from __future__ import annotations
 
+import itertools
+import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -54,6 +58,8 @@ from .salience import (
 )
 from .scope import ScopeFilter
 from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, release_pages
+
+logger = logging.getLogger(__name__)
 
 BASELINE_METHODS = ("task_arithmetic", "dare", "ties", "breadcrumbs")
 MERGE_METHODS = ("dim3",) + BASELINE_METHODS
@@ -181,18 +187,42 @@ def _block_rows(cols: int) -> int:
     return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
 
 
+class _Buffers(threading.local):
+    """Scratch arrays for streamed row blocks, one set per thread.
+
+    A slot keeps its memory for as long as the object lives and grows only
+    when a block needs more, so once the largest block has been seen,
+    decoding, composing and encoding allocate nothing: no fresh pages to
+    fault in for every block. Whatever takes a slot overwrites all of it.
+    """
+
+    def __init__(self):
+        self._slots: dict[int, np.ndarray] = {}
+
+    def take(self, slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array of ``shape`` and ``dtype`` in ``slot``."""
+        dtype = np.dtype(dtype)
+        nbytes = prod(shape) * dtype.itemsize
+        raw = self._slots.get(slot)
+        if raw is None or raw.nbytes < nbytes:
+            raw = self._slots[slot] = np.empty(nbytes, np.uint8)
+        return raw[:nbytes].view(dtype).reshape(shape)
+
+
 def _write_rows(sink: Sink, anchor: TensorRecord, out_dtype: DType, r0: int, r1: int,
-                merged: np.ndarray | None) -> None:
-    """Encode anchor rows ``r0:r1`` in ``out_dtype`` and hand them to ``sink``
-    at their byte offset. ``merged`` holds merged values for the leading rows
-    and columns of the block (the aligned region); the anchor's own values,
-    re-encoded, fill the rest."""
+                merged: np.ndarray | None, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> None:
+    """Encode anchor rows ``r0:r1`` in ``out_dtype``, into ``out`` and with
+    ``scratch`` as :func:`~dimerge.records.encode_bits` takes them, and hand
+    them to ``sink`` at their byte offset. ``merged`` holds merged values for
+    the leading rows and columns of the block (the aligned region); the
+    anchor's own values, re-encoded, fill the rest."""
     if merged is not None and merged.shape == (r1 - r0,) + anchor.shape[1:]:
-        bits = encode_bits(merged, out_dtype)
+        bits = encode_bits(merged, out_dtype, out, scratch)
     else:
-        bits = recode_bits(anchor.bits()[r0:r1], anchor.dtype, out_dtype)
+        bits = recode_bits(anchor.bits()[r0:r1], anchor.dtype, out_dtype, out)
         if merged is not None:
-            bits[tuple(slice(0, d) for d in merged.shape)] = encode_bits(merged, out_dtype)
+            encode_bits(merged, out_dtype, bits[tuple(slice(0, d) for d in merged.shape)], scratch)
     sink(r0 * prod(anchor.shape[1:]) * out_dtype.itemsize, bits)
 
 
@@ -201,19 +231,24 @@ def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
     release_pages(rec, r0 * row_bytes, r1 * row_bytes)
 
 
-def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink) -> SalienceWeights:
+def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
+                   buffers: _Buffers) -> SalienceWeights:
     """Two passes over row blocks of a 2D tensor, decoded from the stored
-    bits. Input pages are released block by block after their last read:
-    the base's in pass 1, the two sources' in pass 2."""
+    bits into ``buffers``: pass 1's three decode targets serve pass 2 as its
+    two decode targets (the first doubling as the encode's scratch once the
+    block is composed) and the encoded output. Input pages are released
+    block by block after their last read: the base's in pass 1, the two
+    sources' in pass 2."""
     rows, cols = triple.shape
     block = _block_rows(cols)
-    base, ml, mm = (triple.aligned_bits(rec) for rec in (triple.base, triple.ml, triple.mm))
+    sources = [(triple.aligned_bits(rec), rec.dtype) for rec in (triple.base, triple.ml, triple.mm)]
     sums = np.zeros((5, cols))
     for r0 in range(0, rows, block):
-        accumulate_column_sums(sums, decode_f32(base[r0:r0 + block], triple.base.dtype),
-                               decode_f32(ml[r0:r0 + block], triple.ml.dtype),
-                               decode_f32(mm[r0:r0 + block], triple.mm.dtype))
-        _release_rows(triple.base, r0, r0 + block)
+        r1 = min(r0 + block, rows)
+        blocks = (decode_f32(bits[r0:r1], dtype, buffers.take(slot, (r1 - r0, cols), np.float32))
+                  for slot, (bits, dtype) in enumerate(sources))
+        accumulate_column_sums(sums, *blocks)
+        _release_rows(triple.base, r0, r1)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
     for role, norms in zip(ROLES, sums[:3]):
@@ -222,18 +257,23 @@ def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, si
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
 
     w_ml = weights.omega_ml.astype(np.float32)
+    _, (ml, ml_dtype), (mm, mm_dtype) = sources
     anchor = triple.mm
+    out_bits = f"<u{out_dtype.itemsize}"
     for r0 in range(0, anchor.shape[0], block):
         r1 = min(r0 + block, anchor.shape[0])
-        merged = None
+        merged = scratch = None
         if r0 < rows:
             # mm + w_ml * (ml - mm), computed in place
-            mm_rows = decode_f32(mm[r0:r1], anchor.dtype)
-            merged = decode_f32(ml[r0:r1], triple.ml.dtype)
+            shape = (min(r1, rows) - r0, cols)
+            mm_rows = decode_f32(mm[r0:r1], mm_dtype, buffers.take(0, shape, np.float32))
+            merged = decode_f32(ml[r0:r1], ml_dtype, buffers.take(1, shape, np.float32))
             merged -= mm_rows
             merged *= w_ml
             merged += mm_rows
-        _write_rows(sink, anchor, out_dtype, r0, r1, merged)
+            scratch = mm_rows.view(np.uint32)
+        out = buffers.take(2, (r1 - r0,) + anchor.shape[1:], out_bits)
+        _write_rows(sink, anchor, out_dtype, r0, r1, merged, out, scratch)
         for rec in (triple.ml, anchor):
             _release_rows(rec, r0, r1)
     return weights
@@ -255,13 +295,14 @@ def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
     return anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
 
 
-def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink) -> TensorMergeReport:
-    """Merge one tensor and write it, at the anchor's shape, through ``sink``."""
+def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: _Buffers) -> TensorMergeReport:
+    """Merge one tensor and write it, at the anchor's shape, through ``sink``;
+    a streamed tensor works in ``buffers``."""
     start = time.perf_counter()
     anchor = triple.mm
     out_dtype = _out_dtype(anchor, cfg)
     if cfg.method == "dim3" and triple.rank == 2:
-        weights = _dim3_streamed(triple, cfg, out_dtype, sink)
+        weights = _dim3_streamed(triple, cfg, out_dtype, sink, buffers)
     else:
         values, weights = _merge_values(triple, cfg)
         if values.shape == anchor.shape:
@@ -277,6 +318,13 @@ def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink) -> TensorMer
     return entry
 
 
+def _log_merged(entry: TensorMergeReport, n: int, total: int, nbytes: int) -> None:
+    megabytes = nbytes / 1e6
+    omega = "" if entry.omega_ml_mean is None else f", omega_ml mean {entry.omega_ml_mean:.4f}"
+    logger.info("merged %d/%d %s: %.1f MB in %.3f s (%.0f MB/s)%s", n, total, entry.name,
+                megabytes, entry.seconds, megabytes / max(entry.seconds, 1e-9), omega)
+
+
 def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     """Merge one aligned tensor, at the anchor's shape; output in the anchor's
     dtype unless the config asks for f32."""
@@ -287,7 +335,7 @@ def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     def sink(offset: int, bits: np.ndarray) -> None:
         payload[offset:offset + bits.nbytes] = bits.tobytes()
 
-    _merge_one(triple, cfg, sink)
+    _merge_one(triple, cfg, sink, _Buffers())
     return TensorRecord(name=triple.name, dtype=out_dtype, shape=triple.mm.shape, raw=bytes(payload))
 
 
@@ -305,7 +353,9 @@ def merge_checkpoint(
     everything else passes through bit-exactly. The output file is sized
     first and each tensor filled in place, so its bytes are identical for
     any worker count. Each input tensor's mapped pages are released after
-    its last use."""
+    its last use. Each worker keeps its row-block buffers, a few MiB, until
+    the merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
+    tensor."""
     cfg.validate()
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
@@ -328,6 +378,9 @@ def merge_checkpoint(
             passthrough_reason[name] = "scalar"
 
     names = anchor.names()
+    to_merge = sum(n not in passthrough_reason for n in names)
+    merged_so_far = itertools.count(1)
+    buffers = _Buffers()
     specs = [(n, anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg), anchor[n].shape)
              for n in names]
     with CheckpointWriter(specs, path, shard_limit) as out:
@@ -337,7 +390,10 @@ def merge_checkpoint(
                 if name in passthrough_reason:
                     out.write(name, 0, anchor[name].raw)
                     return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
-                return _merge_one(by_name[name], cfg, partial(out.write, name))
+                entry = _merge_one(by_name[name], cfg, partial(out.write, name), buffers)
+                nbytes = anchor[name].num_elements * _out_dtype(anchor[name], cfg).itemsize
+                _log_merged(entry, next(merged_so_far), to_merge, nbytes)
+                return entry
             finally:
                 for ckpt in (base, ml, anchor):
                     if name in ckpt:

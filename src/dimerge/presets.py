@@ -11,6 +11,14 @@ from __future__ import annotations
 from .diagnostics import DEFAULT_MODULE_LABELS, ModuleKeySchema
 from .errors import ConfigError
 
+# Qwen-VL-style anchor (the qwen2 and qwen3 presets): backbone under
+# "model.language_model."
+_QWEN_REMAP = {
+    "base": [],
+    "multilingual": [],
+    "anchor": [("model.language_model.", "model."), ("language_model.", "")],
+}
+
 # (match-prefix, replacement-prefix) rule lists per checkpoint role
 REMAP_PRESETS: dict[str, dict[str, list[tuple[str, str]]]] = {
     # LLaVA-style anchor on a LLaMA base: backbone lives under "language_model."
@@ -19,17 +27,8 @@ REMAP_PRESETS: dict[str, dict[str, list[tuple[str, str]]]] = {
         "multilingual": [],
         "anchor": [("language_model.", "")],
     },
-    # Qwen2-VL-style anchor: backbone under "model.language_model."
-    "qwen2": {
-        "base": [],
-        "multilingual": [],
-        "anchor": [("model.language_model.", "model."), ("language_model.", "")],
-    },
-    "qwen3": {
-        "base": [],
-        "multilingual": [],
-        "anchor": [("model.language_model.", "model."), ("language_model.", "")],
-    },
+    "qwen2": _QWEN_REMAP,
+    "qwen3": _QWEN_REMAP,
 }
 
 _QWEN3_EXTRA_LABELS = (("q_norm", "attn.qnorm"), ("k_norm", "attn.knorm"))

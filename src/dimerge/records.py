@@ -60,52 +60,79 @@ _NUMPY_VIEW = {
 _BITS = {2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
 
-def bf16_bits_to_f32(bits: np.ndarray) -> np.ndarray:
-    """Expand bfloat16 bit patterns (uint16) to float32, losslessly."""
-    return np.left_shift(bits, np.uint32(16), dtype=np.uint32).view(np.float32)
+def bf16_bits_to_f32(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Expand bfloat16 bit patterns (uint16) to float32, losslessly, into
+    ``out`` (float32, of the bits' shape) if given."""
+    wide = None if out is None else out.view(np.uint32)
+    return np.left_shift(bits, np.uint32(16), out=wide, dtype=np.uint32).view(np.float32)
 
 
-def f32_to_bf16_bits(values: np.ndarray) -> np.ndarray:
-    """Round float32 down to bfloat16 bit patterns, round-to-nearest-even."""
+def f32_to_bf16_bits(values: np.ndarray, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Round float32 down to bfloat16 bit patterns, round-to-nearest-even,
+    into ``out`` (uint16, of the values' shape, any strides) or a fresh
+    array. The rounding sums go into ``scratch`` (uint32, of the values'
+    shape) if given, else into a temporary."""
     values = np.ascontiguousarray(values, dtype="<f4")
     bits = values.view(np.uint32)
-    # rounded in place, in one tensor-sized temporary; the uint32 sum can
-    # wrap only for NaN bit patterns, which the fix-up below overwrites
-    rounded = bits >> np.uint32(16)
+    # the uint32 sum can wrap only for NaN bit patterns, which the fix-up
+    # below overwrites
+    rounded = np.right_shift(bits, np.uint32(16), out=scratch)
     rounded &= np.uint32(1)
     rounded += bits
     rounded += np.uint32(0x7FFF)
     rounded >>= np.uint32(16)
-    if np.isnan(values).any():
+    # a NaN propagates through max, so one reduction finds any
+    if values.size and np.isnan(values.max()):
         # quiet-NaN: keep sign/exponent, force a mantissa bit
         nan = np.isnan(values)
         rounded[nan] = (bits[nan] >> np.uint32(16)) | np.uint32(0x0040)
-    return rounded.astype(np.uint16)
+    if out is None:
+        return rounded.astype(np.uint16)
+    np.copyto(out, rounded, casting="unsafe")
+    return out
 
 
-def decode_f32(bits: np.ndarray, dtype: DType) -> np.ndarray:
-    """Float32 values of storage bit patterns of any shape or strides, as a
-    fresh writable array. BF16 expands losslessly; F64 narrows."""
+def decode_f32(bits: np.ndarray, dtype: DType, out: np.ndarray | None = None) -> np.ndarray:
+    """Float32 values of storage bit patterns of any shape or strides, into
+    ``out`` (float32, of the bits' shape) or a fresh writable array. BF16
+    expands losslessly; F64 narrows."""
     if dtype is DType.BF16:
-        return bf16_bits_to_f32(bits)
-    return bits.view(_NUMPY_VIEW[dtype]).astype(np.float32)
+        return bf16_bits_to_f32(bits, out)
+    if out is None:
+        out = np.empty(bits.shape, np.float32)
+    np.copyto(out, bits.view(_NUMPY_VIEW[dtype]))
+    return out
 
 
-def encode_bits(values: np.ndarray, dtype: DType) -> np.ndarray:
+def encode_bits(values: np.ndarray, dtype: DType, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
     """Storage bit patterns of ``values`` in ``dtype``: round-to-nearest-even
-    for BF16, numpy's native rounding for F16/F32/F64."""
+    for BF16, numpy's native rounding for F16/F32/F64. ``out`` (unsigned, of
+    the storage width and the values' shape, any strides) receives them if
+    given; BF16 rounds in ``scratch`` as :func:`f32_to_bf16_bits` does."""
     if dtype is DType.BF16:
-        return f32_to_bf16_bits(values.astype(np.float32, copy=False))
-    return np.ascontiguousarray(values, dtype=_NUMPY_VIEW[dtype]).view(_BITS[dtype.itemsize])
+        return f32_to_bf16_bits(values.astype(np.float32, copy=False), out, scratch)
+    if out is None:
+        return np.ascontiguousarray(values, dtype=_NUMPY_VIEW[dtype]).view(_BITS[dtype.itemsize])
+    np.copyto(out.view(_NUMPY_VIEW[dtype]), values)
+    return out
 
 
-def recode_bits(bits: np.ndarray, source: DType, target: DType) -> np.ndarray:
+def recode_bits(bits: np.ndarray, source: DType, target: DType, out: np.ndarray | None = None) -> np.ndarray:
     """Bit patterns stored as ``source`` re-encoded as ``target`` (lossy where
-    narrower), as a fresh writable array."""
+    narrower), into ``out`` or a fresh writable array. A copy and a decode
+    to F32 write nothing but the result."""
+    if out is None:
+        out = np.empty(bits.shape, _BITS[target.itemsize])
     if source is target:
-        return bits.copy()
-    values = bits.view(_NUMPY_VIEW[DType.F64]) if source is DType.F64 else decode_f32(bits, source)
-    return encode_bits(values, target)
+        np.copyto(out, bits)
+    elif target is DType.F32:
+        decode_f32(bits, source, out.view(np.float32))
+    else:
+        values = bits.view(_NUMPY_VIEW[DType.F64]) if source is DType.F64 else decode_f32(bits, source)
+        encode_bits(values, target, out)
+    return out
 
 
 @dataclass(frozen=True)

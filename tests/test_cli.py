@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 
 from dimerge.cli import main
+from dimerge.presets import remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -172,6 +174,26 @@ class TestMergeCommand:
         a = load_checkpoint(tmp_path / "t4")
         b = load_checkpoint(tmp_path / "t1")
         assert checkpoint_digest(a) == checkpoint_digest(b)
+
+    def test_default_threads_follow_cpu_affinity(self, workspace, monkeypatch):
+        tmp_path, _, config_path = workspace
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["merge", "--config", str(config_path)]) == 0
+        report = json.loads((tmp_path / "merged.report.json").read_text())
+        assert report["config"]["threads"] == 1
+
+
+class TestRemapPresets:
+    def test_rules_per_family(self):
+        qwen = [("model.language_model.", "model."), ("language_model.", "")]
+        for family, anchor in (("llama", [("language_model.", "")]), ("qwen2", qwen), ("qwen3", qwen)):
+            assert remap_rules(family, "base") == []
+            assert remap_rules(family, "multilingual") == []
+            assert remap_rules(family, "anchor") == anchor
+
+    def test_returned_rules_are_copies(self):
+        remap_rules("qwen2", "anchor").clear()
+        assert remap_rules("qwen3", "anchor") == remap_rules("qwen2", "anchor") != []
 
 
 class TestDiagnoseCommand:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -199,6 +200,25 @@ class TestMergeCheckpoint:
         base, ml, anchor = make_triple(seed=11)
         merged, _ = merge_and_load(base, ml, anchor, MergeConfig(), threads=workers)
         assert checkpoint_digest(merged) == _fixture_digest()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["dim3", "ties"])
+    def test_info_log_has_one_line_per_merged_tensor(self, caplog, workers, method):
+        base, ml, anchor = make_triple(seed=12)
+        caplog.set_level(logging.INFO, logger="dimerge")
+        cfg = MergeConfig(method=method, scope=ScopeFilter.layers(0, 0)).validate()
+        _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
+        merged = {t.name for t in report.tensors if t.action == "merged"}
+        assert 0 < len(merged) < len(report.tensors)
+        # "merged n/N name: MB in s (MB/s)[, omega_ml mean w]"
+        lines = [r.getMessage().split() for r in caplog.records if r.name == "dimerge.merge"]
+        assert len(lines) == len(merged)
+        counts = [line[1].split("/") for line in lines]
+        assert sorted(int(n) for n, _ in counts) == list(range(1, len(merged) + 1))
+        assert {int(total) for _, total in counts} == {len(merged)}
+        assert {line[2].rstrip(":") for line in lines} == merged
+        assert all(("omega_ml" in line) == (method == "dim3") for line in lines)
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
     def test_dare_deterministic_across_workers(self):
         base, ml, anchor = make_triple(seed=11)

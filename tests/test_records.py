@@ -2,9 +2,28 @@ import numpy as np
 import pytest
 
 from dimerge.errors import FormatError, ShapeError
-from dimerge.records import DType, TensorRecord, bf16_bits_to_f32, f32_to_bf16_bits
+from dimerge.records import (DType, TensorRecord, bf16_bits_to_f32, decode_f32, encode_bits, f32_to_bf16_bits,
+                             recode_bits)
 
 import reference
+
+
+def bf16_edge_values() -> np.ndarray:
+    """Float32 values, shape (-1, 2), that exercise every bf16 rounding path."""
+    rng = np.random.default_rng(16)
+    patterns = [
+        rng.integers(0, 2**32, size=4000, dtype=np.uint64),
+        # rounding ties, and one either side, around every upper half
+        (rng.integers(0, 2**16, size=2000, dtype=np.uint64) << np.uint64(16))
+        | rng.choice(np.array([0x0000, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint64), size=2000),
+        # NaN payloads of either sign, including ones whose low bits would round up
+        (rng.integers(0, 2, size=2000, dtype=np.uint64) << np.uint64(31))
+        | np.uint64(0x7F800000) | rng.integers(1, 2**23, size=2000, dtype=np.uint64),
+        # inf, the largest finite values (which round to inf), zeros, subnormals
+        np.array([0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F7F7FFF, 0x7F7F8000,
+                  0x00000000, 0x80000000, 0x00000001, 0x00008000, 0x00018000, 0x807FFFFF], dtype=np.uint64),
+    ]
+    return np.concatenate(patterns).astype(np.uint32).view(np.float32).reshape(-1, 2)
 
 
 class TestBf16Codec:
@@ -33,24 +52,58 @@ class TestBf16Codec:
         assert np.all(np.isnan(bf16_bits_to_f32(f32_to_bf16_bits(x))))
 
     def test_matches_reference_bitwise(self):
-        rng = np.random.default_rng(16)
-        patterns = [
-            rng.integers(0, 2**32, size=4000, dtype=np.uint64),
-            # rounding ties, and one either side, around every upper half
-            (rng.integers(0, 2**16, size=2000, dtype=np.uint64) << np.uint64(16))
-            | rng.choice(np.array([0x0000, 0x7FFF, 0x8000, 0x8001, 0xFFFF], dtype=np.uint64), size=2000),
-            # NaN payloads of either sign, including ones whose low bits would round up
-            (rng.integers(0, 2, size=2000, dtype=np.uint64) << np.uint64(31))
-            | np.uint64(0x7F800000) | rng.integers(1, 2**23, size=2000, dtype=np.uint64),
-            # inf, the largest finite values (which round to inf), zeros, subnormals
-            np.array([0x7F800000, 0xFF800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x7F7F7FFF, 0x7F7F8000,
-                      0x00000000, 0x80000000, 0x00000001, 0x00008000, 0x00018000, 0x807FFFFF], dtype=np.uint64),
-        ]
-        values = np.concatenate(patterns).astype(np.uint32).view(np.float32).reshape(-1, 2)
+        values = bf16_edge_values()
         got = f32_to_bf16_bits(values)
         assert got.dtype == np.uint16
         assert got.shape == values.shape
         assert got.ravel().tolist() == reference.f32_to_bf16_bits(values)
+
+    def test_into_out_and_scratch_matches_reference(self):
+        """Rounding in a caller's scratch into a caller's (strided) output
+        overwrites whatever they held and gives the same bits."""
+        values = bf16_edge_values()
+        scratch = np.full(values.shape, 0xDEADBEEF, dtype=np.uint32)
+        wide = np.full((values.shape[0], 5), 0xBEEF, dtype=np.uint16)
+        out = wide[:, 1:4:2]
+        assert f32_to_bf16_bits(values, out, scratch) is out
+        assert out.ravel().tolist() == reference.f32_to_bf16_bits(values)
+        assert (wide[:, [0, 2, 4]] == 0xBEEF).all()
+
+
+class TestCodecsInto:
+    """``decode_f32``, ``encode_bits`` and ``recode_bits`` write into a given
+    array exactly what they return without one."""
+
+    @pytest.fixture
+    def values(self, rng):
+        values = rng.normal(scale=3.0, size=(6, 4)).astype(np.float32)
+        values[0, :2] = [np.inf, -np.inf]
+        return values
+
+    @pytest.mark.parametrize("dtype", list(DType))
+    def test_decode_into(self, values, dtype):
+        bits = TensorRecord.from_array("w", values, dtype=dtype).bits()[:, 1:]
+        out = np.full(bits.shape, np.nan, dtype=np.float32)
+        got = decode_f32(bits, dtype, out)
+        assert np.shares_memory(got, out)
+        np.testing.assert_array_equal(out.view(np.uint32), decode_f32(bits, dtype).view(np.uint32))
+
+    @pytest.mark.parametrize("dtype", list(DType))
+    def test_encode_into_a_strided_region(self, values, dtype):
+        wide = np.full((6, 7), 0x55, dtype=f"<u{dtype.itemsize}")
+        out = wide[:, :4]
+        scratch = np.full(values.shape, 0xFFFFFFFF, dtype=np.uint32)
+        assert encode_bits(values, dtype, out, scratch) is out
+        np.testing.assert_array_equal(out, encode_bits(values, dtype))
+        assert (wide[:, 4:] == 0x55).all()
+
+    @pytest.mark.parametrize("source", list(DType))
+    @pytest.mark.parametrize("target", list(DType))
+    def test_recode_into(self, values, source, target):
+        bits = TensorRecord.from_array("w", values, dtype=source).bits()
+        out = np.full(bits.shape, 0x77, dtype=f"<u{target.itemsize}")
+        recode_bits(bits, source, target, out)
+        np.testing.assert_array_equal(out, recode_bits(bits, source, target))
 
 
 class TestTensorRecord:

@@ -1,15 +1,21 @@
 """The streamed merge: memory bounded by one row block, outputs that do not
 depend on the block size, and the on-disk writer behind it."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dimerge
 import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
-from dimerge.merge import MergeConfig, merge_checkpoint
+from dimerge.align import align_triple
+from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
                            save_checkpoint)
@@ -168,3 +174,65 @@ def test_column_sums_do_not_depend_on_block_size():
         for r0 in range(0, 1100, rows):
             accumulate_column_sums(sums, base[r0:r0 + rows], ml[r0:r0 + rows], mm[r0:r0 + rows])
         np.testing.assert_array_equal(sums, whole)
+
+
+FAULT_PROBE = """
+import resource, sys
+from dimerge.merge import MergeConfig, merge_checkpoint
+from dimerge.store import load_checkpoint
+
+faults = []
+for root in sys.argv[1:]:
+    triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    merge_checkpoint(*triple, MergeConfig(), f"{root}/out")
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
+    """Minor page faults of a fresh process merging a mapped bf16 tensor,
+    then one with four times the rows (and row blocks): the row-block
+    buffers are reused, so the taller tensor adds a small fixed number of
+    faults, not a few pages per block for fresh temporaries. A fresh process,
+    because a long-lived one keeps a large heap that hides the churn."""
+    roots = []
+    for rows in (2048, 8192):
+        on_disk_triple(tmp_path / str(rows), {"w": (rows, 1024)}, seed=rows)
+        roots.append(str(tmp_path / str(rows)))
+    env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", FAULT_PROBE, *roots], env=env,
+                            capture_output=True, text=True, check=True)
+    short, tall = map(int, result.stdout.split())
+    assert tall - short < 3000, (short, tall)
+
+
+@pytest.mark.parametrize("dtype", [DType.F16, DType.F32, DType.BF16])
+@pytest.mark.parametrize("output_dtype", ["match_anchor", "f32"])
+def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, output_dtype):
+    """2D tensors that alternate wide and narrow, tall and short, cut into
+    row blocks with a partial last block, so that many blocks are smaller
+    than the buffers an earlier tensor grew; one tensor under anchor-overlap.
+    Merged by one, two and eight workers, in name order and reversed, every
+    tensor equals ``merge_tensor`` on its triple alone."""
+    monkeypatch.setattr(merge_module, "_BLOCK_ELEMENTS", 32 * TILE_ROWS)
+    shapes = {"a.wide_tall": (300, 24), "b.narrow_short": (70, 5), "c.wide_short": (90, 32),
+              "d.narrow_tall": (333, 3), "e.overlap": (150, 20), "f.vector": (40,), "g.narrow": (65, 2)}
+    base, ml, anchor = on_disk_triple(tmp_path, shapes, seed=11, dtype=dtype,
+                                      anchor_shapes={"e.overlap": (230, 24)})
+    cfg = MergeConfig(shape_policy="anchor-overlap", output_dtype=output_dtype)
+    triples, _ = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
+    alone = {t.name: merge_tensor(t, cfg).raw for t in triples}
+    reverse = Checkpoint.from_records(reversed(list(anchor.tensors.values())))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers' blocks finely
+    try:
+        for order in (anchor, reverse):
+            for threads in (1, 2, 8):
+                merged, _ = merge_and_load(base, ml, order, cfg, threads=threads)
+                assert merged.names() == order.names()
+                for name, raw in alone.items():
+                    assert merged[name].raw == raw, (name, threads)
+    finally:
+        sys.setswitchinterval(interval)
