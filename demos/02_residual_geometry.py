@@ -11,7 +11,7 @@ into those two effects, which is worth seeing once with numbers.
 
 import numpy as np
 
-from dimerge import column_deviations, cross_alignment, residual_identity_terms
+from dimerge import Checkpoint, TensorRecord, column_deviations, diagnose, residual_identity_terms
 
 rng = np.random.default_rng(1)
 
@@ -33,9 +33,16 @@ print("reorient   mm vs base:", np.round(dev.dir_mm, 4))
 # the stronger update (ml, scale 0.3) rotates columns further than mm
 
 # --- how aligned are the two updates with each other? -----------------------
-cos = cross_alignment(ml - base, mm - base)
+d_ml, d_mm = ml - base, mm - base
+cos = np.sum(d_ml * d_mm, axis=0) / (np.linalg.norm(d_ml, axis=0) * np.linalg.norm(d_mm, axis=0))
 print("\ncross-residual cosine per column:", np.round(cos, 4))
 print("(independent random updates hover near zero)")
+
+# diagnose reports the same cosines, averaged over columns, per (layer, module)
+name = "model.layers.0.self_attn.q_proj.weight"
+[row] = diagnose(*(Checkpoint.from_records([TensorRecord.from_array(name, W)]) for W in (base, ml, mm)))
+print(f"diagnose row ({row.layer}, {row.module}): cross_cos = {row.cross_cos:.4f}, "
+      f"column mean above = {cos.mean():.4f}")
 
 # --- the exact radial/angular split ------------------------------------------
 j = 0

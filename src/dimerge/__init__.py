@@ -20,14 +20,7 @@ from .errors import (
     ShapeError,
     ShardError,
 )
-from .geometry import (
-    ColumnDeviations,
-    HeterogeneityStats,
-    column_deviations,
-    cross_alignment,
-    residual_identity_terms,
-    tensor_stats,
-)
+from .geometry import ColumnDeviations, column_deviations, residual_identity_terms
 from .merge import MergeConfig, MergeReport, merge_checkpoint, merge_tensor
 from .records import DType, TensorRecord
 from .salience import (
@@ -59,7 +52,6 @@ __all__ = [
     "EstimatorKind",
     "FormatError",
     "HeatmapRow",
-    "HeterogeneityStats",
     "MergeConfig",
     "MergeReport",
     "ModuleKeySchema",
@@ -73,7 +65,6 @@ __all__ = [
     "aggregate_branches",
     "align_triple",
     "column_deviations",
-    "cross_alignment",
     "diagnose",
     "elementwise_salience",
     "estimate_salience",
@@ -88,6 +79,5 @@ __all__ = [
     "residual_identity_terms",
     "salience_pair",
     "save_checkpoint",
-    "tensor_stats",
     "unit_uniforms",
 ]

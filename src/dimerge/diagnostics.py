@@ -2,9 +2,10 @@
 residual norm, base-relative reorientation, and cross-residual alignment,
 exported as plot-ready tables.
 
-Raw values are exported; color normalization is left to the plotter. Keys
-without a parsable layer index (embeddings, output head, final norm) group
-under layer -1.
+Each tensor streams once over row blocks, through the merge's own first
+pass, so memory follows one row block. Raw values are exported; color
+normalization is left to the plotter. Keys without a parsable layer index
+(embeddings, output head, final norm) group under layer -1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 
 from .align import align_triple
 from .errors import ConfigError
-from .geometry import EPSILON_DEFAULT, tensor_stats
+from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
+from .merge import BlockBuffers, stream_column_sums
 from .scope import DEFAULT_LAYER_PATTERN, parse_layer_index
 from .store import Checkpoint, release_pages
 
@@ -87,8 +89,8 @@ class HeatmapRow:
     Group residual norms are the Frobenius norms of the concatenated group
     residual (root of the summed per-tensor squared norms), so squared row
     norms sum to the squared norm of the full backbone residual. Direction
-    and alignment columns are column-count-weighted means over the group's
-    2D tensors and are absent (NaN/null) for groups holding only 1D tensors.
+    and alignment columns are means over all columns of the group's 2D
+    tensors and are absent (NaN/null) for groups holding only 1D tensors.
     """
 
     layer: int
@@ -129,39 +131,26 @@ def diagnose(
         logger.warning("layer pattern %r captured no layer index; grouping all keys under layer -1",
                        schema.layer_pattern)
 
-    groups: dict[tuple[int, str], list] = {}
+    # per group: squared residual norms, column count, and the sums over
+    # columns of both reorientations and the cross cosine
+    groups: dict[tuple[int, str], np.ndarray] = {}
+    buffers = BlockBuffers()
     for triple in triples:
         layer = schema.layer_of(triple.name)
         key = (-1 if layer is None else layer, schema.label_of(triple.name))
-        stats = tensor_stats(triple, epsilon)
+        sums = stream_column_sums(triple, accumulate_residual_sums, 8, buffers)
         for rec in (triple.base, triple.ml, triple.mm):
             release_pages(rec)
-        columns = triple.shape[1] if triple.rank == 2 else 0
-        groups.setdefault(key, []).append((stats, columns))
+        terms = [sums[5].sum(), sums[6].sum(), 0.0, 0.0, 0.0, 0.0]
+        if triple.rank == 2:
+            dev = deviations_from_sums(sums[:5], epsilon)
+            terms[2:] = sums.shape[1], dev.dir_ml.sum(), dev.dir_mm.sum(), cross_cosines(sums, epsilon).sum()
+        groups[key] = groups.get(key, 0.0) + np.array(terms)
 
     rows = []
-    for (layer, module), members in groups.items():
-        sq_ml = sum(s.residual_norm_ml**2 for s, _ in members)
-        sq_mm = sum(s.residual_norm_mm**2 for s, _ in members)
-        dir_members = [(s, c) for s, c in members if s.mean_dir_dev_ml is not None]
-        if dir_members:
-            total_cols = sum(c for _, c in dir_members)
-            dd_ml = sum(s.mean_dir_dev_ml * c for s, c in dir_members) / total_cols
-            dd_mm = sum(s.mean_dir_dev_mm * c for s, c in dir_members) / total_cols
-            cross = sum(s.mean_cross_cosine * c for s, c in dir_members) / total_cols
-        else:
-            dd_ml = dd_mm = cross = None
-        rows.append(
-            HeatmapRow(
-                layer=layer,
-                module=module,
-                norm_ml=float(np.sqrt(sq_ml)),
-                norm_mm=float(np.sqrt(sq_mm)),
-                dirdev_ml=dd_ml,
-                dirdev_mm=dd_mm,
-                cross_cos=cross,
-            )
-        )
+    for (layer, module), (sq_ml, sq_mm, cols, dir_ml, dir_mm, cross) in groups.items():
+        dd_ml, dd_mm, cross = (float(v / cols) for v in (dir_ml, dir_mm, cross)) if cols else (None,) * 3
+        rows.append(HeatmapRow(layer, module, float(np.sqrt(sq_ml)), float(np.sqrt(sq_mm)), dd_ml, dd_mm, cross))
     rows.sort(key=lambda r: (r.layer, schema.label_order(r.module), r.module))
     return rows
 

@@ -14,12 +14,10 @@ storage precision of the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .align import AlignedTriple
 from .errors import NumericError, ShapeError
 
 EPSILON_DEFAULT = 1e-8
@@ -30,10 +28,6 @@ TILE_ROWS = 64
 
 def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", A, B, dtype=np.float64)
-
-
-def _column_norms(W: np.ndarray) -> np.ndarray:
-    return np.sqrt(_column_dots(W, W))
 
 
 def _guarded_cosine(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray, epsilon: float) -> np.ndarray:
@@ -91,6 +85,32 @@ def deviations_from_sums(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> 
     return ColumnDeviations(np.abs(norm_ml - norm_n), np.abs(norm_mm - norm_n), 1.0 - cos_ml, 1.0 - cos_mm)
 
 
+def accumulate_residual_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray) -> None:
+    """Add a row block's eight column reductions into ``sums``, shape (8, d_in).
+
+    Rows 0-4 are the five of :func:`accumulate_column_sums`; rows 5-7 are
+    |Δml|^2, |Δmm|^2 and <Δml, Δmm> of the residuals against the base, summed
+    over the same fixed tiles. ``ml`` and ``mm`` are overwritten with those
+    residuals. Summing the residuals themselves, rather than expanding them
+    into sums of the raw tensors, keeps their precision when they are small
+    beside the base.
+    """
+    accumulate_column_sums(sums[:5], base, ml, mm)
+    ml -= base
+    mm -= base
+    for t in range(0, base.shape[0], TILE_ROWS):
+        a, b = ml[t:t + TILE_ROWS], mm[t:t + TILE_ROWS]
+        sums[5] += _column_dots(a, a)
+        sums[6] += _column_dots(b, b)
+        sums[7] += _column_dots(a, b)
+
+
+def cross_cosines(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> np.ndarray:
+    """Per-column cosine between the two residuals, in [-1, 1], from the
+    eight column reductions. Near-zero residual columns report 0."""
+    return _guarded_cosine(sums[7], np.sqrt(sums[5]), np.sqrt(sums[6]), epsilon)
+
+
 def column_deviations(
     base: np.ndarray, ml: np.ndarray, mm: np.ndarray, epsilon: float = EPSILON_DEFAULT
 ) -> ColumnDeviations:
@@ -102,24 +122,6 @@ def column_deviations(
     sums = np.zeros((5, base.shape[1]))
     accumulate_column_sums(sums, base, ml, mm)
     return deviations_from_sums(sums, epsilon)
-
-
-def cross_alignment(
-    delta_ml: np.ndarray, delta_mm: np.ndarray, epsilon: float = EPSILON_DEFAULT
-) -> np.ndarray:
-    """Per-column cosine between the two source residuals, in [-1, 1].
-
-    Near-zero residual columns (norm below the stabilizer) report 0.
-    """
-    delta_ml = np.asarray(delta_ml)
-    delta_mm = np.asarray(delta_mm)
-    if delta_ml.shape != delta_mm.shape:
-        raise ShapeError(f"residual shapes differ: {delta_ml.shape} vs {delta_mm.shape}")
-    if delta_ml.ndim == 1:
-        delta_ml = delta_ml[:, None]
-        delta_mm = delta_mm[:, None]
-    dots = _column_dots(delta_ml, delta_mm)
-    return _guarded_cosine(dots, _column_norms(delta_ml), _column_norms(delta_mm), epsilon)
 
 
 def residual_identity_terms(col_k: np.ndarray, col_n: np.ndarray) -> tuple[float, float]:
@@ -145,36 +147,3 @@ def residual_identity_terms(col_k: np.ndarray, col_n: np.ndarray) -> tuple[float
         cos = float(np.einsum("i,i->", u, v, dtype=np.float64)) / (m_u * m_v)
     rhs = (m_u - m_v) ** 2 + 2.0 * m_u * m_v * (1.0 - cos)
     return lhs, rhs
-
-
-@dataclass(frozen=True)
-class HeterogeneityStats:
-    """Per-tensor residual diagnostics: norms, reorientation, alignment.
-
-    For 1D tensors the direction fields are absent and the cross cosine is
-    taken over the whole residual vectors.
-    """
-
-    residual_norm_ml: float
-    residual_norm_mm: float
-    mean_dir_dev_ml: float | None
-    mean_dir_dev_mm: float | None
-    mean_cross_cosine: float
-
-
-def tensor_stats(triple: AlignedTriple, epsilon: float = EPSILON_DEFAULT) -> HeterogeneityStats:
-    """Residual norms, mean reorientation, and cross-residual alignment for
-    one aligned parameter."""
-    base, ml, mm = triple.to_f32()
-    delta_ml = ml - base
-    delta_mm = mm - base
-
-    flat_ml, flat_mm = delta_ml.ravel(), delta_mm.ravel()
-    norm_ml = float(np.sqrt(np.einsum("i,i->", flat_ml, flat_ml, dtype=np.float64)))
-    norm_mm = float(np.sqrt(np.einsum("i,i->", flat_mm, flat_mm, dtype=np.float64)))
-
-    cross = float(cross_alignment(delta_ml, delta_mm, epsilon).mean())
-    if base.ndim == 1:
-        return HeterogeneityStats(norm_ml, norm_mm, None, None, cross)
-    dev = column_deviations(base, ml, mm, epsilon)
-    return HeterogeneityStats(norm_ml, norm_mm, float(dev.dir_ml.mean()), float(dev.dir_mm.mean()), cross)

@@ -187,7 +187,7 @@ def _block_rows(cols: int) -> int:
     return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
 
 
-class _Buffers(threading.local):
+class BlockBuffers(threading.local):
     """Scratch arrays for streamed row blocks, one set per thread.
 
     A slot keeps its memory for as long as the object lives and grows only
@@ -231,34 +231,47 @@ def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
     release_pages(rec, r0 * row_bytes, r1 * row_bytes)
 
 
-def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
-                   buffers: _Buffers) -> SalienceWeights:
-    """Two passes over row blocks of a 2D tensor, decoded from the stored
-    bits into ``buffers``: pass 1's three decode targets serve pass 2 as its
-    two decode targets (the first doubling as the encode's scratch once the
-    block is composed) and the encoded output. Input pages are released
-    block by block after their last read: the base's in pass 1, the two
-    sources' in pass 2."""
-    rows, cols = triple.shape
+def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
+                       buffers: BlockBuffers) -> np.ndarray:
+    """The ``count`` column sums that ``accumulate(sums, base, ml, mm)`` adds
+    for each row block of the aligned region, decoded from the stored bits
+    into ``buffers`` slots 0-2. A 1D tensor is one column, a scalar one row of
+    it. The base's pages are released block by block after their last read."""
+    rows, cols = (triple.shape + (1, 1))[:2]
     block = _block_rows(cols)
-    sources = [(triple.aligned_bits(rec), rec.dtype) for rec in (triple.base, triple.ml, triple.mm)]
-    sums = np.zeros((5, cols))
+    sources = [(triple.aligned_bits(rec).reshape(rows, cols), rec.dtype)
+               for rec in (triple.base, triple.ml, triple.mm)]
+    sums = np.zeros((count, cols))
     for r0 in range(0, rows, block):
         r1 = min(r0 + block, rows)
         blocks = (decode_f32(bits[r0:r1], dtype, buffers.take(slot, (r1 - r0, cols), np.float32))
                   for slot, (bits, dtype) in enumerate(sources))
-        accumulate_column_sums(sums, *blocks)
+        accumulate(sums, *blocks)
         _release_rows(triple.base, r0, r1)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
     for role, norms in zip(ROLES, sums[:3]):
         if not np.isfinite(norms).all():
             raise NumericError(f"{triple.name}: {role} tensor contains non-finite values")
+    return sums
+
+
+def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
+                   buffers: BlockBuffers) -> SalienceWeights:
+    """Two passes over row blocks of a 2D tensor in ``buffers``: pass 1
+    (:func:`stream_column_sums`) decodes into three slots, which serve pass 2
+    as its two decode targets (the first doubling as the encode's scratch
+    once the block is composed) and the encoded output. Input pages are
+    released block by block after their last read: the base's in pass 1, the
+    two sources' in pass 2."""
+    rows, cols = triple.shape
+    block = _block_rows(cols)
+    sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
 
     w_ml = weights.omega_ml.astype(np.float32)
-    _, (ml, ml_dtype), (mm, mm_dtype) = sources
     anchor = triple.mm
+    ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(anchor)
     out_bits = f"<u{out_dtype.itemsize}"
     for r0 in range(0, anchor.shape[0], block):
         r1 = min(r0 + block, anchor.shape[0])
@@ -266,8 +279,8 @@ def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, si
         if r0 < rows:
             # mm + w_ml * (ml - mm), computed in place
             shape = (min(r1, rows) - r0, cols)
-            mm_rows = decode_f32(mm[r0:r1], mm_dtype, buffers.take(0, shape, np.float32))
-            merged = decode_f32(ml[r0:r1], ml_dtype, buffers.take(1, shape, np.float32))
+            mm_rows = decode_f32(mm[r0:r1], anchor.dtype, buffers.take(0, shape, np.float32))
+            merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
             merged -= mm_rows
             merged *= w_ml
             merged += mm_rows
@@ -295,7 +308,7 @@ def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
     return anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
 
 
-def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: _Buffers) -> TensorMergeReport:
+def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: BlockBuffers) -> TensorMergeReport:
     """Merge one tensor and write it, at the anchor's shape, through ``sink``;
     a streamed tensor works in ``buffers``."""
     start = time.perf_counter()
@@ -335,7 +348,7 @@ def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     def sink(offset: int, bits: np.ndarray) -> None:
         payload[offset:offset + bits.nbytes] = bits.tobytes()
 
-    _merge_one(triple, cfg, sink, _Buffers())
+    _merge_one(triple, cfg, sink, BlockBuffers())
     return TensorRecord(name=triple.name, dtype=out_dtype, shape=triple.mm.shape, raw=bytes(payload))
 
 
@@ -380,7 +393,7 @@ def merge_checkpoint(
     names = anchor.names()
     to_merge = sum(n not in passthrough_reason for n in names)
     merged_so_far = itertools.count(1)
-    buffers = _Buffers()
+    buffers = BlockBuffers()
     specs = [(n, anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg), anchor[n].shape)
              for n in names]
     with CheckpointWriter(specs, path, shard_limit) as out:

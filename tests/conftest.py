@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dimerge.diagnostics import diagnose
 from dimerge.merge import merge_checkpoint
 from dimerge.records import DType, TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint
@@ -92,3 +93,12 @@ def merge_and_load(base, ml, anchor, cfg, threads=None):
         out = Path(tmp) / "merged"
         report = merge_checkpoint(base, ml, anchor, cfg, out, threads=threads)
         return load_checkpoint(out), report
+
+
+def one_tensor_row(base, ml, mm, **kwargs):
+    """The single row ``diagnose`` reports for three float32 checkpoints of
+    one tensor named "t" (no layer index: layer -1, module "other")."""
+    ckpts = [Checkpoint.from_records([TensorRecord.from_array("t", np.asarray(a, dtype=np.float32))])
+             for a in (base, ml, mm)]
+    [row] = diagnose(*ckpts, **kwargs)
+    return row

@@ -47,6 +47,21 @@ def column_cosine(u, v) -> float:
     return max(-1.0, min(1.0, dot / (nu * nv)))
 
 
+def cross_alignment(delta_ml, delta_mm, epsilon=1e-8):
+    """Per-column cosine between two residuals, in [-1, 1]; a 1D residual is
+    one column. A column whose norm falls below epsilon on either side
+    reports 0."""
+    a = np.asarray(delta_ml, dtype=np.float64)
+    b = np.asarray(delta_mm, dtype=np.float64)
+    if a.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    out = []
+    for j in range(a.shape[1]):
+        small = column_norm(a[:, j]) < epsilon or column_norm(b[:, j]) < epsilon
+        out.append(0.0 if small else column_cosine(a[:, j], b[:, j]))
+    return np.array(out)
+
+
 def merge_2d(base, ml, mm, epsilon=1e-8):
     """Full column pipeline in float64: decompose, deviate, rank, gate,
     average branches, compose. Returns (merged matrix, omega_ml per column)."""

@@ -16,7 +16,7 @@ from dimerge.errors import ConfigError
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint
 
-from conftest import LAYERS, make_triple
+from conftest import LAYERS, make_triple, one_tensor_row
 import reference
 
 
@@ -31,7 +31,7 @@ class TestDiagnose:
         rows = diagnose(base, base, anchor)
         assert rows and all(row.norm_ml == 0.0 for row in rows)
 
-    def test_single_tensor_group_matches_tensor_stats(self, rng):
+    def test_single_tensor_group_matches_reference(self, rng):
         W = rng.normal(size=(4, 4)).astype(np.float32)
         ml = W + 0.1 * rng.normal(size=(4, 4)).astype(np.float32)
         mm = W + 0.1 * rng.normal(size=(4, 4)).astype(np.float32)
@@ -43,18 +43,36 @@ class TestDiagnose:
         assert len(rows) == 1
         row = rows[0]
         assert (row.layer, row.module) == (0, "attn.q")
-        from dimerge.align import AlignedTriple
-        from dimerge.geometry import tensor_stats
+        b64, l64, m64 = (np.asarray(a, dtype=np.float32).astype(np.float64) for a in (W, ml, mm))
+        want_dd = np.mean([1.0 - reference.column_cosine(l64[:, j], b64[:, j]) for j in range(4)])
+        assert row.norm_ml == pytest.approx(np.linalg.norm(l64 - b64))
+        assert row.dirdev_ml == pytest.approx(want_dd)
+        assert row.cross_cos == pytest.approx(reference.cross_alignment(l64 - b64, m64 - b64).mean())
 
-        stats = tensor_stats(AlignedTriple(
-            name,
-            TensorRecord.from_array(name, W),
-            TensorRecord.from_array(name, ml),
-            TensorRecord.from_array(name, mm),
-        ))
-        assert row.norm_ml == pytest.approx(stats.residual_norm_ml)
-        assert row.dirdev_ml == pytest.approx(stats.mean_dir_dev_ml)
-        assert row.cross_cos == pytest.approx(stats.mean_cross_cosine)
+    def test_small_residuals_keep_float64_precision(self):
+        """Residuals 1e-4 the size of the base are summed directly, not
+        expanded from sums of the raw tensors, which would lose about eight
+        digits to cancellation."""
+        rng = np.random.default_rng(13)
+        base = rng.standard_normal((4096, 256), dtype=np.float32)
+        ml, mm = (base + np.float32(1e-4) * rng.standard_normal(base.shape, dtype=np.float32) for _ in range(2))
+        row = one_tensor_row(base, ml, mm)
+        b64, l64, m64 = (a.astype(np.float64) for a in (base, ml, mm))
+        d_ml, d_mm = l64 - b64, m64 - b64
+        want_cross = np.mean(np.sum(d_ml * d_mm, axis=0)
+                             / (np.linalg.norm(d_ml, axis=0) * np.linalg.norm(d_mm, axis=0)))
+        assert abs(row.norm_ml / np.linalg.norm(d_ml) - 1.0) <= 1e-9
+        assert abs(row.cross_cos - want_cross) <= 1e-9
+
+    def test_scalar_counts_in_the_norm_only(self):
+        name = "model.layers.0.mlp.down_proj.weight"
+        rows = diagnose(ckpt({name: [[1.0]], "model.layers.0.mlp.scale": 2.0}),
+                        ckpt({name: [[1.0]], "model.layers.0.mlp.scale": 5.0}),
+                        ckpt({name: [[3.0]], "model.layers.0.mlp.scale": 2.0}))
+        [down] = [r for r in rows if r.module == "mlp.down"]
+        [other] = [r for r in rows if r.module == "other"]
+        assert (down.norm_ml, down.norm_mm, down.cross_cos) == (0.0, 2.0, 0.0)
+        assert (other.norm_ml, other.norm_mm, other.dirdev_ml, other.cross_cos) == (3.0, 0.0, None, None)
 
     def test_rows_sorted_and_grouped(self, triple_f32):
         base, ml, anchor = triple_f32

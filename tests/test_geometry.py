@@ -1,17 +1,10 @@
 import numpy as np
 import pytest
 
-from dimerge.align import AlignedTriple
 from dimerge.errors import NumericError, ShapeError
-from dimerge.geometry import (
-    EPSILON_DEFAULT,
-    column_deviations,
-    cross_alignment,
-    residual_identity_terms,
-    tensor_stats,
-)
-from dimerge.records import TensorRecord
+from dimerge.geometry import EPSILON_DEFAULT, column_deviations, residual_identity_terms
 
+from conftest import one_tensor_row
 import reference
 
 
@@ -107,29 +100,41 @@ class TestDeviations:
 
 
 class TestCrossAlignment:
+    """The cross-residual cosine ``diagnose`` reports, on one-tensor
+    checkpoints whose residuals are exact in float32."""
+
     def test_equal_residuals(self):
         d = col(1.0, 2.0)
-        np.testing.assert_allclose(cross_alignment(d, d), [1.0])
+        assert one_tensor_row(0 * d, d, d).cross_cos == pytest.approx(1.0, abs=1e-12)
 
     def test_opposed_residuals(self):
         d = col(1.0, 2.0)
-        np.testing.assert_allclose(cross_alignment(d, -d), [-1.0])
+        assert one_tensor_row(0 * d, d, -d).cross_cos == pytest.approx(-1.0, abs=1e-12)
 
     def test_zero_residual_convention(self):
-        np.testing.assert_array_equal(cross_alignment(col(0.0, 0.0), col(1.0, 0.0)), [0.0])
+        base = col(0.5, 0.25)
+        assert one_tensor_row(base, base, base + col(1.0, 0.0)).cross_cos == 0.0
+        np.testing.assert_array_equal(reference.cross_alignment(col(0.0, 0.0), col(1.0, 0.0)), [0.0])
 
     def test_symmetry_and_scale_invariance(self, rng):
+        base = rng.normal(size=(10, 7))
         a = rng.normal(size=(10, 7))
         b = rng.normal(size=(10, 7))
-        np.testing.assert_array_equal(cross_alignment(a, b), cross_alignment(b, a))
-        scales = rng.uniform(0.1, 5.0, size=7)
-        np.testing.assert_allclose(cross_alignment(a * scales, b), cross_alignment(a, b), atol=1e-12)
+        assert one_tensor_row(base, a, b).cross_cos == one_tensor_row(base, b, a).cross_cos
+        # power-of-two column scales keep the float32 residuals exact
+        scales = 2.0 ** rng.integers(-3, 4, size=7)
+        zero = np.zeros((10, 7))
+        assert one_tensor_row(zero, a * scales, b).cross_cos == pytest.approx(
+            one_tensor_row(zero, a, b).cross_cos, abs=1e-12)
 
     def test_range(self, rng):
-        a = rng.normal(size=(4, 50))
-        b = rng.normal(size=(4, 50))
-        cos = cross_alignment(a, b)
+        a = rng.normal(size=(4, 50)).astype(np.float32)
+        b = rng.normal(size=(4, 50)).astype(np.float32)
+        cos = reference.cross_alignment(a, b)
         assert np.all(cos >= -1.0) and np.all(cos <= 1.0)
+        row = one_tensor_row(np.zeros((4, 50)), a, b)
+        assert -1.0 <= row.cross_cos <= 1.0
+        assert row.cross_cos == pytest.approx(cos.mean(), abs=1e-12)
 
 
 class TestResidualIdentity:
@@ -170,33 +175,27 @@ class TestResidualIdentity:
 
 
 class TestTensorStats:
-    def _triple(self, base, ml, mm):
-        return AlignedTriple(
-            "t",
-            TensorRecord.from_array("t", np.asarray(base, dtype=np.float32)),
-            TensorRecord.from_array("t", np.asarray(ml, dtype=np.float32)),
-            TensorRecord.from_array("t", np.asarray(mm, dtype=np.float32)),
-        )
+    """Per-tensor residual statistics: ``diagnose`` on one-tensor checkpoints."""
 
     def test_all_equal(self, rng):
         W = rng.normal(size=(5, 4)) + 1.0
-        stats = tensor_stats(self._triple(W, W, W))
-        assert stats.residual_norm_ml == 0.0
-        assert stats.residual_norm_mm == 0.0
-        assert stats.mean_dir_dev_ml == pytest.approx(0.0, abs=1e-6)
-        assert stats.mean_cross_cosine == 0.0  # zero residual columns report 0
+        row = one_tensor_row(W, W, W)
+        assert row.norm_ml == 0.0
+        assert row.norm_mm == 0.0
+        assert row.dirdev_ml == pytest.approx(0.0, abs=1e-6)
+        assert row.cross_cos == 0.0  # zero residual columns report 0
 
     def test_one_sided_residual(self, rng):
         W = rng.normal(size=(4, 4))
-        stats = tensor_stats(self._triple(W, W + 0.1 * np.eye(4), W))
-        assert stats.residual_norm_mm == 0.0
-        assert stats.residual_norm_ml == pytest.approx(0.2, rel=1e-5)
+        row = one_tensor_row(W, W + 0.1 * np.eye(4), W)
+        assert row.norm_mm == 0.0
+        assert row.norm_ml == pytest.approx(0.2, rel=1e-5)
 
     def test_matches_brute_force_on_4x4(self, rng):
         base = rng.normal(size=(4, 4)).astype(np.float32)
         ml = (base + 0.2 * rng.normal(size=(4, 4))).astype(np.float32)
         mm = (base + 0.2 * rng.normal(size=(4, 4))).astype(np.float32)
-        stats = tensor_stats(self._triple(base, ml, mm), epsilon=1e-8)
+        row = one_tensor_row(base, ml, mm, epsilon=1e-8)
 
         b64, l64, m64 = base.astype(np.float64), ml.astype(np.float64), mm.astype(np.float64)
         exp_norm_ml = np.linalg.norm(l64 - b64)
@@ -206,18 +205,18 @@ class TestTensorStats:
         cross = np.mean([
             reference.column_cosine((l64 - b64)[:, j], (m64 - b64)[:, j]) for j in range(4)
         ])
-        assert stats.residual_norm_ml == pytest.approx(exp_norm_ml, rel=1e-6)
-        assert stats.residual_norm_mm == pytest.approx(exp_norm_mm, rel=1e-6)
-        assert stats.mean_dir_dev_ml == pytest.approx(dd_ml, abs=1e-6)
-        assert stats.mean_dir_dev_mm == pytest.approx(dd_mm, abs=1e-6)
-        assert stats.mean_cross_cosine == pytest.approx(cross, abs=1e-6)
+        assert row.norm_ml == pytest.approx(exp_norm_ml, rel=1e-6)
+        assert row.norm_mm == pytest.approx(exp_norm_mm, rel=1e-6)
+        assert row.dirdev_ml == pytest.approx(dd_ml, abs=1e-6)
+        assert row.dirdev_mm == pytest.approx(dd_mm, abs=1e-6)
+        assert row.cross_cos == pytest.approx(cross, abs=1e-6)
 
     def test_rejects_non_finite(self):
         with pytest.raises(NumericError, match="^t: multilingual"):
-            tensor_stats(self._triple([[1.0], [2.0]], [[np.inf], [2.0]], [[1.0], [2.0]]))
+            one_tensor_row([[1.0], [2.0]], [[np.inf], [2.0]], [[1.0], [2.0]])
 
     def test_1d_reports_without_direction_fields(self):
-        stats = tensor_stats(self._triple([1.0, 2.0], [1.5, 2.0], [1.0, 2.5]))
-        assert stats.mean_dir_dev_ml is None
-        assert stats.residual_norm_ml == pytest.approx(0.5)
-        assert -1.0 <= stats.mean_cross_cosine <= 1.0
+        row = one_tensor_row([1.0, 2.0], [1.5, 2.0], [1.0, 2.5])
+        assert row.dirdev_ml is None and row.dirdev_mm is None and row.cross_cos is None
+        assert row.norm_ml == pytest.approx(0.5)
+        assert row.norm_mm == pytest.approx(0.5)

@@ -15,6 +15,7 @@ import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
 from dimerge.align import align_triple
+from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
@@ -61,6 +62,35 @@ def test_kernel_memory_is_one_row_block(tmp_path):
             tracemalloc.stop()
     assert peaks[0] < 6 * MIB
     assert peaks[1] <= 1.05 * peaks[0] + 64 * 1024, [p / MIB for p in peaks]
+
+
+def test_diagnose_memory_is_one_row_block(tmp_path):
+    """Python-side peak of ``diagnose`` on one mapped bf16 tensor: under the
+    merge's bound, and the same when the tensor has four times the rows."""
+    peaks = []
+    for rows in (1024, 4096):
+        triple = on_disk_triple(tmp_path / f"in{rows}", {"model.layers.0.mlp.up_proj.weight": (rows, 1024)},
+                                seed=rows)
+        tracemalloc.start()
+        try:
+            diagnose(*triple)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 * MIB
+    assert peaks[1] <= 1.05 * peaks[0] + 64 * 1024, [p / MIB for p in peaks]
+
+
+def test_diagnose_rows_do_not_depend_on_block_size(tmp_path, monkeypatch):
+    """Rows from row blocks of 1, 4 and 16 tiles, and from one block, are
+    bit-identical: a 2D and a 1D bf16 tensor taller than 16 tiles."""
+    rows = 16 * TILE_ROWS + 37
+    shapes = {"model.layers.0.mlp.down_proj.weight": (rows, 24), "model.layers.0.input_layernorm.weight": (rows,)}
+    triple = on_disk_triple(tmp_path, shapes, seed=12)
+    whole = diagnose(*triple)
+    for tiles in (1, 4, 16):
+        monkeypatch.setattr(merge_module, "_block_rows", lambda cols: tiles * TILE_ROWS)
+        assert diagnose(*triple) == whole, tiles
 
 
 @pytest.mark.parametrize("tiles", [1, 3])
