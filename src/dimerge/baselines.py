@@ -2,21 +2,27 @@
 
 All four methods operate on the two source residuals relative to the base
 tensor and honor the same scope filtering and anchor pass-through as the
-column-wise merge. Random drop masks come from a counter-based generator
-keyed by (seed, tensor-name hash, element index), so results are identical
-under any parallel schedule.
+column-wise merge. TIES and Breadcrumbs first find their top-k cuts over the
+whole residuals; then every method composes the merge one block of rows at
+a time, in place, applying the cuts in flat order. Random drop masks come
+from a counter-based generator keyed by (seed, tensor-name hash, element
+index), so results are identical under any parallel schedule and any block
+size.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .align import AlignedTriple
 from .errors import ConfigError
+
+logger = logging.getLogger(__name__)
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -80,87 +86,125 @@ def name_hash64(name: str) -> int:
     return int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def unit_uniforms(seed: int, name: str, n: int) -> np.ndarray:
-    """n uniforms in [0, 1), element i depending only on (seed, name, i)."""
+
+
+def unit_uniforms(seed: int, name: str, n: int, start: int = 0) -> np.ndarray:
+    """n uniforms in [0, 1), element i depending only on (seed, name,
+    start + i), so a stream drawn in pieces equals the stream drawn whole."""
     with np.errstate(over="ignore"):
         base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA) ^ np.uint64(name_hash64(name))
-        counters = base + (np.arange(1, n + 1, dtype=np.uint64)) * _GAMMA
+        counters = base + (np.arange(start + 1, start + n + 1, dtype=np.uint64)) * _GAMMA
         bits = _mix64(counters)
     return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
-# transforms and merges (array level)
+# top-k cuts
 # ---------------------------------------------------------------------------
 
 
-def deltas_f32(triple: AlignedTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(base, ml - base, mm - base) in float32; the residuals overwrite the
-    decoded source copies, so no extra tensor-sized array stays live."""
-    base, ml, mm = triple.to_f32()
-    ml -= base
-    mm -= base
-    return base, ml, mm
+def _count_equal(values: np.ndarray, x, flags: np.ndarray) -> int:
+    """Entries of the 1D ``values`` equal to ``x``, compared one chunk the
+    size of the bool scratch ``flags`` at a time."""
+    count = 0
+    for i in range(0, values.size, flags.size):
+        part = values[i:i + flags.size]
+        count += np.count_nonzero(np.equal(part, x, out=flags[:part.size]))
+    return count
 
 
-def task_arithmetic_values(base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, lam: float) -> np.ndarray:
-    """Sum of the two residuals added to the base, scaled by ``lam``."""
-    return base + np.float32(lam) * (delta_ml + delta_mm)
+class TopKCut:
+    """The ``keep`` largest of a score array as a cut: the scores above
+    ``threshold``, then the first ``ties`` scores equal to it in flat order
+    (threshold ties go to lower flat indices).
 
+    Finding the cut partitions the scores in place, so it takes linear time
+    and no copy; ``flags`` is contiguous bool scratch of any size.
+    :meth:`select` then marks what the cut admits one block at a time, the
+    blocks coming in flat order.
+    """
 
-def dare_values(delta: np.ndarray, p: float, seed: int, tensor_name: str) -> np.ndarray:
-    """Drop each element with probability ``p`` and rescale survivors by
-    ``1/(1-p)``. The mask is keyed by (seed, tensor_name, element index)."""
-    if not (0.0 <= p < 1.0):
-        raise ConfigError(f"drop probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return delta.copy()
-    u = unit_uniforms(seed, tensor_name, delta.size).reshape(delta.shape)
-    keep = u >= p
-    return np.where(keep, delta / np.float32(1.0 - p), np.float32(0.0)).astype(delta.dtype, copy=False)
+    def __init__(self, scores: np.ndarray, keep: int, flags: np.ndarray):
+        flat = scores.reshape(-1)
+        n = flat.size
+        self.keep = min(max(keep, 0), n)
+        self.threshold = np.inf
+        self.ties = 0
+        self.admitted = 0   # ties admitted by the blocks selected so far
+        if self.keep:
+            flat.partition(n - self.keep)
+            top = flat[n - self.keep:]
+            self.threshold = top[0]
+            self.ties = _count_equal(top, self.threshold, flags.reshape(-1))
+
+    def select(self, scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Mark in ``out`` (contiguous bool, of the scores' shape) the scores
+        of the next block that the cut admits."""
+        ties = None
+        if self.admitted < self.ties:
+            ties = np.flatnonzero(np.equal(scores, self.threshold, out=out))[:self.ties - self.admitted]
+            self.admitted += ties.size
+        np.greater(scores, self.threshold, out=out)
+        if ties is not None:
+            out.reshape(-1)[ties] = True
+        return out
+
+    def __str__(self) -> str:
+        return f"keep {self.keep}, threshold {self.threshold:.6g}, {self.ties} ties admitted"
 
 
 def _top_k_mask(scores: np.ndarray, keep: int) -> np.ndarray:
     """Mask of the ``keep`` largest scores; threshold ties go to lower flat
-    indices. One partition finds the threshold, so the cost is linear."""
-    flat = scores.ravel()
-    n = flat.size
-    if keep <= 0:
-        return np.zeros(scores.shape, dtype=bool)
-    if keep >= n:
-        return np.ones(scores.shape, dtype=bool)
-    threshold = np.partition(flat, n - keep)[n - keep]
-    mask = flat > threshold
-    at = np.flatnonzero(flat == threshold)
-    mask[at[: keep - np.count_nonzero(mask)]] = True
-    return mask.reshape(scores.shape)
+    indices."""
+    out = np.empty(scores.shape, dtype=bool)
+    return TopKCut(scores.copy(), keep, out).select(scores, out)
 
 
-def ties_merge_values(
-    base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, density: float, lam: float
-) -> np.ndarray:
-    """Trim small updates per source, elect a sign per coordinate from the
-    kept mass (ties elect positive), and average the agreeing residuals."""
-    if not (0.0 < density <= 1.0):
-        raise ConfigError(f"density must be in (0, 1], got {density}")
-    keep = math.ceil(density * base.size)
-    t_ml = delta_ml * _top_k_mask(np.abs(delta_ml), keep)
-    t_mm = delta_mm * _top_k_mask(np.abs(delta_mm), keep)
+# ---------------------------------------------------------------------------
+# block transforms: in place on a block of rows of the residuals
+# ---------------------------------------------------------------------------
+
+
+def _task_arithmetic_block(base: np.ndarray, d_ml: np.ndarray, d_mm: np.ndarray, lam: float) -> np.ndarray:
+    """``base + lam * (d_ml + d_mm)``, in place in ``d_ml``."""
+    d_ml += d_mm
+    d_ml *= np.float32(lam)
+    d_ml += base
+    return d_ml
+
+
+def _dare_block(delta: np.ndarray, p: float, seed: int, name: str, start: int) -> np.ndarray:
+    """Drop each entry with probability ``p`` and rescale the survivors by
+    ``1/(1-p)``, in place; entry i draws uniform ``start + i`` of (seed, name)."""
+    if not (0.0 <= p < 1.0):
+        raise ConfigError(f"drop probability must be in [0, 1), got {p}")
+    if p:
+        drop = unit_uniforms(seed, name, delta.size, start).reshape(delta.shape) < p
+        delta /= np.float32(1.0 - p)
+        np.copyto(delta, delta.dtype.type(0), where=drop)
+    return delta
+
+
+def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float,
+                sign: np.ndarray, count: np.ndarray, agree: np.ndarray) -> np.ndarray:
+    """Elect a sign per coordinate from the trimmed residuals' mass (ties
+    elect positive) and average the agreeing residuals, in place in ``t_ml``.
+    ``sign`` and ``count`` are float32 and ``agree`` bool scratch of the
+    block's shape."""
     # elected sign: -1 where the kept mass is negative, else +1
-    sign = np.less(t_ml + t_mm, 0.0).astype(np.float32)
+    np.less(np.add(t_ml, t_mm, out=sign), 0.0, out=agree)
+    np.copyto(sign, agree)
     sign *= np.float32(-2.0)
     sign += np.float32(1.0)
-    # in place from here: flipping by the elected sign (exact) makes the
-    # agreeing entries the positive ones; the rest, zeros included, drop out
+    # flipping by the elected sign (exact) makes the agreeing entries the
+    # positive ones; the rest, zeros included, drop out
     t_ml *= sign
     t_mm *= sign
-    agree_ml = t_ml > 0.0
-    agree_mm = t_mm > 0.0
-    t_ml *= agree_ml
-    t_mm *= agree_mm
+    t_ml *= np.greater(t_ml, 0.0, out=agree)
+    np.copyto(count, agree)
+    t_mm *= np.greater(t_mm, 0.0, out=agree)
+    count += agree
     t_ml += t_mm
-    count = agree_ml.astype(np.float32)
-    count += agree_mm
     np.maximum(count, np.float32(1.0), out=count)
     t_ml /= count
     t_ml *= sign
@@ -170,18 +214,116 @@ def ties_merge_values(
     return t_ml
 
 
-def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:
-    """Zero the bottom ``beta`` and top ``gamma`` fractions of entries by
-    absolute value; threshold ties are dropped at lower flat indices first."""
-    if beta < 0 or gamma < 0 or beta + gamma >= 1.0:
-        raise ConfigError(f"need beta, gamma >= 0 with beta + gamma < 1, got {beta}, {gamma}")
+def _breadcrumbs_scores(delta: np.ndarray, bottom: TopKCut, scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Score a block for the top cut into ``scores``: |delta|, and -1 (below
+    every |delta|) for the entries the bottom cut drops, which ``mask``
+    marks. So the top cut sees only survivors (int(beta*n) + int(gamma*n) <= n)."""
+    np.negative(np.abs(delta, out=scores), out=scores)
+    bottom.select(scores, mask)
+    np.negative(scores, out=scores)
+    np.copyto(scores, scores.dtype.type(-1), where=mask)
+    return mask
+
+
+def _breadcrumbs_cuts(delta: np.ndarray, beta: float, gamma: float, scores: np.ndarray,
+                      flags: np.ndarray) -> tuple[TopKCut, TopKCut]:
+    """The bottom cut (``beta`` of the entries, smallest |delta| first) and
+    the top cut (``gamma``, of the survivors) of a residual of rows, scored
+    into ``scores`` (of its shape) and ``flags`` (bool rows) a block at a time."""
     n = delta.size
-    magnitude = np.abs(delta)
-    bottom = _top_k_mask(-magnitude, int(beta * n))
-    # dropped entries score -1, below every |delta|, so the top cut sees
-    # only survivors (int(beta*n) + int(gamma*n) <= n)
-    top = _top_k_mask(np.where(bottom, np.float32(-1.0), magnitude), int(gamma * n))
-    return np.where(bottom | top, delta.dtype.type(0), delta)
+    bottom = TopKCut(np.negative(np.abs(delta, out=scores), out=scores), int(beta * n), flags)
+    for r0 in range(0, len(delta), len(flags)):
+        r1 = min(r0 + len(flags), len(delta))
+        _breadcrumbs_scores(delta[r0:r1], bottom, scores[r0:r1], flags[:r1 - r0])
+    top = TopKCut(scores, int(gamma * n), flags)
+    bottom.admitted = 0   # the compose pass selects the bottom cut again
+    return bottom, top
+
+
+def _breadcrumbs_block(delta: np.ndarray, bottom: TopKCut, top: TopKCut, scores: np.ndarray,
+                       mask: np.ndarray) -> np.ndarray:
+    """Zero, in place, the entries of a block that either cut drops."""
+    np.copyto(delta, delta.dtype.type(0), where=_breadcrumbs_scores(delta, bottom, scores, mask))
+    np.copyto(delta, delta.dtype.type(0), where=top.select(scores, mask))
+    return delta
+
+
+def _as_rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(a.shape[0] if a.ndim else 1, -1)
+
+
+# ---------------------------------------------------------------------------
+# methods: cut the whole residuals, then compose block by block
+# ---------------------------------------------------------------------------
+
+# slots of the caller's scratch that the methods take (0-2 are left to the
+# caller's decoded tensors)
+_SCORES, _FLAGS, _SIGN, _COUNT = 3, 4, 5, 6
+# merges the block of rows from row r0, given those rows of base, d_ml, d_mm
+Compose = Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+
+
+def _log_cuts(name: str, cuts: dict[str, TopKCut]) -> None:
+    logger.debug("%s: top-k cut done: %s", name, "; ".join(f"{label} {cut}" for label, cut in cuts.items()))
+
+
+def _plan_task_arithmetic(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
+    return lambda r0, base, d_ml, d_mm: _task_arithmetic_block(base, d_ml, d_mm, params.lam)
+
+
+def _plan_dare(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
+    def compose(r0, base, d_ml, d_mm):
+        for delta, source in ((d_ml, "ml:"), (d_mm, "mm:")):
+            _dare_block(delta, params.dare_drop_p, seed, source + name, r0 * ml.shape[1])
+        return _task_arithmetic_block(base, d_ml, d_mm, params.lam)
+
+    return compose
+
+
+def _plan_ties(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
+    keep = math.ceil(params.ties_density * ml.size)
+    scores = take(_SCORES, ml.shape, ml.dtype)
+    flags = take(_FLAGS, (block, ml.shape[1]), bool)
+    cuts = [TopKCut(np.abs(delta, out=scores), keep, flags) for delta in (ml, mm)]
+    _log_cuts(name, dict(zip(("ml", "mm"), cuts)))
+    sign, count = (take(slot, flags.shape, np.float32) for slot in (_SIGN, _COUNT))
+
+    def compose(r0, base, t_ml, t_mm):
+        rows = len(base)
+        for delta, cut in zip((t_ml, t_mm), cuts):
+            delta *= cut.select(np.abs(delta, out=scores[r0:r0 + rows]), flags[:rows])
+        return _ties_block(base, t_ml, t_mm, params.lam, sign[:rows], count[:rows], flags[:rows])
+
+    return compose
+
+
+def _plan_breadcrumbs(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
+    scores = take(_SCORES, ml.shape, ml.dtype)
+    flags = take(_FLAGS, (block, ml.shape[1]), bool)
+    cuts = [_breadcrumbs_cuts(delta, params.breadcrumbs_beta, params.breadcrumbs_gamma, scores, flags)
+            for delta in (ml, mm)]
+    _log_cuts(name, {f"{source} {end}": cut for source, pair in zip(("ml", "mm"), cuts)
+                     for end, cut in zip(("bottom", "top"), pair)})
+
+    def compose(r0, base, d_ml, d_mm):
+        rows = len(base)
+        for delta, (bottom, top) in zip((d_ml, d_mm), cuts):
+            _breadcrumbs_block(delta, bottom, top, scores[r0:r0 + rows], flags[:rows])
+        return _task_arithmetic_block(base, d_ml, d_mm, params.lam)
+
+    return compose
+
+
+_PLANS = {
+    "task_arithmetic": _plan_task_arithmetic,
+    "dare": _plan_dare,
+    "ties": _plan_ties,
+    "breadcrumbs": _plan_breadcrumbs,
+}
+
+
+def _fresh(slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
+    return np.empty(shape, dtype)
 
 
 def merge_baseline_values(
@@ -192,22 +334,75 @@ def merge_baseline_values(
     params: BaselineParams,
     seed: int,
     tensor_name: str,
-) -> np.ndarray:
-    """Dispatch one tensor through a baseline method, returning f32 values.
+    emit: Callable[[int, int, np.ndarray], None] | None = None,
+    take: Callable[..., np.ndarray] | None = None,
+    block_rows: int | None = None,
+) -> np.ndarray | None:
+    """Merge one tensor's residuals by a baseline method, in float32.
+
+    Without ``emit``, returns the merged array and leaves the inputs as they
+    were. With it, the residuals (contiguous) are consumed: TIES and
+    Breadcrumbs first cut them whole, then rows ``r0:r1`` of the merge,
+    ``block_rows`` at a time (all at once by default), are composed in place
+    in ``delta_ml`` and handed in order to ``emit(r0, r1, values)``. Scratch
+    comes from ``take(slot, shape, dtype)`` (as
+    :meth:`~dimerge.merge.BlockBuffers.take`; slots 3-6) or is fresh.
 
     DARE masks are keyed by source-qualified names so the two residuals get
     independent drop patterns.
     """
-    if method == "task_arithmetic":
-        return task_arithmetic_values(base, delta_ml, delta_mm, params.lam)
-    if method == "dare":
-        d_ml = dare_values(delta_ml, params.dare_drop_p, seed, "ml:" + tensor_name)
-        d_mm = dare_values(delta_mm, params.dare_drop_p, seed, "mm:" + tensor_name)
-        return task_arithmetic_values(base, d_ml, d_mm, params.lam)
-    if method == "ties":
-        return ties_merge_values(base, delta_ml, delta_mm, params.ties_density, params.lam)
-    if method == "breadcrumbs":
-        d_ml = breadcrumbs_values(delta_ml, params.breadcrumbs_beta, params.breadcrumbs_gamma)
-        d_mm = breadcrumbs_values(delta_mm, params.breadcrumbs_beta, params.breadcrumbs_gamma)
-        return task_arithmetic_values(base, d_ml, d_mm, params.lam)
-    raise ConfigError(f"unknown baseline method {method!r}")
+    plan = _PLANS.get(method)
+    if plan is None:
+        raise ConfigError(f"unknown baseline method {method!r}")
+    shape = base.shape
+    if emit is None:
+        merged = []
+        merge_baseline_values(method, base, delta_ml.copy(), delta_mm.copy(), params, seed, tensor_name,
+                              lambda r0, r1, values: merged.append(values))
+        return merged[0].reshape(shape)
+    base, delta_ml, delta_mm = (_as_rows(a) for a in (base, delta_ml, delta_mm))
+    rows = len(base)
+    block = min(block_rows or rows, rows)
+    compose = plan(delta_ml, delta_mm, params, seed, tensor_name, take or _fresh, block)
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        values = compose(r0, base[r0:r1], delta_ml[r0:r1], delta_mm[r0:r1])
+        emit(r0, r1, values.reshape((r1 - r0,) + shape[1:]))
+    return None
+
+
+# ---------------------------------------------------------------------------
+# whole-array entry points: the cuts and block transforms on one block
+# ---------------------------------------------------------------------------
+
+
+def task_arithmetic_values(base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, lam: float) -> np.ndarray:
+    """Sum of the two residuals added to the base, scaled by ``lam``."""
+    return _task_arithmetic_block(base, delta_ml.copy(), delta_mm, lam)
+
+
+def dare_values(delta: np.ndarray, p: float, seed: int, tensor_name: str) -> np.ndarray:
+    """Drop each element with probability ``p`` and rescale survivors by
+    ``1/(1-p)``. The mask is keyed by (seed, tensor_name, element index)."""
+    return _dare_block(delta.copy(), p, seed, tensor_name, 0)
+
+
+def ties_merge_values(
+    base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, density: float, lam: float
+) -> np.ndarray:
+    """Trim small updates per source, elect a sign per coordinate from the
+    kept mass (ties elect positive), and average the agreeing residuals."""
+    return merge_baseline_values("ties", base, delta_ml, delta_mm, BaselineParams(ties_density=density, lam=lam),
+                                 0, "")
+
+
+def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:
+    """Zero the bottom ``beta`` and top ``gamma`` fractions of entries by
+    absolute value; threshold ties are dropped at lower flat indices first."""
+    if beta < 0 or gamma < 0 or beta + gamma >= 1.0:
+        raise ConfigError(f"need beta, gamma >= 0 with beta + gamma < 1, got {beta}, {gamma}")
+    out = delta.copy()
+    rows = _as_rows(out)
+    scores, flags = np.empty_like(rows), np.empty(rows.shape, bool)
+    _breadcrumbs_block(rows, *_breadcrumbs_cuts(rows, beta, gamma, scores, flags), scores, flags)
+    return out

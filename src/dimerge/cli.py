@@ -28,7 +28,7 @@ from .errors import ConfigError, DimergeError
 from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
 from .presets import module_schema, remap_rules
-from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys
+from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_files
 
 logger = logging.getLogger("dimerge")
 
@@ -199,20 +199,19 @@ def _resolve_schema(section: dict) -> ModuleKeySchema:
 def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
     config = apply_overrides(load_config(config_path), overrides)
     section = config.get("diagnose", {})
+    exports = [(export, section[key]) for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
+               if section.get(key)]
+    if not exports:
+        raise ConfigError("diagnose config needs csv_path and/or json_path",
+                          error_class="config.missing_path")
     base, ml, anchor = _load_inputs(config)
     schema = _resolve_schema(section)
     rows = diagnose(base, ml, anchor, schema, epsilon=float(section.get("epsilon", EPSILON_DEFAULT)))
-    wrote = []
-    if section.get("csv_path"):
-        export_csv(rows, section["csv_path"])
-        wrote.append(section["csv_path"])
-    if section.get("json_path"):
-        export_json(rows, section["json_path"])
-        wrote.append(section["json_path"])
-    if not wrote:
-        raise ConfigError("diagnose config needs csv_path and/or json_path",
-                          error_class="config.missing_path")
-    print(f"wrote {len(rows)} rows -> {', '.join(map(str, wrote))}")
+    # both tables appear together or neither replaces an earlier one
+    with staged_files() as stage:
+        for export, path in exports:
+            export(rows, stage(path))
+    print(f"wrote {len(rows)} rows -> {', '.join(str(path) for _, path in exports)}")
     return 0
 
 

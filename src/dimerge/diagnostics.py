@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
 from .merge import BlockBuffers, stream_column_sums
 from .scope import DEFAULT_LAYER_PATTERN, parse_layer_index
-from .store import Checkpoint, release_pages
+from .store import Checkpoint, release_pages, staged_files
 
 logger = logging.getLogger(__name__)
 
@@ -160,10 +160,11 @@ def _fmt(value: float | None) -> str:
 
 
 def export_csv(rows: list[HeatmapRow], path) -> None:
-    """Write rows as CSV with the fixed header, 9 significant digits."""
+    """Write rows as CSV with the fixed header, 9 significant digits. The
+    file is staged and renamed into place once complete."""
     if not rows:
         raise ConfigError("no rows to export")
-    with open(path, "w", newline="") as fh:
+    with staged_files() as stage, open(stage(path), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for row in rows:
@@ -174,9 +175,10 @@ def export_csv(rows: list[HeatmapRow], path) -> None:
 
 
 def export_json(rows: list[HeatmapRow], path) -> None:
-    """Write rows as a JSON array of objects with the CSV field names."""
+    """Write rows as a JSON array of objects with the CSV field names. The
+    file is staged and renamed into place once complete."""
     if not rows:
         raise ConfigError("no rows to export")
-    with open(path, "w") as fh:
+    with staged_files() as stage, open(stage(path), "w") as fh:
         json.dump([row.to_dict() for row in rows], fh, indent=2)
         fh.write("\n")

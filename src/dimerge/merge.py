@@ -17,8 +17,11 @@ A 2D dim3 tensor streams: one pass over row blocks accumulates the column
 reductions the weights need, a second composes each block and writes it to
 its place in the output file. Memory then follows one row block, not the
 tensor or the model: each worker decodes, composes and encodes its blocks in
-the same few arrays for the whole merge. 1D tensors and the baseline methods
-(TIES and Breadcrumbs need a global top-k) work on the whole tensor.
+the same few arrays for the whole merge. The baseline methods decode each
+tensor's residuals once, block by block, into tensor-sized arrays that the
+worker also keeps (TIES and Breadcrumbs cut a global top-k from them), then
+compose, encode and write row block by row block as dim3 does. 1D dim3
+tensors work on the whole tensor.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .align import ROLES, AlignedTriple, align_triple
-from .baselines import BaselineParams, deltas_f32, merge_baseline_values
+from .baselines import BaselineParams, merge_baseline_values
 from .errors import ConfigError, NumericError
 from .geometry import (
     EPSILON_DEFAULT,
@@ -267,6 +270,7 @@ def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, si
     rows, cols = triple.shape
     block = _block_rows(cols)
     sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
+    logger.debug("%s: pass 1 done: column sums", triple.name)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
 
     w_ml = weights.omega_ml.astype(np.float32)
@@ -292,16 +296,67 @@ def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, si
     return weights
 
 
-def _merge_values(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights | None]:
-    """Whole-tensor merge of the aligned region: 1D dim3 and every baseline."""
-    if cfg.method == "dim3":
-        base, ml, mm = triple.to_f32()
-        dev_ml = np.abs(ml.astype(np.float64) - base)
-        dev_mm = np.abs(mm.astype(np.float64) - base)
-        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
-        return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
-    base, d_ml, d_mm = deltas_f32(triple)
-    return merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name), None
+def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.ndarray]:
+    """The aligned region of (base, ml - base, mm - base) in float32, in
+    ``buffers`` slots 0-2, decoded one row block at a time. Each decoded
+    block is checked for non-finite values, role by role in order; the base's
+    and ml's pages are released block by block after their last read."""
+    rows, cols = (triple.shape + (1, 1))[:2]
+    block = _block_rows(cols)
+    arrays: list[np.ndarray] = []
+    for slot, (role, rec) in enumerate(zip(ROLES, (triple.base, triple.ml, triple.mm))):
+        bits = triple.aligned_bits(rec).reshape(rows, cols)
+        values = buffers.take(slot, (rows, cols), np.float32)
+        for r0 in range(0, rows, block):
+            part = decode_f32(bits[r0:r0 + block], rec.dtype, values[r0:r0 + block])
+            # a NaN propagates through min and max; an infinity is one of them
+            if not (np.isfinite(part.min()) and np.isfinite(part.max())):
+                raise NumericError(f"{triple.name}: {role} tensor contains non-finite values")
+            if arrays:
+                part -= arrays[0][r0:r0 + block]
+            if rec is not triple.mm:
+                _release_rows(rec, r0, r0 + block)
+        arrays.append(values)
+    return [a.reshape(triple.shape) for a in arrays]
+
+
+def _baseline_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
+                       buffers: BlockBuffers) -> None:
+    """A baseline merge of one tensor in ``buffers``: the residuals decoded
+    once (:func:`_decode_residuals`), then cut and composed by
+    :func:`~dimerge.baselines.merge_baseline_values` (slots 3-6), which hands
+    over row blocks to encode (into slots 7 and 8) and write; the anchor's
+    own rows below the aligned region follow. The anchor's pages are released
+    block by block once written."""
+    base, d_ml, d_mm = _decode_residuals(triple, buffers)
+    logger.debug("%s: pass 1 done: residuals decoded", triple.name)
+    anchor = triple.mm
+    out_bits = f"<u{out_dtype.itemsize}"
+
+    def emit(r0: int, r1: int, values: np.ndarray | None) -> None:
+        out = buffers.take(7, (r1 - r0,) + anchor.shape[1:], out_bits)
+        scratch = None
+        if values is not None and out_dtype is DType.BF16:
+            scratch = buffers.take(8, values.shape, np.uint32)
+        _write_rows(sink, anchor, out_dtype, r0, r1, values, out, scratch)
+        _release_rows(anchor, r0, r1)
+
+    block = _block_rows(prod(triple.shape[1:]))
+    merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name,
+                          emit, buffers.take, block)
+    rows, anchor_rows = (triple.shape or (1,))[0], (anchor.shape or (1,))[0]
+    for r0 in range(rows, anchor_rows, block):
+        emit(r0, min(r0 + block, anchor_rows), None)
+
+
+def _dim3_elementwise(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights]:
+    """Whole-tensor dim3 merge of a 1D (or scalar) aligned region."""
+    base, ml, mm = triple.to_f32()
+    dev_ml = np.abs(ml.astype(np.float64) - base)
+    dev_mm = np.abs(mm.astype(np.float64) - base)
+    weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
+    logger.debug("%s: pass 1 done: element weights", triple.name)
+    return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
 
 
 def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
@@ -314,10 +369,13 @@ def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: Blo
     start = time.perf_counter()
     anchor = triple.mm
     out_dtype = _out_dtype(anchor, cfg)
-    if cfg.method == "dim3" and triple.rank == 2:
+    weights = None
+    if cfg.method != "dim3":
+        _baseline_streamed(triple, cfg, out_dtype, sink, buffers)
+    elif triple.rank == 2:
         weights = _dim3_streamed(triple, cfg, out_dtype, sink, buffers)
     else:
-        values, weights = _merge_values(triple, cfg)
+        values, weights = _dim3_elementwise(triple, cfg)
         if values.shape == anchor.shape:
             sink(0, encode_bits(values, out_dtype))
         else:
@@ -374,6 +432,7 @@ def merge_checkpoint(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )
     by_name = {t.name: t for t in triples}
+    logger.debug("alignment done: %d aligned, %d passed through", len(triples), len(alignment.pass_through))
 
     start = time.perf_counter()
     passthrough_reason = {}
@@ -417,6 +476,7 @@ def merge_checkpoint(
                 entries = list(pool.map(handle, names))
         else:
             entries = [handle(n) for n in names]
+    logger.debug("writer committed %s: %d files", path, len(out.paths))
 
     report = MergeReport(config=cfg.to_dict(), alignment=alignment.to_dict())
     omega_means = []

@@ -16,6 +16,7 @@ its files into place only once they are complete.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import mmap
@@ -24,10 +25,11 @@ import secrets
 import struct
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,6 +190,51 @@ def _stage(path: Path) -> tuple[Path, int]:
     that no reader globs for; returns its name and an open descriptor."""
     staged = path.with_name(f".{path.name}.{secrets.token_hex(8)}.partial")
     return staged, os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _commit(staged: Sequence[Path], targets: Sequence[Path], commit: bool) -> None:
+    """Rename each staged file onto its target, in order, or, if ``commit``
+    is false or a rename fails, delete what is left."""
+    try:
+        if commit:
+            for tmp, final in zip(staged, targets):
+                os.replace(tmp, final)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
+@contextmanager
+def staged_files() -> Iterator[Callable[[str | Path], Path]]:
+    """Write several files so that none replaces its target before all are
+    written.
+
+    ``stage(path)`` creates an empty hidden file beside ``path`` and returns
+    its name, to be written in place of ``path``. When the ``with`` block
+    exits cleanly every staged file is renamed onto its target; on an
+    exception all of them are deleted and the targets are left as they were.
+    A target that is a directory is refused when it is staged, since the
+    rename onto it would fail only after the others had been made.
+    """
+    staged: list[Path] = []
+    targets: list[Path] = []
+
+    def stage(path: str | Path) -> Path:
+        path = Path(path)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
+        tmp, fd = _stage(path)
+        os.close(fd)
+        staged.append(tmp)
+        targets.append(path)
+        return tmp
+
+    commit = False
+    try:
+        yield stage
+        commit = True
+    finally:
+        _commit(staged, targets, commit)
 
 
 def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
@@ -369,13 +416,7 @@ class CheckpointWriter:
         while self._fds:
             os.close(self._fds.pop())
         staged, self._staged = self._staged, []
-        try:
-            if commit:
-                for tmp, final in zip(staged, self.paths):
-                    os.replace(tmp, final)
-        finally:
-            for tmp in staged:
-                tmp.unlink(missing_ok=True)
+        _commit(staged, self.paths, commit)
 
     def __enter__(self) -> "CheckpointWriter":
         return self

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dimerge import diagnostics
 from dimerge.cli import main
 from dimerge.presets import remap_rules
 from dimerge.records import TensorRecord
@@ -229,6 +230,28 @@ class TestDiagnoseCommand:
         config["diagnose"] = {"csv_path": str(tmp_path / "no_dir" / "d.csv")}
         config_path = write_config(tmp_path, config)
         assert main(["diagnose", "--config", config_path]) == 3
+
+    @pytest.mark.parametrize("failure", ["json_path_is_a_directory", "json_write_fails"])
+    def test_failed_json_export_keeps_previous_tables(self, workspace, monkeypatch, failure):
+        """A run whose JSON export fails exits 3 and leaves the CSV and JSON
+        of an earlier run byte for byte, with no staged file behind."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "diag.csv"), "json_path": str(tmp_path / "diag.json")}
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in ("diag.csv", "diag.json")}
+        # other rows, so a replaced table would show
+        config["diagnose"]["schema"] = {"layer_pattern": "*.blocks.{n}.*"}
+        if failure == "json_path_is_a_directory":
+            config["diagnose"]["json_path"] = str(tmp_path)
+        else:
+            def dump_half(obj, fh, **kwargs):
+                fh.write("[")
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(diagnostics.json, "dump", dump_half)
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 3
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert not list(tmp_path.glob(".*.partial"))
 
 
 class TestInspectCommand:

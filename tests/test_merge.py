@@ -220,6 +220,35 @@ class TestMergeCheckpoint:
         assert all(("omega_ml" in line) == (method == "dim3") for line in lines)
         assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method", ["dim3", "ties", "breadcrumbs"])
+    def test_debug_log_marks_stage_boundaries(self, caplog, workers, method):
+        """At DEBUG: alignment first, then per merged tensor the end of its
+        first pass and, for a top-k baseline, each source's cut, then the
+        writer's commit last; the INFO lines stay one per merged tensor."""
+        base, ml, anchor = make_triple(seed=12)
+        caplog.set_level(logging.DEBUG, logger="dimerge")
+        cfg = MergeConfig(method=method, scope=ScopeFilter.layers(0, 0)).validate()
+        _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
+        merged = {t.name for t in report.tensors if t.action == "merged"}
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name.startswith("dimerge.")
+                 and r.name != "dimerge.store"]
+        assert debug[0].startswith(f"alignment done: {len(report.alignment['aligned'])} aligned, ")
+        assert debug[-1].startswith("writer committed ")
+        assert {m.split(":")[0] for m in debug if ": pass 1 done" in m} == merged
+        cuts = [m for m in debug if ": top-k cut done: " in m]
+        if method == "dim3":
+            assert not cuts
+        else:
+            assert {m.split(":")[0] for m in cuts} == merged
+            ends = (" bottom", " top") if method == "breadcrumbs" else ("",)
+            for m in cuts:
+                labels = [part.split(" keep ")[0] for part in m.split(": top-k cut done: ")[1].split("; ")]
+                assert labels == [f"{source}{end}" for source in ("ml", "mm") for end in ends]
+                assert all(" threshold " in part and part.endswith(" ties admitted") for part in m.split("; "))
+        info = [r for r in caplog.records if r.levelno == logging.INFO and r.name == "dimerge.merge"]
+        assert len(info) == len(merged)
+
     def test_dare_deterministic_across_workers(self):
         base, ml, anchor = make_triple(seed=11)
         cfg = MergeConfig(method="dare", seed=5).validate()

@@ -15,9 +15,11 @@ import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
 from dimerge.align import align_triple
+from dimerge.baselines import (breadcrumbs_values, dare_values, task_arithmetic_values,
+                               ties_merge_values)
 from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
-from dimerge.records import DType, TensorRecord
+from dimerge.records import DType, TensorRecord, encode_bits, recode_bits
 from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
                            save_checkpoint)
 
@@ -212,13 +214,21 @@ from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.store import load_checkpoint
 
 faults = []
-for root in sys.argv[1:]:
+for root in sys.argv[2:]:
     triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    merge_checkpoint(*triple, MergeConfig(), f"{root}/out")
+    merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out")
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(*faults)
 """
+
+
+def probe_faults(method, roots):
+    """Minor faults of each merge of ``roots``, in order, in one fresh process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", FAULT_PROBE, method, *roots], env=env,
+                            capture_output=True, text=True, check=True)
+    return [int(f) for f in result.stdout.split()]
 
 
 def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
@@ -231,11 +241,23 @@ def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
     for rows in (2048, 8192):
         on_disk_triple(tmp_path / str(rows), {"w": (rows, 1024)}, seed=rows)
         roots.append(str(tmp_path / str(rows)))
-    env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", FAULT_PROBE, *roots], env=env,
-                            capture_output=True, text=True, check=True)
-    short, tall = map(int, result.stdout.split())
+    short, tall = probe_faults("dim3", roots)
     assert tall - short < 3000, (short, tall)
+
+
+def test_baseline_faults_do_not_grow_with_tensors(tmp_path):
+    """Minor page faults of a fresh process running a TIES merge of two
+    mapped F16 tensors, then of eight of the same shape: the residuals,
+    scores and row-block scratch live in the worker's reused buffers, so six
+    more tensors add a small fixed number of faults, not fresh tensor-sized
+    temporaries for each."""
+    roots = []
+    for count in (2, 8):
+        shapes = {f"w{i}": (512, 1024) for i in range(count)}
+        on_disk_triple(tmp_path / str(count), shapes, seed=count, dtype=DType.F16)
+        roots.append(str(tmp_path / str(count)))
+    few, many = probe_faults("ties", roots)
+    assert many - few < 3000, (few, many)
 
 
 @pytest.mark.parametrize("dtype", [DType.F16, DType.F32, DType.BF16])
@@ -264,5 +286,71 @@ def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, outp
                 assert merged.names() == order.names()
                 for name, raw in alone.items():
                     assert merged[name].raw == raw, (name, threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def expected_baseline_bits(triple, cfg):
+    """The anchor-shaped output bits of one tensor from the whole-array
+    entry points, encoded in the output dtype over the anchor's own."""
+    base, ml, mm = triple.to_f32()
+    d_ml, d_mm = ml - base, mm - base
+    p = cfg.baseline
+    if cfg.method == "ties":
+        values = ties_merge_values(base, d_ml, d_mm, p.ties_density, p.lam)
+    else:
+        if cfg.method == "dare":
+            d_ml = dare_values(d_ml, p.dare_drop_p, cfg.seed, "ml:" + triple.name)
+            d_mm = dare_values(d_mm, p.dare_drop_p, cfg.seed, "mm:" + triple.name)
+        elif cfg.method == "breadcrumbs":
+            d_ml, d_mm = (breadcrumbs_values(d, p.breadcrumbs_beta, p.breadcrumbs_gamma) for d in (d_ml, d_mm))
+        values = task_arithmetic_values(base, d_ml, d_mm, p.lam)
+    anchor = triple.mm
+    out_dtype = anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
+    bits = recode_bits(anchor.bits(), anchor.dtype, out_dtype)
+    bits[tuple(slice(0, d) for d in triple.shape)] = encode_bits(values, out_dtype)
+    return bits.tobytes()
+
+
+def tie_heavy_triple(tmp_path, dtype):
+    """Mapped (base, ml, anchor) of one (200, 4) tensor whose residuals are
+    small integers, so every top-k threshold has ties in every row block."""
+    rng = np.random.default_rng(13)
+    base = rng.integers(-8, 8, (200, 4)).astype(np.float32)
+    values = {"base": base, "ml": base + rng.integers(-2, 3, base.shape), "anchor": base + rng.integers(-3, 4, base.shape)}
+    for role, array in values.items():
+        save_checkpoint(Checkpoint.from_records([TensorRecord.from_array("t.ties", array.astype(np.float32), dtype)]),
+                        tmp_path / role)
+    return [load_checkpoint(tmp_path / role) for role in values]
+
+
+@pytest.mark.parametrize("method", ["task_arithmetic", "dare", "ties", "breadcrumbs"])
+@pytest.mark.parametrize("dtype", [DType.F16, DType.BF16, DType.F32])
+@pytest.mark.parametrize("output_dtype", ["match_anchor", "f32"])
+def test_baselines_do_not_depend_on_blocks_or_workers(tmp_path, monkeypatch, method, dtype, output_dtype):
+    """Each baseline through ``merge_checkpoint`` in row blocks of 1, 4 and
+    16 tiles, by 1, 2 and 8 workers: every tensor equals the whole-array
+    entry points' result. The tensors span more than 16 tiles, overlap the
+    anchor in rows and columns, include a 1D tensor, and one tensor's
+    threshold ties fall in every block, so the admitted ties carry across
+    block boundaries."""
+    shapes = {"a.tall": (1100, 3), "e.overlap": (150, 20), "f.vector": (70,)}
+    base, ml, anchor = on_disk_triple(tmp_path / "normal", shapes, seed=14, dtype=dtype,
+                                      anchor_shapes={"e.overlap": (230, 24)})
+    ties = tie_heavy_triple(tmp_path / "ties", dtype)
+    base, ml, anchor = (Checkpoint.from_records([*a.tensors.values(), *b.tensors.values()])
+                        for a, b in zip((base, ml, anchor), ties))
+    cfg = MergeConfig(method=method, shape_policy="anchor-overlap", output_dtype=output_dtype, seed=3).validate()
+    triples, _ = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
+    expected = {t.name: expected_baseline_bits(t, cfg) for t in triples}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers' blocks finely
+    try:
+        for tiles in (1, 4, 16):
+            monkeypatch.setattr(merge_module, "_block_rows", lambda cols: tiles * TILE_ROWS)
+            for threads in (1, 2, 8):
+                merged, _ = merge_and_load(base, ml, anchor, cfg, threads=threads)
+                for name, raw in expected.items():
+                    assert merged[name].raw == raw, (name, tiles, threads)
     finally:
         sys.setswitchinterval(interval)
