@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +61,7 @@ class BaselineParams:
     @classmethod
     def from_dict(cls, data: dict) -> "BaselineParams":
         defaults = cls()
+        check_keys(data, defaults.to_dict(), "merge.baseline")
         return cls(
             lam=float(data.get("lambda", defaults.lam)),
             dare_drop_p=float(data.get("dare_drop_p", defaults.dare_drop_p)),
@@ -256,9 +257,9 @@ def _as_rows(a: np.ndarray) -> np.ndarray:
 # methods: cut the whole residuals, then compose block by block
 # ---------------------------------------------------------------------------
 
-# slots of the caller's scratch that the methods take (0-2 are left to the
-# caller's decoded tensors)
-_SCORES, _FLAGS, _SIGN, _COUNT = 3, 4, 5, 6
+# slots of the caller's scratch that the methods take (0-5 are left to the
+# caller: its block buffers and the decoded tensors)
+_SCORES, _FLAGS, _SIGN, _COUNT = 6, 7, 8, 9
 # merges the block of rows from row r0, given those rows of base, d_ml, d_mm
 Compose = Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
@@ -334,19 +335,18 @@ def merge_baseline_values(
     params: BaselineParams,
     seed: int,
     tensor_name: str,
-    emit: Callable[[int, int, np.ndarray], None] | None = None,
     take: Callable[..., np.ndarray] | None = None,
     block_rows: int | None = None,
-) -> np.ndarray | None:
-    """Merge one tensor's residuals by a baseline method, in float32.
+) -> Callable[[int, int], np.ndarray]:
+    """Plan one tensor's merge by a baseline method: TIES and Breadcrumbs cut
+    the whole residuals here; the others need no cut.
 
-    Without ``emit``, returns the merged array and leaves the inputs as they
-    were. With it, the residuals (contiguous) are consumed: TIES and
-    Breadcrumbs first cut them whole, then rows ``r0:r1`` of the merge,
-    ``block_rows`` at a time (all at once by default), are composed in place
-    in ``delta_ml`` and handed in order to ``emit(r0, r1, values)``. Scratch
-    comes from ``take(slot, shape, dtype)`` (as
-    :meth:`~dimerge.merge.BlockBuffers.take`; slots 3-6) or is fresh.
+    Returns ``compose(r0, r1)``, rows ``r0:r1`` of the merge in float32 (a
+    1D or scalar tensor being one column), composed in place in those rows
+    of ``delta_ml``. The residuals (contiguous) are consumed, so the rows
+    must come in order, ``block_rows`` at most at a time (all of them by
+    default). Scratch comes from ``take(slot, shape, dtype)`` (as
+    :meth:`~dimerge.merge.BlockBuffers.take`; slots 6-9) or is fresh.
 
     DARE masks are keyed by source-qualified names so the two residuals get
     independent drop patterns.
@@ -354,21 +354,10 @@ def merge_baseline_values(
     plan = _PLANS.get(method)
     if plan is None:
         raise ConfigError(f"unknown baseline method {method!r}")
-    shape = base.shape
-    if emit is None:
-        merged = []
-        merge_baseline_values(method, base, delta_ml.copy(), delta_mm.copy(), params, seed, tensor_name,
-                              lambda r0, r1, values: merged.append(values))
-        return merged[0].reshape(shape)
     base, delta_ml, delta_mm = (_as_rows(a) for a in (base, delta_ml, delta_mm))
-    rows = len(base)
-    block = min(block_rows or rows, rows)
+    block = min(block_rows or len(base), len(base))
     compose = plan(delta_ml, delta_mm, params, seed, tensor_name, take or _fresh, block)
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
-        values = compose(r0, base[r0:r1], delta_ml[r0:r1], delta_mm[r0:r1])
-        emit(r0, r1, values.reshape((r1 - r0,) + shape[1:]))
-    return None
+    return lambda r0, r1: compose(r0, base[r0:r1], delta_ml[r0:r1], delta_mm[r0:r1])
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +381,9 @@ def ties_merge_values(
 ) -> np.ndarray:
     """Trim small updates per source, elect a sign per coordinate from the
     kept mass (ties elect positive), and average the agreeing residuals."""
-    return merge_baseline_values("ties", base, delta_ml, delta_mm, BaselineParams(ties_density=density, lam=lam),
-                                 0, "")
+    compose = merge_baseline_values("ties", base, delta_ml.copy(), delta_mm.copy(),
+                                    BaselineParams(ties_density=density, lam=lam), 0, "")
+    return compose(0, len(_as_rows(base))).reshape(base.shape)
 
 
 def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:

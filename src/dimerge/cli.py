@@ -92,6 +92,14 @@ def load_config(path: str) -> dict:
     return config
 
 
+def _positive_int(config: dict, key: str, default: int) -> int:
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"config field {key!r} must be an integer of at least 1, got {value!r}",
+                          error_class="config.bad_value")
+    return value
+
+
 def _required_path(config: dict, key: str) -> Path:
     value = config.get(key)
     if not value:
@@ -136,7 +144,7 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     config = apply_overrides(load_config(config_path), overrides)
     if output:
         config["output_path"] = output
-    if threads:
+    if threads is not None:
         config["threads"] = threads
 
     out_value = config.get("output_path")
@@ -148,24 +156,24 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
             raise ConfigError(f"output_path collides with {key}", error_class="config.output_collision")
 
     cfg = MergeConfig.from_dict(config.get("merge", {}))
+    threads = _positive_int(config, "threads", _usable_cpus())
+    shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
     base, ml, anchor = _load_inputs(config)
 
     effective = copy.deepcopy(config)
     effective["schema_version"] = SCHEMA_VERSION
     effective["merge"] = cfg.to_dict()
-    effective.setdefault("threads", _usable_cpus())
+    effective["threads"] = threads
 
     report_path = Path(config.get("report_path") or f"{out_path}.report.json")
     tmp_path = out_path.parent / f"{out_path.name}.tmp{os.getpid()}"
     if out_path.suffix == ".safetensors":
         tmp_path = tmp_path.with_name(tmp_path.name + ".safetensors")
-    shard_limit = int(config.get("shard_limit", DEFAULT_SHARD_LIMIT))
-
     report_tmp = report_path.parent / f"{report_path.name}.tmp{os.getpid()}"
 
     try:
         report = merge_checkpoint(base, ml, anchor, cfg, tmp_path,
-                                  threads=int(effective["threads"]), shard_limit=shard_limit)
+                                  threads=threads, shard_limit=shard_limit)
         report.config = effective
         report_path.parent.mkdir(parents=True, exist_ok=True)
         report_tmp.write_text(json.dumps(report.to_dict(), indent=2) + "\n")

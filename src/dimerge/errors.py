@@ -26,6 +26,13 @@ class ConfigError(DimergeError):
     exit_code = 2
 
 
+def check_keys(data: dict, known, section: str) -> None:
+    """Refuse a config section that holds a key outside ``known``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key {section}.{unknown[0]}", error_class="config.unknown_key")
+
+
 class FormatError(DimergeError):
     """Malformed tensor file, header, or index manifest."""
 

@@ -13,15 +13,14 @@ through the weights. 1D parameters use absolute element deviations and
 element-wise weights. All other anchor tensors (vision encoder, projector,
 out-of-scope keys) are copied from the anchor verbatim.
 
-A 2D dim3 tensor streams: one pass over row blocks accumulates the column
-reductions the weights need, a second composes each block and writes it to
-its place in the output file. Memory then follows one row block, not the
-tensor or the model: each worker decodes, composes and encodes its blocks in
-the same few arrays for the whole merge. The baseline methods decode each
-tensor's residuals once, block by block, into tensor-sized arrays that the
-worker also keeps (TIES and Breadcrumbs cut a global top-k from them), then
-compose, encode and write row block by row block as dim3 does. 1D dim3
-tensors work on the whole tensor.
+Every merged tensor is written in two passes over row blocks. Pass 1 is the
+method's: dim3 streams the column reductions its weights need (a 1D tensor
+is weighed whole); the baselines decode the residuals once into
+tensor-sized arrays, where TIES and Breadcrumbs cut a global top-k. It
+returns a compose for any block of rows, and pass 2, one loop for every
+method, composes, encodes and writes each block of the anchor in place in
+the output file. Each worker does all this in the same few arrays for the
+whole merge, so memory follows one row block (and the baselines' residuals).
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 
 from .align import ROLES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_keys
 from .geometry import (
     EPSILON_DEFAULT,
     TILE_ROWS,
@@ -71,6 +70,9 @@ _BLOCK_ELEMENTS = 1 << 18
 
 # receives a tensor's output bits at a byte offset into its payload
 Sink = Callable[[int, np.ndarray], None]
+# rows r0:r1 of a tensor's merged aligned region in float32, as a matrix (a
+# 1D tensor is one column); called for row blocks in order
+Compose = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -117,6 +119,7 @@ class MergeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MergeConfig":
+        check_keys(data, cls.__dataclass_fields__, "merge")
         baseline = data.get("baseline")
         cfg = cls(
             method=data.get("method", "dim3"),
@@ -185,6 +188,10 @@ def column_weights(
     return _weights(column_deviations(base, ml, mm, cfg.epsilon), cfg)
 
 
+def _as_matrix(shape: tuple[int, ...]) -> tuple[int, int]:
+    return shape[0], prod(shape[1:])
+
+
 def _block_rows(cols: int) -> int:
     """Rows per streamed block: whole tiles, about ``_BLOCK_ELEMENTS`` values."""
     return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
@@ -210,23 +217,6 @@ class BlockBuffers(threading.local):
         if raw is None or raw.nbytes < nbytes:
             raw = self._slots[slot] = np.empty(nbytes, np.uint8)
         return raw[:nbytes].view(dtype).reshape(shape)
-
-
-def _write_rows(sink: Sink, anchor: TensorRecord, out_dtype: DType, r0: int, r1: int,
-                merged: np.ndarray | None, out: np.ndarray | None = None,
-                scratch: np.ndarray | None = None) -> None:
-    """Encode anchor rows ``r0:r1`` in ``out_dtype``, into ``out`` and with
-    ``scratch`` as :func:`~dimerge.records.encode_bits` takes them, and hand
-    them to ``sink`` at their byte offset. ``merged`` holds merged values for
-    the leading rows and columns of the block (the aligned region); the
-    anchor's own values, re-encoded, fill the rest."""
-    if merged is not None and merged.shape == (r1 - r0,) + anchor.shape[1:]:
-        bits = encode_bits(merged, out_dtype, out, scratch)
-    else:
-        bits = recode_bits(anchor.bits()[r0:r1], anchor.dtype, out_dtype, out)
-        if merged is not None:
-            encode_bits(merged, out_dtype, bits[tuple(slice(0, d) for d in merged.shape)], scratch)
-    sink(r0 * prod(anchor.shape[1:]) * out_dtype.itemsize, bits)
 
 
 def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
@@ -259,52 +249,48 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
     return sums
 
 
-def _dim3_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
-                   buffers: BlockBuffers) -> SalienceWeights:
-    """Two passes over row blocks of a 2D tensor in ``buffers``: pass 1
-    (:func:`stream_column_sums`) decodes into three slots, which serve pass 2
-    as its two decode targets (the first doubling as the encode's scratch
-    once the block is composed) and the encoded output. Input pages are
-    released block by block after their last read: the base's in pass 1, the
-    two sources' in pass 2."""
-    rows, cols = triple.shape
-    block = _block_rows(cols)
+def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, SalienceWeights]:
+    """Pass 1 of a dim3 merge: the weights, and the compose that blends the
+    two sources by them. A 2D tensor streams its column sums
+    (:func:`stream_column_sums`, slots 0-2); its compose decodes a block of
+    each source into slots 0 and 1 and blends in place in slot 1. A 1D
+    tensor is merged whole by its element weights."""
+    if triple.rank == 1:
+        base, ml, mm = triple.to_f32()
+        dev_ml = np.abs(ml.astype(np.float64) - base)
+        dev_mm = np.abs(mm.astype(np.float64) - base)
+        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
+        logger.debug("%s: pass 1 done: element weights", triple.name)
+        merged = (mm + weights.omega_ml.astype(np.float32) * (ml - mm)).reshape(-1, 1)
+        return (lambda r0, r1: merged[r0:r1]), weights
     sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
     logger.debug("%s: pass 1 done: column sums", triple.name)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
-
     w_ml = weights.omega_ml.astype(np.float32)
-    anchor = triple.mm
-    ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(anchor)
-    out_bits = f"<u{out_dtype.itemsize}"
-    for r0 in range(0, anchor.shape[0], block):
-        r1 = min(r0 + block, anchor.shape[0])
-        merged = scratch = None
-        if r0 < rows:
-            # mm + w_ml * (ml - mm), computed in place
-            shape = (min(r1, rows) - r0, cols)
-            mm_rows = decode_f32(mm[r0:r1], anchor.dtype, buffers.take(0, shape, np.float32))
-            merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
-            merged -= mm_rows
-            merged *= w_ml
-            merged += mm_rows
-            scratch = mm_rows.view(np.uint32)
-        out = buffers.take(2, (r1 - r0,) + anchor.shape[1:], out_bits)
-        _write_rows(sink, anchor, out_dtype, r0, r1, merged, out, scratch)
-        for rec in (triple.ml, anchor):
-            _release_rows(rec, r0, r1)
-    return weights
+    ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(triple.mm)
+
+    def compose(r0: int, r1: int) -> np.ndarray:
+        # mm + w_ml * (ml - mm), computed in place
+        shape = (r1 - r0, triple.shape[1])
+        mm_rows = decode_f32(mm[r0:r1], triple.mm.dtype, buffers.take(0, shape, np.float32))
+        merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
+        merged -= mm_rows
+        merged *= w_ml
+        merged += mm_rows
+        return merged
+
+    return compose, weights
 
 
 def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.ndarray]:
-    """The aligned region of (base, ml - base, mm - base) in float32, in
-    ``buffers`` slots 0-2, decoded one row block at a time. Each decoded
+    """The aligned region of (base, ml - base, mm - base) in float32 rows, in
+    ``buffers`` slots 3-5, decoded one row block at a time. Each decoded
     block is checked for non-finite values, role by role in order; the base's
     and ml's pages are released block by block after their last read."""
-    rows, cols = (triple.shape + (1, 1))[:2]
+    rows, cols = _as_matrix(triple.shape)
     block = _block_rows(cols)
     arrays: list[np.ndarray] = []
-    for slot, (role, rec) in enumerate(zip(ROLES, (triple.base, triple.ml, triple.mm))):
+    for slot, (role, rec) in enumerate(zip(ROLES, (triple.base, triple.ml, triple.mm)), start=3):
         bits = triple.aligned_bits(rec).reshape(rows, cols)
         values = buffers.take(slot, (rows, cols), np.float32)
         for r0 in range(0, rows, block):
@@ -317,46 +303,46 @@ def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.n
             if rec is not triple.mm:
                 _release_rows(rec, r0, r0 + block)
         arrays.append(values)
-    return [a.reshape(triple.shape) for a in arrays]
+    return arrays
 
 
-def _baseline_streamed(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
-                       buffers: BlockBuffers) -> None:
-    """A baseline merge of one tensor in ``buffers``: the residuals decoded
-    once (:func:`_decode_residuals`), then cut and composed by
-    :func:`~dimerge.baselines.merge_baseline_values` (slots 3-6), which hands
-    over row blocks to encode (into slots 7 and 8) and write; the anchor's
-    own rows below the aligned region follow. The anchor's pages are released
-    block by block once written."""
-    base, d_ml, d_mm = _decode_residuals(triple, buffers)
+def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, None]:
+    """Pass 1 of a baseline merge: the residuals decoded once
+    (:func:`_decode_residuals`) and cut by
+    :func:`~dimerge.baselines.merge_baseline_values` (slots 6-9), whose
+    compose works in place in them."""
+    residuals = _decode_residuals(triple, buffers)
     logger.debug("%s: pass 1 done: residuals decoded", triple.name)
+    block = _block_rows(_as_matrix(triple.shape)[1])
+    return merge_baseline_values(cfg.method, *residuals, cfg.baseline, cfg.seed, triple.name,
+                                 buffers.take, block), None
+
+
+def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sink: Sink,
+                  buffers: BlockBuffers) -> None:
+    """Pass 2 of every merge, one row block of the anchor at a time: compose
+    the aligned rows, encode them in ``out_dtype`` over the anchor's own
+    rows and columns, re-encoded, hand the block to ``sink`` at its byte
+    offset and release the sources' pages. The output bits go in ``buffers``
+    slot 2 and the bf16 rounding sums in slot 0, both of which a dim3 pass 1
+    has already grown."""
     anchor = triple.mm
-    out_bits = f"<u{out_dtype.itemsize}"
-
-    def emit(r0: int, r1: int, values: np.ndarray | None) -> None:
-        out = buffers.take(7, (r1 - r0,) + anchor.shape[1:], out_bits)
-        scratch = None
-        if values is not None and out_dtype is DType.BF16:
-            scratch = buffers.take(8, values.shape, np.uint32)
-        _write_rows(sink, anchor, out_dtype, r0, r1, values, out, scratch)
-        _release_rows(anchor, r0, r1)
-
-    block = _block_rows(prod(triple.shape[1:]))
-    merge_baseline_values(cfg.method, base, d_ml, d_mm, cfg.baseline, cfg.seed, triple.name,
-                          emit, buffers.take, block)
-    rows, anchor_rows = (triple.shape or (1,))[0], (anchor.shape or (1,))[0]
-    for r0 in range(rows, anchor_rows, block):
-        emit(r0, min(r0 + block, anchor_rows), None)
-
-
-def _dim3_elementwise(triple: AlignedTriple, cfg: MergeConfig) -> tuple[np.ndarray, SalienceWeights]:
-    """Whole-tensor dim3 merge of a 1D (or scalar) aligned region."""
-    base, ml, mm = triple.to_f32()
-    dev_ml = np.abs(ml.astype(np.float64) - base)
-    dev_mm = np.abs(mm.astype(np.float64) - base)
-    weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
-    logger.debug("%s: pass 1 done: element weights", triple.name)
-    return mm + weights.omega_ml.astype(np.float32) * (ml - mm), weights
+    rows, cols = _as_matrix(triple.shape)
+    anchor_rows, anchor_cols = _as_matrix(anchor.shape)
+    anchor_bits = anchor.bits().reshape(anchor_rows, anchor_cols)
+    block = _block_rows(cols)
+    for r0 in range(0, anchor_rows, block):
+        r1 = min(r0 + block, anchor_rows)
+        out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
+        merged = compose(r0, min(r1, rows)) if r0 < rows else None
+        if merged is None or merged.shape != out.shape:
+            recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
+        if merged is not None:
+            scratch = buffers.take(0, merged.shape, np.uint32) if out_dtype is DType.BF16 else None
+            encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)
+        sink(r0 * anchor_cols * out_dtype.itemsize, out)
+        for rec in (triple.ml, anchor):
+            _release_rows(rec, r0, r1)
 
 
 def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
@@ -364,22 +350,13 @@ def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
 
 
 def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: BlockBuffers) -> TensorMergeReport:
-    """Merge one tensor and write it, at the anchor's shape, through ``sink``;
-    a streamed tensor works in ``buffers``."""
+    """Merge one 1D or 2D tensor and write it, at the anchor's shape, through
+    ``sink``: the method's pass 1 plans it and :func:`_write_merged` writes
+    it, both in ``buffers``."""
     start = time.perf_counter()
-    anchor = triple.mm
-    out_dtype = _out_dtype(anchor, cfg)
-    weights = None
-    if cfg.method != "dim3":
-        _baseline_streamed(triple, cfg, out_dtype, sink, buffers)
-    elif triple.rank == 2:
-        weights = _dim3_streamed(triple, cfg, out_dtype, sink, buffers)
-    else:
-        values, weights = _dim3_elementwise(triple, cfg)
-        if values.shape == anchor.shape:
-            sink(0, encode_bits(values, out_dtype))
-        else:
-            _write_rows(sink, anchor, out_dtype, 0, anchor.shape[0], values)
+    plan = _plan_dim3 if cfg.method == "dim3" else _plan_baseline
+    compose, weights = plan(triple, cfg, buffers)
+    _write_merged(triple, compose, _out_dtype(triple.mm, cfg), sink, buffers)
     entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
     if weights is not None:
         entry.omega_ml_mean = float(weights.omega_ml.mean())
@@ -398,8 +375,11 @@ def _log_merged(entry: TensorMergeReport, n: int, total: int, nbytes: int) -> No
 
 def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     """Merge one aligned tensor, at the anchor's shape; output in the anchor's
-    dtype unless the config asks for f32."""
+    dtype unless the config asks for f32. A scalar is the anchor's own
+    record, as :func:`merge_checkpoint` passes it through."""
     cfg = cfg.validate()
+    if triple.rank == 0:
+        return triple.mm
     out_dtype = _out_dtype(triple.mm, cfg)
     payload = bytearray(triple.mm.num_elements * out_dtype.itemsize)
 

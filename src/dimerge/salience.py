@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError, check_keys
 
 _ZSCORE_STD_GUARD = 1e-12
 _RATIO_SUM_GUARD = 1e-12
@@ -80,6 +80,7 @@ class AggregationKind:
     def from_dict(cls, data: dict) -> "AggregationKind":
         if isinstance(data, str):
             data = {"kind": data}
+        check_keys(data, ("kind", "lambda"), "merge.aggregation")
         kind = data.get("kind", "average")
         lam = data.get("lambda")
         if kind in cls._WEIGHTED and lam is None:

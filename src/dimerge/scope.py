@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
-from .errors import ConfigError
+from .errors import ConfigError, check_keys
 
 DEFAULT_LAYER_PATTERN = "*.layers.{n}.*"
 
@@ -135,6 +135,7 @@ class ScopeFilter:
             "lmhead_only": cls.lmhead_only,
         }
         explicit_keys = {"include", "exclude", "layer_range", "range_exempt", "layer_pattern"}
+        check_keys(data, explicit_keys | {"preset", "lo", "hi"}, "merge.scope")
         if preset in named and not (explicit_keys & data.keys()):
             return named[preset]()
         if preset == "layers":

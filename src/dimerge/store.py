@@ -349,7 +349,10 @@ class CheckpointWriter:
     into place only when the ``with`` block exits cleanly; on an exception
     they are deleted. So a failed write leaves whatever was at ``path``
     untouched, and a target that a loaded checkpoint still maps keeps its
-    old contents for that checkpoint.
+    old contents for that checkpoint. Once a directory's files are in
+    place, its other top-level tensor files and index manifests, the only
+    names :func:`load_checkpoint` reads, are deleted, so a checkpoint of
+    another layout there does not make the new one unloadable.
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
@@ -360,6 +363,7 @@ class CheckpointWriter:
             raise ConfigError("shard_limit must be positive")
         shards = _pack_shards(specs, shard_limit)
         path = Path(path)
+        self._directory = None if path.suffix == ".safetensors" else path
         if path.suffix == ".safetensors":
             if len(shards) > 1:
                 raise ConfigError(
@@ -417,6 +421,11 @@ class CheckpointWriter:
             os.close(self._fds.pop())
         staged, self._staged = self._staged, []
         _commit(staged, self.paths, commit)
+        if commit and self._directory is not None:
+            written = {p.name for p in self.paths}
+            for stale in [*self._directory.glob("*.safetensors"), *self._directory.glob("*.index.json")]:
+                if stale.name not in written and stale.is_file():
+                    stale.unlink()
 
     def __enter__(self) -> "CheckpointWriter":
         return self

@@ -176,6 +176,24 @@ class TestMergeCommand:
         b = load_checkpoint(tmp_path / "t1")
         assert checkpoint_digest(a) == checkpoint_digest(b)
 
+    @pytest.mark.parametrize("args, key", [
+        (["--set", "merge.methd=ties"], "merge.methd"),
+        (["--set", "merge.method=ties", "--set", "merge.baseline.ties_densty=0.5"], "merge.baseline.ties_densty"),
+        (["--set", "merge.aggregation.lamda=0.5"], "merge.aggregation.lamda"),
+        (["--set", 'merge.scope.inclde=["*"]'], "merge.scope.inclde"),
+        (["--set", 'threads="abc"'], "threads"),
+        (["--set", 'shard_limit="x"'], "shard_limit"),
+        (["--set", "shard_limit=0"], "shard_limit"),
+        (["--threads", "-3"], "threads"),
+    ], ids=["merge_key", "baseline_key", "aggregation_key", "scope_key", "threads_string", "shard_limit_string",
+            "shard_limit_zero", "threads_negative"])
+    def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
+        tmp_path, _, config_path = workspace
+        assert main(["merge", "--config", str(config_path), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.") and key in err
+        assert not (tmp_path / "merged").exists()
+
     def test_default_threads_follow_cpu_affinity(self, workspace, monkeypatch):
         tmp_path, _, config_path = workspace
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

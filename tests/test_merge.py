@@ -7,11 +7,11 @@ import pytest
 
 from dimerge.align import AlignedTriple
 from dimerge.errors import ConfigError, NumericError
-from dimerge.merge import MERGE_METHODS, MergeConfig, merge_tensor
+from dimerge.merge import MERGE_METHODS, MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
-from dimerge.store import Checkpoint
+from dimerge.store import DEFAULT_SHARD_LIMIT, Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import make_triple, merge_and_load
 import reference
@@ -145,7 +145,27 @@ class TestConfig:
         assert again.to_dict() == cfg.to_dict()
 
 
+@pytest.mark.parametrize("method", MERGE_METHODS)
+def test_scalar_is_the_anchor_record_as_merge_checkpoint_writes_it(method):
+    triple = triple_of(1.0, 2.0, 3.5, name="s", dtype=DType.BF16)
+    cfg = MergeConfig(method=method, output_dtype="f32")
+    out = merge_tensor(triple, cfg)
+    assert out == triple.mm
+    merged, report = merge_and_load(*(Checkpoint.from_records([r]) for r in (triple.base, triple.ml, triple.mm)), cfg)
+    assert merged["s"] == out
+    assert report.tensors[0].reason == "scalar"
+
+
 class TestMergeCheckpoint:
+    @pytest.mark.parametrize("limits", [(200, DEFAULT_SHARD_LIMIT), (DEFAULT_SHARD_LIMIT, 200)],
+                             ids=["sharded_to_single", "single_to_sharded"])
+    def test_replaces_a_checkpoint_of_another_layout(self, tmp_path, triple_f32, limits):
+        base, ml, anchor = triple_f32
+        save_checkpoint(base, tmp_path / "out", shard_limit=limits[0])
+        merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "out", shard_limit=limits[1])
+        fresh, _ = merge_and_load(base, ml, anchor, MergeConfig())
+        assert checkpoint_digest(load_checkpoint(tmp_path / "out")) == checkpoint_digest(fresh)
+
     def test_zero_residuals_full_scope_reproduces_anchor(self):
         base, _, anchor = make_triple(seed=3)
         merged, report = merge_and_load(base, base, _anchor_like(base, anchor), MergeConfig())

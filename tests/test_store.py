@@ -10,6 +10,7 @@ from dimerge.errors import ConfigError, FormatError, RemapCollisionError, ShardE
 from dimerge.records import DType, TensorRecord
 from dimerge.store import (
     Checkpoint,
+    CheckpointWriter,
     load_checkpoint,
     remap_keys,
     save_checkpoint,
@@ -128,6 +129,36 @@ class TestSharding:
         index_path.write_text(json.dumps(index))
         with pytest.raises(ShardError, match=f"shard file {shard_of_y!r} .* is not named in the index"):
             load_checkpoint(tmp_path / "sh")
+
+
+class TestReplacingADirectory:
+    """Saving into a directory that already holds a checkpoint of the other
+    layout: the new checkpoint's files replace the old ones, so it loads."""
+
+    OLD = ckpt_of({f"old{i}": np.full(3000, i, dtype=np.float32) for i in range(3)})
+    NEW = ckpt_of({f"new{i}": np.full(3000, -i, dtype=np.float32) for i in range(3)})
+
+    @pytest.mark.parametrize("limits", [(20000, 10**6), (10**6, 20000)],
+                             ids=["sharded_to_single", "single_to_sharded"])
+    def test_only_the_new_checkpoint_is_left(self, tmp_path, limits):
+        out = tmp_path / "out"
+        save_checkpoint(self.OLD, out, shard_limit=limits[0])
+        (out / "notes.txt").write_text("not a checkpoint file")
+        written = save_checkpoint(self.NEW, out, shard_limit=limits[1])
+        assert sorted(p.name for p in out.iterdir()) == sorted([p.name for p in written] + ["notes.txt"])
+        loaded = load_checkpoint(out)
+        assert loaded.names() == self.NEW.names()
+        assert all(loaded[n].raw == self.NEW[n].raw for n in self.NEW.names())
+
+    def test_failed_write_deletes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        save_checkpoint(self.OLD, out, shard_limit=20000)
+        before = sorted(p.name for p in out.iterdir())
+        with pytest.raises(RuntimeError):
+            with CheckpointWriter([(n, r.dtype, r.shape) for n, r in self.NEW.tensors.items()], out):
+                raise RuntimeError("fail before the commit")
+        assert sorted(p.name for p in out.iterdir()) == before
+        assert load_checkpoint(out).names() == self.OLD.names()
 
 
 def write_header(path, header: dict, body: bytes):

@@ -265,17 +265,19 @@ def test_baseline_faults_do_not_grow_with_tensors(tmp_path):
 def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, output_dtype):
     """2D tensors that alternate wide and narrow, tall and short, cut into
     row blocks with a partial last block, so that many blocks are smaller
-    than the buffers an earlier tensor grew; one tensor under anchor-overlap.
-    Merged by one, two and eight workers, in name order and reversed, every
-    tensor equals ``merge_tensor`` on its triple alone."""
-    monkeypatch.setattr(merge_module, "_BLOCK_ELEMENTS", 32 * TILE_ROWS)
+    than the buffers an earlier tensor grew; a 1D tensor of three blocks;
+    one 2D and one 1D tensor under anchor-overlap. Merged by one, two and
+    eight workers, in name order and reversed, every tensor equals
+    ``merge_tensor`` on its triple alone in one block."""
     shapes = {"a.wide_tall": (300, 24), "b.narrow_short": (70, 5), "c.wide_short": (90, 32),
-              "d.narrow_tall": (333, 3), "e.overlap": (150, 20), "f.vector": (40,), "g.narrow": (65, 2)}
+              "d.narrow_tall": (333, 3), "e.overlap": (150, 20), "f.vector": (40,), "g.narrow": (65, 2),
+              "h.long_vector": (5000,), "i.vector_overlap": (3000,)}
     base, ml, anchor = on_disk_triple(tmp_path, shapes, seed=11, dtype=dtype,
-                                      anchor_shapes={"e.overlap": (230, 24)})
+                                      anchor_shapes={"e.overlap": (230, 24), "i.vector_overlap": (4500,)})
     cfg = MergeConfig(shape_policy="anchor-overlap", output_dtype=output_dtype)
     triples, _ = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
     alone = {t.name: merge_tensor(t, cfg).raw for t in triples}
+    monkeypatch.setattr(merge_module, "_BLOCK_ELEMENTS", 32 * TILE_ROWS)
     reverse = Checkpoint.from_records(reversed(list(anchor.tensors.values())))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # interleave the workers' blocks finely
@@ -331,12 +333,14 @@ def test_baselines_do_not_depend_on_blocks_or_workers(tmp_path, monkeypatch, met
     """Each baseline through ``merge_checkpoint`` in row blocks of 1, 4 and
     16 tiles, by 1, 2 and 8 workers: every tensor equals the whole-array
     entry points' result. The tensors span more than 16 tiles, overlap the
-    anchor in rows and columns, include a 1D tensor, and one tensor's
-    threshold ties fall in every block, so the admitted ties carry across
-    block boundaries."""
-    shapes = {"a.tall": (1100, 3), "e.overlap": (150, 20), "f.vector": (70,)}
+    anchor in rows and columns, include 1D tensors (one longer than 16
+    tiles, one overlapping a longer anchor), and one tensor's threshold ties
+    fall in every block, so the admitted ties carry across block
+    boundaries."""
+    shapes = {"a.tall": (1100, 3), "e.overlap": (150, 20), "f.vector": (70,), "h.long_vector": (5000,),
+              "i.vector_overlap": (3000,)}
     base, ml, anchor = on_disk_triple(tmp_path / "normal", shapes, seed=14, dtype=dtype,
-                                      anchor_shapes={"e.overlap": (230, 24)})
+                                      anchor_shapes={"e.overlap": (230, 24), "i.vector_overlap": (4500,)})
     ties = tie_heavy_triple(tmp_path / "ties", dtype)
     base, ml, anchor = (Checkpoint.from_records([*a.tensors.values(), *b.tensors.values()])
                         for a, b in zip((base, ml, anchor), ties))
