@@ -3,10 +3,9 @@
 Runs are driven by a declarative JSON config (versioned ``schema_version``
 field) with repeatable ``--set dotted.key=value`` overrides. The effective,
 fully-resolved config is echoed into the merge report so any run can be
-reproduced byte-for-byte. The merge writes its output straight into a
-temporary path, and the output and its report are renamed only once both
-are complete; a failed run removes its temporaries and leaves any earlier
-output in place.
+reproduced byte-for-byte. Everything a run writes (the checkpoint, then its
+report; or both ``diagnose`` tables) is one :func:`~dimerge.store.staged_files`
+commit, so a failed run leaves the earlier output and report as they were.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -19,7 +18,6 @@ import copy
 import json
 import logging
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -69,8 +67,8 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
         for key in keys[:-1]:
             nxt = node.get(key)
             if not isinstance(nxt, dict):
-                nxt = {}
-                node[key] = nxt
+                # a string is the short form of {"kind": ...}
+                nxt = node[key] = {"kind": nxt} if isinstance(nxt, str) else {}
             node = nxt
         node[keys[-1]] = _parse_set_value(raw)
     return config
@@ -133,13 +131,6 @@ def _load_inputs(config: dict):
     return base, ml, anchor
 
 
-def _remove_output(path: Path) -> None:
-    if path.is_dir():
-        shutil.rmtree(path)
-    elif path.exists():
-        path.unlink()
-
-
 def cmd_merge(config_path: str, overrides: list[str], output: str | None, threads: int | None) -> int:
     config = apply_overrides(load_config(config_path), overrides)
     if output:
@@ -151,9 +142,12 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     if not out_value:
         raise ConfigError("config field 'output_path' is required", error_class="config.missing_path")
     out_path = Path(out_value)
-    for key in ("base_path", "multilingual_path", "anchor_path"):
-        if config.get(key) and Path(config[key]).resolve() == out_path.resolve():
-            raise ConfigError(f"output_path collides with {key}", error_class="config.output_collision")
+    report_path = Path(config.get("report_path") or f"{out_path}.report.json")
+    for name, written in (("output_path", out_path.resolve()), ("report_path", report_path.resolve())):
+        for key in ("base_path", "multilingual_path", "anchor_path"):
+            read = Path(config[key]).resolve() if config.get(key) else None
+            if read and (read in (written, *written.parents) or written in read.parents):
+                raise ConfigError(f"{name} and {key} overlap", error_class="config.output_collision")
 
     cfg = MergeConfig.from_dict(config.get("merge", {}))
     threads = _positive_int(config, "threads", _usable_cpus())
@@ -165,25 +159,11 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     effective["merge"] = cfg.to_dict()
     effective["threads"] = threads
 
-    report_path = Path(config.get("report_path") or f"{out_path}.report.json")
-    tmp_path = out_path.parent / f"{out_path.name}.tmp{os.getpid()}"
-    if out_path.suffix == ".safetensors":
-        tmp_path = tmp_path.with_name(tmp_path.name + ".safetensors")
-    report_tmp = report_path.parent / f"{report_path.name}.tmp{os.getpid()}"
-
-    try:
-        report = merge_checkpoint(base, ml, anchor, cfg, tmp_path,
-                                  threads=threads, shard_limit=shard_limit)
+    with staged_files() as stage:
+        report = merge_checkpoint(base, ml, anchor, cfg, out_path, threads=threads, shard_limit=shard_limit)
         report.config = effective
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_tmp.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-        os.replace(report_tmp, report_path)
-        _remove_output(out_path)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        _remove_output(tmp_path)
-        _remove_output(report_tmp)
-        raise
+        stage.mkdir(report_path.parent)
+        stage(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
     mean = "-" if report.mean_omega_ml is None else f"{report.mean_omega_ml:.4f}"
     print(
@@ -216,9 +196,9 @@ def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
     schema = _resolve_schema(section)
     rows = diagnose(base, ml, anchor, schema, epsilon=float(section.get("epsilon", EPSILON_DEFAULT)))
     # both tables appear together or neither replaces an earlier one
-    with staged_files() as stage:
+    with staged_files():
         for export, path in exports:
-            export(rows, stage(path))
+            export(rows, path)
     print(f"wrote {len(rows)} rows -> {', '.join(str(path) for _, path in exports)}")
     return 0
 

@@ -10,13 +10,12 @@ Files are read through read-only memory maps, so loading costs a header
 parse and payload pages are paged in only when a computation touches them;
 :func:`release_pages` hands a finished tensor's pages back. Files are written
 through :class:`CheckpointWriter`, which lays out every header and offset
-first, so payloads can be filled in place in any order, and which renames
-its files into place only once they are complete.
+first, so payloads can be filled in place in any order. Everything the
+package writes is one all-or-nothing :func:`staged_files` commit.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import logging
 import mmap
@@ -25,11 +24,12 @@ import secrets
 import struct
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import ExitStack, contextmanager, suppress
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -185,56 +185,95 @@ def _nbytes(spec: TensorSpec) -> int:
     return prod(shape) * dtype.itemsize
 
 
-def _stage(path: Path) -> tuple[Path, int]:
-    """Create a new, empty file beside ``path`` under a hidden unique name
-    that no reader globs for; returns its name and an open descriptor."""
-    staged = path.with_name(f".{path.name}.{secrets.token_hex(8)}.partial")
-    return staged, os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+def _hidden(path: Path, kind: str) -> Path:
+    """A unique name beside ``path`` that no reader globs for."""
+    return path.with_name(f".{path.name}.{secrets.token_hex(8)}.{kind}")
 
 
-def _commit(staged: Sequence[Path], targets: Sequence[Path], commit: bool) -> None:
-    """Rename each staged file onto its target, in order, or, if ``commit``
-    is false or a rename fails, delete what is left."""
-    try:
-        if commit:
-            for tmp, final in zip(staged, targets):
-                os.replace(tmp, final)
-    finally:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
+@dataclass
+class _Transaction:
+    """What a :func:`staged_files` block changes, in order, and the directories it made."""
+
+    changes: list[tuple[Path | None, Path]] = field(default_factory=list)  # (staged file or None to delete, target)
+    made: list[Path] = field(default_factory=list)
+
+    def __call__(self, path: str | Path) -> Path:
+        path = Path(path)
+        staged = _hidden(path, "partial")
+        os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        self.changes.append((staged, path))
+        return staged
+
+    def delete(self, path: Path) -> None:
+        self.changes.append((None, path))
+
+    def mkdir(self, path: Path) -> None:
+        self.made += reversed([p for p in (path, *path.parents) if not p.exists()])
+        path.mkdir(parents=True, exist_ok=True)
+
+    def discard(self, changes: int = 0, made: int = 0) -> None:
+        """Delete the staged files and directories recorded after these counts."""
+        for staged, _ in self.changes[changes:]:
+            if staged:
+                staged.unlink(missing_ok=True)
+        for directory in reversed(self.made[made:]):
+            with suppress(OSError):
+                directory.rmdir()
+        del self.changes[changes:], self.made[made:]
+
+    def commit(self) -> None:
+        done = []  # (target, its old file under a hidden name or None)
+        try:
+            for staged, target in self.changes:
+                kept = _hidden(target, "old") if target.is_file() else None
+                if kept and staged:
+                    os.link(target, kept)
+                elif kept:
+                    os.replace(target, kept)
+                done.append((target, kept))
+                if staged:
+                    os.replace(staged, target)
+        except BaseException:
+            for target, kept in reversed(done):
+                with suppress(OSError):
+                    if kept:
+                        os.replace(kept, target)  # does nothing if both name one file
+                    (kept or target).unlink(missing_ok=True)
+            self.discard()
+            raise
+        for _, kept in done:
+            if kept:
+                kept.unlink()
+
+
+_transaction: ContextVar[_Transaction | None] = ContextVar("dimerge_transaction", default=None)
 
 
 @contextmanager
-def staged_files() -> Iterator[Callable[[str | Path], Path]]:
-    """Write several files so that none replaces its target before all are
-    written.
+def staged_files() -> Iterator[_Transaction]:
+    """Make what the block writes, replaces and deletes one all-or-nothing commit.
 
-    ``stage(path)`` creates an empty hidden file beside ``path`` and returns
-    its name, to be written in place of ``path``. When the ``with`` block
-    exits cleanly every staged file is renamed onto its target; on an
-    exception all of them are deleted and the targets are left as they were.
-    A target that is a directory is refused when it is staged, since the
-    rename onto it would fail only after the others had been made.
+    ``stage(path)`` returns a new, empty hidden file to write in place of
+    ``path``; ``stage.delete(path)`` deletes a file; ``stage.mkdir(path)``
+    makes a directory and its parents. On a clean exit the changes are made
+    in order, each old file first kept under a hidden name; if one fails,
+    all are undone and the error is raised. On an exception in the block
+    nothing changes. A block inside another, in the same thread, joins it:
+    it commits with the outermost, and an exception out of it withdraws only
+    what it staged.
     """
-    staged: list[Path] = []
-    targets: list[Path] = []
-
-    def stage(path: str | Path) -> Path:
-        path = Path(path)
-        if path.is_dir():
-            raise IsADirectoryError(errno.EISDIR, "is a directory", str(path))
-        tmp, fd = _stage(path)
-        os.close(fd)
-        staged.append(tmp)
-        targets.append(path)
-        return tmp
-
-    commit = False
+    tx = _transaction.get() or _Transaction()
+    token = _transaction.set(tx)
+    marks = len(tx.changes), len(tx.made)
     try:
-        yield stage
-        commit = True
+        yield tx
+    except BaseException:
+        tx.discard(*marks)
+        raise
     finally:
-        _commit(staged, targets, commit)
+        _transaction.reset(token)
+    if _transaction.get() is None:
+        tx.commit()
 
 
 def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
@@ -345,14 +384,12 @@ class CheckpointWriter:
     disk do not depend on that order. ``path`` is as for
     :func:`save_checkpoint`; ``paths`` lists the files written.
 
-    Files are filled under hidden names beside their targets and renamed
-    into place only when the ``with`` block exits cleanly; on an exception
-    they are deleted. So a failed write leaves whatever was at ``path``
-    untouched, and a target that a loaded checkpoint still maps keeps its
-    old contents for that checkpoint. Once a directory's files are in
-    place, its other top-level tensor files and index manifests, the only
-    names :func:`load_checkpoint` reads, are deleted, so a checkpoint of
-    another layout there does not make the new one unloadable.
+    The writer is a :func:`staged_files` block: its files, filled under
+    hidden names, commit (the index last) as it or an enclosing block exits
+    cleanly, and so does the deletion of a directory's other top-level
+    tensor files and index manifests, the only names :func:`load_checkpoint`
+    reads. So a failed write changes nothing at ``path``, and a checkpoint
+    still loaded from there keeps mapping its old files.
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
@@ -363,47 +400,40 @@ class CheckpointWriter:
             raise ConfigError("shard_limit must be positive")
         shards = _pack_shards(specs, shard_limit)
         path = Path(path)
-        self._directory = None if path.suffix == ".safetensors" else path
-        if path.suffix == ".safetensors":
+        directory = path.suffix != ".safetensors"
+        if not directory:
             if len(shards) > 1:
                 raise ConfigError(
                     f"{path}: checkpoint needs {len(shards)} shards at limit {shard_limit}; "
                     "use a directory path for sharded output"
                 )
-            path.parent.mkdir(parents=True, exist_ok=True)
             files = [path]
+        elif len(shards) == 1:
+            files = [path / SINGLE_FILENAME]
         else:
-            path.mkdir(parents=True, exist_ok=True)
-            if len(shards) == 1:
-                files = [path / SINGLE_FILENAME]
-            else:
-                files = [path / f"model-{i:05d}-of-{len(shards):05d}.safetensors"
-                         for i in range(1, len(shards) + 1)]
+            files = [path / f"model-{i:05d}-of-{len(shards):05d}.safetensors"
+                     for i in range(1, len(shards) + 1)]
 
-        self.paths: list[Path] = []
-        self._staged: list[Path] = []
-        self._fds: list[int] = []
+        self.paths = list(files)
         self._where: dict[str, tuple[int, int, int]] = {}
-        try:
+        with ExitStack() as stack:
+            stage = stack.enter_context(staged_files())
+            stage.mkdir(path if directory else path.parent)
             for file_path, shard in zip(files, shards):
-                self._open(file_path)
-                offsets = _lay_out(self._fds[-1], shard)
+                fd = os.open(stage(file_path), os.O_WRONLY)
+                stack.callback(os.close, fd)
+                offsets = _lay_out(fd, shard)
                 for spec in shard:
-                    self._where[spec[0]] = (self._fds[-1], offsets[spec[0]], _nbytes(spec))
+                    self._where[spec[0]] = (fd, offsets[spec[0]], _nbytes(spec))
             if len(shards) > 1:
                 weight_map = OrderedDict((spec[0], f.name) for f, shard in zip(files, shards) for spec in shard)
                 index = {"metadata": {"total_size": sum(map(_nbytes, specs))}, "weight_map": weight_map}
-                self._open(path / INDEX_FILENAME)
-                _pwrite_all(self._fds[-1], json.dumps(index, indent=2).encode("utf-8"), 0)
-        except BaseException:
-            self._finish(commit=False)
-            raise
-
-    def _open(self, file_path: Path) -> None:
-        staged, fd = _stage(file_path)
-        self._staged.append(staged)
-        self._fds.append(fd)
-        self.paths.append(file_path)
+                self.paths.append(path / INDEX_FILENAME)
+                stage(self.paths[-1]).write_bytes(json.dumps(index, indent=2).encode("utf-8"))
+            for stale in [*path.glob("*.safetensors"), *path.glob("*.index.json")] if directory else []:
+                if stale not in self.paths and stale.is_file():
+                    stage.delete(stale)
+            self._exit = stack.pop_all()
 
     def write(self, name: str, offset: int, data) -> None:
         """Write ``data`` (any contiguous buffer) at byte ``offset`` of the
@@ -414,24 +444,11 @@ class CheckpointWriter:
             raise ValueError(f"{name}: write of {size} bytes at {offset} overruns its {nbytes}-byte payload")
         _pwrite_all(fd, data, start + offset)
 
-    def _finish(self, commit: bool) -> None:
-        """Close every file, then rename each into place (the index last) or,
-        if ``commit`` is false or a rename fails, delete what is left."""
-        while self._fds:
-            os.close(self._fds.pop())
-        staged, self._staged = self._staged, []
-        _commit(staged, self.paths, commit)
-        if commit and self._directory is not None:
-            written = {p.name for p in self.paths}
-            for stale in [*self._directory.glob("*.safetensors"), *self._directory.glob("*.index.json")]:
-                if stale.name not in written and stale.is_file():
-                    stale.unlink()
-
     def __enter__(self) -> "CheckpointWriter":
         return self
 
-    def __exit__(self, exc_type, *_) -> None:
-        self._finish(commit=exc_type is None)
+    def __exit__(self, *exc_info) -> None:
+        self._exit.__exit__(*exc_info)  # close every file, then commit or discard them
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAULT_SHARD_LIMIT) -> list[Path]:

@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny synthetic 2-layer transformer triple."""
 
+import errno
+import os
 import tempfile
 from pathlib import Path
 
@@ -102,3 +104,20 @@ def one_tensor_row(base, ml, mm, **kwargs):
              for a in (base, ml, mm)]
     [row] = diagnose(*ckpts, **kwargs)
     return row
+
+
+def fail_nth_replace(monkeypatch, n: int) -> list:
+    """Patch ``os.replace`` so that its ``n``-th call from now on raises
+    OSError (``n=0``: none does); returns the list of calls made, so a clean
+    run counts the renames a failing run can stop at."""
+    calls = []
+    real = os.replace
+
+    def replace(src, dst, **kwargs):
+        calls.append((src, dst))
+        if len(calls) == n:
+            raise OSError(errno.EIO, "injected rename failure", str(dst))
+        return real(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return calls

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,11 +92,27 @@ class TestMergeCommand:
         assert not (tmp_path / "merged").exists()
 
     def test_output_collision_rejected(self, workspace, capsys):
+        """An output or report path that is, holds or lies inside an input
+        path is refused before anything is written, so no input can be
+        deleted or overwritten."""
         tmp_path, config, _ = workspace
-        config["output_path"] = config["anchor_path"]
-        config_path = write_config(tmp_path, config)
-        assert main(["merge", "--config", config_path]) == 2
-        assert "config.output_collision" in capsys.readouterr().err
+        is_an_input = dict(config, output_path=config["anchor_path"])
+        # single-file inputs in one directory, which is the output path
+        input_inside_output = dict(config, output_path=str(tmp_path / "models"))
+        for key in ("base_path", "multilingual_path", "anchor_path"):
+            target = tmp_path / "models" / f"{key}.safetensors"
+            save_checkpoint(load_checkpoint(config[key]), target)
+            input_inside_output[key] = str(target)
+        save_checkpoint(load_checkpoint(config["anchor_path"]), tmp_path / "anchor_sh", shard_limit=200)
+        output_inside_input = dict(config, anchor_path=str(tmp_path / "anchor_sh"),
+                                   output_path=str(tmp_path / "anchor_sh" / "merged"))
+        report_is_an_input = dict(config, report_path=str(tmp_path / "models" / "base_path.safetensors"),
+                                  base_path=str(tmp_path / "models" / "base_path.safetensors"))
+        for case in (is_an_input, input_inside_output, output_inside_input, report_is_an_input):
+            before = {key: tree_bytes(Path(case[key])) for key in ("base_path", "multilingual_path", "anchor_path")}
+            assert main(["merge", "--config", write_config(tmp_path, case)]) == 2, case["output_path"]
+            assert "config.output_collision" in capsys.readouterr().err
+            assert {key: tree_bytes(Path(case[key])) for key in before} == before
 
     def test_set_overrides_leaf_fields(self, workspace):
         tmp_path, config, config_path = workspace
@@ -149,7 +166,48 @@ class TestMergeCommand:
         config["merge"] = {"method": "task_arithmetic"}
         assert main(["merge", "--config", write_config(tmp_path, config)]) == 3
         assert tree_bytes(tmp_path / "merged") == before
-        assert not [p for p in tmp_path.iterdir() if ".tmp" in p.name]
+        # no staged file or kept link of the failed commit is left anywhere
+        assert not list(tmp_path.rglob(".*"))
+
+    def test_other_files_at_the_output_path_stay(self, workspace):
+        tmp_path, config, config_path = workspace
+        out = tmp_path / "merged"
+        (out / "sub").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        (out / "sub" / "more.txt").write_text("kept too")
+        assert main(["merge", "--config", str(config_path)]) == 0
+        assert (out / "notes.txt").read_text() == "kept" and (out / "sub" / "more.txt").read_text() == "kept too"
+        assert load_checkpoint(out).names()
+
+    @pytest.mark.parametrize("out", ["merged", "merged.safetensors"])
+    def test_output_path_of_the_other_kind_is_left_alone(self, workspace, capsys, out):
+        """A file where a directory checkpoint goes, or a directory at a
+        ``.safetensors`` path, is an I/O error and is not deleted."""
+        tmp_path, config, config_path = workspace
+        if out.endswith(".safetensors"):
+            (tmp_path / out).mkdir()
+            (tmp_path / out / "notes.txt").write_text("kept")
+        else:
+            (tmp_path / out).write_text("a file, not a checkpoint directory")
+        before = tree_bytes(tmp_path / out)
+        assert main(["merge", "--config", str(config_path), "--output", str(tmp_path / out)]) == 3
+        assert capsys.readouterr().err.startswith("error[io.os]")
+        assert tree_bytes(tmp_path / out) == before
+        assert not (tmp_path / f"{out}.report.json").exists()
+
+    def test_report_path_in_a_new_directory(self, workspace):
+        tmp_path, config, _ = workspace
+        config["report_path"] = str(tmp_path / "reports" / "run1" / "merged.json")
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 0
+        report = json.loads((tmp_path / "reports" / "run1" / "merged.json").read_text())
+        assert report["config"]["merge"]["method"] == "dim3"
+
+    def test_set_descends_into_the_string_form_of_aggregation(self, workspace):
+        tmp_path, config, _ = workspace
+        config["merge"]["aggregation"] = "mag_weighted"
+        assert main(["merge", "--config", write_config(tmp_path, config), "--set", "merge.aggregation.lambda=0.6"]) == 0
+        report = json.loads((tmp_path / "merged.report.json").read_text())
+        assert report["config"]["merge"]["aggregation"] == {"kind": "mag_weighted", "lambda": 0.6}
 
     def test_non_finite_input_is_numeric_error(self, workspace, capsys):
         tmp_path, config, _ = workspace

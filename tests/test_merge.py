@@ -166,6 +166,17 @@ class TestMergeCheckpoint:
         fresh, _ = merge_and_load(base, ml, anchor, MergeConfig())
         assert checkpoint_digest(load_checkpoint(tmp_path / "out")) == checkpoint_digest(fresh)
 
+    @pytest.mark.parametrize("out", ["merged", "new/deeper/merged", "new/merged.safetensors"])
+    def test_failed_merge_into_a_new_directory_leaves_none(self, tmp_path, triple_f32, out):
+        base, ml, anchor = triple_f32
+        name = "model.layers.1.mlp.up_proj.weight"
+        values = ml[name].to_f32()
+        values[0, 0] = np.nan
+        ml.tensors[name] = TensorRecord.from_array(name, values)
+        with pytest.raises(NumericError):
+            merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / out)
+        assert not list(tmp_path.iterdir())
+
     def test_zero_residuals_full_scope_reproduces_anchor(self):
         base, _, anchor = make_triple(seed=3)
         merged, report = merge_and_load(base, base, _anchor_like(base, anchor), MergeConfig())

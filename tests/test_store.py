@@ -14,7 +14,10 @@ from dimerge.store import (
     load_checkpoint,
     remap_keys,
     save_checkpoint,
+    staged_files,
 )
+
+from conftest import fail_nth_replace
 
 
 def ckpt_of(arrays: dict, dtype=DType.F32) -> Checkpoint:
@@ -159,6 +162,42 @@ class TestReplacingADirectory:
                 raise RuntimeError("fail before the commit")
         assert sorted(p.name for p in out.iterdir()) == before
         assert load_checkpoint(out).names() == self.OLD.names()
+
+
+class TestStagedFiles:
+    """A ``staged_files()`` block inside another joins it."""
+
+    def test_inner_block_commits_with_the_outermost(self, tmp_path):
+        with staged_files() as outer:
+            outer(tmp_path / "a").write_text("a")
+            with staged_files() as inner:
+                inner(tmp_path / "b").write_text("b")
+            assert not (tmp_path / "b").exists()
+        assert (tmp_path / "a").read_text() == "a" and (tmp_path / "b").read_text() == "b"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_exception_out_of_an_inner_block_withdraws_only_its_files(self, tmp_path):
+        with staged_files() as outer:
+            outer(tmp_path / "a").write_text("a")
+            with pytest.raises(RuntimeError):
+                with staged_files() as inner:
+                    inner.mkdir(tmp_path / "made")
+                    inner(tmp_path / "made" / "b").write_text("b")
+                    raise RuntimeError("inner block fails")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+    def test_failed_commit_puts_back_what_the_inner_block_changed(self, tmp_path, monkeypatch):
+        for name in ("a", "b", "gone"):
+            (tmp_path / name).write_text(f"old {name}")
+        fail_nth_replace(monkeypatch, 4)
+        with pytest.raises(OSError, match="injected"):
+            with staged_files() as outer:
+                with staged_files() as inner:
+                    inner(tmp_path / "a").write_text("new a")
+                    inner.delete(tmp_path / "gone")
+                    inner(tmp_path / "c").write_text("new c")
+                outer(tmp_path / "b").write_text("new b")
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {n: f"old {n}" for n in ("a", "b", "gone")}
 
 
 def write_header(path, header: dict, body: bytes):
