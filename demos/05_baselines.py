@@ -1,16 +1,15 @@
 """Walkthrough: the classical merging baselines on small tensors.
 
-Plain residual addition and trim/elect-sign/average run on an aligned
-triple through ``merge_tensor``, the same entry point as the column-wise
-merge; random drop-and-rescale and the two-sided magnitude filter are shown
-on residual arrays with the ``dimerge.baselines.*_values`` functions.
+Every baseline runs on an aligned triple through ``merge_tensor``, the same
+entry point as the column-wise merge. To show what random drop-and-rescale
+and the two-sided magnitude filter do to one residual, the base and the
+anchor are zero, so the merge returns the transformed residual itself.
 """
 
 import numpy as np
 
 from dimerge import BaselineParams, MergeConfig, merge_tensor
 from dimerge.align import AlignedTriple
-from dimerge.baselines import breadcrumbs_values, dare_values
 from dimerge.records import TensorRecord
 
 rng = np.random.default_rng(3)
@@ -23,6 +22,13 @@ def triple(base, ml, mm):
         TensorRecord.from_array("toy", np.asarray(ml, dtype=np.float32)),
         TensorRecord.from_array("toy", np.asarray(mm, dtype=np.float32)),
     )
+
+
+def residual_alone(delta, method, **params):
+    """One residual through a merge whose base and anchor are zero."""
+    zeros = np.zeros_like(delta)
+    cfg = MergeConfig(method=method, baseline=BaselineParams(**params))
+    return merge_tensor(triple(zeros, delta, zeros), cfg).to_f32()
 
 
 base = np.zeros(6, dtype=np.float32)
@@ -38,17 +44,17 @@ print("ties merge:     ", merge_tensor(t, ties_full).to_f32())
 
 # DARE drops elements at random but stays unbiased in expectation
 delta = np.ones(10_000, dtype=np.float32)
-dropped = dare_values(delta, p=0.9, seed=0, tensor_name="delta")
+dropped = residual_alone(delta, "dare", dare_drop_p=0.9)
 print(f"\nDARE p=0.9: kept {np.count_nonzero(dropped)} of {dropped.size}, "
       f"mean {dropped.mean():.3f} (unbiased, stays near 1.0)")
 
 # masks are keyed by (seed, name, index): identical keys, identical masks
-again = dare_values(delta, p=0.9, seed=0, tensor_name="delta")
+again = residual_alone(delta, "dare", dare_drop_p=0.9)
 print("deterministic mask:", np.array_equal(dropped, again))
 
 # breadcrumbs keeps the middle of the magnitude distribution
 spread = rng.normal(size=12).astype(np.float32)
-kept = breadcrumbs_values(spread, beta=0.25, gamma=0.25)
+kept = residual_alone(spread, "breadcrumbs", breadcrumbs_beta=0.25, breadcrumbs_gamma=0.25)
 print("\nbreadcrumbs input: ", np.round(spread, 3))
 print("breadcrumbs output:", np.round(kept, 3))
 

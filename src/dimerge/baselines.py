@@ -1,13 +1,16 @@
-"""Classical residual-merging baselines over the aligned-triple plumbing.
+"""Classical residual-merging baselines: task arithmetic, DARE, TIES and
+Breadcrumbs.
 
-All four methods operate on the two source residuals relative to the base
-tensor and honor the same scope filtering and anchor pass-through as the
-column-wise merge. TIES and Breadcrumbs first find their top-k cuts over the
-whole residuals; then every method composes the merge one block of rows at
-a time, in place, applying the cuts in flat order. Random drop masks come
-from a counter-based generator keyed by (seed, tensor-name hash, element
-index), so results are identical under any parallel schedule and any block
-size.
+Their one entry point is :func:`merge_baseline_values`, which the merge's
+pass 1 calls on a tensor's decoded residuals; to run a baseline on one
+tensor, call :func:`~dimerge.merge.merge_tensor` with the method in its
+config. So every method honors the same scope filtering and anchor
+pass-through as the column-wise merge. TIES and Breadcrumbs first find their
+top-k cuts over the whole residuals; then every method composes the merge
+one block of rows at a time, in place, applying the cuts in flat order.
+Random drop masks come from a counter-based generator keyed by (seed,
+tensor-name hash, element index), so results are identical under any
+parallel schedule and any block size.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ class BaselineParams:
     breadcrumbs_gamma: float = 0.01
 
     def __post_init__(self):
+        if not math.isfinite(self.lam):
+            raise ConfigError(f"lambda must be finite, got {self.lam}")
         if not (0.0 <= self.dare_drop_p < 1.0):
             raise ConfigError(f"dare_drop_p must be in [0, 1), got {self.dare_drop_p}")
         if not (0.0 < self.ties_density <= 1.0):
@@ -154,13 +159,6 @@ class TopKCut:
         return f"keep {self.keep}, threshold {self.threshold:.6g}, {self.ties} ties admitted"
 
 
-def _top_k_mask(scores: np.ndarray, keep: int) -> np.ndarray:
-    """Mask of the ``keep`` largest scores; threshold ties go to lower flat
-    indices."""
-    out = np.empty(scores.shape, dtype=bool)
-    return TopKCut(scores.copy(), keep, out).select(scores, out)
-
-
 # ---------------------------------------------------------------------------
 # block transforms: in place on a block of rows of the residuals
 # ---------------------------------------------------------------------------
@@ -177,8 +175,6 @@ def _task_arithmetic_block(base: np.ndarray, d_ml: np.ndarray, d_mm: np.ndarray,
 def _dare_block(delta: np.ndarray, p: float, seed: int, name: str, start: int) -> np.ndarray:
     """Drop each entry with probability ``p`` and rescale the survivors by
     ``1/(1-p)``, in place; entry i draws uniform ``start + i`` of (seed, name)."""
-    if not (0.0 <= p < 1.0):
-        raise ConfigError(f"drop probability must be in [0, 1), got {p}")
     if p:
         drop = unit_uniforms(seed, name, delta.size, start).reshape(delta.shape) < p
         delta /= np.float32(1.0 - p)
@@ -247,10 +243,6 @@ def _breadcrumbs_block(delta: np.ndarray, bottom: TopKCut, top: TopKCut, scores:
     np.copyto(delta, delta.dtype.type(0), where=_breadcrumbs_scores(delta, bottom, scores, mask))
     np.copyto(delta, delta.dtype.type(0), where=top.select(scores, mask))
     return delta
-
-
-def _as_rows(a: np.ndarray) -> np.ndarray:
-    return a.reshape(a.shape[0] if a.ndim else 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +315,6 @@ _PLANS = {
 }
 
 
-def _fresh(slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
-    return np.empty(shape, dtype)
-
-
 def merge_baseline_values(
     method: str,
     base: np.ndarray,
@@ -335,64 +323,23 @@ def merge_baseline_values(
     params: BaselineParams,
     seed: int,
     tensor_name: str,
-    take: Callable[..., np.ndarray] | None = None,
-    block_rows: int | None = None,
+    take: Callable[..., np.ndarray],
+    block_rows: int,
 ) -> Callable[[int, int], np.ndarray]:
     """Plan one tensor's merge by a baseline method: TIES and Breadcrumbs cut
     the whole residuals here; the others need no cut.
 
-    Returns ``compose(r0, r1)``, rows ``r0:r1`` of the merge in float32 (a
-    1D or scalar tensor being one column), composed in place in those rows
-    of ``delta_ml``. The residuals (contiguous) are consumed, so the rows
-    must come in order, ``block_rows`` at most at a time (all of them by
-    default). Scratch comes from ``take(slot, shape, dtype)`` (as
-    :meth:`~dimerge.merge.BlockBuffers.take`; slots 6-9) or is fresh.
+    ``base`` and the residuals are contiguous float32 matrices of one shape
+    (a 1D tensor being one column). Returns ``compose(r0, r1)``, rows
+    ``r0:r1`` of the merge in float32, composed in place in those rows of
+    ``delta_ml``. The residuals are consumed, so the rows must come in
+    order, ``block_rows`` at most at a time. Scratch comes from
+    ``take(slot, shape, dtype)``, as :meth:`~dimerge.merge.BlockBuffers.take`
+    (slots 6-9).
 
     DARE masks are keyed by source-qualified names so the two residuals get
     independent drop patterns.
     """
-    plan = _PLANS.get(method)
-    if plan is None:
-        raise ConfigError(f"unknown baseline method {method!r}")
-    base, delta_ml, delta_mm = (_as_rows(a) for a in (base, delta_ml, delta_mm))
-    block = min(block_rows or len(base), len(base))
-    compose = plan(delta_ml, delta_mm, params, seed, tensor_name, take or _fresh, block)
+    block = min(block_rows, len(base))
+    compose = _PLANS[method](delta_ml, delta_mm, params, seed, tensor_name, take, block)
     return lambda r0, r1: compose(r0, base[r0:r1], delta_ml[r0:r1], delta_mm[r0:r1])
-
-
-# ---------------------------------------------------------------------------
-# whole-array entry points: the cuts and block transforms on one block
-# ---------------------------------------------------------------------------
-
-
-def task_arithmetic_values(base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, lam: float) -> np.ndarray:
-    """Sum of the two residuals added to the base, scaled by ``lam``."""
-    return _task_arithmetic_block(base, delta_ml.copy(), delta_mm, lam)
-
-
-def dare_values(delta: np.ndarray, p: float, seed: int, tensor_name: str) -> np.ndarray:
-    """Drop each element with probability ``p`` and rescale survivors by
-    ``1/(1-p)``. The mask is keyed by (seed, tensor_name, element index)."""
-    return _dare_block(delta.copy(), p, seed, tensor_name, 0)
-
-
-def ties_merge_values(
-    base: np.ndarray, delta_ml: np.ndarray, delta_mm: np.ndarray, density: float, lam: float
-) -> np.ndarray:
-    """Trim small updates per source, elect a sign per coordinate from the
-    kept mass (ties elect positive), and average the agreeing residuals."""
-    compose = merge_baseline_values("ties", base, delta_ml.copy(), delta_mm.copy(),
-                                    BaselineParams(ties_density=density, lam=lam), 0, "")
-    return compose(0, len(_as_rows(base))).reshape(base.shape)
-
-
-def breadcrumbs_values(delta: np.ndarray, beta: float, gamma: float) -> np.ndarray:
-    """Zero the bottom ``beta`` and top ``gamma`` fractions of entries by
-    absolute value; threshold ties are dropped at lower flat indices first."""
-    if beta < 0 or gamma < 0 or beta + gamma >= 1.0:
-        raise ConfigError(f"need beta, gamma >= 0 with beta + gamma < 1, got {beta}, {gamma}")
-    out = delta.copy()
-    rows = _as_rows(out)
-    scores, flags = np.empty_like(rows), np.empty(rows.shape, bool)
-    _breadcrumbs_block(rows, *_breadcrumbs_cuts(rows, beta, gamma, scores, flags), scores, flags)
-    return out

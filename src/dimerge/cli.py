@@ -17,12 +17,13 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
 
 from .diagnostics import ModuleKeySchema, diagnose, export_csv, export_json
-from .errors import ConfigError, DimergeError
+from .errors import ConfigError, DimergeError, check_keys
 from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
 from .presets import module_schema, remap_rules
@@ -31,6 +32,7 @@ from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_file
 logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
+_ROLES = ("base", "multilingual", "anchor")   # the keys of the remap section
 
 
 def _setup_logging() -> None:
@@ -67,8 +69,9 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
         for key in keys[:-1]:
             nxt = node.get(key)
             if not isinstance(nxt, dict):
-                # a string is the short form of {"kind": ...}
-                nxt = node[key] = {"kind": nxt} if isinstance(nxt, str) else {}
+                # a string is the short form of {"kind": ...} (an aggregation) or {"preset": ...}
+                short = "kind" if key == "aggregation" else "preset"
+                nxt = node[key] = {short: nxt} if isinstance(nxt, str) else {}
             node = nxt
         node[keys[-1]] = _parse_set_value(raw)
     return config
@@ -109,13 +112,12 @@ def _required_path(config: dict, key: str) -> Path:
 
 
 def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
+    """Each role's rules: those given for it, else its preset's, else none."""
     remap = config.get("remap", {})
-    if "preset" in remap:
-        family = remap["preset"]
-        return {role: remap_rules(family, role) for role in ("base", "multilingual", "anchor")}
+    check_keys(remap, ("preset", *_ROLES), "remap")
     out = {}
-    for role in ("base", "multilingual", "anchor"):
-        rules = remap.get(role, [])
+    for role in _ROLES:
+        rules = remap.get(role, remap_rules(remap["preset"], role) if "preset" in remap else [])
         out[role] = [(str(m), str(r)) for m, r in rules]
     return out
 
@@ -174,27 +176,31 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
 
 
 def _resolve_schema(section: dict) -> ModuleKeySchema:
+    """The preset's schema (the default without one), each key given beside
+    the preset in place of the preset's own."""
     schema = section.get("schema", {})
     if isinstance(schema, str):
-        return module_schema(schema)
-    if "preset" in schema:
-        return module_schema(schema["preset"])
-    if schema:
-        return ModuleKeySchema.from_dict(schema)
-    return ModuleKeySchema()
+        schema = {"preset": schema}
+    check_keys(schema, ("preset", "layer_pattern", "module_labels"), "diagnose.schema")
+    preset = module_schema(schema["preset"]) if "preset" in schema else ModuleKeySchema()
+    return ModuleKeySchema.from_dict({**preset.to_dict(), **schema})
 
 
 def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
     config = apply_overrides(load_config(config_path), overrides)
     section = config.get("diagnose", {})
+    check_keys(section, ("schema", "csv_path", "json_path", "epsilon"), "diagnose")
+    epsilon = float(section.get("epsilon", EPSILON_DEFAULT))
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"diagnose.epsilon must be positive and finite, got {epsilon}")
     exports = [(export, section[key]) for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
                if section.get(key)]
     if not exports:
         raise ConfigError("diagnose config needs csv_path and/or json_path",
                           error_class="config.missing_path")
-    base, ml, anchor = _load_inputs(config)
     schema = _resolve_schema(section)
-    rows = diagnose(base, ml, anchor, schema, epsilon=float(section.get("epsilon", EPSILON_DEFAULT)))
+    base, ml, anchor = _load_inputs(config)
+    rows = diagnose(base, ml, anchor, schema, epsilon=epsilon)
     # both tables appear together or neither replaces an earlier one
     with staged_files():
         for export, path in exports:

@@ -46,7 +46,6 @@ from .geometry import (
     TILE_ROWS,
     ColumnDeviations,
     accumulate_column_sums,
-    column_deviations,
     deviations_from_sums,
 )
 from .records import DType, TensorRecord, decode_f32, encode_bits, recode_bits
@@ -93,8 +92,8 @@ class MergeConfig:
     def validate(self) -> "MergeConfig":
         if self.method not in MERGE_METHODS:
             raise ConfigError(f"unknown merge method {self.method!r}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.output_dtype not in ("match_anchor", "f32"):
             raise ConfigError(f"unknown output dtype {self.output_dtype!r}")
         if self.method == "dim3" and self.baseline is not None:
@@ -179,13 +178,6 @@ def _weights(dev: ColumnDeviations, cfg: MergeConfig) -> SalienceWeights:
     s_mag_ml, _ = estimate_salience(dev.mag_ml, dev.mag_mm, cfg.estimator)
     s_dir_ml, _ = estimate_salience(dev.dir_ml, dev.dir_mm, cfg.estimator)
     return aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
-
-
-def column_weights(
-    base: np.ndarray, ml: np.ndarray, mm: np.ndarray, cfg: MergeConfig
-) -> SalienceWeights:
-    """Per-column source weights for a 2D tensor from both deviation branches."""
-    return _weights(column_deviations(base, ml, mm, cfg.epsilon), cfg)
 
 
 def _as_matrix(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -456,7 +448,7 @@ def merge_checkpoint(
                 entries = list(pool.map(handle, names))
         else:
             entries = [handle(n) for n in names]
-    logger.debug("writer committed %s: %d files", path, len(out.paths))
+    logger.debug("writer closed %s: %d files", path, len(out.paths))
 
     report = MergeReport(config=cfg.to_dict(), alignment=alignment.to_dict())
     omega_means = []

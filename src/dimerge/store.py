@@ -244,6 +244,7 @@ class _Transaction:
         for _, kept in done:
             if kept:
                 kept.unlink()
+        logger.debug("committed %d changes", len(done))
 
 
 _transaction: ContextVar[_Transaction | None] = ContextVar("dimerge_transaction", default=None)

@@ -5,6 +5,7 @@ plain loops, brute-force rank counting, and a shifted two-term softmax. This
 is the oracle the implementation is checked against, so it must stay naive.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -139,6 +140,43 @@ def top_k_indices(scores, keep) -> list[int]:
     (-score, flat index), so threshold ties go to lower indices."""
     order = sorted(range(len(scores)), key=lambda i: (-float(scores[i]), i))
     return order[:max(keep, 0)]
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def unit_uniforms(seed, name, n, start=0) -> list[float]:
+    """The counter-based uniforms behind DARE, one Python integer at a time:
+    the key mixes (seed + golden ratio) and xors in the first 8 bytes of the
+    name's blake2b digest (little-endian); element i mixes key + (start + i
+    + 1) * golden ratio and keeps the top 53 bits, all modulo 2**64."""
+    name_hash = int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
+    key = _mix64(((seed & _MASK64) + _GOLDEN) & _MASK64) ^ name_hash
+    return [(_mix64((key + (start + i + 1) * _GOLDEN) & _MASK64) >> 11) * 2.0**-53 for i in range(n)]
+
+
+def dare(delta, p, seed, name):
+    """DARE in float32: entry i is dropped where uniform i of (seed, name)
+    falls below p, and kept divided by (1 - p) otherwise."""
+    flat = np.asarray(delta, dtype=np.float32).ravel()
+    scale = np.float32(1.0 - p)
+    u = unit_uniforms(seed, name, flat.size)
+    return np.array([np.float32(0.0) if u[i] < p else flat[i] / scale for i in range(flat.size)],
+                    dtype=np.float32)
+
+
+def task_arithmetic(base, delta_ml, delta_mm, lam):
+    """base + lam * (delta_ml + delta_mm), element by element in float32."""
+    base, d_ml, d_mm = (np.asarray(a, dtype=np.float32).ravel() for a in (base, delta_ml, delta_mm))
+    return np.array([base[i] + np.float32(lam) * (d_ml[i] + d_mm[i]) for i in range(base.size)],
+                    dtype=np.float32)
 
 
 def ties(base, delta_ml, delta_mm, density, lam):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from dimerge.baselines import BaselineParams, breadcrumbs_values, dare_values
+from dimerge.baselines import BaselineParams
 from dimerge.diagnostics import diagnose
 from dimerge.geometry import residual_identity_terms
 from dimerge.merge import MergeConfig, merge_tensor
@@ -20,7 +20,7 @@ from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import make_triple, merge_and_load
-from test_baselines import record_of
+from test_baselines import breadcrumbs, dare, record_of
 from test_merge import checkpoint_digest, triple_of
 import reference
 
@@ -84,8 +84,20 @@ def _random_triples(rng, count_2d=120, count_1d=80):
         yield triple_of(base, ml, mm)
 
 
-def test_criterion_3_and_4_oracle_equivalence_and_simplex():
-    from dimerge.merge import column_weights
+def test_criterion_3_and_4_oracle_equivalence_and_simplex(monkeypatch):
+    import dimerge.merge as merge_module
+
+    # the weights that each merge_tensor call composes with, as the merge computes them
+    weighed = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            weighed.append(fn(*args, **kwargs))
+            return weighed[-1]
+        return wrapper
+
+    for name in ("aggregate_branches", "elementwise_salience"):
+        monkeypatch.setattr(merge_module, name, recording(getattr(merge_module, name)))
 
     rng = np.random.default_rng(103)
     cfg = MergeConfig()
@@ -94,24 +106,18 @@ def test_criterion_3_and_4_oracle_equivalence_and_simplex():
     simplex_ok = True
     bounds_ok = True
     for triple in _random_triples(rng):
+        weighed.clear()
+        got = merge_tensor(triple, cfg).to_f32()
         if triple.rank == 2:
-            got = merge_tensor(triple, cfg).to_f32()
             want, _ = reference.merge_2d(
                 triple.base.to_f32(), triple.ml.to_f32(), triple.mm.to_f32(), epsilon=cfg.epsilon
             )
-            weights = column_weights(triple.base.to_f32(), triple.ml.to_f32(),
-                                     triple.mm.to_f32(), cfg)
             d = triple.shape[1]
         else:
-            got = merge_tensor(triple, cfg).to_f32()
             want, _ = reference.merge_1d(triple.base.to_f32(), triple.ml.to_f32(),
                                          triple.mm.to_f32())
-            base, ml, mm = triple.base.to_f32(), triple.ml.to_f32(), triple.mm.to_f32()
-            from dimerge.salience import elementwise_salience
-
-            weights = elementwise_salience(np.abs(ml - base).astype(np.float64),
-                                           np.abs(mm - base).astype(np.float64))
             d = triple.shape[0]
+        (weights,) = weighed
         worst = max(worst, float(np.max(np.abs(got - want))))
         simplex_ok &= bool(np.all(np.abs(weights.omega_ml + weights.omega_mm - 1.0) <= ULP_OF_ONE))
         lo = reference.logistic(-(d - 1) / d)
@@ -209,16 +215,25 @@ def test_criterion_7_ablation_variants():
 def test_criterion_8_baseline_sanity():
     rng = np.random.default_rng(58)
     delta = record_of(rng.normal(size=256))
-    identity_ok = dare_values(delta.to_f32(), p=0.0, seed=0, tensor_name="d").tobytes() == delta.raw
+    identity_ok = dare(delta.to_f32(), p=0.0, seed=0).tobytes() == delta.raw
 
     values = rng.normal(size=16).astype(np.float32)
     rec = record_of(values)
     acc = np.zeros(16, dtype=np.float64)
     trials = 10_000
     for seed in range(trials):
-        acc += dare_values(rec.to_f32(), p=0.5, seed=seed, tensor_name="d")
+        acc += dare(rec.to_f32(), p=0.5, seed=seed)
     mean = acc / trials
     unbiased_ok = bool(np.all(np.abs(mean - values) <= 0.01 * np.abs(values) + 0.015))
+
+    # both residuals dropped by their own streams, against the reference masks
+    # (drawn from their own generator, so the draws below stay as they were)
+    base, ml, mm = np.random.default_rng(580).normal(size=(3, 8, 6)).astype(np.float32)
+    dare_cfg = MergeConfig(method="dare", seed=4, baseline=BaselineParams(dare_drop_p=0.5, lam=0.8))
+    dare_got = merge_tensor(triple_of(base, ml, mm, name="w"), dare_cfg).raw
+    dare_want = reference.task_arithmetic(base, reference.dare(ml - base, 0.5, 4, "ml:w"),
+                                          reference.dare(mm - base, 0.5, 4, "mm:w"), 0.8)
+    reference_ok = dare_got == dare_want.tobytes()
 
     ties_full_density = MergeConfig(method="ties", baseline=BaselineParams(ties_density=1.0, lam=1.0))
     ties_trace = merge_tensor(triple_of([0.0, 0.0], [1.0, -2.0], [1.0, 1.0]), ties_full_density)
@@ -230,12 +245,12 @@ def test_criterion_8_baseline_sanity():
     ties_full = merge_tensor(triple_of(base, base + d1, base + d2), ties_full_density).to_f32()
     mean_ok = bool(np.allclose(ties_full, base + 0.5 * (d1 + d2), atol=1e-6))
 
-    bc = breadcrumbs_values(delta.to_f32(), beta=0.0, gamma=0.0)
+    bc = breadcrumbs(delta.to_f32(), beta=0.0, gamma=0.0)
     bc_ok = bc.tobytes() == delta.raw
 
     _report(8, "DARE identity/unbiasedness, TIES trace and no-conflict mean, breadcrumbs identity",
-            identity_ok and unbiased_ok and trace_ok and mean_ok and bc_ok,
-            f"dare_id={identity_ok}, dare_mean={unbiased_ok}, ties={trace_ok}, "
+            identity_ok and reference_ok and unbiased_ok and trace_ok and mean_ok and bc_ok,
+            f"dare_id={identity_ok}, dare_ref={reference_ok}, dare_mean={unbiased_ok}, ties={trace_ok}, "
             f"ties_mean={mean_ok}, breadcrumbs={bc_ok}")
 
 

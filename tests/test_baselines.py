@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from dimerge.baselines import (
-    BaselineParams,
-    breadcrumbs_values,
-    dare_values,
-    ties_merge_values,
-    unit_uniforms,
-)
+from dimerge.baselines import BaselineParams, unit_uniforms
 from dimerge.errors import ConfigError
 from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import TensorRecord
@@ -15,6 +9,7 @@ from dimerge.records import TensorRecord
 from conftest import merge_and_load
 
 from test_merge import triple_of
+import reference
 
 TASK_ARITHMETIC = MergeConfig(method="task_arithmetic")
 TIES_FULL_DENSITY = MergeConfig(method="ties", baseline=BaselineParams(ties_density=1.0))
@@ -26,6 +21,22 @@ def record_of(values, name="d"):
 
 def f32(values):
     return np.asarray(values, dtype=np.float32)
+
+
+def merged_residual(delta, method, seed=0, name="d", **params):
+    """One residual through ``merge_tensor`` alone: a zero base and a zero
+    second residual, so the output is the method's transform of ``delta``."""
+    zeros = np.zeros_like(f32(delta))
+    cfg = MergeConfig(method=method, seed=seed, baseline=BaselineParams(**params))
+    return merge_tensor(triple_of(zeros, delta, zeros, name=name), cfg).to_f32()
+
+
+def dare(delta, p, seed=0, name="d"):
+    return merged_residual(delta, "dare", seed, name, dare_drop_p=p)
+
+
+def breadcrumbs(delta, beta, gamma):
+    return merged_residual(delta, "breadcrumbs", breadcrumbs_beta=beta, breadcrumbs_gamma=gamma)
 
 
 class TestTaskArithmetic:
@@ -64,6 +75,14 @@ class TestUnitUniforms:
         long = unit_uniforms(3, "w", 1000)
         np.testing.assert_array_equal(long[:100], short)
 
+    @pytest.mark.parametrize("seed, name, n, start", [
+        (0, "w", 1000, 0), (7, "model.layers.0.mlp.down_proj.weight", 300, 12_345),
+        (-1, "ml:t", 64, 0), (2**64 + 5, "", 16, 2**40),
+    ])
+    def test_matches_reference_bit_for_bit(self, seed, name, n, start):
+        got = unit_uniforms(seed, name, n, start)
+        assert got.tobytes() == np.array(reference.unit_uniforms(seed, name, n, start)).tobytes()
+
     def test_roughly_uniform(self):
         u = unit_uniforms(0, "w", 200_000)
         assert np.all(u >= 0.0) and np.all(u < 1.0)
@@ -73,25 +92,35 @@ class TestUnitUniforms:
 class TestDare:
     def test_p_zero_identity(self, rng):
         delta = f32(rng.normal(size=64))
-        out = dare_values(delta, p=0.0, seed=1, tensor_name="d")
+        out = dare(delta, p=0.0, seed=1)
         assert out.tobytes() == delta.tobytes()
 
     def test_unbiased_at_half(self):
         n = 1_000_000
-        out = dare_values(np.ones(n, dtype=np.float32), p=0.5, seed=3, tensor_name="d")
+        out = dare(np.ones(n, dtype=np.float32), p=0.5, seed=3)
         assert 0.99 <= out.mean() <= 1.01
 
     def test_survivors_rescaled(self, rng):
         delta = f32(rng.normal(size=1000))
-        out = dare_values(delta, p=0.9, seed=0, tensor_name="d")
+        out = dare(delta, p=0.9, seed=0)
         kept = out != 0.0
         np.testing.assert_allclose(out[kept], delta[kept] / 0.1, rtol=1e-6)
 
     def test_deterministic_for_fixed_key(self):
         delta = np.ones(512, dtype=np.float32)
-        a = dare_values(delta, p=0.5, seed=11, tensor_name="x")
-        b = dare_values(delta, p=0.5, seed=11, tensor_name="x")
+        a = dare(delta, p=0.5, seed=11, name="x")
+        b = dare(delta, p=0.5, seed=11, name="x")
         assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed, p", [(0, 0.9), (5, 0.5), (11, 0.3)])
+    def test_matches_reference(self, rng, seed, p):
+        # both sources are dropped, each by its own source-qualified stream
+        base, ml, mm = (f32(rng.normal(size=(12, 5))) for _ in range(3))
+        cfg = MergeConfig(method="dare", seed=seed, baseline=BaselineParams(dare_drop_p=p, lam=0.7))
+        out = merge_tensor(triple_of(base, ml, mm, name="w"), cfg).to_f32()
+        expected = reference.task_arithmetic(base, reference.dare(ml - base, p, seed, "ml:w"),
+                                             reference.dare(mm - base, p, seed, "mm:w"), 0.7)
+        assert out.tobytes() == expected.tobytes()
 
     def test_expectation_over_seeds(self, rng):
         # elementwise mean over many independent masks converges to delta
@@ -99,13 +128,13 @@ class TestDare:
         trials = 10_000
         acc = np.zeros(32, dtype=np.float64)
         for seed in range(trials):
-            acc += dare_values(delta, p=0.5, seed=seed, tensor_name="d")
+            acc += dare(delta, p=0.5, seed=seed)
         mean = acc / trials
         np.testing.assert_allclose(mean, delta, rtol=0.05, atol=0.01)
 
     def test_p_one_rejected(self):
         with pytest.raises(ConfigError):
-            dare_values(f32([1.0]), p=1.0, seed=0, tensor_name="d")
+            MergeConfig(method="dare", baseline=BaselineParams(dare_drop_p=1.0))
 
 
 class TestTies:
@@ -120,9 +149,7 @@ class TestTies:
         np.testing.assert_array_equal(out.to_f32(), [1.0, -2.0])
 
     def test_trim_keeps_top_fraction(self):
-        base = np.zeros(4, dtype=np.float32)
-        out = ties_merge_values(base, np.array([3.0, 0.0, 0.0, 0.0], dtype=np.float32),
-                                np.zeros(4, dtype=np.float32), density=0.25, lam=1.0)
+        out = merged_residual(f32([3.0, 0.0, 0.0, 0.0]), "ties", ties_density=0.25)
         np.testing.assert_array_equal(out, [3.0, 0.0, 0.0, 0.0])
 
     def test_zero_sum_elects_positive(self):
@@ -140,41 +167,40 @@ class TestTies:
         np.testing.assert_allclose(out.to_f32(), ta.to_f32(), atol=1e-6)
 
     def test_tie_at_threshold_prefers_lower_index(self):
-        base = np.zeros(4, dtype=np.float32)
-        delta = np.array([1.0, 1.0, 1.0, 1.0], dtype=np.float32)
-        out = ties_merge_values(base, delta, np.zeros(4, dtype=np.float32), density=0.5, lam=1.0)
+        out = merged_residual(f32([1.0, 1.0, 1.0, 1.0]), "ties", ties_density=0.5)
         np.testing.assert_array_equal(out, [1.0, 1.0, 0.0, 0.0])
 
     def test_invalid_density(self):
         with pytest.raises(ConfigError):
-            ties_merge_values(f32([0.0]), f32([1.0]), f32([1.0]), density=0.0, lam=1.0)
+            MergeConfig(method="ties", baseline=BaselineParams(ties_density=0.0))
 
 
 class TestBreadcrumbs:
     def test_identity_at_zero_fractions(self, rng):
         delta = f32(rng.normal(size=32))
-        out = breadcrumbs_values(delta, beta=0.0, gamma=0.0)
+        out = breadcrumbs(delta, beta=0.0, gamma=0.0)
         assert out.tobytes() == delta.tobytes()
 
     def test_quantile_example(self):
-        out = breadcrumbs_values(f32([1.0, 2.0, 3.0, 4.0]), beta=0.25, gamma=0.25)
+        out = breadcrumbs(f32([1.0, 2.0, 3.0, 4.0]), beta=0.25, gamma=0.25)
         np.testing.assert_array_equal(out, [0.0, 2.0, 3.0, 0.0])
 
     def test_all_equal_tie_break(self):
-        out = breadcrumbs_values(f32([1.0, 1.0, 1.0, 1.0]), beta=0.5, gamma=0.0)
+        out = breadcrumbs(f32([1.0, 1.0, 1.0, 1.0]), beta=0.5, gamma=0.0)
         np.testing.assert_array_equal(out, [0.0, 0.0, 1.0, 1.0])
 
     def test_bottom_and_top_sets_disjoint_under_ties(self):
-        out = breadcrumbs_values(np.ones(4, dtype=np.float32), beta=0.25, gamma=0.25)
+        out = breadcrumbs(np.ones(4, dtype=np.float32), beta=0.25, gamma=0.25)
         assert (out == 0.0).sum() == 2
 
     def test_magnitude_based_not_signed(self):
-        out = breadcrumbs_values(f32([-4.0, 1.0, -2.0, 3.0]), beta=0.25, gamma=0.25)
+        out = breadcrumbs(f32([-4.0, 1.0, -2.0, 3.0]), beta=0.25, gamma=0.25)
         np.testing.assert_array_equal(out, [0.0, 0.0, -2.0, 3.0])
 
     def test_invalid_fractions(self):
         with pytest.raises(ConfigError):
-            breadcrumbs_values(f32([1.0]), beta=0.6, gamma=0.5)
+            MergeConfig(method="breadcrumbs", baseline=BaselineParams(breadcrumbs_beta=0.6,
+                                                                      breadcrumbs_gamma=0.5))
 
 
 class TestBaselineAssembly:

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 from pathlib import Path
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 
 from dimerge import diagnostics
-from dimerge.cli import main
-from dimerge.presets import remap_rules
+from dimerge.cli import _resolve_remap, _resolve_schema, apply_overrides, main
+from dimerge.presets import module_schema, remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -243,13 +244,32 @@ class TestMergeCommand:
         (["--set", 'shard_limit="x"'], "shard_limit"),
         (["--set", "shard_limit=0"], "shard_limit"),
         (["--threads", "-3"], "threads"),
+        (["--set", "remap.anchr=[]"], "remap.anchr"),
+        (["--set", "merge.method=ties", "--set", "merge.baseline.lambda=NaN"], "lambda"),
+        (["--set", "merge.method=dare", "--set", "merge.baseline.lambda=-Infinity"], "lambda"),
+        (["--set", "merge.epsilon=NaN"], "epsilon"),
+        (["--set", "merge.epsilon=Infinity"], "epsilon"),
     ], ids=["merge_key", "baseline_key", "aggregation_key", "scope_key", "threads_string", "shard_limit_string",
-            "shard_limit_zero", "threads_negative"])
+            "shard_limit_zero", "threads_negative", "remap_key", "lambda_nan", "lambda_inf", "epsilon_nan",
+            "epsilon_inf"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
         tmp_path, _, config_path = workspace
         assert main(["merge", "--config", str(config_path), *args]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config.") and key in err
+        assert not (tmp_path / "merged").exists()
+
+    def test_failed_run_logs_no_commit(self, workspace, caplog):
+        """At DEBUG, a run that fails after its writer closed says the writer
+        closed and never that anything was committed."""
+        tmp_path, config, _ = workspace
+        (tmp_path / "report_dir").mkdir()
+        config["report_path"] = str(tmp_path / "report_dir")
+        caplog.set_level(logging.DEBUG, logger="dimerge")
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 3
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m for m in messages if m.startswith("writer closed ")]
+        assert not [m for m in messages if "committed" in m]
         assert not (tmp_path / "merged").exists()
 
     def test_default_threads_follow_cpu_affinity(self, workspace, monkeypatch):
@@ -261,6 +281,12 @@ class TestMergeCommand:
 
 
 class TestRemapPresets:
+    def test_keys_beside_a_preset_replace_its_own(self):
+        rules = _resolve_remap({"remap": {"preset": "qwen3", "anchor": [["vlm.", "model."]]}})
+        assert rules == {"base": [], "multilingual": [], "anchor": [("vlm.", "model.")]}
+        assert _resolve_remap({"remap": {"preset": "qwen3"}})["anchor"] == remap_rules("qwen3", "anchor")
+        assert _resolve_remap({}) == {"base": [], "multilingual": [], "anchor": []}
+
     def test_rules_per_family(self):
         qwen = [("model.language_model.", "model."), ("language_model.", "")]
         for family, anchor in (("llama", [("language_model.", "")]), ("qwen2", qwen), ("qwen3", qwen)):
@@ -300,6 +326,32 @@ class TestDiagnoseCommand:
         with open(tmp_path / "d.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(r["layer"] == "-1" for r in rows)
+
+    @pytest.mark.parametrize("schema", ["qwen3", {"preset": "qwen3"}])
+    def test_schema_keys_beside_a_preset_replace_its_own(self, schema):
+        config = apply_overrides({"diagnose": {"schema": schema}}, ["diagnose.schema.layer_pattern=*.h.{n}.*"])
+        resolved = _resolve_schema(config["diagnose"])
+        assert resolved.layer_pattern == "*.h.{n}.*"
+        assert resolved.module_labels == module_schema("qwen3").module_labels
+        assert resolved.label_of("model.h.0.self_attn.q_norm.weight") == "attn.qnorm"
+
+    @pytest.mark.parametrize("args, key", [
+        (["--set", 'diagnose.csv_pth="d.csv"'], "diagnose.csv_pth"),
+        (["--set", 'diagnose.schema.layer_patern="*.h.{n}.*"'], "diagnose.schema.layer_patern"),
+        (["--set", "diagnose.schema=qwen3", "--set", "diagnose.schema.labels=[]"], "diagnose.schema.labels"),
+        (["--set", "remap.anchr=[]"], "remap.anchr"),
+        (["--set", "diagnose.epsilon=NaN"], "epsilon"),
+        (["--set", "diagnose.epsilon=Infinity"], "epsilon"),
+        (["--set", "diagnose.epsilon=0"], "epsilon"),
+    ], ids=["diagnose_key", "schema_key", "schema_key_beside_preset", "remap_key", "epsilon_nan", "epsilon_inf",
+            "epsilon_zero"])
+    def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"schema": {"preset": "llama"}, "csv_path": str(tmp_path / "d.csv")}
+        assert main(["diagnose", "--config", write_config(tmp_path, config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.unknown_key]" if "." in key else "error[config.") and key in err
+        assert not (tmp_path / "d.csv").exists()
 
     def test_unwritable_output_fails_nonzero(self, workspace, capsys):
         tmp_path, config, _ = workspace

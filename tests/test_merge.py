@@ -256,7 +256,8 @@ class TestMergeCheckpoint:
     def test_debug_log_marks_stage_boundaries(self, caplog, workers, method):
         """At DEBUG: alignment first, then per merged tensor the end of its
         first pass and, for a top-k baseline, each source's cut, then the
-        writer's commit last; the INFO lines stay one per merged tensor."""
+        writer's close last, and the store's one commit once it has been
+        made; the INFO lines stay one per merged tensor."""
         base, ml, anchor = make_triple(seed=12)
         caplog.set_level(logging.DEBUG, logger="dimerge")
         cfg = MergeConfig(method=method, scope=ScopeFilter.layers(0, 0)).validate()
@@ -265,7 +266,9 @@ class TestMergeCheckpoint:
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name.startswith("dimerge.")
                  and r.name != "dimerge.store"]
         assert debug[0].startswith(f"alignment done: {len(report.alignment['aligned'])} aligned, ")
-        assert debug[-1].startswith("writer committed ")
+        assert debug[-1].startswith("writer closed ")
+        store = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name == "dimerge.store"]
+        assert store == ["committed 1 changes"]
         assert {m.split(":")[0] for m in debug if ": pass 1 done" in m} == merged
         cuts = [m for m in debug if ": top-k cut done: " in m]
         if method == "dim3":

@@ -12,4 +12,6 @@ def test_library_surface_imports():
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     namespace = {}
     exec(block, namespace)
-    assert "merge_tensor" in namespace and "ties_merge_values" in namespace
+    assert "merge_tensor" in namespace and "BaselineParams" in namespace
+    # a baseline runs only through merge_tensor and merge_checkpoint
+    assert not [name for name in namespace if name.endswith("_values")]

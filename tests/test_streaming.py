@@ -15,8 +15,6 @@ import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
 from dimerge.align import align_triple
-from dimerge.baselines import (breadcrumbs_values, dare_values, task_arithmetic_values,
-                               ties_merge_values)
 from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord, encode_bits, recode_bits
@@ -24,6 +22,7 @@ from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, releas
                            save_checkpoint)
 
 from conftest import merge_and_load
+import reference
 
 MIB = 1024 * 1024
 
@@ -293,24 +292,24 @@ def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, outp
 
 
 def expected_baseline_bits(triple, cfg):
-    """The anchor-shaped output bits of one tensor from the whole-array
-    entry points, encoded in the output dtype over the anchor's own."""
+    """The anchor-shaped output bits of one tensor from the naive references
+    in ``reference.py``, encoded in the output dtype over the anchor's own."""
     base, ml, mm = triple.to_f32()
     d_ml, d_mm = ml - base, mm - base
     p = cfg.baseline
     if cfg.method == "ties":
-        values = ties_merge_values(base, d_ml, d_mm, p.ties_density, p.lam)
+        values = reference.ties(base, d_ml, d_mm, p.ties_density, p.lam)
     else:
         if cfg.method == "dare":
-            d_ml = dare_values(d_ml, p.dare_drop_p, cfg.seed, "ml:" + triple.name)
-            d_mm = dare_values(d_mm, p.dare_drop_p, cfg.seed, "mm:" + triple.name)
+            d_ml = reference.dare(d_ml, p.dare_drop_p, cfg.seed, "ml:" + triple.name)
+            d_mm = reference.dare(d_mm, p.dare_drop_p, cfg.seed, "mm:" + triple.name)
         elif cfg.method == "breadcrumbs":
-            d_ml, d_mm = (breadcrumbs_values(d, p.breadcrumbs_beta, p.breadcrumbs_gamma) for d in (d_ml, d_mm))
-        values = task_arithmetic_values(base, d_ml, d_mm, p.lam)
+            d_ml, d_mm = (reference.breadcrumbs(d, p.breadcrumbs_beta, p.breadcrumbs_gamma) for d in (d_ml, d_mm))
+        values = reference.task_arithmetic(base, d_ml, d_mm, p.lam)
     anchor = triple.mm
     out_dtype = anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
     bits = recode_bits(anchor.bits(), anchor.dtype, out_dtype)
-    bits[tuple(slice(0, d) for d in triple.shape)] = encode_bits(values, out_dtype)
+    bits[tuple(slice(0, d) for d in triple.shape)] = encode_bits(values.reshape(triple.shape), out_dtype)
     return bits.tobytes()
 
 
@@ -331,8 +330,8 @@ def tie_heavy_triple(tmp_path, dtype):
 @pytest.mark.parametrize("output_dtype", ["match_anchor", "f32"])
 def test_baselines_do_not_depend_on_blocks_or_workers(tmp_path, monkeypatch, method, dtype, output_dtype):
     """Each baseline through ``merge_checkpoint`` in row blocks of 1, 4 and
-    16 tiles, by 1, 2 and 8 workers: every tensor equals the whole-array
-    entry points' result. The tensors span more than 16 tiles, overlap the
+    16 tiles, by 1, 2 and 8 workers: every tensor equals the naive
+    references' result. The tensors span more than 16 tiles, overlap the
     anchor in rows and columns, include 1D tensors (one longer than 16
     tiles, one overlapping a longer anchor), and one tensor's threshold ties
     fall in every block, so the admitted ties carry across block

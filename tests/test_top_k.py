@@ -1,5 +1,6 @@
 """Property tests: the partition-based top-k selection behind TIES and
-Breadcrumbs against a naive stable sort on (-score, flat index).
+Breadcrumbs against a naive stable sort on (-score, flat index), on its own
+and through ``merge_tensor``.
 
 Inputs are tie-heavy on purpose (small integers, signed zeros, mirrored
 residuals), since threshold ties are where a selection can go wrong.
@@ -10,7 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from dimerge.baselines import _top_k_mask, breadcrumbs_values, ties_merge_values
+from dimerge.baselines import BaselineParams, TopKCut
+from dimerge.merge import MergeConfig, merge_tensor
+from dimerge.records import DType
+
+from test_merge import triple_of
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
 
@@ -37,12 +42,22 @@ def reference_mask(scores, keep):
     return mask.reshape(scores.shape)
 
 
+def cut_mask(scores, keep):
+    """The cut's mask, selected one row at a time as the merge's pass 2
+    does, with bool scratch of one row, so that both the tie count and the
+    admitted ties carry across blocks."""
+    rows = scores.reshape(len(scores) if scores.ndim > 1 else 1, -1)
+    flags = np.empty(rows.shape[1], dtype=bool)
+    cut = TopKCut(rows.copy(), keep, flags)
+    return np.concatenate([cut.select(row, np.empty(row.shape, bool)) for row in rows]).reshape(scores.shape)
+
+
 @PROPERTY
 @given(st.data())
 def test_top_k_mask_matches_stable_sort(data):
     scores = data.draw(tensors())
     keep = data.draw(keeps(scores.size))
-    np.testing.assert_array_equal(_top_k_mask(scores, keep), reference_mask(scores, keep))
+    np.testing.assert_array_equal(cut_mask(scores, keep), reference_mask(scores, keep))
 
 
 @PROPERTY
@@ -58,11 +73,14 @@ def test_ties_matches_reference_bitwise(data):
         st.floats(0.0, 1.0, exclude_min=True),
     ))
     lam = data.draw(st.sampled_from([1.0, 0.5, 0.3]))
-    out = ties_merge_values(base, delta_ml, delta_mm, density, lam)
-    expected = reference.ties(base, delta_ml, delta_mm, density, lam).reshape(base.shape)
-    assert out.dtype == np.float32
+    ml, mm = base + delta_ml, base + delta_mm
+    cfg = MergeConfig(method="ties", baseline=BaselineParams(ties_density=density, lam=lam))
+    out = merge_tensor(triple_of(base, ml, mm), cfg)
+    # the residuals as the merge forms them, in float32
+    expected = reference.ties(base, ml - base, mm - base, density, lam).reshape(base.shape)
+    assert out.dtype is DType.F32
     assert out.shape == base.shape
-    assert out.tobytes() == expected.tobytes()
+    assert out.raw == expected.tobytes()
 
 
 @PROPERTY
@@ -74,8 +92,14 @@ def test_breadcrumbs_matches_reference_bitwise(data):
     share = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 - 1e-12]), st.floats(0.0, 1.0)))
     gamma = (1.0 - beta) * share
     assume(beta + gamma < 1.0)
-    out = breadcrumbs_values(delta, beta, gamma)
-    expected = reference.breadcrumbs(delta, beta, gamma).reshape(delta.shape)
-    assert out.dtype == delta.dtype
+    # one residual: a zero base and anchor; every drawn value is a float32,
+    # so a float64 record narrows exactly
+    zeros = np.zeros_like(delta)
+    dtype = DType.from_numpy(delta.dtype)
+    cfg = MergeConfig(method="breadcrumbs", baseline=BaselineParams(breadcrumbs_beta=beta, breadcrumbs_gamma=gamma))
+    out = merge_tensor(triple_of(zeros, delta, zeros, dtype=dtype), cfg)
+    filtered = reference.breadcrumbs(delta.astype(np.float32), beta, gamma)
+    expected = reference.task_arithmetic(zeros, filtered, zeros, 1.0).astype(delta.dtype).reshape(delta.shape)
+    assert out.dtype is dtype
     assert out.shape == delta.shape
-    assert out.tobytes() == expected.tobytes()
+    assert out.raw == expected.tobytes()
