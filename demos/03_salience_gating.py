@@ -34,6 +34,6 @@ print("sums to one:", pair[0] + pair[1] == 1.0)
 # --- branch aggregation ------------------------------------------------------
 s_mag = np.array([0.55, 0.62, 0.48])
 s_dir = np.array([0.71, 0.40, 0.52])
-for agg in (AggregationKind.average(), AggregationKind.dir_weighted(0.75), AggregationKind.mag_only()):
+for agg in (AggregationKind("average"), AggregationKind("dir_weighted", 0.75), AggregationKind("mag_only")):
     w = aggregate_branches(s_mag, s_dir, agg)
     print(f"{agg.kind:>14}: omega_ml = {np.round(w.omega_ml, 4)}")

@@ -60,7 +60,8 @@ entry = next(t for t in report.tensors if t.name == "model.layers.0.mlp.up_proj.
 print("up_proj omega_ml range:", round(entry.omega_ml_min, 4), "..", round(entry.omega_ml_max, 4))
 
 # --- scope control -----------------------------------------------------------
-for scope in (ScopeFilter.embed_only(), ScopeFilter.layers(0, 0)):
+for scope in (ScopeFilter.from_dict("embed_only"),
+              ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]})):
     scoped_report = merge_checkpoint(base, ml, anchor, MergeConfig(scope=scope), workdir / "scoped")
     touched = [t.name for t in scoped_report.tensors if t.action == "merged"]
     print(f"\nscope {scope.preset!r} merged only:")

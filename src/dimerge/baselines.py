@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, check_keys
+from .errors import ConfigError, read_section, read_value
 
 logger = logging.getLogger(__name__)
 
@@ -64,16 +64,11 @@ class BaselineParams:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BaselineParams":
-        defaults = cls()
-        check_keys(data, defaults.to_dict(), "merge.baseline")
-        return cls(
-            lam=float(data.get("lambda", defaults.lam)),
-            dare_drop_p=float(data.get("dare_drop_p", defaults.dare_drop_p)),
-            ties_density=float(data.get("ties_density", defaults.ties_density)),
-            breadcrumbs_beta=float(data.get("breadcrumbs_beta", defaults.breadcrumbs_beta)),
-            breadcrumbs_gamma=float(data.get("breadcrumbs_gamma", defaults.breadcrumbs_gamma)),
-        )
+    def from_dict(cls, data) -> "BaselineParams":
+        """Read ``merge.baseline``; each key left out keeps its default."""
+        defaults = cls().to_dict()
+        data = read_section(data, "merge.baseline", defaults)
+        return cls(*(read_value(data, "merge.baseline", key, "number", default) for key, default in defaults.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,15 @@ import argparse
 import copy
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path
 
 from .diagnostics import ModuleKeySchema, diagnose, export_csv, export_json
-from .errors import ConfigError, DimergeError, check_keys
+from .errors import ConfigError, DimergeError, read_section, read_value
 from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
-from .presets import module_schema, remap_rules
+from .presets import MODULE_SCHEMA_PRESETS, REMAP_PRESETS, module_schema, remap_rules
 from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_files
 
 logger = logging.getLogger("dimerge")
@@ -66,13 +65,10 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
         dotted, raw = assignment.split("=", 1)
         keys = dotted.split(".")
         node = config
-        for key in keys[:-1]:
-            nxt = node.get(key)
-            if not isinstance(nxt, dict):
-                # a string is the short form of {"kind": ...} (an aggregation) or {"preset": ...}
-                short = "kind" if key == "aggregation" else "preset"
-                nxt = node[key] = {short: nxt} if isinstance(nxt, str) else {}
-            node = nxt
+        for depth, key in enumerate(keys[:-1], 1):
+            # a section left out is made; one in its short form is expanded
+            node[key] = read_section(node.get(key), ".".join(keys[:depth]))
+            node = node[key]
         node[keys[-1]] = _parse_set_value(raw)
     return config
 
@@ -94,15 +90,15 @@ def load_config(path: str) -> dict:
 
 
 def _positive_int(config: dict, key: str, default: int) -> int:
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    value = read_value(config, "", key, "integer", default)
+    if value < 1:
         raise ConfigError(f"config field {key!r} must be an integer of at least 1, got {value!r}",
                           error_class="config.bad_value")
     return value
 
 
 def _required_path(config: dict, key: str) -> Path:
-    value = config.get(key)
+    value = read_value(config, "", key, "string")
     if not value:
         raise ConfigError(f"config field {key!r} is required", error_class="config.missing_path")
     p = Path(value)
@@ -113,13 +109,10 @@ def _required_path(config: dict, key: str) -> Path:
 
 def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
     """Each role's rules: those given for it, else its preset's, else none."""
-    remap = config.get("remap", {})
-    check_keys(remap, ("preset", *_ROLES), "remap")
-    out = {}
-    for role in _ROLES:
-        rules = remap.get(role, remap_rules(remap["preset"], role) if "preset" in remap else [])
-        out[role] = [(str(m), str(r)) for m, r in rules]
-    return out
+    remap = read_section(config.get("remap"), "remap", ("preset", *_ROLES))
+    preset = read_value(remap, "remap", "preset", "string", None, REMAP_PRESETS)
+    return {role: list(read_value(remap, "remap", role, "pairs", remap_rules(preset, role) if preset else []))
+            for role in _ROLES}
 
 
 def _load_inputs(config: dict):
@@ -140,18 +133,18 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     if threads is not None:
         config["threads"] = threads
 
-    out_value = config.get("output_path")
+    out_value = read_value(config, "", "output_path", "string")
     if not out_value:
         raise ConfigError("config field 'output_path' is required", error_class="config.missing_path")
     out_path = Path(out_value)
-    report_path = Path(config.get("report_path") or f"{out_path}.report.json")
+    report_path = Path(read_value(config, "", "report_path", "string") or f"{out_path}.report.json")
     for name, written in (("output_path", out_path.resolve()), ("report_path", report_path.resolve())):
         for key in ("base_path", "multilingual_path", "anchor_path"):
-            read = Path(config[key]).resolve() if config.get(key) else None
+            read = Path(config[key]).resolve() if read_value(config, "", key, "string") else None
             if read and (read in (written, *written.parents) or written in read.parents):
                 raise ConfigError(f"{name} and {key} overlap", error_class="config.output_collision")
 
-    cfg = MergeConfig.from_dict(config.get("merge", {}))
+    cfg = MergeConfig.from_dict(config.get("merge"))
     threads = _positive_int(config, "threads", _usable_cpus())
     shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
     base, ml, anchor = _load_inputs(config)
@@ -178,27 +171,30 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
 def _resolve_schema(section: dict) -> ModuleKeySchema:
     """The preset's schema (the default without one), each key given beside
     the preset in place of the preset's own."""
-    schema = section.get("schema", {})
-    if isinstance(schema, str):
-        schema = {"preset": schema}
-    check_keys(schema, ("preset", "layer_pattern", "module_labels"), "diagnose.schema")
-    preset = module_schema(schema["preset"]) if "preset" in schema else ModuleKeySchema()
-    return ModuleKeySchema.from_dict({**preset.to_dict(), **schema})
+    schema = read_section(section.get("schema"), "diagnose.schema", ("preset", "layer_pattern", "module_labels"))
+    preset = read_value(schema, "diagnose.schema", "preset", "string", None, MODULE_SCHEMA_PRESETS)
+    own = module_schema(preset) if preset else ModuleKeySchema()
+    return ModuleKeySchema(read_value(schema, "diagnose.schema", "layer_pattern", "string", own.layer_pattern),
+                           read_value(schema, "diagnose.schema", "module_labels", "pairs", own.module_labels))
+
+
+def _read_diagnose(config: dict):
+    """The ``diagnose`` section: its schema, epsilon and (export, path) pairs."""
+    section = read_section(config.get("diagnose"), "diagnose", ("schema", "csv_path", "json_path", "epsilon"))
+    epsilon = read_value(section, "diagnose", "epsilon", "number", EPSILON_DEFAULT)
+    if epsilon <= 0:
+        raise ConfigError(f"diagnose.epsilon must be positive, got {epsilon}")
+    exports = [(export, path) for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
+               if (path := read_value(section, "diagnose", key, "string"))]
+    if not exports:
+        raise ConfigError("diagnose config needs csv_path and/or json_path",
+                          error_class="config.missing_path")
+    return _resolve_schema(section), epsilon, exports
 
 
 def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
     config = apply_overrides(load_config(config_path), overrides)
-    section = config.get("diagnose", {})
-    check_keys(section, ("schema", "csv_path", "json_path", "epsilon"), "diagnose")
-    epsilon = float(section.get("epsilon", EPSILON_DEFAULT))
-    if not 0 < epsilon < math.inf:
-        raise ConfigError(f"diagnose.epsilon must be positive and finite, got {epsilon}")
-    exports = [(export, section[key]) for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
-               if section.get(key)]
-    if not exports:
-        raise ConfigError("diagnose config needs csv_path and/or json_path",
-                          error_class="config.missing_path")
-    schema = _resolve_schema(section)
+    schema, epsilon, exports = _read_diagnose(config)
     base, ml, anchor = _load_inputs(config)
     rows = diagnose(base, ml, anchor, schema, epsilon=epsilon)
     # both tables appear together or neither replaces an earlier one

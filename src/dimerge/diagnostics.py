@@ -69,18 +69,6 @@ class ModuleKeySchema:
                 return i
         return len(self.module_labels)
 
-    def to_dict(self) -> dict:
-        return {"layer_pattern": self.layer_pattern, "module_labels": [list(p) for p in self.module_labels]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleKeySchema":
-        return cls(
-            layer_pattern=data.get("layer_pattern", DEFAULT_LAYER_PATTERN),
-            module_labels=tuple(
-                (str(a), str(b)) for a, b in data.get("module_labels", DEFAULT_MODULE_LABELS)
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class HeatmapRow:

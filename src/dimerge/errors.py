@@ -3,10 +3,13 @@
 Every error carries a machine-readable ``error_class`` (dotted string) and an
 ``exit_code`` used by the command-line front end: 2 for configuration
 problems, 3 for I/O and file-format problems, 4 for numeric or shape
-problems.
+problems. Every config section and value is read through
+:func:`read_section` and :func:`read_value`.
 """
 
 from __future__ import annotations
+
+import sys
 
 
 class DimergeError(Exception):
@@ -26,11 +29,61 @@ class ConfigError(DimergeError):
     exit_code = 2
 
 
-def check_keys(data: dict, known, section: str) -> None:
-    """Refuse a config section that holds a key outside ``known``."""
-    unknown = sorted(set(data) - set(known))
+# a string given for one of these sections is short for an object with this one key
+SHORT_FORMS = {"merge.aggregation": "kind", "merge.scope": "preset", "remap": "preset", "diagnose.schema": "preset"}
+
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _list_of(value, kind) -> bool:
+    return isinstance(value, (list, tuple)) and all(_is(v, kind) for v in value)
+
+
+# value kind -> (what it must be, check, conversion); no kind admits a bool
+_KINDS = {
+    "number": ("a finite number", lambda v: _is(v, (int, float)) and abs(v) <= sys.float_info.max, float),
+    "integer": ("an integer", lambda v: _is(v, int), int),
+    "string": ("a string", lambda v: _is(v, str), str),
+    "strings": ("a list of strings", lambda v: _list_of(v, str), tuple),
+    "pairs": ("a list of string pairs",
+              lambda v: _list_of(v, (list, tuple)) and all(len(p) == 2 and _list_of(p, str) for p in v),
+              lambda v: tuple(map(tuple, v))),
+    "range": ("an integer pair", lambda v: _list_of(v, int) and len(v) == 2, tuple),
+}
+
+
+def read_section(data, section: str, known=None) -> dict:
+    """A config section as an object: null is an empty one and a string is
+    the section's short form (``SHORT_FORMS``). Anything else, or a key
+    outside ``known`` (when given), is a config error."""
+    if data is None:
+        return {}
+    if isinstance(data, str) and section in SHORT_FORMS:
+        return {SHORT_FORMS[section]: data}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {section} must be an object, got {data!r}", error_class="config.bad_value")
+    unknown = sorted(set(data) - set(known)) if known is not None else ()
     if unknown:
         raise ConfigError(f"unknown config key {section}.{unknown[0]}", error_class="config.unknown_key")
+    return data
+
+
+def read_value(data: dict, section: str, key: str, kind: str, default=None, choices=None):
+    """``data[key]`` as a value of ``kind`` (and one of ``choices``, when
+    given), or ``default`` when it is absent or null; any other value is a
+    config error naming ``section.key``."""
+    value = data.get(key)
+    if value is None:
+        return default
+    expected, check, convert = _KINDS[kind]
+    if check(value):
+        if choices is None or value in choices:
+            return convert(value)
+        expected = f"one of {', '.join(choices)}"
+    name = f"{section}.{key}" if section else key
+    raise ConfigError(f"config value {name} must be {expected}, got {value!r}", error_class="config.bad_value")
 
 
 class FormatError(DimergeError):

@@ -38,9 +38,9 @@ from typing import Callable
 
 import numpy as np
 
-from .align import ROLES, AlignedTriple, align_triple
+from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, NumericError, check_keys
+from .errors import ConfigError, NumericError, read_section, read_value
 from .geometry import (
     EPSILON_DEFAULT,
     TILE_ROWS,
@@ -64,6 +64,7 @@ logger = logging.getLogger(__name__)
 
 BASELINE_METHODS = ("task_arithmetic", "dare", "ties", "breadcrumbs")
 MERGE_METHODS = ("dim3",) + BASELINE_METHODS
+OUTPUT_DTYPES = ("match_anchor", "f32")
 # elements per streamed row block: about 1 MiB per float32 working array
 _BLOCK_ELEMENTS = 1 << 18
 
@@ -80,9 +81,9 @@ class MergeConfig:
 
     method: str = "dim3"
     estimator: EstimatorKind = EstimatorKind.RANK
-    aggregation: AggregationKind = field(default_factory=AggregationKind.average)
+    aggregation: AggregationKind = field(default_factory=partial(AggregationKind, "average"))
     epsilon: float = EPSILON_DEFAULT
-    scope: ScopeFilter = field(default_factory=ScopeFilter.full)
+    scope: ScopeFilter = field(default_factory=partial(ScopeFilter, preset="full"))
     shape_policy: str = "strict"
     seed: int = 0
     baseline: BaselineParams | None = None
@@ -94,7 +95,7 @@ class MergeConfig:
             raise ConfigError(f"unknown merge method {self.method!r}")
         if not 0 < self.epsilon < np.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.output_dtype not in ("match_anchor", "f32"):
+        if self.output_dtype not in OUTPUT_DTYPES:
             raise ConfigError(f"unknown output dtype {self.output_dtype!r}")
         if self.method == "dim3" and self.baseline is not None:
             raise ConfigError("baseline parameters are only valid for baseline methods")
@@ -117,22 +118,27 @@ class MergeConfig:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MergeConfig":
-        check_keys(data, cls.__dataclass_fields__, "merge")
+    def from_dict(cls, data) -> "MergeConfig":
+        """Read the ``merge`` section; each key left out keeps its default."""
+        fields = cls.__dataclass_fields__
+        data = read_section(data, "merge", fields)
+
+        def value(key, kind, choices=None):
+            return read_value(data, "merge", key, kind, fields[key].default, choices)
+
         baseline = data.get("baseline")
-        cfg = cls(
-            method=data.get("method", "dim3"),
-            estimator=EstimatorKind(data.get("estimator", "rank")),
-            aggregation=AggregationKind.from_dict(data.get("aggregation", "average")),
-            epsilon=float(data.get("epsilon", EPSILON_DEFAULT)),
-            scope=ScopeFilter.from_dict(data.get("scope", {"preset": "full"})),
-            shape_policy=data.get("shape_policy", "strict"),
-            seed=int(data.get("seed", 0)),
-            baseline=BaselineParams.from_dict(baseline) if baseline is not None else None,
-            output_dtype=data.get("output_dtype", "match_anchor"),
-            high_rank=data.get("high_rank", "reject"),
-        )
-        return cfg.validate()
+        return cls(
+            method=value("method", "string", MERGE_METHODS),
+            estimator=EstimatorKind(value("estimator", "string", tuple(EstimatorKind))),
+            aggregation=AggregationKind.from_dict(data.get("aggregation")),
+            epsilon=value("epsilon", "number"),
+            scope=ScopeFilter.from_dict(data.get("scope", "full")),
+            shape_policy=value("shape_policy", "string", SHAPE_POLICIES),
+            seed=value("seed", "integer"),
+            baseline=None if baseline is None else BaselineParams.from_dict(baseline),
+            output_dtype=value("output_dtype", "string", OUTPUT_DTYPES),
+            high_rank=value("high_rank", "string", HIGH_RANK_POLICIES),
+        ).validate()
 
 
 @dataclass

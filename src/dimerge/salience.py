@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, check_keys
+from .errors import ConfigError, NumericError, ShapeError, read_section, read_value
 
 _ZSCORE_STD_GUARD = 1e-12
 _RATIO_SUM_GUARD = 1e-12
@@ -53,38 +53,15 @@ class AggregationKind:
         elif self.lam is not None:
             raise ConfigError(f"{self.kind} takes no lambda")
 
-    @classmethod
-    def average(cls) -> "AggregationKind":
-        return cls("average")
-
-    @classmethod
-    def dir_weighted(cls, lam: float = 0.75) -> "AggregationKind":
-        return cls("dir_weighted", lam)
-
-    @classmethod
-    def mag_weighted(cls, lam: float = 0.75) -> "AggregationKind":
-        return cls("mag_weighted", lam)
-
-    @classmethod
-    def mag_only(cls) -> "AggregationKind":
-        return cls("mag_only")
-
-    @classmethod
-    def dir_only(cls) -> "AggregationKind":
-        return cls("dir_only")
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "lambda": self.lam}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "AggregationKind":
-        if isinstance(data, str):
-            data = {"kind": data}
-        check_keys(data, ("kind", "lambda"), "merge.aggregation")
-        kind = data.get("kind", "average")
-        lam = data.get("lambda")
-        if kind in cls._WEIGHTED and lam is None:
-            lam = 0.75
+    def from_dict(cls, data) -> "AggregationKind":
+        """Read ``merge.aggregation``; a weighted kind without a lambda gets the default one."""
+        data = read_section(data, "merge.aggregation", ("kind", "lambda"))
+        kind = read_value(data, "merge.aggregation", "kind", "string", "average", cls._KINDS)
+        lam = read_value(data, "merge.aggregation", "lambda", "number", 0.75 if kind in cls._WEIGHTED else None)
         return cls(kind, lam)
 
 

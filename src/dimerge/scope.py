@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 
-from .errors import ConfigError, check_keys
+from .errors import ConfigError, read_section, read_value
 
 DEFAULT_LAYER_PATTERN = "*.layers.{n}.*"
 
@@ -19,6 +19,21 @@ DEFAULT_LAYER_PATTERN = "*.layers.{n}.*"
 EMBED_PATTERNS = ("*embed_tokens*",)
 HEAD_PATTERNS = ("*lm_head*",)
 LAYER_BLOCK_PATTERNS = ("*.layers.*",)
+
+# preset -> the fields it sets; the keys given beside a preset replace its own
+SCOPE_PRESETS = {
+    "custom": {},   # no preset: a scope given by its fields alone
+    "full": {},
+    "empty": {"include": ()},   # admits nothing: every tensor passes through from the anchor
+    "embed_only": {"include": EMBED_PATTERNS},
+    "llm_only": {"include": LAYER_BLOCK_PATTERNS},
+    "lmhead_only": {"include": HEAD_PATTERNS},
+    # a contiguous block of transformer layers (its layer_range) plus embeddings and head
+    "layers": {"range_exempt": EMBED_PATTERNS + HEAD_PATTERNS},
+}
+# field -> its value kind in a config
+_FIELDS = {"include": "strings", "exclude": "strings", "layer_range": "range", "layer_pattern": "string",
+           "range_exempt": "strings"}
 
 
 def _glob_to_regex(glob: str) -> str:
@@ -63,6 +78,12 @@ class ScopeFilter:
     range_exempt: tuple[str, ...] = ()
     preset: str = "custom"
 
+    def __post_init__(self):
+        if self.layer_range is not None and not 0 <= self.layer_range[0] <= self.layer_range[1]:
+            raise ConfigError(f"merge.scope.layer_range must be [lo, hi], 0 <= lo <= hi, got {list(self.layer_range)}")
+        if self.preset == "layers" and self.layer_range is None:
+            raise ConfigError("merge.scope preset layers needs a layer_range")
+
     def admits(self, key: str) -> bool:
         if not any(fnmatchcase(key, pat) for pat in self.include):
             return False
@@ -78,42 +99,6 @@ class ScopeFilter:
             return lo <= idx <= hi
         return True
 
-    # ---- presets -----------------------------------------------------
-
-    @classmethod
-    def full(cls) -> "ScopeFilter":
-        return cls(preset="full")
-
-    @classmethod
-    def empty(cls) -> "ScopeFilter":
-        """Admits nothing: every tensor passes through from the anchor."""
-        return cls(include=(), preset="empty")
-
-    @classmethod
-    def embed_only(cls) -> "ScopeFilter":
-        return cls(include=EMBED_PATTERNS, preset="embed_only")
-
-    @classmethod
-    def llm_only(cls) -> "ScopeFilter":
-        return cls(include=LAYER_BLOCK_PATTERNS, preset="llm_only")
-
-    @classmethod
-    def lmhead_only(cls) -> "ScopeFilter":
-        return cls(include=HEAD_PATTERNS, preset="lmhead_only")
-
-    @classmethod
-    def layers(cls, lo: int, hi: int) -> "ScopeFilter":
-        """A contiguous block of transformer layers plus embeddings and head."""
-        if lo > hi or lo < 0:
-            raise ConfigError(f"invalid layer range ({lo}, {hi})")
-        return cls(
-            layer_range=(lo, hi),
-            range_exempt=EMBED_PATTERNS + HEAD_PATTERNS,
-            preset=f"layers_{lo}_{hi}",
-        )
-
-    # ---- (de)serialization --------------------------------------------
-
     def to_dict(self) -> dict:
         return {
             "preset": self.preset,
@@ -125,36 +110,11 @@ class ScopeFilter:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScopeFilter":
-        preset = data.get("preset", "custom")
-        named = {
-            "full": cls.full,
-            "empty": cls.empty,
-            "embed_only": cls.embed_only,
-            "llm_only": cls.llm_only,
-            "lmhead_only": cls.lmhead_only,
-        }
-        explicit_keys = {"include", "exclude", "layer_range", "range_exempt", "layer_pattern"}
-        check_keys(data, explicit_keys | {"preset", "lo", "hi"}, "merge.scope")
-        if preset in named and not (explicit_keys & data.keys()):
-            return named[preset]()
-        if preset == "layers":
-            lo, hi = data.get("lo"), data.get("hi")
-            if lo is None or hi is None:
-                rng = data.get("layer_range") or (None, None)
-                lo, hi = rng
-            if lo is None or hi is None:
-                raise ConfigError("layers preset needs lo/hi")
-            return cls.layers(int(lo), int(hi))
-        if preset in named:
-            base = named[preset]()
-            data = {**base.to_dict(), **data}
-        lr = data.get("layer_range")
-        return cls(
-            include=tuple(data.get("include", ("*",))),
-            exclude=tuple(data.get("exclude", ())),
-            layer_range=(int(lr[0]), int(lr[1])) if lr else None,
-            layer_pattern=data.get("layer_pattern", DEFAULT_LAYER_PATTERN),
-            range_exempt=tuple(data.get("range_exempt", ())),
-            preset=preset,
-        )
+    def from_dict(cls, data) -> "ScopeFilter":
+        """Read ``merge.scope``: its preset's fields, each key given beside
+        the preset in place of the preset's own."""
+        data = read_section(data, "merge.scope", ("preset", *_FIELDS))
+        preset = read_value(data, "merge.scope", "preset", "string", "custom", SCOPE_PRESETS)
+        own = {**vars(cls()), **SCOPE_PRESETS[preset]}
+        return cls(**{key: read_value(data, "merge.scope", key, kind, own[key]) for key, kind in _FIELDS.items()},
+                   preset=preset)

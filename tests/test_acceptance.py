@@ -149,7 +149,7 @@ def test_criterion_5_trivial_limits():
         np.allclose(merged_same[n].to_f32(), ml[n].to_f32(), atol=1e-6) for n in base.names()
     )
 
-    merged_empty, _ = merge_and_load(base, ml, anchor, MergeConfig(scope=ScopeFilter.empty()))
+    merged_empty, _ = merge_and_load(base, ml, anchor, MergeConfig(scope=ScopeFilter.from_dict("empty")))
     empty_ok = checkpoint_digest(merged_empty) == checkpoint_digest(anchor)
 
     _report(5, "zero residuals / identical residuals / empty scope limits",
@@ -161,12 +161,12 @@ def test_criterion_6_scope_ablation_fidelity():
     base, ml, anchor = make_triple(seed=56)
     full, _ = merge_and_load(base, ml, anchor, MergeConfig())
     presets = [
-        ScopeFilter.embed_only(),
-        ScopeFilter.llm_only(),
-        ScopeFilter.lmhead_only(),
-        ScopeFilter.layers(0, 0),
-        ScopeFilter.layers(1, 1),
-        ScopeFilter.layers(0, 1),
+        ScopeFilter.from_dict("embed_only"),
+        ScopeFilter.from_dict("llm_only"),
+        ScopeFilter.from_dict("lmhead_only"),
+        ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}),
+        ScopeFilter.from_dict({"preset": "layers", "layer_range": [1, 1]}),
+        ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 1]}),
     ]
     ok = True
     for scope in presets:
@@ -182,11 +182,11 @@ def test_criterion_6_scope_ablation_fidelity():
 def test_criterion_7_ablation_variants():
     base, ml, anchor = make_triple(seed=57)
     aggregations = [
-        AggregationKind.average(),
-        AggregationKind.dir_weighted(0.75),
-        AggregationKind.mag_weighted(0.75),
-        AggregationKind.mag_only(),
-        AggregationKind.dir_only(),
+        AggregationKind("average"),
+        AggregationKind("dir_weighted", 0.75),
+        AggregationKind("mag_weighted", 0.75),
+        AggregationKind("mag_only"),
+        AggregationKind("dir_only"),
     ]
     ran_ok = True
     for estimator in EstimatorKind:

@@ -209,7 +209,7 @@ class TestBaselineAssembly:
         from dimerge.scope import ScopeFilter
 
         base, ml, anchor = triple_f32
-        cfg = MergeConfig(method=method, scope=ScopeFilter.embed_only(),
+        cfg = MergeConfig(method=method, scope=ScopeFilter.from_dict("embed_only"),
                           baseline=BaselineParams(dare_drop_p=0.5)).validate()
         merged, report = merge_and_load(base, ml, anchor, cfg)
         for name in anchor.names():

@@ -141,6 +141,31 @@ class TestMergeCommand:
         second = load_checkpoint(tmp_path / "again")
         assert checkpoint_digest(first) == checkpoint_digest(second)
 
+    def test_layer_scope_echo_names_its_preset(self, workspace):
+        """A layer-scoped run echoes the layers preset with its range, and the
+        echo reads back to the same merge."""
+        tmp_path, config, _ = workspace
+        config["merge"]["scope"] = {"preset": "layers", "layer_range": [0, 0]}
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 0
+        echoed = json.loads((tmp_path / "merged.report.json").read_text())["config"]
+        assert echoed["merge"]["scope"]["preset"] == "layers"
+        assert echoed["merge"]["scope"]["layer_range"] == [0, 0]
+        echoed["output_path"] = str(tmp_path / "again")
+        assert main(["merge", "--config", write_config(tmp_path, echoed, "echo.json")]) == 0
+        assert checkpoint_digest(load_checkpoint(tmp_path / "merged")) == checkpoint_digest(
+            load_checkpoint(tmp_path / "again"))
+
+    def test_string_sections_read_as_their_object_forms(self, workspace):
+        tmp_path, config, _ = workspace
+        written = {}
+        for form, scope, remap in (("object", {"preset": "embed_only"}, {"preset": "llama"}),
+                                   ("string", "embed_only", "llama")):
+            config["merge"]["scope"], config["remap"] = scope, remap
+            out = tmp_path / f"{form}.safetensors"
+            assert main(["merge", "--config", write_config(tmp_path, config), "--output", str(out)]) == 0
+            written[form] = out.read_bytes()
+        assert written["object"] == written["string"]
+
     def test_inputs_not_mutated(self, workspace):
         tmp_path, config, config_path = workspace
         before = checkpoint_digest(load_checkpoint(config["anchor_path"]))
@@ -249,9 +274,29 @@ class TestMergeCommand:
         (["--set", "merge.method=dare", "--set", "merge.baseline.lambda=-Infinity"], "lambda"),
         (["--set", "merge.epsilon=NaN"], "epsilon"),
         (["--set", "merge.epsilon=Infinity"], "epsilon"),
+        (["--set", "merge.seed=1.7"], "merge.seed"),
+        (["--set", 'merge.seed="3"'], "merge.seed"),
+        (["--set", "merge.seed=true"], "merge.seed"),
+        (["--set", "merge.seed=NaN"], "merge.seed"),
+        (["--set", "merge.epsilon=true"], "merge.epsilon"),
+        (["--set", "merge.epsilon=x"], "merge.epsilon"),
+        (["--set", "merge.estimator=bogus"], "merge.estimator"),
+        (["--set", "merge.method=ties", "--set", "merge.baseline.lambda=abc"], "merge.baseline.lambda"),
+        (["--set", "merge.aggregation.kind=mag_weighted", "--set", 'merge.aggregation.lambda="0.6"'],
+         "merge.aggregation.lambda"),
+        (["--set", "merge.aggregation=5"], "merge.aggregation"),
+        (["--set", "merge.scope.include=lm_head.weight"], "merge.scope.include"),
+        (["--set", "merge.scope.preset=lmhead_onyl"], "merge.scope.preset"),
+        (["--set", "merge.scope.layer_range=[0]"], "merge.scope.layer_range"),
+        (["--set", "merge.scope.layer_range=[3, 1]"], "merge.scope.layer_range"),
+        (["--set", "remap.anchor=language_model."], "remap.anchor"),
+        (["--set", "merge=ties"], "merge must be an object"),
     ], ids=["merge_key", "baseline_key", "aggregation_key", "scope_key", "threads_string", "shard_limit_string",
             "shard_limit_zero", "threads_negative", "remap_key", "lambda_nan", "lambda_inf", "epsilon_nan",
-            "epsilon_inf"])
+            "epsilon_inf", "seed_fraction", "seed_string", "seed_bool", "seed_nan", "epsilon_bool", "epsilon_string",
+            "estimator_unknown", "lambda_string", "aggregation_lambda_string", "aggregation_number",
+            "scope_include_string", "scope_preset_unknown", "layer_range_short", "layer_range_reversed",
+            "remap_rules_string", "merge_string"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
         tmp_path, _, config_path = workspace
         assert main(["merge", "--config", str(config_path), *args]) == 2
@@ -335,22 +380,26 @@ class TestDiagnoseCommand:
         assert resolved.module_labels == module_schema("qwen3").module_labels
         assert resolved.label_of("model.h.0.self_attn.q_norm.weight") == "attn.qnorm"
 
-    @pytest.mark.parametrize("args, key", [
-        (["--set", 'diagnose.csv_pth="d.csv"'], "diagnose.csv_pth"),
-        (["--set", 'diagnose.schema.layer_patern="*.h.{n}.*"'], "diagnose.schema.layer_patern"),
-        (["--set", "diagnose.schema=qwen3", "--set", "diagnose.schema.labels=[]"], "diagnose.schema.labels"),
-        (["--set", "remap.anchr=[]"], "remap.anchr"),
-        (["--set", "diagnose.epsilon=NaN"], "epsilon"),
-        (["--set", "diagnose.epsilon=Infinity"], "epsilon"),
-        (["--set", "diagnose.epsilon=0"], "epsilon"),
+    @pytest.mark.parametrize("args, key, error_class", [
+        (["--set", 'diagnose.csv_pth="d.csv"'], "diagnose.csv_pth", "config.unknown_key"),
+        (["--set", 'diagnose.schema.layer_patern="*.h.{n}.*"'], "diagnose.schema.layer_patern", "config.unknown_key"),
+        (["--set", "diagnose.schema=qwen3", "--set", "diagnose.schema.labels=[]"], "diagnose.schema.labels",
+         "config.unknown_key"),
+        (["--set", "remap.anchr=[]"], "remap.anchr", "config.unknown_key"),
+        (["--set", "diagnose.epsilon=NaN"], "epsilon", "config.bad_value"),
+        (["--set", "diagnose.epsilon=Infinity"], "epsilon", "config.bad_value"),
+        (["--set", "diagnose.epsilon=0"], "epsilon", "config.invalid"),
+        (["--set", 'diagnose.schema.module_labels=[["q_proj"]]'], "diagnose.schema.module_labels", "config.bad_value"),
+        (["--set", "diagnose.schema.layer_pattern=5"], "diagnose.schema.layer_pattern", "config.bad_value"),
+        (["--set", "remap.anchor=language_model."], "remap.anchor", "config.bad_value"),
     ], ids=["diagnose_key", "schema_key", "schema_key_beside_preset", "remap_key", "epsilon_nan", "epsilon_inf",
-            "epsilon_zero"])
-    def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
+            "epsilon_zero", "module_labels_not_pairs", "layer_pattern_number", "remap_rules_string"])
+    def test_malformed_config_is_config_error(self, workspace, capsys, args, key, error_class):
         tmp_path, config, _ = workspace
         config["diagnose"] = {"schema": {"preset": "llama"}, "csv_path": str(tmp_path / "d.csv")}
         assert main(["diagnose", "--config", write_config(tmp_path, config), *args]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error[config.unknown_key]" if "." in key else "error[config.") and key in err
+        assert err.startswith(f"error[{error_class}]") and key in err
         assert not (tmp_path / "d.csv").exists()
 
     def test_unwritable_output_fails_nonzero(self, workspace, capsys):

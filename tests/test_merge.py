@@ -137,8 +137,8 @@ class TestConfig:
         cfg = MergeConfig(
             method="dim3",
             estimator=EstimatorKind.ZSCORE,
-            aggregation=AggregationKind.dir_weighted(0.6),
-            scope=ScopeFilter.layers(0, 0),
+            aggregation=AggregationKind("dir_weighted", 0.6),
+            scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}),
             seed=9,
         ).validate()
         again = MergeConfig.from_dict(cfg.to_dict())
@@ -188,14 +188,14 @@ class TestMergeCheckpoint:
 
     def test_empty_scope_is_identity_on_anchor(self, triple_f32):
         base, ml, anchor = triple_f32
-        cfg = MergeConfig(scope=ScopeFilter.empty())
+        cfg = MergeConfig(scope=ScopeFilter.from_dict("empty"))
         merged, report = merge_and_load(base, ml, anchor, cfg)
         assert checkpoint_digest(merged) == checkpoint_digest(anchor)
         assert report.merged_count == 0
 
     def test_embed_only_scope(self, triple_f32):
         base, ml, anchor = triple_f32
-        cfg = MergeConfig(scope=ScopeFilter.embed_only())
+        cfg = MergeConfig(scope=ScopeFilter.from_dict("embed_only"))
         merged, _ = merge_and_load(base, ml, anchor, cfg)
         full, _ = merge_and_load(base, ml, anchor, MergeConfig())
         for name in anchor.names():
@@ -208,7 +208,7 @@ class TestMergeCheckpoint:
         # in-range tensors equal the full merge (weights are per-tensor local),
         # everything else equals the anchor
         base, ml, anchor = triple_f32
-        cfg = MergeConfig(scope=ScopeFilter.layers(0, 0))
+        cfg = MergeConfig(scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}))
         merged, _ = merge_and_load(base, ml, anchor, cfg)
         full, _ = merge_and_load(base, ml, anchor, MergeConfig())
         for name in anchor.names():
@@ -237,7 +237,8 @@ class TestMergeCheckpoint:
     def test_info_log_has_one_line_per_merged_tensor(self, caplog, workers, method):
         base, ml, anchor = make_triple(seed=12)
         caplog.set_level(logging.INFO, logger="dimerge")
-        cfg = MergeConfig(method=method, scope=ScopeFilter.layers(0, 0)).validate()
+        cfg = MergeConfig(method=method,
+                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]})).validate()
         _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
         merged = {t.name for t in report.tensors if t.action == "merged"}
         assert 0 < len(merged) < len(report.tensors)
@@ -260,7 +261,8 @@ class TestMergeCheckpoint:
         made; the INFO lines stay one per merged tensor."""
         base, ml, anchor = make_triple(seed=12)
         caplog.set_level(logging.DEBUG, logger="dimerge")
-        cfg = MergeConfig(method=method, scope=ScopeFilter.layers(0, 0)).validate()
+        cfg = MergeConfig(method=method,
+                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]})).validate()
         _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
         merged = {t.name for t in report.tensors if t.action == "merged"}
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name.startswith("dimerge.")

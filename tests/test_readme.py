@@ -1,8 +1,14 @@
-"""The README's "Library surface" import block runs against the package, so
-a name removed from the library cannot linger in the docs."""
+"""The README's examples run against the package: its "Library surface"
+import block, so a name removed from the library cannot linger in the docs,
+and its `run.json`, so the documented config cannot drift from the reader."""
 
+import json
 import re
 from pathlib import Path
+
+from dimerge.cli import _read_diagnose, _resolve_remap, _resolve_schema
+from dimerge.merge import MergeConfig
+from dimerge.presets import module_schema, remap_rules
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +21,12 @@ def test_library_surface_imports():
     assert "merge_tensor" in namespace and "BaselineParams" in namespace
     # a baseline runs only through merge_tensor and merge_checkpoint
     assert not [name for name in namespace if name.endswith("_values")]
+
+
+def test_run_json_reads():
+    config = json.loads(re.search(r"`run.json`:\n\n```json\n(.*?)```", README.read_text(), re.DOTALL).group(1))
+    cfg = MergeConfig.from_dict(config["merge"])
+    assert MergeConfig.from_dict(cfg.to_dict()) == cfg
+    assert _resolve_remap(config)["anchor"] == remap_rules(config["remap"]["preset"], "anchor")
+    assert _resolve_schema(config["diagnose"]) == module_schema(config["diagnose"]["schema"]["preset"])
+    assert [path for _, path in _read_diagnose(config)[2]] == ["diag.csv", "diag.json"]

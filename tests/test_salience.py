@@ -16,11 +16,11 @@ import reference
 
 ALL_ESTIMATORS = list(EstimatorKind)
 ALL_AGGREGATIONS = [
-    AggregationKind.average(),
-    AggregationKind.dir_weighted(0.75),
-    AggregationKind.mag_weighted(0.75),
-    AggregationKind.mag_only(),
-    AggregationKind.dir_only(),
+    AggregationKind("average"),
+    AggregationKind("dir_weighted", 0.75),
+    AggregationKind("mag_weighted", 0.75),
+    AggregationKind("mag_only"),
+    AggregationKind("dir_only"),
 ]
 
 
@@ -148,15 +148,15 @@ class TestEstimators:
 
 class TestAggregation:
     def test_average(self):
-        w = aggregate_branches(np.array([0.6]), np.array([0.4]), AggregationKind.average())
+        w = aggregate_branches(np.array([0.6]), np.array([0.4]), AggregationKind("average"))
         assert w.omega_ml[0] == pytest.approx(0.5)
 
     def test_mag_only(self):
-        w = aggregate_branches(np.array([0.7]), np.array([0.2]), AggregationKind.mag_only())
+        w = aggregate_branches(np.array([0.7]), np.array([0.2]), AggregationKind("mag_only"))
         assert w.omega_ml[0] == 0.7
 
     def test_dir_weighted(self):
-        w = aggregate_branches(np.array([0.4]), np.array([0.8]), AggregationKind.dir_weighted(0.75))
+        w = aggregate_branches(np.array([0.4]), np.array([0.8]), AggregationKind("dir_weighted", 0.75))
         assert w.omega_ml[0] == pytest.approx(0.7)
 
     @pytest.mark.parametrize("agg", ALL_AGGREGATIONS)
@@ -168,11 +168,11 @@ class TestAggregation:
 
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(NumericError):
-            aggregate_branches(np.array([1.2]), np.array([0.5]), AggregationKind.average())
+            aggregate_branches(np.array([1.2]), np.array([0.5]), AggregationKind("average"))
 
     def test_weighted_lambda_validated(self):
         with pytest.raises(ConfigError):
-            AggregationKind.dir_weighted(0.4)
+            AggregationKind("dir_weighted", 0.4)
         with pytest.raises(ConfigError):
             AggregationKind("average", 0.75)
 
@@ -181,7 +181,7 @@ class TestAggregation:
         # of squared distances to both branch score pairs
         s_mag = rng.uniform(0.3, 0.7, size=25)
         s_dir = rng.uniform(0.3, 0.7, size=25)
-        w = aggregate_branches(s_mag, s_dir, AggregationKind.average()).omega_ml
+        w = aggregate_branches(s_mag, s_dir, AggregationKind("average")).omega_ml
 
         def objective(omega_ml):
             pairs = np.stack([omega_ml, 1.0 - omega_ml])
