@@ -33,7 +33,7 @@ from .salience import (
     rank_normalize,
     salience_pair,
 )
-from .scope import ScopeFilter, parse_layer_index
+from .scope import ScopeFilter
 from .store import Checkpoint, load_checkpoint, remap_keys, save_checkpoint
 
 __version__ = "0.1.0"
@@ -73,7 +73,6 @@ __all__ = [
     "load_checkpoint",
     "merge_checkpoint",
     "merge_tensor",
-    "parse_layer_index",
     "rank_normalize",
     "remap_keys",
     "residual_identity_terms",

@@ -32,6 +32,10 @@ logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
 _ROLES = ("base", "multilingual", "anchor")   # the keys of the remap section
+# the top-level keys either command reads: one set for both, since a shared
+# config (and a merge report's echo) carries both commands' keys
+_CONFIG_KEYS = ("schema_version", "base_path", "multilingual_path", "anchor_path", "remap", "merge", "output_path",
+                "report_path", "threads", "shard_limit", "diagnose")
 
 
 def _setup_logging() -> None:
@@ -73,7 +77,9 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return config
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, overrides: list[str]) -> dict:
+    """The run config at ``path`` with ``overrides`` applied; a top-level key
+    outside ``_CONFIG_KEYS``, or another schema version, is a config error."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}", error_class="config.missing_path")
@@ -83,6 +89,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}", error_class="config.parse") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object", error_class="config.parse")
+    config = read_section(apply_overrides(config, overrides), "", _CONFIG_KEYS)
     version = config.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", error_class="config.version")
@@ -127,7 +134,7 @@ def _load_inputs(config: dict):
 
 
 def cmd_merge(config_path: str, overrides: list[str], output: str | None, threads: int | None) -> int:
-    config = apply_overrides(load_config(config_path), overrides)
+    config = load_config(config_path, overrides)
     if output:
         config["output_path"] = output
     if threads is not None:
@@ -193,7 +200,7 @@ def _read_diagnose(config: dict):
 
 
 def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
-    config = apply_overrides(load_config(config_path), overrides)
+    config = load_config(config_path, overrides)
     schema, epsilon, exports = _read_diagnose(config)
     base, ml, anchor = _load_inputs(config)
     rows = diagnose(base, ml, anchor, schema, epsilon=epsilon)

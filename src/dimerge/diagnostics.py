@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .align import align_triple
 from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
 from .merge import BlockBuffers, stream_column_sums
-from .scope import DEFAULT_LAYER_PATTERN, parse_layer_index
+from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
 from .store import Checkpoint, release_pages, staged_files
 
 logger = logging.getLogger(__name__)
@@ -48,14 +49,20 @@ class ModuleKeySchema:
     """Classifies backbone keys into (layer, module-type) groups.
 
     ``module_labels`` is an ordered list of (substring, label); the first
-    matching substring wins and unlabeled keys group under "other".
+    matching substring wins and unlabeled keys group under "other". The
+    layer pattern is checked and compiled once, when the schema is made.
     """
 
     layer_pattern: str = DEFAULT_LAYER_PATTERN
     module_labels: tuple[tuple[str, str], ...] = DEFAULT_MODULE_LABELS
+    layer_regex: re.Pattern = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layer_regex",
+                           compile_layer_pattern(self.layer_pattern, "diagnose.schema.layer_pattern"))
 
     def layer_of(self, key: str) -> int | None:
-        return parse_layer_index(key, self.layer_pattern)
+        return parse_layer_index(key, self.layer_regex)
 
     def label_of(self, key: str) -> str:
         for substring, label in self.module_labels:

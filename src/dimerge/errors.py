@@ -66,7 +66,8 @@ def read_section(data, section: str, known=None) -> dict:
         raise ConfigError(f"config section {section} must be an object, got {data!r}", error_class="config.bad_value")
     unknown = sorted(set(data) - set(known)) if known is not None else ()
     if unknown:
-        raise ConfigError(f"unknown config key {section}.{unknown[0]}", error_class="config.unknown_key")
+        name = f"{section}.{unknown[0]}" if section else unknown[0]
+        raise ConfigError(f"unknown config key {name}", error_class="config.unknown_key")
     return data
 
 

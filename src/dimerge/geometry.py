@@ -9,7 +9,8 @@ cosine between two directions ignores scale, so it is
 ``<W_k, W_n> / (|W_k| |W_n|)`` and no direction matrix is ever formed.
 
 All dot products and norms accumulate in 64-bit floats regardless of the
-storage precision of the inputs.
+storage precision of the inputs; the streamed accumulators widen each tile
+of rows to float64 once, in a scratch array the caller keeps.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ EPSILON_DEFAULT = 1e-8
 # rows per summation tile: a fixed partition, so column sums do not depend
 # on the size of the blocks a tensor is streamed in
 TILE_ROWS = 64
-
-
-def _column_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,ij->j", A, B, dtype=np.float64)
+# rows of the accumulators' float64 scratch: three widened tiles, five sums
+SCRATCH_ROWS = 3 * TILE_ROWS + 5
 
 
 def _guarded_cosine(dots: np.ndarray, norms_a: np.ndarray, norms_b: np.ndarray, epsilon: float) -> np.ndarray:
@@ -55,22 +54,35 @@ class ColumnDeviations(NamedTuple):
     dir_mm: np.ndarray
 
 
-def accumulate_column_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray) -> None:
+def _widened_tiles(scratch: np.ndarray, *blocks: np.ndarray):
+    """Each tile of the equal-shape ``blocks``, widened into ``scratch``."""
+    rows, cols = blocks[0].shape
+    for t in range(0, rows, TILE_ROWS):
+        n = min(TILE_ROWS, rows - t)
+        x = scratch[:len(blocks) * n].reshape(len(blocks), n, cols)
+        for wide, block in zip(x, blocks):
+            np.copyto(wide, block[t:t + n])
+        yield x
+
+
+def accumulate_column_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray,
+                           scratch: np.ndarray) -> None:
     """Add a row block's five column reductions into ``sums``, shape (5, d_in).
 
     The rows are |n|^2, |ml|^2, |mm|^2, <ml, n> and <mm, n>. Each is summed
     over fixed tiles of ``TILE_ROWS`` rows, and the tiles are added in order.
     A block that starts at a multiple of ``TILE_ROWS`` therefore adds the
     same floating-point sums whatever the block's length, so the result does
-    not depend on how a tensor is cut into blocks.
+    not depend on how a tensor is cut into blocks. Each tile is widened once
+    into ``scratch`` (float64, (SCRATCH_ROWS, d_in), overwritten); a column
+    adds the same float64 products in the same row order as a widening
+    ``einsum`` of each pair would, so the bits do not depend on it either.
     """
-    for t in range(0, base.shape[0], TILE_ROWS):
-        n, a, b = base[t:t + TILE_ROWS], ml[t:t + TILE_ROWS], mm[t:t + TILE_ROWS]
-        sums[0] += _column_dots(n, n)
-        sums[1] += _column_dots(a, a)
-        sums[2] += _column_dots(b, b)
-        sums[3] += _column_dots(a, n)
-        sums[4] += _column_dots(b, n)
+    part = scratch[3 * TILE_ROWS:SCRATCH_ROWS]
+    for x in _widened_tiles(scratch, base, ml, mm):
+        np.einsum("kij,kij->kj", x, x, out=part[:3])
+        np.einsum("kij,ij->kj", x[1:], x[0], out=part[3:])
+        sums += part
 
 
 def deviations_from_sums(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> ColumnDeviations:
@@ -85,24 +97,26 @@ def deviations_from_sums(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> 
     return ColumnDeviations(np.abs(norm_ml - norm_n), np.abs(norm_mm - norm_n), 1.0 - cos_ml, 1.0 - cos_mm)
 
 
-def accumulate_residual_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray) -> None:
+def accumulate_residual_sums(sums: np.ndarray, base: np.ndarray, ml: np.ndarray, mm: np.ndarray,
+                             scratch: np.ndarray) -> None:
     """Add a row block's eight column reductions into ``sums``, shape (8, d_in).
 
     Rows 0-4 are the five of :func:`accumulate_column_sums`; rows 5-7 are
     |Δml|^2, |Δmm|^2 and <Δml, Δmm> of the residuals against the base, summed
-    over the same fixed tiles. ``ml`` and ``mm`` are overwritten with those
-    residuals. Summing the residuals themselves, rather than expanding them
+    over the same fixed tiles in the same ``scratch``. ``ml`` and ``mm`` are
+    overwritten with those residuals, formed in float32 before they are
+    widened. Summing the residuals themselves, rather than expanding them
     into sums of the raw tensors, keeps their precision when they are small
     beside the base.
     """
-    accumulate_column_sums(sums[:5], base, ml, mm)
+    accumulate_column_sums(sums[:5], base, ml, mm, scratch)
     ml -= base
     mm -= base
-    for t in range(0, base.shape[0], TILE_ROWS):
-        a, b = ml[t:t + TILE_ROWS], mm[t:t + TILE_ROWS]
-        sums[5] += _column_dots(a, a)
-        sums[6] += _column_dots(b, b)
-        sums[7] += _column_dots(a, b)
+    part = scratch[3 * TILE_ROWS:3 * TILE_ROWS + 3]
+    for x in _widened_tiles(scratch, ml, mm):
+        np.einsum("kij,kij->kj", x, x, out=part[:2])
+        np.einsum("ij,ij->j", x[0], x[1], out=part[2])
+        sums[5:] += part
 
 
 def cross_cosines(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> np.ndarray:
@@ -120,7 +134,7 @@ def column_deviations(
     if base.ndim != 2 or not (base.shape == ml.shape == mm.shape):
         raise ShapeError(f"expected three equal-shape matrices, got {base.shape}, {ml.shape}, {mm.shape}")
     sums = np.zeros((5, base.shape[1]))
-    accumulate_column_sums(sums, base, ml, mm)
+    accumulate_column_sums(sums, base, ml, mm, np.empty((SCRATCH_ROWS, base.shape[1])))
     return deviations_from_sums(sums, epsilon)
 
 

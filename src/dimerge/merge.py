@@ -43,6 +43,7 @@ from .baselines import BaselineParams, merge_baseline_values
 from .errors import ConfigError, NumericError, read_section, read_value
 from .geometry import (
     EPSILON_DEFAULT,
+    SCRATCH_ROWS,
     TILE_ROWS,
     ColumnDeviations,
     accumulate_column_sums,
@@ -202,6 +203,9 @@ class BlockBuffers(threading.local):
     when a block needs more, so once the largest block has been seen,
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a slot overwrites all of it.
+    Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3; the
+    baselines' decode into 3-5 and cut in 6-9; pass 2 composes in 0-1 and
+    encodes in 2 (bf16 rounding sums in 0).
     """
 
     def __init__(self):
@@ -224,20 +228,21 @@ def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
 
 def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
                        buffers: BlockBuffers) -> np.ndarray:
-    """The ``count`` column sums that ``accumulate(sums, base, ml, mm)`` adds
-    for each row block of the aligned region, decoded from the stored bits
-    into ``buffers`` slots 0-2. A 1D tensor is one column, a scalar one row of
-    it. The base's pages are released block by block after their last read."""
+    """The ``count`` column sums that ``accumulate(sums, base, ml, mm, scratch)``
+    adds for each row block of the aligned region, decoded into ``buffers``
+    slots 0-2 and widened in slot 3. A 1D tensor is one column, a scalar one
+    row of it. The base's pages are released block by block after their last read."""
     rows, cols = (triple.shape + (1, 1))[:2]
     block = _block_rows(cols)
     sources = [(triple.aligned_bits(rec).reshape(rows, cols), rec.dtype)
                for rec in (triple.base, triple.ml, triple.mm)]
     sums = np.zeros((count, cols))
+    scratch = buffers.take(3, (SCRATCH_ROWS, cols), np.float64)
     for r0 in range(0, rows, block):
         r1 = min(r0 + block, rows)
         blocks = (decode_f32(bits[r0:r1], dtype, buffers.take(slot, (r1 - r0, cols), np.float32))
                   for slot, (bits, dtype) in enumerate(sources))
-        accumulate(sums, *blocks)
+        accumulate(sums, *blocks, scratch)
         _release_rows(triple.base, r0, r1)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
@@ -250,7 +255,7 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
 def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, SalienceWeights]:
     """Pass 1 of a dim3 merge: the weights, and the compose that blends the
     two sources by them. A 2D tensor streams its column sums
-    (:func:`stream_column_sums`, slots 0-2); its compose decodes a block of
+    (:func:`stream_column_sums`, slots 0-3); its compose decodes a block of
     each source into slots 0 and 1 and blends in place in slot 1. A 1D
     tensor is merged whole by its element weights."""
     if triple.rank == 1:

@@ -8,7 +8,7 @@ capture, e.g. ``"*.layers.{n}.*"``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from .errors import ConfigError, read_section, read_value
@@ -48,16 +48,19 @@ def _glob_to_regex(glob: str) -> str:
     return "".join(out)
 
 
-def compile_layer_pattern(pattern: str) -> re.Pattern:
-    """Translate a glob with one ``{n}`` capture into a compiled regex."""
+def compile_layer_pattern(pattern: str, name: str) -> re.Pattern:
+    """Translate a glob with one ``{n}`` capture into a compiled regex; any
+    other pattern is a config error naming the config key ``name``."""
     parts = pattern.split("{n}")
     if len(parts) != 2:
-        raise ConfigError(f"layer pattern {pattern!r} must contain exactly one {{n}} capture")
+        raise ConfigError(f"{name} {pattern!r} must contain exactly one {{n}} capture",
+                          error_class="config.bad_value")
     return re.compile(_glob_to_regex(parts[0]) + r"(\d+)" + _glob_to_regex(parts[1]) + r"\Z")
 
 
-def parse_layer_index(key: str, pattern: str = DEFAULT_LAYER_PATTERN) -> int | None:
-    m = compile_layer_pattern(pattern).match(key)
+def parse_layer_index(key: str, layer_regex: re.Pattern) -> int | None:
+    """The layer index ``layer_regex`` (:func:`compile_layer_pattern`) captures in ``key``, or None."""
+    m = layer_regex.match(key)
     return int(m.group(1)) if m else None
 
 
@@ -68,7 +71,8 @@ class ScopeFilter:
     lies in the inclusive range or the key matches a range-exempt pattern.
 
     Keys without a parsable layer index are out of scope while a layer range
-    is active, unless range-exempt.
+    is active, unless range-exempt. The layer pattern is checked and compiled
+    once, when the filter is made.
     """
 
     include: tuple[str, ...] = ("*",)
@@ -77,8 +81,10 @@ class ScopeFilter:
     layer_pattern: str = DEFAULT_LAYER_PATTERN
     range_exempt: tuple[str, ...] = ()
     preset: str = "custom"
+    layer_regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "layer_regex", compile_layer_pattern(self.layer_pattern, "merge.scope.layer_pattern"))
         if self.layer_range is not None and not 0 <= self.layer_range[0] <= self.layer_range[1]:
             raise ConfigError(f"merge.scope.layer_range must be [lo, hi], 0 <= lo <= hi, got {list(self.layer_range)}")
         if self.preset == "layers" and self.layer_range is None:
@@ -92,7 +98,7 @@ class ScopeFilter:
         if self.layer_range is not None:
             if any(fnmatchcase(key, pat) for pat in self.range_exempt):
                 return True
-            idx = parse_layer_index(key, self.layer_pattern)
+            idx = parse_layer_index(key, self.layer_regex)
             if idx is None:
                 return False
             lo, hi = self.layer_range

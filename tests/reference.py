@@ -135,6 +135,25 @@ def residual_terms(u, v):
     return lhs, rhs
 
 
+def tiled_column_dots(a, b, tile=64):
+    """Per-column float64 dot products of two matrices as the streamed merge
+    defines them: each ``tile``-row tile summed by one widening einsum, the
+    tiles added in order onto zeros."""
+    out = np.zeros(a.shape[1])
+    for t in range(0, a.shape[0], tile):
+        out += np.einsum("ij,ij->j", a[t:t + tile], b[t:t + tile], dtype=np.float64)
+    return out
+
+
+def column_sums(base, ml, mm):
+    """The eight column sums of a float32 triple: |n|^2, |ml|^2, |mm|^2,
+    <ml, n>, <mm, n>, then |dml|^2, |dmm|^2 and <dml, dmm> of the float32
+    residuals against the base."""
+    d_ml, d_mm = ml - base, mm - base
+    pairs = ((base, base), (ml, ml), (mm, mm), (ml, base), (mm, base), (d_ml, d_ml), (d_mm, d_mm), (d_ml, d_mm))
+    return np.array([tiled_column_dots(a, b) for a, b in pairs])
+
+
 def top_k_indices(scores, keep) -> list[int]:
     """Flat indices of the ``keep`` largest scores: a stable sort on
     (-score, flat index), so threshold ties go to lower indices."""

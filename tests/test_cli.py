@@ -291,12 +291,14 @@ class TestMergeCommand:
         (["--set", "merge.scope.layer_range=[3, 1]"], "merge.scope.layer_range"),
         (["--set", "remap.anchor=language_model."], "remap.anchor"),
         (["--set", "merge=ties"], "merge must be an object"),
+        (["--set", "treads=1"], "treads"),
+        (["--set", "schema_version=2"], "schema_version"),
     ], ids=["merge_key", "baseline_key", "aggregation_key", "scope_key", "threads_string", "shard_limit_string",
             "shard_limit_zero", "threads_negative", "remap_key", "lambda_nan", "lambda_inf", "epsilon_nan",
             "epsilon_inf", "seed_fraction", "seed_string", "seed_bool", "seed_nan", "epsilon_bool", "epsilon_string",
             "estimator_unknown", "lambda_string", "aggregation_lambda_string", "aggregation_number",
             "scope_include_string", "scope_preset_unknown", "layer_range_short", "layer_range_reversed",
-            "remap_rules_string", "merge_string"])
+            "remap_rules_string", "merge_string", "top_level_key", "schema_version_override"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
         tmp_path, _, config_path = workspace
         assert main(["merge", "--config", str(config_path), *args]) == 2
@@ -323,6 +325,48 @@ class TestMergeCommand:
         assert main(["merge", "--config", str(config_path)]) == 0
         report = json.loads((tmp_path / "merged.report.json").read_text())
         assert report["config"]["threads"] == 1
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("command", ["merge", "diagnose"])
+    def test_unknown_top_level_key_is_config_error(self, workspace, capsys, command):
+        """A misspelt top-level key in the file is refused, as one a level
+        down is: a ``treads`` is not ignored while the run takes every CPU."""
+        tmp_path, config, _ = workspace
+        config.update(treads=1, diagnose={"csv_path": str(tmp_path / "d.csv")})
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.unknown_key]") and "treads" in err
+        assert not (tmp_path / "merged").exists() and not (tmp_path / "d.csv").exists()
+
+    def test_one_config_serves_both_commands(self, workspace):
+        """The known keys are those either command reads, so a config with
+        the merge's keys and a diagnose section runs under each command, and
+        so does a merge report's echo of it."""
+        tmp_path, config, _ = workspace
+        config.update(threads=1, shard_limit=1 << 30, report_path=str(tmp_path / "r.json"),
+                      diagnose={"csv_path": str(tmp_path / "d.csv")})
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 0
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 0
+        echo = json.loads((tmp_path / "r.json").read_text())["config"]
+        (tmp_path / "d.csv").unlink()
+        assert main(["diagnose", "--config", write_config(tmp_path, echo, "echo.json")]) == 0
+        assert (tmp_path / "d.csv").is_file()
+
+    @pytest.mark.parametrize("command, key", [("merge", "merge.scope.layer_pattern"),
+                                              ("diagnose", "diagnose.schema.layer_pattern")])
+    @pytest.mark.parametrize("pattern", ["model.layers.*", "*.{n}.{n}.*"])
+    def test_layer_pattern_needs_one_capture_before_inputs_load(self, tmp_path, capsys, command, key, pattern):
+        """A layer pattern without exactly one ``{n}`` is refused when the
+        config is read: the inputs here do not exist, and the error names the
+        pattern, not them."""
+        config = {name: str(tmp_path / "missing" / name) for name in ("base_path", "multilingual_path", "anchor_path")}
+        config.update(output_path=str(tmp_path / "merged"),
+                      merge={"scope": {"layer_range": [0, 1], "layer_pattern": pattern}},
+                      diagnose={"schema": {"layer_pattern": pattern}, "csv_path": str(tmp_path / "d.csv")})
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.bad_value]") and key in err and "exactly one {n}" in err
 
 
 class TestRemapPresets:
@@ -392,8 +436,9 @@ class TestDiagnoseCommand:
         (["--set", 'diagnose.schema.module_labels=[["q_proj"]]'], "diagnose.schema.module_labels", "config.bad_value"),
         (["--set", "diagnose.schema.layer_pattern=5"], "diagnose.schema.layer_pattern", "config.bad_value"),
         (["--set", "remap.anchor=language_model."], "remap.anchor", "config.bad_value"),
+        (["--set", "report_pth=r.json"], "report_pth", "config.unknown_key"),
     ], ids=["diagnose_key", "schema_key", "schema_key_beside_preset", "remap_key", "epsilon_nan", "epsilon_inf",
-            "epsilon_zero", "module_labels_not_pairs", "layer_pattern_number", "remap_rules_string"])
+            "epsilon_zero", "module_labels_not_pairs", "layer_pattern_number", "remap_rules_string", "top_level_key"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key, error_class):
         tmp_path, config, _ = workspace
         config["diagnose"] = {"schema": {"preset": "llama"}, "csv_path": str(tmp_path / "d.csv")}

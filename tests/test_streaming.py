@@ -193,22 +193,24 @@ def test_failed_merge_leaves_path_as_it_was(tmp_path, threads):
 
 
 def test_column_sums_do_not_depend_on_block_size():
-    from dimerge.geometry import accumulate_column_sums
+    from dimerge.geometry import SCRATCH_ROWS, accumulate_column_sums
 
     rng = np.random.default_rng(6)
     base, ml, mm = (rng.standard_normal((1100, 7), dtype=np.float32) for _ in range(3))
+    scratch = np.empty((SCRATCH_ROWS, 7))
     whole = np.zeros((5, 7))
-    accumulate_column_sums(whole, base, ml, mm)
+    accumulate_column_sums(whole, base, ml, mm, scratch)
     for tiles in (1, 4, 16):
         rows = tiles * TILE_ROWS
         sums = np.zeros((5, 7))
         for r0 in range(0, 1100, rows):
-            accumulate_column_sums(sums, base[r0:r0 + rows], ml[r0:r0 + rows], mm[r0:r0 + rows])
+            accumulate_column_sums(sums, base[r0:r0 + rows], ml[r0:r0 + rows], mm[r0:r0 + rows], scratch)
         np.testing.assert_array_equal(sums, whole)
 
 
 FAULT_PROBE = """
 import resource, sys
+from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.store import load_checkpoint
 
@@ -216,18 +218,29 @@ faults = []
 for root in sys.argv[2:]:
     triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out")
+    if sys.argv[1] == "diagnose":
+        diagnose(*triple)
+    else:
+        merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out")
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(*faults)
 """
 
 
 def probe_faults(method, roots):
-    """Minor faults of each merge of ``roots``, in order, in one fresh process."""
+    """Minor faults of each merge (or, for method ``diagnose``, each
+    ``diagnose``) of ``roots``, in order, in one fresh process."""
     env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", FAULT_PROBE, method, *roots], env=env,
                             capture_output=True, text=True, check=True)
     return [int(f) for f in result.stdout.split()]
+
+
+def short_and_tall(tmp_path):
+    """Roots of a mapped bf16 2048 x 1024 triple and of one four times as tall."""
+    for rows in (2048, 8192):
+        on_disk_triple(tmp_path / str(rows), {"w": (rows, 1024)}, seed=rows)
+    return [str(tmp_path / str(rows)) for rows in (2048, 8192)]
 
 
 def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
@@ -236,11 +249,15 @@ def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
     buffers are reused, so the taller tensor adds a small fixed number of
     faults, not a few pages per block for fresh temporaries. A fresh process,
     because a long-lived one keeps a large heap that hides the churn."""
-    roots = []
-    for rows in (2048, 8192):
-        on_disk_triple(tmp_path / str(rows), {"w": (rows, 1024)}, seed=rows)
-        roots.append(str(tmp_path / str(rows)))
-    short, tall = probe_faults("dim3", roots)
+    short, tall = probe_faults("dim3", short_and_tall(tmp_path))
+    assert tall - short < 3000, (short, tall)
+
+
+def test_diagnose_faults_do_not_grow_with_blocks(tmp_path):
+    """The same probe for ``diagnose``, whose decode slots and float64 tile
+    scratch live as long as the call: four times the rows add a small fixed
+    number of faults, not fresh pages for every block."""
+    short, tall = probe_faults("diagnose", short_and_tall(tmp_path))
     assert tall - short < 3000, (short, tall)
 
 
