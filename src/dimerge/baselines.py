@@ -5,9 +5,11 @@ Their one entry point is :func:`merge_baseline_values`, which the merge's
 pass 1 calls on a tensor's decoded residuals; to run a baseline on one
 tensor, call :func:`~dimerge.merge.merge_tensor` with the method in its
 config. So every method honors the same scope filtering and anchor
-pass-through as the column-wise merge. TIES and Breadcrumbs first find their
-top-k cuts over the whole residuals; then every method composes the merge
-one block of rows at a time, in place, applying the cuts in flat order.
+pass-through as the column-wise merge. TIES and Breadcrumbs first cut each
+residual by its |delta|, found by partitioning one copy of it: TIES keeps
+the top of each, Breadcrumbs drops the top and the bottom, both sides of
+one cut. Then every method composes the merge one block of rows at a
+time, in place, applying the cuts in flat order.
 Random drop masks come from a counter-based generator keyed by (seed,
 tensor-name hash, element index), so results are identical under any
 parallel schedule and any block size.
@@ -87,8 +89,6 @@ def name_hash64(name: str) -> int:
     return int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-
-
 def unit_uniforms(seed: int, name: str, n: int, start: int = 0) -> np.ndarray:
     """n uniforms in [0, 1), element i depending only on (seed, name,
     start + i), so a stream drawn in pieces equals the stream drawn whole."""
@@ -117,64 +117,68 @@ def _count_equal(values: np.ndarray, x, flags: np.ndarray) -> int:
 class TopKCut:
     """The ``keep`` largest of a score array as a cut: the scores above
     ``threshold``, then the first ``ties`` scores equal to it in flat order
-    (threshold ties go to lower flat indices).
+    (threshold ties go to lower flat indices). Given ``drop``, the cut also
+    takes the ``drop`` smallest of the rest: the scores below ``floor``, then
+    the first ``floor_ties`` equal to it in flat order.
 
     Finding the cut partitions the scores in place, so it takes linear time
     and no copy; ``flags`` is contiguous bool scratch of any size.
-    :meth:`select` then marks what the cut admits one block at a time, the
+    :meth:`select` then marks what the cut takes one block at a time, the
     blocks coming in flat order.
     """
 
-    def __init__(self, scores: np.ndarray, keep: int, flags: np.ndarray):
-        flat = scores.reshape(-1)
+    def __init__(self, scores: np.ndarray, keep: int, flags: np.ndarray, drop: int | None = None):
+        flat, flags = scores.reshape(-1), flags.reshape(-1)
         n = flat.size
         self.keep = min(max(keep, 0), n)
-        self.threshold = np.inf
-        self.ties = 0
-        self.admitted = 0   # ties admitted by the blocks selected so far
+        self.drop = drop if drop is None else min(max(drop, 0), n - self.keep)
+        self.threshold, self.ties = np.inf, 0
+        self.floor, self.floor_ties = -np.inf, 0
         if self.keep:
             flat.partition(n - self.keep)
             top = flat[n - self.keep:]
             self.threshold = top[0]
-            self.ties = _count_equal(top, self.threshold, flags.reshape(-1))
+            self.ties = _count_equal(top, self.threshold, flags)
+        if self.drop:
+            low = flat[:n - self.keep]
+            low.partition(self.drop - 1)
+            self.floor = low[self.drop - 1]
+            self.floor_ties = _count_equal(low[:self.drop], self.floor, flags)
+        # [score, ties left to take] per tie group: where the sides meet, one
+        # group whose first floor_ties are the bottom's and the next ties the top's
+        if self.floor == self.threshold:
+            self._ties = [[self.threshold, self.floor_ties + self.ties]]
+        else:
+            self._ties = [[self.floor, self.floor_ties], [self.threshold, self.ties]]
 
-    def select(self, scores: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def select(self, scores: np.ndarray, out: np.ndarray, below: np.ndarray | None = None) -> np.ndarray:
         """Mark in ``out`` (contiguous bool, of the scores' shape) the scores
-        of the next block that the cut admits."""
-        ties = None
-        if self.admitted < self.ties:
-            ties = np.flatnonzero(np.equal(scores, self.threshold, out=out))[:self.ties - self.admitted]
-            self.admitted += ties.size
+        of the next block that the cut takes; a cut with a bottom side also
+        needs ``below``, bool scratch of that shape."""
+        ties = []
+        for group in self._ties:
+            if group[1]:
+                ties.append(np.flatnonzero(np.equal(scores, group[0], out=out))[:group[1]])
+                group[1] -= ties[-1].size
         np.greater(scores, self.threshold, out=out)
-        if ties is not None:
-            out.reshape(-1)[ties] = True
+        if self.drop is not None:
+            out |= np.less(scores, self.floor, out=below)
+        for index in ties:
+            out.reshape(-1)[index] = True
         return out
 
-    def __str__(self) -> str:
-        return f"keep {self.keep}, threshold {self.threshold:.6g}, {self.ties} ties admitted"
+    def describe(self, label: str) -> str:
+        """Each side of the cut for the log: its size, threshold and ties."""
+        top = f"keep {self.keep}, threshold {self.threshold:.6g}, {self.ties} ties admitted"
+        if self.drop is None:
+            return f"{label} {top}"
+        return (f"{label} bottom keep {self.drop}, threshold {self.floor:.6g}, {self.floor_ties} ties admitted; "
+                f"{label} top {top}")
 
 
 # ---------------------------------------------------------------------------
 # block transforms: in place on a block of rows of the residuals
 # ---------------------------------------------------------------------------
-
-
-def _task_arithmetic_block(base: np.ndarray, d_ml: np.ndarray, d_mm: np.ndarray, lam: float) -> np.ndarray:
-    """``base + lam * (d_ml + d_mm)``, in place in ``d_ml``."""
-    d_ml += d_mm
-    d_ml *= np.float32(lam)
-    d_ml += base
-    return d_ml
-
-
-def _dare_block(delta: np.ndarray, p: float, seed: int, name: str, start: int) -> np.ndarray:
-    """Drop each entry with probability ``p`` and rescale the survivors by
-    ``1/(1-p)``, in place; entry i draws uniform ``start + i`` of (seed, name)."""
-    if p:
-        drop = unit_uniforms(seed, name, delta.size, start).reshape(delta.shape) < p
-        delta /= np.float32(1.0 - p)
-        np.copyto(delta, delta.dtype.type(0), where=drop)
-    return delta
 
 
 def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float,
@@ -206,40 +210,6 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float
     return t_ml
 
 
-def _breadcrumbs_scores(delta: np.ndarray, bottom: TopKCut, scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Score a block for the top cut into ``scores``: |delta|, and -1 (below
-    every |delta|) for the entries the bottom cut drops, which ``mask``
-    marks. So the top cut sees only survivors (int(beta*n) + int(gamma*n) <= n)."""
-    np.negative(np.abs(delta, out=scores), out=scores)
-    bottom.select(scores, mask)
-    np.negative(scores, out=scores)
-    np.copyto(scores, scores.dtype.type(-1), where=mask)
-    return mask
-
-
-def _breadcrumbs_cuts(delta: np.ndarray, beta: float, gamma: float, scores: np.ndarray,
-                      flags: np.ndarray) -> tuple[TopKCut, TopKCut]:
-    """The bottom cut (``beta`` of the entries, smallest |delta| first) and
-    the top cut (``gamma``, of the survivors) of a residual of rows, scored
-    into ``scores`` (of its shape) and ``flags`` (bool rows) a block at a time."""
-    n = delta.size
-    bottom = TopKCut(np.negative(np.abs(delta, out=scores), out=scores), int(beta * n), flags)
-    for r0 in range(0, len(delta), len(flags)):
-        r1 = min(r0 + len(flags), len(delta))
-        _breadcrumbs_scores(delta[r0:r1], bottom, scores[r0:r1], flags[:r1 - r0])
-    top = TopKCut(scores, int(gamma * n), flags)
-    bottom.admitted = 0   # the compose pass selects the bottom cut again
-    return bottom, top
-
-
-def _breadcrumbs_block(delta: np.ndarray, bottom: TopKCut, top: TopKCut, scores: np.ndarray,
-                       mask: np.ndarray) -> np.ndarray:
-    """Zero, in place, the entries of a block that either cut drops."""
-    np.copyto(delta, delta.dtype.type(0), where=_breadcrumbs_scores(delta, bottom, scores, mask))
-    np.copyto(delta, delta.dtype.type(0), where=top.select(scores, mask))
-    return delta
-
-
 # ---------------------------------------------------------------------------
 # methods: cut the whole residuals, then compose block by block
 # ---------------------------------------------------------------------------
@@ -247,67 +217,81 @@ def _breadcrumbs_block(delta: np.ndarray, bottom: TopKCut, top: TopKCut, scores:
 # slots of the caller's scratch that the methods take (0-5 are left to the
 # caller: its block buffers and the decoded tensors)
 _SCORES, _FLAGS, _SIGN, _COUNT = 6, 7, 8, 9
-# merges the block of rows from row r0, given those rows of base, d_ml, d_mm
-Compose = Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+_BELOW = _SIGN   # Breadcrumbs' second bool block, in a slot TIES alone uses
 
 
-def _log_cuts(name: str, cuts: dict[str, TopKCut]) -> None:
-    logger.debug("%s: top-k cut done: %s", name, "; ".join(f"{label} {cut}" for label, cut in cuts.items()))
+def _cut_residuals(ml, mm, name: str, take, block: int, keep: int, drop: int | None = None):
+    """Both residuals' cuts by |delta|, scored in the score slot and logged;
+    returns the scores, the cuts' bool rows and the cuts."""
+    scores = take(_SCORES, ml.shape, ml.dtype)
+    flags = take(_FLAGS, (block, ml.shape[1]), bool)
+    cuts = [TopKCut(np.abs(delta, out=scores), keep, flags, drop) for delta in (ml, mm)]
+    logger.debug("%s: top-k cut done: %s", name,
+                 "; ".join(cut.describe(label) for label, cut in zip(("ml", "mm"), cuts)))
+    return scores, flags, cuts
 
 
-def _plan_task_arithmetic(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
-    return lambda r0, base, d_ml, d_mm: _task_arithmetic_block(base, d_ml, d_mm, params.lam)
-
-
-def _plan_dare(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
-    def compose(r0, base, d_ml, d_mm):
-        for delta, source in ((d_ml, "ml:"), (d_mm, "mm:")):
-            _dare_block(delta, params.dare_drop_p, seed, source + name, r0 * ml.shape[1])
-        return _task_arithmetic_block(base, d_ml, d_mm, params.lam)
+def _plan_task_arithmetic(base, ml, mm, lam: float) -> Callable[[int, int], np.ndarray]:
+    """``base + lam * (ml + mm)`` of the residuals, in place in ``ml``'s rows."""
+    def compose(r0, r1):
+        merged = ml[r0:r1]
+        merged += mm[r0:r1]
+        merged *= np.float32(lam)
+        merged += base[r0:r1]
+        return merged
 
     return compose
 
 
-def _plan_ties(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
-    keep = math.ceil(params.ties_density * ml.size)
-    scores = take(_SCORES, ml.shape, ml.dtype)
-    flags = take(_FLAGS, (block, ml.shape[1]), bool)
-    cuts = [TopKCut(np.abs(delta, out=scores), keep, flags) for delta in (ml, mm)]
-    _log_cuts(name, dict(zip(("ml", "mm"), cuts)))
+def _plan_dare(base, ml, mm, params: BaselineParams, seed: int, name: str) -> Callable[[int, int], np.ndarray]:
+    """Drop each residual entry with probability p and rescale the survivors
+    by 1/(1-p), then add as task arithmetic; entry i of a source draws
+    uniform i of (seed, source-qualified name)."""
+    p, merge = params.dare_drop_p, _plan_task_arithmetic(base, ml, mm, params.lam)
+
+    def compose(r0, r1):
+        for delta, source in ((ml[r0:r1], "ml:"), (mm[r0:r1], "mm:")):
+            if p:
+                drop = unit_uniforms(seed, source + name, delta.size, r0 * ml.shape[1]).reshape(delta.shape) < p
+                delta /= np.float32(1.0 - p)
+                np.copyto(delta, delta.dtype.type(0), where=drop)
+        return merge(r0, r1)
+
+    return compose
+
+
+def _plan_ties(base, ml, mm, params: BaselineParams, name: str, take, block: int) -> Callable[[int, int], np.ndarray]:
+    scores, flags, cuts = _cut_residuals(ml, mm, name, take, block, math.ceil(params.ties_density * ml.size))
     sign, count = (take(slot, flags.shape, np.float32) for slot in (_SIGN, _COUNT))
 
-    def compose(r0, base, t_ml, t_mm):
-        rows = len(base)
+    def compose(r0, r1):
+        rows, t_ml, t_mm = r1 - r0, ml[r0:r1], mm[r0:r1]
         for delta, cut in zip((t_ml, t_mm), cuts):
-            delta *= cut.select(np.abs(delta, out=scores[r0:r0 + rows]), flags[:rows])
-        return _ties_block(base, t_ml, t_mm, params.lam, sign[:rows], count[:rows], flags[:rows])
+            delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags[:rows])
+        return _ties_block(base[r0:r1], t_ml, t_mm, params.lam, sign[:rows], count[:rows], flags[:rows])
 
     return compose
 
 
-def _plan_breadcrumbs(ml, mm, params: BaselineParams, seed, name, take, block) -> Compose:
-    scores = take(_SCORES, ml.shape, ml.dtype)
-    flags = take(_FLAGS, (block, ml.shape[1]), bool)
-    cuts = [_breadcrumbs_cuts(delta, params.breadcrumbs_beta, params.breadcrumbs_gamma, scores, flags)
-            for delta in (ml, mm)]
-    _log_cuts(name, {f"{source} {end}": cut for source, pair in zip(("ml", "mm"), cuts)
-                     for end, cut in zip(("bottom", "top"), pair)})
+def _plan_breadcrumbs(base, ml, mm, params: BaselineParams, name: str, take,
+                      block: int) -> Callable[[int, int], np.ndarray]:
+    """Zero the int(beta*n) smallest |delta| of each residual and the
+    int(gamma*n) largest of the rest, then add as task arithmetic. One cut
+    takes both: int(beta*n) + int(gamma*n) <= n, so the top of the
+    survivors is the top overall, save for the ties where the sides meet."""
+    keep, drop = (int(fraction * ml.size) for fraction in (params.breadcrumbs_gamma, params.breadcrumbs_beta))
+    scores, flags, cuts = _cut_residuals(ml, mm, name, take, block, keep, drop)
+    below = take(_BELOW, flags.shape, bool)
+    merge = _plan_task_arithmetic(base, ml, mm, params.lam)
 
-    def compose(r0, base, d_ml, d_mm):
-        rows = len(base)
-        for delta, (bottom, top) in zip((d_ml, d_mm), cuts):
-            _breadcrumbs_block(delta, bottom, top, scores[r0:r0 + rows], flags[:rows])
-        return _task_arithmetic_block(base, d_ml, d_mm, params.lam)
+    def compose(r0, r1):
+        rows = r1 - r0
+        for delta, cut in zip((ml[r0:r1], mm[r0:r1]), cuts):
+            dropped = cut.select(np.abs(delta, out=scores[r0:r1]), flags[:rows], below[:rows])
+            np.copyto(delta, delta.dtype.type(0), where=dropped)
+        return merge(r0, r1)
 
     return compose
-
-
-_PLANS = {
-    "task_arithmetic": _plan_task_arithmetic,
-    "dare": _plan_dare,
-    "ties": _plan_ties,
-    "breadcrumbs": _plan_breadcrumbs,
-}
 
 
 def merge_baseline_values(
@@ -331,10 +315,10 @@ def merge_baseline_values(
     order, ``block_rows`` at most at a time. Scratch comes from
     ``take(slot, shape, dtype)``, as :meth:`~dimerge.merge.BlockBuffers.take`
     (slots 6-9).
-
-    DARE masks are keyed by source-qualified names so the two residuals get
-    independent drop patterns.
     """
-    block = min(block_rows, len(base))
-    compose = _PLANS[method](delta_ml, delta_mm, params, seed, tensor_name, take, block)
-    return lambda r0, r1: compose(r0, base[r0:r1], delta_ml[r0:r1], delta_mm[r0:r1])
+    if method == "task_arithmetic":
+        return _plan_task_arithmetic(base, delta_ml, delta_mm, params.lam)
+    if method == "dare":
+        return _plan_dare(base, delta_ml, delta_mm, params, seed, tensor_name)
+    plan = _plan_ties if method == "ties" else _plan_breadcrumbs
+    return plan(base, delta_ml, delta_mm, params, tensor_name, take, min(block_rows, len(base)))

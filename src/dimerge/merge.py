@@ -204,8 +204,9 @@ class BlockBuffers(threading.local):
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a slot overwrites all of it.
     Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3; the
-    baselines' decode into 3-5 and cut in 6-9; pass 2 composes in 0-1 and
-    encodes in 2 (bf16 rounding sums in 0).
+    baselines' decode into 3-5, and cut in 6-7 (scores, flags) with TIES's
+    sign and count in 8-9 or Breadcrumbs' bottom flags in 8; pass 2 composes
+    in 0-1 and encodes in 2 (bf16 rounding sums in 0).
     """
 
     def __init__(self):
@@ -247,9 +248,16 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
     for role, norms in zip(ROLES, sums[:3]):
-        if not np.isfinite(norms).all():
-            raise NumericError(f"{triple.name}: {role} tensor contains non-finite values")
+        _finite(norms, f"{triple.name}: {role} tensor contains non-finite values")
     return sums
+
+
+def _finite(values: np.ndarray, message: str) -> np.ndarray:
+    """``values``, or :class:`NumericError` with ``message`` if any is not
+    finite: a NaN propagates through min and max; an infinity is one of them."""
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+        raise NumericError(message)
+    return values
 
 
 def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, SalienceWeights]:
@@ -257,20 +265,25 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
     two sources by them. A 2D tensor streams its column sums
     (:func:`stream_column_sums`, slots 0-3); its compose decodes a block of
     each source into slots 0 and 1 and blends in place in slot 1. A 1D
-    tensor is merged whole by its element weights."""
+    tensor is merged whole by its element weights. Finite sources whose
+    difference ``ml - mm`` overflows float32 are a numeric error."""
+    overflow = f"{triple.name}: multilingual - anchor overflows float32"
     if triple.rank == 1:
         base, ml, mm = triple.to_f32()
         dev_ml = np.abs(ml.astype(np.float64) - base)
         dev_mm = np.abs(mm.astype(np.float64) - base)
         weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
         logger.debug("%s: pass 1 done: element weights", triple.name)
-        merged = (mm + weights.omega_ml.astype(np.float32) * (ml - mm)).reshape(-1, 1)
+        merged = (mm + weights.omega_ml.astype(np.float32) * _finite(ml - mm, overflow)).reshape(-1, 1)
         return (lambda r0, r1: merged[r0:r1]), weights
     sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
     logger.debug("%s: pass 1 done: column sums", triple.name)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
     w_ml = weights.omega_ml.astype(np.float32)
     ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(triple.mm)
+    # |ml_ij - mm_ij| <= ||ml_j|| + ||mm_j||, so only past that bound can a
+    # difference overflow float32 and need checking
+    bounded = (np.sqrt(sums[1]) + np.sqrt(sums[2])).max(initial=0.0) <= np.finfo(np.float32).max
 
     def compose(r0: int, r1: int) -> np.ndarray:
         # mm + w_ml * (ml - mm), computed in place
@@ -278,6 +291,8 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
         mm_rows = decode_f32(mm[r0:r1], triple.mm.dtype, buffers.take(0, shape, np.float32))
         merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
         merged -= mm_rows
+        if not bounded:
+            _finite(merged, overflow)
         merged *= w_ml
         merged += mm_rows
         return merged
@@ -287,22 +302,22 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
 
 def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.ndarray]:
     """The aligned region of (base, ml - base, mm - base) in float32 rows, in
-    ``buffers`` slots 3-5, decoded one row block at a time. Each decoded
-    block is checked for non-finite values, role by role in order; the base's
-    and ml's pages are released block by block after their last read."""
+    ``buffers`` slots 3-5, decoded one row block at a time. Each block of
+    the base and of each residual is checked for non-finite values, role by
+    role in order, so a residual that overflows float32 is an error too; the
+    base's and ml's pages are released block by block after their last read."""
     rows, cols = _as_matrix(triple.shape)
     block = _block_rows(cols)
     arrays: list[np.ndarray] = []
     for slot, (role, rec) in enumerate(zip(ROLES, (triple.base, triple.ml, triple.mm)), start=3):
         bits = triple.aligned_bits(rec).reshape(rows, cols)
         values = buffers.take(slot, (rows, cols), np.float32)
+        message = f"{triple.name}: {role} {'residual' if arrays else 'tensor'} contains non-finite values"
         for r0 in range(0, rows, block):
             part = decode_f32(bits[r0:r0 + block], rec.dtype, values[r0:r0 + block])
-            # a NaN propagates through min and max; an infinity is one of them
-            if not (np.isfinite(part.min()) and np.isfinite(part.max())):
-                raise NumericError(f"{triple.name}: {role} tensor contains non-finite values")
             if arrays:
                 part -= arrays[0][r0:r0 + block]
+            _finite(part, message)
             if rec is not triple.mm:
                 _release_rows(rec, r0, r0 + block)
         arrays.append(values)

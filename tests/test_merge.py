@@ -119,6 +119,33 @@ class TestNonFiniteInput:
         with pytest.raises(NumericError):
             merge_tensor(triple_of(base, ml, base), MergeConfig(method=method))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (8,)])
+    def test_difference_past_float32_rejected(self, shape):
+        """Finite sources 6e38 apart: dim3 forms ``ml - mm``, which is past
+        float32, so the merge fails naming the tensor, not a tensor of
+        infinities. Task arithmetic forms only the residuals, which fit, and
+        merges them exactly."""
+        base, ml, mm = (np.full(shape, v, np.float32) for v in (0.0, 3e38, -3e38))
+        with pytest.raises(NumericError, match="^t: multilingual - anchor overflows float32"):
+            merge_tensor(triple_of(base, ml, mm), MergeConfig())
+        merged = merge_tensor(triple_of(base, ml, mm), MergeConfig(method="task_arithmetic"))
+        np.testing.assert_array_equal(merged.to_f32(), np.zeros(shape, np.float32))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (8,)])
+    def test_residual_past_float32_rejected(self, shape):
+        base, ml, mm = (np.full(shape, v, np.float32) for v in (3e38, -3e38, 3e38))
+        with pytest.raises(NumericError, match="^t: multilingual residual"):
+            merge_tensor(triple_of(base, ml, mm), MergeConfig(method="task_arithmetic"))
+
+    @pytest.mark.parametrize("shape", [(4, 2), (8,)])
+    def test_difference_near_float32_max_merges(self, shape):
+        """Column norms past float32's range but every difference inside it:
+        the merge is checked and finite."""
+        base, ml, mm = (np.full(shape, v, np.float32) for v in (0.0, 1e38, -1e38))
+        merged = merge_tensor(triple_of(base, ml, mm), MergeConfig()).to_f32()
+        assert np.isfinite(merged).all()
+        assert (np.abs(merged) <= 1e38).all()
+
 
 class TestConfig:
     def test_unknown_method_rejected(self):

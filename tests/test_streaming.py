@@ -4,6 +4,7 @@ depend on the block size, and the on-disk writer behind it."""
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 import dimerge
+import dimerge.baselines as baselines_module
+import dimerge.diagnostics as diagnostics_module
 import dimerge.merge as merge_module
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
@@ -274,6 +277,58 @@ def test_baseline_faults_do_not_grow_with_tensors(tmp_path):
         roots.append(str(tmp_path / str(count)))
     few, many = probe_faults("ties", roots)
     assert many - few < 3000, (few, many)
+
+
+def record_buffers(monkeypatch):
+    """Wrap the kernels that take row-block buffers (the column sums, the
+    top-k cut's ``select`` and the encoder) to record, per thread, the
+    array that owns the memory of each array handed to them. The owners are
+    kept alive, so a fresh allocation can never reuse a recorded one's memory."""
+    owners = {}
+
+    def record(*arrays):
+        seen = owners.setdefault(threading.get_ident(), {})
+        for array in arrays:
+            while isinstance(array, np.ndarray) and isinstance(array.base, np.ndarray):
+                array = array.base
+            if isinstance(array, np.ndarray):
+                seen[id(array)] = array
+
+    def recording(kernel, skip):
+        def wrapped(*args, **kwargs):
+            record(*args[skip:], *kwargs.values())
+            return kernel(*args, **kwargs)
+        return wrapped
+
+    # the column sums' first argument is the sums, one small array per tensor
+    for module, name, skip in ((merge_module, "accumulate_column_sums", 1),
+                               (diagnostics_module, "accumulate_residual_sums", 1),
+                               (merge_module, "encode_bits", 0), (baselines_module.TopKCut, "select", 0)):
+        monkeypatch.setattr(module, name, recording(getattr(module, name), skip))
+    return owners
+
+
+@pytest.mark.parametrize("method", ["dim3", "diagnose", "ties", "breadcrumbs"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernels_reuse_a_few_buffers_per_worker(tmp_path, monkeypatch, method, threads):
+    """Every block of four bf16 tensors of one shape, cut into one row block
+    each and then into five, reaches the kernels in the same few buffers per
+    worker: the column sums' decoded blocks and float64 scratch, the cut's
+    scores and flags, the encoder's output and rounding scratch. A fresh
+    array per block, even one the allocator serves from the memory just
+    freed, adds a buffer per block."""
+    triple = on_disk_triple(tmp_path, {f"w{i}": (5 * TILE_ROWS, 16) for i in range(4)}, seed=15)
+    counts = []
+    for tiles in (5, 1):
+        monkeypatch.setattr(merge_module, "_block_rows", lambda cols: tiles * TILE_ROWS)
+        owners = record_buffers(monkeypatch)
+        if method == "diagnose":
+            diagnose(*triple)
+        else:
+            merge_checkpoint(*triple, MergeConfig(method=method), tmp_path / f"out{tiles}", threads=threads)
+        counts.append(max(len(seen) for seen in owners.values()))
+        monkeypatch.undo()
+    assert counts[0] == counts[1] <= 6, counts
 
 
 @pytest.mark.parametrize("dtype", [DType.F16, DType.F32, DType.BF16])

@@ -7,11 +7,14 @@ residuals), since threshold ties are where a selection can go wrong.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import dimerge.merge as merge_module
 import reference
 from dimerge.baselines import BaselineParams, TopKCut
+from dimerge.geometry import TILE_ROWS
 from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import DType
 
@@ -83,21 +86,40 @@ def test_ties_matches_reference_bitwise(data):
     assert out.raw == expected.tobytes()
 
 
+@st.composite
+def tall_tensors(draw, dtype):
+    """Up to five tiles of rows and three columns of a few repeated values,
+    so that both of a cut's tie groups span several row blocks."""
+    pool = np.array(draw(st.lists(ELEMENT, min_size=1, max_size=8)), dtype=dtype)
+    rows = draw(st.one_of(st.sampled_from([TILE_ROWS - 1, TILE_ROWS + 1, 4 * TILE_ROWS + 1]),
+                          st.integers(1, 5 * TILE_ROWS)))
+    cols = draw(st.integers(1, 3))
+    array = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).choice(pool, (rows, cols))
+    return array.reshape(-1) if cols == 1 and draw(st.booleans()) else array
+
+
 @PROPERTY
 @given(st.data())
 def test_breadcrumbs_matches_reference_bitwise(data):
-    delta = data.draw(tensors(dtype=data.draw(st.sampled_from([np.float32, np.float64]))))
+    """Breadcrumbs through ``merge_tensor``, in row blocks of 1 to 4 tiles,
+    against the reference's two sorts, often where the bottom and top cuts
+    meet at one tied value."""
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    delta = data.draw(st.one_of(tensors(dtype=dtype), tall_tensors(dtype)))
     beta = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 0.85, 0.999]), st.floats(0.0, 1.0, exclude_max=True)))
     # gamma takes a share of what beta leaves, often all but a sliver of it
     share = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 1 - 1e-6, 1 - 1e-12]), st.floats(0.0, 1.0)))
     gamma = (1.0 - beta) * share
     assume(beta + gamma < 1.0)
+    tiles = data.draw(st.integers(1, 4))
     # one residual: a zero base and anchor; every drawn value is a float32,
     # so a float64 record narrows exactly
     zeros = np.zeros_like(delta)
     dtype = DType.from_numpy(delta.dtype)
     cfg = MergeConfig(method="breadcrumbs", baseline=BaselineParams(breadcrumbs_beta=beta, breadcrumbs_gamma=gamma))
-    out = merge_tensor(triple_of(zeros, delta, zeros, dtype=dtype), cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(merge_module, "_block_rows", lambda cols: tiles * TILE_ROWS)
+        out = merge_tensor(triple_of(zeros, delta, zeros, dtype=dtype), cfg)
     filtered = reference.breadcrumbs(delta.astype(np.float32), beta, gamma)
     expected = reference.task_arithmetic(zeros, filtered, zeros, 1.0).astype(delta.dtype).reshape(delta.shape)
     assert out.dtype is dtype
