@@ -44,14 +44,6 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (it honours ``taskset`` and container cpusets), else all."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _parse_set_value(raw: str):
     try:
         return json.loads(raw)
@@ -104,6 +96,16 @@ def _positive_int(config: dict, key: str, default: int) -> int:
     return value
 
 
+def _threads(config: dict, flag: int | None) -> int:
+    """Workers for either command: ``--threads``, else the config's, else one
+    per CPU this process may run on (its affinity mask where the platform has
+    one, so ``taskset`` and container cpusets count)."""
+    if flag is not None:
+        config["threads"] = flag
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return _positive_int(config, "threads", cpus)
+
+
 def _required_path(config: dict, key: str) -> Path:
     value = read_value(config, "", key, "string")
     if not value:
@@ -137,8 +139,6 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     config = load_config(config_path, overrides)
     if output:
         config["output_path"] = output
-    if threads is not None:
-        config["threads"] = threads
 
     out_value = read_value(config, "", "output_path", "string")
     if not out_value:
@@ -152,7 +152,7 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
                 raise ConfigError(f"{name} and {key} overlap", error_class="config.output_collision")
 
     cfg = MergeConfig.from_dict(config.get("merge"))
-    threads = _positive_int(config, "threads", _usable_cpus())
+    threads = _threads(config, threads)
     shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
     base, ml, anchor = _load_inputs(config)
 
@@ -199,11 +199,12 @@ def _read_diagnose(config: dict):
     return _resolve_schema(section), epsilon, exports
 
 
-def cmd_diagnose(config_path: str, overrides: list[str]) -> int:
+def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) -> int:
     config = load_config(config_path, overrides)
     schema, epsilon, exports = _read_diagnose(config)
+    threads = _threads(config, threads)
     base, ml, anchor = _load_inputs(config)
-    rows = diagnose(base, ml, anchor, schema, epsilon=epsilon)
+    rows = diagnose(base, ml, anchor, schema, epsilon, threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():
         for export, path in exports:
@@ -226,17 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Checkpoint merging and residual diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    merge_p = sub.add_parser("merge", help="merge a multilingual residual into a multimodal anchor")
-    merge_p.add_argument("--config", required=True, help="path to a JSON run config")
-    merge_p.add_argument("--set", dest="overrides", action="append", default=[],
-                         metavar="dotted.key=value", help="override a config leaf (repeatable)")
-    merge_p.add_argument("--output", default=None, help="override output_path")
-    merge_p.add_argument("--threads", type=int, default=None, help="worker pool size")
-
-    diag_p = sub.add_parser("diagnose", help="export residual-heterogeneity tables")
-    diag_p.add_argument("--config", required=True)
-    diag_p.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="dotted.key=value")
+    for command, text in (("merge", "merge a multilingual residual into a multimodal anchor"),
+                          ("diagnose", "export residual-heterogeneity tables")):
+        run_p = sub.add_parser(command, help=text)
+        run_p.add_argument("--config", required=True, help="path to a JSON run config")
+        run_p.add_argument("--set", dest="overrides", action="append", default=[],
+                           metavar="dotted.key=value", help="override a config leaf (repeatable)")
+        run_p.add_argument("--threads", type=int, default=None, help="worker pool size (default: usable CPUs)")
+    sub.choices["merge"].add_argument("--output", default=None, help="override output_path")
 
     inspect_p = sub.add_parser("inspect", help="list tensors in a checkpoint")
     inspect_p.add_argument("checkpoint", help="tensor file, index manifest, or directory")
@@ -250,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "merge":
             return cmd_merge(args.config, args.overrides, args.output, args.threads)
         if args.command == "diagnose":
-            return cmd_diagnose(args.config, args.overrides)
+            return cmd_diagnose(args.config, args.overrides, args.threads)
         return cmd_inspect(args.checkpoint)
     except DimergeError as exc:
         print(f"error[{exc.error_class}]: {exc}", file=sys.stderr)

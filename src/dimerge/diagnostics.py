@@ -3,7 +3,8 @@ residual norm, base-relative reorientation, and cross-residual alignment,
 exported as plot-ready tables.
 
 Each tensor streams once over row blocks, through the merge's own first
-pass, so memory follows one row block. Raw values are exported; color
+pass on its worker pool (:func:`~dimerge.merge.for_each_tensor`), so memory
+follows one row block per worker. Raw values are exported; color
 normalization is left to the plotter. Keys without a parsable layer index
 (embeddings, output head, final norm) group under layer -1.
 """
@@ -14,14 +15,14 @@ import csv
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
-from .align import align_triple
+from .align import ROLES, AlignedTriple, align_triple
 from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
-from .merge import BlockBuffers, stream_column_sums
+from .merge import BlockBuffers, _finite, for_each_tensor, stream_column_sums
 from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
 from .store import Checkpoint, release_pages, staged_files
 
@@ -97,15 +98,7 @@ class HeatmapRow:
     cross_cos: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "layer": self.layer,
-            "module": self.module,
-            "norm_ml": self.norm_ml,
-            "norm_mm": self.norm_mm,
-            "dirdev_ml": self.dirdev_ml,
-            "dirdev_mm": self.dirdev_mm,
-            "cross_cos": self.cross_cos,
-        }
+        return asdict(self)
 
 
 def diagnose(
@@ -114,10 +107,14 @@ def diagnose(
     anchor: Checkpoint,
     schema: ModuleKeySchema | None = None,
     epsilon: float = EPSILON_DEFAULT,
+    threads: int | None = None,
 ) -> list[HeatmapRow]:
-    """Group residual diagnostics by (layer, module type).
+    """Group residual diagnostics by (layer, module type). Tensors are
+    measured on ``threads`` workers and added into their groups in order, so
+    the rows do not depend on the worker count.
 
     Inputs must already be key-remapped; alignment is strict and read-only.
+    A residual that overflows float32 is a numeric error naming the tensor.
     """
     schema = schema or ModuleKeySchema()
     triples, _ = align_triple(base, ml, anchor, shape_policy="strict", high_rank="pass_through")
@@ -126,21 +123,27 @@ def diagnose(
         logger.warning("layer pattern %r captured no layer index; grouping all keys under layer -1",
                        schema.layer_pattern)
 
-    # per group: squared residual norms, column count, and the sums over
-    # columns of both reorientations and the cross cosine
-    groups: dict[tuple[int, str], np.ndarray] = {}
     buffers = BlockBuffers()
-    for triple in triples:
-        layer = schema.layer_of(triple.name)
-        key = (-1 if layer is None else layer, schema.label_of(triple.name))
+
+    def measure(triple: AlignedTriple) -> np.ndarray:
+        """The tensor's squared residual norms, column count, and the sums
+        over columns of both reorientations and the cross cosine."""
         sums = stream_column_sums(triple, accumulate_residual_sums, 8, buffers)
         for rec in (triple.base, triple.ml, triple.mm):
             release_pages(rec)
+        for role, norms in zip(ROLES[1:], sums[5:7]):
+            _finite(norms, f"{triple.name}: {role} residual contains non-finite values")
         terms = [sums[5].sum(), sums[6].sum(), 0.0, 0.0, 0.0, 0.0]
         if triple.rank == 2:
             dev = deviations_from_sums(sums[:5], epsilon)
             terms[2:] = sums.shape[1], dev.dir_ml.sum(), dev.dir_mm.sum(), cross_cosines(sums, epsilon).sum()
-        groups[key] = groups.get(key, 0.0) + np.array(terms)
+        return np.array(terms)
+
+    groups: dict[tuple[int, str], np.ndarray] = {}
+    for triple, terms in zip(triples, for_each_tensor(triples, measure, threads)):
+        layer = schema.layer_of(triple.name)
+        key = (-1 if layer is None else layer, schema.label_of(triple.name))
+        groups[key] = groups.get(key, 0.0) + terms
 
     rows = []
     for (layer, module), (sq_ml, sq_mm, cols, dir_ml, dir_mm, cross) in groups.items():
@@ -163,10 +166,7 @@ def export_csv(rows: list[HeatmapRow], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for row in rows:
-            writer.writerow(
-                [row.layer, row.module, _fmt(row.norm_ml), _fmt(row.norm_mm),
-                 _fmt(row.dirdev_ml), _fmt(row.dirdev_mm), _fmt(row.cross_cos)]
-            )
+            writer.writerow([row.layer, row.module, *map(_fmt, astuple(row)[2:])])
 
 
 def export_json(rows: list[HeatmapRow], path) -> None:

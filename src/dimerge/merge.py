@@ -29,12 +29,12 @@ import itertools
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import partial
 from math import prod
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -391,6 +391,20 @@ def _log_merged(entry: TensorMergeReport, n: int, total: int, nbytes: int) -> No
                 megabytes, entry.seconds, megabytes / max(entry.seconds, 1e-9), omega)
 
 
+def for_each_tensor(tensors: Iterable, work: Callable, threads: int | None = None) -> list:
+    """``[work(t) for t in tensors]`` on ``threads`` workers (inline for 1 or
+    None). The first failure stops it: work not yet started is cancelled, and
+    the error of the first tensor in order that failed is raised."""
+    if threads is None or threads <= 1:
+        return [work(t) for t in tensors]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(work, t) for t in tensors]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        pool.shutdown(cancel_futures=True)
+    # workers start tensors in order, so every cancelled one follows every failure
+    return [future.result() for future in futures]
+
+
 def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     """Merge one aligned tensor, at the anchor's shape; output in the anchor's
     dtype unless the config asks for f32. A scalar is the anchor's own
@@ -421,10 +435,11 @@ def merge_checkpoint(
     ``path``, laid out as :func:`~dimerge.store.save_checkpoint` would;
     everything else passes through bit-exactly. The output file is sized
     first and each tensor filled in place, so its bytes are identical for
-    any worker count. Each input tensor's mapped pages are released after
-    its last use. Each worker keeps its row-block buffers, a few MiB, until
-    the merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
-    tensor."""
+    any worker count. The tensors run through :func:`for_each_tensor` on
+    ``threads`` workers, so the first failure stops the merge. Each input
+    tensor's mapped pages are released after its last use. Each worker keeps
+    its row-block buffers, a few MiB, until the merge returns; with
+    ``DIMERGE_LOG=INFO`` it logs one line per merged tensor."""
     cfg.validate()
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
@@ -433,14 +448,11 @@ def merge_checkpoint(
     logger.debug("alignment done: %d aligned, %d passed through", len(triples), len(alignment.pass_through))
 
     start = time.perf_counter()
-    passthrough_reason = {}
-    for reason, names in (
+    passthrough_reason = {n: reason for reason, names in (
         ("anchor_only", alignment.anchor_only),
         ("missing_from_source", alignment.missing_from_base + alignment.missing_from_ml),
         ("high_rank", alignment.high_rank),
-    ):
-        for n in names:
-            passthrough_reason[n] = reason
+    ) for n in names}
     for name, triple in by_name.items():
         if not cfg.scope.admits(name):
             passthrough_reason[name] = "out_of_scope"
@@ -469,23 +481,11 @@ def merge_checkpoint(
                     if name in ckpt:
                         release_pages(ckpt[name])
 
-        if threads is not None and threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                entries = list(pool.map(handle, names))
-        else:
-            entries = [handle(n) for n in names]
+        entries = for_each_tensor(names, handle, threads)
     logger.debug("writer closed %s: %d files", path, len(out.paths))
 
-    report = MergeReport(config=cfg.to_dict(), alignment=alignment.to_dict())
-    omega_means = []
-    for entry in entries:
-        report.tensors.append(entry)
-        if entry.action == "merged":
-            report.merged_count += 1
-            if entry.omega_ml_mean is not None:
-                omega_means.append(entry.omega_ml_mean)
-        else:
-            report.pass_through_count += 1
-    report.mean_omega_ml = float(np.mean(omega_means)) if omega_means else None
-    report.seconds = time.perf_counter() - start
-    return report
+    merged = [e for e in entries if e.action == "merged"]
+    omega_means = [e.omega_ml_mean for e in merged if e.omega_ml_mean is not None]
+    return MergeReport(tensors=entries, merged_count=len(merged), pass_through_count=len(entries) - len(merged),
+                       mean_omega_ml=float(np.mean(omega_means)) if omega_means else None,
+                       seconds=time.perf_counter() - start, config=cfg.to_dict(), alignment=alignment.to_dict())

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dimerge import diagnostics
+from dimerge import cli, diagnostics
 from dimerge.cli import _resolve_remap, _resolve_schema, apply_overrides, main
 from dimerge.presets import module_schema, remap_rules
 from dimerge.records import TensorRecord
@@ -338,6 +338,34 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         assert err.startswith("error[config.unknown_key]") and "treads" in err
         assert not (tmp_path / "merged").exists() and not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("args", [["--set", "threads=0"], ["--set", 'threads="abc"'], ["--threads", "-3"]],
+                             ids=["threads_zero", "threads_string", "threads_negative"])
+    @pytest.mark.parametrize("command", ["merge", "diagnose"])
+    def test_bad_threads_is_config_error(self, workspace, capsys, command, args):
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "d.csv")}
+        assert main([command, "--config", write_config(tmp_path, config), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.bad_value]") and "threads" in err
+        assert not (tmp_path / "merged").exists() and not (tmp_path / "d.csv").exists()
+
+    def test_diagnose_threads_default_to_cpu_affinity(self, workspace, monkeypatch):
+        """``diagnose`` takes its workers as ``merge`` does: ``--threads``,
+        else the config's ``threads``, else one per CPU in the affinity mask."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "d.csv")}
+        seen = []
+
+        def spy(base, ml, anchor, schema, epsilon, threads):
+            seen.append(threads)
+            return diagnostics.diagnose(base, ml, anchor, schema, epsilon, threads)
+
+        monkeypatch.setattr(cli, "diagnose", spy)
+        for cpus, args in (({0}, []), ({0, 1, 2}, []), ({0}, ["--threads", "2"]), ({0}, ["--set", "threads=3"])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+            assert main(["diagnose", "--config", write_config(tmp_path, config), *args]) == 0
+        assert seen == [1, 3, 2, 3]
 
     def test_one_config_serves_both_commands(self, workspace):
         """The known keys are those either command reads, so a config with

@@ -1,9 +1,11 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
 
+from dimerge import diagnostics
 from dimerge.diagnostics import (
     CSV_HEADER,
     HeatmapRow,
@@ -12,7 +14,7 @@ from dimerge.diagnostics import (
     export_csv,
     export_json,
 )
-from dimerge.errors import ConfigError
+from dimerge.errors import ConfigError, NumericError
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint
 
@@ -116,6 +118,54 @@ class TestDiagnose:
             d = ml[name].to_f64() - base[name].to_f64()
             full += float(np.sum(d * d))
         assert total_ml == pytest.approx(full, rel=1e-4)
+
+    @pytest.mark.parametrize("role, values", [("multilingual", (-3e38, 3e38, 0.0)), ("anchor", (-3e38, 0.0, 3e38))])
+    @pytest.mark.parametrize("shape", [(4, 2), (8,)])
+    def test_residual_past_float32_rejected(self, role, values, shape):
+        """Finite inputs whose residual is past float32 are a numeric error
+        naming the tensor and the role, not a row of infinities and NaNs."""
+        base, ml, mm = (np.full(shape, v, np.float32) for v in values)
+        with pytest.raises(NumericError, match=f"^t: {role} residual contains non-finite values"):
+            one_tensor_row(base, ml, mm)
+
+    def test_same_rows_and_bytes_at_any_worker_count(self, tmp_path, monkeypatch):
+        """Tensors are measured on the worker pool but added into their
+        groups in order, so rows and both tables are the same at 1, 2 and 8
+        workers. Several groups hold 2D tensors of different sizes beside 1D
+        ones, so a group's sums depend on the order they are added in; later
+        tensors are measured faster, so on a pool they finish out of order."""
+        rng = np.random.default_rng(31)
+        shapes = {"model.embed_tokens.weight": (300, 16), "model.norm.weight": (16,)}
+        for layer in range(2):
+            prefix = f"model.layers.{layer}."
+            shapes[f"{prefix}self_attn.q_proj.weight"] = (16, 16)
+            shapes[f"{prefix}input_layernorm.weight"] = (16,)
+            for expert in range(8):
+                shapes[f"{prefix}mlp.experts.{expert}.up_proj.weight"] = (24 * (8 - expert) + 3, 16)
+                shapes[f"{prefix}mlp.experts.{expert}.up_proj.bias"] = (24 * (8 - expert) + 3,)
+        base = {n: rng.normal(size=shape).astype(np.float32) for n, shape in shapes.items()}
+
+        def perturbed(scale):
+            return Checkpoint.from_records([
+                TensorRecord.from_array(n, v + scale * rng.normal(size=v.shape).astype(np.float32))
+                for n, v in base.items()])
+
+        ckpts = [perturbed(scale) for scale in (0.0, 0.1, 0.1)]
+        real, order = diagnostics.stream_column_sums, list(shapes)
+
+        def reversed_finish(triple, *args):
+            time.sleep(0.0005 * (len(order) - order.index(triple.name)))
+            return real(triple, *args)
+
+        monkeypatch.setattr(diagnostics, "stream_column_sums", reversed_finish)
+        tables = {}
+        for threads in (1, 2, 8):
+            rows = diagnose(*ckpts, threads=threads)
+            export_csv(rows, tmp_path / f"{threads}.csv")
+            export_json(rows, tmp_path / f"{threads}.json")
+            tables[threads] = [rows] + [(tmp_path / f"{threads}.{ext}").read_bytes() for ext in ("csv", "json")]
+        assert len({(r.layer, r.module) for r in tables[1][0]}) == len(tables[1][0]) >= 8
+        assert tables[2] == tables[1] and tables[8] == tables[1]
 
     def test_read_only(self, triple_f32):
         base, ml, anchor = triple_f32

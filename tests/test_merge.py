@@ -1,10 +1,12 @@
 import hashlib
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
 
+from dimerge import diagnostics, merge
 from dimerge.align import AlignedTriple
 from dimerge.errors import ConfigError, NumericError
 from dimerge.merge import MERGE_METHODS, MergeConfig, merge_checkpoint, merge_tensor
@@ -145,6 +147,48 @@ class TestNonFiniteInput:
         merged = merge_tensor(triple_of(base, ml, mm), MergeConfig()).to_f32()
         assert np.isfinite(merged).all()
         assert (np.abs(merged) <= 1e38).all()
+
+
+class TestFirstErrorStops:
+    """At any worker count, the first tensor in order whose inputs are not
+    finite is the error raised, and the tensors not yet started when any
+    tensor fails are never started, even while an earlier one still runs."""
+
+    NAMES = [f"model.layers.{i}.mlp.up_proj.weight" for i in range(20)]
+    # the first tensor fails slowly and the second at once, so at 2 workers
+    # the second fails while the first runs for six other tensors' time
+    DELAYS = {NAMES[0]: 0.6, NAMES[1]: 0.0}
+
+    def _checkpoints(self):
+        rng = np.random.default_rng(3)
+        base = {n: rng.normal(size=(8, 4)).astype(np.float32) for n in self.NAMES}
+        ml = {n: v + np.float32(0.1) for n, v in base.items()}
+        for name in self.NAMES[:2]:
+            ml[name][0, 0] = np.nan
+        return [Checkpoint.from_records([TensorRecord.from_array(n, v) for n, v in arrays.items()])
+                for arrays in (base, ml, base)]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("command", ["merge", "diagnose"])
+    def test_first_error_in_order_and_no_more_work(self, tmp_path, monkeypatch, command, threads):
+        module, per_tensor = (merge, "_merge_one") if command == "merge" else (diagnostics, "stream_column_sums")
+        real = getattr(module, per_tensor)
+        calls = []
+
+        def counted(triple, *args):
+            calls.append(triple.name)
+            time.sleep(self.DELAYS.get(triple.name, 0.1))
+            return real(triple, *args)
+
+        monkeypatch.setattr(module, per_tensor, counted)
+        base, ml, anchor = self._checkpoints()
+        with pytest.raises(NumericError, match=f"^{self.NAMES[0]}: multilingual tensor contains non-finite"):
+            if command == "merge":
+                merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "out", threads=threads)
+            else:
+                diagnostics.diagnose(base, ml, anchor, threads=threads)
+        assert len(calls) <= threads + 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:
