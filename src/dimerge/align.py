@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, NumericError
-from .records import TensorRecord, decode_f32
+from .errors import AlignmentError, ConfigError
+from .records import TensorRecord, decode_f32, require_finite
 from .store import Checkpoint
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
@@ -60,8 +60,7 @@ class AlignedTriple:
         non-finite input is an error."""
         arrays = tuple(decode_f32(self.aligned_bits(rec), rec.dtype) for rec in (self.base, self.ml, self.mm))
         for role, values in zip(ROLES, arrays):
-            if not np.isfinite(values).all():
-                raise NumericError(f"{self.name}: {role} tensor contains non-finite values")
+            require_finite(values, f"{self.name}: {role} tensor contains non-finite values")
         return arrays
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .align import ROLES, AlignedTriple, align_triple
 from .errors import ConfigError
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
-from .merge import BlockBuffers, _finite, for_each_tensor, stream_column_sums
+from .merge import BlockBuffers, for_each_tensor, stream_column_sums
+from .records import require_finite
 from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
 from .store import Checkpoint, release_pages, staged_files
 
@@ -132,7 +133,7 @@ def diagnose(
         for rec in (triple.base, triple.ml, triple.mm):
             release_pages(rec)
         for role, norms in zip(ROLES[1:], sums[5:7]):
-            _finite(norms, f"{triple.name}: {role} residual contains non-finite values")
+            require_finite(norms, f"{triple.name}: {role} residual contains non-finite values")
         terms = [sums[5].sum(), sums[6].sum(), 0.0, 0.0, 0.0, 0.0]
         if triple.rank == 2:
             dev = deviations_from_sums(sums[:5], epsilon)

@@ -18,8 +18,9 @@ method's: dim3 streams the column reductions its weights need (a 1D tensor
 is weighed whole); the baselines decode the residuals once into
 tensor-sized arrays, where TIES and Breadcrumbs cut a global top-k. It
 returns a compose for any block of rows, and pass 2, one loop for every
-method, composes, encodes and writes each block of the anchor in place in
-the output file. Each worker does all this in the same few arrays for the
+method, composes each block of the anchor, rejects it if the output dtype
+cannot hold every value finitely, and encodes and writes it in place in the
+output file. Each worker does all this in the same few arrays for the
 whole merge, so memory follows one row block (and the baselines' residuals).
 """
 
@@ -49,7 +50,7 @@ from .geometry import (
     accumulate_column_sums,
     deviations_from_sums,
 )
-from .records import DType, TensorRecord, decode_f32, encode_bits, recode_bits
+from .records import ENCODE_LIMIT, DType, TensorRecord, decode_f32, encode_bits, recode_bits, require_finite
 from .salience import (
     AggregationKind,
     EstimatorKind,
@@ -248,16 +249,8 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
     for role, norms in zip(ROLES, sums[:3]):
-        _finite(norms, f"{triple.name}: {role} tensor contains non-finite values")
+        require_finite(norms, f"{triple.name}: {role} tensor contains non-finite values")
     return sums
-
-
-def _finite(values: np.ndarray, message: str) -> np.ndarray:
-    """``values``, or :class:`NumericError` with ``message`` if any is not
-    finite: a NaN propagates through min and max; an infinity is one of them."""
-    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
-        raise NumericError(message)
-    return values
 
 
 def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, SalienceWeights]:
@@ -265,25 +258,21 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
     two sources by them. A 2D tensor streams its column sums
     (:func:`stream_column_sums`, slots 0-3); its compose decodes a block of
     each source into slots 0 and 1 and blends in place in slot 1. A 1D
-    tensor is merged whole by its element weights. Finite sources whose
-    difference ``ml - mm`` overflows float32 are a numeric error."""
-    overflow = f"{triple.name}: multilingual - anchor overflows float32"
+    tensor is merged whole by its element weights. A difference ``ml - mm``
+    past float32 blends to a non-finite value, which pass 2 rejects."""
     if triple.rank == 1:
         base, ml, mm = triple.to_f32()
         dev_ml = np.abs(ml.astype(np.float64) - base)
         dev_mm = np.abs(mm.astype(np.float64) - base)
         weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
         logger.debug("%s: pass 1 done: element weights", triple.name)
-        merged = (mm + weights.omega_ml.astype(np.float32) * _finite(ml - mm, overflow)).reshape(-1, 1)
+        merged = (mm + weights.omega_ml.astype(np.float32) * (ml - mm)).reshape(-1, 1)
         return (lambda r0, r1: merged[r0:r1]), weights
     sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
     logger.debug("%s: pass 1 done: column sums", triple.name)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
     w_ml = weights.omega_ml.astype(np.float32)
     ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(triple.mm)
-    # |ml_ij - mm_ij| <= ||ml_j|| + ||mm_j||, so only past that bound can a
-    # difference overflow float32 and need checking
-    bounded = (np.sqrt(sums[1]) + np.sqrt(sums[2])).max(initial=0.0) <= np.finfo(np.float32).max
 
     def compose(r0: int, r1: int) -> np.ndarray:
         # mm + w_ml * (ml - mm), computed in place
@@ -291,8 +280,6 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
         mm_rows = decode_f32(mm[r0:r1], triple.mm.dtype, buffers.take(0, shape, np.float32))
         merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
         merged -= mm_rows
-        if not bounded:
-            _finite(merged, overflow)
         merged *= w_ml
         merged += mm_rows
         return merged
@@ -317,7 +304,7 @@ def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.n
             part = decode_f32(bits[r0:r0 + block], rec.dtype, values[r0:r0 + block])
             if arrays:
                 part -= arrays[0][r0:r0 + block]
-            _finite(part, message)
+            require_finite(part, message)
             if rec is not triple.mm:
                 _release_rows(rec, r0, r0 + block)
         arrays.append(values)
@@ -343,16 +330,21 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     rows and columns, re-encoded, hand the block to ``sink`` at its byte
     offset and release the sources' pages. The output bits go in ``buffers``
     slot 2 and the bf16 rounding sums in slot 0, both of which a dim3 pass 1
-    has already grown."""
+    has already grown. This is the one check on merged values, for every
+    method: a composed block whose min or max is NaN or past what encodes
+    finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a numeric error."""
     anchor = triple.mm
     rows, cols = _as_matrix(triple.shape)
     anchor_rows, anchor_cols = _as_matrix(anchor.shape)
     anchor_bits = anchor.bits().reshape(anchor_rows, anchor_cols)
     block = _block_rows(cols)
+    limit = ENCODE_LIMIT[out_dtype]
     for r0 in range(0, anchor_rows, block):
         r1 = min(r0 + block, anchor_rows)
         out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
         merged = compose(r0, min(r1, rows)) if r0 < rows else None
+        if merged is not None and not (-limit <= merged.min() and merged.max() <= limit):
+            raise NumericError(f"{triple.name}: merged values are not finite in {out_dtype.value}")
         if merged is None or merged.shape != out.shape:
             recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
         if merged is not None:

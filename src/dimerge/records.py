@@ -119,6 +119,23 @@ def encode_bits(values: np.ndarray, dtype: DType, out: np.ndarray | None = None,
     return out
 
 
+# the largest float32 that encode_bits keeps finite in each dtype; encoding is
+# monotone, so the float32 values it keeps finite are exactly [-limit, limit]
+ENCODE_LIMIT = {
+    DType.F32: np.finfo(np.float32).max,
+    DType.F64: np.finfo(np.float32).max,
+    DType.F16: np.nextafter(np.float32(65520), np.float32(0)),  # 65520 rounds to inf
+    DType.BF16: np.uint32(0x7F7F7FFF).view(np.float32),  # 0x7F7F8000 rounds to inf
+}
+
+
+def require_finite(values: np.ndarray, message: str) -> None:
+    """:class:`NumericError` with ``message`` if any of ``values`` is not
+    finite: a NaN propagates through min and max; an infinity is one of them."""
+    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+        raise NumericError(message)
+
+
 def recode_bits(bits: np.ndarray, source: DType, target: DType, out: np.ndarray | None = None) -> np.ndarray:
     """Bit patterns stored as ``source`` re-encoded as ``target`` (lossy where
     narrower), into ``out`` or a fresh writable array. A copy and a decode

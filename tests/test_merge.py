@@ -5,11 +5,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimerge import diagnostics, merge
 from dimerge.align import AlignedTriple
+from dimerge.baselines import BaselineParams
 from dimerge.errors import ConfigError, NumericError
-from dimerge.merge import MERGE_METHODS, MergeConfig, merge_checkpoint, merge_tensor
+from dimerge.merge import MERGE_METHODS, OUTPUT_DTYPES, MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
@@ -124,11 +127,11 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("shape", [(4, 2), (8,)])
     def test_difference_past_float32_rejected(self, shape):
         """Finite sources 6e38 apart: dim3 forms ``ml - mm``, which is past
-        float32, so the merge fails naming the tensor, not a tensor of
-        infinities. Task arithmetic forms only the residuals, which fit, and
-        merges them exactly."""
+        float32, so the blend is not finite and the merge fails naming the
+        tensor, not a tensor of infinities. Task arithmetic forms only the
+        residuals, which fit, and merges them exactly."""
         base, ml, mm = (np.full(shape, v, np.float32) for v in (0.0, 3e38, -3e38))
-        with pytest.raises(NumericError, match="^t: multilingual - anchor overflows float32"):
+        with pytest.raises(NumericError, match="^t: merged values are not finite in F32"):
             merge_tensor(triple_of(base, ml, mm), MergeConfig())
         merged = merge_tensor(triple_of(base, ml, mm), MergeConfig(method="task_arithmetic"))
         np.testing.assert_array_equal(merged.to_f32(), np.zeros(shape, np.float32))
@@ -147,6 +150,77 @@ class TestNonFiniteInput:
         merged = merge_tensor(triple_of(base, ml, mm), MergeConfig()).to_f32()
         assert np.isfinite(merged).all()
         assert (np.abs(merged) <= 1e38).all()
+
+
+BF16_MAX = float(np.uint32(0x7F7F0000).view(np.float32))
+
+
+class TestMergedOverflow:
+    """Finite inputs whose merge the output dtype cannot hold: every method
+    fails naming the tensor and the dtype, where it used to write infinities."""
+
+    @pytest.mark.parametrize("method, dtype, values, params", [
+        ("task_arithmetic", DType.F16, (0.0, 40000.0, 40000.0), {}),
+        ("task_arithmetic", DType.BF16, (0.0, 2e38, 2e38), {}),
+        ("ties", DType.F32, (0.0, 3e38, 3e38), {}),
+        # 1e38 / (1 - p) overflows before lambda would bring it back in range
+        ("dare", DType.F32, (0.0, 1e38, 0.0), {"dare_drop_p": 0.9, "lam": 0.05}),
+        ("task_arithmetic", DType.F32, (0.0, 1e9, 1e9), {"lam": 1e30}),
+    ], ids=["task_arithmetic_f16", "task_arithmetic_bf16", "ties_f32", "dare_rescale", "task_arithmetic_lambda"])
+    def test_overflow_rejected(self, method, dtype, values, params):
+        base, ml, mm = (np.full((4, 2), v, np.float32) for v in values)
+        cfg = MergeConfig(method=method, baseline=BaselineParams(**params))
+        with pytest.raises(NumericError, match=f"^t: merged values are not finite in {dtype.value}$"):
+            merge_tensor(triple_of(base, ml, mm, dtype=dtype), cfg)
+
+    @pytest.mark.parametrize("dtype, ml, mm, output_dtype, want", [
+        (DType.F16, 32752.0, 32752.0, "match_anchor", 65504.0),
+        (DType.F16, 32752.0, 32768.0, "match_anchor", None),   # 65520 rounds to F16 inf
+        (DType.F16, 32768.0, 32768.0, "match_anchor", None),
+        (DType.F16, 32768.0, 32768.0, "f32", 65536.0),
+        (DType.BF16, BF16_MAX / 2, BF16_MAX / 2, "match_anchor", BF16_MAX),
+        # a finite float32 sum, 0x7F7F8000, that bf16 rounds to inf
+        (DType.BF16, BF16_MAX / 2, 2.0 ** 127, "match_anchor", None),
+    ], ids=["f16_65504", "f16_65520", "f16_65536", "f16_65536_to_f32", "bf16_max", "bf16_past_max"])
+    def test_task_arithmetic_at_the_output_limit(self, dtype, ml, mm, output_dtype, want):
+        """A sum at the output dtype's largest value merges to it; one that
+        the output dtype rounds to infinity is an error."""
+        triple = triple_of(np.zeros((4, 2)), np.full((4, 2), ml), np.full((4, 2), mm), dtype=dtype)
+        cfg = MergeConfig(method="task_arithmetic", output_dtype=output_dtype)
+        if want is None:
+            with pytest.raises(NumericError, match=f"^t: merged values are not finite in {dtype.value}$"):
+                merge_tensor(triple, cfg)
+        else:
+            np.testing.assert_array_equal(merge_tensor(triple, cfg).to_f64(), np.full((4, 2), want))
+
+
+# largest finite value of each anchor dtype the property draws
+DTYPE_MAX = {DType.F32: float(np.finfo(np.float32).max), DType.F16: 65504.0, DType.BF16: BF16_MAX}
+NEAR_ONE = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-1.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_merge_is_finite_or_an_error_naming_the_tensor(data):
+    """Sources near their dtype's largest value, merged by every method into
+    either output dtype: the merge is finite, or a NumericError naming the
+    tensor, never an infinity written with no error."""
+    method = data.draw(st.sampled_from(MERGE_METHODS))
+    dtype = data.draw(st.sampled_from(list(DTYPE_MAX)))
+    output_dtype = data.draw(st.sampled_from(OUTPUT_DTYPES))
+    shape = data.draw(st.sampled_from([(4, 2), (3, 3), (2, 1), (6,)]))
+    n = int(np.prod(shape))
+    base, ml, mm = (np.array(data.draw(st.lists(NEAR_ONE, min_size=n, max_size=n))).reshape(shape)
+                    * DTYPE_MAX[dtype] for _ in range(3))
+    baseline = None if method == "dim3" else BaselineParams(lam=data.draw(st.sampled_from([0.5, 1.0, 2.0])))
+    cfg = MergeConfig(method=method, output_dtype=output_dtype, baseline=baseline)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            merged = merge_tensor(triple_of(base, ml, mm, dtype=dtype), cfg)
+        except NumericError as error:
+            assert str(error).startswith("t: "), error
+        else:
+            assert np.isfinite(merged.to_f64()).all()
 
 
 class TestFirstErrorStops:
@@ -197,8 +271,6 @@ class TestConfig:
             MergeConfig(method="soup").validate()
 
     def test_baseline_params_only_for_baselines(self):
-        from dimerge.baselines import BaselineParams
-
         with pytest.raises(ConfigError):
             MergeConfig(method="dim3", baseline=BaselineParams()).validate()
         cfg = MergeConfig(method="dare").validate()

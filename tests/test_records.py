@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dimerge.errors import FormatError, ShapeError
-from dimerge.records import (DType, TensorRecord, bf16_bits_to_f32, decode_f32, encode_bits, f32_to_bf16_bits,
-                             recode_bits)
+from dimerge.records import (ENCODE_LIMIT, DType, TensorRecord, bf16_bits_to_f32, decode_f32, encode_bits,
+                             f32_to_bf16_bits, recode_bits)
 
 import reference
 
@@ -151,3 +151,16 @@ class TestTensorRecord:
         values[0, 0] = 7.0
         assert rec.raw == raw
         np.testing.assert_array_equal(rec.bits(), bits)
+
+
+@pytest.mark.parametrize("dtype", list(DType))
+def test_encode_limit_is_the_largest_float32_kept_finite(dtype):
+    """Each dtype's limit encodes as a finite value, either sign, and the
+    next float32 up encodes as infinity."""
+    limit = ENCODE_LIMIT[dtype]
+    with np.errstate(over="ignore"):
+        past = np.nextafter(limit, np.float32(np.inf))
+        values = np.array([limit, -limit, past, -past], np.float32)
+        decoded = TensorRecord.from_array("t", values, dtype).to_f64()
+    assert np.isfinite(decoded[:2]).all()
+    assert np.isinf(decoded[2:]).all()

@@ -15,6 +15,7 @@ import dimerge
 import dimerge.baselines as baselines_module
 import dimerge.diagnostics as diagnostics_module
 import dimerge.merge as merge_module
+from dimerge.baselines import BaselineParams
 from dimerge.geometry import TILE_ROWS
 from dimerge.errors import NumericError
 from dimerge.align import align_triple
@@ -174,23 +175,36 @@ def test_merge_onto_the_anchors_own_file(tmp_path):
     assert file_bytes(tmp_path / "anchor") == file_bytes(tmp_path / "elsewhere")
 
 
-@pytest.mark.parametrize("threads", [None, 2])
-def test_failed_merge_leaves_path_as_it_was(tmp_path, threads):
-    """A non-finite value in the last tensor fails the merge after the others
-    are written: nothing appears at a new path, an old output is untouched,
-    and no partial file is left behind."""
+# the bf16 bits put into ml's last tensor, the merge, and the error it raises
+MERGE_FAULTS = {
+    "nan": (0x7FC0, MergeConfig(), "z: multilingual"),  # a bf16 NaN
+    # bf16's largest finite value, which task arithmetic at lambda 2 doubles past float32
+    "overflow": (0x7F7F, MergeConfig(method="task_arithmetic", baseline=BaselineParams(lam=2.0)),
+                 "z: merged values are not finite in BF16"),
+}
+
+
+@pytest.mark.parametrize("threads, fault", [
+    pytest.param(None, "nan", id="None"), pytest.param(2, "nan", id="2"),
+    pytest.param(1, "overflow", id="overflow-1"), pytest.param(2, "overflow", id="overflow-2")])
+def test_failed_merge_leaves_path_as_it_was(tmp_path, threads, fault):
+    """A non-finite input in the last tensor, or a finite one whose merge
+    overflows, fails the merge after the others are written: nothing appears
+    at a new path, an old output is untouched, and no partial file is left
+    behind."""
+    bits, cfg, message = MERGE_FAULTS[fault]
     shapes = {"a": (64, 8), "b": (64, 8), "z": (64, 8)}
     base, ml, anchor = on_disk_triple(tmp_path, shapes, seed=9)
     bad = ml["z"].bits().copy()
-    bad[40, 3] = 0x7FC0  # a bf16 NaN
+    bad[40, 3] = bits
     ml = Checkpoint.from_records([*(ml[n] for n in "ab"), TensorRecord(
         name="z", dtype=DType.BF16, shape=(64, 8), raw=bad.tobytes())])
-    with pytest.raises(NumericError, match="z: multilingual"):
-        merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "out.safetensors", threads=threads)
+    with pytest.raises(NumericError, match=message):
+        merge_checkpoint(base, ml, anchor, cfg, tmp_path / "out.safetensors", threads=threads)
     assert not (tmp_path / "out.safetensors").exists()
     before = file_bytes(tmp_path / "anchor")
     with pytest.raises(NumericError):
-        merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "anchor", threads=threads)
+        merge_checkpoint(base, ml, anchor, cfg, tmp_path / "anchor", threads=threads)
     assert file_bytes(tmp_path / "anchor") == before
     assert not list(tmp_path.rglob("*.partial"))
 
