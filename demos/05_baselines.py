@@ -59,5 +59,5 @@ print("\nbreadcrumbs input: ", np.round(spread, 3))
 print("breadcrumbs output:", np.round(kept, 3))
 
 # defaults travel with MergeConfig for whole-checkpoint runs
-cfg = MergeConfig(method="ties", baseline=BaselineParams(ties_density=0.3)).validate()
+cfg = MergeConfig(method="ties", baseline=BaselineParams(ties_density=0.3))
 print("\ncheckpoint-level config:", cfg.to_dict()["baseline"])

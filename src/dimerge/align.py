@@ -2,13 +2,15 @@
 
 Alignment walks the anchor's key set: every anchor tensor ends up either in
 an :class:`AlignedTriple` (shared backbone parameter, mergeable) or in the
-report's pass-through list (vision encoder, projector, keys missing from a
-source, high-rank tensors). Nothing is dropped silently; the merge applies scope.
+report's ``pass_through`` map with its reason: ``anchor_only`` (in neither
+source: vision encoder, projector), ``missing_from_base``,
+``missing_from_ml`` or ``high_rank``. Nothing is dropped silently; the merge
+applies scope.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,40 +74,18 @@ class ShapeMismatch:
     anchor_shape: tuple[int, ...]
     overlap_shape: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "base_shape": list(self.base_shape),
-            "ml_shape": list(self.ml_shape),
-            "anchor_shape": list(self.anchor_shape),
-            "overlap_shape": list(self.overlap_shape),
-        }
-
 
 @dataclass
 class AlignmentReport:
     aligned: list[str] = field(default_factory=list)
-    pass_through: list[str] = field(default_factory=list)
-    anchor_only: list[str] = field(default_factory=list)
-    missing_from_base: list[str] = field(default_factory=list)
-    missing_from_ml: list[str] = field(default_factory=list)
-    high_rank: list[str] = field(default_factory=list)
+    # anchor tensor name -> why it passes through unmerged
+    pass_through: dict[str, str] = field(default_factory=dict)
     shape_mismatches: list[ShapeMismatch] = field(default_factory=list)
     extra_in_base: list[str] = field(default_factory=list)
     extra_in_ml: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "aligned": self.aligned,
-            "pass_through": self.pass_through,
-            "anchor_only": self.anchor_only,
-            "missing_from_base": self.missing_from_base,
-            "missing_from_ml": self.missing_from_ml,
-            "high_rank": self.high_rank,
-            "shape_mismatches": [m.to_dict() for m in self.shape_mismatches],
-            "extra_in_base": self.extra_in_base,
-            "extra_in_ml": self.extra_in_ml,
-        }
+        return asdict(self)
 
 
 def align_triple(
@@ -132,16 +112,9 @@ def align_triple(
 
     for name, anchor_rec in anchor.tensors.items():
         in_base, in_ml = name in base, name in ml
-        if not in_base and not in_ml:
-            report.anchor_only.append(name)
-            report.pass_through.append(name)
-            continue
         if not in_base or not in_ml:
-            if not in_base:
-                report.missing_from_base.append(name)
-            if not in_ml:
-                report.missing_from_ml.append(name)
-            report.pass_through.append(name)
+            report.pass_through[name] = ("missing_from_base" if in_ml else
+                                         "missing_from_ml" if in_base else "anchor_only")
             continue
 
         base_rec, ml_rec = base[name], ml[name]
@@ -153,8 +126,7 @@ def align_triple(
                     f"{name}: rank-{anchor_rec.rank} tensor in the shared backbone; "
                     "enable high-rank pass-through to copy it from the anchor"
                 )
-            report.high_rank.append(name)
-            report.pass_through.append(name)
+            report.pass_through[name] = "high_rank"
             continue
 
         if shapes[0] == shapes[1] == shapes[2]:

@@ -129,7 +129,8 @@ def diagnose(
     def measure(triple: AlignedTriple) -> np.ndarray:
         """The tensor's squared residual norms, column count, and the sums
         over columns of both reorientations and the cross cosine."""
-        sums = stream_column_sums(triple, accumulate_residual_sums, 8, buffers)
+        with np.errstate(over="ignore", invalid="ignore"):   # residual norms checked below
+            sums = stream_column_sums(triple, accumulate_residual_sums, 8, buffers)
         for rec in (triple.base, triple.ml, triple.mm):
             release_pages(rec)
         for role, norms in zip(ROLES[1:], sums[5:7]):

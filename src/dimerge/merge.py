@@ -79,7 +79,8 @@ Compose = Callable[[int, int], np.ndarray]
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """Full declarative description of a merge run."""
+    """Full declarative description of a merge run, checked when it is made;
+    a baseline method given no parameters gets the defaults."""
 
     method: str = "dim3"
     estimator: EstimatorKind = EstimatorKind.RANK
@@ -92,7 +93,7 @@ class MergeConfig:
     output_dtype: str = "match_anchor"   # or "f32"
     high_rank: str = "reject"            # or "pass_through"
 
-    def validate(self) -> "MergeConfig":
+    def __post_init__(self):
         if self.method not in MERGE_METHODS:
             raise ConfigError(f"unknown merge method {self.method!r}")
         if not 0 < self.epsilon < np.inf:
@@ -103,7 +104,6 @@ class MergeConfig:
             raise ConfigError("baseline parameters are only valid for baseline methods")
         if self.method in BASELINE_METHODS and self.baseline is None:
             object.__setattr__(self, "baseline", BaselineParams())
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -140,7 +140,7 @@ class MergeConfig:
             baseline=None if baseline is None else BaselineParams.from_dict(baseline),
             output_dtype=value("output_dtype", "string", OUTPUT_DTYPES),
             high_rank=value("high_rank", "string", HIGH_RANK_POLICIES),
-        ).validate()
+        )
 
 
 @dataclass
@@ -266,8 +266,8 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
         dev_mm = np.abs(mm.astype(np.float64) - base)
         weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
         logger.debug("%s: pass 1 done: element weights", triple.name)
-        merged = (mm + weights.omega_ml.astype(np.float32) * (ml - mm)).reshape(-1, 1)
-        return (lambda r0, r1: merged[r0:r1]), weights
+        w_ml = weights.omega_ml.astype(np.float32)
+        return (lambda r0, r1: (mm[r0:r1] + w_ml[r0:r1] * (ml[r0:r1] - mm[r0:r1])).reshape(-1, 1)), weights
     sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
     logger.debug("%s: pass 1 done: column sums", triple.name)
     weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
@@ -303,7 +303,8 @@ def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.n
         for r0 in range(0, rows, block):
             part = decode_f32(bits[r0:r0 + block], rec.dtype, values[r0:r0 + block])
             if arrays:
-                part -= arrays[0][r0:r0 + block]
+                with np.errstate(over="ignore", invalid="ignore"):   # checked next
+                    part -= arrays[0][r0:r0 + block]
             require_finite(part, message)
             if rec is not triple.mm:
                 _release_rows(rec, r0, r0 + block)
@@ -342,7 +343,8 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     for r0 in range(0, anchor_rows, block):
         r1 = min(r0 + block, anchor_rows)
         out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
-        merged = compose(r0, min(r1, rows)) if r0 < rows else None
+        with np.errstate(over="ignore", invalid="ignore"):   # checked next
+            merged = compose(r0, min(r1, rows)) if r0 < rows else None
         if merged is not None and not (-limit <= merged.min() and merged.max() <= limit):
             raise NumericError(f"{triple.name}: merged values are not finite in {out_dtype.value}")
         if merged is None or merged.shape != out.shape:
@@ -401,7 +403,6 @@ def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     """Merge one aligned tensor, at the anchor's shape; output in the anchor's
     dtype unless the config asks for f32. A scalar is the anchor's own
     record, as :func:`merge_checkpoint` passes it through."""
-    cfg = cfg.validate()
     if triple.rank == 0:
         return triple.mm
     out_dtype = _out_dtype(triple.mm, cfg)
@@ -432,7 +433,6 @@ def merge_checkpoint(
     tensor's mapped pages are released after its last use. Each worker keeps
     its row-block buffers, a few MiB, until the merge returns; with
     ``DIMERGE_LOG=INFO`` it logs one line per merged tensor."""
-    cfg.validate()
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )
@@ -440,11 +440,7 @@ def merge_checkpoint(
     logger.debug("alignment done: %d aligned, %d passed through", len(triples), len(alignment.pass_through))
 
     start = time.perf_counter()
-    passthrough_reason = {n: reason for reason, names in (
-        ("anchor_only", alignment.anchor_only),
-        ("missing_from_source", alignment.missing_from_base + alignment.missing_from_ml),
-        ("high_rank", alignment.high_rank),
-    ) for n in names}
+    passthrough_reason = dict(alignment.pass_through)
     for name, triple in by_name.items():
         if not cfg.scope.admits(name):
             passthrough_reason[name] = "out_of_scope"

@@ -281,7 +281,7 @@ def test_criterion_9_determinism_across_workers(monkeypatch):
         for w in (1, 2, 8)
     }
     dare_cfg = MergeConfig(method="dare", seed=123,
-                           baseline=BaselineParams(dare_drop_p=0.5)).validate()
+                           baseline=BaselineParams(dare_drop_p=0.5))
     dare_digests = {
         checkpoint_digest(merge_and_load(base, ml, anchor, dare_cfg, threads=w)[0])
         for w in (1, 2, 8)

@@ -210,7 +210,7 @@ class TestBaselineAssembly:
 
         base, ml, anchor = triple_f32
         cfg = MergeConfig(method=method, scope=ScopeFilter.from_dict("embed_only"),
-                          baseline=BaselineParams(dare_drop_p=0.5)).validate()
+                          baseline=BaselineParams(dare_drop_p=0.5))
         merged, report = merge_and_load(base, ml, anchor, cfg)
         for name in anchor.names():
             if "embed_tokens" not in name:

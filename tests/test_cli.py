@@ -2,6 +2,8 @@ import csv
 import json
 import logging
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -527,3 +529,26 @@ class TestInspectCommand:
         assert main(["inspect", str(tmp_path / "sharded")]) == 0
         sharded_out = capsys.readouterr().out
         assert plain_out == sharded_out
+
+
+@pytest.mark.parametrize("command, values, message", [
+    ("merge", (0.0, 3e38, -3e38), "merged values are not finite in F32"),
+    ("diagnose", (-3e38, 3e38, 0.0), "multilingual residual contains non-finite values"),
+])
+def test_overflow_prints_only_the_error(tmp_path, command, values, message):
+    """An overflow of finite float32 inputs exits 4 with the error line
+    alone on stderr: no numpy warning ahead of it."""
+    name = "model.layers.0.mlp.up_proj.weight"
+    config = {"output_path": str(tmp_path / "merged"), "diagnose": {"csv_path": str(tmp_path / "diag.csv")}}
+    for key, value in zip(("base_path", "multilingual_path", "anchor_path"), values):
+        config[key] = str(tmp_path / key)
+        save_checkpoint(Checkpoint.from_records([TensorRecord.from_array(name, np.full((2, 2), value, np.float32))]),
+                        tmp_path / key)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    env.pop("DIMERGE_LOG", None)
+    result = subprocess.run([sys.executable, "-m", "dimerge.cli", command, "--config", write_config(tmp_path, config)],
+                            env=env, capture_output=True, text=True)
+    assert result.returncode == 4
+    assert result.stderr == f"error[numeric.value]: {name}: {message}\n"
+    assert not (tmp_path / "merged").exists() and not (tmp_path / "diag.csv").exists()

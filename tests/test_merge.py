@@ -268,12 +268,12 @@ class TestFirstErrorStops:
 class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):
-            MergeConfig(method="soup").validate()
+            MergeConfig(method="soup")
 
     def test_baseline_params_only_for_baselines(self):
         with pytest.raises(ConfigError):
-            MergeConfig(method="dim3", baseline=BaselineParams()).validate()
-        cfg = MergeConfig(method="dare").validate()
+            MergeConfig(method="dim3", baseline=BaselineParams())
+        cfg = MergeConfig(method="dare")
         assert cfg.baseline is not None
 
     def test_round_trips_through_dict(self):
@@ -283,7 +283,7 @@ class TestConfig:
             aggregation=AggregationKind("dir_weighted", 0.6),
             scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}),
             seed=9,
-        ).validate()
+        )
         again = MergeConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
@@ -381,7 +381,7 @@ class TestMergeCheckpoint:
         base, ml, anchor = make_triple(seed=12)
         caplog.set_level(logging.INFO, logger="dimerge")
         cfg = MergeConfig(method=method,
-                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]})).validate()
+                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}))
         _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
         merged = {t.name for t in report.tensors if t.action == "merged"}
         assert 0 < len(merged) < len(report.tensors)
@@ -405,7 +405,7 @@ class TestMergeCheckpoint:
         base, ml, anchor = make_triple(seed=12)
         caplog.set_level(logging.DEBUG, logger="dimerge")
         cfg = MergeConfig(method=method,
-                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]})).validate()
+                          scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}))
         _, report = merge_and_load(base, ml, anchor, cfg, threads=workers)
         merged = {t.name for t in report.tensors if t.action == "merged"}
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name.startswith("dimerge.")
@@ -430,7 +430,7 @@ class TestMergeCheckpoint:
 
     def test_dare_deterministic_across_workers(self):
         base, ml, anchor = make_triple(seed=11)
-        cfg = MergeConfig(method="dare", seed=5).validate()
+        cfg = MergeConfig(method="dare", seed=5)
         digests = {
             checkpoint_digest(merge_and_load(base, ml, anchor, cfg, threads=w)[0])
             for w in (1, 2, 8)
@@ -484,10 +484,9 @@ class TestMergeCheckpoint:
 
         assert list(report) == ["summary", "config", "alignment", "tensors"]
         assert report["config"] == cfg.to_dict()
-        assert set(report["alignment"]) == {
-            "aligned", "pass_through", "anchor_only", "missing_from_base", "missing_from_ml",
-            "high_rank", "shape_mismatches", "extra_in_base", "extra_in_ml",
-        }
+        assert list(report["alignment"]) == [
+            "aligned", "pass_through", "shape_mismatches", "extra_in_base", "extra_in_ml",
+        ]
         [mismatch] = report["alignment"]["shape_mismatches"]
         assert mismatch == {"name": embed, "base_shape": [11, 4], "ml_shape": [11, 4],
                             "anchor_shape": [13, 4], "overlap_shape": [11, 4]}
@@ -499,8 +498,14 @@ class TestMergeCheckpoint:
         assert {t["action"] for t in entries} == {"merged", "pass_through"}
         assert all((t["action"] == "merged") == (reasons[t["name"]] is None) for t in entries)
         assert set(reasons.values()) == {
-            None, "anchor_only", "missing_from_source", "high_rank", "out_of_scope", "scalar",
+            None, "anchor_only", "missing_from_ml", "high_rank", "out_of_scope", "scalar",
         }
+        # alignment's reasons are the entries' own; scope and scalars are the merge's
+        decided = report["alignment"]["pass_through"]
+        assert decided == {name: reasons[name] for name in decided}
+        assert decided["model.norm.weight"] == "missing_from_ml"
+        assert decided["model.cube"] == "high_rank"
+        assert not {n for n, r in reasons.items() if r in ("out_of_scope", "scalar")} & set(decided)
         merged = [t for t in entries if t["action"] == "merged"]
         assert report["summary"]["merged_count"] == len(merged)
         assert report["summary"]["pass_through_count"] == len(entries) - len(merged)

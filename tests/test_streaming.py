@@ -429,7 +429,7 @@ def test_baselines_do_not_depend_on_blocks_or_workers(tmp_path, monkeypatch, met
     ties = tie_heavy_triple(tmp_path / "ties", dtype)
     base, ml, anchor = (Checkpoint.from_records([*a.tensors.values(), *b.tensors.values()])
                         for a, b in zip((base, ml, anchor), ties))
-    cfg = MergeConfig(method=method, shape_policy="anchor-overlap", output_dtype=output_dtype, seed=3).validate()
+    cfg = MergeConfig(method=method, shape_policy="anchor-overlap", output_dtype=output_dtype, seed=3)
     triples, _ = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
     expected = {t.name: expected_baseline_bits(t, cfg) for t in triples}
     interval = sys.getswitchinterval()
