@@ -10,11 +10,11 @@ applies scope.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError
+from .errors import AlignmentError, ConfigError, Record
 from .records import TensorRecord, decode_f32, require_finite
 from .store import Checkpoint
 
@@ -67,7 +67,7 @@ class AlignedTriple:
 
 
 @dataclass
-class ShapeMismatch:
+class ShapeMismatch(Record):
     name: str
     base_shape: tuple[int, ...]
     ml_shape: tuple[int, ...]
@@ -76,16 +76,13 @@ class ShapeMismatch:
 
 
 @dataclass
-class AlignmentReport:
+class AlignmentReport(Record):
     aligned: list[str] = field(default_factory=list)
     # anchor tensor name -> why it passes through unmerged
     pass_through: dict[str, str] = field(default_factory=dict)
     shape_mismatches: list[ShapeMismatch] = field(default_factory=list)
     extra_in_base: list[str] = field(default_factory=list)
     extra_in_ml: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def align_triple(

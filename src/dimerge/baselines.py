@@ -20,12 +20,12 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, read_section, read_value
+from .errors import ConfigError, Record, read_section, read_value
 
 logger = logging.getLogger(__name__)
 
@@ -35,10 +35,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
-class BaselineParams:
+class BaselineParams(Record):
     """Hyperparameters for the baseline methods; defaults are config-exposed."""
 
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     dare_drop_p: float = 0.9
     ties_density: float = 0.2
     breadcrumbs_beta: float = 0.85
@@ -55,15 +55,6 @@ class BaselineParams:
             raise ConfigError("breadcrumbs fractions must be in [0, 1)")
         if self.breadcrumbs_beta + self.breadcrumbs_gamma >= 1.0:
             raise ConfigError("breadcrumbs beta + gamma must be < 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "dare_drop_p": self.dare_drop_p,
-            "ties_density": self.ties_density,
-            "breadcrumbs_beta": self.breadcrumbs_beta,
-            "breadcrumbs_gamma": self.breadcrumbs_gamma,
-        }
 
     @classmethod
     def from_dict(cls, data) -> "BaselineParams":

@@ -15,12 +15,12 @@ import csv
 import json
 import logging
 import re
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .align import ROLES, AlignedTriple, align_triple
-from .errors import ConfigError
+from .errors import ConfigError, Record
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
 from .merge import BlockBuffers, for_each_tensor, stream_column_sums
 from .records import require_finite
@@ -80,7 +80,7 @@ class ModuleKeySchema:
 
 
 @dataclass(frozen=True)
-class HeatmapRow:
+class HeatmapRow(Record):
     """One (layer, module) cell of the heterogeneity report.
 
     Group residual norms are the Frobenius norms of the concatenated group
@@ -97,9 +97,6 @@ class HeatmapRow:
     dirdev_ml: float | None
     dirdev_mm: float | None
     cross_cos: float | None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def diagnose(

@@ -3,13 +3,15 @@
 Every error carries a machine-readable ``error_class`` (dotted string) and an
 ``exit_code`` used by the command-line front end: 2 for configuration
 problems, 3 for I/O and file-format problems, 4 for numeric or shape
-problems. Every config section and value is read through
-:func:`read_section` and :func:`read_value`.
+problems. Config has one reader, :func:`read_section` with
+:func:`read_value`, and one writer, :meth:`Record.to_dict`.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import fields
+from enum import Enum
 
 
 class DimergeError(Exception):
@@ -85,6 +87,33 @@ def read_value(data: dict, section: str, key: str, kind: str, default=None, choi
         expected = f"one of {', '.join(choices)}"
     name = f"{section}.{key}" if section else key
     raise ConfigError(f"config value {name} must be {expected}, got {value!r}", error_class="config.bad_value")
+
+
+def _plain(value):
+    """A field value as JSON data: a record as an object, an enum as its
+    value, a tuple or list as a list and anything else as it is."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+class Record:
+    """Base of the config and report dataclasses. A field's metadata may
+    give its config ``key`` (the field name by default) and the ``choices``
+    its value must be one of, checked when the record is made."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            choices, value = f.metadata.get("choices"), getattr(self, f.name, None)
+            if choices is not None and value not in choices:
+                raise ConfigError(f"config value {f.metadata.get('key', f.name)} must be one of "
+                                  f"{', '.join(choices)}, got {value!r}", error_class="config.bad_value")
+
+    def to_dict(self) -> dict:
+        """Each init field under its key, as JSON data."""
+        return {f.metadata.get("key", f.name): _plain(getattr(self, f.name)) for f in fields(self) if f.init}
 
 
 class FormatError(DimergeError):

@@ -41,7 +41,7 @@ import numpy as np
 
 from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, NumericError, read_section, read_value
+from .errors import ConfigError, NumericError, Record, read_section, read_value
 from .geometry import (
     EPSILON_DEFAULT,
     SCRATCH_ROWS,
@@ -78,46 +78,30 @@ Compose = Callable[[int, int], np.ndarray]
 
 
 @dataclass(frozen=True)
-class MergeConfig:
+class MergeConfig(Record):
     """Full declarative description of a merge run, checked when it is made;
     a baseline method given no parameters gets the defaults."""
 
-    method: str = "dim3"
-    estimator: EstimatorKind = EstimatorKind.RANK
+    method: str = field(default="dim3", metadata={"choices": MERGE_METHODS})
+    estimator: EstimatorKind = field(default=EstimatorKind.RANK, metadata={"choices": tuple(EstimatorKind)})
     aggregation: AggregationKind = field(default_factory=partial(AggregationKind, "average"))
     epsilon: float = EPSILON_DEFAULT
     scope: ScopeFilter = field(default_factory=partial(ScopeFilter, preset="full"))
-    shape_policy: str = "strict"
+    shape_policy: str = field(default="strict", metadata={"choices": SHAPE_POLICIES})
     seed: int = 0
     baseline: BaselineParams | None = None
-    output_dtype: str = "match_anchor"   # or "f32"
-    high_rank: str = "reject"            # or "pass_through"
+    output_dtype: str = field(default="match_anchor", metadata={"choices": OUTPUT_DTYPES})
+    high_rank: str = field(default="reject", metadata={"choices": HIGH_RANK_POLICIES})
 
     def __post_init__(self):
-        if self.method not in MERGE_METHODS:
-            raise ConfigError(f"unknown merge method {self.method!r}")
+        super().__post_init__()
+        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         if not 0 < self.epsilon < np.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if self.output_dtype not in OUTPUT_DTYPES:
-            raise ConfigError(f"unknown output dtype {self.output_dtype!r}")
         if self.method == "dim3" and self.baseline is not None:
             raise ConfigError("baseline parameters are only valid for baseline methods")
         if self.method in BASELINE_METHODS and self.baseline is None:
             object.__setattr__(self, "baseline", BaselineParams())
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "estimator": self.estimator.value,
-            "aggregation": self.aggregation.to_dict(),
-            "epsilon": self.epsilon,
-            "scope": self.scope.to_dict(),
-            "shape_policy": self.shape_policy,
-            "seed": self.seed,
-            "baseline": self.baseline.to_dict() if self.baseline else None,
-            "output_dtype": self.output_dtype,
-            "high_rank": self.high_rank,
-        }
 
     @classmethod
     def from_dict(cls, data) -> "MergeConfig":
@@ -125,21 +109,21 @@ class MergeConfig:
         fields = cls.__dataclass_fields__
         data = read_section(data, "merge", fields)
 
-        def value(key, kind, choices=None):
-            return read_value(data, "merge", key, kind, fields[key].default, choices)
+        def value(key, kind):
+            return read_value(data, "merge", key, kind, fields[key].default, fields[key].metadata.get("choices"))
 
         baseline = data.get("baseline")
         return cls(
-            method=value("method", "string", MERGE_METHODS),
-            estimator=EstimatorKind(value("estimator", "string", tuple(EstimatorKind))),
+            method=value("method", "string"),
+            estimator=value("estimator", "string"),
             aggregation=AggregationKind.from_dict(data.get("aggregation")),
             epsilon=value("epsilon", "number"),
             scope=ScopeFilter.from_dict(data.get("scope", "full")),
-            shape_policy=value("shape_policy", "string", SHAPE_POLICIES),
+            shape_policy=value("shape_policy", "string"),
             seed=value("seed", "integer"),
             baseline=None if baseline is None else BaselineParams.from_dict(baseline),
-            output_dtype=value("output_dtype", "string", OUTPUT_DTYPES),
-            high_rank=value("high_rank", "string", HIGH_RANK_POLICIES),
+            output_dtype=value("output_dtype", "string"),
+            high_rank=value("high_rank", "string"),
         )
 
 

@@ -11,12 +11,12 @@ variants switchable per run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, read_section, read_value
+from .errors import ConfigError, NumericError, Record, ShapeError, read_section, read_value
 
 _ZSCORE_STD_GUARD = 1e-12
 _RATIO_SUM_GUARD = 1e-12
@@ -31,30 +31,26 @@ class EstimatorKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class AggregationKind:
+class AggregationKind(Record):
     """How the magnitude and direction branches combine into one weight.
 
     ``lam`` is the weight of the named branch for the weighted kinds and must
     lie in (0.5, 1); it is absent otherwise.
     """
 
-    kind: str
-    lam: float | None = None
-
     _WEIGHTED = ("dir_weighted", "mag_weighted")
     _KINDS = ("average", "dir_weighted", "mag_weighted", "mag_only", "dir_only")
 
+    kind: str = field(metadata={"choices": _KINDS})
+    lam: float | None = field(default=None, metadata={"key": "lambda"})
+
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ConfigError(f"unknown aggregation kind {self.kind!r}")
+        super().__post_init__()
         if self.kind in self._WEIGHTED:
             if self.lam is None or not (0.5 < self.lam < 1.0):
                 raise ConfigError(f"{self.kind} needs lambda in (0.5, 1), got {self.lam}")
         elif self.lam is not None:
             raise ConfigError(f"{self.kind} takes no lambda")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "lambda": self.lam}
 
     @classmethod
     def from_dict(cls, data) -> "AggregationKind":

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
-from .errors import ConfigError, read_section, read_value
+from .errors import ConfigError, Record, read_section, read_value
 
 DEFAULT_LAYER_PATTERN = "*.layers.{n}.*"
 
@@ -65,7 +65,7 @@ def parse_layer_index(key: str, layer_regex: re.Pattern) -> int | None:
 
 
 @dataclass(frozen=True)
-class ScopeFilter:
+class ScopeFilter(Record):
     """A key is in scope iff it matches an include pattern, matches no
     exclude pattern, and (when a layer range is set) its parsed layer index
     lies in the inclusive range or the key matches a range-exempt pattern.
@@ -75,15 +75,16 @@ class ScopeFilter:
     once, when the filter is made.
     """
 
+    preset: str = field(default="custom", metadata={"choices": SCOPE_PRESETS})
     include: tuple[str, ...] = ("*",)
     exclude: tuple[str, ...] = ()
     layer_range: tuple[int, int] | None = None
     layer_pattern: str = DEFAULT_LAYER_PATTERN
     range_exempt: tuple[str, ...] = ()
-    preset: str = "custom"
     layer_regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "layer_regex", compile_layer_pattern(self.layer_pattern, "merge.scope.layer_pattern"))
         if self.layer_range is not None and not 0 <= self.layer_range[0] <= self.layer_range[1]:
             raise ConfigError(f"merge.scope.layer_range must be [lo, hi], 0 <= lo <= hi, got {list(self.layer_range)}")
@@ -104,16 +105,6 @@ class ScopeFilter:
             lo, hi = self.layer_range
             return lo <= idx <= hi
         return True
-
-    def to_dict(self) -> dict:
-        return {
-            "preset": self.preset,
-            "include": list(self.include),
-            "exclude": list(self.exclude),
-            "layer_range": list(self.layer_range) if self.layer_range else None,
-            "layer_pattern": self.layer_pattern,
-            "range_exempt": list(self.range_exempt),
-        }
 
     @classmethod
     def from_dict(cls, data) -> "ScopeFilter":
