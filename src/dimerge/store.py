@@ -299,9 +299,9 @@ def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
 def _load_sharded(index_path: Path) -> Checkpoint:
     try:
         index = json.loads(index_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{index_path}: malformed index manifest: {exc}") from exc
-    weight_map = index.get("weight_map")
+    weight_map = index.get("weight_map") if isinstance(index, dict) else None
     if not isinstance(weight_map, dict):
         raise FormatError(f"{index_path}: index manifest has no weight_map")
 

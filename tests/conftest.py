@@ -1,4 +1,6 @@
-"""Shared fixtures: a tiny synthetic 2-layer transformer triple."""
+"""Shared fixtures: a tiny synthetic 2-layer transformer triple, and the
+one hypothesis profile every property test runs under: derandomized, with
+no deadline and no example database, so a run is the same on every box."""
 
 import errno
 import os
@@ -7,11 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dimerge.diagnostics import diagnose
 from dimerge.merge import merge_checkpoint
 from dimerge.records import DType, TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint
+
+settings.register_profile("dimerge", deadline=None, database=None, derandomize=True)
+settings.load_profile("dimerge")
 
 HIDDEN = 4
 INTERMEDIATE = 6

@@ -201,7 +201,8 @@ def task_arithmetic(base, delta_ml, delta_mm, lam):
 def ties(base, delta_ml, delta_mm, density, lam):
     """TIES element by element in float32: trim each source to its top
     ceil(density * n) magnitudes, elect the sign of the kept sum (zero
-    elects positive), average the kept residuals that agree with it."""
+    elects positive), average the kept residuals that agree with it; a
+    pair whose sum overflows float32 averages as a/2 + b/2."""
     base = np.asarray(base, dtype=np.float32).ravel()
     deltas = [np.asarray(d, dtype=np.float32).ravel() for d in (delta_ml, delta_mm)]
     keep = math.ceil(density * base.size)
@@ -212,10 +213,15 @@ def ties(base, delta_ml, delta_mm, density, lam):
     out = []
     for i in range(base.size):
         t1, t2 = trimmed[0][i], trimmed[1][i]
-        positive = not (t1 + t2 < 0.0)
-        agreeing = [t for t in (t1, t2) if (t > 0.0 if positive else t < 0.0)]
-        merged = sum(agreeing, np.float32(0.0)) / np.float32(max(len(agreeing), 1))
-        out.append(base[i] + np.float32(lam) * merged)
+        with np.errstate(over="ignore"):
+            positive = not (t1 + t2 < 0.0)
+            agreeing = [t for t in (t1, t2) if (t > 0.0 if positive else t < 0.0)]
+            total = sum(agreeing, np.float32(0.0))
+            # an agreeing pair whose float32 sum overflows still has its mean
+            # in range: a/2 + b/2 (halving first would round subnormal sums)
+            merged = (total / np.float32(max(len(agreeing), 1)) if np.isfinite(total)
+                      else t1 / np.float32(2.0) + t2 / np.float32(2.0))
+            out.append(base[i] + np.float32(lam) * merged)
     return np.array(out, dtype=np.float32)
 
 

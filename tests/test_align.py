@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from dimerge.align import align_triple
-from dimerge.errors import AlignmentError
+from dimerge.align import AlignedTriple, align_triple
+from dimerge.cli import main
+from dimerge.errors import AlignmentError, ConfigError
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint
+from dimerge.store import Checkpoint, save_checkpoint
 
 from conftest import ANCHOR_EXTRA_SHAPES
 
@@ -74,3 +75,44 @@ class TestAlignment:
         _, report = align_triple(base, ml, anchor)
         blob = json.loads(json.dumps(report.to_dict()))
         assert blob["pass_through"] == dict.fromkeys(ANCHOR_EXTRA_SHAPES, "anchor_only")
+
+    def test_report_dict_nests_each_mismatch_as_an_object(self):
+        base, ml, anchor = (ckpt({"embed": np.zeros(shape)}) for shape in ((5, 2), (5, 3), (7, 2)))
+        _, report = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
+        assert report.to_dict() == {
+            "aligned": ["embed"], "pass_through": {}, "extra_in_base": [], "extra_in_ml": [],
+            "shape_mismatches": [{"name": "embed", "base_shape": [5, 2], "ml_shape": [5, 3], "anchor_shape": [7, 2],
+                                  "overlap_shape": [5, 2]}],
+        }
+
+
+class TestRejected:
+    def test_aligned_triple_shapes_must_agree(self):
+        records = [TensorRecord.from_array("t", np.zeros(shape, np.float32)) for shape in ((2, 2), (2, 2), (3, 2))]
+        with pytest.raises(AlignmentError, match=r"^t: aligned shapes differ \(2, 2\) / \(2, 2\) / \(3, 2\)$"):
+            AlignedTriple("t", *records)
+        with pytest.raises(AlignmentError, match=r"^t: region \(3, 2\) is not inside"):
+            AlignedTriple("t", *records, shape=(3, 2))
+        with pytest.raises(AlignmentError, match=r"^t: region \(2,\) is not inside"):
+            AlignedTriple("t", *records, shape=(2,))
+
+    @pytest.mark.parametrize("policies, match", [
+        ({"shape_policy": "loose"}, "unknown shape policy 'loose'"),
+        ({"high_rank": "keep"}, "unknown high-rank policy 'keep'"),
+    ])
+    def test_unknown_policy(self, triple_f32, policies, match):
+        with pytest.raises(ConfigError, match=match):
+            align_triple(*triple_f32, **policies)
+
+    def test_anchor_overlap_needs_one_rank(self, tmp_path, capsys):
+        shapes = {"base_path": (4, 4), "multilingual_path": (4, 4), "anchor_path": (16,)}
+        config = {"output_path": str(tmp_path / "merged"), "merge": {"shape_policy": "anchor-overlap"}}
+        for key, shape in shapes.items():
+            save_checkpoint(ckpt({"w": np.zeros(shape)}), tmp_path / key)
+            config[key] = str(tmp_path / key)
+        with pytest.raises(AlignmentError, match=r"^w: rank mismatch .* cannot overlap$"):
+            align_triple(*(ckpt({"w": np.zeros(shape)}) for shape in shapes.values()), shape_policy="anchor-overlap")
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        assert main(["merge", "--config", str(tmp_path / "run.json")]) == 4
+        assert capsys.readouterr().err.startswith("error[align.shape]: w: rank mismatch")
+        assert not (tmp_path / "merged").exists()

@@ -11,6 +11,7 @@ import pytest
 
 from dimerge import cli, diagnostics
 from dimerge.cli import _resolve_remap, _resolve_schema, apply_overrides, main
+from dimerge.errors import ConfigError
 from dimerge.presets import module_schema, remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
@@ -340,6 +341,30 @@ class TestConfigChecks:
         err = capsys.readouterr().err
         assert err.startswith("error[config.unknown_key]") and "treads" in err
         assert not (tmp_path / "merged").exists() and not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("command", ["merge", "diagnose"])
+    @pytest.mark.parametrize("text, error_class, match", [
+        (None, "config.missing_path", "config file not found: "),
+        ("{", "config.parse", "config is not valid JSON: "),
+        ("[1, 2]", "config.parse", "config must be a JSON object"),
+    ], ids=["missing", "not_json", "not_object"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, command, text, error_class, match):
+        path = tmp_path / "run.json"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigError, match=match) as info:
+            cli.load_config(str(path), [])
+        assert info.value.error_class == error_class
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error[{error_class}]: {match}")
+
+    def test_set_without_an_equals_sign_is_config_error(self, workspace, capsys):
+        tmp_path, _, config_path = workspace
+        with pytest.raises(ConfigError, match="--set expects dotted.key=value, got 'merge.method'"):
+            apply_overrides({}, ["merge.method"])
+        assert main(["merge", "--config", str(config_path), "--set", "merge.method"]) == 2
+        assert capsys.readouterr().err.startswith("error[config.bad_override]: --set expects dotted.key=value")
+        assert not (tmp_path / "merged").exists()
 
     @pytest.mark.parametrize("args", [["--set", "threads=0"], ["--set", 'threads="abc"'], ["--threads", "-3"]],
                              ids=["threads_zero", "threads_string", "threads_negative"])

@@ -19,7 +19,7 @@ from dimerge.merge import BlockBuffers
 
 import reference
 
-PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 MAX_COLS = 70
 ROWS = st.sampled_from([1, 63, 64, 65]) | st.integers(1, 200)

@@ -22,7 +22,7 @@ from dimerge.merge import MERGE_METHODS, MergeConfig
 from dimerge.salience import EstimatorKind
 from dimerge.scope import SCOPE_PRESETS
 
-PROPERTY = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=400)
 
 VALID = {
     "threads": 2,

@@ -21,7 +21,7 @@ from dimerge.records import TensorRecord
 from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint
 
-PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 
 SHAPES = {0: (), 1: (3,), 2: (2, 3), 3: (2, 2, 2)}
 CFG = MergeConfig(scope=ScopeFilter(exclude=("skip.*",)), high_rank="pass_through")

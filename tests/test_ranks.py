@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import reference
 from dimerge.salience import rank_normalize
 
-PROPERTY = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=300)
 
 TIE_HEAVY = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
 ELEMENT = st.one_of(TIE_HEAVY, TIE_HEAVY, st.floats(-4.0, 4.0))

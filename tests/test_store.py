@@ -8,7 +8,9 @@ import pytest
 
 from dimerge.errors import ConfigError, FormatError, RemapCollisionError, ShardError
 from dimerge.records import DType, TensorRecord
+from dimerge.cli import main
 from dimerge.store import (
+    INDEX_FILENAME,
     Checkpoint,
     CheckpointWriter,
     load_checkpoint,
@@ -366,6 +368,58 @@ class TestErrors:
         ckpt = Checkpoint.from_records([])
         with pytest.raises(ConfigError, match="empty"):
             save_checkpoint(ckpt, tmp_path / "x")
+
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ShardError, match="duplicate tensor name 'a'"):
+            Checkpoint.from_records([TensorRecord.from_array("a", np.zeros(1, np.float32))] * 2)
+
+    def test_one_file_path_that_needs_shards_rejected(self, tmp_path):
+        ckpt = ckpt_of({"a": np.zeros(8), "b": np.zeros(8)})
+        with pytest.raises(ConfigError, match="needs 2 shards at limit 40; use a directory path"):
+            save_checkpoint(ckpt, tmp_path / "x.safetensors", shard_limit=40)
+        assert not list(tmp_path.iterdir())
+
+
+def one_file(directory):
+    save_checkpoint(ckpt_of({"a": [1.0, 2.0]}), directory / "one.safetensors")
+
+
+# layouts the reader rejects: (make it under a directory, the path to load, the error, its message)
+BAD_LAYOUTS = {
+    "header_not_object": (lambda d: write_header(d / "t.safetensors", [], b""), "t.safetensors",
+                          FormatError, "header is not a JSON object"),
+    "index_not_json": (lambda d: (d / INDEX_FILENAME).write_text("{"), "", FormatError, "malformed index manifest"),
+    "index_not_utf8": (lambda d: (d / INDEX_FILENAME).write_bytes(b"\xff"), "", FormatError,
+                       "malformed index manifest"),
+    "index_not_object": (lambda d: (d / INDEX_FILENAME).write_text("[]"), "", FormatError, "no weight_map"),
+    "index_without_weight_map": (lambda d: (d / INDEX_FILENAME).write_text('{"metadata": {}}'), "", FormatError,
+                                 "no weight_map"),
+    "two_indexes": (lambda d: [(d / name).write_text("{}") for name in ("a.index.json", "b.index.json")], "",
+                    FormatError, "multiple index manifests"),
+    "no_tensor_file": (lambda d: None, "", FormatError, "expected one tensor file"),
+    "two_tensor_files": (lambda d: [save_checkpoint(ckpt_of({"a": [1.0]}), d / name)
+                                    for name in ("a.safetensors", "b.safetensors")], "", FormatError,
+                         "expected one tensor file"),
+}
+
+
+@pytest.mark.parametrize("layout", BAD_LAYOUTS)
+def test_rejected_layout_is_an_error_and_exits_3(tmp_path, capsys, layout):
+    make, name, error, match = BAD_LAYOUTS[layout]
+    make(tmp_path)
+    with pytest.raises(error, match=match):
+        load_checkpoint(tmp_path / name)
+    assert main(["inspect", str(tmp_path / name)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[{error.error_class}]: ")
+
+
+def test_explicit_index_path_loads(tmp_path):
+    ckpt = ckpt_of({n: np.zeros(4) for n in ("x", "y")})
+    save_checkpoint(ckpt, tmp_path / "sh", shard_limit=16)
+    assert len(list((tmp_path / "sh").glob("*.safetensors"))) == 2
+    loaded = load_checkpoint(tmp_path / "sh" / INDEX_FILENAME)
+    assert loaded.names() == ["x", "y"]
+    assert all(loaded[name].raw == ckpt[name].raw for name in ckpt.names())
 
 
 class TestRemap:

@@ -20,7 +20,7 @@ from dimerge.errors import FormatError
 from dimerge.records import DType, TensorRecord
 from dimerge.store import load_checkpoint
 
-PROPERTY = settings(max_examples=400, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=400)
 
 RECORDS = [
     TensorRecord.from_array("a", np.arange(6, dtype=np.float32).reshape(2, 3)),

@@ -20,7 +20,7 @@ from dimerge.records import DType
 
 from test_merge import triple_of
 
-PROPERTY = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+PROPERTY = settings(max_examples=200)
 
 TIE_HEAVY = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
 ELEMENT = st.one_of(TIE_HEAVY, TIE_HEAVY, st.floats(-4.0, 4.0, width=32))
