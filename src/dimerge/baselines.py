@@ -191,8 +191,10 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float
     np.copyto(count, agree)
     t_mm *= np.greater(t_mm, 0.0, out=agree)
     count += agree
+    # flipped, every sum is >= 0, so one max finds any that overflowed; the
+    # mean of those two agreeing residuals is in range as a/2 + b/2
     np.add(t_ml, t_mm, out=out)
-    if out.max() == np.inf:   # two agreeing residuals whose sum overflows: their mean as a/2 + b/2
+    if out.max() == np.inf:
         over = np.isinf(out)
         out[over] = t_ml[over] / np.float32(2.0) + t_mm[over] / np.float32(2.0)
         count[over] = 1.0
@@ -308,10 +310,10 @@ def merge_baseline_values(
     ``base`` and the residuals are contiguous float32 matrices of one shape
     (a 1D tensor being one column). Returns ``compose(r0, r1)``, rows
     ``r0:r1`` of the merge in float32, composed in place in those rows of
-    ``delta_ml`` (TIES: of its score scratch). The residuals are consumed, so the rows must come in
-    order, ``block_rows`` at most at a time. Scratch comes from
-    ``take(slot, shape, dtype)``, as :meth:`~dimerge.merge.BlockBuffers.take`
-    (slots 6-9).
+    ``delta_ml`` (by TIES, of its score scratch). The residuals are
+    consumed, so the rows must come in order, ``block_rows`` at most at a
+    time. Scratch comes from ``take(slot, shape, dtype)``, as
+    :meth:`~dimerge.merge.BlockBuffers.take` (slots 6-9).
     """
     if method == "task_arithmetic":
         return _plan_task_arithmetic(base, delta_ml, delta_mm, params.lam)

@@ -107,7 +107,7 @@ class Record:
     def __post_init__(self):
         for f in fields(self):
             choices, value = f.metadata.get("choices"), getattr(self, f.name, None)
-            if choices is not None and value not in choices:
+            if choices is not None and value not in tuple(choices):
                 raise ConfigError(f"config value {f.metadata.get('key', f.name)} must be one of "
                                   f"{', '.join(choices)}, got {value!r}", error_class="config.bad_value")
 

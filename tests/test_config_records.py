@@ -84,7 +84,7 @@ def test_every_key_echoes_under_its_name():
 CHOICES = [(MergeConfig, {"method": "soup"}), (MergeConfig, {"shape_policy": "bogus"}),
            (MergeConfig, {"high_rank": "nope"}), (MergeConfig, {"estimator": "bogus"}),
            (MergeConfig, {"output_dtype": "f16"}), (ScopeFilter, {"preset": "bogus"}),
-           (AggregationKind, {"kind": "median"})]
+           (ScopeFilter, {"preset": ["full"]}), (AggregationKind, {"kind": "median"})]
 
 
 @pytest.mark.parametrize("record, kwargs", CHOICES, ids=[next(iter(kwargs)) for _, kwargs in CHOICES])

@@ -33,7 +33,7 @@ from dimerge.store import Checkpoint, load_checkpoint
 from test_streaming import expected_baseline_bits
 import reference
 
-PROPERTY = settings(max_examples=100)
+PROPERTY = settings(max_examples=200)
 
 ROLES = ("base", "ml", "anchor")
 DTYPES = (DType.F32, DType.F16, DType.BF16)
