@@ -172,12 +172,12 @@ class TopKCut:
 # ---------------------------------------------------------------------------
 
 
-def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float, out: np.ndarray,
+def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, mag_ml: np.ndarray, lam: float,
                 sign: np.ndarray, count: np.ndarray, agree: np.ndarray) -> np.ndarray:
     """Elect a sign per coordinate from the trimmed residuals' mass (ties
-    elect positive) and average the agreeing residuals into ``out``.
-    ``out``, ``sign`` and ``count`` are float32 and ``agree`` bool scratch
-    of the block's shape."""
+    elect positive) and average the agreeing residuals, in place in ``t_ml``.
+    ``mag_ml`` is |t_ml| before the trim; ``sign`` and ``count`` are float32
+    and ``agree`` bool scratch of the block's shape."""
     # elected sign: -1 where the kept mass is negative, else +1
     np.less(np.add(t_ml, t_mm, out=sign), 0.0, out=agree)
     np.copyto(sign, agree)
@@ -191,20 +191,20 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, lam: float
     np.copyto(count, agree)
     t_mm *= np.greater(t_mm, 0.0, out=agree)
     count += agree
+    t_ml += t_mm
     # flipped, every sum is >= 0, so one max finds any that overflowed; the
-    # mean of those two agreeing residuals is in range as a/2 + b/2
-    np.add(t_ml, t_mm, out=out)
-    if out.max() == np.inf:
-        over = np.isinf(out)
-        out[over] = t_ml[over] / np.float32(2.0) + t_mm[over] / np.float32(2.0)
+    # mean of those two agreeing residuals is in range as |a|/2 + |b|/2
+    if t_ml.max() == np.inf:
+        over = np.isinf(t_ml)
+        t_ml[over] = mag_ml[over] / np.float32(2.0) + t_mm[over] / np.float32(2.0)
         count[over] = 1.0
     np.maximum(count, np.float32(1.0), out=count)
-    out /= count
-    out *= sign
-    out += np.float32(0.0)   # turns -0.0 into +0.0 where no entry agrees
-    out *= np.float32(lam)
-    out += base
-    return out
+    t_ml /= count
+    t_ml *= sign
+    t_ml += np.float32(0.0)   # turns -0.0 into +0.0 where no entry agrees
+    t_ml *= np.float32(lam)
+    t_ml += base
+    return t_ml
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +263,10 @@ def _plan_ties(base, ml, mm, params: BaselineParams, name: str, take, block: int
 
     def compose(r0, r1):
         rows, t_ml, t_mm = r1 - r0, ml[r0:r1], mm[r0:r1]
-        for delta, cut in zip((t_ml, t_mm), cuts):
+        # mm's cut first, so that the block's scores left for the merge are |ml|
+        for delta, cut in zip((t_mm, t_ml), cuts[::-1]):
             delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags[:rows])
-        # the block's scores are spent once both cuts are applied: the merge goes there
-        return _ties_block(base[r0:r1], t_ml, t_mm, params.lam, scores[r0:r1], sign[:rows], count[:rows],
+        return _ties_block(base[r0:r1], t_ml, t_mm, scores[r0:r1], params.lam, sign[:rows], count[:rows],
                            flags[:rows])
 
     return compose
@@ -310,10 +310,10 @@ def merge_baseline_values(
     ``base`` and the residuals are contiguous float32 matrices of one shape
     (a 1D tensor being one column). Returns ``compose(r0, r1)``, rows
     ``r0:r1`` of the merge in float32, composed in place in those rows of
-    ``delta_ml`` (by TIES, of its score scratch). The residuals are
-    consumed, so the rows must come in order, ``block_rows`` at most at a
-    time. Scratch comes from ``take(slot, shape, dtype)``, as
-    :meth:`~dimerge.merge.BlockBuffers.take` (slots 6-9).
+    ``delta_ml``. The residuals are consumed, so the rows must come in
+    order, ``block_rows`` at most at a time. Scratch comes from
+    ``take(slot, shape, dtype)``, as :meth:`~dimerge.merge.BlockBuffers.take`
+    (slots 6-9).
     """
     if method == "task_arithmetic":
         return _plan_task_arithmetic(base, delta_ml, delta_mm, params.lam)

@@ -177,7 +177,7 @@ class TestMergedOverflow:
         (3e38, 3e38, 3e38),
         # one pair overflows; the other's mean, 1.5 of the smallest
         # subnormal, rounds to 2 from its sum where halves would give 0 + 1
-        ([3e38, TINY], [3e38, 2 * TINY], [3e38, 2 * TINY]),
+        ([3e38, TINY], [2.5e38, 2 * TINY], [np.float32(3e38) / 2 + np.float32(2.5e38) / 2, 2 * TINY]),
     ], ids=["both_past_max", "with_a_subnormal_sum"])
     def test_ties_averages_a_pair_past_float32_in_range(self, ml, mm, want):
         """TIES's mean of two agreeing residuals is in range even where their
