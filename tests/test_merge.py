@@ -158,7 +158,8 @@ TINY = float(np.finfo(np.float32).smallest_subnormal)
 
 class TestMergedOverflow:
     """Finite inputs whose merge the output dtype cannot hold: every method
-    fails naming the tensor and the dtype, where it used to write infinities."""
+    fails naming the tensor and the dtype, where it used to write infinities.
+    TIES's mean of two agreeing residuals past float32 is not one: it fits."""
 
     @pytest.mark.parametrize("method, dtype, values, params", [
         ("task_arithmetic", DType.F16, (0.0, 40000.0, 40000.0), {}),
@@ -175,10 +176,11 @@ class TestMergedOverflow:
 
     @pytest.mark.parametrize("ml, mm, want", [
         (3e38, 3e38, 3e38),
+        (-3e38, -3e38, -3e38),
         # one pair overflows; the other's mean, 1.5 of the smallest
         # subnormal, rounds to 2 from its sum where halves would give 0 + 1
         ([3e38, TINY], [2.5e38, 2 * TINY], [np.float32(3e38) / 2 + np.float32(2.5e38) / 2, 2 * TINY]),
-    ], ids=["both_past_max", "with_a_subnormal_sum"])
+    ], ids=["both_past_max", "both_past_min", "with_a_subnormal_sum"])
     def test_ties_averages_a_pair_past_float32_in_range(self, ml, mm, want):
         """TIES's mean of two agreeing residuals is in range even where their
         float32 sum is not: the overflowing pair gives a/2 + b/2."""

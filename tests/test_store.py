@@ -6,9 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from dimerge.cli import main
 from dimerge.errors import ConfigError, FormatError, RemapCollisionError, ShardError
 from dimerge.records import DType, TensorRecord
-from dimerge.cli import main
 from dimerge.store import (
     INDEX_FILENAME,
     Checkpoint,
@@ -380,11 +380,7 @@ class TestErrors:
         assert not list(tmp_path.iterdir())
 
 
-def one_file(directory):
-    save_checkpoint(ckpt_of({"a": [1.0, 2.0]}), directory / "one.safetensors")
-
-
-# layouts the reader rejects: (make it under a directory, the path to load, the error, its message)
+# layouts the reader rejects: (make it in a directory, the path to load there, the error, its message)
 BAD_LAYOUTS = {
     "header_not_object": (lambda d: write_header(d / "t.safetensors", [], b""), "t.safetensors",
                           FormatError, "header is not a JSON object"),
