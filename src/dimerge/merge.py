@@ -308,6 +308,11 @@ def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffer
                                  buffers.take, block), None
 
 
+def _within(values: np.ndarray, limit: np.float32) -> bool:
+    """Whether every one of ``values`` lies in [-limit, limit]; a NaN does not."""
+    return bool(-limit <= values.min() and values.max() <= limit)
+
+
 def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sink: Sink,
                   buffers: BlockBuffers) -> None:
     """Pass 2 of every merge, one row block of the anchor at a time: compose
@@ -317,22 +322,28 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     slot 2 and the bf16 rounding sums in slot 0, both of which a dim3 pass 1
     has already grown. This is the one check on merged values, for every
     method: a composed block whose min or max is NaN or past what encodes
-    finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a numeric error."""
+    finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a numeric error. Where
+    ``out_dtype`` is narrower than the anchor's (F64 to F32, the one
+    narrowing :func:`_out_dtype` allows), the re-encoded anchor rows and
+    columns get the same check."""
     anchor = triple.mm
     rows, cols = _as_matrix(triple.shape)
     anchor_rows, anchor_cols = _as_matrix(anchor.shape)
     anchor_bits = anchor.bits().reshape(anchor_rows, anchor_cols)
     block = _block_rows(cols)
     limit = ENCODE_LIMIT[out_dtype]
+    narrows = out_dtype.itemsize < anchor.dtype.itemsize
     for r0 in range(0, anchor_rows, block):
         r1 = min(r0 + block, anchor_rows)
         out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
         with np.errstate(over="ignore", invalid="ignore"):   # checked next
             merged = compose(r0, min(r1, rows)) if r0 < rows else None
-        if merged is not None and not (-limit <= merged.min() and merged.max() <= limit):
+        if merged is not None and not _within(merged, limit):
             raise NumericError(f"{triple.name}: merged values are not finite in {out_dtype.value}")
         if merged is None or merged.shape != out.shape:
             recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
+            if narrows and not _within(out.view(np.float32), limit):
+                raise NumericError(f"{triple.name}: anchor values are not finite in {out_dtype.value}")
         if merged is not None:
             scratch = buffers.take(0, merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)

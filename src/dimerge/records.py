@@ -4,6 +4,10 @@ A :class:`TensorRecord` keeps the raw little-endian payload exactly as stored
 on disk, so half-precision and bfloat16 tensors survive load/save cycles
 bit-for-bit. Conversion to a numpy working array happens only when a
 computation asks for it.
+
+Every merge pass reads its inputs through :func:`decode_f32`, which decodes
+F16 by rebiasing its exponent in float32, exactly, rather than by numpy's
+float16 cast: a scalar loop at two to three times the cost.
 """
 
 from __future__ import annotations
@@ -96,12 +100,33 @@ def f32_to_bf16_bits(values: np.ndarray, out: np.ndarray | None = None,
 def decode_f32(bits: np.ndarray, dtype: DType, out: np.ndarray | None = None) -> np.ndarray:
     """Float32 values of storage bit patterns of any shape or strides, into
     ``out`` (float32, of the bits' shape) or a fresh writable array. BF16
-    expands losslessly; F64 narrows."""
+    expands losslessly; F64 narrows, an overflow to infinity left for the
+    caller's finiteness check.
+
+    F16 expands losslessly by rebiasing its exponent in three passes over
+    ``out``, bit for bit what numpy's slower float16 cast gives. The
+    sign-extended shift puts the sign at bit 31 and the exponent and
+    mantissa in their float32 places; the mask clears the sign's extra
+    copies; multiplying by 2**112 moves the exponent bias from 15 to 127,
+    exactly, and makes an F16 subnormal (here a float32 subnormal) the
+    normal float32 it stands for. Exponent 31 has become a finite magnitude
+    of at least 65536; only when min or max shows one are those elements
+    given exponent 255, an infinity or a NaN with its payload, so no float
+    operation ever sees a NaN."""
     if dtype is DType.BF16:
         return bf16_bits_to_f32(bits, out)
     if out is None:
         out = np.empty(bits.shape, np.float32)
-    np.copyto(out, bits.view(_NUMPY_VIEW[dtype]))
+    if dtype is DType.F16:
+        wide = out.view("<u4")
+        np.left_shift(bits.view("<i2"), 13, out=out.view("<i4"), dtype="<i4")
+        wide &= np.uint32(0x8FFFE000)
+        out *= np.float32(2.0 ** 112)
+        if not (-65536 < out.min(initial=0.0) and out.max(initial=0.0) < 65536):
+            wide[np.abs(out) >= 65536] |= np.uint32(0x7F800000)
+        return out
+    with np.errstate(over="ignore"):
+        np.copyto(out, bits.view(_NUMPY_VIEW[dtype]))
     return out
 
 

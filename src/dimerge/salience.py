@@ -121,7 +121,12 @@ def salience_pair(r_ml, r_mm):
 def estimate_salience(
     dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: EstimatorKind = EstimatorKind.RANK
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-source salience scores from one branch's deviation vectors."""
+    """Cross-source salience scores from one branch's deviation vectors.
+    ``estimator`` is an :class:`EstimatorKind` or its name."""
+    try:
+        estimator = EstimatorKind(estimator)
+    except ValueError:
+        raise ConfigError(f"unknown estimator {estimator!r}") from None
     dev_ml = np.asarray(dev_ml, dtype=np.float64)
     dev_mm = np.asarray(dev_mm, dtype=np.float64)
     if dev_ml.shape != dev_mm.shape or dev_ml.ndim != 1:
@@ -135,14 +140,13 @@ def estimate_salience(
         return salience_pair(_zscore(dev_ml), _zscore(dev_mm))
     if estimator is EstimatorKind.MINMAX:
         return salience_pair(_minmax(dev_ml), _minmax(dev_mm))
-    if estimator is EstimatorKind.RATIO:
-        total = dev_ml + dev_mm
-        tiny = total < _RATIO_SUM_GUARD
-        safe = np.where(tiny, 1.0, total)
-        s_ml = np.where(tiny, 0.5, dev_ml / safe)
-        s_mm = np.where(tiny, 0.5, dev_mm / safe)
-        return s_ml, s_mm
-    raise ConfigError(f"unknown estimator {estimator!r}")
+    # RATIO
+    total = dev_ml + dev_mm
+    tiny = total < _RATIO_SUM_GUARD
+    safe = np.where(tiny, 1.0, total)
+    s_ml = np.where(tiny, 0.5, dev_ml / safe)
+    s_mm = np.where(tiny, 0.5, dev_mm / safe)
+    return s_ml, s_mm
 
 
 def _zscore(x: np.ndarray) -> np.ndarray:
@@ -197,6 +201,7 @@ def aggregate_branches(
 def elementwise_salience(
     dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: EstimatorKind = EstimatorKind.RANK
 ) -> SalienceWeights:
-    """Single-branch salience for 1D parameters: the weights are the scores."""
+    """Single-branch salience for 1D parameters: the weights are the scores.
+    ``estimator`` is an :class:`EstimatorKind` or its name."""
     s_ml, s_mm = estimate_salience(dev_ml, dev_mm, estimator)
     return SalienceWeights(s_mag_ml=s_ml, s_dir_ml=s_ml, omega_ml=s_ml, omega_mm=s_mm)

@@ -304,6 +304,11 @@ def _load_sharded(index_path: Path) -> Checkpoint:
     weight_map = index.get("weight_map") if isinstance(index, dict) else None
     if not isinstance(weight_map, dict):
         raise FormatError(f"{index_path}: index manifest has no weight_map")
+    for tensor_name, shard_name in weight_map.items():
+        if not (isinstance(shard_name, str) and shard_name not in ("", ".", "..")
+                and Path(shard_name).name == shard_name):
+            raise FormatError(f"{index_path}: weight_map maps {tensor_name!r} to {shard_name!r}, "
+                              "not a file name in the index's directory")
 
     shard_dir = index_path.parent
     unindexed = sorted({p.name for p in shard_dir.glob("*.safetensors")} - set(weight_map.values()))

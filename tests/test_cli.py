@@ -555,6 +555,22 @@ class TestInspectCommand:
         sharded_out = capsys.readouterr().out
         assert plain_out == sharded_out
 
+    @pytest.mark.parametrize("shard", [5, None, "../x.safetensors", "sub/x.safetensors", "..", ""],
+                             ids=["number", "null", "parent_dir", "sub_dir", "dot_dot", "empty"])
+    def test_index_naming_no_shard_file_is_format_error(self, tmp_path, capsys, shard):
+        """A weight_map value that is not a bare file name is a format error,
+        never a traceback or a file read outside the checkpoint's directory,
+        even where that file exists and holds the tensor."""
+        save_checkpoint(Checkpoint.from_records([TensorRecord.from_array("a", np.zeros(2, np.float32))]),
+                        tmp_path / "x.safetensors")
+        ckpt = tmp_path / "ckpt"
+        (ckpt / "sub").mkdir(parents=True)
+        (ckpt / "sub" / "x.safetensors").write_bytes((tmp_path / "x.safetensors").read_bytes())
+        (ckpt / "model.safetensors.index.json").write_text(json.dumps({"weight_map": {"a": shard}}))
+        assert main(["inspect", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert "error[io.format]" in err and "weight_map maps 'a'" in err
+
 
 @pytest.mark.parametrize("command, values, message", [
     ("merge", (0.0, 3e38, -3e38), "merged values are not finite in F32"),

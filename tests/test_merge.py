@@ -152,6 +152,33 @@ class TestNonFiniteInput:
         assert (np.abs(merged) <= 1e38).all()
 
 
+class TestF64Narrowing:
+    """An F64 value past float32 is a numeric error naming the tensor, with
+    no numpy warning before it, inside the aligned region or in the
+    anchor's own rows that a narrower output re-encodes."""
+
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    def test_input_past_float32_rejected(self, method):
+        records = [TensorRecord.from_array("t", np.full((4, 2), v)) for v in (0.0, 1e300, 0.5)]
+        with pytest.raises(NumericError, match="^t: multilingual"):
+            merge_tensor(AlignedTriple("t", *records), MergeConfig(method=method))
+
+    @pytest.mark.parametrize("output_dtype", OUTPUT_DTYPES)
+    def test_anchor_rows_past_float32(self, output_dtype):
+        """A 2x2 region of a 3x2 F64 anchor whose third row is 1e300: F32
+        output cannot hold that row; the anchor's own dtype keeps it."""
+        base = TensorRecord.from_array("t", np.zeros((2, 2)))
+        anchor = TensorRecord.from_array("t", np.array([[0.5, 0.5], [0.5, 0.5], [1e300, 1e300]]))
+        triple = AlignedTriple("t", base, base, anchor, shape=(2, 2))
+        cfg = MergeConfig(output_dtype=output_dtype)
+        if output_dtype == "f32":
+            with pytest.raises(NumericError, match="^t: anchor values are not finite in F32$"):
+                merge_tensor(triple, cfg)
+        else:
+            np.testing.assert_array_equal(merge_tensor(triple, cfg).to_f64(),
+                                          [[0.25, 0.25], [0.25, 0.25], [1e300, 1e300]])
+
+
 BF16_MAX = float(np.uint32(0x7F7F0000).view(np.float32))
 TINY = float(np.finfo(np.float32).smallest_subnormal)
 

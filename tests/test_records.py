@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,54 @@ class TestBf16Codec:
         assert f32_to_bf16_bits(values, out, scratch) is out
         assert out.ravel().tolist() == reference.f32_to_bf16_bits(values)
         assert (wide[:, [0, 2, 4]] == 0xBEEF).all()
+
+
+# every F16 bit pattern, and numpy's float16 cast of each as float32 bits
+F16_PATTERNS = np.arange(2**16, dtype=np.uint16)
+F16_AS_F32 = F16_PATTERNS.view(np.float16).astype(np.float32).view(np.uint32)
+
+
+class TestF16Decode:
+    """The F16 decode rebiases the exponent rather than calling numpy's cast,
+    and gives the same bits for every pattern: zeros, subnormals, infinities
+    and NaNs with their payloads, from any layout, with no warning."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_every_pattern(self):
+        np.testing.assert_array_equal(decode_f32(F16_PATTERNS, DType.F16).view(np.uint32), F16_AS_F32)
+
+    def test_column_cropped_bits_into_a_strided_out(self):
+        wide_bits = np.full((256, 300), 0x7C01, dtype=np.uint16)
+        wide_bits[:, 20:276] = F16_PATTERNS.reshape(256, 256)
+        wide_out = np.full((256, 512), 0xDEADBEEF, dtype=np.uint32)
+        out = wide_out.view(np.float32)[:, ::2]
+        assert decode_f32(wide_bits[:, 20:276], DType.F16, out) is out
+        np.testing.assert_array_equal(out.view(np.uint32).ravel(), F16_AS_F32)
+        assert (wide_out[:, 1::2] == 0xDEADBEEF).all()
+
+    def test_read_only_bits(self):
+        bits = np.frombuffer(F16_PATTERNS.tobytes(), dtype=np.uint16)
+        assert not bits.flags.writeable
+        np.testing.assert_array_equal(decode_f32(bits, DType.F16).view(np.uint32), F16_AS_F32)
+
+    def test_empty(self):
+        assert decode_f32(np.empty((0, 3), np.uint16), DType.F16).shape == (0, 3)
+
+    def test_record_to_f32(self):
+        rec = TensorRecord("w", DType.F16, (256, 256), F16_PATTERNS.tobytes())
+        np.testing.assert_array_equal(rec.to_f32().view(np.uint32).ravel(), F16_AS_F32)
+
+    def test_recode_to_f32(self):
+        np.testing.assert_array_equal(recode_bits(F16_PATTERNS, DType.F16, DType.F32), F16_AS_F32)
+
+    def test_recode_to_bf16(self):
+        got = recode_bits(F16_PATTERNS, DType.F16, DType.BF16)
+        assert got.tolist() == reference.f32_to_bf16_bits(F16_AS_F32.view(np.float32))
 
 
 class TestCodecsInto:

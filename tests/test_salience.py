@@ -145,6 +145,23 @@ class TestEstimators:
         with pytest.raises(ShapeError):
             estimate_salience(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
+    def test_name_is_the_estimator(self, estimator, rng):
+        """A library caller may name the estimator: the string gives the
+        enum's scores, through both entry points."""
+        dev_ml, dev_mm = rng.uniform(size=9), rng.uniform(size=9)
+        by_name = estimate_salience(dev_ml, dev_mm, estimator.value)
+        by_enum = estimate_salience(dev_ml, dev_mm, estimator)
+        for got, want in zip(by_name, by_enum):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(elementwise_salience(dev_ml, dev_mm, estimator.value).omega_ml,
+                                      elementwise_salience(dev_ml, dev_mm, estimator).omega_ml)
+
+    @pytest.mark.parametrize("call", [estimate_salience, elementwise_salience])
+    def test_unknown_name_refused(self, call):
+        with pytest.raises(ConfigError, match="unknown estimator 'bogus'"):
+            call(np.array([1.0, 2.0]), np.array([2.0, 1.0]), "bogus")
+
 
 class TestAggregation:
     def test_average(self):
