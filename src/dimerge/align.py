@@ -52,6 +52,11 @@ class AlignedTriple:
     def rank(self) -> int:
         return len(self.shape)
 
+    @property
+    def size(self) -> int:
+        """Elements in the aligned region."""
+        return int(np.prod(self.shape))
+
     def aligned_bits(self, rec: TensorRecord) -> np.ndarray:
         """The stored bits of ``rec`` inside the aligned region, as a view."""
         bits = rec.bits()

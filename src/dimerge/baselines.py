@@ -2,14 +2,16 @@
 Breadcrumbs.
 
 Their one entry point is :func:`merge_baseline_values`, which the merge's
-pass 1 calls on a tensor's decoded residuals; to run a baseline on one
-tensor, call :func:`~dimerge.merge.merge_tensor` with the method in its
-config. So every method honors the same scope filtering and anchor
-pass-through as the column-wise merge. TIES and Breadcrumbs first cut each
-residual by its |delta|, found by partitioning one copy of it: TIES keeps
-the top of each, Breadcrumbs drops the top and the bottom, both sides of
-one cut. Then every method composes the merge one block of rows at a
-time, in place, applying the cuts in flat order.
+pass 1 calls on an aligned tensor; to run a baseline on one tensor, call
+:func:`~dimerge.merge.merge_tensor` with the method in its config. So every
+method honors the same scope filtering and anchor pass-through as the
+column-wise merge. Every method composes the merge one block of rows at a
+time: it decodes those rows of base, ml and mm, forms both residuals and
+merges them in place. TIES and Breadcrumbs first cut each residual by its
+|delta|, streamed block by block into one tensor-sized array per residual
+and found by partitioning it: TIES keeps the top of each, Breadcrumbs drops
+the top and the bottom, both sides of one cut; the compose applies the
+cuts in flat order. Task arithmetic and DARE hold nothing tensor-sized.
 Random drop masks come from a counter-based generator keyed by (seed,
 tensor-name hash, element index), so results are identical under any
 parallel schedule and any block size.
@@ -25,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, Record, read_section, read_value
+from .align import ROLES, AlignedTriple
+from .errors import ConfigError, NumericError, Record, read_section, read_value
+from .records import all_finite, decode_f32
 
 logger = logging.getLogger(__name__)
 
@@ -208,116 +212,126 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, mag_ml: np
 
 
 # ---------------------------------------------------------------------------
-# methods: cut the whole residuals, then compose block by block
+# methods: cut the streamed |delta|, then compose block by block
 # ---------------------------------------------------------------------------
 
-# slots of the caller's scratch that the methods take (0-5 are left to the
-# caller: its block buffers and the decoded tensors)
-_SCORES, _FLAGS, _SIGN, _COUNT = 6, 7, 8, 9
+# slots of the caller's block buffers: a block's base, ml and mm rows (pass 2
+# encodes in 2, then 0), the cut's tensor-sized |delta| arrays, row scratch
+_BASE, _ML, _MM, _SCORES_ML, _SCORES_MM, _FLAGS, _SIGN, _COUNT = 0, 1, 3, 4, 5, 6, 7, 8
 _BELOW = _SIGN   # Breadcrumbs' second bool block, in a slot TIES alone uses
 
 
-def _cut_residuals(ml, mm, name: str, take, block: int, keep: int, drop: int | None = None):
-    """Both residuals' cuts by |delta|, scored in the score slot and logged;
-    returns the scores, the cuts' bool rows and the cuts."""
-    scores = take(_SCORES, ml.shape, ml.dtype)
-    flags = take(_FLAGS, (block, ml.shape[1]), bool)
-    cuts = [TopKCut(np.abs(delta, out=scores), keep, flags, drop) for delta in (ml, mm)]
+def _residual_rows(triple: AlignedTriple, shape: tuple[int, int], take) -> Callable[..., list[np.ndarray]]:
+    """``rows(r0, r1)``: rows ``r0:r1`` of the aligned (base, ml - base,
+    mm - base) as float32 matrices (a 1D tensor is one column) in the base,
+    ml and mm slots, each checked for non-finite values in turn unless
+    ``check`` is false. Only once a check fails is the input read again, to
+    tell a non-finite input from finite inputs whose residual is past float32."""
+    sources = [(role, triple.aligned_bits(rec).reshape(shape), rec.dtype, slot)
+               for role, rec, slot in zip(ROLES, (triple.base, triple.ml, triple.mm), (_BASE, _ML, _MM))]
+
+    def rows(r0: int, r1: int, check: bool = True) -> list[np.ndarray]:
+        blocks: list[np.ndarray] = []
+        for role, bits, dtype, slot in sources:
+            values = decode_f32(bits[r0:r1], dtype, take(slot, (r1 - r0, shape[1]), np.float32))
+            if blocks:
+                with np.errstate(over="ignore", invalid="ignore"):   # checked next
+                    values -= blocks[0]
+            if check and not all_finite(values):
+                word = "residual" if blocks and all_finite(decode_f32(bits[r0:r1], dtype)) else "tensor"
+                raise NumericError(f"{triple.name}: {role} {word} contains non-finite values")
+            blocks.append(values)
+        return blocks
+
+    return rows
+
+
+def _cut_residuals(rows, shape: tuple[int, int], name: str, take, block: int, keep: int, drop: int | None = None):
+    """Pass 1 of a top-k method: each residual's |delta|, streamed block by
+    block into its tensor-sized score slot, and cut there; logged. Returns
+    ml's scores (row scratch from then on), the cuts' bool rows and the cuts."""
+    scores = [take(slot, shape, np.float32) for slot in (_SCORES_ML, _SCORES_MM)]
+    for r0 in range(0, shape[0], block):
+        for delta, out in zip(rows(r0, min(r0 + block, shape[0]))[1:], scores):
+            np.abs(delta, out=out[r0:r0 + block])
+    flags = take(_FLAGS, (block, shape[1]), bool)
+    cuts = [TopKCut(part, keep, flags, drop) for part in scores]
     logger.debug("%s: top-k cut done: %s", name,
                  "; ".join(cut.describe(label) for label, cut in zip(("ml", "mm"), cuts)))
-    return scores, flags, cuts
+    return scores[0], flags, cuts
 
 
-def _plan_task_arithmetic(base, ml, mm, lam: float) -> Callable[[int, int], np.ndarray]:
-    """``base + lam * (ml + mm)`` of the residuals, in place in ``ml``'s rows."""
-    def compose(r0, r1):
-        merged = ml[r0:r1]
-        merged += mm[r0:r1]
-        merged *= np.float32(lam)
-        merged += base[r0:r1]
-        return merged
-
-    return compose
+def _task_arithmetic(base: np.ndarray, ml: np.ndarray, mm: np.ndarray, lam: float) -> np.ndarray:
+    """``base + lam * (ml + mm)`` of a block's residuals, in place in ``ml``."""
+    ml += mm
+    ml *= np.float32(lam)
+    ml += base
+    return ml
 
 
-def _plan_dare(base, ml, mm, params: BaselineParams, seed: int, name: str) -> Callable[[int, int], np.ndarray]:
+def _plan_dare(rows, p: float, lam: float, seed: int, name: str) -> Callable[[int, int], np.ndarray]:
     """Drop each residual entry with probability p and rescale the survivors
-    by 1/(1-p), then add as task arithmetic; entry i of a source draws
-    uniform i of (seed, source-qualified name)."""
-    p, merge = params.dare_drop_p, _plan_task_arithmetic(base, ml, mm, params.lam)
-
+    by 1/(1-p), then add as task arithmetic, which is DARE at p = 0; entry i
+    of a source draws uniform i of (seed, source-qualified name)."""
     def compose(r0, r1):
-        for delta, source in ((ml[r0:r1], "ml:"), (mm[r0:r1], "mm:")):
+        base, ml, mm = rows(r0, r1)
+        for delta, source in ((ml, "ml:"), (mm, "mm:")):
             if p:
-                drop = unit_uniforms(seed, source + name, delta.size, r0 * ml.shape[1]).reshape(delta.shape) < p
+                drop = unit_uniforms(seed, source + name, delta.size, r0 * delta.shape[1]).reshape(delta.shape) < p
                 delta /= np.float32(1.0 - p)
                 np.copyto(delta, delta.dtype.type(0), where=drop)
-        return merge(r0, r1)
+        return _task_arithmetic(base, ml, mm, lam)
 
     return compose
 
 
-def _plan_ties(base, ml, mm, params: BaselineParams, name: str, take, block: int) -> Callable[[int, int], np.ndarray]:
-    scores, flags, cuts = _cut_residuals(ml, mm, name, take, block, math.ceil(params.ties_density * ml.size))
+def _plan_ties(rows, shape, params: BaselineParams, name: str, take, block: int) -> Callable[[int, int], np.ndarray]:
+    keep = math.ceil(params.ties_density * math.prod(shape))
+    scores, flags, cuts = _cut_residuals(rows, shape, name, take, block, keep)
     sign, count = (take(slot, flags.shape, np.float32) for slot in (_SIGN, _COUNT))
 
     def compose(r0, r1):
-        rows, t_ml, t_mm = r1 - r0, ml[r0:r1], mm[r0:r1]
+        n, (base, t_ml, t_mm) = r1 - r0, rows(r0, r1, check=False)   # checked in pass 1
         # mm's cut first, so that the block's scores left for the merge are |ml|
         for delta, cut in zip((t_mm, t_ml), cuts[::-1]):
-            delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags[:rows])
-        return _ties_block(base[r0:r1], t_ml, t_mm, scores[r0:r1], params.lam, sign[:rows], count[:rows],
-                           flags[:rows])
+            delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n])
+        return _ties_block(base, t_ml, t_mm, scores[r0:r1], params.lam, sign[:n], count[:n], flags[:n])
 
     return compose
 
 
-def _plan_breadcrumbs(base, ml, mm, params: BaselineParams, name: str, take,
+def _plan_breadcrumbs(rows, shape, params: BaselineParams, name: str, take,
                       block: int) -> Callable[[int, int], np.ndarray]:
     """Zero the int(beta*n) smallest |delta| of each residual and the
     int(gamma*n) largest of the rest, then add as task arithmetic. One cut
     takes both: int(beta*n) + int(gamma*n) <= n, so the top of the
     survivors is the top overall, save for the ties where the sides meet."""
-    keep, drop = (int(fraction * ml.size) for fraction in (params.breadcrumbs_gamma, params.breadcrumbs_beta))
-    scores, flags, cuts = _cut_residuals(ml, mm, name, take, block, keep, drop)
+    keep, drop = (int(fraction * math.prod(shape)) for fraction in (params.breadcrumbs_gamma, params.breadcrumbs_beta))
+    scores, flags, cuts = _cut_residuals(rows, shape, name, take, block, keep, drop)
     below = take(_BELOW, flags.shape, bool)
-    merge = _plan_task_arithmetic(base, ml, mm, params.lam)
 
     def compose(r0, r1):
-        rows = r1 - r0
-        for delta, cut in zip((ml[r0:r1], mm[r0:r1]), cuts):
-            dropped = cut.select(np.abs(delta, out=scores[r0:r1]), flags[:rows], below[:rows])
+        n, (base, ml, mm) = r1 - r0, rows(r0, r1, check=False)   # checked in pass 1
+        for delta, cut in zip((ml, mm), cuts):
+            dropped = cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n], below[:n])
             np.copyto(delta, delta.dtype.type(0), where=dropped)
-        return merge(r0, r1)
+        return _task_arithmetic(base, ml, mm, params.lam)
 
     return compose
 
 
-def merge_baseline_values(
-    method: str,
-    base: np.ndarray,
-    delta_ml: np.ndarray,
-    delta_mm: np.ndarray,
-    params: BaselineParams,
-    seed: int,
-    tensor_name: str,
-    take: Callable[..., np.ndarray],
-    block_rows: int,
-) -> Callable[[int, int], np.ndarray]:
-    """Plan one tensor's merge by a baseline method: TIES and Breadcrumbs cut
-    the whole residuals here; the others need no cut.
-
-    ``base`` and the residuals are contiguous float32 matrices of one shape
-    (a 1D tensor being one column). Returns ``compose(r0, r1)``, rows
-    ``r0:r1`` of the merge in float32, composed in place in those rows of
-    ``delta_ml``. The residuals are consumed, so the rows must come in
-    order, ``block_rows`` at most at a time. Scratch comes from
-    ``take(slot, shape, dtype)``, as :meth:`~dimerge.merge.BlockBuffers.take`
-    (slots 6-9).
-    """
-    if method == "task_arithmetic":
-        return _plan_task_arithmetic(base, delta_ml, delta_mm, params.lam)
-    if method == "dare":
-        return _plan_dare(base, delta_ml, delta_mm, params, seed, tensor_name)
+def merge_baseline_values(method: str, triple: AlignedTriple, params: BaselineParams, seed: int,
+                          take: Callable[..., np.ndarray], block_rows: int) -> Callable[[int, int], np.ndarray]:
+    """Plan one aligned tensor's merge by a baseline method: TIES and
+    Breadcrumbs stream and cut both residuals' |delta| here; the others
+    need no pass 1. Returns ``compose(r0, r1)``, rows ``r0:r1`` of the
+    merge in float32 (a 1D tensor being one column), which decodes those
+    rows and merges them in place; the rows come in order, ``block_rows`` at
+    most at a time. Buffers come from ``take(slot, shape, dtype)``, as
+    :meth:`~dimerge.merge.BlockBuffers.take` (slots 0-1 and 3-8)."""
+    shape = (triple.shape[0], math.prod(triple.shape[1:]))
+    rows = _residual_rows(triple, shape, take)
+    if method in ("task_arithmetic", "dare"):
+        return _plan_dare(rows, params.dare_drop_p if method == "dare" else 0.0, params.lam, seed, triple.name)
     plan = _plan_ties if method == "ties" else _plan_breadcrumbs
-    return plan(base, delta_ml, delta_mm, params, tensor_name, take, min(block_rows, len(base)))
+    return plan(rows, shape, params, triple.name, take, min(block_rows, shape[0]))

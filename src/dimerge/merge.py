@@ -15,13 +15,14 @@ out-of-scope keys) are copied from the anchor verbatim.
 
 Every merged tensor is written in two passes over row blocks. Pass 1 is the
 method's: dim3 streams the column reductions its weights need (a 1D tensor
-is weighed whole); the baselines decode the residuals once into
-tensor-sized arrays, where TIES and Breadcrumbs cut a global top-k. It
-returns a compose for any block of rows, and pass 2, one loop for every
-method, composes each block of the anchor, rejects it if the output dtype
-cannot hold every value finitely, and encodes and writes it in place in the
-output file. Each worker does all this in the same few arrays for the
-whole merge, so memory follows one row block (and the baselines' residuals).
+is weighed whole); TIES and Breadcrumbs stream both residuals' |delta| into
+two tensor-sized score arrays and cut a global top-k there; task
+arithmetic and DARE need no pass 1. It returns a compose that decodes and
+merges any block of rows, and pass 2, one loop for every method, composes
+each block of the anchor, rejects it if the output dtype cannot hold every
+value finitely, and encodes and writes it in place in the output file.
+Each worker does all this in the same few arrays for the whole merge, so
+memory follows one row block (and the two score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -188,10 +189,11 @@ class BlockBuffers(threading.local):
     when a block needs more, so once the largest block has been seen,
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a slot overwrites all of it.
-    Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3; the
-    baselines' decode into 3-5, and cut in 6-7 (scores, flags) with TIES's
-    sign and count in 8-9 or Breadcrumbs' bottom flags in 8; pass 2 composes
-    in 0-1 and encodes in 2 (bf16 rounding sums in 0).
+    Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3, its
+    compose into 0-1; a baseline's compose decodes base, ml and mm into 0, 1
+    and 3, and a top-k cut streams |delta| into 4-5 (tensor-sized) with
+    flags in 6 and TIES's sign and count in 7-8 or Breadcrumbs' bottom
+    flags in 7; pass 2 encodes in 2 (bf16 rounding sums in 0).
     """
 
     def __init__(self):
@@ -271,41 +273,13 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
     return compose, weights
 
 
-def _decode_residuals(triple: AlignedTriple, buffers: BlockBuffers) -> list[np.ndarray]:
-    """The aligned region of (base, ml - base, mm - base) in float32 rows, in
-    ``buffers`` slots 3-5, decoded one row block at a time. Each block of
-    the base and of each residual is checked for non-finite values, role by
-    role in order, so a residual that overflows float32 is an error too; the
-    base's and ml's pages are released block by block after their last read."""
-    rows, cols = _as_matrix(triple.shape)
-    block = _block_rows(cols)
-    arrays: list[np.ndarray] = []
-    for slot, (role, rec) in enumerate(zip(ROLES, (triple.base, triple.ml, triple.mm)), start=3):
-        bits = triple.aligned_bits(rec).reshape(rows, cols)
-        values = buffers.take(slot, (rows, cols), np.float32)
-        message = f"{triple.name}: {role} {'residual' if arrays else 'tensor'} contains non-finite values"
-        for r0 in range(0, rows, block):
-            part = decode_f32(bits[r0:r0 + block], rec.dtype, values[r0:r0 + block])
-            if arrays:
-                with np.errstate(over="ignore", invalid="ignore"):   # checked next
-                    part -= arrays[0][r0:r0 + block]
-            require_finite(part, message)
-            if rec is not triple.mm:
-                _release_rows(rec, r0, r0 + block)
-        arrays.append(values)
-    return arrays
-
-
 def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, None]:
-    """Pass 1 of a baseline merge: the residuals decoded once
-    (:func:`_decode_residuals`) and cut by
-    :func:`~dimerge.baselines.merge_baseline_values` (slots 6-9), whose
-    compose works in place in them."""
-    residuals = _decode_residuals(triple, buffers)
-    logger.debug("%s: pass 1 done: residuals decoded", triple.name)
-    block = _block_rows(_as_matrix(triple.shape)[1])
-    return merge_baseline_values(cfg.method, *residuals, cfg.baseline, cfg.seed, triple.name,
-                                 buffers.take, block), None
+    """Pass 1 of a baseline merge: :func:`~dimerge.baselines.merge_baseline_values`
+    in ``buffers``, whose compose decodes each block of rows itself."""
+    compose = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers.take,
+                                    _block_rows(_as_matrix(triple.shape)[1]))
+    logger.debug("%s: pass 1 done: %s", triple.name, cfg.method)
+    return compose, None
 
 
 def _within(values: np.ndarray, limit: np.float32) -> bool:
@@ -318,7 +292,7 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     """Pass 2 of every merge, one row block of the anchor at a time: compose
     the aligned rows, encode them in ``out_dtype`` over the anchor's own
     rows and columns, re-encoded, hand the block to ``sink`` at its byte
-    offset and release the sources' pages. The output bits go in ``buffers``
+    offset and release the inputs' pages. The output bits go in ``buffers``
     slot 2 and the bf16 rounding sums in slot 0, both of which a dim3 pass 1
     has already grown. This is the one check on merged values, for every
     method: a composed block whose min or max is NaN or past what encodes
@@ -348,7 +322,7 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
             scratch = buffers.take(0, merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)
         sink(r0 * anchor_cols * out_dtype.itemsize, out)
-        for rec in (triple.ml, anchor):
+        for rec in (triple.base, triple.ml, anchor):
             _release_rows(rec, r0, r1)
 
 

@@ -154,10 +154,15 @@ ENCODE_LIMIT = {
 }
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every one of ``values`` is finite: a NaN propagates through
+    min and max; an infinity is one of them."""
+    return bool(np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0)))
+
+
 def require_finite(values: np.ndarray, message: str) -> None:
-    """:class:`NumericError` with ``message`` if any of ``values`` is not
-    finite: a NaN propagates through min and max; an infinity is one of them."""
-    if not (np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0))):
+    """:class:`NumericError` with ``message`` if any of ``values`` is not finite."""
+    if not all_finite(values):
         raise NumericError(message)
 
 

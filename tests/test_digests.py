@@ -66,7 +66,7 @@ PINS = {
 }
 
 
-def triple(dtype: DType, anchor_shapes: dict = {}):
+def triple(dtype: DType, anchor_shapes: dict):
     """(base, ml, anchor) checkpoints: the sources are the base plus small
     residuals; the anchor also holds a projector and, where given, larger
     tensors whose leading block is the sources' shape."""
@@ -83,7 +83,7 @@ def triple(dtype: DType, anchor_shapes: dict = {}):
             for arrays in (base, ml, anchor)]
 
 
-def output_sha256(tmp_path, cfg: MergeConfig, dtype: DType, anchor_shapes: dict = {}) -> str:
+def output_sha256(tmp_path, cfg: MergeConfig, dtype: DType, anchor_shapes: dict) -> str:
     out = tmp_path / "merged.safetensors"
     merge_checkpoint(*triple(dtype, anchor_shapes), cfg, out, threads=1)
     return hashlib.sha256(out.read_bytes()).hexdigest()

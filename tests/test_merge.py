@@ -121,8 +121,21 @@ class TestNonFiniteInput:
         base = rng.normal(size=(4, 5)).astype(np.float32)
         ml = base + np.float32(0.1)
         ml[2, 3] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="^t: multilingual tensor contains non-finite values$"):
             merge_tensor(triple_of(base, ml, base), MergeConfig(method=method))
+
+    @pytest.mark.parametrize("method", MERGE_METHODS)
+    @pytest.mark.parametrize("role", ["multilingual", "anchor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(4, 5), (20,)])
+    def test_non_finite_input_named_as_tensor(self, method, role, value, shape, rng):
+        """Every method names a non-finite source as its tensor, not as a
+        residual: only finite inputs can have a residual past float32."""
+        base = rng.normal(size=shape).astype(np.float32)
+        sources = {"multilingual": base + np.float32(0.1), "anchor": base - np.float32(0.1)}
+        sources[role].reshape(-1)[7] = value
+        with pytest.raises(NumericError, match=f"^t: {role} tensor contains non-finite values$"):
+            merge_tensor(triple_of(base, *sources.values()), MergeConfig(method=method))
 
     @pytest.mark.parametrize("shape", [(4, 2), (8,)])
     def test_difference_past_float32_rejected(self, shape):

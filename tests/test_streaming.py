@@ -278,6 +278,40 @@ def test_diagnose_faults_do_not_grow_with_blocks(tmp_path):
     assert tall - short < 3000, (short, tall)
 
 
+PEAK_PROBE = """
+import sys
+from dimerge.merge import MergeConfig, merge_checkpoint
+from dimerge.store import load_checkpoint
+
+def own_peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+peaks = []
+for root in sys.argv[2:]:
+    triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
+    merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out.{sys.argv[1]}")
+    peaks.append(own_peak_kib())
+print(*peaks)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs the process's own VmHWM")
+@pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
+def test_baselines_without_a_cut_peak_does_not_grow_with_height(tmp_path, method):
+    """The peak memory of a fresh process merging a mapped bf16 tensor by a
+    baseline that needs no cut, then one four times as tall: each block is
+    decoded, merged and written in the same buffers, so the taller tensor
+    raises the peak by a few MiB, not by tensor-sized arrays (24 MiB each
+    here). The process reads its own high-water mark, because the one
+    ``getrusage`` gives a child starts from its parent's."""
+    env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", PEAK_PROBE, method, *short_and_tall(tmp_path)], env=env,
+                            capture_output=True, text=True, check=True)
+    short, tall = (int(kib) for kib in result.stdout.split())
+    assert tall - short < 8 * 1024, (short, tall)
+
+
 def test_baseline_faults_do_not_grow_with_tensors(tmp_path):
     """Minor page faults of a fresh process running a TIES merge of two
     mapped F16 tensors, then of eight of the same shape: the residuals,
