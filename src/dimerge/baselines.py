@@ -12,9 +12,10 @@ merges them in place. TIES and Breadcrumbs first cut each residual by its
 and found by partitioning it: TIES keeps the top of each, Breadcrumbs drops
 the top and the bottom, both sides of one cut; the compose applies the
 cuts in flat order. Task arithmetic and DARE hold nothing tensor-sized.
-Random drop masks come from a counter-based generator keyed by (seed,
-tensor-name hash, element index), so results are identical under any
-parallel schedule and any block size.
+Every method drops entries one way: it multiplies a residual block in place
+by a kept mask in the caller's block buffers. DARE draws its mask there from
+a counter-based generator keyed by (seed, tensor-name hash, element index),
+so results are identical under any parallel schedule and any block size.
 """
 
 from __future__ import annotations
@@ -28,14 +29,12 @@ from typing import Callable
 import numpy as np
 
 from .align import ROLES, AlignedTriple
-from .errors import ConfigError, NumericError, Record, read_section, read_value
-from .records import all_finite, decode_f32
+from .errors import ConfigError, Record, read_section, read_value
+from .records import all_finite, decode_f32, require_finite
 
 logger = logging.getLogger(__name__)
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 @dataclass(frozen=True)
@@ -73,25 +72,30 @@ class BaselineParams(Record):
 # ---------------------------------------------------------------------------
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Splitmix64's finalizer, in place in the uint64 ``z`` with ``scratch`` of its shape."""
+    for shift, factor in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=scratch)
+        z *= factor
+    return np.bitwise_xor(z, np.right_shift(z, 31, out=scratch), out=z)
 
 
-def name_hash64(name: str) -> int:
-    """Stable 64-bit hash of a tensor name (independent of PYTHONHASHSEED)."""
-    return int.from_bytes(hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest(), "little")
+def _draw_bits(seed: int, name: str, start: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Random bits of elements ``start``, ``start + 1``, ... of (seed, name)
+    in place in the 1D uint64 ``out``, with ``scratch`` of its shape; a
+    stream drawn in pieces equals the stream drawn whole."""
+    key = int(_mix64(np.array([(seed + _GAMMA) % 2**64], np.uint64), np.empty(1, np.uint64))[0])
+    digest = hashlib.blake2b(name.encode("utf-8"), digest_size=8).digest()   # not Python's salted hash
+    out.fill(_GAMMA)
+    out[:1] = ((key ^ int.from_bytes(digest, "little")) + (start + 1) * _GAMMA) % 2**64
+    np.cumsum(out, out=out)   # element i: that key + (start + i + 1) * gamma, modulo 2**64
+    return _mix64(out, scratch)
 
 
 def unit_uniforms(seed: int, name: str, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms in [0, 1), element i depending only on (seed, name,
-    start + i), so a stream drawn in pieces equals the stream drawn whole."""
-    with np.errstate(over="ignore"):
-        base = _mix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + _GAMMA) ^ np.uint64(name_hash64(name))
-        counters = base + (np.arange(start + 1, start + n + 1, dtype=np.uint64)) * _GAMMA
-        bits = _mix64(counters)
-    return (bits >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    """n uniforms in [0, 1): the top 53 bits of elements ``start`` on of DARE's (seed, name) stream."""
+    bits = _draw_bits(seed, name, start, np.empty(n, np.uint64), np.empty(n, np.uint64))
+    return (bits >> 11).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +220,8 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, mag_ml: np
 # ---------------------------------------------------------------------------
 
 # slots of the caller's block buffers: a block's base, ml and mm rows (pass 2
-# encodes in 2, then 0), the cut's tensor-sized |delta| arrays, row scratch
+# encodes in 2, then 0), the cut's tensor-sized |delta| arrays, row scratch;
+# DARE draws its bits in 4-5 and its kept mask in 6, which only a cut uses else
 _BASE, _ML, _MM, _SCORES_ML, _SCORES_MM, _FLAGS, _SIGN, _COUNT = 0, 1, 3, 4, 5, 6, 7, 8
 _BELOW = _SIGN   # Breadcrumbs' second bool block, in a slot TIES alone uses
 
@@ -224,23 +229,24 @@ _BELOW = _SIGN   # Breadcrumbs' second bool block, in a slot TIES alone uses
 def _residual_rows(triple: AlignedTriple, shape: tuple[int, int], take) -> Callable[..., list[np.ndarray]]:
     """``rows(r0, r1)``: rows ``r0:r1`` of the aligned (base, ml - base,
     mm - base) as float32 matrices (a 1D tensor is one column) in the base,
-    ml and mm slots, each checked for non-finite values in turn unless
-    ``check`` is false. Only once a check fails is the input read again, to
-    tell a non-finite input from finite inputs whose residual is past float32."""
+    ml and mm slots, both residuals checked for non-finite values unless
+    ``check`` is false; a non-finite base makes both non-finite. Only once a
+    check fails are the inputs read again, in role order, to tell a
+    non-finite input from finite inputs whose residual is past float32."""
     sources = [(role, triple.aligned_bits(rec).reshape(shape), rec.dtype, slot)
                for role, rec, slot in zip(ROLES, (triple.base, triple.ml, triple.mm), (_BASE, _ML, _MM))]
 
     def rows(r0: int, r1: int, check: bool = True) -> list[np.ndarray]:
         blocks: list[np.ndarray] = []
-        for role, bits, dtype, slot in sources:
-            values = decode_f32(bits[r0:r1], dtype, take(slot, (r1 - r0, shape[1]), np.float32))
-            if blocks:
+        for _, bits, dtype, slot in sources:
+            blocks.append(decode_f32(bits[r0:r1], dtype, take(slot, (r1 - r0, shape[1]), np.float32)))
+            if len(blocks) > 1:
                 with np.errstate(over="ignore", invalid="ignore"):   # checked next
-                    values -= blocks[0]
-            if check and not all_finite(values):
-                word = "residual" if blocks and all_finite(decode_f32(bits[r0:r1], dtype)) else "tensor"
-                raise NumericError(f"{triple.name}: {role} {word} contains non-finite values")
-            blocks.append(values)
+                    blocks[-1] -= blocks[0]
+                if check and not all_finite(blocks[-1]):
+                    for (role, role_bits, role_dtype, _), values in zip(sources, blocks):
+                        for word, read in (("tensor", decode_f32(role_bits[r0:r1], role_dtype)), ("residual", values)):
+                            require_finite(read, f"{triple.name}: {role} {word} contains non-finite values")
         return blocks
 
     return rows
@@ -264,22 +270,27 @@ def _cut_residuals(rows, shape: tuple[int, int], name: str, take, block: int, ke
 def _task_arithmetic(base: np.ndarray, ml: np.ndarray, mm: np.ndarray, lam: float) -> np.ndarray:
     """``base + lam * (ml + mm)`` of a block's residuals, in place in ``ml``."""
     ml += mm
+    ml += np.float32(0.0)   # two dropped negative entries sum to +0.0, as two zeros do
     ml *= np.float32(lam)
     ml += base
     return ml
 
 
-def _plan_dare(rows, p: float, lam: float, seed: int, name: str) -> Callable[[int, int], np.ndarray]:
-    """Drop each residual entry with probability p and rescale the survivors
-    by 1/(1-p), then add as task arithmetic, which is DARE at p = 0; entry i
-    of a source draws uniform i of (seed, source-qualified name)."""
+def _plan_dare(rows, p: float, lam: float, seed: int, name: str, take) -> Callable[[int, int], np.ndarray]:
+    """Drop each residual entry with probability p, then rescale the rest by
+    1/(1-p) and add as task arithmetic, which is DARE at p = 0. Entry i of a
+    source stays where bits i of (seed, source-qualified name) are at least
+    ceil(p * 2**53) << 11, just where its :func:`unit_uniforms` is not below p."""
+    least = np.uint64(math.ceil(p * 2.0**53) << 11)
+
     def compose(r0, r1):
         base, ml, mm = rows(r0, r1)
-        for delta, source in ((ml, "ml:"), (mm, "mm:")):
-            if p:
-                drop = unit_uniforms(seed, source + name, delta.size, r0 * delta.shape[1]).reshape(delta.shape) < p
-                delta /= np.float32(1.0 - p)
-                np.copyto(delta, delta.dtype.type(0), where=drop)
+        if p:
+            bits, scratch = (take(slot, (ml.size,), np.uint64) for slot in (_SCORES_ML, _SCORES_MM))
+            for delta, source in ((ml, "ml:"), (mm, "mm:")):
+                _draw_bits(seed, source + name, r0 * delta.shape[1], bits, scratch)
+                delta *= np.greater_equal(bits.reshape(delta.shape), least, out=take(_FLAGS, delta.shape, bool))
+                delta /= np.float32(1.0 - p)   # after the drop: a dropped entry never overflows
         return _task_arithmetic(base, ml, mm, lam)
 
     return compose
@@ -313,8 +324,7 @@ def _plan_breadcrumbs(rows, shape, params: BaselineParams, name: str, take,
     def compose(r0, r1):
         n, (base, ml, mm) = r1 - r0, rows(r0, r1, check=False)   # checked in pass 1
         for delta, cut in zip((ml, mm), cuts):
-            dropped = cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n], below[:n])
-            np.copyto(delta, delta.dtype.type(0), where=dropped)
+            delta *= np.logical_not(cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n], below[:n]), out=flags[:n])
         return _task_arithmetic(base, ml, mm, params.lam)
 
     return compose
@@ -332,6 +342,6 @@ def merge_baseline_values(method: str, triple: AlignedTriple, params: BaselinePa
     shape = (triple.shape[0], math.prod(triple.shape[1:]))
     rows = _residual_rows(triple, shape, take)
     if method in ("task_arithmetic", "dare"):
-        return _plan_dare(rows, params.dare_drop_p if method == "dare" else 0.0, params.lam, seed, triple.name)
+        return _plan_dare(rows, params.dare_drop_p if method == "dare" else 0.0, params.lam, seed, triple.name, take)
     plan = _plan_ties if method == "ties" else _plan_breadcrumbs
     return plan(rows, shape, params, triple.name, take, min(block_rows, shape[0]))

@@ -18,11 +18,12 @@ method's: dim3 streams the column reductions its weights need (a 1D tensor
 is weighed whole); TIES and Breadcrumbs stream both residuals' |delta| into
 two tensor-sized score arrays and cut a global top-k there; task
 arithmetic and DARE need no pass 1. It returns a compose that decodes and
-merges any block of rows, and pass 2, one loop for every method, composes
-each block of the anchor, rejects it if the output dtype cannot hold every
-value finitely, and encodes and writes it in place in the output file.
-Each worker does all this in the same few arrays for the whole merge, so
-memory follows one row block (and the two score arrays of a top-k cut).
+merges any block of rows, a baseline dropping entries by a kept mask, and
+pass 2, one loop for every method, composes each block of the anchor,
+rejects it if the output dtype cannot hold every value finitely, and
+encodes and writes it in place in the output file. Each worker does all
+this in the same few arrays for the whole merge, so memory follows one row
+block (and the two score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, NumericError, Record, read_section, read_value
+from .errors import ConfigError, Record, read_section, read_value
 from .geometry import (
     EPSILON_DEFAULT,
     SCRATCH_ROWS,
@@ -190,10 +191,10 @@ class BlockBuffers(threading.local):
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a slot overwrites all of it.
     Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3, its
-    compose into 0-1; a baseline's compose decodes base, ml and mm into 0, 1
-    and 3, and a top-k cut streams |delta| into 4-5 (tensor-sized) with
-    flags in 6 and TIES's sign and count in 7-8 or Breadcrumbs' bottom
-    flags in 7; pass 2 encodes in 2 (bf16 rounding sums in 0).
+    compose into 0-1. A baseline decodes base, ml and mm into 0, 1 and 3;
+    a top-k cut streams |delta| into 4-5 (tensor-sized), its flags in 6,
+    TIES's sign and count in 7-8, Breadcrumbs' bottom flags in 7; DARE
+    draws bits in 4-5, its mask in 6. Pass 2 encodes in 2 (bf16 sums in 0).
     """
 
     def __init__(self):
@@ -282,11 +283,6 @@ def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffer
     return compose, None
 
 
-def _within(values: np.ndarray, limit: np.float32) -> bool:
-    """Whether every one of ``values`` lies in [-limit, limit]; a NaN does not."""
-    return bool(-limit <= values.min() and values.max() <= limit)
-
-
 def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sink: Sink,
                   buffers: BlockBuffers) -> None:
     """Pass 2 of every merge, one row block of the anchor at a time: compose
@@ -305,19 +301,19 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     anchor_rows, anchor_cols = _as_matrix(anchor.shape)
     anchor_bits = anchor.bits().reshape(anchor_rows, anchor_cols)
     block = _block_rows(cols)
-    limit = ENCODE_LIMIT[out_dtype]
+    limit, problem = ENCODE_LIMIT[out_dtype], f"values are not finite in {out_dtype.value}"
     narrows = out_dtype.itemsize < anchor.dtype.itemsize
     for r0 in range(0, anchor_rows, block):
         r1 = min(r0 + block, anchor_rows)
         out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
         with np.errstate(over="ignore", invalid="ignore"):   # checked next
             merged = compose(r0, min(r1, rows)) if r0 < rows else None
-        if merged is not None and not _within(merged, limit):
-            raise NumericError(f"{triple.name}: merged values are not finite in {out_dtype.value}")
+        if merged is not None:
+            require_finite(merged, f"{triple.name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
             recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
-            if narrows and not _within(out.view(np.float32), limit):
-                raise NumericError(f"{triple.name}: anchor values are not finite in {out_dtype.value}")
+            if narrows:
+                require_finite(out.view(np.float32), f"{triple.name}: anchor {problem}", limit)
         if merged is not None:
             scratch = buffers.take(0, merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)

@@ -65,10 +65,12 @@ _BITS = {2: np.dtype("<u2"), 4: np.dtype("<u4"), 8: np.dtype("<u8")}
 
 
 def bf16_bits_to_f32(bits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Expand bfloat16 bit patterns (uint16) to float32, losslessly, into
-    ``out`` (float32, of the bits' shape) if given."""
-    wide = None if out is None else out.view(np.uint32)
-    return np.left_shift(bits, np.uint32(16), out=wide, dtype=np.uint32).view(np.float32)
+    """Expand bfloat16 bit patterns (uint16) to float32, losslessly, by a
+    widening copy and a shift, into ``out`` (float32, of the bits' shape) if given."""
+    wide = (np.empty(bits.shape, np.float32) if out is None else out).view(np.uint32)
+    np.copyto(wide, bits)
+    wide <<= np.uint32(16)
+    return wide.view(np.float32)
 
 
 def f32_to_bf16_bits(values: np.ndarray, out: np.ndarray | None = None,
@@ -103,10 +105,10 @@ def decode_f32(bits: np.ndarray, dtype: DType, out: np.ndarray | None = None) ->
     expands losslessly; F64 narrows, an overflow to infinity left for the
     caller's finiteness check.
 
-    F16 expands losslessly by rebiasing its exponent in three passes over
+    F16 expands losslessly by rebiasing its exponent in four passes over
     ``out``, bit for bit what numpy's slower float16 cast gives. The
-    sign-extended shift puts the sign at bit 31 and the exponent and
-    mantissa in their float32 places; the mask clears the sign's extra
+    sign-extending copy and shift put the sign at bit 31 and the exponent
+    and mantissa in their float32 places; the mask clears the sign's extra
     copies; multiplying by 2**112 moves the exponent bias from 15 to 127,
     exactly, and makes an F16 subnormal (here a float32 subnormal) the
     normal float32 it stands for. Exponent 31 has become a finite magnitude
@@ -119,7 +121,8 @@ def decode_f32(bits: np.ndarray, dtype: DType, out: np.ndarray | None = None) ->
         out = np.empty(bits.shape, np.float32)
     if dtype is DType.F16:
         wide = out.view("<u4")
-        np.left_shift(bits.view("<i2"), 13, out=out.view("<i4"), dtype="<i4")
+        np.copyto(out.view("<i4"), bits.view("<i2"))
+        wide <<= np.uint32(13)
         wide &= np.uint32(0x8FFFE000)
         out *= np.float32(2.0 ** 112)
         if not (-65536 < out.min(initial=0.0) and out.max(initial=0.0) < 65536):
@@ -154,15 +157,17 @@ ENCODE_LIMIT = {
 }
 
 
-def all_finite(values: np.ndarray) -> bool:
-    """Whether every one of ``values`` is finite: a NaN propagates through
-    min and max; an infinity is one of them."""
-    return bool(np.isfinite(values.min(initial=0.0)) and np.isfinite(values.max(initial=0.0)))
+def all_finite(values: np.ndarray, limit: float | None = None) -> bool:
+    """Whether every one of ``values`` lies in [-limit, limit], by default
+    the largest finite value of their dtype: a NaN propagates through min
+    and max; an infinity is one of them."""
+    limit = np.finfo(values.dtype).max if limit is None else limit
+    return bool(-limit <= values.min(initial=0.0) and values.max(initial=0.0) <= limit)
 
 
-def require_finite(values: np.ndarray, message: str) -> None:
-    """:class:`NumericError` with ``message`` if any of ``values`` is not finite."""
-    if not all_finite(values):
+def require_finite(values: np.ndarray, message: str, limit: float | None = None) -> None:
+    """:class:`NumericError` with ``message`` unless :func:`all_finite`."""
+    if not all_finite(values, limit):
         raise NumericError(message)
 
 
@@ -248,11 +253,8 @@ class TensorRecord:
         return decode_f32(self.bits(), self.dtype)
 
     def to_f64(self) -> np.ndarray:
-        if self.dtype is DType.BF16:
-            flat = bf16_bits_to_f32(np.frombuffer(self.raw, dtype="<u2")).astype(np.float64)
-        else:
-            flat = np.frombuffer(self.raw, dtype=_NUMPY_VIEW[self.dtype]).astype(np.float64)
-        return flat.reshape(self.shape)
+        values = self.to_f32() if self.dtype is DType.BF16 else self.bits().view(_NUMPY_VIEW[self.dtype])
+        return values.astype(np.float64)
 
     def astype(self, dtype: DType) -> "TensorRecord":
         """Re-encode the payload in another storage dtype (lossy where narrower)."""

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import dimerge.merge as merge_module
 from dimerge.baselines import BaselineParams, unit_uniforms
 from dimerge.errors import ConfigError
+from dimerge.geometry import TILE_ROWS
 from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import TensorRecord
 
@@ -135,6 +137,33 @@ class TestDare:
     def test_p_one_rejected(self):
         with pytest.raises(ConfigError):
             MergeConfig(method="dare", baseline=BaselineParams(dare_drop_p=1.0))
+
+    def test_a_dropped_entry_never_overflows(self):
+        """Entries that would overflow float32 once rescaled merge as zeros
+        where they are dropped: the drop comes before the rescale."""
+        p, n = 0.9, 64
+        dropped = unit_uniforms(0, "ml:w", n) < p
+        delta = np.where(dropped, np.float32(3e38), np.float32(1.0))
+        zeros = np.zeros(n, np.float32)
+        out = merge_tensor(triple_of(zeros, delta, zeros, name="w"),
+                           MergeConfig(method="dare", baseline=BaselineParams(dare_drop_p=p)))
+        assert out.raw == np.where(dropped, np.float32(0.0), np.float32(1.0) / np.float32(1.0 - p)).tobytes()
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9, 0.999])
+    def test_keeps_what_the_uniforms_keep_across_blocks(self, monkeypatch, p):
+        """In row blocks of one tile, DARE keeps exactly the entries whose
+        uniforms are not below p. The base is -0.0 and both residuals are
+        negative, so an entry dropped from both merges to +0.0, as a zeroed
+        copy of each residual would."""
+        shape = (3 * TILE_ROWS + 5, 7)
+        base = np.full(shape, -0.0, np.float32)
+        cfg = MergeConfig(method="dare", seed=5, baseline=BaselineParams(dare_drop_p=p))
+        monkeypatch.setattr(merge_module, "_block_rows", lambda cols: TILE_ROWS)
+        out = merge_tensor(triple_of(base, base - 1.0, base - 2.0, name="w"), cfg)
+        kept = [(unit_uniforms(5, source + "w", base.size) >= p).reshape(shape) for source in ("ml:", "mm:")]
+        d_ml, d_mm = (np.where(k, np.float32(-d) / np.float32(1.0 - p), np.float32(0.0)) for k, d in zip(kept, (1, 2)))
+        assert np.any(kept[0] | kept[1]) and not np.all(kept[0] | kept[1])
+        assert out.raw == ((d_ml + d_mm) + base).tobytes()
 
 
 class TestTies:

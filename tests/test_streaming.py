@@ -312,26 +312,28 @@ def test_baselines_without_a_cut_peak_does_not_grow_with_height(tmp_path, method
     assert tall - short < 8 * 1024, (short, tall)
 
 
-def test_baseline_faults_do_not_grow_with_tensors(tmp_path):
-    """Minor page faults of a fresh process running a TIES merge of two
+@pytest.mark.parametrize("method", ["ties", "dare", "task_arithmetic"])
+def test_baseline_faults_do_not_grow_with_tensors(tmp_path, method):
+    """Minor page faults of a fresh process running a baseline merge of two
     mapped F16 tensors, then of eight of the same shape: the residuals,
-    scores and row-block scratch live in the worker's reused buffers, so six
-    more tensors add a small fixed number of faults, not fresh tensor-sized
-    temporaries for each."""
+    scores, DARE's random bits and the row-block scratch live in the
+    worker's reused buffers, so six more tensors add a small fixed number of
+    faults, not fresh tensor-sized or block-sized temporaries for each."""
     roots = []
     for count in (2, 8):
         shapes = {f"w{i}": (512, 1024) for i in range(count)}
         on_disk_triple(tmp_path / str(count), shapes, seed=count, dtype=DType.F16)
         roots.append(str(tmp_path / str(count)))
-    few, many = probe_faults("ties", roots)
+    few, many = probe_faults(method, roots)
     assert many - few < 3000, (few, many)
 
 
 def record_buffers(monkeypatch):
     """Wrap the kernels that take row-block buffers (the column sums, the
-    top-k cut's ``select`` and the encoder) to record, per thread, the
-    array that owns the memory of each array handed to them. The owners are
-    kept alive, so a fresh allocation can never reuse a recorded one's memory."""
+    top-k cut's ``select``, DARE's draw and the encoder) to record, per
+    thread, the array that owns the memory of each array handed to them. The
+    owners are kept alive, so a fresh allocation can never reuse a recorded
+    one's memory."""
     owners = {}
 
     def record(*arrays):
@@ -351,20 +353,21 @@ def record_buffers(monkeypatch):
     # the column sums' first argument is the sums, one small array per tensor
     for module, name, skip in ((merge_module, "accumulate_column_sums", 1),
                                (diagnostics_module, "accumulate_residual_sums", 1),
-                               (merge_module, "encode_bits", 0), (baselines_module.TopKCut, "select", 0)):
+                               (merge_module, "encode_bits", 0), (baselines_module.TopKCut, "select", 0),
+                               (baselines_module, "_draw_bits", 0)):
         monkeypatch.setattr(module, name, recording(getattr(module, name), skip))
     return owners
 
 
-@pytest.mark.parametrize("method", ["dim3", "diagnose", "ties", "breadcrumbs"])
+@pytest.mark.parametrize("method", ["dim3", "diagnose", "ties", "breadcrumbs", "dare", "task_arithmetic"])
 @pytest.mark.parametrize("threads", [1, 2])
 def test_kernels_reuse_a_few_buffers_per_worker(tmp_path, monkeypatch, method, threads):
     """Every block of four bf16 tensors of one shape, cut into one row block
     each and then into five, reaches the kernels in the same few buffers per
     worker: the column sums' decoded blocks and float64 scratch, the cut's
-    scores and flags, the encoder's output and rounding scratch. A fresh
-    array per block, even one the allocator serves from the memory just
-    freed, adds a buffer per block."""
+    scores and flags, DARE's bits and their scratch, the encoder's output
+    and rounding scratch. A fresh array per block, even one the allocator
+    serves from the memory just freed, adds a buffer per block."""
     triple = on_disk_triple(tmp_path, {f"w{i}": (5 * TILE_ROWS, 16) for i in range(4)}, seed=15)
     counts = []
     for tiles in (5, 1):
@@ -411,21 +414,26 @@ def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, outp
         sys.setswitchinterval(interval)
 
 
-def expected_baseline_bits(triple, cfg):
-    """The anchor-shaped output bits of one tensor from the naive references
-    in ``reference.py``, encoded in the output dtype over the anchor's own."""
+def expected_baseline_values(triple, cfg):
+    """One tensor's merged region in float32 from the naive references in
+    ``reference.py``, flat."""
     base, ml, mm = triple.to_f32()
     d_ml, d_mm = ml - base, mm - base
     p = cfg.baseline
     if cfg.method == "ties":
-        values = reference.ties(base, d_ml, d_mm, p.ties_density, p.lam)
-    else:
-        if cfg.method == "dare":
-            d_ml = reference.dare(d_ml, p.dare_drop_p, cfg.seed, "ml:" + triple.name)
-            d_mm = reference.dare(d_mm, p.dare_drop_p, cfg.seed, "mm:" + triple.name)
-        elif cfg.method == "breadcrumbs":
-            d_ml, d_mm = (reference.breadcrumbs(d, p.breadcrumbs_beta, p.breadcrumbs_gamma) for d in (d_ml, d_mm))
-        values = reference.task_arithmetic(base, d_ml, d_mm, p.lam)
+        return reference.ties(base, d_ml, d_mm, p.ties_density, p.lam)
+    if cfg.method == "dare":
+        d_ml = reference.dare(d_ml, p.dare_drop_p, cfg.seed, "ml:" + triple.name)
+        d_mm = reference.dare(d_mm, p.dare_drop_p, cfg.seed, "mm:" + triple.name)
+    elif cfg.method == "breadcrumbs":
+        d_ml, d_mm = (reference.breadcrumbs(d, p.breadcrumbs_beta, p.breadcrumbs_gamma) for d in (d_ml, d_mm))
+    return reference.task_arithmetic(base, d_ml, d_mm, p.lam)
+
+
+def expected_baseline_bits(triple, cfg):
+    """The anchor-shaped output bits of one tensor from the naive references,
+    encoded in the output dtype over the anchor's own."""
+    values = expected_baseline_values(triple, cfg)
     anchor = triple.mm
     out_dtype = anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
     bits = recode_bits(anchor.bits(), anchor.dtype, out_dtype)
