@@ -11,6 +11,7 @@ applies scope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
@@ -57,10 +58,22 @@ class AlignedTriple:
         """Elements in the aligned region."""
         return int(np.prod(self.shape))
 
+    @property
+    def matrix(self) -> tuple[int, int]:
+        """The aligned region as (rows, columns): a 1D tensor is one column,
+        a scalar one row of one."""
+        return (self.shape + (1,))[0], prod(self.shape[1:])
+
     def aligned_bits(self, rec: TensorRecord) -> np.ndarray:
         """The stored bits of ``rec`` inside the aligned region, as a view."""
         bits = rec.bits()
         return bits if rec.shape == self.shape else bits[tuple(slice(0, d) for d in self.shape)]
+
+    def decode_rows(self, role: str, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``r0:r1`` of ``role``'s aligned region as a float32
+        :attr:`matrix` block, into ``out`` or a fresh array."""
+        rec = (self.base, self.ml, self.mm)[ROLES.index(role)]
+        return decode_f32(self.aligned_bits(rec).reshape(self.matrix)[r0:r1], rec.dtype, out)
 
     def to_f32(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode the aligned region of (base, ml, mm) to float32; any

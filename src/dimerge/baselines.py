@@ -6,16 +6,17 @@ pass 1 calls on an aligned tensor; to run a baseline on one tensor, call
 :func:`~dimerge.merge.merge_tensor` with the method in its config. So every
 method honors the same scope filtering and anchor pass-through as the
 column-wise merge. Every method composes the merge one block of rows at a
-time: it decodes those rows of base, ml and mm, forms both residuals and
+time: it reads those rows of base, ml and mm, forms both residuals and
 merges them in place. TIES and Breadcrumbs first cut each residual by its
 |delta|, streamed block by block into one tensor-sized array per residual
 and found by partitioning it: TIES keeps the top of each, Breadcrumbs drops
 the top and the bottom, both sides of one cut; the compose applies the
 cuts in flat order. Task arithmetic and DARE hold nothing tensor-sized.
+Every array is one of the worker's :class:`~dimerge.merge.BlockBuffers`.
 Every method drops entries one way: it multiplies a residual block in place
-by a kept mask in the caller's block buffers. DARE draws its mask there from
-a counter-based generator keyed by (seed, tensor-name hash, element index),
-so results are identical under any parallel schedule and any block size.
+by a kept mask. DARE draws its mask from a counter-based generator keyed by
+(seed, tensor-name hash, element index), so results are identical under any
+parallel schedule and any block size.
 """
 
 from __future__ import annotations
@@ -24,13 +25,16 @@ import hashlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .align import ROLES, AlignedTriple
 from .errors import ConfigError, Record, read_section, read_value
-from .records import all_finite, decode_f32, require_finite
+from .records import all_finite, require_finite
+
+if TYPE_CHECKING:
+    from .merge import BlockBuffers
 
 logger = logging.getLogger(__name__)
 
@@ -219,52 +223,40 @@ def _ties_block(base: np.ndarray, t_ml: np.ndarray, t_mm: np.ndarray, mag_ml: np
 # methods: cut the streamed |delta|, then compose block by block
 # ---------------------------------------------------------------------------
 
-# slots of the caller's block buffers: a block's base, ml and mm rows (pass 2
-# encodes in 2, then 0), the cut's tensor-sized |delta| arrays, row scratch;
-# DARE draws its bits in 4-5 and its kept mask in 6, which only a cut uses else
-_BASE, _ML, _MM, _SCORES_ML, _SCORES_MM, _FLAGS, _SIGN, _COUNT = 0, 1, 3, 4, 5, 6, 7, 8
-_BELOW = _SIGN   # Breadcrumbs' second bool block, in a slot TIES alone uses
+def _residual_rows(triple: AlignedTriple, buffers: BlockBuffers, r0: int, r1: int,
+                   check: bool = True) -> list[np.ndarray]:
+    """Rows ``r0:r1`` of the aligned (base, ml - base, mm - base) as float32
+    matrices in the role buffers of ``buffers``, both residuals checked for
+    non-finite values unless ``check`` is false; a non-finite base makes
+    both non-finite. Only once a check fails are the inputs read again, in
+    role order, to tell a non-finite input from finite inputs whose
+    residual is past float32."""
+    blocks = buffers.read(triple, r0, r1)
+    with np.errstate(over="ignore", invalid="ignore"):   # checked next
+        for delta in blocks[1:]:
+            delta -= blocks[0]
+    if check and not all(all_finite(delta) for delta in blocks[1:]):
+        for role, values in zip(ROLES, blocks):
+            for word, read in (("tensor", triple.decode_rows(role, r0, r1)), ("residual", values)):
+                require_finite(read, f"{triple.name}: {role} {word} contains non-finite values")
+    return blocks
 
 
-def _residual_rows(triple: AlignedTriple, shape: tuple[int, int], take) -> Callable[..., list[np.ndarray]]:
-    """``rows(r0, r1)``: rows ``r0:r1`` of the aligned (base, ml - base,
-    mm - base) as float32 matrices (a 1D tensor is one column) in the base,
-    ml and mm slots, both residuals checked for non-finite values unless
-    ``check`` is false; a non-finite base makes both non-finite. Only once a
-    check fails are the inputs read again, in role order, to tell a
-    non-finite input from finite inputs whose residual is past float32."""
-    sources = [(role, triple.aligned_bits(rec).reshape(shape), rec.dtype, slot)
-               for role, rec, slot in zip(ROLES, (triple.base, triple.ml, triple.mm), (_BASE, _ML, _MM))]
-
-    def rows(r0: int, r1: int, check: bool = True) -> list[np.ndarray]:
-        blocks: list[np.ndarray] = []
-        for _, bits, dtype, slot in sources:
-            blocks.append(decode_f32(bits[r0:r1], dtype, take(slot, (r1 - r0, shape[1]), np.float32)))
-            if len(blocks) > 1:
-                with np.errstate(over="ignore", invalid="ignore"):   # checked next
-                    blocks[-1] -= blocks[0]
-                if check and not all_finite(blocks[-1]):
-                    for (role, role_bits, role_dtype, _), values in zip(sources, blocks):
-                        for word, read in (("tensor", decode_f32(role_bits[r0:r1], role_dtype)), ("residual", values)):
-                            require_finite(read, f"{triple.name}: {role} {word} contains non-finite values")
-        return blocks
-
-    return rows
-
-
-def _cut_residuals(rows, shape: tuple[int, int], name: str, take, block: int, keep: int, drop: int | None = None):
+def _cut_residuals(triple: AlignedTriple, buffers: BlockBuffers, keep: int, drop: int | None = None):
     """Pass 1 of a top-k method: each residual's |delta|, streamed block by
-    block into its tensor-sized score slot, and cut there; logged. Returns
-    ml's scores (row scratch from then on), the cuts' bool rows and the cuts."""
-    scores = [take(slot, shape, np.float32) for slot in (_SCORES_ML, _SCORES_MM)]
-    for r0 in range(0, shape[0], block):
-        for delta, out in zip(rows(r0, min(r0 + block, shape[0]))[1:], scores):
-            np.abs(delta, out=out[r0:r0 + block])
-    flags = take(_FLAGS, (block, shape[1]), bool)
+    block into its tensor-sized scores buffer, and cut there; logged.
+    Returns ml's scores (row scratch from then on) and the cuts."""
+    scores = [buffers.take(name, triple.matrix, np.float32) for name in ("scores_ml", "scores_mm")]
+    blocks = buffers.blocks(triple)
+    for r0, r1 in blocks:
+        for delta, out in zip(_residual_rows(triple, buffers, r0, r1)[1:], scores):
+            np.abs(delta, out=out[r0:r1])
+    # the cut counts its ties in the flags the compose marks, the first (and tallest) block's worth at a time
+    flags = buffers.take("flags", (blocks[0][1], triple.matrix[1]), bool)
     cuts = [TopKCut(part, keep, flags, drop) for part in scores]
-    logger.debug("%s: top-k cut done: %s", name,
+    logger.debug("%s: top-k cut done: %s", triple.name,
                  "; ".join(cut.describe(label) for label, cut in zip(("ml", "mm"), cuts)))
-    return scores[0], flags, cuts
+    return scores[0], cuts
 
 
 def _task_arithmetic(base: np.ndarray, ml: np.ndarray, mm: np.ndarray, lam: float) -> np.ndarray:
@@ -276,7 +268,8 @@ def _task_arithmetic(base: np.ndarray, ml: np.ndarray, mm: np.ndarray, lam: floa
     return ml
 
 
-def _plan_dare(rows, p: float, lam: float, seed: int, name: str, take) -> Callable[[int, int], np.ndarray]:
+def _plan_dare(triple: AlignedTriple, p: float, lam: float, seed: int,
+               buffers: BlockBuffers) -> Callable[[int, int], np.ndarray]:
     """Drop each residual entry with probability p, then rescale the rest by
     1/(1-p) and add as task arithmetic, which is DARE at p = 0. Entry i of a
     source stays where bits i of (seed, source-qualified name) are at least
@@ -284,64 +277,61 @@ def _plan_dare(rows, p: float, lam: float, seed: int, name: str, take) -> Callab
     least = np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def compose(r0, r1):
-        base, ml, mm = rows(r0, r1)
+        base, ml, mm = _residual_rows(triple, buffers, r0, r1)
         if p:
-            bits, scratch = (take(slot, (ml.size,), np.uint64) for slot in (_SCORES_ML, _SCORES_MM))
+            bits, scratch = (buffers.take(buffer, (ml.size,), np.uint64) for buffer in ("bits", "bits_scratch"))
             for delta, source in ((ml, "ml:"), (mm, "mm:")):
-                _draw_bits(seed, source + name, r0 * delta.shape[1], bits, scratch)
-                delta *= np.greater_equal(bits.reshape(delta.shape), least, out=take(_FLAGS, delta.shape, bool))
+                _draw_bits(seed, source + triple.name, r0 * delta.shape[1], bits, scratch)
+                kept = buffers.take("flags", delta.shape, bool)
+                delta *= np.greater_equal(bits.reshape(delta.shape), least, out=kept)
                 delta /= np.float32(1.0 - p)   # after the drop: a dropped entry never overflows
         return _task_arithmetic(base, ml, mm, lam)
 
     return compose
 
 
-def _plan_ties(rows, shape, params: BaselineParams, name: str, take, block: int) -> Callable[[int, int], np.ndarray]:
-    keep = math.ceil(params.ties_density * math.prod(shape))
-    scores, flags, cuts = _cut_residuals(rows, shape, name, take, block, keep)
-    sign, count = (take(slot, flags.shape, np.float32) for slot in (_SIGN, _COUNT))
+def _plan_ties(triple: AlignedTriple, params: BaselineParams,
+               buffers: BlockBuffers) -> Callable[[int, int], np.ndarray]:
+    scores, cuts = _cut_residuals(triple, buffers, math.ceil(params.ties_density * triple.size))
 
     def compose(r0, r1):
-        n, (base, t_ml, t_mm) = r1 - r0, rows(r0, r1, check=False)   # checked in pass 1
+        base, t_ml, t_mm = _residual_rows(triple, buffers, r0, r1, check=False)   # checked in pass 1
+        flags, sign, count = (buffers.take(name, base.shape, dtype)
+                              for name, dtype in (("flags", bool), ("sign", np.float32), ("count", np.float32)))
         # mm's cut first, so that the block's scores left for the merge are |ml|
         for delta, cut in zip((t_mm, t_ml), cuts[::-1]):
-            delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n])
-        return _ties_block(base, t_ml, t_mm, scores[r0:r1], params.lam, sign[:n], count[:n], flags[:n])
+            delta *= cut.select(np.abs(delta, out=scores[r0:r1]), flags)
+        return _ties_block(base, t_ml, t_mm, scores[r0:r1], params.lam, sign, count, flags)
 
     return compose
 
 
-def _plan_breadcrumbs(rows, shape, params: BaselineParams, name: str, take,
-                      block: int) -> Callable[[int, int], np.ndarray]:
+def _plan_breadcrumbs(triple: AlignedTriple, params: BaselineParams,
+                      buffers: BlockBuffers) -> Callable[[int, int], np.ndarray]:
     """Zero the int(beta*n) smallest |delta| of each residual and the
     int(gamma*n) largest of the rest, then add as task arithmetic. One cut
     takes both: int(beta*n) + int(gamma*n) <= n, so the top of the
     survivors is the top overall, save for the ties where the sides meet."""
-    keep, drop = (int(fraction * math.prod(shape)) for fraction in (params.breadcrumbs_gamma, params.breadcrumbs_beta))
-    scores, flags, cuts = _cut_residuals(rows, shape, name, take, block, keep, drop)
-    below = take(_BELOW, flags.shape, bool)
+    keep, drop = (int(fraction * triple.size) for fraction in (params.breadcrumbs_gamma, params.breadcrumbs_beta))
+    scores, cuts = _cut_residuals(triple, buffers, keep, drop)
 
     def compose(r0, r1):
-        n, (base, ml, mm) = r1 - r0, rows(r0, r1, check=False)   # checked in pass 1
+        base, ml, mm = _residual_rows(triple, buffers, r0, r1, check=False)   # checked in pass 1
+        flags, below = (buffers.take(name, base.shape, bool) for name in ("flags", "below"))
         for delta, cut in zip((ml, mm), cuts):
-            delta *= np.logical_not(cut.select(np.abs(delta, out=scores[r0:r1]), flags[:n], below[:n]), out=flags[:n])
+            delta *= np.logical_not(cut.select(np.abs(delta, out=scores[r0:r1]), flags, below), out=flags)
         return _task_arithmetic(base, ml, mm, params.lam)
 
     return compose
 
 
 def merge_baseline_values(method: str, triple: AlignedTriple, params: BaselineParams, seed: int,
-                          take: Callable[..., np.ndarray], block_rows: int) -> Callable[[int, int], np.ndarray]:
-    """Plan one aligned tensor's merge by a baseline method: TIES and
-    Breadcrumbs stream and cut both residuals' |delta| here; the others
-    need no pass 1. Returns ``compose(r0, r1)``, rows ``r0:r1`` of the
-    merge in float32 (a 1D tensor being one column), which decodes those
-    rows and merges them in place; the rows come in order, ``block_rows`` at
-    most at a time. Buffers come from ``take(slot, shape, dtype)``, as
-    :meth:`~dimerge.merge.BlockBuffers.take` (slots 0-1 and 3-8)."""
-    shape = (triple.shape[0], math.prod(triple.shape[1:]))
-    rows = _residual_rows(triple, shape, take)
+                          buffers: BlockBuffers) -> Callable[[int, int], np.ndarray]:
+    """Plan one aligned tensor's merge by a baseline method in the worker's
+    ``buffers``: TIES and Breadcrumbs stream and cut both residuals' |delta|
+    here; the others need no pass 1. Returns ``compose(r0, r1)``, which
+    reads rows ``r0:r1`` (in order, one of ``buffers.blocks`` at most) and
+    merges them in place in ml's row buffer, a float32 matrix block."""
     if method in ("task_arithmetic", "dare"):
-        return _plan_dare(rows, params.dare_drop_p if method == "dare" else 0.0, params.lam, seed, triple.name, take)
-    plan = _plan_ties if method == "ties" else _plan_breadcrumbs
-    return plan(rows, shape, params, triple.name, take, min(block_rows, shape[0]))
+        return _plan_dare(triple, params.dare_drop_p if method == "dare" else 0.0, params.lam, seed, buffers)
+    return (_plan_ties if method == "ties" else _plan_breadcrumbs)(triple, params, buffers)

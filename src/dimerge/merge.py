@@ -13,17 +13,18 @@ through the weights. 1D parameters use absolute element deviations and
 element-wise weights. All other anchor tensors (vision encoder, projector,
 out-of-scope keys) are copied from the anchor verbatim.
 
-Every merged tensor is written in two passes over row blocks. Pass 1 is the
-method's: dim3 streams the column reductions its weights need (a 1D tensor
-is weighed whole); TIES and Breadcrumbs stream both residuals' |delta| into
-two tensor-sized score arrays and cut a global top-k there; task
-arithmetic and DARE need no pass 1. It returns a compose that decodes and
-merges any block of rows, a baseline dropping entries by a kept mask, and
+Every merged tensor is written in two passes over row blocks (a 1D tensor
+is one column). Pass 1 is the method's: dim3 streams the column reductions
+its weights need (a 1D tensor's element weights rank it whole); TIES and
+Breadcrumbs stream both residuals' |delta| into two tensor-sized score
+arrays and cut a global top-k there; task arithmetic and DARE need no
+pass 1. It returns a compose that reads and merges any block of rows, and
 pass 2, one loop for every method, composes each block of the anchor,
 rejects it if the output dtype cannot hold every value finitely, and
-encodes and writes it in place in the output file. Each worker does all
-this in the same few arrays for the whole merge, so memory follows one row
-block (and the two score arrays of a top-k cut).
+encodes and writes it in place in the output file. Each worker reads every
+block through its :class:`BlockBuffers`, arrays named for what they hold
+and kept for the whole merge, so memory follows one row block (and the two
+score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .geometry import (
     accumulate_column_sums,
     deviations_from_sums,
 )
-from .records import ENCODE_LIMIT, DType, TensorRecord, decode_f32, encode_bits, recode_bits, require_finite
+from .records import ENCODE_LIMIT, DType, TensorRecord, encode_bits, recode_bits, require_finite
 from .salience import (
     AggregationKind,
     EstimatorKind,
@@ -174,40 +175,47 @@ def _weights(dev: ColumnDeviations, cfg: MergeConfig) -> SalienceWeights:
     return aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
 
 
-def _as_matrix(shape: tuple[int, ...]) -> tuple[int, int]:
-    return shape[0], prod(shape[1:])
-
-
 def _block_rows(cols: int) -> int:
     """Rows per streamed block: whole tiles, about ``_BLOCK_ELEMENTS`` values."""
     return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
 
 
 class BlockBuffers(threading.local):
-    """Scratch arrays for streamed row blocks, one set per thread.
+    """A worker's named arrays for streamed row blocks, one set per thread.
 
-    A slot keeps its memory for as long as the object lives and grows only
+    A buffer keeps its memory for as long as the object lives and grows only
     when a block needs more, so once the largest block has been seen,
     decoding, composing and encoding allocate nothing: no fresh pages to
-    fault in for every block. Whatever takes a slot overwrites all of it.
-    Slots: dim3's pass 1 decodes into 0-2 and widens tiles in 3, its
-    compose into 0-1. A baseline decodes base, ml and mm into 0, 1 and 3;
-    a top-k cut streams |delta| into 4-5 (tensor-sized), its flags in 6,
-    TIES's sign and count in 7-8, Breadcrumbs' bottom flags in 7; DARE
-    draws bits in 4-5, its mask in 6. Pass 2 encodes in 2 (bf16 sums in 0).
+    fault in for every block. Whatever takes a buffer overwrites all of it.
+    :meth:`read` decodes each role's rows into the buffer named for the role
+    (``ROLES``); every other name is its user's, for what it holds.
     """
 
     def __init__(self):
-        self._slots: dict[int, np.ndarray] = {}
+        self._arrays: dict[str, np.ndarray] = {}
 
-    def take(self, slot: int, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialized array of ``shape`` and ``dtype`` in ``slot``."""
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array of ``shape`` and ``dtype`` in buffer ``name``."""
         dtype = np.dtype(dtype)
         nbytes = prod(shape) * dtype.itemsize
-        raw = self._slots.get(slot)
+        raw = self._arrays.get(name)
         if raw is None or raw.nbytes < nbytes:
-            raw = self._slots[slot] = np.empty(nbytes, np.uint8)
+            raw = self._arrays[name] = np.empty(nbytes, np.uint8)
         return raw[:nbytes].view(dtype).reshape(shape)
+
+    def blocks(self, triple: AlignedTriple, rows: int | None = None) -> list[tuple[int, int]]:
+        """``(r0, r1)`` of each row block over the first ``rows`` rows (by
+        default the region's), in order: whole tiles, about
+        ``_BLOCK_ELEMENTS`` values of the region's width each."""
+        rows = triple.matrix[0] if rows is None else rows
+        block = _block_rows(triple.matrix[1])
+        return [(r0, min(r0 + block, rows)) for r0 in range(0, rows, block)]
+
+    def read(self, triple: AlignedTriple, r0: int, r1: int, roles: Iterable[str] = ROLES) -> list[np.ndarray]:
+        """Rows ``r0:r1`` of each of ``roles``' aligned region, decoded to a
+        float32 matrix in the buffer named for the role."""
+        shape = (r1 - r0, triple.matrix[1])
+        return [triple.decode_rows(role, r0, r1, self.take(role, shape, np.float32)) for role in roles]
 
 
 def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
@@ -218,20 +226,14 @@ def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
 def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
                        buffers: BlockBuffers) -> np.ndarray:
     """The ``count`` column sums that ``accumulate(sums, base, ml, mm, scratch)``
-    adds for each row block of the aligned region, decoded into ``buffers``
-    slots 0-2 and widened in slot 3. A 1D tensor is one column, a scalar one
-    row of it. The base's pages are released block by block after their last read."""
-    rows, cols = (triple.shape + (1, 1))[:2]
-    block = _block_rows(cols)
-    sources = [(triple.aligned_bits(rec).reshape(rows, cols), rec.dtype)
-               for rec in (triple.base, triple.ml, triple.mm)]
+    adds for each row block of the aligned :attr:`~AlignedTriple.matrix`,
+    read by ``buffers``, widened in its ``"scratch"``. The base's pages are
+    released block by block after their last read."""
+    cols = triple.matrix[1]
     sums = np.zeros((count, cols))
-    scratch = buffers.take(3, (SCRATCH_ROWS, cols), np.float64)
-    for r0 in range(0, rows, block):
-        r1 = min(r0 + block, rows)
-        blocks = (decode_f32(bits[r0:r1], dtype, buffers.take(slot, (r1 - r0, cols), np.float32))
-                  for slot, (bits, dtype) in enumerate(sources))
-        accumulate(sums, *blocks, scratch)
+    scratch = buffers.take("scratch", (SCRATCH_ROWS, cols), np.float64)
+    for r0, r1 in buffers.blocks(triple):
+        accumulate(sums, *buffers.read(triple, r0, r1), scratch)
         _release_rows(triple.base, r0, r1)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
@@ -243,32 +245,27 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
 def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, SalienceWeights]:
     """Pass 1 of a dim3 merge: the weights, and the compose that blends the
     two sources by them. A 2D tensor streams its column sums
-    (:func:`stream_column_sums`, slots 0-3); its compose decodes a block of
-    each source into slots 0 and 1 and blends in place in slot 1. A 1D
-    tensor is merged whole by its element weights. A difference ``ml - mm``
-    past float32 blends to a non-finite value, which pass 2 rejects."""
+    (:func:`stream_column_sums`) for one weight per column; a 1D tensor,
+    decoded whole, gets one weight per element, which its one-column
+    matrix views per row. The compose reads a block of both sources and
+    blends in place in ml's buffer. A difference ``ml - mm`` past float32
+    blends to a non-finite value, which pass 2 rejects."""
     if triple.rank == 1:
         base, ml, mm = triple.to_f32()
-        dev_ml = np.abs(ml.astype(np.float64) - base)
-        dev_mm = np.abs(mm.astype(np.float64) - base)
-        weights = elementwise_salience(dev_ml, dev_mm, cfg.estimator)
-        logger.debug("%s: pass 1 done: element weights", triple.name)
+        weights = elementwise_salience(*(np.abs(x.astype(np.float64) - base) for x in (ml, mm)), cfg.estimator)
+        w_ml = weights.omega_ml.astype(np.float32).reshape(-1, 1)
+    else:
+        sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
+        weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
         w_ml = weights.omega_ml.astype(np.float32)
-        return (lambda r0, r1: (mm[r0:r1] + w_ml[r0:r1] * (ml[r0:r1] - mm[r0:r1])).reshape(-1, 1)), weights
-    sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
-    logger.debug("%s: pass 1 done: column sums", triple.name)
-    weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
-    w_ml = weights.omega_ml.astype(np.float32)
-    ml, mm = triple.aligned_bits(triple.ml), triple.aligned_bits(triple.mm)
+    logger.debug("%s: pass 1 done: %s weights", triple.name, "element" if triple.rank == 1 else "column")
 
     def compose(r0: int, r1: int) -> np.ndarray:
         # mm + w_ml * (ml - mm), computed in place
-        shape = (r1 - r0, triple.shape[1])
-        mm_rows = decode_f32(mm[r0:r1], triple.mm.dtype, buffers.take(0, shape, np.float32))
-        merged = decode_f32(ml[r0:r1], triple.ml.dtype, buffers.take(1, shape, np.float32))
-        merged -= mm_rows
-        merged *= w_ml
-        merged += mm_rows
+        merged, mm = buffers.read(triple, r0, r1, ("multilingual", "anchor"))
+        merged -= mm
+        merged *= w_ml[r0:r1] if triple.rank == 1 else w_ml
+        merged += mm
         return merged
 
     return compose, weights
@@ -276,9 +273,8 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
 
 def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, None]:
     """Pass 1 of a baseline merge: :func:`~dimerge.baselines.merge_baseline_values`
-    in ``buffers``, whose compose decodes each block of rows itself."""
-    compose = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers.take,
-                                    _block_rows(_as_matrix(triple.shape)[1]))
+    in ``buffers``, whose compose reads each block of rows itself."""
+    compose = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers)
     logger.debug("%s: pass 1 done: %s", triple.name, cfg.method)
     return compose, None
 
@@ -288,26 +284,24 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
     """Pass 2 of every merge, one row block of the anchor at a time: compose
     the aligned rows, encode them in ``out_dtype`` over the anchor's own
     rows and columns, re-encoded, hand the block to ``sink`` at its byte
-    offset and release the inputs' pages. The output bits go in ``buffers``
-    slot 2 and the bf16 rounding sums in slot 0, both of which a dim3 pass 1
-    has already grown. This is the one check on merged values, for every
-    method: a composed block whose min or max is NaN or past what encodes
-    finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a numeric error. Where
-    ``out_dtype`` is narrower than the anchor's (F64 to F32, the one
-    narrowing :func:`_out_dtype` allows), the re-encoded anchor rows and
-    columns get the same check."""
+    offset and release the inputs' pages. Every compose returns its block
+    in the multilingual row buffer of ``buffers``, so once it has returned
+    the output bits take the anchor's row buffer and BF16's rounding sums
+    the base's: no buffer is added for pass 2. This is the one check on
+    merged values, for every method: a composed block whose min or max is
+    NaN or past what encodes finitely in ``out_dtype`` (``ENCODE_LIMIT``)
+    is a numeric error. Where ``out_dtype`` is narrower than the anchor's
+    (F64 to F32, the one narrowing :func:`_out_dtype` allows), the
+    re-encoded anchor rows and columns get the same check."""
     anchor = triple.mm
-    rows, cols = _as_matrix(triple.shape)
-    anchor_rows, anchor_cols = _as_matrix(anchor.shape)
-    anchor_bits = anchor.bits().reshape(anchor_rows, anchor_cols)
-    block = _block_rows(cols)
+    rows, cols = triple.matrix
+    anchor_bits = anchor.bits().reshape(anchor.shape[0], -1)
     limit, problem = ENCODE_LIMIT[out_dtype], f"values are not finite in {out_dtype.value}"
     narrows = out_dtype.itemsize < anchor.dtype.itemsize
-    for r0 in range(0, anchor_rows, block):
-        r1 = min(r0 + block, anchor_rows)
-        out = buffers.take(2, (r1 - r0, anchor_cols), f"<u{out_dtype.itemsize}")
+    for r0, r1 in buffers.blocks(triple, len(anchor_bits)):
         with np.errstate(over="ignore", invalid="ignore"):   # checked next
             merged = compose(r0, min(r1, rows)) if r0 < rows else None
+        out = buffers.take("anchor", (r1 - r0, anchor_bits.shape[1]), f"<u{out_dtype.itemsize}")
         if merged is not None:
             require_finite(merged, f"{triple.name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
@@ -315,9 +309,9 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
             if narrows:
                 require_finite(out.view(np.float32), f"{triple.name}: anchor {problem}", limit)
         if merged is not None:
-            scratch = buffers.take(0, merged.shape, np.uint32) if out_dtype is DType.BF16 else None
+            scratch = buffers.take("base", merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)
-        sink(r0 * anchor_cols * out_dtype.itemsize, out)
+        sink(r0 * out.shape[1] * out_dtype.itemsize, out)
         for rec in (triple.base, triple.ml, anchor):
             _release_rows(rec, r0, r1)
 

@@ -278,8 +278,9 @@ def staged_files() -> Iterator[_Transaction]:
 
 
 def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
-    """Write a tensor file's header and size it for its payloads; returns
-    each tensor's absolute payload offset."""
+    """Write a tensor file's header and size it for its payloads, its
+    blocks allocated where the platform can; returns each tensor's absolute
+    payload offset."""
     header: OrderedDict[str, object] = OrderedDict()
     starts = {}
     offset = 0
@@ -292,7 +293,10 @@ def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     prefix = _HEADER_STRUCT.pack(len(header_bytes)) + header_bytes
     _pwrite_all(fd, prefix, 0)
-    os.ftruncate(fd, len(prefix) + offset)
+    if hasattr(os, "posix_fallocate"):   # allocated, not sparse: a full disk fails here, before any compute
+        os.posix_fallocate(fd, 0, len(prefix) + offset)
+    else:
+        os.ftruncate(fd, len(prefix) + offset)
     return {name: len(prefix) + start for name, start in starts.items()}
 
 

@@ -1,12 +1,14 @@
 """Independent straight-line float64 reference for the column-wise merge.
 
 Deliberately written without importing anything from the package under test:
-plain loops, brute-force rank counting, and a shifted two-term softmax. This
-is the oracle the implementation is checked against, so it must stay naive.
+plain loops, brute-force rank counting, a shifted two-term softmax, and a
+compose evaluated exactly in rationals and rounded once. This is the oracle
+the implementation is checked against, so it must stay naive.
 """
 
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -63,6 +65,14 @@ def cross_alignment(delta_ml, delta_mm, epsilon=1e-8):
     return np.array(out)
 
 
+def compose(base, ml, mm, w_ml) -> float:
+    """The paper's ``base + w_ml·(ml − base) + w_mm·(mm − base)`` with
+    ``w_mm = 1 − w_ml``, evaluated exactly in rationals and rounded once to
+    float64: no cancellation, however large the base is beside ml and mm."""
+    b, w = Fraction(float(base)), Fraction(w_ml)
+    return float(b + w * (Fraction(float(ml)) - b) + (1 - w) * (Fraction(float(mm)) - b))
+
+
 def merge_2d(base, ml, mm, epsilon=1e-8):
     """Full column pipeline in float64: decompose, deviate, rank, gate,
     average branches, compose. Returns (merged matrix, omega_ml per column)."""
@@ -100,10 +110,8 @@ def merge_2d(base, ml, mm, epsilon=1e-8):
 
     merged = np.empty_like(base)
     for j in range(d_in):
-        w_ml = omega_ml[j]
-        w_mm = 1.0 - w_ml
         for i in range(d_out):
-            merged[i, j] = base[i, j] + w_ml * (ml[i, j] - base[i, j]) + w_mm * (mm[i, j] - base[i, j])
+            merged[i, j] = compose(base[i, j], ml[i, j], mm[i, j], omega_ml[j])
     return merged, np.array(omega_ml)
 
 
@@ -122,7 +130,7 @@ def merge_1d(base, ml, mm):
 
     merged = np.empty_like(base)
     for i in range(n):
-        merged[i] = base[i] + gamma_ml[i] * (ml[i] - base[i]) + (1.0 - gamma_ml[i]) * (mm[i] - base[i])
+        merged[i] = compose(base[i], ml[i], mm[i], gamma_ml[i])
     return merged, np.array(gamma_ml)
 
 

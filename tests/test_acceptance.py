@@ -2,7 +2,7 @@
 pass/fail line (run with ``pytest -s`` to see them inline).
 
 Numeric criteria are checked against the independent float64 reference in
-``reference.py`` at pinned tolerances.
+``reference.py`` (its compose exact in rationals) at pinned tolerances.
 """
 
 import time
@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from dimerge.align import AlignedTriple
 from dimerge.baselines import BaselineParams
 from dimerge.diagnostics import diagnose
 from dimerge.geometry import residual_identity_terms
@@ -129,6 +130,20 @@ def test_criterion_3_and_4_oracle_equivalence_and_simplex(monkeypatch):
             worst <= 1e-5 and elapsed < 30.0, f"max|diff|={worst:.2e}, {elapsed:.1f}s")
     _report(4, "simplex sum within 1 ulp and rank branch scores within bounds",
             simplex_ok and bounds_ok)
+
+
+def test_oracle_composes_exactly_beside_a_huge_base():
+    """Criterion 3's oracle composes in exact rationals. Beside a base near
+    -float32 max, small ml values and an F16 anchor near its limit, the
+    paper's form cancels to 0 in float64; the merge's F16 output must lie
+    within one output ulp of the exact value."""
+    base, ml = (TensorRecord.from_array("t", np.array([values], np.float32)) for values in ([-3.4e38] * 2, [0.0, -1.5]))
+    anchor = TensorRecord.from_array("t", np.array([[65504.0, 65472.0]], np.float32), DType.F16)
+    got = merge_tensor(AlignedTriple("t", base, ml, anchor), MergeConfig())
+    want, _ = reference.merge_2d(base.to_f32(), ml.to_f32(), anchor.to_f32())
+    ulp = np.spacing(np.abs(want).astype(np.float16)).astype(np.float64)
+    assert got.dtype is DType.F16
+    assert np.all(np.abs(got.to_f32() - want) <= ulp), (got.to_f32(), want)
 
 
 def test_criterion_5_trivial_limits():

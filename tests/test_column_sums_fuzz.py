@@ -5,7 +5,7 @@ the largest finite values among them) are fed to ``accumulate_column_sums``
 and ``accumulate_residual_sums`` block by block, the way the merge and
 ``diagnose`` stream them. Every sum must equal, bit for bit, the reference's
 one widening einsum per 64-row tile added in order. Each example runs
-several triples of different widths through one reused scratch slot,
+several triples of different widths through one reused scratch buffer,
 poisoned with NaN first, so a value left over from an earlier tile, block
 or tensor would show.
 """
@@ -69,11 +69,11 @@ def triples(draw):
 
 def streamed(accumulate, count, triple, block_tiles, buffers):
     """The ``count`` sums of ``triple``, added block by block as the merge
-    streams them, with the scratch from ``buffers`` slot 3."""
+    streams them, with the scratch from ``buffers``' "scratch"."""
     base, ml, mm = (a.copy() for a in triple)
     rows, cols = base.shape
     sums = np.zeros((count, cols))
-    scratch = buffers.take(3, (SCRATCH_ROWS, cols), np.float64)
+    scratch = buffers.take("scratch", (SCRATCH_ROWS, cols), np.float64)
     block = block_tiles * TILE_ROWS
     for r0 in range(0, rows, block):
         rows_of = slice(r0, r0 + block)
@@ -85,7 +85,7 @@ def streamed(accumulate, count, triple, block_tiles, buffers):
 @given(st.lists(triples(), min_size=1, max_size=4), st.integers(1, 3))
 def test_accumulators_match_the_tiled_reference_bit_for_bit(draws, block_tiles):
     buffers = BlockBuffers()
-    buffers.take(3, (SCRATCH_ROWS * MAX_COLS,), np.float64).fill(np.nan)
+    buffers.take("scratch", (SCRATCH_ROWS * MAX_COLS,), np.float64).fill(np.nan)
     for triple in draws:
         # residuals of values near the float32 limit overflow, on both sides alike
         with np.errstate(over="ignore", invalid="ignore"):

@@ -9,11 +9,14 @@ clean run must leave exactly the output a run into an empty root writes,
 and a report that describes it.
 """
 
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+import dimerge.merge as merge_module
 from dimerge.cli import main
 from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.records import TensorRecord
@@ -152,3 +155,32 @@ def test_every_rename_failure_leaves_the_old_files(tmp_path, monkeypatch, case):
             fail_nth_replace(patch, k)
             assert run(act, root) == 3, f"rename {k} of {len(calls)}"
         assert snapshot(root) == before, f"rename {k} of {len(calls)} failed"
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="the platform sizes files sparsely")
+def test_full_disk_fails_before_any_compute(tmp_path, monkeypatch):
+    """The output files' blocks are allocated when the writer lays them out,
+    so a full disk fails there, before any tensor's pass 1: ``dimerge
+    merge`` exits 3, leaves no hidden file and leaves the earlier sharded
+    output as it was. ``posix_fallocate`` is patched to raise ``ENOSPC``:
+    this checks the handling, as a real full disk cannot safely be made."""
+    inputs, old, act, _, _ = cli_case("merged", shard_limit=400)
+    inputs(tmp_path)
+    old(tmp_path)
+    before = snapshot(tmp_path)
+    assert len([p for p in before if p.startswith("merged/model-")]) > 1
+    merged, merge_one = [], merge_module._merge_one
+
+    def no_space(fd, offset, length):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def recording(triple, *args):
+        merged.append(triple.name)
+        return merge_one(triple, *args)
+
+    monkeypatch.setattr(os, "posix_fallocate", no_space)
+    monkeypatch.setattr(merge_module, "_merge_one", recording)
+    assert act(tmp_path) == 3
+    assert merged == []
+    assert snapshot(tmp_path) == before
+    assert not list(tmp_path.rglob(".*"))

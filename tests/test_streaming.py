@@ -367,8 +367,14 @@ def test_kernels_reuse_a_few_buffers_per_worker(tmp_path, monkeypatch, method, t
     worker: the column sums' decoded blocks and float64 scratch, the cut's
     scores and flags, DARE's bits and their scratch, the encoder's output
     and rounding scratch. A fresh array per block, even one the allocator
-    serves from the memory just freed, adds a buffer per block."""
-    triple = on_disk_triple(tmp_path, {f"w{i}": (5 * TILE_ROWS, 16) for i in range(4)}, seed=15)
+    serves from the memory just freed, adds a buffer per block. Under dim3,
+    four 1D tensors as tall follow, through the same compose and buffers:
+    they come after the 2D ones, whose larger blocks have grown every
+    buffer, as a buffer grows once to the largest block it has held."""
+    shapes = {f"w{i}": (5 * TILE_ROWS, 16) for i in range(4)}
+    if method == "dim3":
+        shapes.update({f"w{i}": (5 * TILE_ROWS,) for i in range(4, 8)})
+    triple = on_disk_triple(tmp_path, shapes, seed=15)
     counts = []
     for tiles in (5, 1):
         monkeypatch.setattr(merge_module, "_block_rows", lambda cols: tiles * TILE_ROWS)
