@@ -5,7 +5,9 @@ field) with repeatable ``--set dotted.key=value`` overrides. The effective,
 fully-resolved config is echoed into the merge report so any run can be
 reproduced byte-for-byte. Everything a run writes (the checkpoint, then its
 report; or both ``diagnose`` tables) is one :func:`~dimerge.store.staged_files`
-commit, so a failed run leaves the earlier output and report as they were.
+commit, so a failed run leaves the earlier output and report as they were,
+and a path written twice is refused. Either command refuses a path it writes
+that is, holds or lies inside an input path before it loads the inputs.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import itertools
 import json
 import logging
 import os
@@ -31,7 +34,7 @@ from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_file
 logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
-_ROLES = ("base", "multilingual", "anchor")   # the keys of the remap section
+_ROLES = ("base", "multilingual", "anchor")   # the keys of the remap section and of the inputs' paths
 # the top-level keys either command reads: one set for both, since a shared
 # config (and a merge report's echo) carries both commands' keys
 _CONFIG_KEYS = ("schema_version", "base_path", "multilingual_path", "anchor_path", "remap", "merge", "output_path",
@@ -124,15 +127,16 @@ def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
             for role in _ROLES}
 
 
-def _load_inputs(config: dict):
-    base_path = _required_path(config, "base_path")
-    ml_path = _required_path(config, "multilingual_path")
-    anchor_path = _required_path(config, "anchor_path")
+def _load_inputs(config: dict, writes: list[str | Path]):
+    """The remapped inputs; a path in ``writes`` that is, holds or lies
+    inside an input path is refused first, so no run writes over its inputs."""
+    paths = {role: _required_path(config, f"{role}_path") for role in _ROLES}
+    for written, (role, path) in itertools.product(map(Path, writes), paths.items()):
+        read, out = path.resolve(), written.resolve()
+        if read in (out, *out.parents) or out in read.parents:
+            raise ConfigError(f"{written} overlaps {role}_path {path}", error_class="config.output_collision")
     rules = _resolve_remap(config)
-    base = remap_keys(load_checkpoint(base_path), rules["base"])
-    ml = remap_keys(load_checkpoint(ml_path), rules["multilingual"])
-    anchor = remap_keys(load_checkpoint(anchor_path), rules["anchor"])
-    return base, ml, anchor
+    return tuple(remap_keys(load_checkpoint(path), rules[role]) for role, path in paths.items())
 
 
 def cmd_merge(config_path: str, overrides: list[str], output: str | None, threads: int | None) -> int:
@@ -145,16 +149,14 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
         raise ConfigError("config field 'output_path' is required", error_class="config.missing_path")
     out_path = Path(out_value)
     report_path = Path(read_value(config, "", "report_path", "string") or f"{out_path}.report.json")
-    for name, written in (("output_path", out_path.resolve()), ("report_path", report_path.resolve())):
-        for key in ("base_path", "multilingual_path", "anchor_path"):
-            read = Path(config[key]).resolve() if read_value(config, "", key, "string") else None
-            if read and (read in (written, *written.parents) or written in read.parents):
-                raise ConfigError(f"{name} and {key} overlap", error_class="config.output_collision")
+    if report_path.name.endswith((".safetensors", ".index.json")):
+        raise ConfigError(f"report_path {report_path} is named like a tensor file or index manifest",
+                          error_class="config.output_collision")
 
     cfg = MergeConfig.from_dict(config.get("merge"))
     threads = _threads(config, threads)
     shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
-    base, ml, anchor = _load_inputs(config)
+    base, ml, anchor = _load_inputs(config, [out_path, report_path])
 
     effective = copy.deepcopy(config)
     effective["schema_version"] = SCHEMA_VERSION
@@ -164,7 +166,6 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     with staged_files() as stage:
         report = merge_checkpoint(base, ml, anchor, cfg, out_path, threads=threads, shard_limit=shard_limit)
         report.config = effective
-        stage.mkdir(report_path.parent)
         stage(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
     mean = "-" if report.mean_omega_ml is None else f"{report.mean_omega_ml:.4f}"
@@ -203,7 +204,7 @@ def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) ->
     config = load_config(config_path, overrides)
     schema, epsilon, exports = _read_diagnose(config)
     threads = _threads(config, threads)
-    base, ml, anchor = _load_inputs(config)
+    base, ml, anchor = _load_inputs(config, [path for _, path in exports])
     rows = diagnose(base, ml, anchor, schema, epsilon, threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():

@@ -111,11 +111,17 @@ def diagnose(
     measured on ``threads`` workers and added into their groups in order, so
     the rows do not depend on the worker count.
 
-    Inputs must already be key-remapped; alignment is strict and read-only.
+    Inputs must already be key-remapped. Alignment is read-only and under
+    ``anchor-overlap``: a tensor whose shapes differ (an anchor with extra
+    vocabulary rows) is measured on the leading block all three share, with
+    a warning, since the rest has no residual; a rank mismatch is an error.
     A residual that overflows float32 is a numeric error naming the tensor.
     """
     schema = schema or ModuleKeySchema()
-    triples, _ = align_triple(base, ml, anchor, shape_policy="strict", high_rank="pass_through")
+    triples, alignment = align_triple(base, ml, anchor, shape_policy="anchor-overlap", high_rank="pass_through")
+    for m in alignment.shape_mismatches:
+        logger.warning("%s: shapes %s / %s / %s differ; measured on their shared block %s",
+                       m.name, m.base_shape, m.ml_shape, m.anchor_shape, m.overlap_shape)
 
     if triples and not any(schema.layer_of(t.name) is not None for t in triples):
         logger.warning("layer pattern %r captured no layer index; grouping all keys under layer -1",

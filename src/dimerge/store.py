@@ -199,6 +199,10 @@ class _Transaction:
 
     def __call__(self, path: str | Path) -> Path:
         path = Path(path)
+        if any(path.resolve() == target.resolve() for _, target in self.changes):
+            raise ConfigError(f"{path} is written twice in one commit", error_class="config.output_collision")
+        self.made += reversed([p for p in path.parents if not p.exists()])
+        path.parent.mkdir(parents=True, exist_ok=True)
         staged = _hidden(path, "partial")
         os.close(os.open(staged, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
         self.changes.append((staged, path))
@@ -206,10 +210,6 @@ class _Transaction:
 
     def delete(self, path: Path) -> None:
         self.changes.append((None, path))
-
-    def mkdir(self, path: Path) -> None:
-        self.made += reversed([p for p in (path, *path.parents) if not p.exists()])
-        path.mkdir(parents=True, exist_ok=True)
 
     def discard(self, changes: int = 0, made: int = 0) -> None:
         """Delete the staged files and directories recorded after these counts."""
@@ -255,10 +255,12 @@ def staged_files() -> Iterator[_Transaction]:
     """Make what the block writes, replaces and deletes one all-or-nothing commit.
 
     ``stage(path)`` returns a new, empty hidden file to write in place of
-    ``path``; ``stage.delete(path)`` deletes a file; ``stage.mkdir(path)``
-    makes a directory and its parents. On a clean exit the changes are made
-    in order, each old file first kept under a hidden name; if one fails,
-    all are undone and the error is raised. On an exception in the block
+    ``path``, making the directories it lacks; ``stage.delete(path)``
+    deletes a file. A path this commit already writes or deletes is a
+    ``config.output_collision`` error, raised before anything is made. On a
+    clean exit the changes are made in order, each old file first kept
+    under a hidden name; if one fails, all are undone, the directories
+    made are removed and the error is raised. On an exception in the block
     nothing changes. A block inside another, in the same thread, joins it:
     it commits with the outermost, and an exception out of it withdraws only
     what it staged.
@@ -395,11 +397,12 @@ class CheckpointWriter:
     :func:`save_checkpoint`; ``paths`` lists the files written.
 
     The writer is a :func:`staged_files` block: its files, filled under
-    hidden names, commit (the index last) as it or an enclosing block exits
-    cleanly, and so does the deletion of a directory's other top-level
-    tensor files and index manifests, the only names :func:`load_checkpoint`
-    reads. So a failed write changes nothing at ``path``, and a checkpoint
-    still loaded from there keeps mapping its old files.
+    hidden names (the commit makes their directories), commit (the index
+    last) as it or an enclosing block exits cleanly, and so does the
+    deletion of a directory's other top-level tensor files and index
+    manifests, the only names :func:`load_checkpoint` reads. So a failed
+    write changes nothing at ``path``, and a checkpoint still loaded from
+    there keeps mapping its old files.
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
@@ -428,7 +431,6 @@ class CheckpointWriter:
         self._where: dict[str, tuple[int, int, int]] = {}
         with ExitStack() as stack:
             stage = stack.enter_context(staged_files())
-            stage.mkdir(path if directory else path.parent)
             for file_path, shard in zip(files, shards):
                 fd = os.open(stage(file_path), os.O_WRONLY)
                 stack.callback(os.close, fd)

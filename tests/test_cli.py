@@ -96,9 +96,9 @@ class TestMergeCommand:
         assert not (tmp_path / "merged").exists()
 
     def test_output_collision_rejected(self, workspace, capsys):
-        """An output or report path that is, holds or lies inside an input
-        path is refused before anything is written, so no input can be
-        deleted or overwritten."""
+        """An output, report or table path that is, holds or lies inside an
+        input path is refused before anything is written, by ``merge`` and
+        ``diagnose`` alike, so no input can be deleted or overwritten."""
         tmp_path, config, _ = workspace
         is_an_input = dict(config, output_path=config["anchor_path"])
         # single-file inputs in one directory, which is the output path
@@ -112,11 +112,25 @@ class TestMergeCommand:
                                    output_path=str(tmp_path / "anchor_sh" / "merged"))
         report_is_an_input = dict(config, report_path=str(tmp_path / "models" / "base_path.safetensors"),
                                   base_path=str(tmp_path / "models" / "base_path.safetensors"))
-        for case in (is_an_input, input_inside_output, output_inside_input, report_is_an_input):
+        csv_is_an_input = dict(report_is_an_input, diagnose={"csv_path": report_is_an_input["base_path"]})
+        json_holds_the_inputs = dict(config, diagnose={"json_path": str(tmp_path)})
+        for command, case in (("merge", is_an_input), ("merge", input_inside_output), ("merge", output_inside_input),
+                              ("merge", report_is_an_input), ("diagnose", csv_is_an_input),
+                              ("diagnose", json_holds_the_inputs)):
             before = {key: tree_bytes(Path(case[key])) for key in ("base_path", "multilingual_path", "anchor_path")}
-            assert main(["merge", "--config", write_config(tmp_path, case)]) == 2, case["output_path"]
+            assert main([command, "--config", write_config(tmp_path, case)]) == 2, (command, case["output_path"])
             assert "config.output_collision" in capsys.readouterr().err
             assert {key: tree_bytes(Path(case[key])) for key in before} == before
+
+    @pytest.mark.parametrize("name", ["r.safetensors", "model.safetensors.index.json"])
+    def test_report_named_like_a_tensor_file_is_refused(self, workspace, capsys, name):
+        """A report named like a checkpoint file would make the output
+        directory unloadable; it is refused before any input is loaded."""
+        tmp_path, config, _ = workspace
+        config.update(report_path=str(tmp_path / "merged" / name), anchor_path=str(tmp_path / "missing"))
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith("error[config.output_collision]")
+        assert not (tmp_path / "merged").exists()
 
     def test_set_overrides_leaf_fields(self, workspace):
         tmp_path, config, config_path = workspace
@@ -358,6 +372,30 @@ class TestConfigChecks:
         assert main([command, "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith(f"error[{error_class}]: {match}")
 
+    @pytest.mark.parametrize("case", ["report_is_the_output_file", "report_is_the_output_tensor_file",
+                                      "csv_is_the_json"])
+    def test_a_path_written_twice_is_refused(self, workspace, capsys, case):
+        """A run that would write one path twice exits 2 and leaves the
+        earlier run's outputs byte for byte, with no hidden file behind."""
+        tmp_path, config, _ = workspace
+        command = "diagnose" if case == "csv_is_the_json" else "merge"
+        output, again = {"report_is_the_output_file": ("merged.safetensors", "merged.safetensors"),
+                         "report_is_the_output_tensor_file": ("merged", "merged/model.safetensors"),
+                         "csv_is_the_json": ("merged", "diag.csv")}[case]
+        config.update(output_path=str(tmp_path / output),
+                      diagnose={"csv_path": str(tmp_path / "diag.csv"), "json_path": str(tmp_path / "diag.json")})
+        assert main([command, "--config", write_config(tmp_path, config)]) == 0
+        written = [p for p in tmp_path.iterdir() if p.name.startswith(("merged", "diag"))]
+        before = {p.name: tree_bytes(p) for p in written}
+        if command == "merge":
+            config["report_path"] = str(tmp_path / again)
+        else:
+            config["diagnose"]["json_path"] = str(tmp_path / again)
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        assert "config.output_collision" in capsys.readouterr().err
+        assert {p.name: tree_bytes(p) for p in written} == before
+        assert not list(tmp_path.rglob(".*"))
+
     def test_set_without_an_equals_sign_is_config_error(self, workspace, capsys):
         tmp_path, _, config_path = workspace
         with pytest.raises(ConfigError, match="--set expects dotted.key=value, got 'merge.method'"):
@@ -504,9 +542,20 @@ class TestDiagnoseCommand:
 
     def test_unwritable_output_fails_nonzero(self, workspace, capsys):
         tmp_path, config, _ = workspace
-        config["diagnose"] = {"csv_path": str(tmp_path / "no_dir" / "d.csv")}
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        config["diagnose"] = {"csv_path": str(tmp_path / "blocker" / "d.csv")}
         config_path = write_config(tmp_path, config)
         assert main(["diagnose", "--config", config_path]) == 3
+        assert (tmp_path / "blocker").read_text() == "a file, not a directory"
+
+    def test_tables_in_a_new_directory(self, workspace):
+        """``diagnose`` makes its tables' directories, as ``merge`` makes its
+        report's."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "tables" / "run1" / "d.csv"),
+                              "json_path": str(tmp_path / "tables" / "d.json")}
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 0
+        assert (tmp_path / "tables" / "run1" / "d.csv").is_file() and (tmp_path / "tables" / "d.json").is_file()
 
     @pytest.mark.parametrize("failure", ["json_path_is_a_directory", "json_write_fails"])
     def test_failed_json_export_keeps_previous_tables(self, workspace, monkeypatch, failure):
@@ -519,7 +568,8 @@ class TestDiagnoseCommand:
         # other rows, so a replaced table would show
         config["diagnose"]["schema"] = {"layer_pattern": "*.blocks.{n}.*"}
         if failure == "json_path_is_a_directory":
-            config["diagnose"]["json_path"] = str(tmp_path)
+            (tmp_path / "tables").mkdir()
+            config["diagnose"]["json_path"] = str(tmp_path / "tables")
         else:
             def dump_half(obj, fh, **kwargs):
                 fh.write("[")

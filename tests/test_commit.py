@@ -1,7 +1,7 @@
 """Everything a run writes is one all-or-nothing commit.
 
-Each case writes over the output of an earlier run (or into a directory
-that does not exist yet), once with ``os.replace`` failing at each of its
+Each case writes over the output of an earlier run (or into directories
+that do not exist yet), once with ``os.replace`` failing at each of its
 calls in turn and once with none failing. A failed run must leave every
 file and directory under the case's root exactly as it was: the old output,
 the old report, no hidden staged file or kept link, no new directory. The
@@ -65,10 +65,10 @@ def merge_case():
     return no_inputs, old, act, ("merged",), None
 
 
-def cli_case(out, shard_limit=SINGLE, report="merged.report.json", merge_first=True):
+def cli_case(out, shard_limit=SINGLE, report="merged.report.json", merge_first=True, tables="."):
     def inputs(root):
         config = {"output_path": str(root / out), "report_path": str(root / report), "shard_limit": shard_limit,
-                  "diagnose": {"csv_path": str(root / "diag.csv"), "json_path": str(root / "diag.json")}}
+                  "diagnose": {f"{ext}_path": str(root / tables / f"diag.{ext}") for ext in ("csv", "json")}}
         for key, ckpt in zip(("base_path", "multilingual_path", "anchor_path"), make_triple(seed=21)):
             save_checkpoint(ckpt, root / key)
             config[key] = str(root / key)
@@ -84,17 +84,18 @@ def cli_case(out, shard_limit=SINGLE, report="merged.report.json", merge_first=T
     return inputs, old, act, (out,), report
 
 
-def diagnose_case():
-    inputs = cli_case("merged")[0]
+def diagnose_case(tables=None):
+    inputs = cli_case("merged", tables=tables or ".")[0]
 
     def old(root):
-        assert main(["diagnose", "--config", str(root / "run.json")]) == 0
+        if not tables:
+            assert main(["diagnose", "--config", str(root / "run.json")]) == 0
 
     def act(root):
         # another schema, so that other tables replace the old ones
         return main(["diagnose", "--config", str(root / "run.json"), "--set", "diagnose.schema.layer_pattern=x.{n}"])
 
-    return inputs, old, act, ("diag.csv", "diag.json"), None
+    return inputs, old, act, (tables.split("/")[0],) if tables else ("diag.csv", "diag.json"), None
 
 
 CASES = {
@@ -108,6 +109,7 @@ CASES = {
     "cli_merge_sharded": cli_case("merged", shard_limit=400),
     "cli_report_in_new_directory": cli_case("merged", report="reports/new/merged.json", merge_first=False),
     "cli_diagnose": diagnose_case(),
+    "cli_diagnose_into_new_directories": diagnose_case(tables="tables/new"),
 }
 
 

@@ -14,7 +14,7 @@ from dimerge.diagnostics import (
     export_csv,
     export_json,
 )
-from dimerge.errors import ConfigError, NumericError
+from dimerge.errors import AlignmentError, ConfigError, NumericError
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint
 
@@ -166,6 +166,26 @@ class TestDiagnose:
             tables[threads] = [rows] + [(tmp_path / f"{threads}.{ext}").read_bytes() for ext in ("csv", "json")]
         assert len({(r.layer, r.module) for r in tables[1][0]}) == len(tables[1][0]) >= 8
         assert tables[2] == tables[1] and tables[8] == tables[1]
+
+    def test_anchor_with_extra_rows_is_measured_on_the_shared_block(self, caplog):
+        """An anchor with extra vocabulary rows gives exactly the rows of the
+        same triple with its anchor cut to the block base and ml share, and
+        one warning per tensor measured that way."""
+        base, ml, anchor = make_triple(seed=11)
+        rng = np.random.default_rng(3)
+        grown = {name: rec.to_f32() for name, rec in anchor.tensors.items()}
+        for name in ("model.embed_tokens.weight", "lm_head.weight"):
+            grown[name] = np.concatenate([grown[name], rng.normal(size=(5, grown[name].shape[1]))])
+        with caplog.at_level("WARNING", logger="dimerge.diagnostics"):
+            rows = diagnose(base, ml, ckpt(grown))
+        assert rows == diagnose(base, ml, anchor)
+        warned = sorted(rec.getMessage().split(":")[0] for rec in caplog.records)
+        assert warned == ["lm_head.weight", "model.embed_tokens.weight"]
+
+    def test_rank_mismatch_is_an_error(self):
+        name = "model.layers.0.mlp.up_proj.weight"
+        with pytest.raises(AlignmentError, match="rank mismatch"):
+            diagnose(ckpt({name: np.ones((2, 2))}), ckpt({name: np.ones((2, 2))}), ckpt({name: np.ones(4)}))
 
     def test_read_only(self, triple_f32):
         base, ml, anchor = triple_f32

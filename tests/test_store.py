@@ -183,10 +183,30 @@ class TestStagedFiles:
             outer(tmp_path / "a").write_text("a")
             with pytest.raises(RuntimeError):
                 with staged_files() as inner:
-                    inner.mkdir(tmp_path / "made")
                     inner(tmp_path / "made" / "b").write_text("b")
                     raise RuntimeError("inner block fails")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a"]
+
+    @pytest.mark.parametrize("case", ["same_block", "nested_block", "deleted_path"])
+    def test_a_path_staged_twice_is_refused(self, tmp_path, case):
+        """Staging a path the commit already writes or deletes is a config
+        error raised before anything is made: nothing is written, no hidden
+        file is left, and the directories the block made are removed."""
+        (tmp_path / "kept").write_text("old")
+        target = tmp_path / "kept" if case == "deleted_path" else tmp_path / "made" / "deeper" / "t.safetensors"
+        before = {p: p.read_bytes() if p.is_file() else "dir" for p in tmp_path.rglob("*")}
+        with pytest.raises(ConfigError, match="written twice") as info:
+            with staged_files() as stage:
+                stage(tmp_path / "made" / "other").write_text("other")
+                if case == "same_block":
+                    stage(target).write_text("first")
+                elif case == "nested_block":   # a whole checkpoint, then its file again
+                    save_checkpoint(ckpt_of({"a": np.ones(4)}), target)
+                else:
+                    stage.delete(target)
+                stage(target)
+        assert info.value.error_class == "config.output_collision" and info.value.exit_code == 2
+        assert {p: p.read_bytes() if p.is_file() else "dir" for p in tmp_path.rglob("*")} == before
 
     def test_failed_commit_puts_back_what_the_inner_block_changed(self, tmp_path, monkeypatch):
         for name in ("a", "b", "gone"):
