@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, Record
 from .records import TensorRecord, decode_f32, require_finite
-from .store import Checkpoint
+from .store import Checkpoint, release_pages
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
 HIGH_RANK_POLICIES = ("reject", "pass_through")
@@ -71,9 +71,15 @@ class AlignedTriple:
 
     def decode_rows(self, role: str, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
         """Rows ``r0:r1`` of ``role``'s aligned region as a float32
-        :attr:`matrix` block, into ``out`` or a fresh array."""
+        :attr:`matrix` block, into ``out`` or a fresh array. The record's
+        pages that hold only those rows are then released, and the whole
+        record once the block ends the region, so a streamed pass keeps one
+        row block of each role mapped; a later read faults them back in."""
         rec = (self.base, self.ml, self.mm)[ROLES.index(role)]
-        return decode_f32(self.aligned_bits(rec).reshape(self.matrix)[r0:r1], rec.dtype, out)
+        values = decode_f32(self.aligned_bits(rec).reshape(self.matrix)[r0:r1], rec.dtype, out)
+        last = r1 >= self.matrix[0]   # then all of it: the pages shared with earlier blocks too
+        release_pages(rec, 0 if last else r0, None if last else r1)
+        return values
 
     def to_f32(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode the aligned region of (base, ml, mm) to float32; any

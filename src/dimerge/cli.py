@@ -7,7 +7,8 @@ reproduced byte-for-byte. Everything a run writes (the checkpoint, then its
 report; or both ``diagnose`` tables) is one :func:`~dimerge.store.staged_files`
 commit, so a failed run leaves the earlier output and report as they were,
 and a path written twice is refused. Either command refuses a path it writes
-that is, holds or lies inside an input path before it loads the inputs.
+that is, holds or lies inside an input path, and a report or table path
+that is a directory, before it loads the inputs.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -119,6 +120,15 @@ def _required_path(config: dict, key: str) -> Path:
     return p
 
 
+def _output_file(key: str, path: str) -> str:
+    """``path``, where an output is written as one file. An existing directory
+    there is refused before any input is loaded, since the commit could not
+    rename the file over it."""
+    if Path(path).is_dir():
+        raise ConfigError(f"{key} {path} is a directory", error_class="config.output_collision")
+    return path
+
+
 def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
     """Each role's rules: those given for it, else its preset's, else none."""
     remap = read_section(config.get("remap"), "remap", ("preset", *_ROLES))
@@ -148,7 +158,8 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     if not out_value:
         raise ConfigError("config field 'output_path' is required", error_class="config.missing_path")
     out_path = Path(out_value)
-    report_path = Path(read_value(config, "", "report_path", "string") or f"{out_path}.report.json")
+    report_path = Path(_output_file("report_path", read_value(config, "", "report_path", "string")
+                                    or f"{out_path}.report.json"))
     if report_path.name.endswith((".safetensors", ".index.json")):
         raise ConfigError(f"report_path {report_path} is named like a tensor file or index manifest",
                           error_class="config.output_collision")
@@ -192,7 +203,8 @@ def _read_diagnose(config: dict):
     epsilon = read_value(section, "diagnose", "epsilon", "number", EPSILON_DEFAULT)
     if epsilon <= 0:
         raise ConfigError(f"diagnose.epsilon must be positive, got {epsilon}")
-    exports = [(export, path) for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
+    exports = [(export, _output_file(f"diagnose.{key}", path))
+               for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
                if (path := read_value(section, "diagnose", key, "string"))]
     if not exports:
         raise ConfigError("diagnose config needs csv_path and/or json_path",

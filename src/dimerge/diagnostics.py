@@ -25,7 +25,7 @@ from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, 
 from .merge import BlockBuffers, for_each_tensor, stream_column_sums
 from .records import require_finite
 from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
-from .store import Checkpoint, release_pages, staged_files
+from .store import Checkpoint, staged_files
 
 logger = logging.getLogger(__name__)
 
@@ -134,8 +134,6 @@ def diagnose(
         over columns of both reorientations and the cross cosine."""
         with np.errstate(over="ignore", invalid="ignore"):   # residual norms checked below
             sums = stream_column_sums(triple, accumulate_residual_sums, 8, buffers)
-        for rec in (triple.base, triple.ml, triple.mm):
-            release_pages(rec)
         for role, norms in zip(ROLES[1:], sums[5:7]):
             require_finite(norms, f"{triple.name}: {role} residual contains non-finite values")
         terms = [sums[5].sum(), sums[6].sum(), 0.0, 0.0, 0.0, 0.0]

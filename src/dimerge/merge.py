@@ -23,8 +23,10 @@ pass 2, one loop for every method, composes each block of the anchor,
 rejects it if the output dtype cannot hold every value finitely, and
 encodes and writes it in place in the output file. Each worker reads every
 block through its :class:`BlockBuffers`, arrays named for what they hold
-and kept for the whole merge, so memory follows one row block (and the two
-score arrays of a top-k cut).
+and kept for the whole merge, and their one row reader,
+:meth:`AlignedTriple.decode_rows`, releases the input pages of each block it
+decodes, so memory, mapped inputs included, follows one row block (and the
+two score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -218,23 +220,17 @@ class BlockBuffers(threading.local):
         return [triple.decode_rows(role, r0, r1, self.take(role, shape, np.float32)) for role in roles]
 
 
-def _release_rows(rec: TensorRecord, r0: int, r1: int) -> None:
-    row_bytes = prod(rec.shape[1:]) * rec.dtype.itemsize
-    release_pages(rec, r0 * row_bytes, r1 * row_bytes)
-
-
 def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
                        buffers: BlockBuffers) -> np.ndarray:
     """The ``count`` column sums that ``accumulate(sums, base, ml, mm, scratch)``
     adds for each row block of the aligned :attr:`~AlignedTriple.matrix`,
-    read by ``buffers``, widened in its ``"scratch"``. The base's pages are
-    released block by block after their last read."""
+    read by ``buffers``, widened in its ``"scratch"``; the reader releases
+    each block's input pages once decoded."""
     cols = triple.matrix[1]
     sums = np.zeros((count, cols))
     scratch = buffers.take("scratch", (SCRATCH_ROWS, cols), np.float64)
     for r0, r1 in buffers.blocks(triple):
         accumulate(sums, *buffers.read(triple, r0, r1), scratch)
-        _release_rows(triple.base, r0, r1)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
     for role, norms in zip(ROLES, sums[:3]):
@@ -283,8 +279,10 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
                   buffers: BlockBuffers) -> None:
     """Pass 2 of every merge, one row block of the anchor at a time: compose
     the aligned rows, encode them in ``out_dtype`` over the anchor's own
-    rows and columns, re-encoded, hand the block to ``sink`` at its byte
-    offset and release the inputs' pages. Every compose returns its block
+    rows and columns, re-encoded, and hand the block to ``sink`` at its
+    byte offset. The reader releases the rows the compose reads; the rows
+    re-encoded here, the anchor's own outside the aligned region, are
+    released once re-encoded. Every compose returns its block
     in the multilingual row buffer of ``buffers``, so once it has returned
     the output bits take the anchor's row buffer and BF16's rounding sums
     the base's: no buffer is added for pass 2. This is the one check on
@@ -306,14 +304,13 @@ def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sin
             require_finite(merged, f"{triple.name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
             recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
+            release_pages(anchor, r0, r1)
             if narrows:
                 require_finite(out.view(np.float32), f"{triple.name}: anchor {problem}", limit)
         if merged is not None:
             scratch = buffers.take("base", merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)
         sink(r0 * out.shape[1] * out_dtype.itemsize, out)
-        for rec in (triple.base, triple.ml, anchor):
-            _release_rows(rec, r0, r1)
 
 
 def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
@@ -388,8 +385,9 @@ def merge_checkpoint(
     everything else passes through bit-exactly. The output file is sized
     first and each tensor filled in place, so its bytes are identical for
     any worker count. The tensors run through :func:`for_each_tensor` on
-    ``threads`` workers, so the first failure stops the merge. Each input
-    tensor's mapped pages are released after its last use. Each worker keeps
+    ``threads`` workers, so the first failure stops the merge. The row
+    reader releases each block's input pages once decoded, and each input
+    tensor's pages are all released once it is done. Each worker keeps
     its row-block buffers, a few MiB, until the merge returns; with
     ``DIMERGE_LOG=INFO`` it logs one line per merged tensor."""
     triples, alignment = align_triple(

@@ -8,7 +8,7 @@ A sharded checkpoint is a directory of such files plus an index manifest
 
 Files are read through read-only memory maps, so loading costs a header
 parse and payload pages are paged in only when a computation touches them;
-:func:`release_pages` hands a finished tensor's pages back. Files are written
+:func:`release_pages` hands a record's pages back, by rows. Files are written
 through :class:`CheckpointWriter`, which lays out every header and offset
 first, so payloads can be filled in place in any order. Everything the
 package writes is one all-or-nothing :func:`staged_files` commit.
@@ -150,9 +150,9 @@ def _address(buffer) -> int:
     return np.frombuffer(buffer, dtype=np.uint8).ctypes.data
 
 
-def release_pages(rec: TensorRecord, start: int = 0, stop: int | None = None) -> None:
-    """Unmap the whole pages inside bytes ``start:stop`` of a file-backed
-    record's payload (all of it by default).
+def release_pages(rec: TensorRecord, r0: int = 0, r1: int | None = None) -> None:
+    """Unmap the whole pages inside rows ``r0:r1`` of a file-backed record's
+    payload (all of it by default; a 1D record's rows are its elements).
 
     Resident pages of a mapped file count toward the process's memory until
     they are unmapped; after this they do not. The payload stays valid: a
@@ -162,9 +162,10 @@ def release_pages(rec: TensorRecord, start: int = 0, stop: int | None = None) ->
     raw = rec.raw
     if not isinstance(raw, memoryview) or not isinstance(raw.obj, mmap.mmap):
         return
+    row_bytes = prod(rec.shape[1:]) * rec.dtype.itemsize
     offset = _address(raw) - _address(raw.obj)
-    stop = len(raw) if stop is None else min(stop, len(raw))
-    first = -(-(offset + start) // mmap.PAGESIZE) * mmap.PAGESIZE
+    stop = len(raw) if r1 is None else min(r1 * row_bytes, len(raw))
+    first = -(-(offset + r0 * row_bytes) // mmap.PAGESIZE) * mmap.PAGESIZE
     last = (offset + stop) // mmap.PAGESIZE * mmap.PAGESIZE
     if last > first:
         raw.obj.madvise(mmap.MADV_DONTNEED, first, last - first)

@@ -57,6 +57,18 @@ def write_config(tmp_path, config, name="cfg.json"):
     return str(path)
 
 
+def refuse_rename_onto(monkeypatch, target):
+    """Make a commit fail at its rename of a staged file onto ``target``."""
+    replace = os.replace
+
+    def refusing(source, dest, **kwargs):
+        if Path(dest) == Path(target) and str(source).endswith(".partial"):
+            raise OSError(f"cannot rename onto {dest}")
+        replace(source, dest, **kwargs)
+
+    monkeypatch.setattr(os, "replace", refusing)
+
+
 def tree_bytes(root):
     files = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
     return {str(p.relative_to(root.parent)): p.read_bytes() for p in files}
@@ -132,6 +144,26 @@ class TestMergeCommand:
         assert capsys.readouterr().err.startswith("error[config.output_collision]")
         assert not (tmp_path / "merged").exists()
 
+    @pytest.mark.parametrize("command, key", [("merge", "report_path"), ("diagnose", "csv_path"),
+                                              ("diagnose", "json_path")])
+    def test_output_file_at_a_directory_is_refused(self, workspace, capsys, monkeypatch, command, key):
+        """A report or table path that is an existing directory is refused
+        before any input is loaded, not once the whole run is done and the
+        commit cannot rename the file over the directory."""
+        tmp_path, config, _ = workspace
+        (tmp_path / "taken" / "kept").mkdir(parents=True)
+        if command == "merge":
+            config[key] = str(tmp_path / "taken")
+        else:
+            config["diagnose"] = {key: str(tmp_path / "taken")}
+        loaded = []
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path) or load_checkpoint(path))
+        assert main([command, "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith("error[config.output_collision]")
+        assert not loaded
+        assert [p.name for p in (tmp_path / "taken").iterdir()] == ["kept"]
+        assert not (tmp_path / "merged").exists()
+
     def test_set_overrides_leaf_fields(self, workspace):
         tmp_path, config, config_path = workspace
         rc = main([
@@ -200,12 +232,11 @@ class TestMergeCommand:
         assert rc == 3
         assert blocker.is_file()
 
-    def test_failed_report_write_keeps_previous_output(self, workspace):
+    def test_failed_report_write_keeps_previous_output(self, workspace, monkeypatch):
         tmp_path, config, config_path = workspace
         assert main(["merge", "--config", str(config_path)]) == 0
         before = tree_bytes(tmp_path / "merged")
-        config["report_path"] = str(tmp_path / "report_dir")
-        (tmp_path / "report_dir").mkdir()
+        refuse_rename_onto(monkeypatch, tmp_path / "merged.report.json")
         config["merge"] = {"method": "task_arithmetic"}
         assert main(["merge", "--config", write_config(tmp_path, config)]) == 3
         assert tree_bytes(tmp_path / "merged") == before
@@ -323,12 +354,11 @@ class TestMergeCommand:
         assert err.startswith("error[config.") and key in err
         assert not (tmp_path / "merged").exists()
 
-    def test_failed_run_logs_no_commit(self, workspace, caplog):
+    def test_failed_run_logs_no_commit(self, workspace, caplog, monkeypatch):
         """At DEBUG, a run that fails after its writer closed says the writer
         closed and never that anything was committed."""
         tmp_path, config, _ = workspace
-        (tmp_path / "report_dir").mkdir()
-        config["report_path"] = str(tmp_path / "report_dir")
+        refuse_rename_onto(monkeypatch, tmp_path / "merged.report.json")
         caplog.set_level(logging.DEBUG, logger="dimerge")
         assert main(["merge", "--config", write_config(tmp_path, config)]) == 3
         messages = [r.getMessage() for r in caplog.records]
@@ -557,7 +587,7 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 0
         assert (tmp_path / "tables" / "run1" / "d.csv").is_file() and (tmp_path / "tables" / "d.json").is_file()
 
-    @pytest.mark.parametrize("failure", ["json_path_is_a_directory", "json_write_fails"])
+    @pytest.mark.parametrize("failure", ["json_rename_fails", "json_write_fails"])
     def test_failed_json_export_keeps_previous_tables(self, workspace, monkeypatch, failure):
         """A run whose JSON export fails exits 3 and leaves the CSV and JSON
         of an earlier run byte for byte, with no staged file behind."""
@@ -567,9 +597,8 @@ class TestDiagnoseCommand:
         before = {name: (tmp_path / name).read_bytes() for name in ("diag.csv", "diag.json")}
         # other rows, so a replaced table would show
         config["diagnose"]["schema"] = {"layer_pattern": "*.blocks.{n}.*"}
-        if failure == "json_path_is_a_directory":
-            (tmp_path / "tables").mkdir()
-            config["diagnose"]["json_path"] = str(tmp_path / "tables")
+        if failure == "json_rename_fails":
+            refuse_rename_onto(monkeypatch, tmp_path / "diag.json")
         else:
             def dump_half(obj, fh, **kwargs):
                 fh.write("[")

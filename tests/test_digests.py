@@ -8,6 +8,10 @@ do not. A change that alters the bytes on purpose updates the pins and says
 why, and how many elements changed."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,3 +105,36 @@ CASES["ties-BF16-layers-1"] = (
 def test_output_bytes_are_pinned(tmp_path, case):
     cfg, dtype, anchor_shapes = CASES[case]
     assert output_sha256(tmp_path, cfg, dtype, anchor_shapes) == PINS[case]
+
+
+# numpy's SIMD dispatch held below X86_V3 (AVX2 and FMA3)
+BELOW_X86_V3 = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+SIMD_CHILD = """
+import sys
+import pytest
+from numpy._core._multiarray_umath import __cpu_features__
+print("X86_V3", __cpu_features__["X86_V3"], flush=True)
+sys.exit(pytest.main(sys.argv[1:]))
+"""
+
+
+def test_pins_hold_below_x86_v3(tmp_path):
+    """The pins again, in a child process whose numpy is held below X86_V3 by
+    ``NPY_DISABLE_CPU_FEATURES``. numpy picks its SIMD kernels when it is
+    imported, so a reduction whose order followed the vector width would
+    write other bytes on a CPU without AVX2, while the pins above only run
+    at this CPU's widest level."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        pytest.skip("numpy before 2.0 keeps its CPU dispatch table elsewhere")
+    if not __cpu_features__.get("X86_V3"):
+        pytest.skip("numpy already runs below X86_V3 here, where the pins above run")
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": BELOW_X86_V3}
+    result = subprocess.run([sys.executable, "-c", SIMD_CHILD, "-q", "-p", "no:cacheprovider",
+                             f"--basetemp={tmp_path}", f"{__file__}::test_output_bytes_are_pinned"],
+                            env=env, cwd=Path(__file__).parents[1], capture_output=True, text=True)
+    if not result.stdout.startswith("X86_V3 "):
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={BELOW_X86_V3!r}: {result.stderr.strip()[-300:]}")
+    assert result.stdout.startswith("X86_V3 False"), result.stdout[:200]
+    assert result.returncode == 0 and f"{len(PINS)} passed" in result.stdout, result.stdout[-3000:]

@@ -280,6 +280,7 @@ def test_diagnose_faults_do_not_grow_with_blocks(tmp_path):
 
 PEAK_PROBE = """
 import sys
+from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.store import load_checkpoint
 
@@ -290,26 +291,49 @@ def own_peak_kib():
 peaks = []
 for root in sys.argv[2:]:
     triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
-    merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out.{sys.argv[1]}")
+    if sys.argv[1] == "diagnose":
+        diagnose(*triple)
+    else:
+        merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out.{sys.argv[1]}")
     peaks.append(own_peak_kib())
 print(*peaks)
 """
 
+needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs the process's own VmHWM")
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs the process's own VmHWM")
-@pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
-def test_baselines_without_a_cut_peak_does_not_grow_with_height(tmp_path, method):
-    """The peak memory of a fresh process merging a mapped bf16 tensor by a
-    baseline that needs no cut, then one four times as tall: each block is
-    decoded, merged and written in the same buffers, so the taller tensor
-    raises the peak by a few MiB, not by tensor-sized arrays (24 MiB each
-    here). The process reads its own high-water mark, because the one
-    ``getrusage`` gives a child starts from its parent's."""
+
+def probe_peaks_kib(tmp_path, method):
+    """The peak memory of a fresh process after merging (or, for method
+    ``diagnose``, measuring) a mapped bf16 2048-row tensor, then after one
+    four times as tall. The process reads its own high-water mark,
+    because the one ``getrusage`` gives a child starts from its parent's."""
     env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", PEAK_PROBE, method, *short_and_tall(tmp_path)], env=env,
                             capture_output=True, text=True, check=True)
-    short, tall = (int(kib) for kib in result.stdout.split())
+    return [int(kib) for kib in result.stdout.split()]
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("method", ["task_arithmetic", "dare"])
+def test_baselines_without_a_cut_peak_does_not_grow_with_height(tmp_path, method):
+    """A baseline that needs no cut decodes, merges and writes each block in
+    the same buffers, so the taller tensor raises the peak by a few MiB,
+    not by tensor-sized arrays (24 MiB each here)."""
+    short, tall = probe_peaks_kib(tmp_path, method)
     assert tall - short < 8 * 1024, (short, tall)
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("method, bound_mib", [("dim3", 8), ("diagnose", 8), ("ties", 56)])
+def test_pass_one_keeps_one_row_block_mapped(tmp_path, method, bound_mib):
+    """Pass 1 reads every role's rows, and the reader releases each block's
+    pages once decoded, so no role's pages of the whole tensor stay mapped
+    until pass 2 (12 MiB per bf16 role for the extra 6144 rows here). dim3
+    and ``diagnose`` then grow by a few MiB, as a baseline without a cut
+    does; TIES by its two tensor-sized float32 score arrays (24 MiB each)
+    and those few MiB."""
+    short, tall = probe_peaks_kib(tmp_path, method)
+    assert tall - short < bound_mib * 1024, (short, tall)
 
 
 @pytest.mark.parametrize("method", ["ties", "dare", "task_arithmetic"])
