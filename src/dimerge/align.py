@@ -16,7 +16,7 @@ from math import prod
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, Record
-from .records import TensorRecord, decode_f32, require_finite
+from .records import TensorRecord, decode_f32
 from .store import Checkpoint, release_pages
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
@@ -80,14 +80,6 @@ class AlignedTriple:
         last = r1 >= self.matrix[0]   # then all of it: the pages shared with earlier blocks too
         release_pages(rec, 0 if last else r0, None if last else r1)
         return values
-
-    def to_f32(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode the aligned region of (base, ml, mm) to float32; any
-        non-finite input is an error."""
-        arrays = tuple(decode_f32(self.aligned_bits(rec), rec.dtype) for rec in (self.base, self.ml, self.mm))
-        for role, values in zip(ROLES, arrays):
-            require_finite(values, f"{self.name}: {role} tensor contains non-finite values")
-        return arrays
 
 
 @dataclass

@@ -247,7 +247,7 @@ def _cut_residuals(triple: AlignedTriple, buffers: BlockBuffers, keep: int, drop
     block into its tensor-sized scores buffer, and cut there; logged.
     Returns ml's scores (row scratch from then on) and the cuts."""
     scores = [buffers.take(name, triple.matrix, np.float32) for name in ("scores_ml", "scores_mm")]
-    blocks = buffers.blocks(triple)
+    blocks = buffers.blocks(*triple.matrix)
     for r0, r1 in blocks:
         for delta, out in zip(_residual_rows(triple, buffers, r0, r1)[1:], scores):
             np.abs(delta, out=out[r0:r1])

@@ -13,20 +13,21 @@ through the weights. 1D parameters use absolute element deviations and
 element-wise weights. All other anchor tensors (vision encoder, projector,
 out-of-scope keys) are copied from the anchor verbatim.
 
-Every merged tensor is written in two passes over row blocks (a 1D tensor
-is one column). Pass 1 is the method's: dim3 streams the column reductions
-its weights need (a 1D tensor's element weights rank it whole); TIES and
-Breadcrumbs stream both residuals' |delta| into two tensor-sized score
-arrays and cut a global top-k there; task arithmetic and DARE need no
-pass 1. It returns a compose that reads and merges any block of rows, and
-pass 2, one loop for every method, composes each block of the anchor,
-rejects it if the output dtype cannot hold every value finitely, and
-encodes and writes it in place in the output file. Each worker reads every
-block through its :class:`BlockBuffers`, arrays named for what they hold
-and kept for the whole merge, and their one row reader,
-:meth:`AlignedTriple.decode_rows`, releases the input pages of each block it
-decodes, so memory, mapped inputs included, follows one row block (and the
-two score arrays of a top-k cut).
+Every anchor tensor is written by one loop over row blocks (a 1D tensor is
+one column). A merged one is planned first by its method's pass 1: dim3
+streams the column reductions its weights need (a 1D tensor's element
+weights rank all its rows, read as one block); TIES and Breadcrumbs stream
+both residuals' |delta| into two tensor-sized score arrays and cut a
+global top-k there; task arithmetic and DARE need no pass 1. It returns a
+compose that reads and merges any block of rows. Pass 2 composes each
+block of the anchor, rejects it if the output dtype cannot hold every
+value finitely, and encodes and writes it in place in the output file; a
+tensor passed through has an empty aligned region, so each of its blocks
+is copied. Each worker reads every block into its :class:`BlockBuffers`,
+arrays named for what they hold and kept for the whole merge, and whatever
+reads a block releases its input pages (:meth:`AlignedTriple.decode_rows`
+or pass 2), so memory, mapped inputs included, follows one row block (and
+the two score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -205,12 +206,10 @@ class BlockBuffers(threading.local):
             raw = self._arrays[name] = np.empty(nbytes, np.uint8)
         return raw[:nbytes].view(dtype).reshape(shape)
 
-    def blocks(self, triple: AlignedTriple, rows: int | None = None) -> list[tuple[int, int]]:
-        """``(r0, r1)`` of each row block over the first ``rows`` rows (by
-        default the region's), in order: whole tiles, about
-        ``_BLOCK_ELEMENTS`` values of the region's width each."""
-        rows = triple.matrix[0] if rows is None else rows
-        block = _block_rows(triple.matrix[1])
+    def blocks(self, rows: int, cols: int) -> list[tuple[int, int]]:
+        """``(r0, r1)`` of each row block of a ``rows`` by ``cols`` matrix,
+        in order: whole tiles, about ``_BLOCK_ELEMENTS`` values each."""
+        block = _block_rows(cols)
         return [(r0, min(r0 + block, rows)) for r0 in range(0, rows, block)]
 
     def read(self, triple: AlignedTriple, r0: int, r1: int, roles: Iterable[str] = ROLES) -> list[np.ndarray]:
@@ -229,7 +228,7 @@ def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], c
     cols = triple.matrix[1]
     sums = np.zeros((count, cols))
     scratch = buffers.take("scratch", (SCRATCH_ROWS, cols), np.float64)
-    for r0, r1 in buffers.blocks(triple):
+    for r0, r1 in buffers.blocks(*triple.matrix):
         accumulate(sums, *buffers.read(triple, r0, r1), scratch)
     # a squared finite float32 cannot overflow a float64 sum, so a squared
     # norm is non-finite exactly when its tensor holds a non-finite value
@@ -242,12 +241,14 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
     """Pass 1 of a dim3 merge: the weights, and the compose that blends the
     two sources by them. A 2D tensor streams its column sums
     (:func:`stream_column_sums`) for one weight per column; a 1D tensor,
-    decoded whole, gets one weight per element, which its one-column
-    matrix views per row. The compose reads a block of both sources and
-    blends in place in ml's buffer. A difference ``ml - mm`` past float32
-    blends to a non-finite value, which pass 2 rejects."""
+    read as one block of all its rows, gets one weight per element, which
+    its one-column matrix views per row. The compose reads a block of both
+    sources and blends in place in ml's buffer. A difference ``ml - mm``
+    past float32 blends to a non-finite value, which pass 2 rejects."""
     if triple.rank == 1:
-        base, ml, mm = triple.to_f32()
+        base, ml, mm = (values.ravel() for values in buffers.read(triple, 0, triple.matrix[0]))
+        for role, values in zip(ROLES, (base, ml, mm)):
+            require_finite(values, f"{triple.name}: {role} tensor contains non-finite values")
         weights = elementwise_salience(*(np.abs(x.astype(np.float64) - base) for x in (ml, mm)), cfg.estimator)
         w_ml = weights.omega_ml.astype(np.float32).reshape(-1, 1)
     else:
@@ -275,38 +276,40 @@ def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffer
     return compose, None
 
 
-def _write_merged(triple: AlignedTriple, compose: Compose, out_dtype: DType, sink: Sink,
-                  buffers: BlockBuffers) -> None:
-    """Pass 2 of every merge, one row block of the anchor at a time: compose
-    the aligned rows, encode them in ``out_dtype`` over the anchor's own
-    rows and columns, re-encoded, and hand the block to ``sink`` at its
-    byte offset. The reader releases the rows the compose reads; the rows
-    re-encoded here, the anchor's own outside the aligned region, are
-    released once re-encoded. Every compose returns its block
-    in the multilingual row buffer of ``buffers``, so once it has returned
-    the output bits take the anchor's row buffer and BF16's rounding sums
-    the base's: no buffer is added for pass 2. This is the one check on
-    merged values, for every method: a composed block whose min or max is
-    NaN or past what encodes finitely in ``out_dtype`` (``ENCODE_LIMIT``)
-    is a numeric error. Where ``out_dtype`` is narrower than the anchor's
-    (F64 to F32, the one narrowing :func:`_out_dtype` allows), the
-    re-encoded anchor rows and columns get the same check."""
-    anchor = triple.mm
-    rows, cols = triple.matrix
-    anchor_bits = anchor.bits().reshape(anchor.shape[0], -1)
+def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], compose: Compose | None,
+                  out_dtype: DType, sink: Sink, buffers: BlockBuffers) -> None:
+    """Pass 2 of every anchor tensor, one row block of the anchor at a time:
+    compose the rows of the aligned ``region`` (rows, columns), encode them
+    in ``out_dtype`` over the anchor's own rows and columns, re-encoded, and
+    hand the block to ``sink`` at its byte offset. A tensor passed through
+    has no rows in its region and no compose, so each block is re-encoded:
+    copied, in its own dtype. The reader releases the rows the compose
+    reads, and this loop the anchor rows it re-encodes (all the anchor's
+    pages with the last block). Every compose returns its block in the
+    multilingual row buffer of ``buffers``, so once it has returned the
+    output bits take the anchor's row buffer and BF16's rounding sums the
+    base's: no buffer is added for pass 2. This is the one check on merged
+    values, for every method: a composed block whose min or max is NaN or
+    past what encodes finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a
+    numeric error. Where ``out_dtype`` is narrower than the anchor's (F64
+    to F32, the one narrowing :func:`_out_dtype` allows), the re-encoded
+    anchor rows and columns get the same check."""
+    rows, cols = region
+    anchor_bits = anchor.bits().reshape((anchor.shape + (1,))[0], -1)   # a scalar is one row of one
     limit, problem = ENCODE_LIMIT[out_dtype], f"values are not finite in {out_dtype.value}"
     narrows = out_dtype.itemsize < anchor.dtype.itemsize
-    for r0, r1 in buffers.blocks(triple, len(anchor_bits)):
+    for r0, r1 in buffers.blocks(len(anchor_bits), cols):
         with np.errstate(over="ignore", invalid="ignore"):   # checked next
             merged = compose(r0, min(r1, rows)) if r0 < rows else None
         out = buffers.take("anchor", (r1 - r0, anchor_bits.shape[1]), f"<u{out_dtype.itemsize}")
         if merged is not None:
-            require_finite(merged, f"{triple.name}: merged {problem}", limit)
+            require_finite(merged, f"{name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
             recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
-            release_pages(anchor, r0, r1)
+            last = r1 == len(anchor_bits)
+            release_pages(anchor, 0 if last else r0, None if last else r1)
             if narrows:
-                require_finite(out.view(np.float32), f"{triple.name}: anchor {problem}", limit)
+                require_finite(out.view(np.float32), f"{name}: anchor {problem}", limit)
         if merged is not None:
             scratch = buffers.take("base", merged.shape, np.uint32) if out_dtype is DType.BF16 else None
             encode_bits(merged, out_dtype, out[:len(merged), :cols], scratch)
@@ -324,7 +327,7 @@ def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: Blo
     start = time.perf_counter()
     plan = _plan_dim3 if cfg.method == "dim3" else _plan_baseline
     compose, weights = plan(triple, cfg, buffers)
-    _write_merged(triple, compose, _out_dtype(triple.mm, cfg), sink, buffers)
+    _write_merged(triple.name, triple.mm, triple.matrix, compose, _out_dtype(triple.mm, cfg), sink, buffers)
     entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
     if weights is not None:
         entry.omega_ml_mean = float(weights.omega_ml.mean())
@@ -385,11 +388,12 @@ def merge_checkpoint(
     everything else passes through bit-exactly. The output file is sized
     first and each tensor filled in place, so its bytes are identical for
     any worker count. The tensors run through :func:`for_each_tensor` on
-    ``threads`` workers, so the first failure stops the merge. The row
-    reader releases each block's input pages once decoded, and each input
-    tensor's pages are all released once it is done. Each worker keeps
-    its row-block buffers, a few MiB, until the merge returns; with
-    ``DIMERGE_LOG=INFO`` it logs one line per merged tensor."""
+    ``threads`` workers, so the first failure stops the merge. Every anchor
+    tensor, merged or passed through, is written by :func:`_write_merged`,
+    one row block at a time, and each block's input pages are released by
+    whatever read them. Each worker keeps its row-block buffers, a few MiB,
+    until the merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per
+    merged tensor."""
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )
@@ -413,18 +417,13 @@ def merge_checkpoint(
     with CheckpointWriter(specs, path, shard_limit) as out:
 
         def handle(name: str) -> TensorMergeReport:
-            try:
-                if name in passthrough_reason:
-                    out.write(name, 0, anchor[name].raw)
-                    return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
-                entry = _merge_one(by_name[name], cfg, partial(out.write, name), buffers)
-                nbytes = anchor[name].num_elements * _out_dtype(anchor[name], cfg).itemsize
-                _log_merged(entry, next(merged_so_far), to_merge, nbytes)
-                return entry
-            finally:
-                for ckpt in (base, ml, anchor):
-                    if name in ckpt:
-                        release_pages(ckpt[name])
+            rec = anchor[name]
+            if name in passthrough_reason:
+                _write_merged(name, rec, (0, prod(rec.shape[1:])), None, rec.dtype, partial(out.write, name), buffers)
+                return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
+            entry = _merge_one(by_name[name], cfg, partial(out.write, name), buffers)
+            _log_merged(entry, next(merged_so_far), to_merge, rec.num_elements * _out_dtype(rec, cfg).itemsize)
+            return entry
 
         entries = for_each_tensor(names, handle, threads)
     logger.debug("writer closed %s: %d files", path, len(out.paths))

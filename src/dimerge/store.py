@@ -16,6 +16,7 @@ package writes is one all-or-nothing :func:`staged_files` commit.
 
 from __future__ import annotations
 
+import glob
 import json
 import logging
 import mmap
@@ -245,6 +246,10 @@ class _Transaction:
         for _, kept in done:
             if kept:
                 kept.unlink()
+        for staged, target in self.changes:
+            if staged:   # what killed runs left staged for this target, named as _hidden names it
+                for leftover in target.parent.glob(f".{glob.escape(target.name)}.{'[0-9a-f]' * 16}.partial"):
+                    leftover.unlink(missing_ok=True)
         logger.debug("committed %d changes", len(done))
 
 
@@ -261,7 +266,9 @@ def staged_files() -> Iterator[_Transaction]:
     ``config.output_collision`` error, raised before anything is made. On a
     clean exit the changes are made in order, each old file first kept
     under a hidden name; if one fails, all are undone, the directories
-    made are removed and the error is raised. On an exception in the block
+    made are removed and the error is raised. A commit that succeeds also
+    deletes the hidden files that runs killed before their commit left
+    staged beside the paths it writes. On an exception in the block
     nothing changes. A block inside another, in the same thread, joins it:
     it commits with the outermost, and an exception out of it withdraws only
     what it staged.
@@ -469,12 +476,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAU
 
     If ``path`` ends in ``.safetensors`` everything must fit in one file.
     Otherwise ``path`` is a directory: a single tensor file when one shard
-    suffices, or numbered shards plus an index manifest.
+    suffices, or numbered shards plus an index manifest. A record that maps
+    a file has its pages released once its payload is written, so saving a
+    loaded checkpoint holds its largest tensor mapped, not all of it.
     """
     records = list(ckpt.tensors.values())
     with CheckpointWriter([(r.name, r.dtype, r.shape) for r in records], path, shard_limit) as out:
         for rec in records:
             out.write(rec.name, 0, rec.raw)
+            release_pages(rec)
     return out.paths
 
 

@@ -13,7 +13,7 @@ from hypothesis import settings
 
 from dimerge.diagnostics import diagnose
 from dimerge.merge import merge_checkpoint
-from dimerge.records import DType, TensorRecord
+from dimerge.records import DType, TensorRecord, decode_f32
 from dimerge.store import Checkpoint, load_checkpoint
 
 settings.register_profile("dimerge", deadline=None, database=None, derandomize=True)
@@ -101,6 +101,12 @@ def merge_and_load(base, ml, anchor, cfg, threads=None):
         out = Path(tmp) / "merged"
         report = merge_checkpoint(base, ml, anchor, cfg, out, threads=threads)
         return load_checkpoint(out), report
+
+
+def aligned_f32(triple):
+    """The aligned region of a triple's base, ml and mm, each decoded whole
+    to float32."""
+    return tuple(decode_f32(triple.aligned_bits(rec), rec.dtype) for rec in (triple.base, triple.ml, triple.mm))
 
 
 def one_tensor_row(base, ml, mm, **kwargs):

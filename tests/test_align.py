@@ -9,7 +9,7 @@ from dimerge.errors import AlignmentError, ConfigError
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, save_checkpoint
 
-from conftest import ANCHOR_EXTRA_SHAPES
+from conftest import ANCHOR_EXTRA_SHAPES, aligned_f32
 
 
 def ckpt(arrays: dict) -> Checkpoint:
@@ -56,7 +56,7 @@ class TestAlignment:
         anchor = ckpt({"embed": a})
         triples, report = align_triple(base, ml, anchor, shape_policy="anchor-overlap")
         assert triples[0].shape == (5, 2)
-        np.testing.assert_array_equal(triples[0].to_f32()[2], a[:5, :])
+        np.testing.assert_array_equal(aligned_f32(triples[0])[2], a[:5, :])
         assert report.shape_mismatches[0].overlap_shape == (5, 2)
 
     def test_high_rank_rejected_by_default(self):

@@ -12,15 +12,19 @@ and a report that describes it.
 import errno
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dimerge
 import dimerge.merge as merge_module
 from dimerge.cli import main
 from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.records import TensorRecord
-from dimerge.store import Checkpoint, save_checkpoint
+from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
 from conftest import fail_nth_replace, make_triple
 
@@ -186,3 +190,47 @@ def test_full_disk_fails_before_any_compute(tmp_path, monkeypatch):
     assert merged == []
     assert snapshot(tmp_path) == before
     assert not list(tmp_path.rglob(".*"))
+
+
+KILLED_MERGE = """
+import os, sys
+from dimerge.merge import MergeConfig, merge_checkpoint
+from dimerge.store import CheckpointWriter, load_checkpoint
+
+def killed(*args):
+    os._exit(3)   # as a kill would: no exception handler, no clean-up
+
+CheckpointWriter.write = killed
+root = sys.argv[1]
+triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
+merge_checkpoint(*triple, MergeConfig(), f"{root}/merged.safetensors")
+"""
+
+
+def test_a_commit_deletes_what_killed_runs_left_staged(tmp_path, monkeypatch):
+    """Two merges killed inside the writer each leave a hidden staged file
+    beside the output path. A run that fails touches neither; the next
+    clean commit of that path deletes both, and no hidden file that is not
+    named as the writer names a staged file of that path."""
+    for role, ckpt in zip(("base", "ml", "anchor"), TRIPLE):
+        save_checkpoint(ckpt, tmp_path / role)
+    env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
+    for _ in range(2):
+        assert subprocess.run([sys.executable, "-c", KILLED_MERGE, str(tmp_path)], env=env).returncode == 3
+    out = tmp_path / "merged.safetensors"
+    assert len(list(tmp_path.glob(".merged.safetensors.*.partial"))) == 2 and not out.exists()
+    others = [tmp_path / name for name in (".merged.safetensors.partial", ".other.safetensors.0123456789abcdef.partial",
+                                           ".merged.safetensors.0123456789abcdeg.partial")]
+    for other in others:
+        other.write_bytes(b"kept")
+
+    before = snapshot(tmp_path)
+    fail_nth_replace(monkeypatch, 1)
+    with pytest.raises(OSError, match="injected"):
+        merge_checkpoint(*TRIPLE, MergeConfig(), out)
+    assert snapshot(tmp_path) == before
+    monkeypatch.undo()
+
+    merge_checkpoint(*TRIPLE, MergeConfig(), out)
+    assert sorted(tmp_path.glob(".*")) == sorted(others)
+    assert load_checkpoint(out).names() == TRIPLE[2].names()

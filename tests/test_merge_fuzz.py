@@ -37,6 +37,7 @@ from dimerge.records import ENCODE_LIMIT, DType, TensorRecord, decode_f32, recod
 from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint, load_checkpoint
 
+from conftest import aligned_f32
 from test_streaming import expected_baseline_bits, expected_baseline_values
 import reference
 
@@ -130,7 +131,7 @@ def verdict(triple, cfg):
     are, on one side, and within it where both are; between, it may be
     either."""
     limit = ENCODE_LIMIT[triple.mm.dtype if cfg.output_dtype == "match_anchor" else DType.F32]
-    base, ml, mm = triple.to_f32()
+    base, ml, mm = aligned_f32(triple)
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.method == "dim3":
             if not np.isfinite(ml - mm).all():
@@ -192,6 +193,6 @@ def test_merge_agrees_with_itself_and_the_references(case):
         assert bits.tobytes() == outside.tobytes(), triple.name
         if dtype is DType.F32 and values == "uniform":
             oracle = reference.merge_2d if triple.rank == 2 else reference.merge_1d
-            want, _ = oracle(*triple.to_f32())
+            want, _ = oracle(*aligned_f32(triple))
             got = bits[region].view(np.float32)
             assert np.max(np.abs(got - want)) <= 1e-5, triple.name

@@ -2,10 +2,12 @@
 
 Small anchors are drawn whose keys are missing from the base, the
 multilingual source or both, are rank-3 under ``high_rank="pass_through"``,
-are scalars, or are out of scope. The merge report lists each anchor
-tensor once, its counts add up to the anchor, and alignment's
-``pass_through`` map agrees with the entries: alignment decides the keys a
-source lacks and the rank-3 ones, the merge adds scope and scalars.
+are scalars, or are out of scope, each key in its own storage dtype.
+Merged by one and by two workers, the report lists each anchor tensor
+once, its counts add up to the anchor, and alignment's ``pass_through``
+map agrees with the entries: alignment decides the keys a source lacks and
+the rank-3 ones, the merge adds scope and scalars. Every tensor passed
+through is written with the anchor's dtype, shape and bytes.
 """
 
 import json
@@ -17,17 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dimerge.merge import MergeConfig, merge_checkpoint
-from dimerge.records import TensorRecord
+from dimerge.records import DType, TensorRecord
 from dimerge.scope import ScopeFilter
-from dimerge.store import Checkpoint
+from dimerge.store import Checkpoint, load_checkpoint
 
 PROPERTY = settings(max_examples=200)
 
 SHAPES = {0: (), 1: (3,), 2: (2, 3), 3: (2, 2, 2)}
 CFG = MergeConfig(scope=ScopeFilter(exclude=("skip.*",)), high_rank="pass_through")
 
-# one anchor key: (in base, in ml, rank, in scope)
-KEYS = st.lists(st.tuples(st.booleans(), st.booleans(), st.sampled_from(sorted(SHAPES)), st.booleans()),
+# one anchor key: (in base, in ml, rank, in scope, storage dtype)
+KEYS = st.lists(st.tuples(st.booleans(), st.booleans(), st.sampled_from(sorted(SHAPES)), st.booleans(),
+                          st.sampled_from(list(DType))),
                 min_size=1, max_size=8)
 
 
@@ -48,19 +51,30 @@ def expected_reason(in_base: bool, in_ml: bool, rank: int, in_scope: bool) -> st
 def test_each_anchor_tensor_has_one_outcome(keys, extra):
     sources = {"base": [], "ml": [], "anchor": []}
     expected = {}
-    for i, (in_base, in_ml, rank, in_scope) in enumerate(keys):
+    for i, (in_base, in_ml, rank, in_scope, dtype) in enumerate(keys):
         name = f"{'' if in_scope else 'skip.'}k{i}"
         expected[name] = expected_reason(in_base, in_ml, rank, in_scope)
+        # every element its own value, exact in every dtype, so a copy that moves one shows
+        values = np.arange(np.prod(SHAPES[rank]), dtype=np.float32).reshape(SHAPES[rank]) / 8
         for role, value, present in (("base", 0.0, in_base), ("ml", 1.0, in_ml), ("anchor", 2.0, True)):
             if present:
-                sources[role].append(TensorRecord.from_array(name, np.full(SHAPES[rank], value, np.float32)))
+                sources[role].append(TensorRecord.from_array(name, values + np.float32(value), dtype))
     if extra:
         sources["base"].append(TensorRecord.from_array("extra", np.zeros(2, np.float32)))
     base, ml, anchor = (Checkpoint.from_records(sources[role]) for role in ("base", "ml", "anchor"))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        report = merge_checkpoint(base, ml, anchor, CFG, Path(tmp) / "merged", threads=1)
-    report = json.loads(json.dumps(report.to_dict()))
+    reports = []
+    for threads in (1, 2):
+        with tempfile.TemporaryDirectory() as tmp:
+            reports.append(merge_checkpoint(base, ml, anchor, CFG, Path(tmp) / "merged", threads=threads))
+            merged = load_checkpoint(Path(tmp) / "merged")
+            for name, reason in expected.items():
+                if reason is not None:
+                    got, want = merged[name], anchor[name]
+                    assert (got.dtype, got.shape, got.raw) == (want.dtype, want.shape, want.raw), (name, threads)
+    assert [entry.to_dict() | {"seconds": 0.0} for entry in reports[0].tensors] == \
+        [entry.to_dict() | {"seconds": 0.0} for entry in reports[1].tensors]
+    report = json.loads(json.dumps(reports[0].to_dict()))
 
     entries = report["tensors"]
     assert sorted(t["name"] for t in entries) == sorted(anchor.names()) == sorted(expected)

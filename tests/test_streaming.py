@@ -25,7 +25,7 @@ from dimerge.records import DType, TensorRecord, encode_bits, recode_bits
 from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
                            save_checkpoint)
 
-from conftest import merge_and_load
+from conftest import aligned_f32, merge_and_load
 import reference
 
 MIB = 1024 * 1024
@@ -282,19 +282,24 @@ PEAK_PROBE = """
 import sys
 from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint
-from dimerge.store import load_checkpoint
+from dimerge.scope import ScopeFilter
+from dimerge.store import load_checkpoint, save_checkpoint
 
 def own_peak_kib():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
+method, _, scope = sys.argv[1].partition(":")   # a merge may name its scope preset: "dim3:empty"
 peaks = []
 for root in sys.argv[2:]:
     triple = [load_checkpoint(f"{root}/{role}") for role in ("base", "ml", "anchor")]
-    if sys.argv[1] == "diagnose":
+    if method == "diagnose":
         diagnose(*triple)
+    elif method == "save":
+        save_checkpoint(triple[2], f"{root}/out.save")
     else:
-        merge_checkpoint(*triple, MergeConfig(method=sys.argv[1]), f"{root}/out.{sys.argv[1]}")
+        cfg = MergeConfig(method=method, scope=ScopeFilter.from_dict(scope or "full"))
+        merge_checkpoint(*triple, cfg, f"{root}/out.{method}")
     peaks.append(own_peak_kib())
 print(*peaks)
 """
@@ -302,15 +307,21 @@ print(*peaks)
 needs_vmhwm = pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs the process's own VmHWM")
 
 
-def probe_peaks_kib(tmp_path, method):
-    """The peak memory of a fresh process after merging (or, for method
-    ``diagnose``, measuring) a mapped bf16 2048-row tensor, then after one
-    four times as tall. The process reads its own high-water mark,
-    because the one ``getrusage`` gives a child starts from its parent's."""
+def probe_peaks(method, roots):
+    """The peak memory of one fresh process after merging each of ``roots``
+    in turn (or, for method ``diagnose``, measuring it, and for ``save``
+    saving its anchor). The process reads its own high-water mark, because
+    the one ``getrusage`` gives a child starts from its parent's."""
     env = {**os.environ, "PYTHONPATH": str(Path(dimerge.__file__).parents[1])}
-    result = subprocess.run([sys.executable, "-c", PEAK_PROBE, method, *short_and_tall(tmp_path)], env=env,
+    result = subprocess.run([sys.executable, "-c", PEAK_PROBE, method, *roots], env=env,
                             capture_output=True, text=True, check=True)
     return [int(kib) for kib in result.stdout.split()]
+
+
+def probe_peaks_kib(tmp_path, method):
+    """:func:`probe_peaks` of a mapped bf16 2048-row tensor, then of one
+    four times as tall."""
+    return probe_peaks(method, short_and_tall(tmp_path))
 
 
 @needs_vmhwm
@@ -334,6 +345,45 @@ def test_pass_one_keeps_one_row_block_mapped(tmp_path, method, bound_mib):
     and those few MiB."""
     short, tall = probe_peaks_kib(tmp_path, method)
     assert tall - short < bound_mib * 1024, (short, tall)
+
+
+def tall_pass_through(tmp_path, scope):
+    """Roots of mapped bf16 triples that merge a one-tile tensor and pass
+    through a 1024-wide one of 2048 rows, then of 16384: the anchor's alone,
+    or, under scope ``empty``, one every role holds."""
+    roots = []
+    for rows in (2048, 16384):
+        root = tmp_path / str(rows)
+        triple = on_disk_triple(root, {"w": (TILE_ROWS, 1024)}, seed=rows)
+        tall = TensorRecord.from_array("vision.w", np.ones((rows, 1024), np.float32), DType.BF16)
+        for role, ckpt in zip(("base", "ml", "anchor"), triple):
+            if role == "anchor" or scope == "empty":
+                save_checkpoint(Checkpoint.from_records([*ckpt.tensors.values(), tall]), root / role)
+        roots.append(str(root))
+    return roots
+
+
+@needs_vmhwm
+@pytest.mark.parametrize("scope", ["full", "empty"])
+def test_pass_through_keeps_one_row_block_mapped(tmp_path, scope):
+    """A tensor passed through, anchor-only or out of scope, is copied by
+    the merge's row-block loop, which releases each block's pages once
+    written, so eight times the rows (28 MiB more of bf16 here) raise the
+    peak by a few MiB, not by the tensor."""
+    short, tall = probe_peaks(f"dim3:{scope}", tall_pass_through(tmp_path, scope))
+    assert tall - short < 8 * 1024, (short, tall)
+
+
+@needs_vmhwm
+def test_save_keeps_one_tensor_mapped(tmp_path):
+    """Saving a loaded checkpoint releases each record's pages once it is
+    written, so eight 4 MiB bf16 tensors peak as two do, not 24 MiB higher."""
+    roots = []
+    for count in (2, 8):
+        on_disk_triple(tmp_path / str(count), {f"w{i}": (1024, 2048) for i in range(count)}, seed=count)
+        roots.append(str(tmp_path / str(count)))
+    few, many = probe_peaks("save", roots)
+    assert many - few < 8 * 1024, (few, many)
 
 
 @pytest.mark.parametrize("method", ["ties", "dare", "task_arithmetic"])
@@ -447,7 +497,7 @@ def test_reused_buffers_leave_no_stale_values(tmp_path, monkeypatch, dtype, outp
 def expected_baseline_values(triple, cfg):
     """One tensor's merged region in float32 from the naive references in
     ``reference.py``, flat."""
-    base, ml, mm = triple.to_f32()
+    base, ml, mm = aligned_f32(triple)
     d_ml, d_mm = ml - base, mm - base
     p = cfg.baseline
     if cfg.method == "ties":
