@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .align import ROLES, AlignedTriple
-from .errors import ConfigError, Record, read_section, read_value
+from .errors import ConfigError, Record
 from .records import all_finite, require_finite
 
 if TYPE_CHECKING:
@@ -44,6 +44,8 @@ _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111E
 @dataclass(frozen=True)
 class BaselineParams(Record):
     """Hyperparameters for the baseline methods; defaults are config-exposed."""
+
+    section = "merge.baseline"
 
     lam: float = field(default=1.0, metadata={"key": "lambda"})
     dare_drop_p: float = 0.9
@@ -62,13 +64,6 @@ class BaselineParams(Record):
             raise ConfigError("breadcrumbs fractions must be in [0, 1)")
         if self.breadcrumbs_beta + self.breadcrumbs_gamma >= 1.0:
             raise ConfigError("breadcrumbs beta + gamma must be < 1")
-
-    @classmethod
-    def from_dict(cls, data) -> "BaselineParams":
-        """Read ``merge.baseline``; each key left out keeps its default."""
-        defaults = cls().to_dict()
-        data = read_section(data, "merge.baseline", defaults)
-        return cls(*(read_value(data, "merge.baseline", key, "number", default) for key, default in defaults.items()))
 
 
 # ---------------------------------------------------------------------------

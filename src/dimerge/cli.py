@@ -25,6 +25,7 @@ import os
 import sys
 from pathlib import Path
 
+from .align import ROLES
 from .diagnostics import ModuleKeySchema, diagnose, export_csv, export_json
 from .errors import ConfigError, DimergeError, read_section, read_value
 from .geometry import EPSILON_DEFAULT
@@ -35,7 +36,6 @@ from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_file
 logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
-_ROLES = ("base", "multilingual", "anchor")   # the keys of the remap section and of the inputs' paths
 # the top-level keys either command reads: one set for both, since a shared
 # config (and a merge report's echo) carries both commands' keys
 _CONFIG_KEYS = ("schema_version", "base_path", "multilingual_path", "anchor_path", "remap", "merge", "output_path",
@@ -131,16 +131,16 @@ def _output_file(key: str, path: str) -> str:
 
 def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
     """Each role's rules: those given for it, else its preset's, else none."""
-    remap = read_section(config.get("remap"), "remap", ("preset", *_ROLES))
+    remap = read_section(config.get("remap"), "remap", ("preset", *ROLES))
     preset = read_value(remap, "remap", "preset", "string", None, REMAP_PRESETS)
     return {role: list(read_value(remap, "remap", role, "pairs", remap_rules(preset, role) if preset else []))
-            for role in _ROLES}
+            for role in ROLES}
 
 
 def _load_inputs(config: dict, writes: list[str | Path]):
     """The remapped inputs; a path in ``writes`` that is, holds or lies
     inside an input path is refused first, so no run writes over its inputs."""
-    paths = {role: _required_path(config, f"{role}_path") for role in _ROLES}
+    paths = {role: _required_path(config, f"{role}_path") for role in ROLES}
     for written, (role, path) in itertools.product(map(Path, writes), paths.items()):
         read, out = path.resolve(), written.resolve()
         if read in (out, *out.parents) or out in read.parents:

@@ -3,8 +3,9 @@
 Every error carries a machine-readable ``error_class`` (dotted string) and an
 ``exit_code`` used by the command-line front end: 2 for configuration
 problems, 3 for I/O and file-format problems, 4 for numeric or shape
-problems. Config has one reader, :func:`read_section` with
-:func:`read_value`, and one writer, :meth:`Record.to_dict`.
+problems. Config has one reader, :meth:`Record.from_dict`, which reads
+every section and value through :func:`read_section` and :func:`read_value`,
+and one writer, :meth:`Record.to_dict`.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import sys
 from dataclasses import fields
 from enum import Enum
+from typing import ClassVar
 
 
 class DimergeError(Exception):
@@ -54,6 +56,8 @@ _KINDS = {
               lambda v: tuple(map(tuple, v))),
     "range": ("an integer pair", lambda v: _list_of(v, int) and len(v) == 2, tuple),
 }
+# a field's value kind when its metadata names none: its default's type's
+_DEFAULT_KINDS = ((str, "string"), (float, "number"), (int, "integer"), (tuple, "strings"))
 
 
 def read_section(data, section: str, known=None) -> dict:
@@ -101,8 +105,15 @@ def _plain(value):
 
 class Record:
     """Base of the config and report dataclasses. A field's metadata may
-    give its config ``key`` (the field name by default) and the ``choices``
-    its value must be one of, checked when the record is made."""
+    give its config ``key`` (the field name by default), the ``choices``
+    its value must be one of, checked when the record is made, and its
+    value ``kind`` (a ``_KINDS`` name, or a record class) where its
+    default's type does not tell it. A config record names its
+    ``section``, and may give ``presets``: a value of its first field ->
+    the defaults that value gives its other fields."""
+
+    section: ClassVar[str | None] = None
+    presets: ClassVar[dict] = {}
 
     def __post_init__(self):
         for f in fields(self):
@@ -110,6 +121,26 @@ class Record:
             if choices is not None and value not in tuple(choices):
                 raise ConfigError(f"config value {f.metadata.get('key', f.name)} must be one of "
                                   f"{', '.join(choices)}, got {value!r}", error_class="config.bad_value")
+
+    @classmethod
+    def from_dict(cls, data):
+        """Read the record's ``section``: each init field under its key, as
+        its kind. A field left out or null keeps its default, or the one its
+        first field's preset gives it; a record-valued field is read as its
+        own section."""
+        own = [f for f in fields(cls) if f.init]
+        data = read_section(data, cls.section, [f.metadata.get("key", f.name) for f in own])
+        values = {}
+        for f in own:
+            key, kind = f.metadata.get("key", f.name), f.metadata.get("kind")
+            if isinstance(kind, type):
+                if data.get(key) is not None:
+                    values[f.name] = kind.from_dict(data[key])
+                continue
+            default = cls.presets.get(values.get(own[0].name), {}).get(f.name, f.default)
+            kind = kind or next(name for t, name in _DEFAULT_KINDS if isinstance(f.default, t))
+            values[f.name] = read_value(data, cls.section, key, kind, default, f.metadata.get("choices"))
+        return cls(**values)
 
     def to_dict(self) -> dict:
         """Each init field under its key, as JSON data."""

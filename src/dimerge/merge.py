@@ -47,7 +47,7 @@ import numpy as np
 
 from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
-from .errors import ConfigError, Record, read_section, read_value
+from .errors import ConfigError, Record
 from .geometry import (
     EPSILON_DEFAULT,
     SCRATCH_ROWS,
@@ -88,14 +88,16 @@ class MergeConfig(Record):
     """Full declarative description of a merge run, checked when it is made;
     a baseline method given no parameters gets the defaults."""
 
+    section = "merge"
+
     method: str = field(default="dim3", metadata={"choices": MERGE_METHODS})
     estimator: EstimatorKind = field(default=EstimatorKind.RANK, metadata={"choices": tuple(EstimatorKind)})
-    aggregation: AggregationKind = field(default_factory=partial(AggregationKind, "average"))
+    aggregation: AggregationKind = field(default_factory=AggregationKind, metadata={"kind": AggregationKind})
     epsilon: float = EPSILON_DEFAULT
-    scope: ScopeFilter = field(default_factory=partial(ScopeFilter, preset="full"))
+    scope: ScopeFilter = field(default_factory=partial(ScopeFilter, preset="full"), metadata={"kind": ScopeFilter})
     shape_policy: str = field(default="strict", metadata={"choices": SHAPE_POLICIES})
     seed: int = 0
-    baseline: BaselineParams | None = None
+    baseline: BaselineParams | None = field(default=None, metadata={"kind": BaselineParams})
     output_dtype: str = field(default="match_anchor", metadata={"choices": OUTPUT_DTYPES})
     high_rank: str = field(default="reject", metadata={"choices": HIGH_RANK_POLICIES})
 
@@ -108,29 +110,6 @@ class MergeConfig(Record):
             raise ConfigError("baseline parameters are only valid for baseline methods")
         if self.method in BASELINE_METHODS and self.baseline is None:
             object.__setattr__(self, "baseline", BaselineParams())
-
-    @classmethod
-    def from_dict(cls, data) -> "MergeConfig":
-        """Read the ``merge`` section; each key left out keeps its default."""
-        fields = cls.__dataclass_fields__
-        data = read_section(data, "merge", fields)
-
-        def value(key, kind):
-            return read_value(data, "merge", key, kind, fields[key].default, fields[key].metadata.get("choices"))
-
-        baseline = data.get("baseline")
-        return cls(
-            method=value("method", "string"),
-            estimator=value("estimator", "string"),
-            aggregation=AggregationKind.from_dict(data.get("aggregation")),
-            epsilon=value("epsilon", "number"),
-            scope=ScopeFilter.from_dict(data.get("scope", "full")),
-            shape_policy=value("shape_policy", "string"),
-            seed=value("seed", "integer"),
-            baseline=None if baseline is None else BaselineParams.from_dict(baseline),
-            output_dtype=value("output_dtype", "string"),
-            high_rank=value("high_rank", "string"),
-        )
 
 
 @dataclass
@@ -320,14 +299,15 @@ def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
     return anchor.dtype if cfg.output_dtype == "match_anchor" else DType.F32
 
 
-def _merge_one(triple: AlignedTriple, cfg: MergeConfig, sink: Sink, buffers: BlockBuffers) -> TensorMergeReport:
-    """Merge one 1D or 2D tensor and write it, at the anchor's shape, through
-    ``sink``: the method's pass 1 plans it and :func:`_write_merged` writes
-    it, both in ``buffers``."""
+def _merge_one(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
+               buffers: BlockBuffers) -> TensorMergeReport:
+    """Merge one 1D or 2D tensor and write it in ``out_dtype``, at the
+    anchor's shape, through ``sink``: the method's pass 1 plans it and
+    :func:`_write_merged` writes it, both in ``buffers``."""
     start = time.perf_counter()
     plan = _plan_dim3 if cfg.method == "dim3" else _plan_baseline
     compose, weights = plan(triple, cfg, buffers)
-    _write_merged(triple.name, triple.mm, triple.matrix, compose, _out_dtype(triple.mm, cfg), sink, buffers)
+    _write_merged(triple.name, triple.mm, triple.matrix, compose, out_dtype, sink, buffers)
     entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
     if weights is not None:
         entry.omega_ml_mean = float(weights.omega_ml.mean())
@@ -370,7 +350,7 @@ def merge_tensor(triple: AlignedTriple, cfg: MergeConfig) -> TensorRecord:
     def sink(offset: int, bits: np.ndarray) -> None:
         payload[offset:offset + bits.nbytes] = bits.tobytes()
 
-    _merge_one(triple, cfg, sink, BlockBuffers())
+    _merge_one(triple, cfg, out_dtype, sink, BlockBuffers())
     return TensorRecord(name=triple.name, dtype=out_dtype, shape=triple.mm.shape, raw=bytes(payload))
 
 
@@ -412,17 +392,16 @@ def merge_checkpoint(
     to_merge = sum(n not in passthrough_reason for n in names)
     merged_so_far = itertools.count(1)
     buffers = BlockBuffers()
-    specs = [(n, anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg), anchor[n].shape)
-             for n in names]
-    with CheckpointWriter(specs, path, shard_limit) as out:
+    dtypes = {n: anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg) for n in names}
+    with CheckpointWriter([(n, dtypes[n], anchor[n].shape) for n in names], path, shard_limit) as out:
 
         def handle(name: str) -> TensorMergeReport:
-            rec = anchor[name]
+            rec, sink = anchor[name], partial(out.write, name)
             if name in passthrough_reason:
-                _write_merged(name, rec, (0, prod(rec.shape[1:])), None, rec.dtype, partial(out.write, name), buffers)
+                _write_merged(name, rec, (0, prod(rec.shape[1:])), None, dtypes[name], sink, buffers)
                 return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
-            entry = _merge_one(by_name[name], cfg, partial(out.write, name), buffers)
-            _log_merged(entry, next(merged_so_far), to_merge, rec.num_elements * _out_dtype(rec, cfg).itemsize)
+            entry = _merge_one(by_name[name], cfg, dtypes[name], sink, buffers)
+            _log_merged(entry, next(merged_so_far), to_merge, rec.num_elements * dtypes[name].itemsize)
             return entry
 
         entries = for_each_tensor(names, handle, threads)

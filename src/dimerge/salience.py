@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, Record, ShapeError, read_section, read_value
+from .errors import ConfigError, NumericError, Record, ShapeError
 
 _ZSCORE_STD_GUARD = 1e-12
 _RATIO_SUM_GUARD = 1e-12
@@ -35,14 +35,17 @@ class AggregationKind(Record):
     """How the magnitude and direction branches combine into one weight.
 
     ``lam`` is the weight of the named branch for the weighted kinds and must
-    lie in (0.5, 1); it is absent otherwise.
+    lie in (0.5, 1); it is absent otherwise. A config (``merge.aggregation``)
+    that names a weighted kind without a lambda gets 0.75.
     """
 
     _WEIGHTED = ("dir_weighted", "mag_weighted")
     _KINDS = ("average", "dir_weighted", "mag_weighted", "mag_only", "dir_only")
+    section = "merge.aggregation"
+    presets = {kind: {"lam": 0.75} for kind in _WEIGHTED}
 
-    kind: str = field(metadata={"choices": _KINDS})
-    lam: float | None = field(default=None, metadata={"key": "lambda"})
+    kind: str = field(default="average", metadata={"choices": _KINDS})
+    lam: float | None = field(default=None, metadata={"key": "lambda", "kind": "number"})
 
     def __post_init__(self):
         super().__post_init__()
@@ -51,14 +54,6 @@ class AggregationKind(Record):
                 raise ConfigError(f"{self.kind} needs lambda in (0.5, 1), got {self.lam}")
         elif self.lam is not None:
             raise ConfigError(f"{self.kind} takes no lambda")
-
-    @classmethod
-    def from_dict(cls, data) -> "AggregationKind":
-        """Read ``merge.aggregation``; a weighted kind without a lambda gets the default one."""
-        data = read_section(data, "merge.aggregation", ("kind", "lambda"))
-        kind = read_value(data, "merge.aggregation", "kind", "string", "average", cls._KINDS)
-        lam = read_value(data, "merge.aggregation", "lambda", "number", 0.75 if kind in cls._WEIGHTED else None)
-        return cls(kind, lam)
 
 
 @dataclass(frozen=True)

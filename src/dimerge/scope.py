@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
-from .errors import ConfigError, Record, read_section, read_value
+from .errors import ConfigError, Record
 
 DEFAULT_LAYER_PATTERN = "*.layers.{n}.*"
 
@@ -31,9 +31,6 @@ SCOPE_PRESETS = {
     # a contiguous block of transformer layers (its layer_range) plus embeddings and head
     "layers": {"range_exempt": EMBED_PATTERNS + HEAD_PATTERNS},
 }
-# field -> its value kind in a config
-_FIELDS = {"include": "strings", "exclude": "strings", "layer_range": "range", "layer_pattern": "string",
-           "range_exempt": "strings"}
 
 
 def _glob_to_regex(glob: str) -> str:
@@ -72,13 +69,17 @@ class ScopeFilter(Record):
 
     Keys without a parsable layer index are out of scope while a layer range
     is active, unless range-exempt. The layer pattern is checked and compiled
-    once, when the filter is made.
+    once, when the filter is made. In a config (``merge.scope``) a preset
+    sets the fields, and each key given beside it replaces the preset's own.
     """
+
+    section = "merge.scope"
+    presets = SCOPE_PRESETS
 
     preset: str = field(default="custom", metadata={"choices": SCOPE_PRESETS})
     include: tuple[str, ...] = ("*",)
     exclude: tuple[str, ...] = ()
-    layer_range: tuple[int, int] | None = None
+    layer_range: tuple[int, int] | None = field(default=None, metadata={"kind": "range"})
     layer_pattern: str = DEFAULT_LAYER_PATTERN
     range_exempt: tuple[str, ...] = ()
     layer_regex: re.Pattern = field(init=False, repr=False, compare=False)
@@ -105,13 +106,3 @@ class ScopeFilter(Record):
             lo, hi = self.layer_range
             return lo <= idx <= hi
         return True
-
-    @classmethod
-    def from_dict(cls, data) -> "ScopeFilter":
-        """Read ``merge.scope``: its preset's fields, each key given beside
-        the preset in place of the preset's own."""
-        data = read_section(data, "merge.scope", ("preset", *_FIELDS))
-        preset = read_value(data, "merge.scope", "preset", "string", "custom", SCOPE_PRESETS)
-        own = {**vars(cls()), **SCOPE_PRESETS[preset]}
-        return cls(**{key: read_value(data, "merge.scope", key, kind, own[key]) for key, kind in _FIELDS.items()},
-                   preset=preset)

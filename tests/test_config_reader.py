@@ -1,0 +1,66 @@
+"""The one config reader, ``Record.from_dict``, over every config record.
+
+Every record that names a config ``section`` reads null as an empty section,
+reads back from its own echo and names an unknown key under its section. A
+record-valued section of ``merge`` given as null is the same as leaving it
+out, in the config read and in its echo.
+"""
+
+import json
+
+import pytest
+
+from dimerge import cli
+from dimerge.errors import ConfigError, Record
+from dimerge.merge import MergeConfig
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+CONFIG_RECORDS = sorted({cls for cls in _subclasses(Record) if cls.section}, key=lambda cls: cls.section)
+
+
+def test_every_config_record_is_found():
+    assert {cls.__name__ for cls in CONFIG_RECORDS} >= {"MergeConfig", "AggregationKind", "ScopeFilter",
+                                                        "BaselineParams"}
+
+
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+def test_null_is_an_empty_section(record):
+    assert record.from_dict(None) == record.from_dict({})
+
+
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+def test_default_record_reads_back_from_its_echo(record):
+    default = record()
+    assert record.from_dict(json.loads(json.dumps(default.to_dict()))) == default
+
+
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+def test_unknown_key_is_named_under_its_section(record):
+    with pytest.raises(ConfigError, match=rf"^unknown config key {record.section}\.no_such_key$") as err:
+        record.from_dict({"no_such_key": 1})
+    assert err.value.error_class == "config.unknown_key"
+
+
+@pytest.mark.parametrize("method", ["dim3", "ties"])
+@pytest.mark.parametrize("section", ["scope", "aggregation", "baseline"])
+def test_null_record_section_is_left_out(section, method):
+    given = MergeConfig.from_dict({"method": method, section: None})
+    left_out = MergeConfig.from_dict({"method": method})
+    assert given == left_out
+    assert json.dumps(given.to_dict()) == json.dumps(left_out.to_dict())
+
+
+@pytest.mark.parametrize("section", ["scope", "aggregation", "baseline"])
+def test_null_record_section_override_is_left_out(tmp_path, section):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"merge": {"method": "ties"}}))
+    given = MergeConfig.from_dict(cli.load_config(str(path), [f"merge.{section}=null"])["merge"])
+    left_out = MergeConfig.from_dict(cli.load_config(str(path), [])["merge"])
+    assert given == left_out
+    assert given.to_dict() == left_out.to_dict()
