@@ -7,8 +7,8 @@ reproduced byte-for-byte. Everything a run writes (the checkpoint, then its
 report; or both ``diagnose`` tables) is one :func:`~dimerge.store.staged_files`
 commit, so a failed run leaves the earlier output and report as they were,
 and a path written twice is refused. Either command refuses a path it writes
-that is, holds or lies inside an input path, and a report or table path
-that is a directory, before it loads the inputs.
+that is the config file or is, holds or lies inside an input path, and a
+report or table path that is a directory, before it loads the inputs.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import json
 import logging
 import os
@@ -86,7 +85,7 @@ def load_config(path: str, overrides: list[str]) -> dict:
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object", error_class="config.parse")
     config = read_section(apply_overrides(config, overrides), "", _CONFIG_KEYS)
-    version = config.get("schema_version", SCHEMA_VERSION)
+    version = read_value(config, "", "schema_version", "integer", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", error_class="config.version")
     return config
@@ -137,14 +136,19 @@ def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
             for role in ROLES}
 
 
-def _load_inputs(config: dict, writes: list[str | Path]):
-    """The remapped inputs; a path in ``writes`` that is, holds or lies
-    inside an input path is refused first, so no run writes over its inputs."""
+def _load_inputs(config: dict, config_path: str, writes: list[str | Path]):
+    """The remapped inputs; a path in ``writes`` that is the config file (a
+    directory may hold it: the writer deletes only tensor files) or is, holds
+    or lies inside an input path is refused first, so no run writes over them."""
     paths = {role: _required_path(config, f"{role}_path") for role in ROLES}
-    for written, (role, path) in itertools.product(map(Path, writes), paths.items()):
-        read, out = path.resolve(), written.resolve()
-        if read in (out, *out.parents) or out in read.parents:
-            raise ConfigError(f"{written} overlaps {role}_path {path}", error_class="config.output_collision")
+    for written in map(Path, writes):
+        out = written.resolve()
+        if out == Path(config_path).resolve():
+            raise ConfigError(f"{written} is the config file", error_class="config.output_collision")
+        for role, path in paths.items():
+            read = path.resolve()
+            if read in (out, *out.parents) or out in read.parents:
+                raise ConfigError(f"{written} overlaps {role}_path {path}", error_class="config.output_collision")
     rules = _resolve_remap(config)
     return tuple(remap_keys(load_checkpoint(path), rules[role]) for role, path in paths.items())
 
@@ -167,7 +171,7 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     cfg = MergeConfig.from_dict(config.get("merge"))
     threads = _threads(config, threads)
     shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
-    base, ml, anchor = _load_inputs(config, [out_path, report_path])
+    base, ml, anchor = _load_inputs(config, config_path, [out_path, report_path])
 
     effective = copy.deepcopy(config)
     effective["schema_version"] = SCHEMA_VERSION
@@ -216,7 +220,7 @@ def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) ->
     config = load_config(config_path, overrides)
     schema, epsilon, exports = _read_diagnose(config)
     threads = _threads(config, threads)
-    base, ml, anchor = _load_inputs(config, [path for _, path in exports])
+    base, ml, anchor = _load_inputs(config, config_path, [path for _, path in exports])
     rows = diagnose(base, ml, anchor, schema, epsilon, threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():

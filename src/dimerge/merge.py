@@ -14,16 +14,18 @@ element-wise weights. All other anchor tensors (vision encoder, projector,
 out-of-scope keys) are copied from the anchor verbatim.
 
 Every anchor tensor is written by one loop over row blocks (a 1D tensor is
-one column). A merged one is planned first by its method's pass 1: dim3
-streams the column reductions its weights need (a 1D tensor's element
-weights rank all its rows, read as one block); TIES and Breadcrumbs stream
-both residuals' |delta| into two tensor-sized score arrays and cut a
-global top-k there; task arithmetic and DARE need no pass 1. It returns a
-compose that reads and merges any block of rows. Pass 2 composes each
-block of the anchor, rejects it if the output dtype cannot hold every
-value finitely, and encodes and writes it in place in the output file; a
-tensor passed through has an empty aligned region, so each of its blocks
-is copied. Each worker reads every block into its :class:`BlockBuffers`,
+one column). A merged one is planned first by its method's pass 1, which
+:func:`_merge_one` calls directly: :func:`_plan_dim3` streams the column
+reductions its weights need (a 1D tensor's element weights rank all its
+rows, read as one block); in
+:func:`~dimerge.baselines.merge_baseline_values` TIES and Breadcrumbs
+stream both residuals' |delta| into two tensor-sized score arrays and cut a
+global top-k there, and task arithmetic and DARE need no pass 1. It returns
+a compose that reads and merges any block of rows. Pass 2 composes each
+block of the anchor, rejects it if the output dtype cannot hold every value
+finitely, and encodes and writes it in place in the output file; a tensor
+passed through has an empty aligned region, so each of its blocks is
+copied. Each worker reads every block into its :class:`BlockBuffers`,
 arrays named for what they hold and kept for the whole merge, and whatever
 reads a block releases its input pages (:meth:`AlignedTriple.decode_rows`
 or pass 2), so memory, mapped inputs included, follows one row block (and
@@ -48,14 +50,7 @@ import numpy as np
 from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
 from .baselines import BaselineParams, merge_baseline_values
 from .errors import ConfigError, Record
-from .geometry import (
-    EPSILON_DEFAULT,
-    SCRATCH_ROWS,
-    TILE_ROWS,
-    ColumnDeviations,
-    accumulate_column_sums,
-    deviations_from_sums,
-)
+from .geometry import EPSILON_DEFAULT, SCRATCH_ROWS, TILE_ROWS, accumulate_column_sums, deviations_from_sums
 from .records import ENCODE_LIMIT, DType, TensorRecord, encode_bits, recode_bits, require_finite
 from .salience import (
     AggregationKind,
@@ -151,12 +146,6 @@ class MergeReport:
         }
 
 
-def _weights(dev: ColumnDeviations, cfg: MergeConfig) -> SalienceWeights:
-    s_mag_ml, _ = estimate_salience(dev.mag_ml, dev.mag_mm, cfg.estimator)
-    s_dir_ml, _ = estimate_salience(dev.dir_ml, dev.dir_mm, cfg.estimator)
-    return aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
-
-
 def _block_rows(cols: int) -> int:
     """Rows per streamed block: whole tiles, about ``_BLOCK_ELEMENTS`` values."""
     return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))
@@ -231,8 +220,10 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
         weights = elementwise_salience(*(np.abs(x.astype(np.float64) - base) for x in (ml, mm)), cfg.estimator)
         w_ml = weights.omega_ml.astype(np.float32).reshape(-1, 1)
     else:
-        sums = stream_column_sums(triple, accumulate_column_sums, 5, buffers)
-        weights = _weights(deviations_from_sums(sums, cfg.epsilon), cfg)
+        dev = deviations_from_sums(stream_column_sums(triple, accumulate_column_sums, 5, buffers), cfg.epsilon)
+        s_mag_ml, _ = estimate_salience(dev.mag_ml, dev.mag_mm, cfg.estimator)
+        s_dir_ml, _ = estimate_salience(dev.dir_ml, dev.dir_mm, cfg.estimator)
+        weights = aggregate_branches(s_mag_ml, s_dir_ml, cfg.aggregation)
         w_ml = weights.omega_ml.astype(np.float32)
     logger.debug("%s: pass 1 done: %s weights", triple.name, "element" if triple.rank == 1 else "column")
 
@@ -245,14 +236,6 @@ def _plan_dim3(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -
         return merged
 
     return compose, weights
-
-
-def _plan_baseline(triple: AlignedTriple, cfg: MergeConfig, buffers: BlockBuffers) -> tuple[Compose, None]:
-    """Pass 1 of a baseline merge: :func:`~dimerge.baselines.merge_baseline_values`
-    in ``buffers``, whose compose reads each block of rows itself."""
-    compose = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers)
-    logger.debug("%s: pass 1 done: %s", triple.name, cfg.method)
-    return compose, None
 
 
 def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], compose: Compose | None,
@@ -302,11 +285,15 @@ def _out_dtype(anchor: TensorRecord, cfg: MergeConfig) -> DType:
 def _merge_one(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: Sink,
                buffers: BlockBuffers) -> TensorMergeReport:
     """Merge one 1D or 2D tensor and write it in ``out_dtype``, at the
-    anchor's shape, through ``sink``: the method's pass 1 plans it and
-    :func:`_write_merged` writes it, both in ``buffers``."""
+    anchor's shape, through ``sink``, in ``buffers``: pass 1 is
+    :func:`_plan_dim3` or a baseline's :func:`merge_baseline_values` (no
+    weights to report), pass 2 :func:`_write_merged`."""
     start = time.perf_counter()
-    plan = _plan_dim3 if cfg.method == "dim3" else _plan_baseline
-    compose, weights = plan(triple, cfg, buffers)
+    if cfg.method == "dim3":
+        compose, weights = _plan_dim3(triple, cfg, buffers)
+    else:
+        compose, weights = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers), None
+        logger.debug("%s: pass 1 done: %s", triple.name, cfg.method)
     _write_merged(triple.name, triple.mm, triple.matrix, compose, out_dtype, sink, buffers)
     entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
     if weights is not None:
@@ -326,14 +313,18 @@ def _log_merged(entry: TensorMergeReport, n: int, total: int, nbytes: int) -> No
 
 def for_each_tensor(tensors: Iterable, work: Callable, threads: int | None = None) -> list:
     """``[work(t) for t in tensors]`` on ``threads`` workers (inline for 1 or
-    None). The first failure stops it: work not yet started is cancelled, and
-    the error of the first tensor in order that failed is raised."""
+    None, so a tensor's calls nest in the caller's thread). The first failure
+    or an interrupt (Ctrl-C, ``SystemExit``) cancels the work not yet started;
+    once the running work ends, the interrupt or the first error in tensor
+    order is raised."""
     if threads is None or threads <= 1:
         return [work(t) for t in tensors]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(work, t) for t in tensors]
-        wait(futures, return_when=FIRST_EXCEPTION)
-        pool.shutdown(cancel_futures=True)
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            pool.shutdown(cancel_futures=True)
     # workers start tensors in order, so every cancelled one follows every failure
     return [future.result() for future in futures]
 

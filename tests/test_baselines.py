@@ -246,6 +246,12 @@ class TestBaselineAssembly:
                 assert merged[name].raw == anchor[name].raw
         assert report.merged_count == 1
 
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+    def test_lambda_must_be_finite(self, lam):
+        """The library's own check: a config cannot spell a non-finite lambda."""
+        with pytest.raises(ConfigError, match="lambda must be finite"):
+            BaselineParams(lam=lam)
+
     def test_params_validated(self):
         with pytest.raises(ConfigError):
             BaselineParams(dare_drop_p=1.0)

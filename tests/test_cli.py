@@ -108,9 +108,10 @@ class TestMergeCommand:
         assert not (tmp_path / "merged").exists()
 
     def test_output_collision_rejected(self, workspace, capsys):
-        """An output, report or table path that is, holds or lies inside an
-        input path is refused before anything is written, by ``merge`` and
-        ``diagnose`` alike, so no input can be deleted or overwritten."""
+        """An output, report or table path that is the config file, or is,
+        holds or lies inside an input path, is refused before anything is
+        written, by ``merge`` and ``diagnose`` alike, so no input can be
+        deleted or overwritten."""
         tmp_path, config, _ = workspace
         is_an_input = dict(config, output_path=config["anchor_path"])
         # single-file inputs in one directory, which is the output path
@@ -126,13 +127,21 @@ class TestMergeCommand:
                                   base_path=str(tmp_path / "models" / "base_path.safetensors"))
         csv_is_an_input = dict(report_is_an_input, diagnose={"csv_path": report_is_an_input["base_path"]})
         json_holds_the_inputs = dict(config, diagnose={"json_path": str(tmp_path)})
+        # the config file written below is an input too
+        output_is_the_config = dict(config, output_path=str(tmp_path / "cfg.json"))
+        report_is_the_config = dict(config, report_path=str(tmp_path / "cfg.json"))
+        csv_is_the_config = dict(config, diagnose={"csv_path": str(tmp_path / "cfg.json")})
         for command, case in (("merge", is_an_input), ("merge", input_inside_output), ("merge", output_inside_input),
                               ("merge", report_is_an_input), ("diagnose", csv_is_an_input),
-                              ("diagnose", json_holds_the_inputs)):
+                              ("diagnose", json_holds_the_inputs), ("merge", output_is_the_config),
+                              ("merge", report_is_the_config), ("diagnose", csv_is_the_config)):
             before = {key: tree_bytes(Path(case[key])) for key in ("base_path", "multilingual_path", "anchor_path")}
-            assert main([command, "--config", write_config(tmp_path, case)]) == 2, (command, case["output_path"])
+            config_path = write_config(tmp_path, case)
+            config_bytes = Path(config_path).read_bytes()
+            assert main([command, "--config", config_path]) == 2, (command, case["output_path"])
             assert "config.output_collision" in capsys.readouterr().err
             assert {key: tree_bytes(Path(case[key])) for key in before} == before
+            assert Path(config_path).read_bytes() == config_bytes
 
     @pytest.mark.parametrize("name", ["r.safetensors", "model.safetensors.index.json"])
     def test_report_named_like_a_tensor_file_is_refused(self, workspace, capsys, name):
@@ -298,6 +307,24 @@ class TestMergeCommand:
         assert "error[numeric.value]" in err and name in err
         assert not (tmp_path / "merged").exists()
 
+    @pytest.mark.parametrize("key", ["base_path", "multilingual_path", "anchor_path"])
+    def test_input_path_that_does_not_exist_is_config_error(self, workspace, capsys, key):
+        tmp_path, config, _ = workspace
+        config[key] = str(tmp_path / "missing")
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config.missing_path]: {key} does not exist")
+        assert not (tmp_path / "merged").exists()
+
+    @pytest.mark.parametrize("output", [None, ""], ids=["left_out", "empty"])
+    def test_output_path_is_required(self, workspace, capsys, output):
+        tmp_path, config, _ = workspace
+        config.pop("output_path")
+        if output is not None:
+            config["output_path"] = output
+        assert main(["merge", "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err.startswith("error[config.missing_path]: config field 'output_path' is required")
+
     def test_threads_flag_keeps_output_stable(self, workspace):
         tmp_path, config, config_path = workspace
         assert main(["merge", "--config", str(config_path), "--threads", "4",
@@ -341,12 +368,16 @@ class TestMergeCommand:
         (["--set", "merge=ties"], "merge must be an object"),
         (["--set", "treads=1"], "treads"),
         (["--set", "schema_version=2"], "schema_version"),
+        (["--set", "schema_version=true"], "schema_version"),
+        (["--set", "schema_version=1.0"], "schema_version"),
+        (["--set", 'schema_version="1"'], "schema_version"),
     ], ids=["merge_key", "baseline_key", "aggregation_key", "scope_key", "threads_string", "shard_limit_string",
             "shard_limit_zero", "threads_negative", "remap_key", "lambda_nan", "lambda_inf", "epsilon_nan",
             "epsilon_inf", "seed_fraction", "seed_string", "seed_bool", "seed_nan", "epsilon_bool", "epsilon_string",
             "estimator_unknown", "lambda_string", "aggregation_lambda_string", "aggregation_number",
             "scope_include_string", "scope_preset_unknown", "layer_range_short", "layer_range_reversed",
-            "remap_rules_string", "merge_string", "top_level_key", "schema_version_override"])
+            "remap_rules_string", "merge_string", "top_level_key", "schema_version_override",
+            "schema_version_bool", "schema_version_float", "schema_version_string"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key):
         tmp_path, _, config_path = workspace
         assert main(["merge", "--config", str(config_path), *args]) == 2
@@ -505,6 +536,12 @@ class TestRemapPresets:
             assert remap_rules(family, "base") == []
             assert remap_rules(family, "multilingual") == []
             assert remap_rules(family, "anchor") == anchor
+
+    def test_unknown_family_is_config_error(self):
+        with pytest.raises(ConfigError, match="no remap preset for family 'gpt2'"):
+            remap_rules("gpt2", "anchor")
+        with pytest.raises(ConfigError, match="no module schema preset for family 'gpt2'"):
+            module_schema("gpt2")
 
     def test_returned_rules_are_copies(self):
         remap_rules("qwen2", "anchor").clear()

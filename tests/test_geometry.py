@@ -149,6 +149,10 @@ class TestResidualIdentity:
         assert lhs == pytest.approx(5.0, abs=1e-12)
         assert rhs == pytest.approx(5.0, abs=1e-12)
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ShapeError, match="expected equal-length vectors"):
+            residual_identity_terms(np.ones(3), np.ones(4))
+
     def test_zero_column_exactness(self):
         lhs, rhs = residual_identity_terms(np.zeros(3), np.array([1.0, 2.0, 2.0]))
         assert lhs == pytest.approx(9.0)

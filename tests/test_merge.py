@@ -321,6 +321,23 @@ class TestFirstErrorStops:
         assert len(calls) <= threads + 2
         assert not (tmp_path / "out").exists()
 
+    def test_interrupt_cancels_queued_tensors(self, monkeypatch):
+        """An interrupt of the thread waiting on the workers (Ctrl-C's
+        ``KeyboardInterrupt``, ``SystemExit``) cancels every tensor not yet
+        started and propagates once the running ones end."""
+
+        class Interrupt(BaseException):
+            pass
+
+        def interrupted(*args, **kwargs):
+            raise Interrupt
+
+        started = []
+        monkeypatch.setattr(merge, "wait", interrupted)
+        with pytest.raises(Interrupt):
+            merge.for_each_tensor(self.NAMES, lambda name: started.append(name) or time.sleep(0.05), threads=2)
+        assert len(started) <= 2 + 2
+
 
 class TestConfig:
     def test_unknown_method_rejected(self):
@@ -332,6 +349,12 @@ class TestConfig:
             MergeConfig(method="dim3", baseline=BaselineParams())
         cfg = MergeConfig(method="dare")
         assert cfg.baseline is not None
+
+    def test_question_mark_in_layer_pattern_is_one_character(self):
+        scope = ScopeFilter(layer_pattern="model.layer?.{n}.*", layer_range=(0, 9))
+        assert scope.admits("model.layers.3.mlp.up_proj.weight")
+        assert not scope.admits("model.layer.3.mlp.up_proj.weight")
+        assert not scope.admits("model.layerss.3.mlp.up_proj.weight")
 
     def test_round_trips_through_dict(self):
         cfg = MergeConfig(

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from dimerge.errors import FormatError, ShapeError
+from dimerge.errors import FormatError, NumericError, ShapeError
 from dimerge.records import (ENCODE_LIMIT, DType, TensorRecord, bf16_bits_to_f32, decode_f32, encode_bits,
                              f32_to_bf16_bits, recode_bits)
 
@@ -173,6 +173,10 @@ class TestTensorRecord:
     def test_payload_length_checked(self):
         with pytest.raises(FormatError):
             TensorRecord(name="w", dtype=DType.F32, shape=(2, 2), raw=b"\x00" * 15)
+
+    def test_integer_array_has_no_storage_dtype(self):
+        with pytest.raises(NumericError, match="no storage dtype for numpy dtype int32"):
+            TensorRecord.from_array("w", np.arange(4, dtype=np.int32))
 
     def test_shape_must_be_positive(self):
         with pytest.raises(ShapeError):

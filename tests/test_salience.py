@@ -183,6 +183,10 @@ class TestAggregation:
         w = aggregate_branches(s_mag, s_dir, agg)
         np.testing.assert_array_equal(w.omega_ml + w.omega_mm, np.ones(40))
 
+    def test_branch_shapes_must_match(self):
+        with pytest.raises(ShapeError, match="branch shapes differ"):
+            aggregate_branches(np.full(3, 0.5), np.full(4, 0.5), AggregationKind("average"))
+
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(NumericError):
             aggregate_branches(np.array([1.2]), np.array([0.5]), AggregationKind("average"))

@@ -1,6 +1,7 @@
 import copy
 import json
 import logging
+import os
 import pickle
 
 import numpy as np
@@ -53,6 +54,18 @@ class TestSingleFile:
         loaded = load_checkpoint(tmp_path / "d")
         assert loaded["w"].dtype is dtype
         assert loaded["w"].raw == rec.raw
+
+    def test_sized_by_truncate_where_fallocate_is_missing(self, tmp_path, monkeypatch, triple_f32):
+        """A platform without ``posix_fallocate`` sizes each file with
+        ``ftruncate``: the same bytes, read back the same."""
+        base = triple_f32[0]
+        allocated = save_checkpoint(base, tmp_path / "allocated", shard_limit=400)
+        monkeypatch.delattr(os, "posix_fallocate")
+        truncated = save_checkpoint(base, tmp_path / "truncated", shard_limit=400)
+        assert len(truncated) > 1
+        assert [p.read_bytes() for p in truncated] == [p.read_bytes() for p in allocated]
+        loaded = load_checkpoint(tmp_path / "truncated")
+        assert all(loaded[name].raw == base[name].raw for name in base.names())
 
     def test_iteration_order_is_lexicographic(self, tmp_path):
         records = [TensorRecord.from_array(n, np.zeros(2, dtype=np.float32))
