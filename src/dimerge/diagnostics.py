@@ -25,7 +25,7 @@ from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, 
 from .merge import BlockBuffers, for_each_tensor, stream_column_sums
 from .records import require_finite
 from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
-from .store import Checkpoint, staged_files
+from .store import Checkpoint, require_unchanged, staged_files
 
 logger = logging.getLogger(__name__)
 
@@ -115,7 +115,9 @@ def diagnose(
     ``anchor-overlap``: a tensor whose shapes differ (an anchor with extra
     vocabulary rows) is measured on the leading block all three share, with
     a warning, since the rest has no residual; a rank mismatch is an error.
-    A residual that overflows float32 is a numeric error naming the tensor.
+    A residual that overflows float32 is a numeric error naming the tensor,
+    and an input file changed while the tensors were measured is a format
+    error naming the file (:func:`~dimerge.store.require_unchanged`).
     """
     schema = schema or ModuleKeySchema()
     triples, alignment = align_triple(base, ml, anchor, shape_policy="anchor-overlap", high_rank="pass_through")
@@ -147,6 +149,7 @@ def diagnose(
         layer = schema.layer_of(triple.name)
         key = (-1 if layer is None else layer, schema.label_of(triple.name))
         groups[key] = groups.get(key, 0.0) + terms
+    require_unchanged(base, ml, anchor)
 
     rows = []
     for (layer, module), (sq_ml, sq_mm, cols, dir_ml, dir_mm, cross) in groups.items():

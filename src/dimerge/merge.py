@@ -61,7 +61,7 @@ from .salience import (
     estimate_salience,
 )
 from .scope import ScopeFilter
-from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, release_pages
+from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, release_pages, require_unchanged
 
 logger = logging.getLogger(__name__)
 
@@ -356,50 +356,50 @@ def merge_checkpoint(
 ) -> MergeReport:
     """Merge the shared backbone into the anchor and write the result to
     ``path``, laid out as :func:`~dimerge.store.save_checkpoint` would;
-    everything else passes through bit-exactly. The output file is sized
-    first and each tensor filled in place, so its bytes are identical for
-    any worker count. The tensors run through :func:`for_each_tensor` on
-    ``threads`` workers, so the first failure stops the merge. Every anchor
-    tensor, merged or passed through, is written by :func:`_write_merged`,
-    one row block at a time, and each block's input pages are released by
-    whatever read them. Each worker keeps its row-block buffers, a few MiB,
-    until the merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per
-    merged tensor."""
+    everything else passes through bit-exactly. Each anchor tensor's fate
+    is decided once, by one map, in anchor order, of the triples the merge
+    composes: aligned, admitted by ``cfg.scope`` and of rank 1 or 2. Its
+    output dtype, its branch, the log's total and the counts follow from
+    the map; a tensor outside it passes through in its own dtype, for
+    alignment's reason, else ``scalar`` where the scope admits it, else
+    ``out_of_scope``. The output file is sized first and each tensor
+    filled in place, so its bytes are identical for any worker count. The
+    tensors run through :func:`for_each_tensor` on ``threads`` workers, so
+    the first failure stops the merge. Every anchor tensor, merged or passed
+    through, is written by :func:`_write_merged`, one row block at a time,
+    and each block's input pages are released by whatever read them. An
+    input file changed during the run is a :class:`~dimerge.errors.FormatError`
+    (:func:`~dimerge.store.require_unchanged`), raised before the writer
+    commits. Each worker keeps its row-block buffers, a few MiB, until the
+    merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
+    tensor."""
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )
-    by_name = {t.name: t for t in triples}
     logger.debug("alignment done: %d aligned, %d passed through", len(triples), len(alignment.pass_through))
 
     start = time.perf_counter()
-    passthrough_reason = dict(alignment.pass_through)
-    for name, triple in by_name.items():
-        if not cfg.scope.admits(name):
-            passthrough_reason[name] = "out_of_scope"
-        elif triple.rank == 0:
-            passthrough_reason[name] = "scalar"
-
-    names = anchor.names()
-    to_merge = sum(n not in passthrough_reason for n in names)
+    merging = {t.name: t for t in triples if t.rank >= 1 and cfg.scope.admits(t.name)}
     merged_so_far = itertools.count(1)
     buffers = BlockBuffers()
-    dtypes = {n: anchor[n].dtype if n in passthrough_reason else _out_dtype(anchor[n], cfg) for n in names}
-    with CheckpointWriter([(n, dtypes[n], anchor[n].shape) for n in names], path, shard_limit) as out:
+    dtypes = {n: _out_dtype(rec, cfg) if n in merging else rec.dtype for n, rec in anchor.tensors.items()}
+    with CheckpointWriter([(n, dtype, anchor[n].shape) for n, dtype in dtypes.items()], path, shard_limit) as out:
 
         def handle(name: str) -> TensorMergeReport:
             rec, sink = anchor[name], partial(out.write, name)
-            if name in passthrough_reason:
+            if name not in merging:
                 _write_merged(name, rec, (0, prod(rec.shape[1:])), None, dtypes[name], sink, buffers)
-                return TensorMergeReport(name=name, action="pass_through", reason=passthrough_reason[name])
-            entry = _merge_one(by_name[name], cfg, dtypes[name], sink, buffers)
-            _log_merged(entry, next(merged_so_far), to_merge, rec.num_elements * dtypes[name].itemsize)
+                reason = alignment.pass_through.get(name) or ("scalar" if cfg.scope.admits(name) else "out_of_scope")
+                return TensorMergeReport(name=name, action="pass_through", reason=reason)
+            entry = _merge_one(merging[name], cfg, dtypes[name], sink, buffers)
+            _log_merged(entry, next(merged_so_far), len(merging), rec.num_elements * dtypes[name].itemsize)
             return entry
 
-        entries = for_each_tensor(names, handle, threads)
+        entries = for_each_tensor(anchor.names(), handle, threads)
+        require_unchanged(base, ml, anchor)
     logger.debug("writer closed %s: %d files", path, len(out.paths))
 
-    merged = [e for e in entries if e.action == "merged"]
-    omega_means = [e.omega_ml_mean for e in merged if e.omega_ml_mean is not None]
-    return MergeReport(tensors=entries, merged_count=len(merged), pass_through_count=len(entries) - len(merged),
+    omega_means = [e.omega_ml_mean for e in entries if e.omega_ml_mean is not None]
+    return MergeReport(tensors=entries, merged_count=len(merging), pass_through_count=len(entries) - len(merging),
                        mean_omega_ml=float(np.mean(omega_means)) if omega_means else None,
                        seconds=time.perf_counter() - start, config=cfg.to_dict(), alignment=alignment.to_dict())

@@ -82,19 +82,32 @@ class Checkpoint:
         return sum(rec.num_elements for rec in self.tensors.values())
 
 
+class _FileMap(mmap.mmap):
+    """A read-only map of a tensor file, knowing the file's ``path`` and its
+    ``identity`` (:func:`_identity`) when it was mapped."""
+
+
+def _identity(st: os.stat_result) -> tuple[int, ...]:
+    """What changes when a file is rewritten in place or its path replaced."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 def read_tensor_file(path: Path) -> list[TensorRecord]:
     """Parse one tensor file into records, preserving payload bytes exactly.
 
     The file is mapped read-only, never read whole. Each record's ``raw`` is
     a zero-copy, read-only view into that mapping, which stays alive while
-    any of its records does.
+    any of its records does and keeps the file's identity for
+    :func:`require_unchanged`.
     """
     started = time.perf_counter()
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        stat = os.fstat(fh.fileno())
+        size = stat.st_size
         if size < _HEADER_STRUCT.size:
             raise FormatError(f"{path}: file too short for a header")
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        data = _FileMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    data.path, data.identity = path, _identity(stat)
     (header_len,) = _HEADER_STRUCT.unpack_from(data, 0)
     header_end = _HEADER_STRUCT.size + header_len
     if header_end > size:
@@ -145,6 +158,24 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     # mapping reads nothing: the pages fault in later, where they are used
     logger.info("mapped %s: %.1f MB, header parsed in %.3f s", path, size / 1e6, time.perf_counter() - started)
     return records
+
+
+def require_unchanged(*checkpoints: Checkpoint) -> None:
+    """Stat again each file that the checkpoints' records map, and raise a
+    :class:`FormatError` naming the first whose identity differs from when
+    it was mapped: rewritten in place, or its path replaced (a rename gives
+    a new inode) or removed. A mapping shows another process's writes, so a
+    run calls this after its last input read and before it commits: what it
+    commits was then computed from one version of each input."""
+    maps = {id(m): m for ckpt in checkpoints for rec in ckpt.tensors.values()
+            if isinstance(m := getattr(rec.raw, "obj", None), _FileMap)}
+    for m in maps.values():
+        try:
+            now = _identity(os.stat(m.path))
+        except OSError:
+            now = None
+        if now != m.identity:
+            raise FormatError(f"{m.path}: input file changed during the run")
 
 
 def _address(buffer) -> int:

@@ -133,3 +133,25 @@ def fail_nth_replace(monkeypatch, n: int) -> list:
 
     monkeypatch.setattr(os, "replace", replace)
     return calls
+
+
+def change_file(path, how: str) -> None:
+    """Change a tensor file as another process might while a run maps it:
+    ``rewritten_in_place`` flips the low bit of its first payload byte
+    through another handle (same inode and size), ``replaced_by_rename``
+    renames a copy over it (a new inode), ``removed`` unlinks it."""
+    path = Path(path)
+    if how == "rewritten_in_place":
+        with open(path, "r+b") as fh:
+            offset = 8 + int.from_bytes(fh.read(8), "little")
+            fh.seek(offset)
+            byte = fh.read(1)[0]
+            fh.seek(offset)
+            fh.write(bytes([byte ^ 1]))
+    elif how == "replaced_by_rename":
+        copy = path.with_name(path.name + ".new")
+        copy.write_bytes(path.read_bytes())
+        os.replace(copy, path)
+    else:
+        assert how == "removed"
+        path.unlink()

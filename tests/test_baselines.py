@@ -6,7 +6,7 @@ from dimerge.baselines import BaselineParams, unit_uniforms
 from dimerge.errors import ConfigError
 from dimerge.geometry import TILE_ROWS
 from dimerge.merge import MergeConfig, merge_tensor
-from dimerge.records import TensorRecord
+from dimerge.records import DType, TensorRecord
 
 from conftest import merge_and_load
 
@@ -202,6 +202,18 @@ class TestTies:
     def test_invalid_density(self):
         with pytest.raises(ConfigError):
             MergeConfig(method="ties", baseline=BaselineParams(ties_density=0.0))
+
+    def test_trimmed_entries_merge_to_positive_zero(self):
+        """The cut keeps row 0 and trims every negative residual from both
+        sources, so no entry agrees there: over a -0.0 base each merges to
+        +0.0, as a zeroed copy of each residual would, never to -0.0."""
+        base = np.full((4, 8), -0.0, np.float32)
+        source = np.full((4, 8), -0.25, np.float32)
+        source[0] = 4.0
+        cfg = MergeConfig(method="ties", baseline=BaselineParams(ties_density=0.25))
+        out = merge_tensor(triple_of(base, source, source, name="w", dtype=DType.BF16), cfg)
+        bits = np.frombuffer(out.raw, np.uint16).reshape(4, 8)
+        assert bits[1:].tolist() == [[0x0000] * 8] * 3
 
 
 class TestBreadcrumbs:

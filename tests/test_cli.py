@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dimerge.merge as merge_module
 from dimerge import cli, diagnostics
 from dimerge.cli import _resolve_remap, _resolve_schema, apply_overrides, main
 from dimerge.errors import ConfigError
@@ -16,7 +17,7 @@ from dimerge.presets import module_schema, remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
-from conftest import LAYERS, make_triple
+from conftest import LAYERS, change_file, make_triple
 from test_merge import checkpoint_digest
 
 
@@ -251,6 +252,31 @@ class TestMergeCommand:
         assert tree_bytes(tmp_path / "merged") == before
         # no staged file or kept link of the failed commit is left anywhere
         assert not list(tmp_path.rglob(".*"))
+
+    @pytest.mark.parametrize("how", ["rewritten_in_place", "replaced_by_rename"])
+    def test_input_changed_between_passes_commits_nothing(self, workspace, capsys, monkeypatch, how):
+        """A multilingual file changed after pass 1 of the first merged tensor
+        read it and before its pass 2 makes the run exit 3 naming the file,
+        and the output and report of an earlier run stay byte for byte."""
+        tmp_path, config, config_path = workspace
+        assert main(["merge", "--config", str(config_path)]) == 0
+        before = {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")}
+        ml_file = Path(config["multilingual_path"]) / "model.safetensors"
+        os.utime(ml_file, ns=(0, 0))   # written long before the run, so a rewrite shows in its mtime
+        changed, write_merged = [], merge_module._write_merged
+
+        def change_before_pass_2(name, anchor, region, compose, *args):
+            if compose is not None and not changed:
+                change_file(ml_file, how)
+                changed.append(name)
+            write_merged(name, anchor, region, compose, *args)
+
+        monkeypatch.setattr(merge_module, "_write_merged", change_before_pass_2)
+        assert main(["merge", "--config", str(config_path), "--threads", "1"]) == 3
+        assert changed
+        assert f"error[io.format]: {ml_file}: input file changed during the run" in capsys.readouterr().err
+        assert {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")} == before
+        assert not list(tmp_path.rglob(".*.partial"))
 
     def test_other_files_at_the_output_path_stay(self, workspace):
         tmp_path, config, config_path = workspace
@@ -623,6 +649,31 @@ class TestDiagnoseCommand:
                               "json_path": str(tmp_path / "tables" / "d.json")}
         assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 0
         assert (tmp_path / "tables" / "run1" / "d.csv").is_file() and (tmp_path / "tables" / "d.json").is_file()
+
+    def test_input_changed_during_the_run_exports_nothing(self, workspace, capsys, monkeypatch):
+        """An anchor file rewritten in place while the first tensor is measured
+        makes the run exit 3 naming the file, and the tables of an earlier run
+        stay byte for byte."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "diag.csv"), "json_path": str(tmp_path / "diag.json")}
+        config_path = write_config(tmp_path, config)
+        assert main(["diagnose", "--config", config_path]) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in ("diag.csv", "diag.json")}
+        anchor_file = Path(config["anchor_path"]) / "model.safetensors"
+        os.utime(anchor_file, ns=(0, 0))
+        changed, stream = [], diagnostics.stream_column_sums
+
+        def change_while_measuring(triple, *args):
+            if not changed:
+                change_file(anchor_file, "rewritten_in_place")
+                changed.append(triple.name)
+            return stream(triple, *args)
+
+        monkeypatch.setattr(diagnostics, "stream_column_sums", change_while_measuring)
+        assert main(["diagnose", "--config", config_path, "--threads", "1"]) == 3
+        assert changed
+        assert f"error[io.format]: {anchor_file}: input file changed during the run" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
 
     @pytest.mark.parametrize("failure", ["json_rename_fails", "json_write_fails"])
     def test_failed_json_export_keeps_previous_tables(self, workspace, monkeypatch, failure):

@@ -61,6 +61,13 @@ class TestDeviations:
         _, dirdev = deviations(col(1.0, 0.0), col(1e-9, 0.0))
         assert dirdev[0] == 1.0
 
+    def test_norm_equal_to_epsilon_keeps_its_direction(self):
+        """The stabilizer voids a column whose norm is below epsilon, not one
+        whose norm equals it."""
+        b = np.array([[0.5], [0.0]])
+        dev = column_deviations(b, b, 2 * b, 0.5)
+        assert dev.dir_ml.tolist() == [0.0] and dev.dir_mm.tolist() == [0.0]
+
     def test_positive_scaling_invariance(self, rng):
         # direction deviation ignores positive column scaling; magnitude
         # deviation scales as |c*m_k - m_N|

@@ -108,6 +108,13 @@ class TestF16Decode:
     def test_empty(self):
         assert decode_f32(np.empty((0, 3), np.uint16), DType.F16).shape == (0, 3)
 
+    def test_infinities_without_a_nan(self):
+        """Exponent 31 rebiases to a magnitude of exactly 65536 for an
+        infinity; with no NaN in the block to show one, the fix-up must still
+        make it infinite, never the finite 65536 a non-finite check passes."""
+        bits = np.array([0x7C00, 0xFC00, 0x3C00], np.uint16)
+        assert decode_f32(bits, DType.F16).tolist() == [np.inf, -np.inf, 1.0]
+
     def test_record_to_f32(self):
         rec = TensorRecord("w", DType.F16, (256, 256), F16_PATTERNS.tobytes())
         np.testing.assert_array_equal(rec.to_f32().view(np.uint32).ravel(), F16_AS_F32)

@@ -16,11 +16,12 @@ from dimerge.store import (
     CheckpointWriter,
     load_checkpoint,
     remap_keys,
+    require_unchanged,
     save_checkpoint,
     staged_files,
 )
 
-from conftest import fail_nth_replace
+from conftest import change_file, fail_nth_replace
 
 
 def ckpt_of(arrays: dict, dtype=DType.F32) -> Checkpoint:
@@ -367,6 +368,20 @@ class TestLoadedRecords:
         assert record.levelno == logging.INFO
         assert "one.safetensors" in record.getMessage()
         assert record.getMessage().startswith("mapped ")
+
+    @pytest.mark.parametrize("how", ["rewritten_in_place", "replaced_by_rename", "removed"])
+    def test_a_changed_input_file_is_refused(self, tmp_path, how):
+        """``require_unchanged`` passes while every mapped file holds still
+        (records held in memory have no file to check), and names the file
+        once it is rewritten in place, replaced by a rename or removed."""
+        path = tmp_path / "c.safetensors"
+        save_checkpoint(ckpt_of({"a": [1.0, 2.0]}), path)
+        os.utime(path, ns=(0, 0))   # written long before the run, so a rewrite shows in its mtime
+        loaded, in_memory = load_checkpoint(path), ckpt_of({"m": [3.0]})
+        require_unchanged(loaded, in_memory)
+        change_file(path, how)
+        with pytest.raises(FormatError, match="c.safetensors: input file changed during the run"):
+            require_unchanged(in_memory, loaded)
 
 
 class TestErrors:
