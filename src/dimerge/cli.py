@@ -11,13 +11,17 @@ that is the config file or is, holds or lies inside an input path, and a
 report or table path that is a directory, before it loads the inputs.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
-Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging.
+Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging. An input
+truncated while a run maps it kills the run with SIGBUS, which Python cannot
+catch; :func:`main` turns on :mod:`faulthandler`, so the run prints a bus
+error and where it struck to stderr before it dies.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import faulthandler
 import json
 import logging
 import os
@@ -25,11 +29,10 @@ import sys
 from pathlib import Path
 
 from .align import ROLES
-from .diagnostics import ModuleKeySchema, diagnose, export_csv, export_json
+from .diagnostics import DiagnoseConfig, diagnose, export_csv, export_json
 from .errors import ConfigError, DimergeError, read_section, read_value
-from .geometry import EPSILON_DEFAULT
 from .merge import MergeConfig, merge_checkpoint
-from .presets import MODULE_SCHEMA_PRESETS, REMAP_PRESETS, module_schema, remap_rules
+from .presets import RemapRules
 from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_files
 
 logger = logging.getLogger("dimerge")
@@ -128,18 +131,11 @@ def _output_file(key: str, path: str) -> str:
     return path
 
 
-def _resolve_remap(config: dict) -> dict[str, list[tuple[str, str]]]:
-    """Each role's rules: those given for it, else its preset's, else none."""
-    remap = read_section(config.get("remap"), "remap", ("preset", *ROLES))
-    preset = read_value(remap, "remap", "preset", "string", None, REMAP_PRESETS)
-    return {role: list(read_value(remap, "remap", role, "pairs", remap_rules(preset, role) if preset else []))
-            for role in ROLES}
-
-
 def _load_inputs(config: dict, config_path: str, writes: list[str | Path]):
-    """The remapped inputs; a path in ``writes`` that is the config file (a
-    directory may hold it: the writer deletes only tensor files) or is, holds
-    or lies inside an input path is refused first, so no run writes over them."""
+    """The inputs, remapped by the config's :class:`RemapRules`; a path in
+    ``writes`` that is the config file (a directory may hold it: the writer
+    deletes only tensor files) or is, holds or lies inside an input path is
+    refused first, so no run writes over them, and the rules before any load."""
     paths = {role: _required_path(config, f"{role}_path") for role in ROLES}
     for written in map(Path, writes):
         out = written.resolve()
@@ -149,8 +145,8 @@ def _load_inputs(config: dict, config_path: str, writes: list[str | Path]):
             read = path.resolve()
             if read in (out, *out.parents) or out in read.parents:
                 raise ConfigError(f"{written} overlaps {role}_path {path}", error_class="config.output_collision")
-    rules = _resolve_remap(config)
-    return tuple(remap_keys(load_checkpoint(path), rules[role]) for role, path in paths.items())
+    rules = RemapRules.from_dict(config.get("remap"))
+    return tuple(remap_keys(load_checkpoint(path), getattr(rules, role)) for role, path in paths.items())
 
 
 def cmd_merge(config_path: str, overrides: list[str], output: str | None, threads: int | None) -> int:
@@ -191,37 +187,16 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     return 0
 
 
-def _resolve_schema(section: dict) -> ModuleKeySchema:
-    """The preset's schema (the default without one), each key given beside
-    the preset in place of the preset's own."""
-    schema = read_section(section.get("schema"), "diagnose.schema", ("preset", "layer_pattern", "module_labels"))
-    preset = read_value(schema, "diagnose.schema", "preset", "string", None, MODULE_SCHEMA_PRESETS)
-    own = module_schema(preset) if preset else ModuleKeySchema()
-    return ModuleKeySchema(read_value(schema, "diagnose.schema", "layer_pattern", "string", own.layer_pattern),
-                           read_value(schema, "diagnose.schema", "module_labels", "pairs", own.module_labels))
-
-
-def _read_diagnose(config: dict):
-    """The ``diagnose`` section: its schema, epsilon and (export, path) pairs."""
-    section = read_section(config.get("diagnose"), "diagnose", ("schema", "csv_path", "json_path", "epsilon"))
-    epsilon = read_value(section, "diagnose", "epsilon", "number", EPSILON_DEFAULT)
-    if epsilon <= 0:
-        raise ConfigError(f"diagnose.epsilon must be positive, got {epsilon}")
-    exports = [(export, _output_file(f"diagnose.{key}", path))
-               for export, key in ((export_csv, "csv_path"), (export_json, "json_path"))
-               if (path := read_value(section, "diagnose", key, "string"))]
-    if not exports:
-        raise ConfigError("diagnose config needs csv_path and/or json_path",
-                          error_class="config.missing_path")
-    return _resolve_schema(section), epsilon, exports
-
-
 def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) -> int:
     config = load_config(config_path, overrides)
-    schema, epsilon, exports = _read_diagnose(config)
+    cfg = DiagnoseConfig.from_dict(config.get("diagnose"))
+    exports = [(export, _output_file(f"diagnose.{key}", getattr(cfg, key)))
+               for export, key in ((export_csv, "csv_path"), (export_json, "json_path")) if getattr(cfg, key)]
+    if not exports:
+        raise ConfigError("diagnose config needs csv_path and/or json_path", error_class="config.missing_path")
     threads = _threads(config, threads)
     base, ml, anchor = _load_inputs(config, config_path, [path for _, path in exports])
-    rows = diagnose(base, ml, anchor, schema, epsilon, threads)
+    rows = diagnose(base, ml, anchor, cfg.schema, cfg.epsilon, threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():
         for export, path in exports:
@@ -260,6 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
+    if not faulthandler.is_enabled():   # a caller that turned it on keeps its own file
+        faulthandler.enable()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "merge":

@@ -23,6 +23,7 @@ from .align import ROLES, AlignedTriple, align_triple
 from .errors import ConfigError, Record
 from .geometry import EPSILON_DEFAULT, accumulate_residual_sums, cross_cosines, deviations_from_sums
 from .merge import BlockBuffers, for_each_tensor, stream_column_sums
+from .presets import DEFAULT_MODULE_LABELS, MODULE_SCHEMA_PRESETS
 from .records import require_finite
 from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_index
 from .store import Checkpoint, require_unchanged, staged_files
@@ -31,35 +32,29 @@ logger = logging.getLogger(__name__)
 
 CSV_HEADER = ("layer", "module", "norm_ml", "norm_mm", "dirdev_ml", "dirdev_mm", "cross_cos")
 
-DEFAULT_MODULE_LABELS = (
-    ("q_proj", "attn.q"),
-    ("k_proj", "attn.k"),
-    ("v_proj", "attn.v"),
-    ("o_proj", "attn.o"),
-    ("gate_proj", "mlp.gate"),
-    ("up_proj", "mlp.up"),
-    ("down_proj", "mlp.down"),
-    ("input_layernorm", "norm.in"),
-    ("post_attention_layernorm", "norm.post"),
-    ("embed_tokens", "embed"),
-    ("lm_head", "head"),
-)
-
 
 @dataclass(frozen=True)
-class ModuleKeySchema:
+class ModuleKeySchema(Record):
     """Classifies backbone keys into (layer, module-type) groups.
 
     ``module_labels`` is an ordered list of (substring, label); the first
     matching substring wins and unlabeled keys group under "other". The
-    layer pattern is checked and compiled once, when the schema is made.
+    layer pattern is checked and compiled once, when the schema is made. In
+    a config (``diagnose.schema``) a preset (``MODULE_SCHEMA_PRESETS``)
+    sets the fields, and each key given beside it replaces the preset's
+    own; the preset does not take part in comparisons.
     """
 
+    section = "diagnose.schema"
+    presets = MODULE_SCHEMA_PRESETS
+
+    preset: str = field(default="custom", kw_only=True, compare=False, metadata={"choices": MODULE_SCHEMA_PRESETS})
     layer_pattern: str = DEFAULT_LAYER_PATTERN
-    module_labels: tuple[tuple[str, str], ...] = DEFAULT_MODULE_LABELS
+    module_labels: tuple[tuple[str, str], ...] = field(default=DEFAULT_MODULE_LABELS, metadata={"kind": "pairs"})
     layer_regex: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "layer_regex",
                            compile_layer_pattern(self.layer_pattern, "diagnose.schema.layer_pattern"))
 
@@ -77,6 +72,25 @@ class ModuleKeySchema:
             if lab == label:
                 return i
         return len(self.module_labels)
+
+
+@dataclass(frozen=True)
+class DiagnoseConfig(Record):
+    """The ``diagnose`` config section: the module schema, the tables to
+    write (a path left out writes no table) and the cosine guard's epsilon,
+    which must be positive."""
+
+    section = "diagnose"
+
+    schema: ModuleKeySchema = field(default_factory=ModuleKeySchema, metadata={"kind": ModuleKeySchema})
+    csv_path: str | None = field(default=None, metadata={"kind": "string"})
+    json_path: str | None = field(default=None, metadata={"kind": "string"})
+    epsilon: float = EPSILON_DEFAULT
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.epsilon <= 0:
+            raise ConfigError(f"diagnose.epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

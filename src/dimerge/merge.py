@@ -61,7 +61,7 @@ from .salience import (
     estimate_salience,
 )
 from .scope import ScopeFilter
-from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, release_pages, require_unchanged
+from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, header_metadata, release_pages, require_unchanged
 
 logger = logging.getLogger(__name__)
 
@@ -355,20 +355,22 @@ def merge_checkpoint(
     shard_limit: int = DEFAULT_SHARD_LIMIT,
 ) -> MergeReport:
     """Merge the shared backbone into the anchor and write the result to
-    ``path``, laid out as :func:`~dimerge.store.save_checkpoint` would;
-    everything else passes through bit-exactly. Each anchor tensor's fate
-    is decided once, by one map, in anchor order, of the triples the merge
-    composes: aligned, admitted by ``cfg.scope`` and of rank 1 or 2. Its
-    output dtype, its branch, the log's total and the counts follow from
-    the map; a tensor outside it passes through in its own dtype, for
-    alignment's reason, else ``scalar`` where the scope admits it, else
-    ``out_of_scope``. The output file is sized first and each tensor
-    filled in place, so its bytes are identical for any worker count. The
-    tensors run through :func:`for_each_tensor` on ``threads`` workers, so
-    the first failure stops the merge. Every anchor tensor, merged or passed
-    through, is written by :func:`_write_merged`, one row block at a time,
-    and each block's input pages are released by whatever read them. An
-    input file changed during the run is a :class:`~dimerge.errors.FormatError`
+    ``path``, laid out as :func:`~dimerge.store.save_checkpoint` would,
+    with the anchor's ``__metadata__`` in every file
+    (:func:`~dimerge.store.header_metadata`); everything else passes
+    through bit-exactly. Each anchor tensor's fate is decided once, by one
+    map, in anchor order, of the triples the merge composes: aligned,
+    admitted by ``cfg.scope`` and of rank 1 or 2. Its output dtype, its
+    branch, the log's total and the counts follow from the map; a tensor
+    outside it passes through in its own dtype, for alignment's reason,
+    else ``scalar`` where the scope admits it, else ``out_of_scope``. The
+    output file is sized first and each tensor filled in place, so its
+    bytes are identical for any worker count. The tensors run through
+    :func:`for_each_tensor` on ``threads`` workers, so the first failure
+    stops the merge. Every anchor tensor, merged or passed through, is
+    written by :func:`_write_merged`, one row block at a time, and each
+    block's input pages are released by whatever read them. An input file
+    changed during the run is a :class:`~dimerge.errors.FormatError`
     (:func:`~dimerge.store.require_unchanged`), raised before the writer
     commits. Each worker keeps its row-block buffers, a few MiB, until the
     merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
@@ -383,7 +385,8 @@ def merge_checkpoint(
     merged_so_far = itertools.count(1)
     buffers = BlockBuffers()
     dtypes = {n: _out_dtype(rec, cfg) if n in merging else rec.dtype for n, rec in anchor.tensors.items()}
-    with CheckpointWriter([(n, dtype, anchor[n].shape) for n, dtype in dtypes.items()], path, shard_limit) as out:
+    specs = [(n, dtype, anchor[n].shape) for n, dtype in dtypes.items()]
+    with CheckpointWriter(specs, path, shard_limit, header_metadata(anchor)) as out:
 
         def handle(name: str) -> TensorMergeReport:
             rec, sink = anchor[name], partial(out.write, name)

@@ -83,8 +83,9 @@ class Checkpoint:
 
 
 class _FileMap(mmap.mmap):
-    """A read-only map of a tensor file, knowing the file's ``path`` and its
-    ``identity`` (:func:`_identity`) when it was mapped."""
+    """A read-only map of a tensor file, knowing the file's ``path``, its
+    ``identity`` (:func:`_identity`) when it was mapped and its header's
+    ``metadata`` (``__metadata__``, or None)."""
 
 
 def _identity(st: os.stat_result) -> tuple[int, ...]:
@@ -98,7 +99,8 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     The file is mapped read-only, never read whole. Each record's ``raw`` is
     a zero-copy, read-only view into that mapping, which stays alive while
     any of its records does and keeps the file's identity for
-    :func:`require_unchanged`.
+    :func:`require_unchanged` and its ``__metadata__`` for
+    :func:`header_metadata`.
     """
     started = time.perf_counter()
     with open(path, "rb") as fh:
@@ -107,7 +109,7 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
         if size < _HEADER_STRUCT.size:
             raise FormatError(f"{path}: file too short for a header")
         data = _FileMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    data.path, data.identity = path, _identity(stat)
+    data.path, data.identity, data.metadata = path, _identity(stat), None
     (header_len,) = _HEADER_STRUCT.unpack_from(data, 0)
     header_end = _HEADER_STRUCT.size + header_len
     if header_end > size:
@@ -125,6 +127,7 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
         if name == "__metadata__":
             if not (isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values())):
                 raise FormatError(f"{path}: __metadata__ is not a map of strings to strings")
+            data.metadata = entry
             continue
         if isinstance(entry, dict) and not entry.keys() <= _ENTRY_KEYS:
             raise FormatError(f"{path}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)} in entry {name!r}")
@@ -160,6 +163,26 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     return records
 
 
+def _mapped_files(*checkpoints: Checkpoint) -> list[_FileMap]:
+    """Each file the checkpoints' records map, once, in record order."""
+    maps = {id(m): m for ckpt in checkpoints for rec in ckpt.tensors.values()
+            if isinstance(m := getattr(rec.raw, "obj", None), _FileMap)}
+    return list(maps.values())
+
+
+def header_metadata(ckpt: Checkpoint) -> dict[str, str] | None:
+    """The ``__metadata__`` that every file the checkpoint's records map
+    holds alike, for a writer to carry over; None when they hold none, when
+    no record maps a file, or, with a warning, when the files differ."""
+    found = []
+    for m in _mapped_files(ckpt):
+        if m.metadata not in found:
+            found.append(m.metadata)
+    if len(found) > 1:
+        logger.warning("the checkpoint's files hold %d different __metadata__ maps; none is written", len(found))
+    return found[0] if len(found) == 1 else None
+
+
 def require_unchanged(*checkpoints: Checkpoint) -> None:
     """Stat again each file that the checkpoints' records map, and raise a
     :class:`FormatError` naming the first whose identity differs from when
@@ -167,9 +190,7 @@ def require_unchanged(*checkpoints: Checkpoint) -> None:
     a new inode) or removed. A mapping shows another process's writes, so a
     run calls this after its last input read and before it commits: what it
     commits was then computed from one version of each input."""
-    maps = {id(m): m for ckpt in checkpoints for rec in ckpt.tensors.values()
-            if isinstance(m := getattr(rec.raw, "obj", None), _FileMap)}
-    for m in maps.values():
+    for m in _mapped_files(*checkpoints):
         try:
             now = _identity(os.stat(m.path))
         except OSError:
@@ -318,11 +339,11 @@ def staged_files() -> Iterator[_Transaction]:
         tx.commit()
 
 
-def _lay_out(fd: int, specs: Sequence[TensorSpec]) -> dict[str, int]:
-    """Write a tensor file's header and size it for its payloads, its
-    blocks allocated where the platform can; returns each tensor's absolute
-    payload offset."""
-    header: OrderedDict[str, object] = OrderedDict()
+def _lay_out(fd: int, specs: Sequence[TensorSpec], metadata: dict[str, str] | None) -> dict[str, int]:
+    """Write a tensor file's header, ``metadata`` (when given) first as its
+    ``__metadata__``, and size it for its payloads, its blocks allocated
+    where the platform can; returns each tensor's absolute payload offset."""
+    header: OrderedDict[str, object] = OrderedDict() if metadata is None else OrderedDict(__metadata__=metadata)
     starts = {}
     offset = 0
     for spec in specs:
@@ -433,7 +454,8 @@ class CheckpointWriter:
     each tensor's payload has a fixed offset. Payloads are then filled in
     place, block by block, in any order and from any thread; the bytes on
     disk do not depend on that order. ``path`` is as for
-    :func:`save_checkpoint`; ``paths`` lists the files written.
+    :func:`save_checkpoint`; ``paths`` lists the files written. Each file's
+    header holds ``metadata`` as its ``__metadata__``, when given.
 
     The writer is a :func:`staged_files` block: its files, filled under
     hidden names (the commit makes their directories), commit (the index
@@ -445,7 +467,7 @@ class CheckpointWriter:
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
-                 shard_limit: int = DEFAULT_SHARD_LIMIT):
+                 shard_limit: int = DEFAULT_SHARD_LIMIT, metadata: dict[str, str] | None = None):
         if not specs:
             raise ConfigError("refusing to save an empty checkpoint")
         if shard_limit <= 0:
@@ -473,7 +495,7 @@ class CheckpointWriter:
             for file_path, shard in zip(files, shards):
                 fd = os.open(stage(file_path), os.O_WRONLY)
                 stack.callback(os.close, fd)
-                offsets = _lay_out(fd, shard)
+                offsets = _lay_out(fd, shard, metadata)
                 for spec in shard:
                     self._where[spec[0]] = (fd, offsets[spec[0]], _nbytes(spec))
             if len(shards) > 1:
@@ -507,12 +529,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAU
 
     If ``path`` ends in ``.safetensors`` everything must fit in one file.
     Otherwise ``path`` is a directory: a single tensor file when one shard
-    suffices, or numbered shards plus an index manifest. A record that maps
-    a file has its pages released once its payload is written, so saving a
-    loaded checkpoint holds its largest tensor mapped, not all of it.
+    suffices, or numbered shards plus an index manifest. Every file gets
+    the ``__metadata__`` that the checkpoint's loaded files hold alike
+    (:func:`header_metadata`). A record that maps a file has its pages
+    released once its payload is written, so saving a loaded checkpoint
+    holds its largest tensor mapped, not all of it.
     """
     records = list(ckpt.tensors.values())
-    with CheckpointWriter([(r.name, r.dtype, r.shape) for r in records], path, shard_limit) as out:
+    specs = [(r.name, r.dtype, r.shape) for r in records]
+    with CheckpointWriter(specs, path, shard_limit, header_metadata(ckpt)) as out:
         for rec in records:
             out.write(rec.name, 0, rec.raw)
             release_pages(rec)

@@ -3,6 +3,7 @@ one hypothesis profile every property test runs under: derandomized, with
 no deadline and no example database, so a run is the same on every box."""
 
 import errno
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -155,3 +156,18 @@ def change_file(path, how: str) -> None:
     else:
         assert how == "removed"
         path.unlink()
+
+
+def header_of(path) -> dict:
+    """The JSON header of the tensor file at ``path``."""
+    raw = Path(path).read_bytes()
+    return json.loads(raw[8:8 + int.from_bytes(raw[:8], "little")])
+
+
+def set_metadata(path, metadata: dict) -> None:
+    """Rewrite the tensor file at ``path`` with ``metadata`` as its header's
+    ``__metadata__``, its tensors and payload bytes unchanged."""
+    raw = Path(path).read_bytes()
+    body = raw[8 + int.from_bytes(raw[:8], "little"):]
+    header = json.dumps({"__metadata__": metadata, **header_of(path)}).encode()
+    Path(path).write_bytes(len(header).to_bytes(8, "little") + header + body)

@@ -132,6 +132,23 @@ MUTANTS = (
     Mutant("input-changed-in-place", "src/dimerge/store.py",
            "if now != m.identity:", "if now is None or now[:2] != m.identity[:2]:",
            "an input rewritten in place (same device and inode) during a run is refused"),
+    # the README's other stated rules
+    Mutant("exit-codes", "src/dimerge/cli.py",
+           "return exc.exit_code", "return 1",
+           "a run exits 2 for a config error, 3 for an I/O error and 4 for a numeric or shape error"),
+    Mutant("interrupt-cancels-queued", "src/dimerge/merge.py",
+           "pool.shutdown(cancel_futures=True)", "pool.shutdown(cancel_futures=False)",
+           "an interrupt or the first failure cancels the tensors not yet started"),
+    Mutant("tile-partition", "src/dimerge/merge.py",
+           "return TILE_ROWS * max(1, _BLOCK_ELEMENTS // (TILE_ROWS * cols))",
+           "return max(1, _BLOCK_ELEMENTS // cols)",
+           "row blocks are whole tiles, so column sums do not depend on the block size"),
+    Mutant("commit-rollback", "src/dimerge/store.py",
+           "os.replace(kept, target)  # does nothing if both name one file", "pass",
+           "a commit that fails part-way puts back every file it had replaced"),
+    Mutant("preset-default", "src/dimerge/errors.py",
+           "default = cls.presets.get(values.get(own[0].name), {}).get(f.name, f.default)", "default = f.default",
+           "a config preset sets the fields not given beside it"),
 )
 
 

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +12,10 @@ import pytest
 
 import dimerge.merge as merge_module
 from dimerge import cli, diagnostics
-from dimerge.cli import _resolve_remap, _resolve_schema, apply_overrides, main
+from dimerge.cli import apply_overrides, main
+from dimerge.diagnostics import ModuleKeySchema
 from dimerge.errors import ConfigError
-from dimerge.presets import module_schema, remap_rules
+from dimerge.presets import RemapRules, remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
@@ -277,6 +279,42 @@ class TestMergeCommand:
         assert f"error[io.format]: {ml_file}: input file changed during the run" in capsys.readouterr().err
         assert {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")} == before
         assert not list(tmp_path.rglob(".*.partial"))
+
+    def test_input_truncated_between_passes_reports_a_bus_error(self, workspace):
+        """An input truncated while mapped kills the run with SIGBUS, which no
+        handler can turn into an exit code; the run prints a bus error to
+        stderr as it dies, and the output and report of an earlier run stay
+        byte for byte. The file it had staged stays hidden beside them until
+        the next run commits."""
+        tmp_path, config, config_path = workspace
+
+        def outputs():
+            files = {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")}
+            return {name: data for name, data in files.items() if not Path(name).name.startswith(".")}
+
+        assert main(["merge", "--config", str(config_path)]) == 0
+        before = outputs()
+        ml_file = Path(config["multilingual_path"]) / "model.safetensors"
+        hooked = (
+            "import os, sys\n"
+            "import dimerge.merge as merge_module\n"
+            "from dimerge.cli import main\n"
+            "write_merged = merge_module._write_merged\n"
+            "def truncate_before_pass_2(name, anchor, region, compose, *args):\n"
+            "    if compose is not None:\n"
+            "        os.truncate(sys.argv[1], 0)\n"
+            "    write_merged(name, anchor, region, compose, *args)\n"
+            "merge_module._write_merged = truncate_before_pass_2\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", hooked, str(ml_file), "merge", "--config", str(config_path),
+                                 "--threads", "1"], env=env, capture_output=True, text=True)
+        assert result.returncode == -signal.SIGBUS
+        assert "Fatal Python error: Bus error" in result.stderr and "_write_merged" in result.stderr
+        assert outputs() == before
+        assert [p.suffix for p in tmp_path.rglob(".*")] == [".partial"]
 
     def test_other_files_at_the_output_path_stay(self, workspace):
         tmp_path, config, config_path = workspace
@@ -551,10 +589,10 @@ class TestConfigChecks:
 
 class TestRemapPresets:
     def test_keys_beside_a_preset_replace_its_own(self):
-        rules = _resolve_remap({"remap": {"preset": "qwen3", "anchor": [["vlm.", "model."]]}})
-        assert rules == {"base": [], "multilingual": [], "anchor": [("vlm.", "model.")]}
-        assert _resolve_remap({"remap": {"preset": "qwen3"}})["anchor"] == remap_rules("qwen3", "anchor")
-        assert _resolve_remap({}) == {"base": [], "multilingual": [], "anchor": []}
+        rules = RemapRules.from_dict({"preset": "qwen3", "anchor": [["vlm.", "model."]]})
+        assert (rules.base, rules.multilingual, rules.anchor) == ((), (), (("vlm.", "model."),))
+        assert list(RemapRules.from_dict({"preset": "qwen3"}).anchor) == remap_rules("qwen3", "anchor")
+        assert RemapRules.from_dict(None) == RemapRules(base=(), multilingual=(), anchor=())
 
     def test_rules_per_family(self):
         qwen = [("model.language_model.", "model."), ("language_model.", "")]
@@ -566,8 +604,8 @@ class TestRemapPresets:
     def test_unknown_family_is_config_error(self):
         with pytest.raises(ConfigError, match="no remap preset for family 'gpt2'"):
             remap_rules("gpt2", "anchor")
-        with pytest.raises(ConfigError, match="no module schema preset for family 'gpt2'"):
-            module_schema("gpt2")
+        with pytest.raises(ConfigError, match="diagnose.schema.preset must be one of .*, got 'gpt2'"):
+            ModuleKeySchema.from_dict("gpt2")
 
     def test_returned_rules_are_copies(self):
         remap_rules("qwen2", "anchor").clear()
@@ -605,9 +643,10 @@ class TestDiagnoseCommand:
     @pytest.mark.parametrize("schema", ["qwen3", {"preset": "qwen3"}])
     def test_schema_keys_beside_a_preset_replace_its_own(self, schema):
         config = apply_overrides({"diagnose": {"schema": schema}}, ["diagnose.schema.layer_pattern=*.h.{n}.*"])
-        resolved = _resolve_schema(config["diagnose"])
+        resolved = ModuleKeySchema.from_dict(config["diagnose"]["schema"])
         assert resolved.layer_pattern == "*.h.{n}.*"
-        assert resolved.module_labels == module_schema("qwen3").module_labels
+        qwen3_labels = ModuleKeySchema.from_dict("qwen3").module_labels
+        assert resolved.module_labels == qwen3_labels != ModuleKeySchema().module_labels
         assert resolved.label_of("model.h.0.self_attn.q_norm.weight") == "attn.qnorm"
 
     @pytest.mark.parametrize("args, key, error_class", [
@@ -632,6 +671,16 @@ class TestDiagnoseCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error[{error_class}]") and key in err
         assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize("section", [None, {"csv_path": ""}, {"schema": "qwen3", "epsilon": 0.1}],
+                             ids=["null", "empty_csv_path", "schema_only"])
+    def test_no_table_path_is_config_error(self, workspace, capsys, section):
+        """A ``diagnose`` section that names no table is refused, as the
+        section's own values are, before any input loads."""
+        tmp_path, config, _ = workspace
+        config["diagnose"], config["anchor_path"] = section, str(tmp_path / "missing")
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == "error[config.missing_path]: diagnose config needs csv_path and/or json_path\n"
 
     def test_unwritable_output_fails_nonzero(self, workspace, capsys):
         tmp_path, config, _ = workspace

@@ -16,9 +16,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimerge.cli import _positive_int, _read_diagnose, _resolve_remap, apply_overrides
+from dimerge.cli import _positive_int, apply_overrides
+from dimerge.diagnostics import DiagnoseConfig
 from dimerge.errors import ConfigError
 from dimerge.merge import MERGE_METHODS, MergeConfig
+from dimerge.presets import RemapRules
 from dimerge.salience import EstimatorKind
 from dimerge.scope import SCOPE_PRESETS
 
@@ -103,14 +105,15 @@ def check_merge(config):
 
 
 def check_remap(config):
-    rules = _resolve_remap(config)
-    assert set(rules) == {"base", "multilingual", "anchor"} and all(map(is_pairs, rules.values()))
+    rules = RemapRules.from_dict(config.get("remap"))
+    assert all(is_pairs(getattr(rules, role)) for role in ("base", "multilingual", "anchor"))
 
 
 def check_diagnose(config):
-    schema, epsilon, exports = _read_diagnose(config)
-    assert type(schema.layer_pattern) is str and is_pairs(schema.module_labels)
-    assert is_finite_number(epsilon) and epsilon > 0 and all(type(path) is str for _, path in exports)
+    cfg = DiagnoseConfig.from_dict(config.get("diagnose"))
+    assert type(cfg.schema.layer_pattern) is str and is_pairs(cfg.schema.module_labels)
+    assert is_finite_number(cfg.epsilon) and cfg.epsilon > 0
+    assert all(path is None or type(path) is str for path in (cfg.csv_path, cfg.json_path))
 
 
 def check_counts(config):

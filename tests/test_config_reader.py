@@ -3,10 +3,13 @@
 Every record that names a config ``section`` reads null as an empty section,
 reads back from its own echo and names an unknown key under its section. A
 record-valued section of ``merge`` given as null is the same as leaving it
-out, in the config read and in its echo.
+out, in the config read and in its echo. The presets those records read are
+plain data: ``presets`` imports nothing of the package but ``errors``.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,17 @@ CONFIG_RECORDS = sorted({cls for cls in _subclasses(Record) if cls.section}, key
 
 def test_every_config_record_is_found():
     assert {cls.__name__ for cls in CONFIG_RECORDS} >= {"MergeConfig", "AggregationKind", "ScopeFilter",
-                                                        "BaselineParams"}
+                                                        "BaselineParams", "RemapRules", "ModuleKeySchema",
+                                                        "DiagnoseConfig"}
+
+
+def test_presets_import_only_errors_from_the_package():
+    tree = ast.parse((Path(cli.__file__).parent / "presets.py").read_text())
+    imported = {(node.level, node.module) for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {(0, alias.name) for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    package = {(module or "").removeprefix("dimerge.") for level, module in imported
+               if level or (module or "").split(".")[0] == "dimerge"}
+    assert package == {"errors"}
 
 
 @pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)

@@ -18,7 +18,7 @@ from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
 from dimerge.store import DEFAULT_SHARD_LIMIT, Checkpoint, load_checkpoint, save_checkpoint
 
-from conftest import make_triple, merge_and_load
+from conftest import header_of, make_triple, merge_and_load, set_metadata
 import reference
 
 
@@ -388,6 +388,26 @@ class TestMergeCheckpoint:
         merge_checkpoint(base, ml, anchor, MergeConfig(), tmp_path / "out", shard_limit=limits[1])
         fresh, _ = merge_and_load(base, ml, anchor, MergeConfig())
         assert checkpoint_digest(load_checkpoint(tmp_path / "out")) == checkpoint_digest(fresh)
+
+    @pytest.mark.parametrize("anchor_limit", [DEFAULT_SHARD_LIMIT, 200], ids=["single_file", "sharded"])
+    def test_output_keeps_the_anchors_metadata(self, tmp_path, triple_f32, anchor_limit):
+        """Every output file, single or sharded, holds the ``__metadata__``
+        of the anchor's files, and the tensors are those of a merge of the
+        same anchor held in memory."""
+        base, ml, anchor = triple_f32
+        save_checkpoint(anchor, tmp_path / "anchor", shard_limit=anchor_limit)
+        anchor_files = list((tmp_path / "anchor").glob("*.safetensors"))
+        assert (len(anchor_files) > 1) == (anchor_limit == 200)
+        for path in anchor_files:
+            set_metadata(path, {"format": "pt", "note": "anchor"})
+        loaded = load_checkpoint(tmp_path / "anchor")
+        fresh, _ = merge_and_load(base, ml, anchor, MergeConfig())
+        for out, limit in (("single", DEFAULT_SHARD_LIMIT), ("sharded", 200)):
+            merge_checkpoint(base, ml, loaded, MergeConfig(), tmp_path / out, shard_limit=limit)
+            files = sorted((tmp_path / out).glob("*.safetensors"))
+            assert (len(files) > 1) == (out == "sharded")
+            assert all(header_of(p)["__metadata__"] == {"format": "pt", "note": "anchor"} for p in files)
+            assert checkpoint_digest(load_checkpoint(tmp_path / out)) == checkpoint_digest(fresh)
 
     @pytest.mark.parametrize("out", ["merged", "new/deeper/merged", "new/merged.safetensors"])
     def test_failed_merge_into_a_new_directory_leaves_none(self, tmp_path, triple_f32, out):

@@ -6,9 +6,9 @@ import json
 import re
 from pathlib import Path
 
-from dimerge.cli import _read_diagnose, _resolve_remap, _resolve_schema
+from dimerge.diagnostics import DiagnoseConfig, ModuleKeySchema
 from dimerge.merge import MergeConfig
-from dimerge.presets import module_schema, remap_rules
+from dimerge.presets import MODULE_SCHEMA_PRESETS, RemapRules, remap_rules
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,6 +27,7 @@ def test_run_json_reads():
     config = json.loads(re.search(r"`run.json`:\n\n```json\n(.*?)```", README.read_text(), re.DOTALL).group(1))
     cfg = MergeConfig.from_dict(config["merge"])
     assert MergeConfig.from_dict(cfg.to_dict()) == cfg
-    assert _resolve_remap(config)["anchor"] == remap_rules(config["remap"]["preset"], "anchor")
-    assert _resolve_schema(config["diagnose"]) == module_schema(config["diagnose"]["schema"]["preset"])
-    assert [path for _, path in _read_diagnose(config)[2]] == ["diag.csv", "diag.json"]
+    assert list(RemapRules.from_dict(config["remap"]).anchor) == remap_rules(config["remap"]["preset"], "anchor")
+    diagnose = DiagnoseConfig.from_dict(config["diagnose"])
+    assert diagnose.schema == ModuleKeySchema(**MODULE_SCHEMA_PRESETS[config["diagnose"]["schema"]["preset"]])
+    assert [diagnose.csv_path, diagnose.json_path] == ["diag.csv", "diag.json"]

@@ -21,7 +21,7 @@ from dimerge.store import (
     staged_files,
 )
 
-from conftest import change_file, fail_nth_replace
+from conftest import change_file, fail_nth_replace, header_of, set_metadata
 
 
 def ckpt_of(arrays: dict, dtype=DType.F32) -> Checkpoint:
@@ -321,6 +321,38 @@ class TestHeaderTypes:
         loaded = load_checkpoint(tmp_path / "t.safetensors")
         assert loaded["s"].shape == ()
         assert loaded["m"].shape == (1, 2)
+
+
+class TestHeaderMetadata:
+    """``save_checkpoint`` carries a loaded checkpoint's ``__metadata__``
+    into every file it writes, where all the files it was loaded from hold
+    the same one."""
+
+    ARRAYS = {"a": [1.0, 2.0], "b": [3.0, 4.0], "c": [5.0, 6.0]}
+
+    @pytest.mark.parametrize("shard_limit", [1000, 8], ids=["single_file", "sharded"])
+    def test_save_keeps_the_loaded_files_metadata(self, tmp_path, shard_limit):
+        save_checkpoint(ckpt_of(self.ARRAYS), tmp_path / "in", shard_limit=shard_limit)
+        for path in (tmp_path / "in").glob("*.safetensors"):
+            set_metadata(path, {"format": "pt"})
+        loaded = load_checkpoint(tmp_path / "in")
+        for out, limit in (("out", 1000), ("sharded", 8)):
+            written = [p for p in save_checkpoint(loaded, tmp_path / out, shard_limit=limit) if p.suffix != ".json"]
+            assert [header_of(p)["__metadata__"] for p in written] == [{"format": "pt"}] * len(written)
+            assert load_checkpoint(tmp_path / out).names() == loaded.names()
+
+    @pytest.mark.parametrize("second", [{"format": "np"}, None], ids=["different", "absent"])
+    def test_files_that_differ_write_none_with_a_warning(self, tmp_path, caplog, second):
+        save_checkpoint(ckpt_of(self.ARRAYS), tmp_path / "in", shard_limit=8)
+        first, *rest = sorted((tmp_path / "in").glob("*.safetensors"))
+        set_metadata(first, {"format": "pt"})
+        for path in rest if second else ():
+            set_metadata(path, second)
+        with caplog.at_level(logging.WARNING, logger="dimerge"):
+            [written] = save_checkpoint(load_checkpoint(tmp_path / "in"), tmp_path / "out.safetensors")
+        assert "__metadata__" not in header_of(written)
+        assert [r.getMessage() for r in caplog.records] == [
+            "the checkpoint's files hold 2 different __metadata__ maps; none is written"]
 
 
 class TestLoadedRecords:

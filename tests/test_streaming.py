@@ -98,6 +98,19 @@ def test_diagnose_rows_do_not_depend_on_block_size(tmp_path, monkeypatch):
         assert diagnose(*triple) == whole, tiles
 
 
+@pytest.mark.parametrize("cols", [24, 1000, 3000, 5000])
+def test_default_row_blocks_are_whole_tiles(cols):
+    """Every default row block starts on a tile boundary, so column sums add
+    the same tiles in the same order as at any other block size, also where
+    about ``_BLOCK_ELEMENTS`` values are not a whole number of tiles; and a
+    block holds no more than that, or one tile where a tile holds more."""
+    rows = 4 * merge_module._block_rows(cols) + 5
+    blocks = merge_module.BlockBuffers().blocks(rows, cols)
+    assert all(r0 % TILE_ROWS == 0 for r0, _ in blocks)
+    assert [r1 for _, r1 in blocks[:-1]] == [r0 for r0, _ in blocks[1:]] and blocks[-1][1] == rows
+    assert (blocks[0][1] - blocks[0][0]) * cols <= max(merge_module._BLOCK_ELEMENTS, TILE_ROWS * cols)
+
+
 @pytest.mark.parametrize("tiles", [1, 3])
 def test_small_blocks_splice_like_one_block(tmp_path, monkeypatch, tiles):
     """With several row blocks, the merged region and the anchor's extra rows
