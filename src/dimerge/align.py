@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
+from typing import Callable
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, Record
 from .records import TensorRecord, decode_f32
-from .store import Checkpoint, release_pages
+from .store import Checkpoint, read_rows
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
 HIGH_RANK_POLICIES = ("reject", "pass_through")
@@ -64,22 +65,17 @@ class AlignedTriple:
         a scalar one row of one."""
         return (self.shape + (1,))[0], prod(self.shape[1:])
 
-    def aligned_bits(self, rec: TensorRecord) -> np.ndarray:
-        """The stored bits of ``rec`` inside the aligned region, as a view."""
-        bits = rec.bits()
-        return bits if rec.shape == self.shape else bits[tuple(slice(0, d) for d in self.shape)]
-
-    def decode_rows(self, role: str, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+    def decode_rows(self, role: str, r0: int, r1: int, take: Callable[..., np.ndarray]) -> np.ndarray:
         """Rows ``r0:r1`` of ``role``'s aligned region as a float32
-        :attr:`matrix` block, into ``out`` or a fresh array. The record's
-        pages that hold only those rows are then released, and the whole
-        record once the block ends the region, so a streamed pass keeps one
-        row block of each role mapped; a later read faults them back in."""
+        :attr:`matrix` block. The record's rows are read whole
+        (:func:`~dimerge.store.read_rows`) into the bits array that
+        ``take("stored", shape, dtype)`` gives, then decoded, an
+        ``anchor-overlap`` region's columns cropped, into
+        ``take(role, shape, np.float32)``."""
         rec = (self.base, self.ml, self.mm)[ROLES.index(role)]
-        values = decode_f32(self.aligned_bits(rec).reshape(self.matrix)[r0:r1], rec.dtype, out)
-        last = r1 >= self.matrix[0]   # then all of it: the pages shared with earlier blocks too
-        release_pages(rec, 0 if last else r0, None if last else r1)
-        return values
+        rows, cols = r1 - r0, self.matrix[1]
+        bits = read_rows(rec, r0, r1, take("stored", (rows, prod(rec.shape[1:])), f"<u{rec.dtype.itemsize}"))
+        return decode_f32(bits[:, :cols], rec.dtype, take(role, (rows, cols), np.float32))
 
 
 @dataclass

@@ -232,7 +232,8 @@ def _residual_rows(triple: AlignedTriple, buffers: BlockBuffers, r0: int, r1: in
             delta -= blocks[0]
     if check and not all(all_finite(delta) for delta in blocks[1:]):
         for role, values in zip(ROLES, blocks):
-            for word, read in (("tensor", triple.decode_rows(role, r0, r1)), ("residual", values)):
+            fresh = triple.decode_rows(role, r0, r1, lambda name, shape, dtype: np.empty(shape, dtype))
+            for word, read in (("tensor", fresh), ("residual", values)):
                 require_finite(read, f"{triple.name}: {role} {word} contains non-finite values")
     return blocks
 

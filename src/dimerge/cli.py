@@ -12,16 +12,14 @@ report or table path that is a directory, before it loads the inputs.
 
 Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric/shape error.
 Set ``DIMERGE_LOG`` to DEBUG/INFO/WARNING/ERROR to control logging. An input
-truncated while a run maps it kills the run with SIGBUS, which Python cannot
-catch; :func:`main` turns on :mod:`faulthandler`, so the run prints a bus
-error and where it struck to stderr before it dies.
+changed during a run, truncated included, is an I/O error (exit 3) that
+names the file.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
-import faulthandler
 import json
 import logging
 import os
@@ -235,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    if not faulthandler.is_enabled():   # a caller that turned it on keeps its own file
-        faulthandler.enable()
     args = build_parser().parse_args(argv)
     try:
         if args.command == "merge":

@@ -25,11 +25,10 @@ a compose that reads and merges any block of rows. Pass 2 composes each
 block of the anchor, rejects it if the output dtype cannot hold every value
 finitely, and encodes and writes it in place in the output file; a tensor
 passed through has an empty aligned region, so each of its blocks is
-copied. Each worker reads every block into its :class:`BlockBuffers`,
-arrays named for what they hold and kept for the whole merge, and whatever
-reads a block releases its input pages (:meth:`AlignedTriple.decode_rows`
-or pass 2), so memory, mapped inputs included, follows one row block (and
-the two score arrays of a top-k cut).
+copied. Each worker reads every block of its inputs
+(:func:`~dimerge.store.read_rows`) into its :class:`BlockBuffers`, arrays
+named for what they hold and kept for the whole merge, so memory follows
+one row block (and the two score arrays of a top-k cut).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from .salience import (
     estimate_salience,
 )
 from .scope import ScopeFilter
-from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, header_metadata, release_pages, require_unchanged
+from .store import DEFAULT_SHARD_LIMIT, Checkpoint, CheckpointWriter, header_metadata, read_rows, require_unchanged
 
 logger = logging.getLogger(__name__)
 
@@ -158,7 +157,8 @@ class BlockBuffers(threading.local):
     when a block needs more, so once the largest block has been seen,
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a buffer overwrites all of it.
-    :meth:`read` decodes each role's rows into the buffer named for the role
+    :meth:`read` reads each role's rows, as stored, into the buffer
+    ``stored`` and decodes them into the one named for the role
     (``ROLES``); every other name is its user's, for what it holds.
     """
 
@@ -183,16 +183,14 @@ class BlockBuffers(threading.local):
     def read(self, triple: AlignedTriple, r0: int, r1: int, roles: Iterable[str] = ROLES) -> list[np.ndarray]:
         """Rows ``r0:r1`` of each of ``roles``' aligned region, decoded to a
         float32 matrix in the buffer named for the role."""
-        shape = (r1 - r0, triple.matrix[1])
-        return [triple.decode_rows(role, r0, r1, self.take(role, shape, np.float32)) for role in roles]
+        return [triple.decode_rows(role, r0, r1, self.take) for role in roles]
 
 
 def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
                        buffers: BlockBuffers) -> np.ndarray:
     """The ``count`` column sums that ``accumulate(sums, base, ml, mm, scratch)``
     adds for each row block of the aligned :attr:`~AlignedTriple.matrix`,
-    read by ``buffers``, widened in its ``"scratch"``; the reader releases
-    each block's input pages once decoded."""
+    read by ``buffers``, widened in its ``"scratch"``."""
     cols = triple.matrix[1]
     sums = np.zeros((count, cols))
     scratch = buffers.take("scratch", (SCRATCH_ROWS, cols), np.float64)
@@ -245,10 +243,10 @@ def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], comp
     in ``out_dtype`` over the anchor's own rows and columns, re-encoded, and
     hand the block to ``sink`` at its byte offset. A tensor passed through
     has no rows in its region and no compose, so each block is re-encoded:
-    copied, in its own dtype. The reader releases the rows the compose
-    reads, and this loop the anchor rows it re-encodes (all the anchor's
-    pages with the last block). Every compose returns its block in the
-    multilingual row buffer of ``buffers``, so once it has returned the
+    copied, in its own dtype. The anchor rows it re-encodes are read
+    (:func:`~dimerge.store.read_rows`) into the ``stored`` buffer of
+    ``buffers``, as the compose reads its rows. Every compose returns its
+    block in the multilingual row buffer, so once it has returned the
     output bits take the anchor's row buffer and BF16's rounding sums the
     base's: no buffer is added for pass 2. This is the one check on merged
     values, for every method: a composed block whose min or max is NaN or
@@ -257,19 +255,18 @@ def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], comp
     to F32, the one narrowing :func:`_out_dtype` allows), the re-encoded
     anchor rows and columns get the same check."""
     rows, cols = region
-    anchor_bits = anchor.bits().reshape((anchor.shape + (1,))[0], -1)   # a scalar is one row of one
+    width = prod(anchor.shape[1:])   # a scalar is one row of one
     limit, problem = ENCODE_LIMIT[out_dtype], f"values are not finite in {out_dtype.value}"
     narrows = out_dtype.itemsize < anchor.dtype.itemsize
-    for r0, r1 in buffers.blocks(len(anchor_bits), cols):
+    for r0, r1 in buffers.blocks((anchor.shape + (1,))[0], cols):
         with np.errstate(over="ignore", invalid="ignore"):   # checked next
             merged = compose(r0, min(r1, rows)) if r0 < rows else None
-        out = buffers.take("anchor", (r1 - r0, anchor_bits.shape[1]), f"<u{out_dtype.itemsize}")
+        out = buffers.take("anchor", (r1 - r0, width), f"<u{out_dtype.itemsize}")
         if merged is not None:
             require_finite(merged, f"{name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
-            recode_bits(anchor_bits[r0:r1], anchor.dtype, out_dtype, out)
-            last = r1 == len(anchor_bits)
-            release_pages(anchor, 0 if last else r0, None if last else r1)
+            bits = read_rows(anchor, r0, r1, buffers.take("stored", out.shape, f"<u{anchor.dtype.itemsize}"))
+            recode_bits(bits, anchor.dtype, out_dtype, out)
             if narrows:
                 require_finite(out.view(np.float32), f"{name}: anchor {problem}", limit)
         if merged is not None:
@@ -368,11 +365,10 @@ def merge_checkpoint(
     bytes are identical for any worker count. The tensors run through
     :func:`for_each_tensor` on ``threads`` workers, so the first failure
     stops the merge. Every anchor tensor, merged or passed through, is
-    written by :func:`_write_merged`, one row block at a time, and each
-    block's input pages are released by whatever read them. An input file
-    changed during the run is a :class:`~dimerge.errors.FormatError`
-    (:func:`~dimerge.store.require_unchanged`), raised before the writer
-    commits. Each worker keeps its row-block buffers, a few MiB, until the
+    written by :func:`_write_merged`, one row block at a time. An input
+    file changed during the run is a :class:`~dimerge.errors.FormatError`,
+    raised before the writer commits: by the first read past the end of a
+    truncated file, else by :func:`~dimerge.store.require_unchanged`. Each worker keeps its row-block buffers, a few MiB, until the
     merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
     tensor."""
     triples, alignment = align_triple(

@@ -12,7 +12,7 @@ float16 cast: a scalar loop at two to three times the cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import prod
 
@@ -193,15 +193,16 @@ class TensorRecord:
 
     ``raw`` is the little-endian row-major payload exactly as stored on
     disk; it is the source of truth for round-trip fidelity. Records built
-    in memory hold ``bytes``; records read from a file hold a read-only
-    ``memoryview`` into that file's buffer, which compares and hashes like
-    the same ``bytes``.
+    in memory hold it as ``bytes``. A record loaded from a file
+    (:func:`~dimerge.store.read_tensor_file`) keeps it there and reads it
+    whole each time ``raw`` is asked for; it compares and hashes like its
+    twin in memory.
     """
 
     name: str
     dtype: DType
     shape: tuple[int, ...]
-    raw: bytes | memoryview
+    raw: bytes = field(repr=False)
 
     def __post_init__(self):
         if any((not isinstance(d, int)) or d <= 0 for d in self.shape):
@@ -213,17 +214,13 @@ class TensorRecord:
                 f"shape {self.shape} with dtype {self.dtype.value} needs {expected}"
             )
 
-    def __reduce__(self):
-        # a memoryview neither pickles nor deep-copies: rebuild from its bytes
-        return (TensorRecord, (self.name, self.dtype, self.shape, bytes(self.raw)))
-
     @property
     def num_elements(self) -> int:
         return prod(self.shape)
 
     @property
     def nbytes(self) -> int:
-        return len(self.raw)
+        return prod(self.shape) * self.dtype.itemsize
 
     @property
     def rank(self) -> int:

@@ -6,9 +6,10 @@ unsigned header length, a JSON header mapping tensor name to
 A sharded checkpoint is a directory of such files plus an index manifest
 (``model.safetensors.index.json``) mapping tensor name to shard filename.
 
-Files are read through read-only memory maps, so loading costs a header
-parse and payload pages are paged in only when a computation touches them;
-:func:`release_pages` hands a record's pages back, by rows. Files are written
+Loading opens each file once and reads only its header; a loaded record
+holds its open file and its payload's offset. :func:`read_rows` is the one
+reader of payload rows, into a buffer the caller keeps, so a computation
+holds no more of its inputs than the rows it has just read. Files are written
 through :class:`CheckpointWriter`, which lays out every header and offset
 first, so payloads can be filled in place in any order. Everything the
 package writes is one all-or-nothing :func:`staged_files` commit.
@@ -19,11 +20,11 @@ from __future__ import annotations
 import glob
 import json
 import logging
-import mmap
 import os
 import secrets
 import struct
 import time
+import weakref
 from collections import OrderedDict
 from contextlib import ExitStack, contextmanager, suppress
 from contextvars import ContextVar
@@ -31,8 +32,6 @@ from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import ConfigError, FormatError, RemapCollisionError, ShardError
 from .records import DType, TensorRecord
@@ -82,10 +81,48 @@ class Checkpoint:
         return sum(rec.num_elements for rec in self.tensors.values())
 
 
-class _FileMap(mmap.mmap):
-    """A read-only map of a tensor file, knowing the file's ``path``, its
-    ``identity`` (:func:`_identity`) when it was mapped and its header's
-    ``metadata`` (``__metadata__``, or None)."""
+class _TensorFile:
+    """A tensor file open for reading: its descriptor, ``path``, its
+    ``identity`` (:func:`_identity`) and ``size`` when it was opened, and
+    its header's ``metadata`` (``__metadata__``, or None). The descriptor
+    closes once no record holds the file, or at :meth:`close`."""
+
+    def __init__(self, path: Path):
+        self.path, self.metadata = path, None
+        self.fd = os.open(path, os.O_RDONLY)
+        self.close = weakref.finalize(self, os.close, self.fd)
+        stat = os.fstat(self.fd)
+        self.identity, self.size = _identity(stat), stat.st_size
+
+    def changed(self) -> FormatError:
+        return FormatError(f"{self.path}: input file changed during the run")
+
+
+class _FileRecord(TensorRecord):
+    """A record whose payload stays in its ``file``, from byte ``offset``:
+    ``raw`` reads it whole, :func:`read_rows` by rows. It equals and hashes
+    as its twin in memory."""
+
+    def __init__(self, name: str, dtype: DType, shape: tuple[int, ...], file: _TensorFile, offset: int):
+        self.__dict__.update(name=name, dtype=dtype, shape=shape, file=file, offset=offset)   # frozen
+
+    @property
+    def raw(self) -> bytes:
+        return bytes(read_rows(self, 0, (self.shape + (1,))[0], bytearray(self.nbytes)))
+
+    def __eq__(self, other):
+        if not isinstance(other, TensorRecord):
+            return NotImplemented
+        return (self.name, self.dtype, self.shape) == (other.name, other.dtype, other.shape) and self.raw == other.raw
+
+    def __hash__(self):
+        return hash((self.name, self.dtype, self.shape, self.raw))
+
+    def __reduce__(self):   # pickled and deep-copied as its twin: an open file does not travel
+        return TensorRecord, (self.name, self.dtype, self.shape, self.raw)
+
+    def renamed(self, name: str) -> "_FileRecord":
+        return _FileRecord(name, self.dtype, self.shape, self.file, self.offset)
 
 
 def _identity(st: os.stat_result) -> tuple[int, ...]:
@@ -96,38 +133,47 @@ def _identity(st: os.stat_result) -> tuple[int, ...]:
 def read_tensor_file(path: Path) -> list[TensorRecord]:
     """Parse one tensor file into records, preserving payload bytes exactly.
 
-    The file is mapped read-only, never read whole. Each record's ``raw`` is
-    a zero-copy, read-only view into that mapping, which stays alive while
-    any of its records does and keeps the file's identity for
+    The file is opened once and only its header is read. Each record holds
+    the open file and its payload's offset; the file keeps its identity for
     :func:`require_unchanged` and its ``__metadata__`` for
-    :func:`header_metadata`.
+    :func:`header_metadata`, and its descriptor closes with the last of its
+    records.
     """
     started = time.perf_counter()
-    with open(path, "rb") as fh:
-        stat = os.fstat(fh.fileno())
-        size = stat.st_size
-        if size < _HEADER_STRUCT.size:
-            raise FormatError(f"{path}: file too short for a header")
-        data = _FileMap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    data.path, data.identity, data.metadata = path, _identity(stat), None
-    (header_len,) = _HEADER_STRUCT.unpack_from(data, 0)
-    header_end = _HEADER_STRUCT.size + header_len
-    if header_end > size:
-        raise FormatError(f"{path}: header length {header_len} exceeds file size")
+    file = _TensorFile(path)
     try:
-        header = json.loads(data[_HEADER_STRUCT.size:header_end].decode("utf-8"))
+        records = _read_header(file)
+    except BaseException:
+        file.close()
+        raise
+    # the header maps each tensor to its bytes; none is read until a computation asks
+    logger.info("mapped %s: %.1f MB, header parsed in %.3f s", path, file.size / 1e6, time.perf_counter() - started)
+    return records
+
+
+def _read_header(file: _TensorFile) -> list[TensorRecord]:
+    """The records of ``file``, from its header, checked."""
+    path, prefix = file.path, os.pread(file.fd, _HEADER_STRUCT.size, 0)
+    if len(prefix) < _HEADER_STRUCT.size:
+        raise FormatError(f"{path}: file too short for a header")
+    (header_len,) = _HEADER_STRUCT.unpack(prefix)
+    header_end = _HEADER_STRUCT.size + header_len
+    if header_end > file.size:
+        raise FormatError(f"{path}: header length {header_len} exceeds file size")
+    try:   # a header is far below the 2 GiB that one read returns at most
+        header = json.loads(os.pread(file.fd, header_len, _HEADER_STRUCT.size).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed JSON header: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
 
-    body = memoryview(data)[header_end:]
+    body_size = file.size - header_end
     entries = []
     for name, entry in header.items():
         if name == "__metadata__":
             if not (isinstance(entry, dict) and all(isinstance(v, str) for v in entry.values())):
                 raise FormatError(f"{path}: __metadata__ is not a map of strings to strings")
-            data.metadata = entry
+            file.metadata = entry
             continue
         if isinstance(entry, dict) and not entry.keys() <= _ENTRY_KEYS:
             raise FormatError(f"{path}: unknown keys {sorted(entry.keys() - _ENTRY_KEYS)} in entry {name!r}")
@@ -142,6 +188,9 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
             raise FormatError(f"{path}: shape {list(shape)} for {name!r} is not a list of positive integers")
         if not (type(start) is int and type(end) is int):
             raise FormatError(f"{path}: data offsets for {name!r} are not integers")
+        if end - start != prod(shape) * dtype.itemsize:
+            raise FormatError(f"{path}: {name!r} has {end - start} payload bytes, shape {list(shape)} "
+                              f"with dtype {dtype.value} needs {prod(shape) * dtype.itemsize}")
         entries.append((start, end, name, dtype, shape))
 
     # the tensors must tile the body: sorted by start, contiguous from 0,
@@ -149,79 +198,74 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
     records = []
     offset = 0
     for start, end, name, dtype, shape in sorted(entries):
-        if start != offset or not start <= end <= len(body):
+        if start != offset or not start <= end <= body_size:
             raise FormatError(
-                f"{path}: data offsets {start}:{end} for {name!r} do not tile the {len(body)}-byte "
+                f"{path}: data offsets {start}:{end} for {name!r} do not tile the {body_size}-byte "
                 f"body (expected a start at byte {offset})"
             )
-        records.append(TensorRecord(name=name, dtype=dtype, shape=shape, raw=body[start:end]))
+        records.append(_FileRecord(name, dtype, shape, file, header_end + start))
         offset = end
-    if offset != len(body):
-        raise FormatError(f"{path}: tensor data ends at byte {offset}, body has {len(body)}")
-    # mapping reads nothing: the pages fault in later, where they are used
-    logger.info("mapped %s: %.1f MB, header parsed in %.3f s", path, size / 1e6, time.perf_counter() - started)
+    if offset != body_size:
+        raise FormatError(f"{path}: tensor data ends at byte {offset}, body has {body_size}")
     return records
 
 
-def _mapped_files(*checkpoints: Checkpoint) -> list[_FileMap]:
-    """Each file the checkpoints' records map, once, in record order."""
-    maps = {id(m): m for ckpt in checkpoints for rec in ckpt.tensors.values()
-            if isinstance(m := getattr(rec.raw, "obj", None), _FileMap)}
-    return list(maps.values())
+def _files(*checkpoints: Checkpoint) -> list[_TensorFile]:
+    """Each file the checkpoints' records were loaded from, once, in record order."""
+    files = {id(rec.file): rec.file for ckpt in checkpoints for rec in ckpt.tensors.values()
+             if isinstance(rec, _FileRecord)}
+    return list(files.values())
 
 
 def header_metadata(ckpt: Checkpoint) -> dict[str, str] | None:
-    """The ``__metadata__`` that every file the checkpoint's records map
-    holds alike, for a writer to carry over; None when they hold none, when
-    no record maps a file, or, with a warning, when the files differ."""
+    """The ``__metadata__`` that every file the checkpoint's records were
+    loaded from holds alike, for a writer to carry over; None when they hold
+    none, when no record was loaded from a file, or, with a warning, when
+    the files differ."""
     found = []
-    for m in _mapped_files(ckpt):
-        if m.metadata not in found:
-            found.append(m.metadata)
+    for file in _files(ckpt):
+        if file.metadata not in found:
+            found.append(file.metadata)
     if len(found) > 1:
         logger.warning("the checkpoint's files hold %d different __metadata__ maps; none is written", len(found))
     return found[0] if len(found) == 1 else None
 
 
 def require_unchanged(*checkpoints: Checkpoint) -> None:
-    """Stat again each file that the checkpoints' records map, and raise a
-    :class:`FormatError` naming the first whose identity differs from when
-    it was mapped: rewritten in place, or its path replaced (a rename gives
-    a new inode) or removed. A mapping shows another process's writes, so a
-    run calls this after its last input read and before it commits: what it
-    commits was then computed from one version of each input."""
-    for m in _mapped_files(*checkpoints):
+    """Stat again each file that the checkpoints' records were loaded from,
+    and raise a :class:`FormatError` naming the first whose identity differs
+    from when it was opened: rewritten in place, or its path replaced (a
+    rename gives a new inode) or removed. A read sees another process's
+    writes, so a run calls this after its last input read and before it
+    commits: what it commits was then computed from one version of each
+    input."""
+    for file in _files(*checkpoints):
         try:
-            now = _identity(os.stat(m.path))
+            now = _identity(os.stat(file.path))
         except OSError:
             now = None
-        if now != m.identity:
-            raise FormatError(f"{m.path}: input file changed during the run")
+        if now != file.identity:
+            raise file.changed()
 
 
-def _address(buffer) -> int:
-    return np.frombuffer(buffer, dtype=np.uint8).ctypes.data
-
-
-def release_pages(rec: TensorRecord, r0: int = 0, r1: int | None = None) -> None:
-    """Unmap the whole pages inside rows ``r0:r1`` of a file-backed record's
-    payload (all of it by default; a 1D record's rows are its elements).
-
-    Resident pages of a mapped file count toward the process's memory until
-    they are unmapped; after this they do not. The payload stays valid: a
-    later read faults its pages back in from the file. Records that hold
-    their payload in memory are left alone.
-    """
-    raw = rec.raw
-    if not isinstance(raw, memoryview) or not isinstance(raw.obj, mmap.mmap):
-        return
-    row_bytes = prod(rec.shape[1:]) * rec.dtype.itemsize
-    offset = _address(raw) - _address(raw.obj)
-    stop = len(raw) if r1 is None else min(r1 * row_bytes, len(raw))
-    first = -(-(offset + r0 * row_bytes) // mmap.PAGESIZE) * mmap.PAGESIZE
-    last = (offset + stop) // mmap.PAGESIZE * mmap.PAGESIZE
-    if last > first:
-        raw.obj.madvise(mmap.MADV_DONTNEED, first, last - first)
+def read_rows(rec: TensorRecord, r0: int, r1: int, out):
+    """Rows ``r0:r1`` of ``rec``'s payload (a 1D record's rows are its
+    elements, a scalar is one row) in ``out``, any C-contiguous writable
+    buffer of exactly their size (an unsigned array of the storage width
+    for a caller that decodes them), which it returns. A record held in
+    memory's rows are copied; a loaded record's are read from its file, a
+    :class:`FormatError` if the file ends before them."""
+    view, row_bytes = memoryview(out).cast("B"), prod(rec.shape[1:]) * rec.dtype.itemsize
+    if not isinstance(rec, _FileRecord):
+        view[:] = memoryview(rec.raw)[r0 * row_bytes:r1 * row_bytes]
+        return out
+    offset = rec.offset + r0 * row_bytes
+    while view:
+        got = os.preadv(rec.file.fd, [view], offset)
+        if not got:
+            raise rec.file.changed()
+        view, offset = view[got:], offset + got
+    return out
 
 
 def _pwrite_all(fd: int, data, offset: int) -> None:
@@ -463,7 +507,7 @@ class CheckpointWriter:
     deletion of a directory's other top-level tensor files and index
     manifests, the only names :func:`load_checkpoint` reads. So a failed
     write changes nothing at ``path``, and a checkpoint still loaded from
-    there keeps mapping its old files.
+    there keeps reading its old files.
     """
 
     def __init__(self, specs: Sequence[TensorSpec], path: str | Path,
@@ -531,16 +575,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAU
     Otherwise ``path`` is a directory: a single tensor file when one shard
     suffices, or numbered shards plus an index manifest. Every file gets
     the ``__metadata__`` that the checkpoint's loaded files hold alike
-    (:func:`header_metadata`). A record that maps a file has its pages
-    released once its payload is written, so saving a loaded checkpoint
-    holds its largest tensor mapped, not all of it.
+    (:func:`header_metadata`). A loaded record's payload is read as it is
+    written, so saving a loaded checkpoint holds its largest tensor, not
+    all of it.
     """
     records = list(ckpt.tensors.values())
     specs = [(r.name, r.dtype, r.shape) for r in records]
     with CheckpointWriter(specs, path, shard_limit, header_metadata(ckpt)) as out:
         for rec in records:
             out.write(rec.name, 0, rec.raw)
-            release_pages(rec)
     return out.paths
 
 

@@ -107,7 +107,8 @@ def merge_and_load(base, ml, anchor, cfg, threads=None):
 def aligned_f32(triple):
     """The aligned region of a triple's base, ml and mm, each decoded whole
     to float32."""
-    return tuple(decode_f32(triple.aligned_bits(rec), rec.dtype) for rec in (triple.base, triple.ml, triple.mm))
+    region = tuple(slice(0, d) for d in triple.shape)
+    return tuple(decode_f32(rec.bits()[region], rec.dtype) for rec in (triple.base, triple.ml, triple.mm))
 
 
 def one_tensor_row(base, ml, mm, **kwargs):

@@ -99,7 +99,7 @@ MUTANTS = (
            "np.flatnonzero(np.equal(scores, group[0], out=out))[::-1][:group[1]]",
            "a top-k cut admits threshold ties at lower flat indices first"),
     Mutant("trailing-file-bytes", "src/dimerge/store.py",
-           "if offset != len(body):", "if offset > len(body):",
+           "if offset != body_size:", "if offset > body_size:",
            "bytes after the last tensor are a format error"),
     Mutant("diagnose-direction-columns", "src/dimerge/diagnostics.py",
            "dev.dir_ml.sum(), dev.dir_mm.sum()", "dev.dir_mm.sum(), dev.dir_ml.sum()",
@@ -130,8 +130,12 @@ MUTANTS = (
            "a merged value that bf16 rounds to infinity (from 0x7F7F8000) is a numeric error"),
     # a run commits only what it computed from inputs that held still
     Mutant("input-changed-in-place", "src/dimerge/store.py",
-           "if now != m.identity:", "if now is None or now[:2] != m.identity[:2]:",
+           "if now != file.identity:", "if now is None or now[:2] != file.identity[:2]:",
            "an input rewritten in place (same device and inode) during a run is refused"),
+    Mutant("short-read", "src/dimerge/store.py",
+           "        if not got:\n            raise rec.file.changed()\n",
+           "        if not got:\n            break\n",
+           "an input that ends before the rows a run reads (truncated during the run) is a format error there"),
     # the README's other stated rules
     Mutant("exit-codes", "src/dimerge/cli.py",
            "return exc.exit_code", "return 1",

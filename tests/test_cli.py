@@ -2,7 +2,6 @@ import csv
 import json
 import logging
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,7 @@ import dimerge.merge as merge_module
 from dimerge import cli, diagnostics
 from dimerge.cli import apply_overrides, main
 from dimerge.diagnostics import ModuleKeySchema
-from dimerge.errors import ConfigError
+from dimerge.errors import ConfigError, FormatError
 from dimerge.presets import RemapRules, remap_rules
 from dimerge.records import TensorRecord
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
@@ -280,41 +279,34 @@ class TestMergeCommand:
         assert {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")} == before
         assert not list(tmp_path.rglob(".*.partial"))
 
-    def test_input_truncated_between_passes_reports_a_bus_error(self, workspace):
-        """An input truncated while mapped kills the run with SIGBUS, which no
-        handler can turn into an exit code; the run prints a bus error to
-        stderr as it dies, and the output and report of an earlier run stay
-        byte for byte. The file it had staged stays hidden beside them until
-        the next run commits."""
+    def test_input_truncated_between_passes_is_a_format_error(self, workspace, capsys, monkeypatch):
+        """An input truncated during a run is an I/O error (exit 3) naming
+        the file, raised by the first read past its new end: pass 2 of the
+        tensor after whose pass 1 it was truncated. The output and report of
+        an earlier run stay byte for byte, and no staged file is left."""
         tmp_path, config, config_path = workspace
-
-        def outputs():
-            files = {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")}
-            return {name: data for name, data in files.items() if not Path(name).name.startswith(".")}
-
         assert main(["merge", "--config", str(config_path)]) == 0
-        before = outputs()
+        before = {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")}
         ml_file = Path(config["multilingual_path"]) / "model.safetensors"
-        hooked = (
-            "import os, sys\n"
-            "import dimerge.merge as merge_module\n"
-            "from dimerge.cli import main\n"
-            "write_merged = merge_module._write_merged\n"
-            "def truncate_before_pass_2(name, anchor, region, compose, *args):\n"
-            "    if compose is not None:\n"
-            "        os.truncate(sys.argv[1], 0)\n"
-            "    write_merged(name, anchor, region, compose, *args)\n"
-            "merge_module._write_merged = truncate_before_pass_2\n"
-            "sys.exit(main(sys.argv[2:]))\n"
-        )
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", hooked, str(ml_file), "merge", "--config", str(config_path),
-                                 "--threads", "1"], env=env, capture_output=True, text=True)
-        assert result.returncode == -signal.SIGBUS
-        assert "Fatal Python error: Bus error" in result.stderr and "_write_merged" in result.stderr
-        assert outputs() == before
-        assert [p.suffix for p in tmp_path.rglob(".*")] == [".partial"]
+        write_merged, truncated, raised = merge_module._write_merged, [], []
+
+        def truncate_before_pass_2(name, anchor, region, compose, *args):
+            if compose is not None and not truncated:
+                os.truncate(ml_file, 0)
+                truncated.append(name)
+            try:
+                write_merged(name, anchor, region, compose, *args)
+            except FormatError as exc:
+                raised.append((name, str(exc)))
+                raise
+
+        monkeypatch.setattr(merge_module, "_write_merged", truncate_before_pass_2)
+        assert main(["merge", "--config", str(config_path), "--threads", "1"]) == 3
+        message = f"{ml_file}: input file changed during the run"
+        assert raised == [(truncated[0], message)]
+        assert f"error[io.format]: {message}" in capsys.readouterr().err
+        assert {**tree_bytes(tmp_path / "merged"), **tree_bytes(tmp_path / "merged.report.json")} == before
+        assert not list(tmp_path.rglob(".*"))
 
     def test_other_files_at_the_output_path_stay(self, workspace):
         tmp_path, config, config_path = workspace
@@ -723,6 +715,37 @@ class TestDiagnoseCommand:
         assert changed
         assert f"error[io.format]: {anchor_file}: input file changed during the run" in capsys.readouterr().err
         assert {name: (tmp_path / name).read_bytes() for name in before} == before
+
+    def test_input_truncated_between_tensors_is_a_format_error(self, workspace, capsys, monkeypatch):
+        """An anchor file truncated after the first tensor is measured makes
+        the run exit 3 naming the file, raised by the next tensor's first
+        read; the tables of an earlier run stay byte for byte, and no staged
+        file is left."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "diag.csv"), "json_path": str(tmp_path / "diag.json")}
+        config_path = write_config(tmp_path, config)
+        assert main(["diagnose", "--config", config_path]) == 0
+        before = {name: (tmp_path / name).read_bytes() for name in ("diag.csv", "diag.json")}
+        anchor_file = Path(config["anchor_path"]) / "model.safetensors"
+        measured, raised, stream = [], [], diagnostics.stream_column_sums
+
+        def truncate_between_tensors(triple, *args):
+            if len(measured) == 1:
+                os.truncate(anchor_file, 0)
+            measured.append(triple.name)
+            try:
+                return stream(triple, *args)
+            except FormatError as exc:
+                raised.append((triple.name, str(exc)))
+                raise
+
+        monkeypatch.setattr(diagnostics, "stream_column_sums", truncate_between_tensors)
+        assert main(["diagnose", "--config", config_path, "--threads", "1"]) == 3
+        message = f"{anchor_file}: input file changed during the run"
+        assert raised == [(measured[1], message)]
+        assert f"error[io.format]: {message}" in capsys.readouterr().err
+        assert {name: (tmp_path / name).read_bytes() for name in before} == before
+        assert not list(tmp_path.rglob(".*"))
 
     @pytest.mark.parametrize("failure", ["json_rename_fails", "json_write_fails"])
     def test_failed_json_export_keeps_previous_tables(self, workspace, monkeypatch, failure):

@@ -1,27 +1,31 @@
 import copy
+import gc
 import json
 import logging
 import os
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 
 from dimerge.cli import main
 from dimerge.errors import ConfigError, FormatError, RemapCollisionError, ShardError
+from dimerge.merge import MergeConfig, merge_checkpoint
 from dimerge.records import DType, TensorRecord
 from dimerge.store import (
     INDEX_FILENAME,
     Checkpoint,
     CheckpointWriter,
     load_checkpoint,
+    read_rows,
     remap_keys,
     require_unchanged,
     save_checkpoint,
     staged_files,
 )
 
-from conftest import change_file, fail_nth_replace, header_of, set_metadata
+from conftest import change_file, fail_nth_replace, header_of, make_triple, set_metadata
 
 
 def ckpt_of(arrays: dict, dtype=DType.F32) -> Checkpoint:
@@ -355,8 +359,15 @@ class TestHeaderMetadata:
             "the checkpoint's files hold 2 different __metadata__ maps; none is written"]
 
 
+needs_proc_fd = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts the open descriptors there")
+
+
+def open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestLoadedRecords:
-    """Loaded records are read-only views into one buffer per file."""
+    """Loaded records read their payloads from their files, each open once."""
 
     @pytest.fixture
     def loaded(self, tmp_path, rng):
@@ -400,6 +411,67 @@ class TestLoadedRecords:
         assert record.levelno == logging.INFO
         assert "one.safetensors" in record.getMessage()
         assert record.getMessage().startswith("mapped ")
+
+    @pytest.mark.parametrize("held", ["loaded", "in_memory"])
+    def test_read_rows(self, loaded, held):
+        """Rows of a 2D and a 1D record, read into a caller's unsigned array,
+        are those of its bits, from a loaded record as from its twin."""
+        for rec in loaded.tensors.values():
+            if held == "in_memory":
+                rec = pickle.loads(pickle.dumps(rec))
+            bits = rec.bits().reshape(rec.shape[0], -1)
+            out = np.full((2, bits.shape[1]), 7, np.uint16)
+            assert read_rows(rec, 1, 3, out) is out
+            np.testing.assert_array_equal(out, bits[1:3])
+
+    def test_a_file_truncated_after_loading_reads_nothing(self, tmp_path, loaded):
+        """Rows or a payload past a loaded file's new end are the format
+        error ``require_unchanged`` gives, not stale or zero bytes."""
+        path = tmp_path / "c" / "model.safetensors"
+        os.truncate(path, path.stat().st_size - 10)   # b's 8 bytes and 2 of a's last row
+        message = "model.safetensors: input file changed during the run"
+        with pytest.raises(FormatError, match=message):
+            read_rows(loaded["a"], 2, 3, np.empty((1, 4), np.uint16))
+        with pytest.raises(FormatError, match=message):
+            loaded["b"].raw
+        read_rows(loaded["a"], 0, 2, np.empty((2, 4), np.uint16))   # rows before the new end still read
+
+    @needs_proc_fd
+    def test_a_loaded_file_holds_one_descriptor(self, tmp_path, rng):
+        """A loaded sharded checkpoint holds one open descriptor per file,
+        which renamed records share, until the last of its records goes."""
+        files = save_checkpoint(ckpt_of({f"w{i}": rng.normal(size=(8, 8)) for i in range(5)}),
+                                tmp_path / "c", shard_limit=600)
+        shards = [f for f in files if f.suffix == ".safetensors"]
+        assert len(shards) > 1
+        gc.collect()
+        before = open_descriptors()
+        ckpt = load_checkpoint(tmp_path / "c")
+        renamed = remap_keys(ckpt, [("w", "v")])
+        assert open_descriptors() == before + len(shards)
+        del ckpt
+        gc.collect()
+        assert open_descriptors() == before + len(shards)
+        del renamed
+        gc.collect()
+        assert open_descriptors() == before
+
+    @needs_proc_fd
+    def test_merges_leave_no_descriptor_open(self, tmp_path):
+        """Two 2-worker merges of one loaded triple leave the count of open
+        descriptors where it started and warn of no unclosed resource."""
+        for role, ckpt in zip(("base", "ml", "anchor"), make_triple(seed=3)):
+            save_checkpoint(ckpt, tmp_path / role)
+        triple = [load_checkpoint(tmp_path / role) for role in ("base", "ml", "anchor")]
+        gc.collect()
+        before = open_descriptors()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for run in range(2):
+                merge_checkpoint(*triple, MergeConfig(), tmp_path / f"out{run}", threads=2)
+            gc.collect()
+        assert open_descriptors() == before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     @pytest.mark.parametrize("how", ["rewritten_in_place", "replaced_by_rename", "removed"])
     def test_a_changed_input_file_is_refused(self, tmp_path, how):

@@ -22,8 +22,7 @@ from dimerge.align import align_triple
 from dimerge.diagnostics import diagnose
 from dimerge.merge import MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord, encode_bits, recode_bits
-from dimerge.store import (Checkpoint, CheckpointWriter, load_checkpoint, release_pages, remap_keys,
-                           save_checkpoint)
+from dimerge.store import Checkpoint, CheckpointWriter, load_checkpoint, remap_keys, save_checkpoint
 
 from conftest import aligned_f32, merge_and_load
 import reference
@@ -128,18 +127,6 @@ def test_small_blocks_splice_like_one_block(tmp_path, monkeypatch, tiles):
     assert out.shape == anchor.shape
     np.testing.assert_array_equal(out.bits()[300:], anchor.bits()[300:])
     np.testing.assert_array_equal(out.bits()[:, 6:], anchor.bits()[:, 6:])
-
-
-def test_released_pages_read_back_intact(tmp_path):
-    rng = np.random.default_rng(3)
-    rec = TensorRecord.from_array("w", rng.standard_normal((512, 64), dtype=np.float32))
-    save_checkpoint(Checkpoint.from_records([rec]), tmp_path / "c")
-    loaded = load_checkpoint(tmp_path / "c")["w"]
-    assert loaded.raw == rec.raw
-    release_pages(loaded)
-    assert loaded.raw == rec.raw
-    release_pages(rec)  # a payload held in memory is left alone
-    assert isinstance(rec.raw, bytes)
 
 
 def test_writer_fills_blocks_in_any_order(tmp_path):
