@@ -24,11 +24,12 @@ import json
 import logging
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .align import ROLES
 from .diagnostics import DiagnoseConfig, diagnose, export_csv, export_json
-from .errors import ConfigError, DimergeError, read_section, read_value
+from .errors import ConfigError, DimergeError, Record, read_section, read_value
 from .merge import MergeConfig, merge_checkpoint
 from .presets import RemapRules
 from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_files
@@ -36,10 +37,27 @@ from .store import DEFAULT_SHARD_LIMIT, load_checkpoint, remap_keys, staged_file
 logger = logging.getLogger("dimerge")
 
 SCHEMA_VERSION = 1
-# the top-level keys either command reads: one set for both, since a shared
-# config (and a merge report's echo) carries both commands' keys
-_CONFIG_KEYS = ("schema_version", "base_path", "multilingual_path", "anchor_path", "remap", "merge", "output_path",
-                "report_path", "threads", "shard_limit", "diagnose")
+
+
+@dataclass(frozen=True)
+class RunConfig(Record):
+    """The whole run config, every command's sections in one record, so
+    either command refuses a bad section of the other and a merge report's
+    echo (its :meth:`to_dict`) serves both."""
+
+    section = ""
+
+    schema_version: int = SCHEMA_VERSION
+    base_path: str | None = field(default=None, metadata={"kind": "string"})
+    multilingual_path: str | None = field(default=None, metadata={"kind": "string"})
+    anchor_path: str | None = field(default=None, metadata={"kind": "string"})
+    remap: RemapRules = field(default_factory=RemapRules, metadata={"kind": RemapRules})
+    merge: MergeConfig = field(default_factory=MergeConfig, metadata={"kind": MergeConfig})
+    output_path: str | None = field(default=None, metadata={"kind": "string"})
+    report_path: str | None = field(default=None, metadata={"kind": "string"})
+    threads: int | None = field(default=None, metadata={"kind": "count"})
+    shard_limit: int = field(default=DEFAULT_SHARD_LIMIT, metadata={"kind": "count"})
+    diagnose: DiagnoseConfig = field(default_factory=DiagnoseConfig, metadata={"kind": DiagnoseConfig})
 
 
 def _setup_logging() -> None:
@@ -73,9 +91,12 @@ def apply_overrides(config: dict, assignments: list[str]) -> dict:
     return config
 
 
-def load_config(path: str, overrides: list[str]) -> dict:
-    """The run config at ``path`` with ``overrides`` applied; a top-level key
-    outside ``_CONFIG_KEYS``, or another schema version, is a config error."""
+def load_config(path: str, overrides: list[str], **flags) -> RunConfig:
+    """The run config at ``path`` with ``overrides`` applied, then each flag
+    given (not None) set at its top-level key. Another schema version is a
+    config error before any section is read. ``threads`` left out is one
+    worker per CPU this process may run on (its affinity mask where the
+    platform has one, so ``taskset`` and container cpusets count)."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}", error_class="config.missing_path")
@@ -85,33 +106,18 @@ def load_config(path: str, overrides: list[str]) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}", error_class="config.parse") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object", error_class="config.parse")
-    config = read_section(apply_overrides(config, overrides), "", _CONFIG_KEYS)
+    config = apply_overrides(config, overrides)
+    config.update((key, value) for key, value in flags.items() if value is not None)
+    if config.get("threads") is None:
+        config["threads"] = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     version = read_value(config, "", "schema_version", "integer", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}", error_class="config.version")
-    return config
+    return RunConfig.from_dict(config)
 
 
-def _positive_int(config: dict, key: str, default: int) -> int:
-    value = read_value(config, "", key, "integer", default)
-    if value < 1:
-        raise ConfigError(f"config field {key!r} must be an integer of at least 1, got {value!r}",
-                          error_class="config.bad_value")
-    return value
-
-
-def _threads(config: dict, flag: int | None) -> int:
-    """Workers for either command: ``--threads``, else the config's, else one
-    per CPU this process may run on (its affinity mask where the platform has
-    one, so ``taskset`` and container cpusets count)."""
-    if flag is not None:
-        config["threads"] = flag
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return _positive_int(config, "threads", cpus)
-
-
-def _required_path(config: dict, key: str) -> Path:
-    value = read_value(config, "", key, "string")
+def _required_path(run: RunConfig, key: str) -> Path:
+    value = getattr(run, key)
     if not value:
         raise ConfigError(f"config field {key!r} is required", error_class="config.missing_path")
     p = Path(value)
@@ -129,12 +135,12 @@ def _output_file(key: str, path: str) -> str:
     return path
 
 
-def _load_inputs(config: dict, config_path: str, writes: list[str | Path]):
-    """The inputs, remapped by the config's :class:`RemapRules`; a path in
+def _load_inputs(run: RunConfig, config_path: str, writes: list[str | Path]):
+    """The inputs, remapped by the run's :class:`RemapRules`; a path in
     ``writes`` that is the config file (a directory may hold it: the writer
     deletes only tensor files) or is, holds or lies inside an input path is
     refused first, so no run writes over them, and the rules before any load."""
-    paths = {role: _required_path(config, f"{role}_path") for role in ROLES}
+    paths = {role: _required_path(run, f"{role}_path") for role in ROLES}
     for written in map(Path, writes):
         out = written.resolve()
         if out == Path(config_path).resolve():
@@ -143,38 +149,25 @@ def _load_inputs(config: dict, config_path: str, writes: list[str | Path]):
             read = path.resolve()
             if read in (out, *out.parents) or out in read.parents:
                 raise ConfigError(f"{written} overlaps {role}_path {path}", error_class="config.output_collision")
-    rules = RemapRules.from_dict(config.get("remap"))
-    return tuple(remap_keys(load_checkpoint(path), getattr(rules, role)) for role, path in paths.items())
+    return tuple(remap_keys(load_checkpoint(path), getattr(run.remap, role)) for role, path in paths.items())
 
 
 def cmd_merge(config_path: str, overrides: list[str], output: str | None, threads: int | None) -> int:
-    config = load_config(config_path, overrides)
-    if output:
-        config["output_path"] = output
-
-    out_value = read_value(config, "", "output_path", "string")
-    if not out_value:
+    run = load_config(config_path, overrides, output_path=output or None, threads=threads)
+    if not run.output_path:
         raise ConfigError("config field 'output_path' is required", error_class="config.missing_path")
-    out_path = Path(out_value)
-    report_path = Path(_output_file("report_path", read_value(config, "", "report_path", "string")
-                                    or f"{out_path}.report.json"))
+    out_path = Path(run.output_path)
+    report_path = Path(_output_file("report_path", run.report_path or f"{out_path}.report.json"))
     if report_path.name.endswith((".safetensors", ".index.json")):
         raise ConfigError(f"report_path {report_path} is named like a tensor file or index manifest",
                           error_class="config.output_collision")
 
-    cfg = MergeConfig.from_dict(config.get("merge"))
-    threads = _threads(config, threads)
-    shard_limit = _positive_int(config, "shard_limit", DEFAULT_SHARD_LIMIT)
-    base, ml, anchor = _load_inputs(config, config_path, [out_path, report_path])
-
-    effective = copy.deepcopy(config)
-    effective["schema_version"] = SCHEMA_VERSION
-    effective["merge"] = cfg.to_dict()
-    effective["threads"] = threads
+    base, ml, anchor = _load_inputs(run, config_path, [out_path, report_path])
 
     with staged_files() as stage:
-        report = merge_checkpoint(base, ml, anchor, cfg, out_path, threads=threads, shard_limit=shard_limit)
-        report.config = effective
+        report = merge_checkpoint(base, ml, anchor, run.merge, out_path, threads=run.threads,
+                                  shard_limit=run.shard_limit)
+        report.config = run.to_dict()
         stage(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
     mean = "-" if report.mean_omega_ml is None else f"{report.mean_omega_ml:.4f}"
@@ -186,15 +179,14 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
 
 
 def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) -> int:
-    config = load_config(config_path, overrides)
-    cfg = DiagnoseConfig.from_dict(config.get("diagnose"))
+    run = load_config(config_path, overrides, threads=threads)
+    cfg = run.diagnose
     exports = [(export, _output_file(f"diagnose.{key}", getattr(cfg, key)))
                for export, key in ((export_csv, "csv_path"), (export_json, "json_path")) if getattr(cfg, key)]
     if not exports:
         raise ConfigError("diagnose config needs csv_path and/or json_path", error_class="config.missing_path")
-    threads = _threads(config, threads)
-    base, ml, anchor = _load_inputs(config, config_path, [path for _, path in exports])
-    rows = diagnose(base, ml, anchor, cfg.schema, cfg.epsilon, threads)
+    base, ml, anchor = _load_inputs(run, config_path, [path for _, path in exports])
+    rows = diagnose(base, ml, anchor, cfg.schema, cfg.epsilon, run.threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():
         for export, path in exports:

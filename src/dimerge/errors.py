@@ -49,6 +49,7 @@ def _list_of(value, kind) -> bool:
 _KINDS = {
     "number": ("a finite number", lambda v: _is(v, (int, float)) and abs(v) <= sys.float_info.max, float),
     "integer": ("an integer", lambda v: _is(v, int), int),
+    "count": ("an integer of at least 1", lambda v: _is(v, int) and v >= 1, int),
     "string": ("a string", lambda v: _is(v, str), str),
     "strings": ("a list of strings", lambda v: _list_of(v, str), tuple),
     "pairs": ("a list of string pairs",

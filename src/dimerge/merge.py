@@ -368,9 +368,10 @@ def merge_checkpoint(
     written by :func:`_write_merged`, one row block at a time. An input
     file changed during the run is a :class:`~dimerge.errors.FormatError`,
     raised before the writer commits: by the first read past the end of a
-    truncated file, else by :func:`~dimerge.store.require_unchanged`. Each worker keeps its row-block buffers, a few MiB, until the
-    merge returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged
-    tensor."""
+    truncated file, else by :func:`~dimerge.store.require_unchanged`.
+
+    Each worker keeps its row-block buffers, a few MiB, until the merge
+    returns; with ``DIMERGE_LOG=INFO`` it logs one line per merged tensor."""
     triples, alignment = align_triple(
         base, ml, anchor, shape_policy=cfg.shape_policy, high_rank=cfg.high_rank
     )

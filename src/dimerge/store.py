@@ -39,6 +39,7 @@ from .records import DType, TensorRecord
 INDEX_FILENAME = "model.safetensors.index.json"
 SINGLE_FILENAME = "model.safetensors"
 DEFAULT_SHARD_LIMIT = 4 * 1024**3
+_SAVE_BLOCK = 1 << 20   # bytes save_checkpoint copies at a time
 _HEADER_STRUCT = struct.Struct("<Q")
 _ENTRY_KEYS = {"dtype", "shape", "data_offsets"}
 
@@ -147,7 +148,7 @@ def read_tensor_file(path: Path) -> list[TensorRecord]:
         file.close()
         raise
     # the header maps each tensor to its bytes; none is read until a computation asks
-    logger.info("mapped %s: %.1f MB, header parsed in %.3f s", path, file.size / 1e6, time.perf_counter() - started)
+    logger.info("opened %s: %.1f MB, header read in %.3f s", path, file.size / 1e6, time.perf_counter() - started)
     return records
 
 
@@ -575,15 +576,22 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path, shard_limit: int = DEFAU
     Otherwise ``path`` is a directory: a single tensor file when one shard
     suffices, or numbered shards plus an index manifest. Every file gets
     the ``__metadata__`` that the checkpoint's loaded files hold alike
-    (:func:`header_metadata`). A loaded record's payload is read as it is
-    written, so saving a loaded checkpoint holds its largest tensor, not
-    all of it.
+    (:func:`header_metadata`). Each payload is copied by row blocks
+    (:func:`read_rows`) through one buffer of about ``_SAVE_BLOCK`` bytes
+    (or one row, if wider), so saving a loaded checkpoint holds no tensor
+    whole.
     """
     records = list(ckpt.tensors.values())
     specs = [(r.name, r.dtype, r.shape) for r in records]
+    buffer = bytearray(_SAVE_BLOCK)
     with CheckpointWriter(specs, path, shard_limit, header_metadata(ckpt)) as out:
         for rec in records:
-            out.write(rec.name, 0, rec.raw)
+            rows, row_bytes = (rec.shape + (1,))[0], prod(rec.shape[1:]) * rec.dtype.itemsize
+            step = max(1, _SAVE_BLOCK // max(row_bytes, 1))
+            buffer = buffer if step * row_bytes <= len(buffer) else bytearray(row_bytes)
+            for r0 in range(0, rows, step):
+                r1 = min(r0 + step, rows)
+                out.write(rec.name, r0 * row_bytes, read_rows(rec, r0, r1, memoryview(buffer)[:(r1 - r0) * row_bytes]))
     return out.paths
 
 

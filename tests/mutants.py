@@ -153,6 +153,13 @@ MUTANTS = (
     Mutant("preset-default", "src/dimerge/errors.py",
            "default = cls.presets.get(values.get(own[0].name), {}).get(f.name, f.default)", "default = f.default",
            "a config preset sets the fields not given beside it"),
+    Mutant("count-at-least-one", "src/dimerge/errors.py",
+           "_is(v, int) and v >= 1", "_is(v, int)",
+           "threads and shard_limit below 1 are a config error"),
+    Mutant("diagnose-reads-merge", "src/dimerge/cli.py",
+           "run = load_config(config_path, overrides, threads=threads)",
+           'run = load_config(config_path, [*overrides, "merge=null"], threads=threads)',
+           "either command reads the whole config, so diagnose refuses a bad merge section"),
 )
 
 

@@ -569,14 +569,54 @@ class TestConfigChecks:
     def test_layer_pattern_needs_one_capture_before_inputs_load(self, tmp_path, capsys, command, key, pattern):
         """A layer pattern without exactly one ``{n}`` is refused when the
         config is read: the inputs here do not exist, and the error names the
-        pattern, not them."""
+        pattern, not them. Only the command's own section holds it here."""
         config = {name: str(tmp_path / "missing" / name) for name in ("base_path", "multilingual_path", "anchor_path")}
-        config.update(output_path=str(tmp_path / "merged"),
-                      merge={"scope": {"layer_range": [0, 1], "layer_pattern": pattern}},
-                      diagnose={"schema": {"layer_pattern": pattern}, "csv_path": str(tmp_path / "d.csv")})
+        config.update(output_path=str(tmp_path / "merged"), merge={}, diagnose={"csv_path": str(tmp_path / "d.csv")})
+        if command == "merge":
+            config["merge"]["scope"] = {"layer_range": [0, 1], "layer_pattern": pattern}
+        else:
+            config["diagnose"]["schema"] = {"layer_pattern": pattern}
         assert main([command, "--config", write_config(tmp_path, config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[config.bad_value]") and key in err and "exactly one {n}" in err
+
+    @pytest.mark.parametrize("command, section, key", [
+        ("merge", {"diagnose": {"epsilon": -1}}, "diagnose.epsilon"),
+        ("merge", {"diagnose": {"epsilon": 1e-8, "bogus": 3}}, "diagnose.bogus"),
+        ("merge", {"diagnose": {"schema": {"layer_pattern": "model.layers.*"}}}, "diagnose.schema.layer_pattern"),
+        ("diagnose", {"merge": {"method": "nope"}}, "merge.method"),
+        ("diagnose", {"merge": {"method": "dim3", "bogus": 1}}, "merge.bogus"),
+        ("diagnose", {"merge": {"scope": {"layer_range": [0, 1], "layer_pattern": "*.{n}.{n}.*"}}},
+         "merge.scope.layer_pattern"),
+    ], ids=["diagnose_epsilon", "diagnose_key", "diagnose_layer_pattern", "merge_method", "merge_key",
+            "merge_layer_pattern"])
+    def test_each_command_refuses_the_other_commands_bad_section(self, tmp_path, capsys, command, section, key):
+        """Both commands read the whole config, so a bad section of the other
+        command's is refused as the command's own would be, before any input
+        loads (the inputs here do not exist) and with nothing written."""
+        config = {name: str(tmp_path / "missing" / name) for name in ("base_path", "multilingual_path", "anchor_path")}
+        config.update(output_path=str(tmp_path / "merged"), diagnose={"csv_path": str(tmp_path / "d.csv")})
+        for name, values in section.items():
+            config.setdefault(name, {}).update(values)
+        path = write_config(tmp_path, config)
+        assert main([command, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config.") and key in err
+        assert [p.name for p in tmp_path.iterdir()] == [Path(path).name]
+
+    def test_merge_echo_reads_back_as_the_run_config(self, workspace, monkeypatch):
+        """A merge report's ``config`` is the run's :class:`RunConfig` as
+        data, every section resolved and ``threads`` the number the run took,
+        so it reads back as the same record."""
+        tmp_path, _, config_path = workspace
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert main(["merge", "--config", str(config_path)]) == 0
+        echo = json.loads((tmp_path / "merged.report.json").read_text())["config"]
+        run = cli.load_config(str(config_path), [])
+        assert echo == run.to_dict() and echo["threads"] == 2
+        assert cli.RunConfig.from_dict(echo) == run
+        assert echo["remap"]["anchor"] == [list(rule) for rule in remap_rules("llama", "anchor")]
+        assert echo["diagnose"]["schema"]["module_labels"]
 
 
 class TestRemapPresets:

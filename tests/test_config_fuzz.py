@@ -16,7 +16,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimerge.cli import _positive_int, apply_overrides
+from dimerge.cli import RunConfig, apply_overrides
 from dimerge.diagnostics import DiagnoseConfig
 from dimerge.errors import ConfigError
 from dimerge.merge import MERGE_METHODS, MergeConfig
@@ -117,9 +117,9 @@ def check_diagnose(config):
 
 
 def check_counts(config):
-    for key in ("threads", "shard_limit"):
-        value = _positive_int(config, key, 1)
-        assert type(value) is int and value >= 1
+    run = RunConfig.from_dict({key: config.get(key) for key in ("threads", "shard_limit")})
+    assert run.threads is None or type(run.threads) is int and run.threads >= 1
+    assert type(run.shard_limit) is int and run.shard_limit >= 1
 
 
 # top-level key -> the check that reads it

@@ -1,7 +1,8 @@
 """The one config reader, ``Record.from_dict``, over every config record.
 
-Every record that names a config ``section`` reads null as an empty section,
-reads back from its own echo and names an unknown key under its section. A
+Every record that names a config ``section`` (the top level's is ``""``)
+reads null as an empty section, reads back from its own echo and names an
+unknown key under its section, a top-level one bare. A
 record-valued section of ``merge`` given as null is the same as leaving it
 out, in the config read and in its echo. The presets those records read are
 plain data: ``presets`` imports nothing of the package but ``errors``.
@@ -24,13 +25,17 @@ def _subclasses(cls):
         yield from _subclasses(sub)
 
 
-CONFIG_RECORDS = sorted({cls for cls in _subclasses(Record) if cls.section}, key=lambda cls: cls.section)
+CONFIG_RECORDS = sorted({cls for cls in _subclasses(Record) if cls.section is not None}, key=lambda cls: cls.section)
+
+
+def section_id(record):
+    return record.section or "top_level"
 
 
 def test_every_config_record_is_found():
     assert {cls.__name__ for cls in CONFIG_RECORDS} >= {"MergeConfig", "AggregationKind", "ScopeFilter",
                                                         "BaselineParams", "RemapRules", "ModuleKeySchema",
-                                                        "DiagnoseConfig"}
+                                                        "DiagnoseConfig", "RunConfig"}
 
 
 def test_presets_import_only_errors_from_the_package():
@@ -42,20 +47,21 @@ def test_presets_import_only_errors_from_the_package():
     assert package == {"errors"}
 
 
-@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=section_id)
 def test_null_is_an_empty_section(record):
     assert record.from_dict(None) == record.from_dict({})
 
 
-@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=section_id)
 def test_default_record_reads_back_from_its_echo(record):
     default = record()
     assert record.from_dict(json.loads(json.dumps(default.to_dict()))) == default
 
 
-@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=lambda cls: cls.section)
+@pytest.mark.parametrize("record", CONFIG_RECORDS, ids=section_id)
 def test_unknown_key_is_named_under_its_section(record):
-    with pytest.raises(ConfigError, match=rf"^unknown config key {record.section}\.no_such_key$") as err:
+    name = f"{record.section}.no_such_key" if record.section else "no_such_key"
+    with pytest.raises(ConfigError, match=rf"^unknown config key {name}$") as err:
         record.from_dict({"no_such_key": 1})
     assert err.value.error_class == "config.unknown_key"
 
@@ -73,7 +79,7 @@ def test_null_record_section_is_left_out(section, method):
 def test_null_record_section_override_is_left_out(tmp_path, section):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"merge": {"method": "ties"}}))
-    given = MergeConfig.from_dict(cli.load_config(str(path), [f"merge.{section}=null"])["merge"])
-    left_out = MergeConfig.from_dict(cli.load_config(str(path), [])["merge"])
+    given = cli.load_config(str(path), [f"merge.{section}=null"]).merge
+    left_out = cli.load_config(str(path), []).merge
     assert given == left_out
     assert given.to_dict() == left_out.to_dict()

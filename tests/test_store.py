@@ -410,7 +410,7 @@ class TestLoadedRecords:
         [record] = caplog.records
         assert record.levelno == logging.INFO
         assert "one.safetensors" in record.getMessage()
-        assert record.getMessage().startswith("mapped ")
+        assert record.getMessage().startswith("opened ")
 
     @pytest.mark.parametrize("held", ["loaded", "in_memory"])
     def test_read_rows(self, loaded, held):
@@ -475,7 +475,7 @@ class TestLoadedRecords:
 
     @pytest.mark.parametrize("how", ["rewritten_in_place", "replaced_by_rename", "removed"])
     def test_a_changed_input_file_is_refused(self, tmp_path, how):
-        """``require_unchanged`` passes while every mapped file holds still
+        """``require_unchanged`` passes while every loaded file holds still
         (records held in memory have no file to check), and names the file
         once it is rewritten in place, replaced by a rename or removed."""
         path = tmp_path / "c.safetensors"

@@ -31,7 +31,7 @@ MIB = 1024 * 1024
 
 
 def on_disk_triple(tmp_path, shapes, seed, dtype=DType.BF16, anchor_shapes=None):
-    """(base, ml, anchor) saved and loaded back, so their records map files.
+    """(base, ml, anchor) saved and loaded back, so their records read files.
     ``anchor_shapes`` widens chosen anchor tensors beyond the sources'."""
     rng = np.random.default_rng(seed)
     anchor_shapes = anchor_shapes or {}
@@ -69,7 +69,7 @@ def test_kernel_memory_is_one_row_block(tmp_path):
 
 
 def test_diagnose_memory_is_one_row_block(tmp_path):
-    """Python-side peak of ``diagnose`` on one mapped bf16 tensor: under the
+    """Python-side peak of ``diagnose`` on one loaded bf16 tensor: under the
     merge's bound, and the same when the tensor has four times the rows."""
     peaks = []
     for rows in (1024, 4096):
@@ -152,7 +152,7 @@ def file_bytes(directory):
 @pytest.mark.parametrize("shard_limit", [1 << 30, 300])
 def test_save_onto_the_files_a_checkpoint_maps(tmp_path, shard_limit):
     """Saving a loaded checkpoint over its own files, directly or after a
-    remap, rewrites the same bytes: the mapped inputs are never clobbered."""
+    remap, rewrites the same bytes: the loaded inputs are never clobbered."""
     rng = np.random.default_rng(7)
     ckpt = Checkpoint.from_records(
         TensorRecord.from_array(n, rng.standard_normal((8, 4), dtype=np.float32)) for n in "abc")
@@ -254,14 +254,14 @@ def probe_faults(method, roots):
 
 
 def short_and_tall(tmp_path):
-    """Roots of a mapped bf16 2048 x 1024 triple and of one four times as tall."""
+    """Roots of a loaded bf16 2048 x 1024 triple and of one four times as tall."""
     for rows in (2048, 8192):
         on_disk_triple(tmp_path / str(rows), {"w": (rows, 1024)}, seed=rows)
     return [str(tmp_path / str(rows)) for rows in (2048, 8192)]
 
 
 def test_streaming_faults_do_not_grow_with_blocks(tmp_path):
-    """Minor page faults of a fresh process merging a mapped bf16 tensor,
+    """Minor page faults of a fresh process merging a loaded bf16 tensor,
     then one with four times the rows (and row blocks): the row-block
     buffers are reused, so the taller tensor adds a small fixed number of
     faults, not a few pages per block for fresh temporaries. A fresh process,
@@ -319,7 +319,7 @@ def probe_peaks(method, roots):
 
 
 def probe_peaks_kib(tmp_path, method):
-    """:func:`probe_peaks` of a mapped bf16 2048-row tensor, then of one
+    """:func:`probe_peaks` of a loaded bf16 2048-row tensor, then of one
     four times as tall."""
     return probe_peaks(method, short_and_tall(tmp_path))
 
@@ -337,9 +337,9 @@ def test_baselines_without_a_cut_peak_does_not_grow_with_height(tmp_path, method
 @needs_vmhwm
 @pytest.mark.parametrize("method, bound_mib", [("dim3", 8), ("diagnose", 8), ("ties", 56)])
 def test_pass_one_keeps_one_row_block_mapped(tmp_path, method, bound_mib):
-    """Pass 1 reads every role's rows, and the reader releases each block's
-    pages once decoded, so no role's pages of the whole tensor stay mapped
-    until pass 2 (12 MiB per bf16 role for the extra 6144 rows here). dim3
+    """Pass 1 reads every role's rows one block at a time into the worker's
+    buffers, so no role's whole tensor is held until pass 2 (12 MiB per
+    bf16 role for the extra 6144 rows here). dim3
     and ``diagnose`` then grow by a few MiB, as a baseline without a cut
     does; TIES by its two tensor-sized float32 score arrays (24 MiB each)
     and those few MiB."""
@@ -348,7 +348,7 @@ def test_pass_one_keeps_one_row_block_mapped(tmp_path, method, bound_mib):
 
 
 def tall_pass_through(tmp_path, scope):
-    """Roots of mapped bf16 triples that merge a one-tile tensor and pass
+    """Roots of loaded bf16 triples that merge a one-tile tensor and pass
     through a 1024-wide one of 2048 rows, then of 16384: the anchor's alone,
     or, under scope ``empty``, one every role holds."""
     roots = []
@@ -367,8 +367,8 @@ def tall_pass_through(tmp_path, scope):
 @pytest.mark.parametrize("scope", ["full", "empty"])
 def test_pass_through_keeps_one_row_block_mapped(tmp_path, scope):
     """A tensor passed through, anchor-only or out of scope, is copied by
-    the merge's row-block loop, which releases each block's pages once
-    written, so eight times the rows (28 MiB more of bf16 here) raise the
+    the merge's row-block loop, which reads each block into a reused
+    buffer, so eight times the rows (28 MiB more of bf16 here) raise the
     peak by a few MiB, not by the tensor."""
     short, tall = probe_peaks(f"dim3:{scope}", tall_pass_through(tmp_path, scope))
     assert tall - short < 8 * 1024, (short, tall)
@@ -376,8 +376,8 @@ def test_pass_through_keeps_one_row_block_mapped(tmp_path, scope):
 
 @needs_vmhwm
 def test_save_keeps_one_tensor_mapped(tmp_path):
-    """Saving a loaded checkpoint releases each record's pages once it is
-    written, so eight 4 MiB bf16 tensors peak as two do, not 24 MiB higher."""
+    """Saving a loaded checkpoint holds no record once it is written, so
+    eight 4 MiB bf16 tensors peak as two do, not 24 MiB higher."""
     roots = []
     for count in (2, 8):
         on_disk_triple(tmp_path / str(count), {f"w{i}": (1024, 2048) for i in range(count)}, seed=count)
@@ -386,10 +386,24 @@ def test_save_keeps_one_tensor_mapped(tmp_path):
     assert many - few < 8 * 1024, (few, many)
 
 
+@needs_vmhwm
+def test_save_copies_a_loaded_tensor_by_row_blocks(tmp_path):
+    """Saving a loaded checkpoint copies each payload by row blocks through
+    one reused buffer, so an anchor holding one 64 MiB bf16 tensor peaks a
+    few MiB above one holding a single 16 KiB row, not by the tensor read
+    whole (and copied once more)."""
+    roots = []
+    for rows in (1, 4096):
+        on_disk_triple(tmp_path / str(rows), {"w": (1, 8)}, seed=rows, anchor_shapes={"w": (rows, 8192)})
+        roots.append(str(tmp_path / str(rows)))
+    small, large = probe_peaks("save", roots)
+    assert large - small < 16 * 1024, (small, large)
+
+
 @pytest.mark.parametrize("method", ["ties", "dare", "task_arithmetic"])
 def test_baseline_faults_do_not_grow_with_tensors(tmp_path, method):
     """Minor page faults of a fresh process running a baseline merge of two
-    mapped F16 tensors, then of eight of the same shape: the residuals,
+    loaded F16 tensors, then of eight of the same shape: the residuals,
     scores, DARE's random bits and the row-block scratch live in the
     worker's reused buffers, so six more tensors add a small fixed number of
     faults, not fresh tensor-sized or block-sized temporaries for each."""
