@@ -48,8 +48,8 @@ anchor = checkpoint(residual_scale=0.05,
 workdir = Path(tempfile.mkdtemp(prefix="dimerge_demo_"))
 report = merge_checkpoint(base, ml, anchor, MergeConfig(), workdir / "merged")
 merged = load_checkpoint(workdir / "merged")
-print(f"merged {report.merged_count}, passed through {report.pass_through_count}, "
-      f"mean omega_ml {report.mean_omega_ml:.4f}")
+print(f"merged {report.summary.merged_count}, passed through {report.summary.pass_through_count}, "
+      f"mean omega_ml {report.summary.mean_omega_ml:.4f}")
 
 # the vision tensor is untouched
 print("vision tensor bitwise equal anchor:",

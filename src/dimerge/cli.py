@@ -167,12 +167,13 @@ def cmd_merge(config_path: str, overrides: list[str], output: str | None, thread
     with staged_files() as stage:
         report = merge_checkpoint(base, ml, anchor, run.merge, out_path, threads=run.threads,
                                   shard_limit=run.shard_limit)
-        report.config = run.to_dict()
+        report.config = run
         stage(report_path).write_text(json.dumps(report.to_dict(), indent=2) + "\n")
 
-    mean = "-" if report.mean_omega_ml is None else f"{report.mean_omega_ml:.4f}"
+    summary = report.summary
+    mean = "-" if summary.mean_omega_ml is None else f"{summary.mean_omega_ml:.4f}"
     print(
-        f"merged {report.merged_count} tensors, passed through {report.pass_through_count}, "
+        f"merged {summary.merged_count} tensors, passed through {summary.pass_through_count}, "
         f"mean omega_ml {mean} -> {out_path}"
     )
     return 0

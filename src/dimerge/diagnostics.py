@@ -15,7 +15,7 @@ import csv
 import json
 import logging
 import re
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .scope import DEFAULT_LAYER_PATTERN, compile_layer_pattern, parse_layer_ind
 from .store import Checkpoint, require_unchanged, staged_files
 
 logger = logging.getLogger(__name__)
-
-CSV_HEADER = ("layer", "module", "norm_ml", "norm_mm", "dirdev_ml", "dirdev_mm", "cross_cos")
-
 
 @dataclass(frozen=True)
 class ModuleKeySchema(Record):
@@ -113,6 +110,9 @@ class HeatmapRow(Record):
     cross_cos: float | None
 
 
+CSV_HEADER = tuple(f.name for f in fields(HeatmapRow))
+
+
 def diagnose(
     base: Checkpoint,
     ml: Checkpoint,
@@ -173,20 +173,19 @@ def diagnose(
     return rows
 
 
-def _fmt(value: float | None) -> str:
-    return "nan" if value is None else format(value, ".9g")
+def _cell(value):
+    return "nan" if value is None else format(value, ".9g") if isinstance(value, float) else value
 
 
 def export_csv(rows: list[HeatmapRow], path) -> None:
-    """Write rows as CSV with the fixed header, 9 significant digits. The
-    file is staged and renamed into place once complete."""
+    """Write rows as CSV, a column per field (``CSV_HEADER``), floats to 9
+    significant digits. The file is staged and renamed into place once complete."""
     if not rows:
         raise ConfigError("no rows to export")
     with staged_files() as stage, open(stage(path), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([row.layer, row.module, *map(_fmt, astuple(row)[2:])])
+        writer = csv.DictWriter(fh, CSV_HEADER)
+        writer.writeheader()
+        writer.writerows({key: _cell(value) for key, value in row.to_dict().items()} for row in rows)
 
 
 def export_json(rows: list[HeatmapRow], path) -> None:

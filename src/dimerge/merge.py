@@ -46,7 +46,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, align_triple
+from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, AlignmentReport, align_triple
 from .baselines import BaselineParams, merge_baseline_values
 from .errors import ConfigError, Record
 from .geometry import EPSILON_DEFAULT, SCRATCH_ROWS, TILE_ROWS, accumulate_column_sums, deviations_from_sums
@@ -106,10 +106,14 @@ class MergeConfig(Record):
             object.__setattr__(self, "baseline", BaselineParams())
 
 
-@dataclass
-class TensorMergeReport:
+@dataclass(frozen=True)
+class TensorMergeReport(Record):
+    """One anchor tensor's report entry; a field that does not apply is None:
+    a pass-through has no method or omega, a merged tensor no reason and a
+    baseline no omega. ``seconds`` times its whole write, a copy included."""
+
     name: str
-    action: str                 # "merged" | "pass_through"
+    action: str = field(metadata={"choices": ("merged", "pass_through")})
     method: str | None = None
     reason: str | None = None   # pass-through classification
     omega_ml_mean: float | None = None
@@ -117,32 +121,27 @@ class TensorMergeReport:
     omega_ml_max: float | None = None
     seconds: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
+
+@dataclass(frozen=True)
+class MergeSummary(Record):
+    """The report's totals, counted from its entries."""
+
+    merged_count: int
+    pass_through_count: int
+    mean_omega_ml: float | None
+    seconds: float
 
 
 @dataclass
-class MergeReport:
-    tensors: list[TensorMergeReport] = field(default_factory=list)
-    merged_count: int = 0
-    pass_through_count: int = 0
-    mean_omega_ml: float | None = None
-    seconds: float = 0.0
-    config: dict = field(default_factory=dict)
-    alignment: dict = field(default_factory=dict)
+class MergeReport(Record):
+    """What a merge did: its totals, the config it ran (the run's whole
+    :class:`~dimerge.cli.RunConfig` once the CLI sets it), the alignment and
+    one entry per anchor tensor, in anchor order."""
 
-    def to_dict(self) -> dict:
-        return {
-            "summary": {
-                "merged_count": self.merged_count,
-                "pass_through_count": self.pass_through_count,
-                "mean_omega_ml": self.mean_omega_ml,
-                "seconds": self.seconds,
-            },
-            "config": self.config,
-            "alignment": self.alignment,
-            "tensors": [t.to_dict() for t in self.tensors],
-        }
+    summary: MergeSummary
+    config: Record
+    alignment: AlignmentReport
+    tensors: list[TensorMergeReport]
 
 
 def _block_rows(cols: int) -> int:
@@ -292,13 +291,10 @@ def _merge_one(triple: AlignedTriple, cfg: MergeConfig, out_dtype: DType, sink: 
         compose, weights = merge_baseline_values(cfg.method, triple, cfg.baseline, cfg.seed, buffers), None
         logger.debug("%s: pass 1 done: %s", triple.name, cfg.method)
     _write_merged(triple.name, triple.mm, triple.matrix, compose, out_dtype, sink, buffers)
-    entry = TensorMergeReport(name=triple.name, action="merged", method=cfg.method)
-    if weights is not None:
-        entry.omega_ml_mean = float(weights.omega_ml.mean())
-        entry.omega_ml_min = float(weights.omega_ml.min())
-        entry.omega_ml_max = float(weights.omega_ml.max())
-    entry.seconds = time.perf_counter() - start
-    return entry
+    omega = {} if weights is None else {f"omega_ml_{stat}": float(getattr(weights.omega_ml, stat)())
+                                        for stat in ("mean", "min", "max")}
+    return TensorMergeReport(name=triple.name, action="merged", method=cfg.method, **omega,
+                             seconds=time.perf_counter() - start)
 
 
 def _log_merged(entry: TensorMergeReport, n: int, total: int, nbytes: int) -> None:
@@ -358,14 +354,14 @@ def merge_checkpoint(
     through bit-exactly. Each anchor tensor's fate is decided once, by one
     map, in anchor order, of the triples the merge composes: aligned,
     admitted by ``cfg.scope`` and of rank 1 or 2. Its output dtype, its
-    branch, the log's total and the counts follow from the map; a tensor
-    outside it passes through in its own dtype, for alignment's reason,
-    else ``scalar`` where the scope admits it, else ``out_of_scope``. The
-    output file is sized first and each tensor filled in place, so its
-    bytes are identical for any worker count. The tensors run through
-    :func:`for_each_tensor` on ``threads`` workers, so the first failure
-    stops the merge. Every anchor tensor, merged or passed through, is
-    written by :func:`_write_merged`, one row block at a time. An input
+    branch and the log's total follow from the map (the summary's counts
+    from the entries); a tensor outside it passes through in its own dtype,
+    for alignment's reason, else ``scalar`` where the scope admits it, else
+    ``out_of_scope``. The output file is sized first and each tensor filled
+    in place, so its bytes are identical for any worker count. The tensors
+    run through :func:`for_each_tensor` on ``threads`` workers, so the first
+    failure stops the merge. Every anchor tensor, merged or passed through,
+    is written by :func:`_write_merged`, one row block at a time. An input
     file changed during the run is a :class:`~dimerge.errors.FormatError`,
     raised before the writer commits: by the first read past the end of a
     truncated file, else by :func:`~dimerge.store.require_unchanged`.
@@ -388,9 +384,11 @@ def merge_checkpoint(
         def handle(name: str) -> TensorMergeReport:
             rec, sink = anchor[name], partial(out.write, name)
             if name not in merging:
+                started = time.perf_counter()
                 _write_merged(name, rec, (0, prod(rec.shape[1:])), None, dtypes[name], sink, buffers)
                 reason = alignment.pass_through.get(name) or ("scalar" if cfg.scope.admits(name) else "out_of_scope")
-                return TensorMergeReport(name=name, action="pass_through", reason=reason)
+                return TensorMergeReport(name=name, action="pass_through", reason=reason,
+                                         seconds=time.perf_counter() - started)
             entry = _merge_one(merging[name], cfg, dtypes[name], sink, buffers)
             _log_merged(entry, next(merged_so_far), len(merging), rec.num_elements * dtypes[name].itemsize)
             return entry
@@ -399,7 +397,8 @@ def merge_checkpoint(
         require_unchanged(base, ml, anchor)
     logger.debug("writer closed %s: %d files", path, len(out.paths))
 
+    merged = sum(e.action == "merged" for e in entries)
     omega_means = [e.omega_ml_mean for e in entries if e.omega_ml_mean is not None]
-    return MergeReport(tensors=entries, merged_count=len(merging), pass_through_count=len(entries) - len(merging),
-                       mean_omega_ml=float(np.mean(omega_means)) if omega_means else None,
-                       seconds=time.perf_counter() - start, config=cfg.to_dict(), alignment=alignment.to_dict())
+    summary = MergeSummary(merged, len(entries) - merged, float(np.mean(omega_means)) if omega_means else None,
+                           time.perf_counter() - start)
+    return MergeReport(summary, cfg, alignment, entries)

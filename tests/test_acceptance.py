@@ -208,7 +208,7 @@ def test_criterion_7_ablation_variants():
         for agg in aggregations:
             cfg = MergeConfig(estimator=estimator, aggregation=agg)
             merged, report = merge_and_load(base, ml, anchor, cfg)
-            ran_ok &= report.merged_count == len(base)
+            ran_ok &= report.summary.merged_count == len(base)
 
     symmetric_ok = True
     rng = np.random.default_rng(570)

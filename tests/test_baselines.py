@@ -256,7 +256,7 @@ class TestBaselineAssembly:
         for name in anchor.names():
             if "embed_tokens" not in name:
                 assert merged[name].raw == anchor[name].raw
-        assert report.merged_count == 1
+        assert report.summary.merged_count == 1
 
     @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
     def test_lambda_must_be_finite(self, lam):

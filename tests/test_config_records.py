@@ -102,5 +102,5 @@ def test_a_string_estimator_becomes_its_kind_and_merges():
     base, ml, anchor = make_triple(seed=3)
     merged, report = merge_and_load(base, ml, anchor, cfg)
     want, _ = merge_and_load(base, ml, anchor, MergeConfig(estimator=EstimatorKind.ZSCORE))
-    assert report.merged_count > 0
+    assert report.summary.merged_count > 0
     assert all(np.array_equal(merged[name].bits(), want[name].bits()) for name in want.names())

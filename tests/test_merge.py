@@ -427,14 +427,14 @@ class TestMergeCheckpoint:
         assert merged.names() == target.names()
         for name in merged.names():
             assert merged[name].raw == target[name].raw
-        assert report.merged_count == len(base)
+        assert report.summary.merged_count == len(base)
 
     def test_empty_scope_is_identity_on_anchor(self, triple_f32):
         base, ml, anchor = triple_f32
         cfg = MergeConfig(scope=ScopeFilter.from_dict("empty"))
         merged, report = merge_and_load(base, ml, anchor, cfg)
         assert checkpoint_digest(merged) == checkpoint_digest(anchor)
-        assert report.merged_count == 0
+        assert report.summary.merged_count == 0
 
     def test_embed_only_scope(self, triple_f32):
         base, ml, anchor = triple_f32
@@ -510,7 +510,7 @@ class TestMergeCheckpoint:
         merged = {t.name for t in report.tensors if t.action == "merged"}
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name.startswith("dimerge.")
                  and r.name != "dimerge.store"]
-        assert debug[0].startswith(f"alignment done: {len(report.alignment['aligned'])} aligned, ")
+        assert debug[0].startswith(f"alignment done: {len(report.alignment.aligned)} aligned, ")
         assert debug[-1].startswith("writer closed ")
         store = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG and r.name == "dimerge.store"]
         assert store == ["committed 1 changes"]
@@ -613,9 +613,9 @@ class TestMergeCheckpoint:
     def test_report_statistics(self, triple_f32):
         base, ml, anchor = triple_f32
         _, report = merge_and_load(base, ml, anchor, MergeConfig())
-        assert report.merged_count + report.pass_through_count == len(anchor)
+        assert report.summary.merged_count + report.summary.pass_through_count == len(anchor)
         lo, hi = reference.logistic(-1.0), reference.logistic(1.0)
-        assert lo <= report.mean_omega_ml <= hi
+        assert lo <= report.summary.mean_omega_ml <= hi
         merged_entries = [t for t in report.tensors if t.action == "merged"]
         assert all(t.omega_ml_min >= lo and t.omega_ml_max <= hi for t in merged_entries)
 
