@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable
 
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, Record
-from .records import TensorRecord, decode_f32
-from .store import Checkpoint, read_rows
+from .records import TensorRecord
+from .store import Checkpoint
 
 SHAPE_POLICIES = ("strict", "anchor-overlap")
 HIGH_RANK_POLICIES = ("reject", "pass_through")
@@ -64,18 +63,6 @@ class AlignedTriple:
         """The aligned region as (rows, columns): a 1D tensor is one column,
         a scalar one row of one."""
         return (self.shape + (1,))[0], prod(self.shape[1:])
-
-    def decode_rows(self, role: str, r0: int, r1: int, take: Callable[..., np.ndarray]) -> np.ndarray:
-        """Rows ``r0:r1`` of ``role``'s aligned region as a float32
-        :attr:`matrix` block. The record's rows are read whole
-        (:func:`~dimerge.store.read_rows`) into the bits array that
-        ``take("stored", shape, dtype)`` gives, then decoded, an
-        ``anchor-overlap`` region's columns cropped, into
-        ``take(role, shape, np.float32)``."""
-        rec = (self.base, self.ml, self.mm)[ROLES.index(role)]
-        rows, cols = r1 - r0, self.matrix[1]
-        bits = read_rows(rec, r0, r1, take("stored", (rows, prod(rec.shape[1:])), f"<u{rec.dtype.itemsize}"))
-        return decode_f32(bits[:, :cols], rec.dtype, take(role, (rows, cols), np.float32))
 
 
 @dataclass

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .align import ROLES, AlignedTriple
-from .errors import ConfigError, Record
+from .errors import ConfigError, NumericError, Record
 from .records import all_finite, require_finite
 
 if TYPE_CHECKING:
@@ -223,18 +223,20 @@ def _residual_rows(triple: AlignedTriple, buffers: BlockBuffers, r0: int, r1: in
     """Rows ``r0:r1`` of the aligned (base, ml - base, mm - base) as float32
     matrices in the role buffers of ``buffers``, both residuals checked for
     non-finite values unless ``check`` is false; a non-finite base makes
-    both non-finite. Only once a check fails are the inputs read again, in
-    role order, to tell a non-finite input from finite inputs whose
-    residual is past float32."""
+    both non-finite. Only once a check fails is the base checked, and each
+    source whose residual failed read again, in role order, to tell a
+    non-finite input from finite inputs whose residual is past float32."""
     blocks = buffers.read(triple, r0, r1)
     with np.errstate(over="ignore", invalid="ignore"):   # checked next
         for delta in blocks[1:]:
             delta -= blocks[0]
     if check and not all(all_finite(delta) for delta in blocks[1:]):
-        for role, values in zip(ROLES, blocks):
-            fresh = triple.decode_rows(role, r0, r1, lambda name, shape, dtype: np.empty(shape, dtype))
-            for word, read in (("tensor", fresh), ("residual", values)):
-                require_finite(read, f"{triple.name}: {role} {word} contains non-finite values")
+        require_finite(blocks[0], f"{triple.name}: base tensor contains non-finite values")
+        for role, delta in zip(ROLES[1:], blocks[1:]):
+            if not all_finite(delta):   # only a failed residual can hide a non-finite source
+                values, = buffers.read(triple, r0, r1, (role,))
+                require_finite(values, f"{triple.name}: {role} tensor contains non-finite values")
+                raise NumericError(f"{triple.name}: {role} residual contains non-finite values")
     return blocks
 
 

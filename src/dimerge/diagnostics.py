@@ -75,7 +75,7 @@ class ModuleKeySchema(Record):
 class DiagnoseConfig(Record):
     """The ``diagnose`` config section: the module schema, the tables to
     write (a path left out writes no table) and the cosine guard's epsilon,
-    which must be positive."""
+    which must be positive and finite."""
 
     section = "diagnose"
 
@@ -86,8 +86,8 @@ class DiagnoseConfig(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.epsilon <= 0:
-            raise ConfigError(f"diagnose.epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < np.inf:
+            raise ConfigError(f"diagnose.epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

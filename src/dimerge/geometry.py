@@ -89,8 +89,8 @@ def deviations_from_sums(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> 
     """Both sources' deviations from the five column reductions. Columns
     whose norm falls below the stabilizer on either side get cosine 0, hence
     direction deviation 1."""
-    if epsilon <= 0:
-        raise NumericError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise NumericError(f"epsilon must be positive and finite, got {epsilon}")
     norm_n, norm_ml, norm_mm = np.sqrt(sums[:3])
     cos_ml = _guarded_cosine(sums[3], norm_ml, norm_n, epsilon)
     cos_mm = _guarded_cosine(sums[4], norm_mm, norm_n, epsilon)

@@ -26,7 +26,7 @@ block of the anchor, rejects it if the output dtype cannot hold every value
 finitely, and encodes and writes it in place in the output file; a tensor
 passed through has an empty aligned region, so each of its blocks is
 copied. Each worker reads every block of its inputs
-(:func:`~dimerge.store.read_rows`) into its :class:`BlockBuffers`, arrays
+(:meth:`BlockBuffers.stored`) into its :class:`BlockBuffers`, arrays
 named for what they hold and kept for the whole merge, so memory follows
 one row block (and the two score arrays of a top-k cut).
 """
@@ -50,7 +50,7 @@ from .align import HIGH_RANK_POLICIES, ROLES, SHAPE_POLICIES, AlignedTriple, Ali
 from .baselines import BaselineParams, merge_baseline_values
 from .errors import ConfigError, Record
 from .geometry import EPSILON_DEFAULT, SCRATCH_ROWS, TILE_ROWS, accumulate_column_sums, deviations_from_sums
-from .records import ENCODE_LIMIT, DType, TensorRecord, encode_bits, recode_bits, require_finite
+from .records import ENCODE_LIMIT, DType, TensorRecord, decode_f32, encode_bits, recode_bits, require_finite
 from .salience import (
     AggregationKind,
     EstimatorKind,
@@ -156,9 +156,10 @@ class BlockBuffers(threading.local):
     when a block needs more, so once the largest block has been seen,
     decoding, composing and encoding allocate nothing: no fresh pages to
     fault in for every block. Whatever takes a buffer overwrites all of it.
-    :meth:`read` reads each role's rows, as stored, into the buffer
-    ``stored`` and decodes them into the one named for the role
-    (``ROLES``); every other name is its user's, for what it holds.
+    Every input row is read here: :meth:`stored` reads a record's rows, as
+    stored, into the buffer ``stored``, and :meth:`read` decodes them into
+    the one named for the role (``ROLES``); every other name is its user's,
+    for what it holds.
     """
 
     def __init__(self):
@@ -179,10 +180,18 @@ class BlockBuffers(threading.local):
         block = _block_rows(cols)
         return [(r0, min(r0 + block, rows)) for r0 in range(0, rows, block)]
 
+    def stored(self, rec: TensorRecord, r0: int, r1: int) -> np.ndarray:
+        """Rows ``r0:r1`` of ``rec``, all its columns, as stored: its bits,
+        read (:func:`~dimerge.store.read_rows`) into the buffer ``stored``."""
+        return read_rows(rec, r0, r1, self.take("stored", (r1 - r0, prod(rec.shape[1:])), f"<u{rec.dtype.itemsize}"))
+
     def read(self, triple: AlignedTriple, r0: int, r1: int, roles: Iterable[str] = ROLES) -> list[np.ndarray]:
         """Rows ``r0:r1`` of each of ``roles``' aligned region, decoded to a
-        float32 matrix in the buffer named for the role."""
-        return [triple.decode_rows(role, r0, r1, self.take) for role in roles]
+        float32 matrix in the buffer named for the role, an
+        ``anchor-overlap`` region's columns cropped."""
+        cols, records = triple.matrix[1], dict(zip(ROLES, (triple.base, triple.ml, triple.mm)))
+        return [decode_f32(self.stored(records[role], r0, r1)[:, :cols], records[role].dtype,
+                           self.take(role, (r1 - r0, cols), np.float32)) for role in roles]
 
 
 def stream_column_sums(triple: AlignedTriple, accumulate: Callable[..., None], count: int,
@@ -242,17 +251,16 @@ def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], comp
     in ``out_dtype`` over the anchor's own rows and columns, re-encoded, and
     hand the block to ``sink`` at its byte offset. A tensor passed through
     has no rows in its region and no compose, so each block is re-encoded:
-    copied, in its own dtype. The anchor rows it re-encodes are read
-    (:func:`~dimerge.store.read_rows`) into the ``stored`` buffer of
-    ``buffers``, as the compose reads its rows. Every compose returns its
-    block in the multilingual row buffer, so once it has returned the
-    output bits take the anchor's row buffer and BF16's rounding sums the
-    base's: no buffer is added for pass 2. This is the one check on merged
-    values, for every method: a composed block whose min or max is NaN or
-    past what encodes finitely in ``out_dtype`` (``ENCODE_LIMIT``) is a
-    numeric error. Where ``out_dtype`` is narrower than the anchor's (F64
-    to F32, the one narrowing :func:`_out_dtype` allows), the re-encoded
-    anchor rows and columns get the same check."""
+    copied, in its own dtype. The anchor rows it re-encodes are read by
+    :meth:`BlockBuffers.stored`, as the compose reads its rows. Every
+    compose returns its block in the multilingual row buffer, so once it
+    has returned the output bits take the anchor's row buffer and BF16's
+    rounding sums the base's: no buffer is added for pass 2. This is the
+    one check on merged values, for every method: a composed block whose
+    min or max is NaN or past what encodes finitely in ``out_dtype``
+    (``ENCODE_LIMIT``) is a numeric error. Where ``out_dtype`` is narrower
+    than the anchor's (F64 to F32, the one narrowing :func:`_out_dtype`
+    allows), the re-encoded anchor rows and columns get the same check."""
     rows, cols = region
     width = prod(anchor.shape[1:])   # a scalar is one row of one
     limit, problem = ENCODE_LIMIT[out_dtype], f"values are not finite in {out_dtype.value}"
@@ -264,8 +272,7 @@ def _write_merged(name: str, anchor: TensorRecord, region: tuple[int, int], comp
         if merged is not None:
             require_finite(merged, f"{name}: merged {problem}", limit)
         if merged is None or merged.shape != out.shape:
-            bits = read_rows(anchor, r0, r1, buffers.take("stored", out.shape, f"<u{anchor.dtype.itemsize}"))
-            recode_bits(bits, anchor.dtype, out_dtype, out)
+            recode_bits(buffers.stored(anchor, r0, r1), anchor.dtype, out_dtype, out)
             if narrows:
                 require_finite(out.view(np.float32), f"{name}: anchor {problem}", limit)
         if merged is not None:

@@ -223,6 +223,21 @@ MUTANTS = (
            "\n                and Path(shard_name).name == shard_name):", "):",
            "an index manifest that maps a tensor to a path, not a file name in its directory, is a format error",
            killed_by="tests/test_cli.py::TestInspectCommand::test_index_naming_no_shard_file_is_format_error[parent_dir]"),
+    # every input row is read by the worker's BlockBuffers
+    Mutant("read-role-record", "src/dimerge/merge.py",
+           "dict(zip(ROLES, (triple.base, triple.ml, triple.mm)))",
+           "dict(zip(ROLES, (triple.base, triple.mm, triple.ml)))",
+           "each role reads its own record",
+           killed_by="tests/test_merge.py::TestNonFiniteInput::test_nan_in_ml_rejected[dim3]"),
+    Mutant("source-named-as-tensor", "src/dimerge/baselines.py",
+           "                values, = buffers.read(triple, r0, r1, (role,))\n"
+           "                require_finite(values, f\"{triple.name}: {role} tensor contains non-finite values\")\n", "",
+           "a non-finite source is named as its tensor before its residual",
+           killed_by="tests/test_merge.py::TestNonFiniteInput::test_nan_in_ml_rejected[task_arithmetic]"),
+    Mutant("diagnose-epsilon-finite", "src/dimerge/diagnostics.py",
+           "if not 0 < self.epsilon < np.inf:", "if not 0 < self.epsilon:",
+           "diagnose.epsilon must be finite",
+           killed_by="tests/test_diagnostics.py::test_config_epsilon_is_positive_and_finite[inf]"),
     # the merge report
     Mutant("summary-counts", "src/dimerge/merge.py",
            "MergeSummary(merged, len(entries) - merged,", "MergeSummary(merged, len(entries),",

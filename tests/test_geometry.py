@@ -105,6 +105,12 @@ class TestDeviations:
         with pytest.raises(NumericError):
             deviations(col(1.0), col(1.0), epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        """A NaN epsilon would void no column, switching the guard off."""
+        with pytest.raises(NumericError, match="^epsilon must be positive and finite"):
+            deviations(col(1e-12), col(1.0), epsilon=epsilon)
+
 
 class TestCrossAlignment:
     """The cross-residual cosine ``diagnose`` reports, on one-tensor

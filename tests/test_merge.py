@@ -12,7 +12,7 @@ from dimerge import diagnostics, merge
 from dimerge.align import AlignedTriple
 from dimerge.baselines import BaselineParams
 from dimerge.errors import ConfigError, NumericError
-from dimerge.merge import MERGE_METHODS, OUTPUT_DTYPES, MergeConfig, merge_checkpoint, merge_tensor
+from dimerge.merge import BASELINE_METHODS, MERGE_METHODS, OUTPUT_DTYPES, MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
@@ -154,6 +154,15 @@ class TestNonFiniteInput:
         base, ml, mm = (np.full(shape, v, np.float32) for v in (3e38, -3e38, 3e38))
         with pytest.raises(NumericError, match="^t: multilingual residual"):
             merge_tensor(triple_of(base, ml, mm), MergeConfig(method="task_arithmetic"))
+
+    @pytest.mark.parametrize("method", BASELINE_METHODS)
+    def test_residual_past_float32_named_before_a_later_non_finite_source(self, method):
+        """Messages go in role order: ml's residual, past float32 from finite
+        inputs, comes before the anchor's NaN tensor."""
+        base, ml, mm = (np.full((4, 2), v, np.float32) for v in (3e38, -3e38, 3e38))
+        mm[1, 1] = np.nan
+        with pytest.raises(NumericError, match="^t: multilingual residual contains non-finite values$"):
+            merge_tensor(triple_of(base, ml, mm), MergeConfig(method=method))
 
     @pytest.mark.parametrize("shape", [(4, 2), (8,)])
     def test_difference_near_float32_max_merges(self, shape):
