@@ -5,10 +5,7 @@ required.
 """
 
 from .align import AlignedTriple, AlignmentReport, align_triple
-from .baselines import (
-    BaselineParams,
-    unit_uniforms,
-)
+from .baselines import BaselineParams
 from .diagnostics import HeatmapRow, ModuleKeySchema, diagnose, export_csv, export_json
 from .errors import (
     AlignmentError,
@@ -20,7 +17,7 @@ from .errors import (
     ShapeError,
     ShardError,
 )
-from .geometry import ColumnDeviations, column_deviations, residual_identity_terms
+from .geometry import ColumnDeviations
 from .merge import MergeConfig, MergeReport, merge_checkpoint, merge_tensor
 from .records import DType, TensorRecord
 from .salience import (
@@ -64,7 +61,6 @@ __all__ = [
     "TensorRecord",
     "aggregate_branches",
     "align_triple",
-    "column_deviations",
     "diagnose",
     "elementwise_salience",
     "estimate_salience",
@@ -75,8 +71,6 @@ __all__ = [
     "merge_tensor",
     "rank_normalize",
     "remap_keys",
-    "residual_identity_terms",
     "salience_pair",
     "save_checkpoint",
-    "unit_uniforms",
 ]

@@ -55,15 +55,16 @@ class BaselineParams(Record):
 
     def __post_init__(self):
         if not math.isfinite(self.lam):
-            raise ConfigError(f"lambda must be finite, got {self.lam}")
+            raise ConfigError(f"merge.baseline.lambda must be finite, got {self.lam}")
         if not (0.0 <= self.dare_drop_p < 1.0):
-            raise ConfigError(f"dare_drop_p must be in [0, 1), got {self.dare_drop_p}")
+            raise ConfigError(f"merge.baseline.dare_drop_p must be in [0, 1), got {self.dare_drop_p}")
         if not (0.0 < self.ties_density <= 1.0):
-            raise ConfigError(f"ties_density must be in (0, 1], got {self.ties_density}")
-        if not (0.0 <= self.breadcrumbs_beta < 1.0) or not (0.0 <= self.breadcrumbs_gamma < 1.0):
-            raise ConfigError("breadcrumbs fractions must be in [0, 1)")
+            raise ConfigError(f"merge.baseline.ties_density must be in (0, 1], got {self.ties_density}")
+        for key in ("breadcrumbs_beta", "breadcrumbs_gamma"):
+            if not (0.0 <= getattr(self, key) < 1.0):
+                raise ConfigError(f"merge.baseline.{key} must be in [0, 1), got {getattr(self, key)}")
         if self.breadcrumbs_beta + self.breadcrumbs_gamma >= 1.0:
-            raise ConfigError("breadcrumbs beta + gamma must be < 1")
+            raise ConfigError("merge.baseline.breadcrumbs_beta + breadcrumbs_gamma must be < 1")
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +90,6 @@ def _draw_bits(seed: int, name: str, start: int, out: np.ndarray, scratch: np.nd
     out[:1] = ((key ^ int.from_bytes(digest, "little")) + (start + 1) * _GAMMA) % 2**64
     np.cumsum(out, out=out)   # element i: that key + (start + i + 1) * gamma, modulo 2**64
     return _mix64(out, scratch)
-
-
-def unit_uniforms(seed: int, name: str, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms in [0, 1): the top 53 bits of elements ``start`` on of DARE's (seed, name) stream."""
-    bits = _draw_bits(seed, name, start, np.empty(n, np.uint64), np.empty(n, np.uint64))
-    return (bits >> 11).astype(np.float64) * 2.0**-53
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +266,7 @@ def _plan_dare(triple: AlignedTriple, p: float, lam: float, seed: int,
     """Drop each residual entry with probability p, then rescale the rest by
     1/(1-p) and add as task arithmetic, which is DARE at p = 0. Entry i of a
     source stays where bits i of (seed, source-qualified name) are at least
-    ceil(p * 2**53) << 11, just where its :func:`unit_uniforms` is not below p."""
+    ceil(p * 2**53) << 11, just where their top 53 bits, times 2**-53, are not below p."""
     least = np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def compose(r0, r1):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 
 EPSILON_DEFAULT = 1e-8
 # rows per summation tile: a fixed partition, so column sums do not depend
@@ -123,41 +123,3 @@ def cross_cosines(sums: np.ndarray, epsilon: float = EPSILON_DEFAULT) -> np.ndar
     """Per-column cosine between the two residuals, in [-1, 1], from the
     eight column reductions. Near-zero residual columns report 0."""
     return _guarded_cosine(sums[7], np.sqrt(sums[5]), np.sqrt(sums[6]), epsilon)
-
-
-def column_deviations(
-    base: np.ndarray, ml: np.ndarray, mm: np.ndarray, epsilon: float = EPSILON_DEFAULT
-) -> ColumnDeviations:
-    """Magnitude and direction deviations of both sources, per column, from
-    the same tiled reductions a streamed merge accumulates."""
-    base, ml, mm = np.asarray(base), np.asarray(ml), np.asarray(mm)
-    if base.ndim != 2 or not (base.shape == ml.shape == mm.shape):
-        raise ShapeError(f"expected three equal-shape matrices, got {base.shape}, {ml.shape}, {mm.shape}")
-    sums = np.zeros((5, base.shape[1]))
-    accumulate_column_sums(sums, base, ml, mm, np.empty((SCRATCH_ROWS, base.shape[1])))
-    return deviations_from_sums(sums, epsilon)
-
-
-def residual_identity_terms(col_k: np.ndarray, col_n: np.ndarray) -> tuple[float, float]:
-    """Both sides of the squared column-residual split, radial plus angular.
-
-    The left side is the direct squared distance between the raw columns.
-    The right side recomputes it from the norm gap and the reorientation:
-    ``(|u| - |v|)^2 + 2 |u| |v| (1 - cos(u, v))``. The two agree exactly in
-    real arithmetic; a zero column on either side makes the cosine term
-    vanish, so the convention cos := 0 there is exact rather than a guard.
-    """
-    u = np.asarray(col_k)
-    v = np.asarray(col_n)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ShapeError(f"expected equal-length vectors, got {u.shape} and {v.shape}")
-    diff = u - v
-    lhs = float(np.einsum("i,i->", diff, diff, dtype=np.float64))
-    m_u = float(np.sqrt(np.einsum("i,i->", u, u, dtype=np.float64)))
-    m_v = float(np.sqrt(np.einsum("i,i->", v, v, dtype=np.float64)))
-    if m_u == 0.0 or m_v == 0.0:
-        cos = 0.0
-    else:
-        cos = float(np.einsum("i,i->", u, v, dtype=np.float64)) / (m_u * m_v)
-    rhs = (m_u - m_v) ** 2 + 2.0 * m_u * m_v * (1.0 - cos)
-    return lhs, rhs

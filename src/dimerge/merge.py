@@ -99,9 +99,9 @@ class MergeConfig(Record):
         super().__post_init__()
         object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         if not 0 < self.epsilon < np.inf:
-            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon}")
+            raise ConfigError(f"merge.epsilon must be positive and finite, got {self.epsilon}")
         if self.method == "dim3" and self.baseline is not None:
-            raise ConfigError("baseline parameters are only valid for baseline methods")
+            raise ConfigError("merge.baseline is only valid for baseline methods, not dim3")
         if self.method in BASELINE_METHODS and self.baseline is None:
             object.__setattr__(self, "baseline", BaselineParams())
 

@@ -253,12 +253,5 @@ class TensorRecord:
         values = self.to_f32() if self.dtype is DType.BF16 else self.bits().view(_NUMPY_VIEW[self.dtype])
         return values.astype(np.float64)
 
-    def astype(self, dtype: DType) -> "TensorRecord":
-        """Re-encode the payload in another storage dtype (lossy where narrower)."""
-        if dtype is self.dtype:
-            return self
-        return TensorRecord(name=self.name, dtype=dtype, shape=self.shape,
-                            raw=recode_bits(self.bits(), self.dtype, dtype).tobytes())
-
     def renamed(self, name: str) -> "TensorRecord":
         return TensorRecord(name=name, dtype=self.dtype, shape=self.shape, raw=self.raw)

@@ -51,9 +51,9 @@ class AggregationKind(Record):
         super().__post_init__()
         if self.kind in self._WEIGHTED:
             if self.lam is None or not (0.5 < self.lam < 1.0):
-                raise ConfigError(f"{self.kind} needs lambda in (0.5, 1), got {self.lam}")
+                raise ConfigError(f"merge.aggregation.lambda must be in (0.5, 1) for {self.kind}, got {self.lam}")
         elif self.lam is not None:
-            raise ConfigError(f"{self.kind} takes no lambda")
+            raise ConfigError(f"merge.aggregation.lambda must be absent for {self.kind}, got {self.lam}")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import settings
 
 from dimerge.diagnostics import diagnose
+from dimerge.geometry import SCRATCH_ROWS, accumulate_column_sums, deviations_from_sums
 from dimerge.merge import merge_checkpoint
 from dimerge.records import DType, TensorRecord, decode_f32
 from dimerge.store import Checkpoint, load_checkpoint
@@ -118,6 +119,27 @@ def one_tensor_row(base, ml, mm, **kwargs):
              for a in (base, ml, mm)]
     [row] = diagnose(*ckpts, **kwargs)
     return row
+
+
+def column_sums(base, ml, mm):
+    """The five column sums pass 1 accumulates over three equal-shape
+    matrices: |n|^2, |ml|^2, |mm|^2, <ml, n> and <mm, n>."""
+    base, ml, mm = (np.asarray(a) for a in (base, ml, mm))
+    sums = np.zeros((5, base.shape[1]))
+    accumulate_column_sums(sums, base, ml, mm, np.empty((SCRATCH_ROWS, base.shape[1])))
+    return sums
+
+
+def residual_split(u, v):
+    """Both sides of the squared residual split of column ``u`` against
+    ``v``: the direct float64 squared distance, and the norm gap squared
+    plus 2 |u| |v| times the direction deviation, read from pass 1's column
+    sums (``v`` the base, ``u`` both sources) by ``deviations_from_sums``."""
+    u, v = (np.asarray(a).reshape(-1, 1) for a in (u, v))
+    sums = column_sums(v, u, u)
+    dev = deviations_from_sums(sums)
+    lhs = float(np.sum((u.astype(np.float64) - v) ** 2))
+    return lhs, float(dev.mag_ml[0] ** 2 + 2.0 * np.sqrt(sums[1, 0]) * np.sqrt(sums[0, 0]) * dev.dir_ml[0])
 
 
 def fail_nth_replace(monkeypatch, n: int) -> list:

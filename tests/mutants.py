@@ -251,6 +251,11 @@ MUTANTS = (
            'action: str = field(metadata={"choices": ("merged", "pass_through")})', "action: str = field()",
            "an entry's action is merged or pass_through",
            killed_by="tests/test_report.py::test_an_entry_action_is_merged_or_pass_through"),
+    # a config range error names its dotted key
+    Mutant("range-error-names-key", "src/dimerge/merge.py",
+           'ConfigError(f"merge.epsilon must be positive', 'ConfigError(f"epsilon must be positive',
+           "a merge value out of its range is refused by a message naming its dotted key",
+           killed_by="tests/test_cli.py::TestDiagnoseCommand::test_bad_merge_value_names_its_key[epsilon_zero]"),
 )
 
 

@@ -13,14 +13,13 @@ import pytest
 from dimerge.align import AlignedTriple
 from dimerge.baselines import BaselineParams
 from dimerge.diagnostics import diagnose
-from dimerge.geometry import residual_identity_terms
 from dimerge.merge import MergeConfig, merge_tensor
 from dimerge.records import DType, TensorRecord
 from dimerge.salience import AggregationKind, EstimatorKind, estimate_salience, salience_pair
 from dimerge.scope import ScopeFilter
 from dimerge.store import Checkpoint, load_checkpoint, save_checkpoint
 
-from conftest import make_triple, merge_and_load
+from conftest import make_triple, merge_and_load, residual_split
 from test_baselines import breadcrumbs, dare, record_of
 from test_merge import checkpoint_digest, triple_of
 import reference
@@ -43,9 +42,9 @@ def test_criterion_1_residual_identity():
         d = int(rng.integers(4, 513))
         u = rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
         v = rng.normal(size=d) * 10.0 ** rng.integers(-2, 3)
-        lhs, rhs = residual_identity_terms(u, v)
+        lhs, rhs = residual_split(u, v)
         worst64 = max(worst64, abs(lhs - rhs) / (1.0 + abs(lhs)))
-        lhs32, rhs32 = residual_identity_terms(u.astype(np.float32), v.astype(np.float32))
+        lhs32, rhs32 = residual_split(u.astype(np.float32), v.astype(np.float32))
         worst32 = max(worst32, abs(lhs32 - rhs32) / (1.0 + abs(lhs32)))
     elapsed = time.perf_counter() - start
     ok = worst64 <= 1e-10 and worst32 <= 1e-5 and elapsed < 5.0

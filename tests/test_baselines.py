@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dimerge.merge as merge_module
-from dimerge.baselines import BaselineParams, unit_uniforms
+from dimerge.baselines import BaselineParams, _draw_bits
 from dimerge.errors import ConfigError
 from dimerge.geometry import TILE_ROWS
 from dimerge.merge import MergeConfig, merge_tensor
@@ -41,6 +41,11 @@ def breadcrumbs(delta, beta, gamma):
     return merged_residual(delta, "breadcrumbs", breadcrumbs_beta=beta, breadcrumbs_gamma=gamma)
 
 
+def dare_bits(seed, name, n, start=0):
+    """Elements ``start`` on of DARE's (seed, name) stream, drawn as the merge draws them."""
+    return _draw_bits(seed, name, start, np.empty(n, np.uint64), np.empty(n, np.uint64))
+
+
 class TestTaskArithmetic:
     def test_zero_residuals(self, rng):
         W = rng.normal(size=(3, 3)).astype(np.float32)
@@ -61,20 +66,20 @@ class TestTaskArithmetic:
 
 class TestUnitUniforms:
     def test_reproducible(self):
-        a = unit_uniforms(7, "model.layers.0.w", 1000)
-        b = unit_uniforms(7, "model.layers.0.w", 1000)
+        a = dare_bits(7, "model.layers.0.w", 1000)
+        b = dare_bits(7, "model.layers.0.w", 1000)
         np.testing.assert_array_equal(a, b)
 
     def test_keyed_by_seed_and_name(self):
-        base = unit_uniforms(7, "w", 1000)
-        assert not np.array_equal(base, unit_uniforms(8, "w", 1000))
-        assert not np.array_equal(base, unit_uniforms(7, "w2", 1000))
+        base = dare_bits(7, "w", 1000)
+        assert not np.array_equal(base, dare_bits(8, "w", 1000))
+        assert not np.array_equal(base, dare_bits(7, "w2", 1000))
 
     def test_prefix_stability(self):
         # element i depends only on (seed, name, i): a longer stream extends
         # a shorter one
-        short = unit_uniforms(3, "w", 100)
-        long = unit_uniforms(3, "w", 1000)
+        short = dare_bits(3, "w", 100)
+        long = dare_bits(3, "w", 1000)
         np.testing.assert_array_equal(long[:100], short)
 
     @pytest.mark.parametrize("seed, name, n, start", [
@@ -82,11 +87,11 @@ class TestUnitUniforms:
         (-1, "ml:t", 64, 0), (2**64 + 5, "", 16, 2**40),
     ])
     def test_matches_reference_bit_for_bit(self, seed, name, n, start):
-        got = unit_uniforms(seed, name, n, start)
-        assert got.tobytes() == np.array(reference.unit_uniforms(seed, name, n, start)).tobytes()
+        top = (dare_bits(seed, name, n, start) >> 11).tolist()
+        assert top == [int(u * 2**53) for u in reference.unit_uniforms(seed, name, n, start)]
 
     def test_roughly_uniform(self):
-        u = unit_uniforms(0, "w", 200_000)
+        u = (dare_bits(0, "w", 200_000) >> 11) * 2.0**-53
         assert np.all(u >= 0.0) and np.all(u < 1.0)
         assert abs(u.mean() - 0.5) < 0.005
 
@@ -142,7 +147,7 @@ class TestDare:
         """Entries that would overflow float32 once rescaled merge as zeros
         where they are dropped: the drop comes before the rescale."""
         p, n = 0.9, 64
-        dropped = unit_uniforms(0, "ml:w", n) < p
+        dropped = np.array(reference.unit_uniforms(0, "ml:w", n)) < p
         delta = np.where(dropped, np.float32(3e38), np.float32(1.0))
         zeros = np.zeros(n, np.float32)
         out = merge_tensor(triple_of(zeros, delta, zeros, name="w"),
@@ -160,7 +165,8 @@ class TestDare:
         cfg = MergeConfig(method="dare", seed=5, baseline=BaselineParams(dare_drop_p=p))
         monkeypatch.setattr(merge_module, "_block_rows", lambda cols: TILE_ROWS)
         out = merge_tensor(triple_of(base, base - 1.0, base - 2.0, name="w"), cfg)
-        kept = [(unit_uniforms(5, source + "w", base.size) >= p).reshape(shape) for source in ("ml:", "mm:")]
+        kept = [(np.array(reference.unit_uniforms(5, source + "w", base.size)) >= p).reshape(shape)
+                for source in ("ml:", "mm:")]
         d_ml, d_mm = (np.where(k, np.float32(-d) / np.float32(1.0 - p), np.float32(0.0)) for k, d in zip(kept, (1, 2)))
         assert np.any(kept[0] | kept[1]) and not np.all(kept[0] | kept[1])
         assert out.raw == ((d_ml + d_mm) + base).tobytes()

@@ -704,6 +704,29 @@ class TestDiagnoseCommand:
         assert err.startswith(f"error[{error_class}]") and key in err
         assert not (tmp_path / "d.csv").exists()
 
+    @pytest.mark.parametrize("merge, key", [
+        ({"epsilon": 0}, "merge.epsilon"),
+        ({"method": "dare", "baseline": {"dare_drop_p": 1.5}}, "merge.baseline.dare_drop_p"),
+        ({"method": "ties", "baseline": {"ties_density": 0}}, "merge.baseline.ties_density"),
+        ({"method": "breadcrumbs", "baseline": {"breadcrumbs_gamma": -0.1}}, "merge.baseline.breadcrumbs_gamma"),
+        ({"method": "breadcrumbs", "baseline": {"breadcrumbs_beta": 0.9, "breadcrumbs_gamma": 0.2}},
+         "merge.baseline.breadcrumbs_beta"),
+        ({"baseline": {"lambda": 0.5}}, "merge.baseline"),
+        ({"aggregation": {"kind": "dir_weighted", "lambda": 0.3}}, "merge.aggregation.lambda"),
+        ({"aggregation": {"kind": "average", "lambda": 0.6}}, "merge.aggregation.lambda"),
+    ], ids=["epsilon_zero", "dare_drop_p", "ties_density", "breadcrumbs_fraction", "breadcrumbs_sum",
+            "baseline_with_dim3", "aggregation_lambda_range", "aggregation_lambda_unused"])
+    def test_bad_merge_value_names_its_key(self, workspace, capsys, merge, key):
+        """A ``diagnose`` run reads the whole config, so a ``merge`` value out
+        of its range is refused there too, by a message naming its dotted key."""
+        tmp_path, config, _ = workspace
+        config["merge"] = merge
+        config["diagnose"] = {"csv_path": str(tmp_path / "d.csv")}
+        assert main(["diagnose", "--config", write_config(tmp_path, config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config.invalid]: {key}")
+        assert not (tmp_path / "d.csv").exists()
+
     @pytest.mark.parametrize("section", [None, {"csv_path": ""}, {"schema": "qwen3", "epsilon": 0.1}],
                              ids=["null", "empty_csv_path", "schema_only"])
     def test_no_table_path_is_config_error(self, workspace, capsys, section):

@@ -13,7 +13,7 @@ from dimerge.align import AlignedTriple
 from dimerge.baselines import BaselineParams
 from dimerge.errors import ConfigError, NumericError
 from dimerge.merge import BASELINE_METHODS, MERGE_METHODS, OUTPUT_DTYPES, MergeConfig, merge_checkpoint, merge_tensor
-from dimerge.records import DType, TensorRecord
+from dimerge.records import DType, TensorRecord, recode_bits
 from dimerge.salience import AggregationKind, EstimatorKind
 from dimerge.scope import ScopeFilter
 from dimerge.store import DEFAULT_SHARD_LIMIT, Checkpoint, load_checkpoint, save_checkpoint
@@ -566,7 +566,7 @@ class TestMergeCheckpoint:
         assert out.dtype is out_dtype
         assert out.shape == anchor_wide[name].shape
         # the anchor's extra rows are the anchor's own, re-encoded in the output dtype
-        np.testing.assert_array_equal(out.bits()[-2:], anchor_wide[name].astype(out_dtype).bits()[-2:])
+        np.testing.assert_array_equal(out.bits()[-2:], recode_bits(anchor_wide[name].bits()[-2:], dtype, out_dtype))
         # the merged block is the merge of the un-widened triple
         full, _ = merge_and_load(base, ml, anchor, cfg)
         np.testing.assert_array_equal(out.bits()[:-2], full[name].bits())
