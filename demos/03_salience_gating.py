@@ -9,7 +9,7 @@ the magnitude and direction branches are averaged.
 
 import numpy as np
 
-from dimerge import AggregationKind, EstimatorKind, aggregate_branches, estimate_salience, rank_normalize, salience_pair
+from dimerge import AggregationKind, aggregate_branches, estimate_salience, rank_normalize, salience_pair
 
 # one source deviates 10x more on average; ranks neutralize the scale gap
 dev_ml = np.array([0.02, 0.45, 0.30, 0.01, 0.12])
@@ -18,12 +18,12 @@ dev_mm = np.array([0.004, 0.001, 0.030, 0.002, 0.008])
 print("ranks ml:", rank_normalize(dev_ml))
 print("ranks mm:", rank_normalize(dev_mm))
 
-s_ml, s_mm = estimate_salience(dev_ml, dev_mm, EstimatorKind.RANK)
+s_ml, s_mm = estimate_salience(dev_ml, dev_mm, "rank")
 print("\nrank-gated salience ml:", np.round(s_ml, 4))
 print("rank-gated salience mm:", np.round(s_mm, 4))
 
 # compare with gating on raw deviations: the larger-scale source dominates
-raw_ml, _ = estimate_salience(dev_ml, dev_mm, EstimatorKind.RAW)
+raw_ml, _ = estimate_salience(dev_ml, dev_mm, "raw")
 print("raw-gated salience ml:", np.round(raw_ml, 4), "(scale leaks through)")
 
 # the two-source softmax is exactly the logistic of the gap

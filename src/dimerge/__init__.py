@@ -22,7 +22,6 @@ from .merge import MergeConfig, MergeReport, merge_checkpoint, merge_tensor
 from .records import DType, TensorRecord
 from .salience import (
     AggregationKind,
-    EstimatorKind,
     SalienceWeights,
     aggregate_branches,
     elementwise_salience,
@@ -46,7 +45,6 @@ __all__ = [
     "ConfigError",
     "DType",
     "DimergeError",
-    "EstimatorKind",
     "FormatError",
     "HeatmapRow",
     "MergeConfig",

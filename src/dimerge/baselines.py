@@ -54,6 +54,7 @@ class BaselineParams(Record):
     breadcrumbs_gamma: float = 0.01
 
     def __post_init__(self):
+        super().__post_init__()
         if not math.isfinite(self.lam):
             raise ConfigError(f"merge.baseline.lambda must be finite, got {self.lam}")
         if not (0.0 <= self.dare_drop_p < 1.0):

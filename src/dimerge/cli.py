@@ -187,7 +187,7 @@ def cmd_diagnose(config_path: str, overrides: list[str], threads: int | None) ->
     if not exports:
         raise ConfigError("diagnose config needs csv_path and/or json_path", error_class="config.missing_path")
     base, ml, anchor = _load_inputs(run, config_path, [path for _, path in exports])
-    rows = diagnose(base, ml, anchor, cfg.schema, cfg.epsilon, run.threads)
+    rows = diagnose(base, ml, anchor, cfg.schema, run.merge.epsilon, run.threads)
     # both tables appear together or neither replaces an earlier one
     with staged_files():
         for export, path in exports:

@@ -39,7 +39,8 @@ class ModuleKeySchema(Record):
     layer pattern is checked and compiled once, when the schema is made. In
     a config (``diagnose.schema``) a preset (``MODULE_SCHEMA_PRESETS``)
     sets the fields, and each key given beside it replaces the preset's
-    own; the preset does not take part in comparisons.
+    own; the preset does not take part in comparisons. Only
+    :meth:`from_dict` applies it, so a preset named in code sets nothing.
     """
 
     section = "diagnose.schema"
@@ -73,21 +74,15 @@ class ModuleKeySchema(Record):
 
 @dataclass(frozen=True)
 class DiagnoseConfig(Record):
-    """The ``diagnose`` config section: the module schema, the tables to
-    write (a path left out writes no table) and the cosine guard's epsilon,
-    which must be positive and finite."""
+    """The ``diagnose`` config section: the module schema and the tables to
+    write (a path left out writes no table). Its cosine guard is the
+    merge's, ``merge.epsilon``."""
 
     section = "diagnose"
 
     schema: ModuleKeySchema = field(default_factory=ModuleKeySchema, metadata={"kind": ModuleKeySchema})
     csv_path: str | None = field(default=None, metadata={"kind": "string"})
     json_path: str | None = field(default=None, metadata={"kind": "string"})
-    epsilon: float = EPSILON_DEFAULT
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not 0 < self.epsilon < np.inf:
-            raise ConfigError(f"diagnose.epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import fields
-from enum import Enum
 from typing import ClassVar
 
 
@@ -78,36 +77,38 @@ def read_section(data, section: str, known=None) -> dict:
     return data
 
 
-def read_value(data: dict, section: str, key: str, kind: str, default=None, choices=None):
-    """``data[key]`` as a value of ``kind`` (and one of ``choices``, when
-    given), or ``default`` when it is absent or null; any other value is a
-    config error naming ``section.key``."""
+def _bad_value(section: str, key: str, expected: str, value) -> ConfigError:
+    name = f"{section}.{key}" if section else key
+    return ConfigError(f"config value {name} must be {expected}, got {value!r}", error_class="config.bad_value")
+
+
+def read_value(data: dict, section: str, key: str, kind: str, default=None):
+    """``data[key]`` as a value of ``kind``, or ``default`` when it is absent
+    or null; any other value is a config error naming ``section.key``."""
     value = data.get(key)
     if value is None:
         return default
     expected, check, convert = _KINDS[kind]
-    if check(value):
-        if choices is None or value in choices:
-            return convert(value)
-        expected = f"one of {', '.join(choices)}"
-    name = f"{section}.{key}" if section else key
-    raise ConfigError(f"config value {name} must be {expected}, got {value!r}", error_class="config.bad_value")
+    if not check(value):
+        raise _bad_value(section, key, expected, value)
+    return convert(value)
 
 
 def _plain(value):
-    """A field value as JSON data: a record as an object, an enum as its
-    value, a tuple or list as a list and anything else as it is."""
+    """A field value as JSON data: a record as an object, a tuple or list as
+    a list and anything else as it is."""
     if isinstance(value, Record):
         return value.to_dict()
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    return value.value if isinstance(value, Enum) else value
+    return value
 
 
 class Record:
     """Base of the config and report dataclasses. A field's metadata may
     give its config ``key`` (the field name by default), the ``choices``
-    its value must be one of, checked when the record is made, and its
+    its value must be one of, checked when the record is made (the one
+    check of a named value, its error naming ``section.key``), and its
     value ``kind`` (a ``_KINDS`` name, or a record class) where its
     default's type does not tell it. A config record names its
     ``section``, and may give ``presets``: a value of its first field ->
@@ -120,8 +121,7 @@ class Record:
         for f in fields(self):
             choices, value = f.metadata.get("choices"), getattr(self, f.name, None)
             if choices is not None and value not in tuple(choices):
-                raise ConfigError(f"config value {f.metadata.get('key', f.name)} must be one of "
-                                  f"{', '.join(choices)}, got {value!r}", error_class="config.bad_value")
+                raise _bad_value(self.section, f.metadata.get("key", f.name), f"one of {', '.join(choices)}", value)
 
     @classmethod
     def from_dict(cls, data):
@@ -140,7 +140,7 @@ class Record:
                 continue
             default = cls.presets.get(values.get(own[0].name), {}).get(f.name, f.default)
             kind = kind or next(name for t, name in _DEFAULT_KINDS if isinstance(f.default, t))
-            values[f.name] = read_value(data, cls.section, key, kind, default, f.metadata.get("choices"))
+            values[f.name] = read_value(data, cls.section, key, kind, default)
         return cls(**values)
 
     def to_dict(self) -> dict:

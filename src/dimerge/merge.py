@@ -52,8 +52,8 @@ from .errors import ConfigError, Record
 from .geometry import EPSILON_DEFAULT, SCRATCH_ROWS, TILE_ROWS, accumulate_column_sums, deviations_from_sums
 from .records import ENCODE_LIMIT, DType, TensorRecord, decode_f32, encode_bits, recode_bits, require_finite
 from .salience import (
+    ESTIMATORS,
     AggregationKind,
-    EstimatorKind,
     SalienceWeights,
     aggregate_branches,
     elementwise_salience,
@@ -85,7 +85,7 @@ class MergeConfig(Record):
     section = "merge"
 
     method: str = field(default="dim3", metadata={"choices": MERGE_METHODS})
-    estimator: EstimatorKind = field(default=EstimatorKind.RANK, metadata={"choices": tuple(EstimatorKind)})
+    estimator: str = field(default="rank", metadata={"choices": ESTIMATORS})
     aggregation: AggregationKind = field(default_factory=AggregationKind, metadata={"kind": AggregationKind})
     epsilon: float = EPSILON_DEFAULT
     scope: ScopeFilter = field(default_factory=partial(ScopeFilter, preset="full"), metadata={"kind": ScopeFilter})
@@ -97,7 +97,6 @@ class MergeConfig(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         if not 0 < self.epsilon < np.inf:
             raise ConfigError(f"merge.epsilon must be positive and finite, got {self.epsilon}")
         if self.method == "dim3" and self.baseline is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -21,13 +20,7 @@ from .errors import ConfigError, NumericError, Record, ShapeError
 _ZSCORE_STD_GUARD = 1e-12
 _RATIO_SUM_GUARD = 1e-12
 
-
-class EstimatorKind(str, Enum):
-    RANK = "rank"
-    RAW = "raw"
-    ZSCORE = "zscore"
-    MINMAX = "minmax"
-    RATIO = "ratio"
+ESTIMATORS = ("rank", "raw", "zscore", "minmax", "ratio")
 
 
 @dataclass(frozen=True)
@@ -35,14 +28,13 @@ class AggregationKind(Record):
     """How the magnitude and direction branches combine into one weight.
 
     ``lam`` is the weight of the named branch for the weighted kinds and must
-    lie in (0.5, 1); it is absent otherwise. A config (``merge.aggregation``)
-    that names a weighted kind without a lambda gets 0.75.
+    lie in (0.5, 1); a weighted kind given none, in code or in a config
+    (``merge.aggregation``), gets 0.75. It is absent otherwise.
     """
 
     _WEIGHTED = ("dir_weighted", "mag_weighted")
     _KINDS = ("average", "dir_weighted", "mag_weighted", "mag_only", "dir_only")
     section = "merge.aggregation"
-    presets = {kind: {"lam": 0.75} for kind in _WEIGHTED}
 
     kind: str = field(default="average", metadata={"choices": _KINDS})
     lam: float | None = field(default=None, metadata={"key": "lambda", "kind": "number"})
@@ -50,7 +42,8 @@ class AggregationKind(Record):
     def __post_init__(self):
         super().__post_init__()
         if self.kind in self._WEIGHTED:
-            if self.lam is None or not (0.5 < self.lam < 1.0):
+            object.__setattr__(self, "lam", 0.75 if self.lam is None else self.lam)
+            if not (0.5 < self.lam < 1.0):
                 raise ConfigError(f"merge.aggregation.lambda must be in (0.5, 1) for {self.kind}, got {self.lam}")
         elif self.lam is not None:
             raise ConfigError(f"merge.aggregation.lambda must be absent for {self.kind}, got {self.lam}")
@@ -113,29 +106,25 @@ def salience_pair(r_ml, r_mm):
     return s_ml, s_mm
 
 
-def estimate_salience(
-    dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: EstimatorKind = EstimatorKind.RANK
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-source salience scores from one branch's deviation vectors.
-    ``estimator`` is an :class:`EstimatorKind` or its name."""
-    try:
-        estimator = EstimatorKind(estimator)
-    except ValueError:
-        raise ConfigError(f"unknown estimator {estimator!r}") from None
+def estimate_salience(dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: str = "rank") -> tuple[np.ndarray, np.ndarray]:
+    """Cross-source salience scores from one branch's deviation vectors by
+    the ``estimator`` named (one of ``ESTIMATORS``)."""
+    if estimator not in ESTIMATORS:
+        raise ConfigError(f"unknown estimator {estimator!r}")
     dev_ml = np.asarray(dev_ml, dtype=np.float64)
     dev_mm = np.asarray(dev_mm, dtype=np.float64)
     if dev_ml.shape != dev_mm.shape or dev_ml.ndim != 1:
         raise ShapeError(f"deviation shapes differ: {dev_ml.shape} vs {dev_mm.shape}")
 
-    if estimator is EstimatorKind.RANK:
+    if estimator == "rank":
         return salience_pair(rank_normalize(dev_ml), rank_normalize(dev_mm))
-    if estimator is EstimatorKind.RAW:
+    if estimator == "raw":
         return salience_pair(dev_ml, dev_mm)
-    if estimator is EstimatorKind.ZSCORE:
+    if estimator == "zscore":
         return salience_pair(_zscore(dev_ml), _zscore(dev_mm))
-    if estimator is EstimatorKind.MINMAX:
+    if estimator == "minmax":
         return salience_pair(_minmax(dev_ml), _minmax(dev_mm))
-    # RATIO
+    # ratio
     total = dev_ml + dev_mm
     tiny = total < _RATIO_SUM_GUARD
     safe = np.where(tiny, 1.0, total)
@@ -193,10 +182,8 @@ def aggregate_branches(
     )
 
 
-def elementwise_salience(
-    dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: EstimatorKind = EstimatorKind.RANK
-) -> SalienceWeights:
-    """Single-branch salience for 1D parameters: the weights are the scores.
-    ``estimator`` is an :class:`EstimatorKind` or its name."""
+def elementwise_salience(dev_ml: np.ndarray, dev_mm: np.ndarray, estimator: str = "rank") -> SalienceWeights:
+    """Single-branch salience for 1D parameters: the weights are the scores,
+    by the ``estimator`` named."""
     s_ml, s_mm = estimate_salience(dev_ml, dev_mm, estimator)
     return SalienceWeights(s_mag_ml=s_ml, s_dir_ml=s_ml, omega_ml=s_ml, omega_mm=s_mm)

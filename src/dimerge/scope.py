@@ -70,7 +70,8 @@ class ScopeFilter(Record):
     Keys without a parsable layer index are out of scope while a layer range
     is active, unless range-exempt. The layer pattern is checked and compiled
     once, when the filter is made. In a config (``merge.scope``) a preset
-    sets the fields, and each key given beside it replaces the preset's own.
+    sets the fields, and each key given beside it replaces the preset's own;
+    only :meth:`from_dict` applies it, so a preset named in code sets nothing.
     """
 
     section = "merge.scope"

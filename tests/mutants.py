@@ -107,7 +107,7 @@ MUTANTS = (
     Mutant("config-number-finite", "src/dimerge/errors.py",
            "_is(v, (int, float)) and abs(v) <= sys.float_info.max", "_is(v, (int, float))",
            "a config number is finite",
-           killed_by="tests/test_cli.py::TestDiagnoseCommand::test_malformed_config_is_config_error[epsilon_nan]"),
+           killed_by="tests/test_cli.py::TestDiagnoseCommand::test_malformed_config_is_config_error[merge_epsilon_nan]"),
     Mutant("branch-score-range", "src/dimerge/salience.py",
            "if np.any(s < 0.0) or np.any(s > 1.0):", "if np.any(s < 0.0):",
            "branch scores above 1 are a numeric error",
@@ -234,10 +234,6 @@ MUTANTS = (
            "                require_finite(values, f\"{triple.name}: {role} tensor contains non-finite values\")\n", "",
            "a non-finite source is named as its tensor before its residual",
            killed_by="tests/test_merge.py::TestNonFiniteInput::test_nan_in_ml_rejected[task_arithmetic]"),
-    Mutant("diagnose-epsilon-finite", "src/dimerge/diagnostics.py",
-           "if not 0 < self.epsilon < np.inf:", "if not 0 < self.epsilon:",
-           "diagnose.epsilon must be finite",
-           killed_by="tests/test_diagnostics.py::test_config_epsilon_is_positive_and_finite[inf]"),
     # the merge report
     Mutant("summary-counts", "src/dimerge/merge.py",
            "MergeSummary(merged, len(entries) - merged,", "MergeSummary(merged, len(entries),",
@@ -256,6 +252,25 @@ MUTANTS = (
            'ConfigError(f"merge.epsilon must be positive', 'ConfigError(f"epsilon must be positive',
            "a merge value out of its range is refused by a message naming its dotted key",
            killed_by="tests/test_cli.py::TestDiagnoseCommand::test_bad_merge_value_names_its_key[epsilon_zero]"),
+    # one field and one check per config fact
+    Mutant("choice-error-names-section", "src/dimerge/errors.py",
+           'raise _bad_value(self.section, f.metadata.get("key", f.name)',
+           'raise _bad_value("", f.metadata.get("key", f.name)',
+           "a named value outside its choices is refused by a message naming its dotted key",
+           killed_by="tests/test_config_reader.py::test_every_choice_error_names_its_dotted_key[MergeConfig.method]"),
+    Mutant("baseline-choice-check", "src/dimerge/baselines.py",
+           "        super().__post_init__()\n        if not math.isfinite(self.lam):",
+           "        if not math.isfinite(self.lam):",
+           "every record's own checks run after the base record's choice check",
+           killed_by="tests/test_config_reader.py::test_every_override_runs_the_choice_check[merge.baseline]"),
+    Mutant("aggregation-default-lambda", "src/dimerge/salience.py",
+           '"lam", 0.75 if self.lam is None', '"lam", 0.8 if self.lam is None',
+           "a weighted aggregation given no lambda gets 0.75, in code as in a config",
+           killed_by="tests/test_config_records.py::test_a_weighted_kind_made_in_code_gets_the_config_lambda[dir_weighted]"),
+    Mutant("diagnose-epsilon-is-merge", "src/dimerge/cli.py",
+           "cfg.schema, run.merge.epsilon, run.threads", "cfg.schema, 1e-8, run.threads",
+           "diagnose guards its cosines with merge.epsilon",
+           killed_by="tests/test_cli.py::TestDiagnoseCommand::test_cosine_guard_is_merge_epsilon"),
 )
 
 

@@ -581,14 +581,14 @@ class TestConfigChecks:
         assert err.startswith("error[config.bad_value]") and key in err and "exactly one {n}" in err
 
     @pytest.mark.parametrize("command, section, key", [
-        ("merge", {"diagnose": {"epsilon": -1}}, "diagnose.epsilon"),
-        ("merge", {"diagnose": {"epsilon": 1e-8, "bogus": 3}}, "diagnose.bogus"),
+        ("merge", {"diagnose": {"bogus": 3}}, "diagnose.bogus"),
         ("merge", {"diagnose": {"schema": {"layer_pattern": "model.layers.*"}}}, "diagnose.schema.layer_pattern"),
+        ("diagnose", {"merge": {"epsilon": -1}}, "merge.epsilon"),
         ("diagnose", {"merge": {"method": "nope"}}, "merge.method"),
         ("diagnose", {"merge": {"method": "dim3", "bogus": 1}}, "merge.bogus"),
         ("diagnose", {"merge": {"scope": {"layer_range": [0, 1], "layer_pattern": "*.{n}.{n}.*"}}},
          "merge.scope.layer_pattern"),
-    ], ids=["diagnose_epsilon", "diagnose_key", "diagnose_layer_pattern", "merge_method", "merge_key",
+    ], ids=["diagnose_key", "diagnose_layer_pattern", "merge_epsilon", "merge_method", "merge_key",
             "merge_layer_pattern"])
     def test_each_command_refuses_the_other_commands_bad_section(self, tmp_path, capsys, command, section, key):
         """Both commands read the whole config, so a bad section of the other
@@ -660,6 +660,17 @@ class TestDiagnoseCommand:
         assert len(rows) == LAYERS * 9 + 3
         assert json.loads((tmp_path / "diag.json").read_text())
 
+    def test_cosine_guard_is_merge_epsilon(self, workspace):
+        """``diagnose`` guards its cosines with ``merge.epsilon``, the one the
+        merge weighs by: one past every column norm voids every column, so
+        each row with direction columns reads a reorientation of exactly 1."""
+        tmp_path, config, _ = workspace
+        config["diagnose"] = {"csv_path": str(tmp_path / "d.csv")}
+        assert main(["diagnose", "--config", write_config(tmp_path, config), "--set", "merge.epsilon=1e6"]) == 0
+        with open(tmp_path / "d.csv") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["dirdev_ml"] != "nan"]
+        assert rows and all(row["dirdev_ml"] == row["dirdev_mm"] == "1" for row in rows)
+
     def test_bad_schema_still_exports_with_layer_minus_one(self, workspace):
         tmp_path, config, _ = workspace
         config["diagnose"] = {
@@ -687,15 +698,16 @@ class TestDiagnoseCommand:
         (["--set", "diagnose.schema=qwen3", "--set", "diagnose.schema.labels=[]"], "diagnose.schema.labels",
          "config.unknown_key"),
         (["--set", "remap.anchr=[]"], "remap.anchr", "config.unknown_key"),
-        (["--set", "diagnose.epsilon=NaN"], "epsilon", "config.bad_value"),
-        (["--set", "diagnose.epsilon=Infinity"], "epsilon", "config.bad_value"),
-        (["--set", "diagnose.epsilon=0"], "epsilon", "config.invalid"),
+        (["--set", "diagnose.epsilon=1e-8"], "diagnose.epsilon", "config.unknown_key"),
+        (["--set", "merge.epsilon=NaN"], "merge.epsilon", "config.bad_value"),
+        (["--set", "merge.epsilon=Infinity"], "merge.epsilon", "config.bad_value"),
         (["--set", 'diagnose.schema.module_labels=[["q_proj"]]'], "diagnose.schema.module_labels", "config.bad_value"),
         (["--set", "diagnose.schema.layer_pattern=5"], "diagnose.schema.layer_pattern", "config.bad_value"),
         (["--set", "remap.anchor=language_model."], "remap.anchor", "config.bad_value"),
         (["--set", "report_pth=r.json"], "report_pth", "config.unknown_key"),
-    ], ids=["diagnose_key", "schema_key", "schema_key_beside_preset", "remap_key", "epsilon_nan", "epsilon_inf",
-            "epsilon_zero", "module_labels_not_pairs", "layer_pattern_number", "remap_rules_string", "top_level_key"])
+    ], ids=["diagnose_key", "schema_key", "schema_key_beside_preset", "remap_key", "diagnose_epsilon",
+            "merge_epsilon_nan", "merge_epsilon_inf", "module_labels_not_pairs", "layer_pattern_number",
+            "remap_rules_string", "top_level_key"])
     def test_malformed_config_is_config_error(self, workspace, capsys, args, key, error_class):
         tmp_path, config, _ = workspace
         config["diagnose"] = {"schema": {"preset": "llama"}, "csv_path": str(tmp_path / "d.csv")}
@@ -727,7 +739,7 @@ class TestDiagnoseCommand:
         assert err.startswith(f"error[config.invalid]: {key}")
         assert not (tmp_path / "d.csv").exists()
 
-    @pytest.mark.parametrize("section", [None, {"csv_path": ""}, {"schema": "qwen3", "epsilon": 0.1}],
+    @pytest.mark.parametrize("section", [None, {"csv_path": ""}, {"schema": "qwen3"}],
                              ids=["null", "empty_csv_path", "schema_only"])
     def test_no_table_path_is_config_error(self, workspace, capsys, section):
         """A ``diagnose`` section that names no table is refused, as the

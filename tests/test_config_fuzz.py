@@ -21,7 +21,7 @@ from dimerge.diagnostics import DiagnoseConfig
 from dimerge.errors import ConfigError
 from dimerge.merge import MERGE_METHODS, MergeConfig
 from dimerge.presets import RemapRules
-from dimerge.salience import EstimatorKind
+from dimerge.salience import ESTIMATORS
 from dimerge.scope import SCOPE_PRESETS
 
 PROPERTY = settings(max_examples=400)
@@ -48,7 +48,6 @@ VALID = {
         "schema": {"preset": "qwen3", "layer_pattern": "*.h.{n}.*", "module_labels": [["q_proj", "attn.q"]]},
         "csv_path": "d.csv",
         "json_path": "d.json",
-        "epsilon": 1e-8,
     },
 }
 
@@ -112,7 +111,6 @@ def check_remap(config):
 def check_diagnose(config):
     cfg = DiagnoseConfig.from_dict(config.get("diagnose"))
     assert type(cfg.schema.layer_pattern) is str and is_pairs(cfg.schema.module_labels)
-    assert is_finite_number(cfg.epsilon) and cfg.epsilon > 0
     assert all(path is None or type(path) is str for path in (cfg.csv_path, cfg.json_path))
 
 
@@ -153,7 +151,7 @@ def test_mutated_config_reads_or_raises_config_error(path, value, via_set):
 @PROPERTY
 @given(
     method=st.sampled_from(MERGE_METHODS),
-    estimator=st.sampled_from([e.value for e in EstimatorKind]),
+    estimator=st.sampled_from(ESTIMATORS),
     kind=st.sampled_from(AGGREGATION_KINDS),
     preset=st.sampled_from(sorted(SCOPE_PRESETS)),
     lam=st.none() | st.floats(0.51, 0.99),

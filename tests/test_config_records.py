@@ -2,19 +2,22 @@
 
 The echo a merge report carries is pinned byte for byte: re-running it must
 rebuild the same config. And a config made in code checks every named value
-when it is made, as the reader does.
+when it is made, as the reader does, and names it by its dotted key. The
+settable keys are pinned, so adding or removing one means editing
+``KNOBS`` on purpose.
 """
 
 import json
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from dimerge.baselines import BaselineParams
+from dimerge.cli import RunConfig
 from dimerge.errors import ConfigError
 from dimerge.merge import BASELINE_METHODS, MergeConfig
-from dimerge.salience import AggregationKind, EstimatorKind
+from dimerge.salience import AggregationKind
 from dimerge.scope import SCOPE_PRESETS, ScopeFilter
 
 from conftest import make_triple, merge_and_load
@@ -90,17 +93,47 @@ CHOICES = [(MergeConfig, {"method": "soup"}), (MergeConfig, {"shape_policy": "bo
 @pytest.mark.parametrize("record, kwargs", CHOICES, ids=[next(iter(kwargs)) for _, kwargs in CHOICES])
 def test_a_named_value_is_checked_when_made(record, kwargs):
     [key] = kwargs
-    with pytest.raises(ConfigError, match=f"^config value {key} must be one of ") as info:
+    with pytest.raises(ConfigError, match=f"^config value {record.section}.{key} must be one of ") as info:
         record(**kwargs)
     assert info.value.error_class == "config.bad_value"
 
 
-def test_a_string_estimator_becomes_its_kind_and_merges():
-    cfg = MergeConfig(estimator="zscore")
-    assert cfg.estimator is EstimatorKind.ZSCORE
-    assert cfg == MergeConfig(estimator=EstimatorKind.ZSCORE)
+def test_a_string_estimator_merges():
     base, ml, anchor = make_triple(seed=3)
-    merged, report = merge_and_load(base, ml, anchor, cfg)
-    want, _ = merge_and_load(base, ml, anchor, MergeConfig(estimator=EstimatorKind.ZSCORE))
+    _, report = merge_and_load(base, ml, anchor, MergeConfig(estimator="zscore"))
     assert report.summary.merged_count > 0
-    assert all(np.array_equal(merged[name].bits(), want[name].bits()) for name in want.names())
+
+
+@pytest.mark.parametrize("kind", ["dir_weighted", "mag_weighted"])
+def test_a_weighted_kind_made_in_code_gets_the_config_lambda(kind):
+    assert AggregationKind(kind) == AggregationKind.from_dict(kind) == AggregationKind(kind, 0.75)
+
+
+# every settable config key, the baseline's expanded
+KNOBS = [
+    "schema_version", "base_path", "multilingual_path", "anchor_path",
+    "remap.preset", "remap.base", "remap.multilingual", "remap.anchor",
+    "merge.method", "merge.estimator", "merge.aggregation.kind", "merge.aggregation.lambda", "merge.epsilon",
+    "merge.scope.preset", "merge.scope.include", "merge.scope.exclude", "merge.scope.layer_range",
+    "merge.scope.layer_pattern", "merge.scope.range_exempt", "merge.shape_policy", "merge.seed",
+    "merge.baseline.lambda", "merge.baseline.dare_drop_p", "merge.baseline.ties_density",
+    "merge.baseline.breadcrumbs_beta", "merge.baseline.breadcrumbs_gamma", "merge.output_dtype", "merge.high_rank",
+    "output_path", "report_path", "threads", "shard_limit",
+    "diagnose.schema.preset", "diagnose.schema.layer_pattern", "diagnose.schema.module_labels",
+    "diagnose.csv_path", "diagnose.json_path",
+]
+
+
+def _leaves(data: dict, prefix: str = ""):
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_knob_inventory():
+    """The dotted leaf keys of the run config, in order, are the pinned ones."""
+    config = RunConfig().to_dict()
+    config["merge"]["baseline"] = BaselineParams().to_dict()
+    assert list(_leaves(config)) == KNOBS

@@ -8,7 +8,6 @@ import pytest
 from dimerge import diagnostics
 from dimerge.diagnostics import (
     CSV_HEADER,
-    DiagnoseConfig,
     HeatmapRow,
     ModuleKeySchema,
     diagnose,
@@ -193,13 +192,6 @@ class TestDiagnose:
         before = {n: base[n].raw for n in base.names()}
         diagnose(base, ml, anchor)
         assert all(base[n].raw == before[n] for n in base.names())
-
-
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, np.nan, np.inf])
-def test_config_epsilon_is_positive_and_finite(epsilon):
-    """The one rule ``MergeConfig`` and the cosine guard keep too."""
-    with pytest.raises(ConfigError, match="^diagnose.epsilon must be positive and finite"):
-        DiagnoseConfig(epsilon=epsilon)
 
 
 def _order(label: str) -> int:

@@ -14,7 +14,7 @@ from dimerge.baselines import BaselineParams
 from dimerge.errors import ConfigError, NumericError
 from dimerge.merge import BASELINE_METHODS, MERGE_METHODS, OUTPUT_DTYPES, MergeConfig, merge_checkpoint, merge_tensor
 from dimerge.records import DType, TensorRecord, recode_bits
-from dimerge.salience import AggregationKind, EstimatorKind
+from dimerge.salience import AggregationKind
 from dimerge.scope import ScopeFilter
 from dimerge.store import DEFAULT_SHARD_LIMIT, Checkpoint, load_checkpoint, save_checkpoint
 
@@ -368,7 +368,7 @@ class TestConfig:
     def test_round_trips_through_dict(self):
         cfg = MergeConfig(
             method="dim3",
-            estimator=EstimatorKind.ZSCORE,
+            estimator="zscore",
             aggregation=AggregationKind("dir_weighted", 0.6),
             scope=ScopeFilter.from_dict({"preset": "layers", "layer_range": [0, 0]}),
             seed=9,

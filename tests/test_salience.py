@@ -3,8 +3,8 @@ import pytest
 
 from dimerge.errors import ConfigError, NumericError, ShapeError
 from dimerge.salience import (
+    ESTIMATORS,
     AggregationKind,
-    EstimatorKind,
     aggregate_branches,
     elementwise_salience,
     estimate_salience,
@@ -14,7 +14,6 @@ from dimerge.salience import (
 
 import reference
 
-ALL_ESTIMATORS = list(EstimatorKind)
 ALL_AGGREGATIONS = [
     AggregationKind("average"),
     AggregationKind("dir_weighted", 0.75),
@@ -75,7 +74,7 @@ class TestSaliencePair:
 
 
 class TestEstimators:
-    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_equal_deviations_are_neutral(self, estimator, rng):
         dev = rng.uniform(0.0, 2.0, size=12)
         s_ml, s_mm = estimate_salience(dev, dev.copy(), estimator)
@@ -84,29 +83,29 @@ class TestEstimators:
 
     def test_rank_two_column_example(self):
         # ranks per source: ml -> [1, 0.5], mm -> [0.5, 1]
-        s_ml, _ = estimate_salience(np.array([0.9, 0.1]), np.array([0.1, 0.9]), EstimatorKind.RANK)
+        s_ml, _ = estimate_salience(np.array([0.9, 0.1]), np.array([0.1, 0.9]), "rank")
         want = reference.logistic(0.5)
         np.testing.assert_allclose(s_ml, [want, 1.0 - want], atol=1e-15)
 
     def test_ratio_proportional_split(self):
-        s_ml, s_mm = estimate_salience(np.array([3.0]), np.array([1.0]), EstimatorKind.RATIO)
+        s_ml, s_mm = estimate_salience(np.array([3.0]), np.array([1.0]), "ratio")
         assert s_ml[0] == 0.75 and s_mm[0] == 0.25
 
     def test_ratio_zero_sum_guard(self):
-        s_ml, _ = estimate_salience(np.zeros(3), np.zeros(3), EstimatorKind.RATIO)
+        s_ml, _ = estimate_salience(np.zeros(3), np.zeros(3), "ratio")
         np.testing.assert_array_equal(s_ml, [0.5] * 3)
 
     def test_zscore_degenerate_source(self):
         # constant source standardizes to zeros, so the gate follows only
         # the other source's standardized values
-        s_ml, _ = estimate_salience(np.full(3, 0.7), np.array([0.1, 0.2, 0.9]), EstimatorKind.ZSCORE)
+        s_ml, _ = estimate_salience(np.full(3, 0.7), np.array([0.1, 0.2, 0.9]), "zscore")
         assert s_ml[2] < 0.5 < s_ml[0]
 
     def test_minmax_degenerate_source(self):
-        s_ml, _ = estimate_salience(np.full(4, 0.3), np.full(4, 9.0), EstimatorKind.MINMAX)
+        s_ml, _ = estimate_salience(np.full(4, 0.3), np.full(4, 9.0), "minmax")
         np.testing.assert_allclose(s_ml, 0.5)
 
-    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_swap_symmetry(self, estimator, rng):
         dev_ml = rng.uniform(0.0, 1.0, size=17)
         dev_mm = rng.uniform(0.0, 1.0, size=17)
@@ -115,7 +114,7 @@ class TestEstimators:
         np.testing.assert_array_equal(s1[0], s2[1])
         np.testing.assert_array_equal(s1[1], s2[0])
 
-    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
     def test_permutation_equivariance(self, estimator, rng):
         dev_ml = rng.uniform(0.0, 1.0, size=11)
         dev_mm = rng.uniform(0.0, 1.0, size=11)
@@ -129,13 +128,13 @@ class TestEstimators:
         # hence all outputs, unchanged
         dev_ml = rng.uniform(0.0, 1.0, size=23)
         dev_mm = rng.uniform(0.0, 1.0, size=23)
-        s_plain = estimate_salience(dev_ml, dev_mm, EstimatorKind.RANK)
-        s_trans = estimate_salience(np.exp(3.0 * dev_ml) + 1.0, dev_mm, EstimatorKind.RANK)
+        s_plain = estimate_salience(dev_ml, dev_mm, "rank")
+        s_trans = estimate_salience(np.exp(3.0 * dev_ml) + 1.0, dev_mm, "rank")
         np.testing.assert_array_equal(s_plain[0], s_trans[0])
 
     def test_rank_bounds(self, rng):
         d = 32
-        s_ml, s_mm = estimate_salience(rng.uniform(size=d), rng.uniform(size=d), EstimatorKind.RANK)
+        s_ml, s_mm = estimate_salience(rng.uniform(size=d), rng.uniform(size=d), "rank")
         lo = reference.logistic(-(d - 1) / d)
         hi = reference.logistic((d - 1) / d)
         for s in (s_ml, s_mm):
@@ -144,18 +143,6 @@ class TestEstimators:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             estimate_salience(np.zeros(3), np.zeros(4))
-
-    @pytest.mark.parametrize("estimator", ALL_ESTIMATORS)
-    def test_name_is_the_estimator(self, estimator, rng):
-        """A library caller may name the estimator: the string gives the
-        enum's scores, through both entry points."""
-        dev_ml, dev_mm = rng.uniform(size=9), rng.uniform(size=9)
-        by_name = estimate_salience(dev_ml, dev_mm, estimator.value)
-        by_enum = estimate_salience(dev_ml, dev_mm, estimator)
-        for got, want in zip(by_name, by_enum):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(elementwise_salience(dev_ml, dev_mm, estimator.value).omega_ml,
-                                      elementwise_salience(dev_ml, dev_mm, estimator).omega_ml)
 
     @pytest.mark.parametrize("call", [estimate_salience, elementwise_salience])
     def test_unknown_name_refused(self, call):
